@@ -150,27 +150,9 @@ pub fn diagnostics_json(diags: &[Diagnostic]) -> String {
     out
 }
 
-/// Escape a string as a JSON string literal (RFC 8259: quote, backslash
-/// and controls escaped; everything else passes through as UTF-8).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// Escape a string as a JSON string literal — the workspace's one
+/// escaper, re-exported so `ic_audit::report::json_string` stays a path.
+pub use ic_sim::json::json_string;
 
 #[cfg(test)]
 mod tests {

@@ -4,10 +4,13 @@
 //! Functions returning `Result<CmdOutput, String>` reserve the `Err`
 //! arm for parse/usage errors that prevent the command from running —
 //! the binary maps those to exit code `2`, while a `CmdOutput` with
-//! findings exits `1`.
+//! findings exits `1`. The two launcher verbs, [`serve`] and [`fed`],
+//! whose whole input is their flags, read them with the shared
+//! [`Flags`] reader themselves and so return a [`CliError`].
 
 use std::fmt::Write as _;
 
+use ic_audit::report::json_string;
 use ic_dag::dot::{to_dot, DotOptions};
 use ic_dag::stats::stats;
 use ic_sched::heuristics::{schedule_with, Policy};
@@ -15,6 +18,7 @@ use ic_sched::quality::{area_under, summarize};
 use ic_sim::trace::MemorySink;
 use ic_sim::{simulate_traced, ClientProfile, SimConfig, Trace};
 
+use crate::flags::{server_flag, CliError, Flags};
 use crate::output::{json_num_array, json_str_array, CmdOutput};
 use crate::parse::NamedDag;
 
@@ -129,7 +133,7 @@ pub fn order(nd: &NamedDag, policy: OrderPolicy) -> CmdOutput {
 
     let data = format!(
         "{{\"how\": {}, \"order\": {}, \"profile\": {}}}",
-        ic_audit::report::json_string(&how),
+        json_string(&how),
         json_str_array(schedule.order().iter().map(|&v| nd.name(v))),
         json_num_array(profile.iter().copied()),
     );
@@ -363,7 +367,7 @@ pub fn sim_run(nd: &NamedDag, policy: &Policy, clients: usize, seed: u64) -> (Cm
         "{{\"policy\": {}, \"clients\": {clients}, \"seed\": \"{seed}\", \
          \"makespan\": {}, \"utilization\": {}, \"idle_time\": {}, \"mean_pool\": {}, \
          \"gridlock\": {}, \"unsatisfied_at_batch\": {}, \"failures\": {}, \"events\": {}}}",
-        ic_audit::report::json_string(policy.name()),
+        json_string(policy.name()),
         r.makespan,
         r.utilization,
         r.idle_time,
@@ -471,7 +475,7 @@ pub fn audit_trace_text(jsonl: &str, deny: &[&'static str]) -> Result<CmdOutput,
         "{{\"nodes\": {}, \"clients\": {}, \"policy\": {}, \"events\": {}}}",
         trace.header.nodes,
         trace.header.clients,
-        ic_audit::report::json_string(&trace.header.policy),
+        json_string(&trace.header.policy),
         trace.events.len(),
     );
     let mut out = finish_audit(diags, deny);
@@ -549,69 +553,273 @@ pub fn serve_policy(
         .ok_or_else(|| format!("unknown serve policy {flag:?}"))
 }
 
-/// `serve`: run the live TCP task server until the dag completes,
-/// streaming the trace to `trace_path` (JSONL, flushed per event) when
-/// given. `port_file` receives the bound address once listening — the
-/// hook scripts use to find an ephemeral port.
-pub fn serve_run(
-    dag_label: &str,
-    dag: &ic_dag::Dag,
-    policy: &dyn ic_sched::policy::AllocationPolicy,
-    listen: &str,
-    net_cfg: ic_net::ServerConfig,
-    trace_path: Option<&str>,
-    port_file: Option<&str>,
-) -> Result<CmdOutput, String> {
-    let server = ic_net::Server::bind(listen, dag, policy, net_cfg)
-        .map_err(|e| format!("cannot bind {listen}: {e}"))?;
-    let addr = server.local_addr().map_err(|e| e.to_string())?;
+/// Read a file named on the command line.
+pub fn read(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| CliError::Fatal(format!("cannot read {path}: {e}")))
+}
+
+/// Read and parse an edge-list dag file.
+pub fn load(path: &str) -> Result<NamedDag, CliError> {
+    crate::parse_dag(&read(path)?).map_err(|e| CliError::Fatal(format!("{path}: {e}")))
+}
+
+/// The dag a launcher verb runs on: exactly one of `--dag <file>` or
+/// `--family <spec>`, with the family's closed-form schedule when it
+/// has one.
+fn dag_source(
+    verb: &str,
+    path: Option<&str>,
+    family: Option<&str>,
+) -> Result<(String, ic_dag::Dag, Option<ic_sched::Schedule>), CliError> {
+    match (path, family) {
+        (Some(path), None) => Ok((path.to_string(), load(path)?.dag, None)),
+        (None, Some(spec)) => family_dag(spec).map_err(CliError::usage),
+        _ => Err(CliError::usage(format!(
+            "{verb} needs exactly one of --dag or --family"
+        ))),
+    }
+}
+
+/// Parse `--shard i/N` into `(i, N)`; `i < N`, `N > 0`.
+fn parse_shard_spec(spec: &str) -> Option<(u64, u64)> {
+    let (i, n) = spec.split_once('/')?;
+    let i: u64 = i.parse().ok()?;
+    let n: u64 = n.parse().ok()?;
+    (i < n).then_some((i, n))
+}
+
+/// Parse `--peers 0=host:port,2=host:port` into `(shard, addr)` pairs.
+fn parse_peers(spec: &str) -> Result<Vec<(u64, String)>, String> {
+    spec.split(',')
+        .filter(|s| !s.is_empty())
+        .map(|entry| {
+            let (shard, addr) = entry
+                .split_once('=')
+                .ok_or_else(|| format!("--peers entry {entry:?} is not shard=addr"))?;
+            let shard: u64 = shard
+                .parse()
+                .map_err(|_| format!("--peers shard {shard:?} is not an integer"))?;
+            Ok((shard, addr.to_string()))
+        })
+        .collect()
+}
+
+/// `serve`: run the live TCP task server until the dag drains, in one
+/// of three modes chosen by its flags:
+///
+/// * fresh (the default) — serve the whole dag; `--trace` creates the
+///   JSONL write-ahead trace (flushed per lease-affecting event);
+/// * `--resume-from <trace>` — replay a crashed server's trace as a
+///   write-ahead log (`ic_net::recovery`), open the resume window for
+///   surviving v2 workers, and **append** to the same file, so the
+///   concatenated trace audits clean as one run;
+/// * `--shard i/N` — serve ONE shard of a federated computation: the
+///   global dag is partitioned exactly as every peer partitions it
+///   (same cutter, same shard count), this server takes sub-dag `i`
+///   and exchanges v3 `remote-done` notifications with its peers for
+///   the cut edges.
+///
+/// Whatever the mode, the path is bind → `--port-file` (the hook
+/// scripts use to find an ephemeral port) → [`ic_net::Driver::tcp`] →
+/// [`ic_net::Reactor`] → trace sink (create / append / none) →
+/// `run_until_drain` → `finish` → the one report renderer.
+pub fn serve(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
+    let replicate = flags.switch("--replicate-cut");
+    let (mut dag_path, mut family, mut trace, mut resume_from) = (None, None, None, None);
+    let (mut policy, mut listen, mut cut) = ("optimal", "127.0.0.1:0", "auto");
+    let (mut port_file, mut shard_spec, mut peers_spec) = (None, None, None);
+    let mut sever_link_after = None;
+    let mut net_cfg = ic_net::ServerConfig::default();
+    for pair in flags.pairs() {
+        let (flag, v) = pair?;
+        match flag {
+            _ if server_flag(&mut net_cfg, flag, v)? => {}
+            "--dag" => dag_path = Some(v.str()),
+            "--family" => family = Some(v.str()),
+            "--policy" => policy = v.str(),
+            "--listen" => listen = v.str(),
+            "--trace" => trace = Some(v.str()),
+            "--resume-from" => resume_from = Some(v.str()),
+            "--port-file" => port_file = Some(v.str()),
+            "--shard" => shard_spec = Some(v.str()),
+            "--peers" => peers_spec = Some(v.str()),
+            "--cut" => cut = v.str(),
+            "--sever-link-after" => sever_link_after = Some(v.int()?),
+            _ => return Err(CliError::Usage(None)),
+        }
+    }
+    let (dag_label, dag, family_schedule) = dag_source("serve", dag_path, family)?;
+    if resume_from.is_some() && (shard_spec.is_some() || trace.is_some()) {
+        return Err(CliError::usage(
+            "--resume-from appends to the recovered trace itself \
+             and is incompatible with --trace and --shard",
+        ));
+    }
+    let shard = match shard_spec {
+        Some(spec) => {
+            let (i, n) = parse_shard_spec(spec)
+                .ok_or_else(|| CliError::usage("--shard takes i/N with i < N"))?;
+            let peers = parse_peers(peers_spec.unwrap_or("")).map_err(CliError::usage)?;
+            let (part, mut plans) = fed_plans(&dag, cut, n, replicate)?;
+            let idx = usize::try_from(i)
+                .ok()
+                .filter(|&idx| idx < plans.len())
+                .ok_or_else(|| format!("no plan for shard {i}"))?;
+            Some((i, n, peers, plans.swap_remove(idx), part.cut_size()))
+        }
+        None if replicate || peers_spec.is_some() => {
+            return Err(CliError::usage("--replicate-cut/--peers need --shard i/N"));
+        }
+        None => None,
+    };
+    // A shard serves its sub-dag; a family's closed-form global
+    // schedule projects onto it order-preservingly.
+    let (dag, schedule) = match &shard {
+        Some((.., plan, _)) => (
+            &plan.dag,
+            family_schedule.and_then(|s| plan.schedule_from_global(s.order())),
+        ),
+        None => (&dag, family_schedule),
+    };
+    let policy = serve_policy(dag, policy, net_cfg.seed, schedule).map_err(CliError::usage)?;
+    let policy = policy.as_ref();
+    let recovery = match resume_from {
+        Some(wal) => {
+            let rcfg = ic_net::RecoveryConfig::default();
+            let replayed = ic_net::Recovery::replay(dag, policy, net_cfg.clone(), rcfg, wal);
+            Some(replayed.map_err(|e| format!("cannot resume from {wal}: {e}"))?)
+        }
+        None => None,
+    };
+    let recovered = recovery.as_ref().map(|r| r.report().clone());
+
+    let listener =
+        std::net::TcpListener::bind(listen).map_err(|e| format!("cannot bind {listen}: {e}"))?;
+    let addr = listener.local_addr().map_err(|e| e.to_string())?;
     if let Some(pf) = port_file {
         std::fs::write(pf, format!("{addr}\n")).map_err(|e| format!("cannot write {pf}: {e}"))?;
     }
-    let report = match trace_path {
-        Some(p) => {
-            let mut sink =
-                ic_sim::FileSink::create(p).map_err(|e| format!("cannot create {p}: {e}"))?;
-            let report = server.run(&mut sink).map_err(|e| e.to_string())?;
-            sink.finish()
-                .map_err(|e| format!("cannot flush {p}: {e}"))?;
-            report
-        }
-        None => server
-            .run(&mut ic_sim::trace::NullSink)
-            .map_err(|e| e.to_string())?,
+    let driver =
+        ic_net::Driver::tcp(listener, &net_cfg).map_err(|e| format!("cannot serve: {e}"))?;
+    let mut reactor = match recovery {
+        Some(recovery) => recovery.into_reactor(driver),
+        None => ic_net::Reactor::new(dag, policy, net_cfg, driver),
     };
+    if let Some((_, _, peers, plan, _)) = &shard {
+        let mut fed_cfg = plan.fed_config(peers.clone());
+        fed_cfg.sever_link_after = sever_link_after;
+        reactor.set_fed(plan.meta(), fed_cfg);
+    }
 
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# served {dag_label} ({} tasks) on {addr}, policy {}",
-        dag.num_nodes(),
-        policy.name()
-    );
-    let _ = writeln!(out, "completions:  {}", report.completions);
-    let _ = writeln!(out, "failures:     {}", report.failures);
-    let _ = writeln!(out, "allocations:  {}", report.allocations);
-    let _ = writeln!(out, "resumes:      {}", report.resumes);
-    let _ = writeln!(out, "steals:       {}", report.steals);
-    let _ = writeln!(out, "revokes:      {}", report.revokes);
-    let _ = writeln!(out, "workers:      {}", report.workers_registered);
-    let _ = writeln!(out, "makespan:     {:.3}s", report.makespan);
+    let trace_path = resume_from.or(trace);
+    let mut file = match (resume_from, trace) {
+        (Some(p), _) => {
+            Some(ic_sim::FileSink::append(p).map_err(|e| format!("cannot append to {p}: {e}"))?)
+        }
+        (None, Some(p)) => {
+            Some(ic_sim::FileSink::create(p).map_err(|e| format!("cannot create {p}: {e}"))?)
+        }
+        (None, None) => None,
+    };
+    let mut null = ic_sim::trace::NullSink;
+    let sink: &mut dyn ic_sim::trace::TraceSink = match file.as_mut() {
+        Some(file) => file,
+        None => &mut null,
+    };
+    let report = reactor.run_until_drain(sink).map_err(|e| e.to_string())?;
+    if let (Some(file), Some(p)) = (file, trace_path) {
+        file.finish()
+            .map_err(|e| format!("cannot flush {p}: {e}"))?;
+    }
+
+    let (tasks, policy) = (dag.num_nodes(), policy.name());
+    let what = match (&shard, resume_from) {
+        (Some((i, n, _, plan, cut)), _) => format!(
+            "shard {i}/{n} of {dag_label}: {tasks} local task(s) ({} stub(s), \
+             {} replica(s), cut {cut}) on {addr}",
+            plan.stubs.len(),
+            plan.replicas.len(),
+        ),
+        (None, Some(wal)) => format!("resumed {dag_label} ({tasks} tasks) on {addr} from {wal}"),
+        (None, None) => format!("served {dag_label} ({tasks} tasks) on {addr}"),
+    };
+    let mut text = format!("# {what}, policy {policy}\n");
+    let mut data = String::new();
+    if let (Some(rec), Some(wal)) = (&recovered, resume_from) {
+        let _ = writeln!(
+            text,
+            "recovered:    {} events, {} completions, {} leases re-armed, \
+             {} worker(s) awaited",
+            rec.events_replayed, rec.completions, rec.tasks_rearmed, rec.workers_awaited
+        );
+        if let Some(torn) = &rec.torn_tail {
+            let _ = writeln!(
+                text,
+                "# warning [IC0700]: dropped torn trace line {} (crash mid-write)",
+                torn.line
+            );
+        }
+        let _ = write!(
+            data,
+            ", \"resumed_from\": {}, \"events_replayed\": {}, \"recovered_completions\": {}, \
+             \"tasks_rearmed\": {}, \"workers_awaited\": {}, \"torn_tail\": {}",
+            json_string(wal),
+            rec.events_replayed,
+            rec.completions,
+            rec.tasks_rearmed,
+            rec.workers_awaited,
+            rec.torn_tail.is_some(),
+        );
+    }
+    let common = serve_report(&report, &addr.to_string(), &policy, &mut text);
+    if let Some((i, n, _, _, cut)) = &shard {
+        let (tx, rx, remote) = (report.peer_tx, report.peer_rx, report.remote_completions);
+        let _ = writeln!(text, "remote completions: {remote}");
+        let _ = writeln!(text, "peer frames:        {tx} sent, {rx} received");
+        let _ = writeln!(text, "peer reconnects:    {}", report.peer_reconnects);
+        let _ = write!(
+            data,
+            ", \"shard\": {i}, \"shards\": {n}, \"local_nodes\": {tasks}, \"cut_edges\": {cut}, \
+             \"remote_completions\": {remote}, \"peer_tx\": {tx}, \"peer_rx\": {rx}, \
+             \"peer_reconnects\": {}",
+            report.peer_reconnects,
+        );
+    }
     if report.late_workers > 0 && trace_path.is_some() {
         let _ = writeln!(
-            out,
+            text,
             "# warning: {} worker(s) registered after the trace header was written; \
              their parameters are missing from the header, so the trace replays order \
              but not timing. Pass --expect {} to hold the header for all workers.",
             report.late_workers, report.workers_registered
         );
     }
-    let data = format!(
-        "{{\"addr\": {}, \"policy\": {}, \"completions\": {}, \"failures\": {}, \
+    Ok(CmdOutput::success("serve", text).with_data(format!("{{{common}{data}}}")))
+}
+
+/// Render a [`ic_net::ServeReport`] — the lines appended to `text` and
+/// the returned `data` fields (no braces) are what every serve mode
+/// reports alike.
+fn serve_report(
+    report: &ic_net::ServeReport,
+    addr: &str,
+    policy: &str,
+    text: &mut String,
+) -> String {
+    let _ = writeln!(text, "completions:  {}", report.completions);
+    let _ = writeln!(text, "failures:     {}", report.failures);
+    let _ = writeln!(text, "allocations:  {}", report.allocations);
+    let _ = writeln!(text, "resumes:      {}", report.resumes);
+    let _ = writeln!(text, "steals:       {}", report.steals);
+    let _ = writeln!(text, "revokes:      {}", report.revokes);
+    let _ = writeln!(text, "workers:      {}", report.workers_registered);
+    let _ = writeln!(text, "makespan:     {:.3}s", report.makespan);
+    format!(
+        "\"addr\": {}, \"policy\": {}, \"completions\": {}, \"failures\": {}, \
          \"reallocations\": {}, \"allocations\": {}, \"resumes\": {}, \"steals\": {}, \
-         \"revokes\": {}, \"workers\": {}, \"late_workers\": {}, \"makespan\": {}}}",
-        ic_audit::report::json_string(&addr.to_string()),
-        ic_audit::report::json_string(&policy.name()),
+         \"revokes\": {}, \"workers\": {}, \"late_workers\": {}, \"makespan\": {}",
+        json_string(addr),
+        json_string(policy),
         report.completions,
         report.failures,
         report.failures,
@@ -622,105 +830,7 @@ pub fn serve_run(
         report.workers_registered,
         report.late_workers,
         report.makespan,
-    );
-    Ok(CmdOutput::success("serve", out).with_data(data))
-}
-
-/// `serve --resume-from`: restart a crashed server from its own trace.
-/// The trace is replayed as a write-ahead log (`ic_net::recovery`),
-/// the rebuilt server binds `listen`, opens the resume window for
-/// surviving v2 workers, and **appends** to the same trace file — the
-/// concatenated file audits clean as one run.
-pub fn serve_resume_run(
-    dag_label: &str,
-    dag: &ic_dag::Dag,
-    policy: &dyn ic_sched::policy::AllocationPolicy,
-    listen: &str,
-    net_cfg: ic_net::ServerConfig,
-    trace_path: &str,
-    port_file: Option<&str>,
-) -> Result<CmdOutput, String> {
-    let recovery = ic_net::Recovery::replay(
-        dag,
-        policy,
-        net_cfg.clone(),
-        ic_net::RecoveryConfig::default(),
-        trace_path,
     )
-    .map_err(|e| format!("cannot resume from {trace_path}: {e}"))?;
-    let recovered = recovery.report().clone();
-    let listener =
-        std::net::TcpListener::bind(listen).map_err(|e| format!("cannot bind {listen}: {e}"))?;
-    let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    if let Some(pf) = port_file {
-        std::fs::write(pf, format!("{addr}\n")).map_err(|e| format!("cannot write {pf}: {e}"))?;
-    }
-    let driver = ic_net::Driver::tcp(listener, &net_cfg).map_err(|e| e.to_string())?;
-    let mut reactor = recovery.into_reactor(driver);
-    let mut sink = ic_sim::trace::FileSink::append(trace_path)
-        .map_err(|e| format!("cannot append to {trace_path}: {e}"))?;
-    let report = reactor
-        .run_until_drain(&mut sink)
-        .map_err(|e| e.to_string())?;
-    sink.finish()
-        .map_err(|e| format!("cannot flush {trace_path}: {e}"))?;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# resumed {dag_label} ({} tasks) on {addr} from {trace_path}, policy {}",
-        dag.num_nodes(),
-        policy.name()
-    );
-    let _ = writeln!(
-        out,
-        "recovered:    {} events, {} completions, {} leases re-armed, \
-         {} worker(s) awaited",
-        recovered.events_replayed,
-        recovered.completions,
-        recovered.tasks_rearmed,
-        recovered.workers_awaited
-    );
-    if let Some(torn) = &recovered.torn_tail {
-        let _ = writeln!(
-            out,
-            "# warning [IC0700]: dropped torn trace line {} (crash mid-write)",
-            torn.line
-        );
-    }
-    let _ = writeln!(out, "completions:  {}", report.completions);
-    let _ = writeln!(out, "failures:     {}", report.failures);
-    let _ = writeln!(out, "allocations:  {}", report.allocations);
-    let _ = writeln!(out, "resumes:      {}", report.resumes);
-    let _ = writeln!(out, "steals:       {}", report.steals);
-    let _ = writeln!(out, "revokes:      {}", report.revokes);
-    let _ = writeln!(out, "workers:      {}", report.workers_registered);
-    let _ = writeln!(out, "makespan:     {:.3}s", report.makespan);
-    let data = format!(
-        "{{\"addr\": {}, \"policy\": {}, \"resumed_from\": {}, \
-         \"events_replayed\": {}, \"recovered_completions\": {}, \
-         \"tasks_rearmed\": {}, \"workers_awaited\": {}, \"torn_tail\": {}, \
-         \"completions\": {}, \"failures\": {}, \"allocations\": {}, \
-         \"resumes\": {}, \"steals\": {}, \"revokes\": {}, \"workers\": {}, \
-         \"makespan\": {}}}",
-        ic_audit::report::json_string(&addr.to_string()),
-        ic_audit::report::json_string(&policy.name()),
-        ic_audit::report::json_string(trace_path),
-        recovered.events_replayed,
-        recovered.completions,
-        recovered.tasks_rearmed,
-        recovered.workers_awaited,
-        recovered.torn_tail.is_some(),
-        report.completions,
-        report.failures,
-        report.allocations,
-        report.resumes,
-        report.steals,
-        report.revokes,
-        report.workers_registered,
-        report.makespan,
-    );
-    Ok(CmdOutput::success("serve", out).with_data(data))
 }
 
 /// A policy stand-in whose name matches the trace header's, for the
@@ -812,7 +922,7 @@ pub fn work_run(connect: &str, cfg: &ic_net::WorkerConfig) -> Result<CmdOutput, 
     let data = format!(
         "{{\"worker\": {}, \"id\": {}, \"completed\": {}, \"resumes\": {}, \"died\": {}}}",
         report.worker,
-        ic_audit::report::json_string(&cfg.id),
+        json_string(&cfg.id),
         report.completed,
         report.resumes,
         report.died,
@@ -838,235 +948,80 @@ pub fn cut_partition(
     }
 }
 
-/// Federation knobs of `serve --shard i/N`.
-#[derive(Debug, Clone)]
-pub struct FedServeOpts {
-    /// This server's shard index.
-    pub shard: u64,
-    /// Total shard count.
-    pub shards: u64,
-    /// Peer shard addresses, `(shard, addr)`.
-    pub peers: Vec<(u64, String)>,
-    /// Cutter name (`--cut`).
-    pub cut: String,
-    /// `--replicate-cut`: duplicate boundary tasks on consumer shards.
-    pub replicate: bool,
-    /// Test hook: sever all peer links once after N `remote-done`s.
-    pub sever_link_after: Option<usize>,
-}
-
-/// I/O and policy selection shared by the serve-style commands.
-#[derive(Debug, Clone, Copy)]
-pub struct ServeIo<'a> {
-    /// Listen address (`--listen`).
-    pub listen: &'a str,
-    /// Policy flag (`--policy`).
-    pub policy: &'a str,
-    /// JSONL trace destination (`--trace`).
-    pub trace: Option<&'a str>,
-    /// Bound-address drop file (`--port-file`).
-    pub port_file: Option<&'a str>,
-}
-
-/// `serve --shard i/N`: run ONE shard of a federated computation. The
-/// global dag is partitioned exactly as every peer partitions it (same
-/// cutter, same shard count), this server takes sub-dag `i`, serves
-/// its workers over the ordinary v2 protocol, and exchanges v3
-/// `remote-done` notifications with the peer servers for the cut
-/// edges.
-pub fn fed_serve_run(
-    dag_label: &str,
+/// Partition `dag` with cutter `cut` and plan every shard's sub-dag —
+/// the computation every member of a federation repeats identically.
+fn fed_plans(
     dag: &ic_dag::Dag,
-    fed: &FedServeOpts,
-    io: ServeIo<'_>,
-    net_cfg: ic_net::ServerConfig,
-    seed: u64,
-    family_schedule: Option<ic_sched::Schedule>,
-) -> Result<CmdOutput, String> {
-    if fed.shard >= fed.shards {
-        return Err(format!(
-            "--shard {}/{} is out of range",
-            fed.shard, fed.shards
-        ));
-    }
-    let part = cut_partition(dag, &fed.cut, fed.shards)?;
-    let mode = if fed.replicate {
+    cut: &str,
+    shards: u64,
+    replicate: bool,
+) -> Result<(ic_fed::Partition, Vec<ic_fed::ShardPlan>), String> {
+    let part = cut_partition(dag, cut, shards)?;
+    let mode = if replicate {
         ic_fed::CutMode::Replicate
     } else {
         ic_fed::CutMode::Notify
     };
     let plans = ic_fed::plan(dag, &part, mode);
-    let idx = usize::try_from(fed.shard).map_err(|_| "shard index overflow".to_string())?;
-    let plan = plans
-        .get(idx)
-        .ok_or_else(|| format!("no plan for shard {}", fed.shard))?;
-
-    // The policy runs on the local sub-dag; a family's closed-form
-    // global schedule projects onto it order-preservingly.
-    let local_schedule = family_schedule.and_then(|s| plan.schedule_from_global(s.order()));
-    let policy = serve_policy(&plan.dag, io.policy, seed, local_schedule)?;
-
-    let listener = std::net::TcpListener::bind(io.listen)
-        .map_err(|e| format!("cannot bind {}: {e}", io.listen))?;
-    let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    if let Some(pf) = io.port_file {
-        std::fs::write(pf, format!("{addr}\n")).map_err(|e| format!("cannot write {pf}: {e}"))?;
-    }
-    let mut fed_cfg = plan.fed_config(fed.peers.clone());
-    fed_cfg.sever_link_after = fed.sever_link_after;
-    let driver =
-        ic_net::Driver::tcp(listener, &net_cfg).map_err(|e| format!("cannot serve: {e}"))?;
-    let mut reactor = ic_net::Reactor::new(&plan.dag, policy.as_ref(), net_cfg, driver);
-    reactor.set_fed(plan.meta(), fed_cfg);
-
-    let report = match io.trace {
-        Some(p) => {
-            let mut sink =
-                ic_sim::FileSink::create(p).map_err(|e| format!("cannot create {p}: {e}"))?;
-            let report = reactor
-                .run_until_drain(&mut sink)
-                .map_err(|e| e.to_string())?;
-            sink.finish()
-                .map_err(|e| format!("cannot flush {p}: {e}"))?;
-            report
-        }
-        None => reactor
-            .run_until_drain(&mut ic_sim::trace::NullSink)
-            .map_err(|e| e.to_string())?,
-    };
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# shard {}/{} of {dag_label}: {} local task(s) ({} stub(s), {} replica(s), \
-         cut {}) on {addr}, policy {}",
-        fed.shard,
-        fed.shards,
-        plan.dag.num_nodes(),
-        plan.stubs.len(),
-        plan.replicas.len(),
-        part.cut_size(),
-        policy.name()
-    );
-    let _ = writeln!(out, "completions:        {}", report.completions);
-    let _ = writeln!(out, "remote completions: {}", report.remote_completions);
-    let _ = writeln!(out, "failures:           {}", report.failures);
-    let _ = writeln!(out, "allocations:        {}", report.allocations);
-    let _ = writeln!(
-        out,
-        "peer frames:        {} sent, {} received",
-        report.peer_tx, report.peer_rx
-    );
-    let _ = writeln!(out, "peer reconnects:    {}", report.peer_reconnects);
-    let _ = writeln!(out, "workers:            {}", report.workers_registered);
-    let _ = writeln!(out, "makespan:           {:.3}s", report.makespan);
-    let data = format!(
-        "{{\"addr\": {}, \"shard\": {}, \"shards\": {}, \"local_nodes\": {}, \
-         \"cut_edges\": {}, \"completions\": {}, \"remote_completions\": {}, \
-         \"failures\": {}, \"peer_tx\": {}, \"peer_rx\": {}, \"peer_reconnects\": {}, \
-         \"workers\": {}, \"makespan\": {}}}",
-        ic_audit::report::json_string(&addr.to_string()),
-        fed.shard,
-        fed.shards,
-        plan.dag.num_nodes(),
-        part.cut_size(),
-        report.completions,
-        report.remote_completions,
-        report.failures,
-        report.peer_tx,
-        report.peer_rx,
-        report.peer_reconnects,
-        report.workers_registered,
-        report.makespan,
-    );
-    Ok(CmdOutput::success("serve", out).with_data(data))
-}
-
-/// Knobs of the `fed` one-process launcher.
-#[derive(Debug, Clone)]
-pub struct FedLaunchOpts {
-    /// Shard count (`--shards`).
-    pub shards: u64,
-    /// Cutter name (`--cut`).
-    pub cut: String,
-    /// `--replicate-cut`.
-    pub replicate: bool,
-    /// Workers spawned against each shard (`--workers`).
-    pub workers_per_shard: usize,
-    /// Mean simulated compute per task (`--mean-ms`).
-    pub mean_ms: u64,
-    /// One worker per shard dies after 3 tasks (`--flaky`).
-    pub flaky: bool,
-    /// Sever shard 0's peer links once after N sends
-    /// (`--sever-link-after`).
-    pub sever_link_after: Option<usize>,
-    /// Directory receiving per-shard traces (`--trace-dir`).
-    pub trace_dir: Option<String>,
-    /// Merged global trace destination (`--merged`).
-    pub merged_out: Option<String>,
-    /// Per-shard lease duration (`--lease-ms`).
-    pub lease_ms: u64,
-    /// Seed (`--seed`).
-    pub seed: u64,
-}
-
-impl Default for FedLaunchOpts {
-    fn default() -> FedLaunchOpts {
-        FedLaunchOpts {
-            shards: 2,
-            cut: "auto".into(),
-            replicate: false,
-            workers_per_shard: 3,
-            mean_ms: 1,
-            flaky: false,
-            sever_link_after: None,
-            trace_dir: None,
-            merged_out: None,
-            lease_ms: 400,
-            seed: 0x1C5EED,
-        }
-    }
+    Ok((part, plans))
 }
 
 /// `fed`: launch a whole federation in this process — one shard server
 /// plus its worker population per shard — then merge the per-shard
 /// traces and audit the merged global trace. The exit code reflects
 /// the audit verdict, so this is also the CI round-trip driver.
-pub fn fed_launch(
-    dag_label: &str,
-    dag: &ic_dag::Dag,
-    opts: &FedLaunchOpts,
-) -> Result<CmdOutput, String> {
-    let part = cut_partition(dag, &opts.cut, opts.shards)?;
-    let mode = if opts.replicate {
-        ic_fed::CutMode::Replicate
-    } else {
-        ic_fed::CutMode::Notify
-    };
-    let plans = ic_fed::plan(dag, &part, mode);
+/// `--flaky` makes one worker per shard die after 3 tasks;
+/// `--sever-link-after N` severs shard 0's peer links once after N
+/// sends; `--trace-dir` and `--merged` keep the per-shard and merged
+/// traces.
+pub fn fed(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
+    let (replicate, flaky) = (flags.switch("--replicate-cut"), flags.switch("--flaky"));
+    let (mut dag_path, mut family, mut cut) = (None, None, "auto");
+    let (mut trace_dir, mut merged_out, mut sever_link_after) = (None, None, None);
+    let (mut shards, mut workers_per_shard, mut mean_ms) = (2u64, 3usize, 1u64);
+    let (mut lease_ms, mut seed) = (400u64, 0x1C5EEDu64);
+    for pair in flags.pairs() {
+        let (flag, v) = pair?;
+        match flag {
+            "--dag" => dag_path = Some(v.str()),
+            "--family" => family = Some(v.str()),
+            "--cut" => cut = v.str(),
+            "--trace-dir" => trace_dir = Some(v.str()),
+            "--merged" => merged_out = Some(v.str()),
+            "--shards" => shards = v.positive()?,
+            "--workers" => workers_per_shard = v.positive()?,
+            "--mean-ms" => mean_ms = v.int()?,
+            "--sever-link-after" => sever_link_after = Some(v.int()?),
+            "--lease-ms" => lease_ms = v.positive()?,
+            "--seed" => seed = v.int()?,
+            _ => return Err(CliError::Usage(None)),
+        }
+    }
+    let (dag_label, dag, _) = dag_source("fed", dag_path, family)?;
+    let (part, plans) = fed_plans(&dag, cut, shards, replicate)?;
     let fed_opts = ic_fed::FedOptions {
         server: ic_net::ServerConfig::builder()
-            .lease_ms(opts.lease_ms)
+            .lease_ms(lease_ms)
             .backoff_base_ms(5)
             .wait_ms(5)
-            .seed(opts.seed)
+            .seed(seed)
             .build(),
-        sever_link_after: opts.sever_link_after,
+        sever_link_after,
         ..Default::default()
     };
     let workers: Vec<Vec<ic_net::WorkerConfig>> = (0..plans.len())
         .map(|s| {
-            (0..opts.workers_per_shard.max(1))
+            (0..workers_per_shard)
                 .map(|w| {
-                    let fault = if opts.flaky && w + 1 == opts.workers_per_shard.max(1) {
+                    let fault = if flaky && w + 1 == workers_per_shard {
                         ic_net::FaultPlan::DieAfter(3)
                     } else {
                         ic_net::FaultPlan::None
                     };
                     ic_net::WorkerConfig::builder()
                         .id(format!("s{s}w{w}"))
-                        .mean_ms(opts.mean_ms)
-                        .seed(opts.seed ^ ((s as u64) << 8) ^ w as u64)
+                        .mean_ms(mean_ms)
+                        .seed(seed ^ ((s as u64) << 8) ^ w as u64)
                         .batch(2)
                         .fault(fault)
                         .build()
@@ -1077,7 +1032,7 @@ pub fn fed_launch(
     let run = ic_fed::run_federation(&plans, &fed_opts, &workers)
         .map_err(|e| format!("federation failed: {e}"))?;
 
-    if let Some(dir) = &opts.trace_dir {
+    if let Some(dir) = trace_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
         for (s, t) in run.traces.iter().enumerate() {
             let p = format!("{dir}/shard-{s}.jsonl");
@@ -1091,7 +1046,7 @@ pub fn fed_launch(
     if let Some(t) = &merged.trace {
         merged_events = t.events.len();
         diags.extend(ic_audit::audit_trace(t));
-        if let Some(p) = &opts.merged_out {
+        if let Some(p) = merged_out {
             std::fs::write(p, t.to_jsonl()).map_err(|e| format!("cannot write {p}: {e}"))?;
         }
     }
@@ -1104,13 +1059,9 @@ pub fn fed_launch(
         out,
         "# federated {dag_label}: {} task(s) across {} shard(s), cut {} ({} mode)",
         dag.num_nodes(),
-        opts.shards,
+        shards,
         part.cut_size(),
-        if opts.replicate {
-            "replicate"
-        } else {
-            "notify"
-        },
+        if replicate { "replicate" } else { "notify" },
     );
     for (s, r) in run.reports.iter().enumerate() {
         let _ = writeln!(
@@ -1129,9 +1080,9 @@ pub fn fed_launch(
     let data = format!(
         "{{\"shards\": {}, \"cut_edges\": {}, \"replicate\": {}, \"completions\": {}, \
          \"merged_events\": {merged_events}, \"audit_clean\": {clean}}}",
-        opts.shards,
+        shards,
         part.cut_size(),
-        opts.replicate,
+        replicate,
         completions,
     );
     Ok(CmdOutput::success("fed", out)
@@ -1469,15 +1420,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let port_file = dir.join("port");
         let trace_file = dir.join("trace.jsonl");
-
-        let (label, dag, sched) = family_dag("outtree:2:3").unwrap();
-        let n = dag.num_nodes();
-        let policy = serve_policy(&dag, "optimal", 5, sched).unwrap();
-        let net_cfg = ic_net::ServerConfig::builder()
-            .lease_ms(300)
-            .expect_workers(1)
-            .seed(5)
-            .build();
+        let n = family_dag("outtree:2:3").unwrap().1.num_nodes();
 
         let (serve_out, work_out) = std::thread::scope(|s| {
             let pf = port_file.clone();
@@ -1494,16 +1437,21 @@ mod tests {
                     .build();
                 work_run(&addr, &wcfg).unwrap()
             });
-            let serve_out = serve_run(
-                &label,
-                &dag,
-                policy.as_ref(),
-                "127.0.0.1:0",
-                net_cfg,
-                trace_file.to_str(),
-                port_file.to_str(),
-            )
-            .unwrap();
+            let args = [
+                "--family",
+                "outtree:2:3",
+                "--lease-ms",
+                "300",
+                "--expect",
+                "1",
+                "--seed",
+                "5",
+                "--trace",
+                trace_file.to_str().unwrap(),
+                "--port-file",
+                port_file.to_str().unwrap(),
+            ];
+            let serve_out = serve(Flags::new(args.into_iter())).unwrap();
             (serve_out, worker.join().unwrap())
         });
 

@@ -40,8 +40,10 @@
 #![warn(missing_docs)]
 
 pub mod commands;
+pub mod flags;
 pub mod output;
 pub mod parse;
 
+pub use flags::{CliError, Flags};
 pub use output::CmdOutput;
-pub use parse::{parse_dag, NamedDag, NetOptions, ParseError};
+pub use parse::{parse_dag, NamedDag, ParseError};

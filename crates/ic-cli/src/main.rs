@@ -41,9 +41,10 @@
 
 use std::process::ExitCode;
 
-use ic_cli::commands::{self, OrderPolicy};
+use ic_cli::commands::{self, load, read, OrderPolicy};
+use ic_cli::flags::worker_flag;
 use ic_cli::output::CmdOutput;
-use ic_cli::{parse_dag, NetOptions};
+use ic_cli::{CliError, Flags};
 
 const USAGE_EXIT: u8 = 2;
 
@@ -79,808 +80,218 @@ fn usage() -> ExitCode {
     ExitCode::from(USAGE_EXIT)
 }
 
-fn load(path: &str) -> Result<ic_cli::NamedDag, ExitCode> {
-    let text = read(path)?;
-    parse_dag(&text).map_err(|e| {
-        eprintln!("error: {path}: {e}");
-        ExitCode::from(USAGE_EXIT)
-    })
-}
+/// A bare usage error: the usage text with no explanatory line.
+const BARE: CliError = CliError::Usage(None);
 
-fn read(path: &str) -> Result<String, ExitCode> {
-    std::fs::read_to_string(path).map_err(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        ExitCode::from(USAGE_EXIT)
-    })
-}
-
-/// Render `out` and map it to the process exit code.
-fn emit(out: &CmdOutput, json: bool) -> ExitCode {
-    print!("{}", out.render(json));
-    ExitCode::from(out.exit_code())
-}
-
-/// Split off the `--json` flag.
-fn take_json(args: Vec<&str>) -> (Vec<&str>, bool) {
-    let json = args.contains(&"--json");
-    (args.into_iter().filter(|a| *a != "--json").collect(), json)
-}
-
-/// Resolve `--deny` names to diagnostic codes. `orphans` is the
+/// Resolve a `--deny` name to a diagnostic code. `orphans` is the
 /// ergonomic alias for IC0003; any `ICxxxx` code name from the table
 /// works too (e.g. `EnvelopeDeparture`).
-fn deny_code(name: &str) -> Option<&'static str> {
+fn deny_code(name: &str) -> Result<&'static str, CliError> {
     if name == "orphans" {
-        return Some(ic_audit::diag::UNREACHABLE_NODE);
+        return Ok(ic_audit::diag::UNREACHABLE_NODE);
     }
     ic_audit::diag::CODE_TABLE
         .iter()
         .find(|(code, table_name, _)| *code == name || *table_name == name)
         .map(|(code, _, _)| *code)
+        .ok_or_else(|| CliError::usage(format!("unknown --deny code {name:?}")))
 }
 
-/// `check --family <spec> [--workers N] [--depth D] [--max-states N]
-/// [--steal] [--json]` — the model-checker mode of the `check` verb.
-fn model_check(args: Vec<&str>) -> ExitCode {
-    let (rest, json) = take_json(args);
-    let steal = rest.contains(&"--steal");
-    let crash = rest.contains(&"--crash");
-    let rest: Vec<&str> = rest
-        .into_iter()
-        .filter(|a| *a != "--steal" && *a != "--crash")
-        .collect();
-    let mut family: Option<&str> = None;
-    let mut workers = 2usize;
-    let mut depth = 48usize;
-    let mut max_states = 200_000usize;
-    let mut flags = rest.as_slice();
-    while let [flag, value, tail @ ..] = flags {
-        match *flag {
-            "--family" => family = Some(value),
-            "--workers" => match value.parse() {
-                Ok(n) if n > 0 => workers = n,
-                _ => {
-                    eprintln!("error: --workers takes a positive integer");
-                    return usage();
-                }
-            },
-            "--depth" => match value.parse() {
-                Ok(d) if d > 0 => depth = d,
-                _ => {
-                    eprintln!("error: --depth takes a positive integer");
-                    return usage();
-                }
-            },
-            "--max-states" => match value.parse() {
-                Ok(n) if n > 0 => max_states = n,
-                _ => {
-                    eprintln!("error: --max-states takes a positive integer");
-                    return usage();
-                }
-            },
-            _ => return usage(),
-        }
-        flags = tail;
-    }
-    if !flags.is_empty() {
-        return usage();
-    }
-    let Some(spec) = family else {
-        eprintln!("error: check --family <spec> is required in model-checker mode");
-        return usage();
+fn order(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
+    let path = flags.positional().ok_or(BARE)?;
+    let policy = match *flags.rest() {
+        [] => OrderPolicy::Auto,
+        ["--policy", p] => OrderPolicy::from_flag(p)
+            .ok_or_else(|| CliError::usage(format!("unknown policy {p:?}")))?,
+        _ => return Err(BARE),
     };
-    match commands::model_check(spec, workers, depth, max_states, steal, crash) {
-        Ok(out) => emit(&out, json),
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(USAGE_EXIT)
+    Ok(commands::order(&load(path)?, policy))
+}
+
+/// Two modes share the verb: the positional form `check <file>
+/// <order-file>` validates a priority order; the flag form `check
+/// --family ...` model-checks the lease protocol by exhaustive
+/// interleaving exploration.
+fn check(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
+    if flags.rest().first().is_some_and(|a| a.starts_with("--")) {
+        return model_check(flags);
+    }
+    let (Some(path), Some(order_path), []) = (flags.positional(), flags.positional(), flags.rest())
+    else {
+        return Err(BARE);
+    };
+    Ok(commands::check(&load(path)?, &read(order_path)?)?)
+}
+
+fn model_check(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
+    let (steal, crash) = (flags.switch("--steal"), flags.switch("--crash"));
+    let mut family = None;
+    let (mut workers, mut depth, mut max_states) = (2usize, 48usize, 200_000usize);
+    for pair in flags.pairs() {
+        let (flag, v) = pair?;
+        match flag {
+            "--family" => family = Some(v.str()),
+            "--workers" => workers = v.positive()?,
+            "--depth" => depth = v.positive()?,
+            "--max-states" => max_states = v.positive()?,
+            _ => return Err(BARE),
         }
     }
+    let spec = family.ok_or_else(|| {
+        CliError::usage("check --family <spec> is required in model-checker mode")
+    })?;
+    Ok(commands::model_check(
+        spec, workers, depth, max_states, steal, crash,
+    )?)
 }
 
-/// Parse `--shard i/N` into `(i, N)`; `i < N`, `N > 0`.
-fn parse_shard_spec(spec: &str) -> Option<(u64, u64)> {
-    let (i, n) = spec.split_once('/')?;
-    let i: u64 = i.parse().ok()?;
-    let n: u64 = n.parse().ok()?;
-    (i < n).then_some((i, n))
+fn sim(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
+    let first = flags.positional().ok_or(BARE)?;
+    let (path, family) = if first == "--family" {
+        (None, Some(flags.positional().ok_or(BARE)?))
+    } else {
+        (Some(first), None)
+    };
+    let (mut policy_flag, mut clients, mut seed) = ("greedy", 4usize, 0x1C5EEDu64);
+    let mut trace_path = None;
+    for pair in flags.pairs() {
+        let (flag, v) = pair?;
+        match flag {
+            "--policy" => policy_flag = v.str(),
+            "--clients" => clients = v.positive()?,
+            "--seed" => seed = v.int()?,
+            "--trace" => trace_path = Some(v.str()),
+            _ => return Err(BARE),
+        }
+    }
+    let policy = commands::sim_policy_from_flag(policy_flag, seed)
+        .ok_or_else(|| CliError::usage(format!("unknown sim policy {policy_flag:?}")))?;
+    let nd = match (path, family) {
+        (Some(path), _) => load(path)?,
+        (None, Some(spec)) => commands::named_family_dag(spec).map_err(CliError::usage)?.1,
+        (None, None) => unreachable!("sim takes exactly one of <file> or --family"),
+    };
+    let (out, trace) = commands::sim_run(&nd, &policy, clients, seed);
+    if let Some(tp) = trace_path {
+        std::fs::write(tp, trace.to_jsonl()).map_err(|e| format!("cannot write {tp}: {e}"))?;
+    }
+    Ok(out)
 }
 
-/// Parse `--peers 0=host:port,2=host:port` into `(shard, addr)` pairs.
-fn parse_peers(spec: &str) -> Result<Vec<(u64, String)>, String> {
-    spec.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|entry| {
-            let (shard, addr) = entry
-                .split_once('=')
-                .ok_or_else(|| format!("--peers entry {entry:?} is not shard=addr"))?;
-            let shard: u64 = shard
-                .parse()
-                .map_err(|_| format!("--peers shard {shard:?} is not an integer"))?;
-            Ok((shard, addr.to_string()))
-        })
-        .collect()
+fn audit(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
+    let mut deny = Vec::new();
+    for (_, name) in flags.take_pairs(&["--deny"])? {
+        deny.push(deny_code(name)?);
+    }
+    Ok(match *flags.rest() {
+        ["--claims"] => commands::audit_claims(),
+        ["--dag", path] => commands::audit_dag_text(&read(path)?, None, &deny)?,
+        ["--dag", path, "--order", order_path] => {
+            commands::audit_dag_text(&read(path)?, Some(&read(order_path)?), &deny)?
+        }
+        ["--family", spec] => commands::audit_family(spec, &deny)?,
+        ["--schedule", path] => commands::audit_trace_text(&read(path)?, &deny)?,
+        _ => return Err(BARE),
+    })
+}
+
+fn recover(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
+    let path = flags
+        .positional()
+        .ok_or_else(|| CliError::usage("recover takes a trace file"))?;
+    if !flags.rest().is_empty() {
+        return Err(BARE);
+    }
+    Ok(commands::recover_run(path, &read(path)?)?)
+}
+
+fn merge(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
+    let (mut deny, mut out_path) = (Vec::new(), None);
+    for (flag, value) in flags.take_pairs(&["--out", "--deny"])? {
+        match flag {
+            "--out" => out_path = Some(value),
+            _ => deny.push(deny_code(value)?),
+        }
+    }
+    if flags.rest().is_empty() {
+        return Err(CliError::usage("merge needs at least one shard trace"));
+    }
+    let mut texts = Vec::new();
+    for &p in flags.rest() {
+        texts.push((p.to_string(), read(p)?));
+    }
+    Ok(commands::merge_run(&texts, out_path, &deny)?)
+}
+
+fn work(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
+    let mut cfg = ic_net::WorkerConfig::default();
+    cfg.reconnect = !flags.switch("--no-reconnect");
+    let mut connect = None;
+    for pair in flags.pairs() {
+        let (flag, v) = pair?;
+        match flag {
+            _ if worker_flag(&mut cfg, flag, v)? => {}
+            "--connect" => connect = Some(v.str()),
+            _ => return Err(BARE),
+        }
+    }
+    let addr = connect.ok_or_else(|| CliError::usage("work needs --connect <addr>"))?;
+    Ok(commands::work_run(addr, &cfg)?)
+}
+
+/// Dispatch the verb. Every subcommand but `dot`/`export` (raw text)
+/// takes `--json` and renders one [`CmdOutput`] envelope.
+fn run<'a>(mut args: impl Iterator<Item = &'a str>) -> Result<ExitCode, CliError> {
+    let verb = args.next().ok_or(BARE)?;
+    let mut flags = Flags::new(args);
+    let json = flags.switch("--json");
+    let out = match verb {
+        "order" => order(flags)?,
+        "stats" => match (flags.positional(), flags.rest()) {
+            (Some(path), []) => commands::stats_report(&load(path)?),
+            _ => return Err(BARE),
+        },
+        "check" => check(flags)?,
+        "sim" => sim(flags)?,
+        "audit" => audit(flags)?,
+        "serve" => commands::serve(flags)?,
+        "recover" => recover(flags)?,
+        "fed" => commands::fed(flags)?,
+        "merge" => merge(flags)?,
+        "work" => work(flags)?,
+        "dot" | "export" => {
+            let nd = load(flags.positional().ok_or(BARE)?)?;
+            let render = if verb == "dot" {
+                commands::dot
+            } else {
+                commands::export
+            };
+            print!("{}", render(&nd));
+            return Ok(ExitCode::SUCCESS);
+        }
+        "--help" | "-h" | "help" => {
+            usage();
+            return Ok(ExitCode::SUCCESS);
+        }
+        _ => return Err(BARE),
+    };
+    print!("{}", out.render(json));
+    Ok(ExitCode::from(out.exit_code()))
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter().map(String::as_str);
-    let Some(cmd) = it.next() else { return usage() };
-    match cmd {
-        "order" => {
-            let Some(path) = it.next() else {
-                return usage();
-            };
-            let (rest, json) = take_json(it.collect());
-            let mut policy = OrderPolicy::Auto;
-            match rest.as_slice() {
-                [] => {}
-                ["--policy", p] => match OrderPolicy::from_flag(p) {
-                    Some(pp) => policy = pp,
-                    None => {
-                        eprintln!("error: unknown policy {p:?}");
-                        return usage();
-                    }
-                },
-                _ => return usage(),
+    match run(args.iter().map(String::as_str)) {
+        Ok(code) => code,
+        Err(CliError::Usage(msg)) => {
+            if let Some(msg) = msg {
+                eprintln!("error: {msg}");
             }
-            match load(path) {
-                Ok(nd) => emit(&commands::order(&nd, policy), json),
-                Err(c) => c,
-            }
+            usage()
         }
-        "stats" => {
-            let Some(path) = it.next() else {
-                return usage();
-            };
-            let (rest, json) = take_json(it.collect());
-            if !rest.is_empty() {
-                return usage();
-            }
-            match load(path) {
-                Ok(nd) => emit(&commands::stats_report(&nd), json),
-                Err(c) => c,
-            }
+        Err(CliError::Fatal(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(USAGE_EXIT)
         }
-        "check" => {
-            let args: Vec<&str> = it.collect();
-            // Two modes share the verb: the positional form
-            // `check <file> <order-file>` validates a priority order;
-            // the flag form `check --family ...` model-checks the
-            // lease protocol by exhaustive interleaving exploration.
-            if args.first().is_some_and(|a| a.starts_with("--")) {
-                return model_check(args);
-            }
-            let mut it = args.into_iter();
-            let (Some(path), Some(order_path)) = (it.next(), it.next()) else {
-                return usage();
-            };
-            let (rest, json) = take_json(it.collect());
-            if !rest.is_empty() {
-                return usage();
-            }
-            let nd = match load(path) {
-                Ok(nd) => nd,
-                Err(c) => return c,
-            };
-            let order_text = match read(order_path) {
-                Ok(t) => t,
-                Err(c) => return c,
-            };
-            match commands::check(&nd, &order_text) {
-                Ok(out) => emit(&out, json),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::from(USAGE_EXIT)
-                }
-            }
-        }
-        "sim" => {
-            let Some(first) = it.next() else {
-                return usage();
-            };
-            let (path, family) = if first == "--family" {
-                match it.next() {
-                    Some(spec) => (None, Some(spec)),
-                    None => return usage(),
-                }
-            } else {
-                (Some(first), None)
-            };
-            let (rest, json) = take_json(it.collect());
-            let mut policy_flag = "greedy";
-            let mut clients = 4usize;
-            let mut seed = 0x1C5EEDu64;
-            let mut trace_path: Option<&str> = None;
-            let mut flags = rest.as_slice();
-            while let [flag, value, tail @ ..] = flags {
-                match *flag {
-                    "--policy" => policy_flag = value,
-                    "--clients" => match value.parse() {
-                        Ok(c) if c > 0 => clients = c,
-                        _ => {
-                            eprintln!("error: --clients takes a positive integer");
-                            return usage();
-                        }
-                    },
-                    "--seed" => match value.parse() {
-                        Ok(s) => seed = s,
-                        Err(_) => {
-                            eprintln!("error: --seed takes an integer");
-                            return usage();
-                        }
-                    },
-                    "--trace" => trace_path = Some(value),
-                    _ => return usage(),
-                }
-                flags = tail;
-            }
-            if !flags.is_empty() {
-                return usage();
-            }
-            let Some(policy) = commands::sim_policy_from_flag(policy_flag, seed) else {
-                eprintln!("error: unknown sim policy {policy_flag:?}");
-                return usage();
-            };
-            let nd = match (path, family) {
-                (Some(path), None) => match load(path) {
-                    Ok(nd) => nd,
-                    Err(c) => return c,
-                },
-                (None, Some(spec)) => match commands::named_family_dag(spec) {
-                    Ok((_, nd, _)) => nd,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return usage();
-                    }
-                },
-                _ => unreachable!("sim takes exactly one of <file> or --family"),
-            };
-            let (out, trace) = commands::sim_run(&nd, &policy, clients, seed);
-            if let Some(tp) = trace_path {
-                if let Err(e) = std::fs::write(tp, trace.to_jsonl()) {
-                    eprintln!("error: cannot write {tp}: {e}");
-                    return ExitCode::from(USAGE_EXIT);
-                }
-            }
-            emit(&out, json)
-        }
-        "audit" => {
-            let (rest, json) = take_json(it.collect());
-            let mut deny: Vec<&'static str> = Vec::new();
-            let mut modal: Vec<&str> = Vec::new();
-            let mut flags = rest.as_slice();
-            while let [flag, tail @ ..] = flags {
-                if *flag == "--deny" {
-                    let [value, tail @ ..] = tail else {
-                        return usage();
-                    };
-                    match deny_code(value) {
-                        Some(code) => deny.push(code),
-                        None => {
-                            eprintln!("error: unknown --deny code {value:?}");
-                            return usage();
-                        }
-                    }
-                    flags = tail;
-                } else {
-                    modal.push(flag);
-                    flags = tail;
-                }
-            }
-            let result = match modal.as_slice() {
-                ["--claims"] => Ok(commands::audit_claims()),
-                ["--dag", path] => match read(path) {
-                    Ok(t) => commands::audit_dag_text(&t, None, &deny),
-                    Err(c) => return c,
-                },
-                ["--dag", path, "--order", order_path] => {
-                    let dag_text = match read(path) {
-                        Ok(t) => t,
-                        Err(c) => return c,
-                    };
-                    match read(order_path) {
-                        Ok(t) => commands::audit_dag_text(&dag_text, Some(&t), &deny),
-                        Err(c) => return c,
-                    }
-                }
-                ["--family", spec] => commands::audit_family(spec, &deny),
-                ["--schedule", path] => match read(path) {
-                    Ok(t) => commands::audit_trace_text(&t, &deny),
-                    Err(c) => return c,
-                },
-                _ => return usage(),
-            };
-            match result {
-                Ok(out) => emit(&out, json),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::from(USAGE_EXIT)
-                }
-            }
-        }
-        "serve" => {
-            let (rest, json) = take_json(it.collect());
-            let replicate = rest.contains(&"--replicate-cut");
-            let rest: Vec<&str> = rest
-                .into_iter()
-                .filter(|a| *a != "--replicate-cut")
-                .collect();
-            let mut dag_path: Option<&str> = None;
-            let mut family: Option<&str> = None;
-            let mut policy_flag = "optimal";
-            let mut listen = "127.0.0.1:0";
-            let mut trace_path: Option<&str> = None;
-            let mut resume_from: Option<&str> = None;
-            let mut port_file: Option<&str> = None;
-            let mut shard_spec: Option<&str> = None;
-            let mut peers_spec: Option<&str> = None;
-            let mut cut = "auto";
-            let mut sever_link_after: Option<usize> = None;
-            let mut net = NetOptions::new();
-            let mut flags = rest.as_slice();
-            while let [flag, value, tail @ ..] = flags {
-                match net.accept_serve(flag, value) {
-                    Ok(true) => {}
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return usage();
-                    }
-                    Ok(false) => match *flag {
-                        "--dag" => dag_path = Some(value),
-                        "--family" => family = Some(value),
-                        "--policy" => policy_flag = value,
-                        "--listen" => listen = value,
-                        "--trace" => trace_path = Some(value),
-                        "--resume-from" => resume_from = Some(value),
-                        "--port-file" => port_file = Some(value),
-                        "--shard" => shard_spec = Some(value),
-                        "--peers" => peers_spec = Some(value),
-                        "--cut" => cut = value,
-                        "--sever-link-after" => match value.parse() {
-                            Ok(n) => sever_link_after = Some(n),
-                            Err(_) => {
-                                eprintln!("error: --sever-link-after takes an integer");
-                                return usage();
-                            }
-                        },
-                        _ => return usage(),
-                    },
-                }
-                flags = tail;
-            }
-            if !flags.is_empty() {
-                return usage();
-            }
-            let (label, dag, family_schedule) = match (dag_path, family) {
-                (Some(path), None) => match load(path) {
-                    Ok(nd) => (path.to_string(), nd.dag, None),
-                    Err(c) => return c,
-                },
-                (None, Some(spec)) => match commands::family_dag(spec) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return usage();
-                    }
-                },
-                _ => {
-                    eprintln!("error: serve needs exactly one of --dag or --family");
-                    return usage();
-                }
-            };
-            let net_cfg = net.server_config();
-            if resume_from.is_some() && (shard_spec.is_some() || trace_path.is_some()) {
-                eprintln!(
-                    "error: --resume-from appends to the recovered trace itself \
-                     and is incompatible with --trace and --shard"
-                );
-                return usage();
-            }
-            if let Some(spec) = shard_spec {
-                // Federated mode: this process serves ONE shard of the
-                // dag and exchanges v3 peer frames with the others.
-                let Some((shard, shards)) = parse_shard_spec(spec) else {
-                    eprintln!("error: --shard takes i/N with i < N");
-                    return usage();
-                };
-                let peers = match peers_spec.map(parse_peers).unwrap_or(Ok(Vec::new())) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return usage();
-                    }
-                };
-                let fed = commands::FedServeOpts {
-                    shard,
-                    shards,
-                    peers,
-                    cut: cut.to_string(),
-                    replicate,
-                    sever_link_after,
-                };
-                let io = commands::ServeIo {
-                    listen,
-                    policy: policy_flag,
-                    trace: trace_path,
-                    port_file,
-                };
-                return match commands::fed_serve_run(
-                    &label,
-                    &dag,
-                    &fed,
-                    io,
-                    net_cfg,
-                    net.serve_seed(),
-                    family_schedule,
-                ) {
-                    Ok(out) => emit(&out, json),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        ExitCode::from(USAGE_EXIT)
-                    }
-                };
-            }
-            if replicate || peers_spec.is_some() {
-                eprintln!("error: --replicate-cut/--peers need --shard i/N");
-                return usage();
-            }
-            let policy = match commands::serve_policy(
-                &dag,
-                policy_flag,
-                net.serve_seed(),
-                family_schedule,
-            ) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return usage();
-                }
-            };
-            if let Some(trace) = resume_from {
-                return match commands::serve_resume_run(
-                    &label,
-                    &dag,
-                    policy.as_ref(),
-                    listen,
-                    net_cfg,
-                    trace,
-                    port_file,
-                ) {
-                    Ok(out) => emit(&out, json),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        ExitCode::from(USAGE_EXIT)
-                    }
-                };
-            }
-            match commands::serve_run(
-                &label,
-                &dag,
-                policy.as_ref(),
-                listen,
-                net_cfg,
-                trace_path,
-                port_file,
-            ) {
-                Ok(out) => emit(&out, json),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::from(USAGE_EXIT)
-                }
-            }
-        }
-        "recover" => {
-            let Some(path) = it.next() else {
-                eprintln!("error: recover takes a trace file");
-                return usage();
-            };
-            let (rest, json) = take_json(it.collect());
-            if !rest.is_empty() {
-                return usage();
-            }
-            let text = match read(path) {
-                Ok(t) => t,
-                Err(c) => return c,
-            };
-            match commands::recover_run(path, &text) {
-                Ok(out) => emit(&out, json),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::from(USAGE_EXIT)
-                }
-            }
-        }
-        "fed" => {
-            let (rest, json) = take_json(it.collect());
-            let replicate = rest.contains(&"--replicate-cut");
-            let flaky = rest.contains(&"--flaky");
-            let rest: Vec<&str> = rest
-                .into_iter()
-                .filter(|a| *a != "--replicate-cut" && *a != "--flaky")
-                .collect();
-            let mut dag_path: Option<&str> = None;
-            let mut family: Option<&str> = None;
-            let mut opts = commands::FedLaunchOpts {
-                replicate,
-                flaky,
-                ..commands::FedLaunchOpts::default()
-            };
-            let mut flags = rest.as_slice();
-            while let [flag, value, tail @ ..] = flags {
-                match *flag {
-                    "--dag" => dag_path = Some(value),
-                    "--family" => family = Some(value),
-                    "--cut" => opts.cut = value.to_string(),
-                    "--trace-dir" => opts.trace_dir = Some(value.to_string()),
-                    "--merged" => opts.merged_out = Some(value.to_string()),
-                    "--shards" => match value.parse() {
-                        Ok(n) if n > 0 => opts.shards = n,
-                        _ => {
-                            eprintln!("error: --shards takes a positive integer");
-                            return usage();
-                        }
-                    },
-                    "--workers" => match value.parse() {
-                        Ok(k) if k > 0 => opts.workers_per_shard = k,
-                        _ => {
-                            eprintln!("error: --workers takes a positive integer");
-                            return usage();
-                        }
-                    },
-                    "--mean-ms" => match value.parse() {
-                        Ok(ms) => opts.mean_ms = ms,
-                        Err(_) => {
-                            eprintln!("error: --mean-ms takes an integer");
-                            return usage();
-                        }
-                    },
-                    "--sever-link-after" => match value.parse() {
-                        Ok(n) => opts.sever_link_after = Some(n),
-                        Err(_) => {
-                            eprintln!("error: --sever-link-after takes an integer");
-                            return usage();
-                        }
-                    },
-                    "--lease-ms" => match value.parse() {
-                        Ok(ms) if ms > 0 => opts.lease_ms = ms,
-                        _ => {
-                            eprintln!("error: --lease-ms takes a positive integer");
-                            return usage();
-                        }
-                    },
-                    "--seed" => match value.parse() {
-                        Ok(s) => opts.seed = s,
-                        Err(_) => {
-                            eprintln!("error: --seed takes an integer");
-                            return usage();
-                        }
-                    },
-                    _ => return usage(),
-                }
-                flags = tail;
-            }
-            if !flags.is_empty() {
-                return usage();
-            }
-            let (label, dag, _) = match (dag_path, family) {
-                (Some(path), None) => match load(path) {
-                    Ok(nd) => (path.to_string(), nd.dag, None::<()>),
-                    Err(c) => return c,
-                },
-                (None, Some(spec)) => match commands::family_dag(spec) {
-                    Ok((label, dag, _)) => (label, dag, None),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return usage();
-                    }
-                },
-                _ => {
-                    eprintln!("error: fed needs exactly one of --dag or --family");
-                    return usage();
-                }
-            };
-            match commands::fed_launch(&label, &dag, &opts) {
-                Ok(out) => emit(&out, json),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::from(USAGE_EXIT)
-                }
-            }
-        }
-        "merge" => {
-            let (rest, json) = take_json(it.collect());
-            let mut deny: Vec<&'static str> = Vec::new();
-            let mut out_path: Option<&str> = None;
-            let mut inputs: Vec<&str> = Vec::new();
-            let mut flags = rest.as_slice();
-            while let [head, tail @ ..] = flags {
-                match *head {
-                    "--out" | "--deny" => {
-                        let [value, tail @ ..] = tail else {
-                            return usage();
-                        };
-                        if *head == "--out" {
-                            out_path = Some(value);
-                        } else {
-                            match deny_code(value) {
-                                Some(code) => deny.push(code),
-                                None => {
-                                    eprintln!("error: unknown --deny code {value:?}");
-                                    return usage();
-                                }
-                            }
-                        }
-                        flags = tail;
-                    }
-                    path => {
-                        inputs.push(path);
-                        flags = tail;
-                    }
-                }
-            }
-            if inputs.is_empty() {
-                eprintln!("error: merge needs at least one shard trace");
-                return usage();
-            }
-            let mut texts = Vec::with_capacity(inputs.len());
-            for p in inputs {
-                match read(p) {
-                    Ok(t) => texts.push((p.to_string(), t)),
-                    Err(c) => return c,
-                }
-            }
-            match commands::merge_run(&texts, out_path, &deny) {
-                Ok(out) => emit(&out, json),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::from(USAGE_EXIT)
-                }
-            }
-        }
-        "work" => {
-            let (rest, json) = take_json(it.collect());
-            let reconnect = !rest.contains(&"--no-reconnect");
-            let rest: Vec<&str> = rest
-                .into_iter()
-                .filter(|a| *a != "--no-reconnect")
-                .collect();
-            let mut connect: Option<&str> = None;
-            let mut net = NetOptions::new();
-            // Worker-only knobs layer onto the shared options last, so
-            // parse them into closures-free locals first.
-            let mut id: Option<&str> = None;
-            let mut speed: Option<f64> = None;
-            let mut mean_ms: Option<u64> = None;
-            let mut retry_ms: Option<u64> = None;
-            let mut fault: Option<ic_net::FaultPlan> = None;
-            let mut flags = rest.as_slice();
-            while let [flag, value, tail @ ..] = flags {
-                match net.accept_work(flag, value) {
-                    Ok(true) => {}
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return usage();
-                    }
-                    Ok(false) => match *flag {
-                        "--connect" => connect = Some(value),
-                        "--id" => id = Some(value),
-                        "--speed" => match value.parse() {
-                            Ok(f) if f > 0.0 => speed = Some(f),
-                            _ => {
-                                eprintln!("error: --speed takes a positive number");
-                                return usage();
-                            }
-                        },
-                        "--mean-ms" => match value.parse() {
-                            Ok(ms) => mean_ms = Some(ms),
-                            Err(_) => {
-                                eprintln!("error: --mean-ms takes an integer");
-                                return usage();
-                            }
-                        },
-                        "--retry-ms" => match value.parse() {
-                            Ok(ms) if ms > 0 => retry_ms = Some(ms),
-                            _ => {
-                                eprintln!("error: --retry-ms takes positive milliseconds");
-                                return usage();
-                            }
-                        },
-                        "--flaky" => match value.parse() {
-                            Ok(p) if (0.0..=1.0).contains(&p) => {
-                                fault = Some(ic_net::FaultPlan::Random(p));
-                            }
-                            _ => {
-                                eprintln!("error: --flaky takes a probability in [0, 1]");
-                                return usage();
-                            }
-                        },
-                        "--die-after" => match value.parse() {
-                            Ok(k) => fault = Some(ic_net::FaultPlan::DieAfter(k)),
-                            Err(_) => {
-                                eprintln!("error: --die-after takes an integer");
-                                return usage();
-                            }
-                        },
-                        "--stall-after" => match value.parse() {
-                            Ok(k) => fault = Some(ic_net::FaultPlan::StallAfter(k)),
-                            Err(_) => {
-                                eprintln!("error: --stall-after takes an integer");
-                                return usage();
-                            }
-                        },
-                        "--sever-after" => match value.parse() {
-                            Ok(k) => fault = Some(ic_net::FaultPlan::SeverAfter(k)),
-                            Err(_) => {
-                                eprintln!("error: --sever-after takes an integer");
-                                return usage();
-                            }
-                        },
-                        _ => return usage(),
-                    },
-                }
-                flags = tail;
-            }
-            let mut bld = net.worker_builder().reconnect(reconnect);
-            if let Some(v) = id {
-                bld = bld.id(v);
-            }
-            if let Some(v) = speed {
-                bld = bld.speed(v);
-            }
-            if let Some(v) = mean_ms {
-                bld = bld.mean_ms(v);
-            }
-            if let Some(v) = retry_ms {
-                bld = bld.retry(v);
-            }
-            if let Some(v) = fault {
-                bld = bld.fault(v);
-            }
-            if !flags.is_empty() {
-                return usage();
-            }
-            let Some(addr) = connect else {
-                eprintln!("error: work needs --connect <addr>");
-                return usage();
-            };
-            let wcfg = bld.build();
-            match commands::work_run(addr, &wcfg) {
-                Ok(out) => emit(&out, json),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::from(USAGE_EXIT)
-                }
-            }
-        }
-        "dot" => {
-            let Some(path) = it.next() else {
-                return usage();
-            };
-            match load(path) {
-                Ok(nd) => {
-                    print!("{}", commands::dot(&nd));
-                    ExitCode::SUCCESS
-                }
-                Err(c) => c,
-            }
-        }
-        "export" => {
-            let Some(path) = it.next() else {
-                return usage();
-            };
-            match load(path) {
-                Ok(nd) => {
-                    print!("{}", commands::export(&nd));
-                    ExitCode::SUCCESS
-                }
-                Err(c) => c,
-            }
-        }
-        "--help" | "-h" | "help" => {
-            usage();
-            ExitCode::SUCCESS
-        }
-        _ => usage(),
     }
 }

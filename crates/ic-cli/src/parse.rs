@@ -1,6 +1,5 @@
-//! The edge-list dag format, the `--family` spec shared by `serve`,
-//! `sim`, and `audit`, and the [`NetOptions`] network-flag parser
-//! shared by `serve` and `work`.
+//! The edge-list dag format and the `--family` spec shared by
+//! `serve`, `sim`, and `audit`.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -300,165 +299,6 @@ pub fn family_dag(spec: &str) -> Result<(String, Dag, Option<ic_sched::Schedule>
     Ok((spec.to_string(), dag, sched))
 }
 
-/// The network flags `serve` and `work` share, parsed in one place.
-///
-/// Defaults are *sourced from* [`ic_net::ServerConfig::default`] and
-/// [`ic_net::WorkerConfig::default`] rather than re-typed here, so the
-/// CLI can never drift from the library. The struct is
-/// `#[non_exhaustive]` (like the `ic-net` configs it feeds): new knobs
-/// may appear without a breaking change — construct via
-/// [`NetOptions::new`] and the `accept_*` methods.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct NetOptions {
-    /// `--lease-ms N` (serve): lease duration.
-    pub lease_ms: u64,
-    /// `--expect N` (serve): registration barrier.
-    pub expect: usize,
-    /// `--batch N` (serve and work): assignment/request batch cap.
-    pub batch: usize,
-    /// `--steal-after MS` (serve): straggler re-lease delay.
-    pub steal_after_ms: Option<u64>,
-    /// `--min-proto V` (serve): lowest accepted protocol version.
-    pub min_proto: u32,
-    /// `--proto V` (work): highest protocol version spoken.
-    pub proto: u32,
-    /// `--poll-timeout MS` (serve): upper bound on one reactor poll.
-    pub poll_timeout_ms: u64,
-    /// `--shards N` (serve): connection-table shard count.
-    pub shards: usize,
-    /// `--seed S` (serve and work): `None` keeps each side's own
-    /// default (they differ deliberately).
-    pub seed: Option<u64>,
-}
-
-impl Default for NetOptions {
-    fn default() -> Self {
-        let s = ic_net::ServerConfig::default();
-        let w = ic_net::WorkerConfig::default();
-        NetOptions {
-            lease_ms: s.lease_ms,
-            expect: s.expect_workers,
-            batch: s.batch,
-            steal_after_ms: s.steal_after_ms,
-            min_proto: s.min_proto,
-            proto: w.proto,
-            poll_timeout_ms: s.poll_timeout_ms,
-            shards: s.shards,
-            seed: None,
-        }
-    }
-}
-
-fn parse_proto(flag: &str, value: &str) -> Result<u32, String> {
-    match value.parse() {
-        Ok(v @ (ic_net::PROTO_V1 | ic_net::PROTO_V2)) => Ok(v),
-        _ => Err(format!(
-            "{flag} takes {} or {}",
-            ic_net::PROTO_V1,
-            ic_net::PROTO_V2
-        )),
-    }
-}
-
-impl NetOptions {
-    /// Library defaults; see [`NetOptions::default`].
-    pub fn new() -> NetOptions {
-        NetOptions::default()
-    }
-
-    /// Offer one `serve` flag/value pair. `Ok(true)` consumed it,
-    /// `Ok(false)` means the flag is not a shared network flag, and
-    /// `Err` is a usage error for a flag this parser owns.
-    pub fn accept_serve(&mut self, flag: &str, value: &str) -> Result<bool, String> {
-        match flag {
-            "--lease-ms" => match value.parse() {
-                Ok(ms) if ms > 0 => self.lease_ms = ms,
-                _ => return Err(format!("{flag} takes a positive integer")),
-            },
-            "--expect" => match value.parse() {
-                Ok(n) => self.expect = n,
-                Err(_) => return Err(format!("{flag} takes an integer")),
-            },
-            "--batch" => match value.parse() {
-                Ok(n) if n > 0 => self.batch = n,
-                _ => return Err(format!("{flag} takes a positive integer")),
-            },
-            "--steal-after" => match value.parse() {
-                Ok(ms) => self.steal_after_ms = Some(ms),
-                Err(_) => return Err(format!("{flag} takes milliseconds")),
-            },
-            "--min-proto" => self.min_proto = parse_proto(flag, value)?,
-            "--poll-timeout" => match value.parse() {
-                Ok(ms) if ms > 0 => self.poll_timeout_ms = ms,
-                _ => return Err(format!("{flag} takes positive milliseconds")),
-            },
-            "--shards" => match value.parse() {
-                Ok(n) if n > 0 => self.shards = n,
-                _ => return Err(format!("{flag} takes a positive integer")),
-            },
-            "--seed" => match value.parse() {
-                Ok(s) => self.seed = Some(s),
-                Err(_) => return Err(format!("{flag} takes an integer")),
-            },
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// Offer one `work` flag/value pair (same contract as
-    /// [`NetOptions::accept_serve`]).
-    pub fn accept_work(&mut self, flag: &str, value: &str) -> Result<bool, String> {
-        match flag {
-            "--batch" => match value.parse() {
-                Ok(n) if n > 0 => self.batch = n,
-                _ => return Err(format!("{flag} takes a positive integer")),
-            },
-            "--proto" => self.proto = parse_proto(flag, value)?,
-            "--seed" => match value.parse() {
-                Ok(s) => self.seed = Some(s),
-                Err(_) => return Err(format!("{flag} takes an integer")),
-            },
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// The effective serve seed (flag value, else the server default).
-    pub fn serve_seed(&self) -> u64 {
-        self.seed
-            .unwrap_or_else(|| ic_net::ServerConfig::default().seed)
-    }
-
-    /// Assemble the [`ic_net::ServerConfig`] these options describe.
-    pub fn server_config(&self) -> ic_net::ServerConfig {
-        let mut b = ic_net::ServerConfig::builder()
-            .lease_ms(self.lease_ms)
-            .expect_workers(self.expect)
-            .batch(self.batch)
-            .min_proto(self.min_proto)
-            .poll_timeout(self.poll_timeout_ms)
-            .shards(self.shards)
-            .seed(self.serve_seed());
-        if let Some(ms) = self.steal_after_ms {
-            b = b.steal_after(ms);
-        }
-        b.build()
-    }
-
-    /// Start an [`ic_net::WorkerConfigBuilder`] with the shared flags
-    /// applied; `work`-specific flags layer on top.
-    pub fn worker_builder(&self) -> ic_net::WorkerConfigBuilder {
-        let mut b = ic_net::WorkerConfig::builder()
-            .batch(u64::try_from(self.batch).unwrap_or(u64::MAX))
-            .proto(self.proto);
-        if let Some(s) = self.seed {
-            b = b.seed(s);
-        }
-        b
-    }
-}
-
 /// A `--family` spec as a [`NamedDag`] (names as the serializer would
 /// write them) — what `sim --family` runs and `audit --family` lints.
 pub fn named_family_dag(
@@ -564,66 +404,5 @@ test_b -> package
     fn duplicate_arcs_are_deduped() {
         let nd = parse_dag("a -> b\na -> b\n").unwrap();
         assert_eq!(nd.dag.num_arcs(), 1);
-    }
-
-    #[test]
-    fn net_options_track_the_library_defaults() {
-        let net = NetOptions::new();
-        let cfg = net.server_config();
-        let lib = ic_net::ServerConfig::default();
-        assert_eq!(cfg.lease_ms, lib.lease_ms);
-        assert_eq!(cfg.batch, lib.batch);
-        assert_eq!(cfg.steal_after_ms, lib.steal_after_ms);
-        assert_eq!(cfg.min_proto, lib.min_proto);
-        assert_eq!(cfg.poll_timeout_ms, lib.poll_timeout_ms);
-        assert_eq!(cfg.shards, lib.shards);
-        assert_eq!(cfg.seed, lib.seed);
-        // Worker side: untouched options keep the worker's own seed.
-        let w = net.worker_builder().build();
-        let wlib = ic_net::WorkerConfig::default();
-        assert_eq!(w.batch, wlib.batch);
-        assert_eq!(w.proto, wlib.proto);
-        assert_eq!(w.seed, wlib.seed);
-    }
-
-    #[test]
-    fn net_options_consume_shared_flags_per_side() {
-        let mut net = NetOptions::new();
-        assert_eq!(net.accept_serve("--lease-ms", "250"), Ok(true));
-        assert_eq!(net.accept_serve("--batch", "4"), Ok(true));
-        assert_eq!(net.accept_serve("--steal-after", "75"), Ok(true));
-        assert_eq!(net.accept_serve("--poll-timeout", "2"), Ok(true));
-        assert_eq!(net.accept_serve("--shards", "32"), Ok(true));
-        assert_eq!(net.accept_serve("--seed", "9"), Ok(true));
-        assert_eq!(net.accept_serve("--listen", "x"), Ok(false));
-        let cfg = net.server_config();
-        assert_eq!(cfg.lease_ms, 250);
-        assert_eq!(cfg.batch, 4);
-        assert_eq!(cfg.steal_after_ms, Some(75));
-        assert_eq!(cfg.poll_timeout_ms, 2);
-        assert_eq!(cfg.shards, 32);
-        assert_eq!(cfg.seed, 9);
-
-        let mut net = NetOptions::new();
-        assert_eq!(net.accept_work("--batch", "8"), Ok(true));
-        assert_eq!(net.accept_work("--proto", "1"), Ok(true));
-        assert_eq!(net.accept_work("--connect", "x"), Ok(false));
-        // `--min-proto` is a serve flag, not a work flag.
-        assert_eq!(net.accept_work("--min-proto", "2"), Ok(false));
-        let w = net.worker_builder().build();
-        assert_eq!(w.batch, 8);
-        assert_eq!(w.proto, ic_net::PROTO_V1);
-    }
-
-    #[test]
-    fn net_options_reject_bad_values_with_usage_errors() {
-        let mut net = NetOptions::new();
-        assert!(net.accept_serve("--lease-ms", "0").is_err());
-        assert!(net.accept_serve("--batch", "x").is_err());
-        assert!(net.accept_serve("--min-proto", "3").is_err());
-        assert!(net.accept_serve("--poll-timeout", "0").is_err());
-        assert!(net.accept_serve("--shards", "0").is_err());
-        assert!(net.accept_work("--proto", "0").is_err());
-        assert!(net.accept_work("--seed", "many").is_err());
     }
 }

@@ -1,9 +1,11 @@
 //! Launch a whole federation in one process.
 //!
-//! [`run_federation`] binds one TCP [`Server`] per [`ShardPlan`],
-//! wires them into a full peer mesh ([`ic_net::FedConfig`]), spawns
-//! the requested worker population against each shard, and runs
-//! everything under `std::thread::scope` until every shard drains.
+//! [`run_federation`] binds one TCP listener per [`ShardPlan`], serves
+//! each through a [`Reactor`] on [`Driver::tcp`] (the same path
+//! `ic-prio serve --shard` takes), wires them into a full peer mesh
+//! ([`ic_net::FedConfig`]), spawns the requested worker population
+//! against each shard, and runs everything under `std::thread::scope`
+//! until every shard drains.
 //! Each shard's trace (with its federation header metadata) comes back
 //! for `ic-audit`'s merge pass. This is both the `ic-prio fed`
 //! launcher and the harness the federation benches and end-to-end
@@ -78,8 +80,8 @@ pub fn run_federation(
     workers: &[Vec<WorkerConfig>],
 ) -> io::Result<FedRun> {
     // Bind every shard first so the full peer address list exists
-    // before any server runs. Raw listeners (not `Server`s) cross the
-    // thread boundary; each thread builds its own policy + reactor.
+    // before any server runs. The listeners cross the thread
+    // boundary; each thread builds its own policy + reactor.
     let mut listeners = Vec::with_capacity(plans.len());
     let mut addrs = Vec::with_capacity(plans.len());
     for _ in plans {

@@ -20,7 +20,8 @@
 //!   or sink of its own, so the `ic-check` model checker can
 //!   exhaustively enumerate event interleavings over the exact code
 //!   the server runs.
-//! * [`reactor`] — the event-driven core: one thread, a nonblocking
+//! * [`reactor`] — the server itself ([`Reactor`] over a [`Driver`],
+//!   the one way a dag gets served): one thread, a nonblocking
 //!   [`reactor::Poller`], per-connection frame buffers, a hierarchical
 //!   [`timer::TimerWheel`] for lease expiry, and an injectable
 //!   [`reactor::Clock`]/[`reactor::Poller`] pair
@@ -28,8 +29,8 @@
 //!   live TCP driver run the same code.
 //! * [`timer`] — the lazy (never-cancelled) hierarchical timer wheel
 //!   behind lease expiry and steal-deadline wakeups.
-//! * [`server`] — the TCP compatibility wrapper over the reactor, and
-//!   the shared [`server::ServerConfig`]: leases with heartbeat
+//! * [`server`] — the shared [`server::ServerConfig`] and the
+//!   [`server::ServeReport`] a run ends with: leases with heartbeat
 //!   timeouts, exponential-backoff reallocation of lost tasks,
 //!   resumable leases across reconnects, speculative straggler
 //!   re-lease at the drain barrier, batched allocation,
@@ -67,13 +68,11 @@ pub use reactor::{
     LoopbackPoller, ManualClock, MonotonicClock, Poller, Reactor, ShardedTable, TcpPoller,
 };
 pub use recovery::{RecoverError, RecoverReport, Recovery, RecoveryConfig, RecoveryConfigBuilder};
-pub use server::{ServeReport, Server, ServerConfig, ServerConfigBuilder};
+pub use server::{ServeReport, ServerConfig, ServerConfigBuilder};
 pub use timer::TimerWheel;
-#[allow(deprecated)]
-pub use wire::{read_msg, write_msg};
 pub use wire::{
-    Decoder, Frame, Message, WireError, ERR_BAD_RESUME, ERR_UNSUPPORTED, MAX_FRAME, PROTO_CURRENT,
-    PROTO_V1, PROTO_V2, PROTO_V3,
+    Conn, Decoder, Frame, Message, WireError, ERR_BAD_RESUME, ERR_UNSUPPORTED, MAX_FRAME,
+    PROTO_CURRENT, PROTO_V1, PROTO_V2, PROTO_V3,
 };
 pub use worker::{
     run_worker, FaultPlan, WorkerConfig, WorkerConfigBuilder, WorkerReport, RETRY_TOTAL_MS,

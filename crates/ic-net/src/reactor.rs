@@ -1,16 +1,21 @@
 //! The event-driven reactor core of the IC task server.
 //!
-//! [`Reactor`] replaces the thread-per-connection server loop: one
-//! thread owns every connection, a nonblocking [`Poller`] surfaces
-//! transport readiness as [`IoEvent`]s, per-connection frame state
-//! lives in an incremental [`crate::wire::Decoder`], and lease expiry
-//! rides a hierarchical [`TimerWheel`] instead of a per-lease scan.
-//! All protocol semantics stay in the *pure*
-//! [`LeaseMachine`](crate::machine::LeaseMachine) — the reactor, like
-//! the blocking driver before it, only stamps events with clock
-//! microseconds and performs the returned effects. `LeaseMachine`
-//! itself is untouched by this redesign, so everything `ic-check`
-//! proves about it (invariants IC0501–IC0507) carries over verbatim.
+//! [`Reactor`] *is* the server: one thread owns every connection, a
+//! nonblocking [`Poller`] surfaces transport readiness as
+//! [`IoEvent`]s, per-connection frame state lives in an incremental
+//! [`crate::wire::Decoder`], and lease expiry rides a hierarchical
+//! [`TimerWheel`] instead of a per-lease scan. All protocol semantics
+//! stay in the *pure* [`LeaseMachine`] — the reactor only stamps
+//! events with clock microseconds and performs the returned effects
+//! (in one place, `Reactor::perform`), so everything `ic-check` proves
+//! about the machine (invariants IC0501–IC0507) holds for the running
+//! server verbatim.
+//!
+//! Serving a dag is always the same three steps: build a [`Driver`]
+//! ([`Driver::tcp`] over a bound listener in production), build the
+//! reactor ([`Reactor::new`], or [`crate::Recovery::into_reactor`]
+//! after a crash), and call [`Reactor::run_until_drain`] with the
+//! [`TraceSink`] that receives the write-ahead trace.
 //!
 //! # Injectable clock and poller
 //!
@@ -56,7 +61,7 @@ use ic_sim::trace::TraceSink;
 use crate::machine::{Effect, Event, LeaseMachine, FED_CLIENT};
 use crate::server::{ServeReport, ServerConfig};
 use crate::timer::TimerWheel;
-use crate::wire::{Decoder, Frame, Message, WireError, PROTO_V3};
+use crate::wire::{Decoder, Frame, Message, PROTO_V3};
 use ic_sim::trace::TraceEvent;
 
 /// A source of driver time, in microseconds. The reactor stamps every
@@ -450,10 +455,8 @@ impl FedState {
     }
 }
 
-/// The event-driven IC task server core. Construct with
-/// [`Reactor::new`], drive with [`Reactor::run_until_drain`];
-/// [`crate::Server::run`] is the TCP compatibility wrapper around
-/// exactly this.
+/// The event-driven IC task server. Construct with [`Reactor::new`],
+/// drive with [`Reactor::run_until_drain`].
 pub struct Reactor<'a> {
     machine: LeaseMachine<'a, 'a>,
     clock: Box<dyn Clock>,
@@ -472,34 +475,25 @@ impl<'a> Reactor<'a> {
     ///
     /// # Panics
     /// Panics if the policy rejects the dag in
-    /// [`AllocationPolicy::prepare`] (exactly as the blocking server
-    /// did).
+    /// [`AllocationPolicy::prepare`].
     pub fn new(
         dag: &'a Dag,
         policy: &'a dyn AllocationPolicy,
         cfg: ServerConfig,
         driver: Driver,
     ) -> Reactor<'a> {
-        let now = driver.clock.now_us();
-        Reactor {
-            machine: LeaseMachine::new(dag, policy, cfg.clone()),
-            clock: driver.clock,
-            poller: driver.poller,
-            wheel: TimerWheel::new(now),
-            conns: ShardedTable::new(cfg.shards),
-            cfg,
-            fed: None,
-            out: Vec::new(),
-        }
+        let machine = LeaseMachine::new(dag, policy, cfg.clone());
+        Reactor::from_machine(machine, cfg, driver)
     }
 
-    /// A reactor over an already-built machine — the crash-recovery
-    /// entry point ([`crate::recovery`]): the machine was rebuilt by
+    /// A reactor over an already-built machine. Every outstanding
+    /// lease the machine carries is armed to expire `lease_ms` from
+    /// now: a fresh machine has none, while one rebuilt from a
+    /// replayed trace prefix by
     /// [`LeaseMachine::restore`](crate::machine::LeaseMachine::restore)
-    /// from a replayed trace prefix, and every outstanding lease it
-    /// carries is re-armed here to expire `lease_ms` from now, so a
-    /// worker that never resumes forfeits on the usual clock and its
-    /// tasks are reallocated.
+    /// (the crash-recovery entry point, [`crate::recovery`]) holds the
+    /// crashed run's, so a worker that never resumes forfeits on the
+    /// usual clock and its tasks are reallocated.
     pub fn from_machine(
         machine: LeaseMachine<'a, 'a>,
         cfg: ServerConfig,
@@ -534,12 +528,11 @@ impl<'a> Reactor<'a> {
 
     /// Serve until the dag completes and the drain grace expires (or
     /// every connection is gone), streaming every decision into
-    /// `sink`. Semantics are identical to the blocking
-    /// [`crate::Server::run`]: same machine, same trace order, same
-    /// drain rule.
+    /// `sink` (header first, then events in server order).
     pub fn run_until_drain(&mut self, sink: &mut dyn TraceSink) -> io::Result<ServeReport> {
-        let fx = self.machine.boot(self.clock.now_us());
-        self.perform(fx, None, sink);
+        let now = self.clock.now_us();
+        let fx = self.machine.boot(now);
+        self.perform(fx, now, None, sink);
 
         // Dial every federation peer this shard owns the link to.
         let owned: Vec<u64> = self
@@ -573,16 +566,7 @@ impl<'a> Reactor<'a> {
                         self.conns.insert(id, ConnState::default());
                     }
                     IoEvent::Data(id, bytes) => self.on_data(id, &bytes, sink),
-                    IoEvent::Closed(id) => {
-                        if let Some(st) = self.conns.remove(id) {
-                            if let Some((worker, epoch)) = st.reg {
-                                self.sever(worker, epoch, sink);
-                            }
-                            if let Some(peer) = st.peer {
-                                self.peer_link_down(id, peer);
-                            }
-                        }
-                    }
+                    IoEvent::Closed(id) => self.drop_conn(id, sink),
                 }
             }
 
@@ -597,7 +581,7 @@ impl<'a> Reactor<'a> {
                             task,
                             now_us: now,
                         });
-                        self.perform(fx, None, sink);
+                        self.perform(fx, now, None, sink);
                     }
                     Deadline::Redial { peer } => {
                         let down = self
@@ -647,8 +631,7 @@ impl<'a> Reactor<'a> {
 
     /// Feed arrived bytes to the connection's decoder and dispatch
     /// every complete frame. A decode error (oversized prefix, garbage
-    /// payload, foreign JSON) drops the connection, as the blocking
-    /// handler always did.
+    /// payload, foreign JSON) drops the connection.
     fn on_data(&mut self, id: ConnId, bytes: &[u8], sink: &mut dyn TraceSink) {
         if let Some(st) = self.conns.get_mut(id) {
             st.dec.feed(bytes);
@@ -666,10 +649,8 @@ impl<'a> Reactor<'a> {
                 }
             };
             match self.conns.get(id).map(|st| (st.peer, st.reg)) {
-                Some((Some(peer), _)) => self.dispatch_peer(id, peer, msg, sink),
-                Some((None, Some((worker, epoch)))) => {
-                    self.dispatch_registered(id, worker, epoch, msg, sink);
-                }
+                Some((Some(_), _)) => self.dispatch_peer(id, msg, sink),
+                Some((None, Some(reg))) => self.dispatch_registered(id, reg, msg, sink),
                 Some((None, None)) | None => self.dispatch_unregistered(id, msg, sink),
             }
         }
@@ -693,37 +674,7 @@ impl<'a> Reactor<'a> {
                     resume,
                     now_us,
                 });
-                for e in fx {
-                    match e {
-                        Effect::Header(h) => sink.header(&h),
-                        Effect::Trace(ev) => self.record_trace(ev, sink),
-                        Effect::Registered { msg, worker, epoch } => {
-                            let accepted = matches!(msg, Message::Welcome { .. });
-                            // A resume's welcome restores held leases
-                            // with renewed clocks: re-arm each one.
-                            if let Message::Welcome { ref tasks, .. } = msg {
-                                for &task in tasks {
-                                    self.arm_lease(worker, task, now_us);
-                                }
-                            }
-                            self.send_msg(id, &msg);
-                            if accepted {
-                                if let Some(st) = self.conns.get_mut(id) {
-                                    st.reg = Some((worker, epoch));
-                                }
-                            } else {
-                                // Refused (unsupported proto, bad
-                                // resume): the typed error frame is on
-                                // its way out; close.
-                                self.conns.remove(id);
-                                self.poller.close(id);
-                            }
-                        }
-                        Effect::Reply(_) => {
-                            debug_assert!(false, "Hello answers with Registered, not Reply");
-                        }
-                    }
-                }
+                self.perform(fx, now_us, Some((id, None)), sink);
             }
             Message::PeerHello {
                 shard,
@@ -748,8 +699,7 @@ impl<'a> Reactor<'a> {
                     self.link_up(id, shard);
                 } else {
                     self.send_msg(id, &Message::error("peer-hello does not match this shard"));
-                    self.conns.remove(id);
-                    self.poller.close(id);
+                    self.drop_conn(id, sink);
                 }
             }
             _ => {
@@ -757,14 +707,13 @@ impl<'a> Reactor<'a> {
                     id,
                     &Message::error("expected hello with a positive finite speed"),
                 );
-                self.conns.remove(id);
-                self.poller.close(id);
+                self.drop_conn(id, sink);
             }
         }
     }
 
     /// A frame from an established federation peer link.
-    fn dispatch_peer(&mut self, id: ConnId, peer: u64, msg: Message, sink: &mut dyn TraceSink) {
+    fn dispatch_peer(&mut self, id: ConnId, msg: Message, sink: &mut dyn TraceSink) {
         if let Some(f) = self.fed.as_mut() {
             f.peer_rx += 1;
         }
@@ -783,7 +732,7 @@ impl<'a> Reactor<'a> {
                         task: local,
                         now_us,
                     });
-                    self.perform(fx, None, sink);
+                    self.perform(fx, now_us, None, sink);
                 }
             }
             Message::PeerDrain { shard } => {
@@ -802,9 +751,7 @@ impl<'a> Reactor<'a> {
             _ => {
                 // Worker traffic on a peer link is a protocol error:
                 // drop the link; the dialer side will re-establish.
-                self.conns.remove(id);
-                self.poller.close(id);
-                self.peer_link_down(id, peer);
+                self.drop_conn(id, sink);
             }
         }
     }
@@ -813,12 +760,12 @@ impl<'a> Reactor<'a> {
     fn dispatch_registered(
         &mut self,
         id: ConnId,
-        worker: usize,
-        epoch: u64,
+        reg: (usize, u64),
         msg: Message,
         sink: &mut dyn TraceSink,
     ) {
         let now_us = self.clock.now_us();
+        let worker = reg.0;
         let event = match msg {
             Message::Request { max } => Event::Request {
                 worker,
@@ -836,78 +783,17 @@ impl<'a> Reactor<'a> {
                 task,
                 now_us,
             },
-            Message::Bye => {
-                self.conns.remove(id);
-                self.sever(worker, epoch, sink);
-                self.poller.close(id);
-                return;
-            }
+            Message::Bye => return self.drop_conn(id, sink),
             _ => {
                 self.send_msg(
                     id,
                     &Message::error("unexpected server-side message from a worker"),
                 );
-                self.conns.remove(id);
-                self.sever(worker, epoch, sink);
-                self.poller.close(id);
-                return;
+                return self.drop_conn(id, sink);
             }
         };
         let fx = self.machine.step(event);
-        let mut draining = false;
-        for e in fx {
-            match e {
-                Effect::Header(h) => sink.header(&h),
-                Effect::Trace(ev) => self.record_trace(ev, sink),
-                Effect::Reply(msg) => {
-                    match &msg {
-                        // Every grant path re-arms the wheel: primary
-                        // and speculative assigns here, heartbeat
-                        // renewals below, resumes at registration.
-                        Message::Assign { tasks } => {
-                            for &task in tasks {
-                                self.arm_lease(worker, task, now_us);
-                            }
-                        }
-                        Message::Ack {
-                            task,
-                            accepted: true,
-                        } => {
-                            // Only heartbeats renew; a done's ack has
-                            // no lease left to time. Arming on both is
-                            // harmless (lazy timers), arming on
-                            // heartbeat is required.
-                            self.arm_lease(worker, *task, now_us);
-                        }
-                        Message::Wait { .. } => {
-                            // At the drain barrier a steal deadline
-                            // may be pending: wake the loop by then
-                            // even if no I/O arrives.
-                            if let Some(steal_ms) = self.cfg.steal_after_ms {
-                                self.wheel.schedule(
-                                    now_us.saturating_add(steal_ms.saturating_mul(1000)),
-                                    Deadline::Wake,
-                                );
-                            }
-                        }
-                        Message::Drain => draining = true,
-                        _ => {}
-                    }
-                    self.send_msg(id, &msg);
-                }
-                Effect::Registered { .. } => {
-                    debug_assert!(false, "only Hello answers with Registered");
-                }
-            }
-        }
-        if draining {
-            // The worker got its drain frame; its part is over. Sever
-            // now and close after the frame flushes, exactly like the
-            // blocking handler's drain path.
-            self.conns.remove(id);
-            self.sever(worker, epoch, sink);
-            self.poller.close(id);
-        }
+        self.perform(fx, now_us, Some((id, Some(reg))), sink);
     }
 
     /// Dial a federation peer this reactor owns the link to; on
@@ -1118,45 +1004,107 @@ impl<'a> Reactor<'a> {
             .schedule(deadline, Deadline::Lease { worker, task });
     }
 
-    /// Step a `Sever` for a registered connection that is gone.
-    fn sever(&mut self, worker: usize, epoch: u64, sink: &mut dyn TraceSink) {
-        let now_us = self.clock.now_us();
-        let fx = self.machine.step(Event::Sever {
-            worker,
-            epoch,
-            now_us,
-        });
-        self.perform(fx, None, sink);
-    }
-
-    /// Drop a connection after a decode error: sever if registered,
-    /// close the transport.
+    /// Forget a connection, whoever ended it (EOF, decode error, bye,
+    /// drain, a refused hello): step `Sever` if it was a registered
+    /// worker, schedule the redial if it was a peer link, and close
+    /// the transport once any farewell frame has flushed.
     fn drop_conn(&mut self, id: ConnId, sink: &mut dyn TraceSink) {
         if let Some(st) = self.conns.remove(id) {
             if let Some((worker, epoch)) = st.reg {
-                self.sever(worker, epoch, sink);
+                let now_us = self.clock.now_us();
+                let fx = self.machine.step(Event::Sever {
+                    worker,
+                    epoch,
+                    now_us,
+                });
+                self.perform(fx, now_us, None, sink);
+            }
+            if let Some(peer) = st.peer {
+                self.peer_link_down(id, peer);
             }
         }
         self.poller.close(id);
     }
 
-    /// Perform effects outside a connection's request context (boot,
-    /// expiry, sever): sink records, plus replies when a connection is
-    /// given.
-    fn perform(&mut self, fx: Vec<Effect>, reply_to: Option<ConnId>, sink: &mut dyn TraceSink) {
+    /// Perform the effects of one machine step taken at `now_us` — the
+    /// one place every [`Effect`] variant is handled. `from` names the
+    /// connection whose frame raised the event and, once it has
+    /// registered, its `(worker, epoch)`; it is `None` for steps no
+    /// connection asked for (boot, expiry, sever, `remote-done`).
+    fn perform(
+        &mut self,
+        fx: Vec<Effect>,
+        now_us: u64,
+        from: Option<(ConnId, Option<(usize, u64)>)>,
+        sink: &mut dyn TraceSink,
+    ) {
+        let mut drained = None;
         for e in fx {
-            match e {
-                Effect::Header(h) => sink.header(&h),
-                Effect::Trace(ev) => self.record_trace(ev, sink),
-                Effect::Reply(msg) => {
-                    if let Some(id) = reply_to {
-                        self.send_msg(id, &msg);
+            match (e, from) {
+                (Effect::Header(h), _) => sink.header(&h),
+                (Effect::Trace(ev), _) => self.record_trace(ev, sink),
+                (Effect::Reply(msg), Some((id, Some((worker, _))))) => {
+                    match &msg {
+                        // Every grant path re-arms the wheel: primary
+                        // and speculative assigns here, heartbeat
+                        // renewals below, resumes at registration.
+                        Message::Assign { tasks } => {
+                            for &task in tasks {
+                                self.arm_lease(worker, task, now_us);
+                            }
+                        }
+                        Message::Ack {
+                            task,
+                            accepted: true,
+                        } => {
+                            // Only heartbeats renew; a done's ack has
+                            // no lease left to time. Arming on both is
+                            // harmless (lazy timers), arming on
+                            // heartbeat is required.
+                            self.arm_lease(worker, *task, now_us);
+                        }
+                        Message::Wait { .. } => {
+                            // At the drain barrier a steal deadline
+                            // may be pending: wake the loop by then
+                            // even if no I/O arrives.
+                            if let Some(steal_ms) = self.cfg.steal_after_ms {
+                                self.wheel.schedule(
+                                    now_us.saturating_add(steal_ms.saturating_mul(1000)),
+                                    Deadline::Wake,
+                                );
+                            }
+                        }
+                        Message::Drain => drained = Some(id),
+                        _ => {}
+                    }
+                    self.send_msg(id, &msg);
+                }
+                (Effect::Registered { msg, worker, epoch }, Some((id, _))) => {
+                    self.send_msg(id, &msg);
+                    if let Message::Welcome { tasks, .. } = msg {
+                        // A resume's welcome restores held leases with
+                        // renewed clocks: re-arm each one.
+                        for task in tasks {
+                            self.arm_lease(worker, task, now_us);
+                        }
+                        if let Some(st) = self.conns.get_mut(id) {
+                            st.reg = Some((worker, epoch));
+                        }
+                    } else {
+                        // Refused (unsupported proto, bad resume): the
+                        // typed error frame is on its way out; close.
+                        self.drop_conn(id, sink);
                     }
                 }
-                Effect::Registered { .. } => {
-                    debug_assert!(false, "only Hello answers with Registered");
+                (Effect::Reply(_) | Effect::Registered { .. }, _) => {
+                    debug_assert!(false, "a reply needs the connection that asked");
                 }
             }
+        }
+        if let Some(id) = drained {
+            // The worker got its drain frame; its part is over. Sever
+            // now and close after the frame flushes.
+            self.drop_conn(id, sink);
         }
     }
 
@@ -1594,7 +1542,7 @@ impl LoopbackConn {
     pub fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<Message>> {
         let deadline = Instant::now() + timeout;
         loop {
-            if let Some(msg) = wire_to_io(self.dec.next_msg())? {
+            if let Some(msg) = self.dec.next_msg()? {
                 return Ok(Some(msg));
             }
             let left = deadline.saturating_duration_since(Instant::now());
@@ -1616,7 +1564,7 @@ impl LoopbackConn {
     /// connection and everything delivered was consumed.
     pub fn try_recv(&mut self) -> io::Result<Option<Message>> {
         loop {
-            if let Some(msg) = wire_to_io(self.dec.next_msg())? {
+            if let Some(msg) = self.dec.next_msg()? {
                 return Ok(Some(msg));
             }
             match self.rx.try_recv() {
@@ -1636,13 +1584,5 @@ impl Drop for LoopbackConn {
             self.closed = true;
             let _ = self.tx.send(LoopCmd::Close { id: self.id });
         }
-    }
-}
-
-fn wire_to_io(r: Result<Option<Message>, WireError>) -> io::Result<Option<Message>> {
-    match r {
-        Ok(m) => Ok(m),
-        Err(WireError::Io(e)) => Err(e),
-        Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
     }
 }

@@ -1,9 +1,11 @@
-//! The networked IC task server.
+//! The networked IC task server's tunables ([`ServerConfig`]) and
+//! end-of-run tally ([`ServeReport`]).
 //!
-//! [`Server`] is the live counterpart of the `ic-sim` event loop: it
+//! The server is the live counterpart of the `ic-sim` event loop: it
 //! listens on TCP, registers volatile workers, and allocates ELIGIBLE
-//! tasks of one dag through any [`AllocationPolicy`] until the dag
-//! completes. The volatile-client reality the paper's server faces
+//! tasks of one dag through any
+//! [`AllocationPolicy`](ic_sched::policy::AllocationPolicy) until the
+//! dag completes. The volatile-client reality the paper's server faces
 //! (§1: clients "may be slow, may die") is handled with five
 //! mechanisms:
 //!
@@ -27,16 +29,17 @@
 //!   task) is acknowledged with `accepted = false` and changes nothing.
 //!
 //! All of these semantics live in the *pure* transition function
-//! [`crate::machine::LeaseMachine`]: the server here is a thin driver
-//! that accepts connections, stamps each request with wall-clock
-//! microseconds, feeds it to the machine as an
-//! [`crate::machine::Event`], and performs the returned
-//! [`crate::machine::Effect`]s — trace records into the
-//! [`TraceSink`], wire frames back to the requesting connection. The
-//! same machine is exhaustively model-checked by `ic-check`, so what
-//! the checker verifies is exactly what this server runs.
+//! [`crate::machine::LeaseMachine`]: the
+//! [`Reactor`](crate::reactor::Reactor) is a thin driver that accepts
+//! connections, stamps each request with clock microseconds, feeds it
+//! to the machine as an [`crate::machine::Event`], and performs the
+//! returned [`crate::machine::Effect`]s — trace records into the
+//! [`TraceSink`](ic_sim::trace::TraceSink), wire frames back to the
+//! requesting connection. The same machine is exhaustively
+//! model-checked by `ic-check`, so what the checker verifies is
+//! exactly what this server runs.
 //!
-//! Every decision is emitted through the [`TraceSink`] event model in
+//! Every decision is emitted through the `TraceSink` event model in
 //! server order, so a finished run's JSONL trace replays clean under
 //! `ic-prio audit --schedule`: a lease expiry or failure report is a
 //! `Failed` event (the task legally re-enters the pool only when its
@@ -59,27 +62,19 @@
 //!
 //! # Architecture
 //!
-//! [`Server`] is the TCP *compatibility wrapper* around the
-//! event-driven [`crate::reactor::Reactor`]: [`Server::run`] builds
-//! the production [`crate::reactor::Driver`] (wall clock + nonblocking
-//! TCP poller) and calls
+//! There is one serve path: bind a `TcpListener`, wrap it with
+//! [`Driver::tcp`](crate::reactor::Driver::tcp) (wall clock +
+//! nonblocking TCP poller), build a
+//! [`Reactor`](crate::reactor::Reactor), and call
 //! [`Reactor::run_until_drain`](crate::reactor::Reactor::run_until_drain).
 //! One thread owns every connection — there are no per-connection
-//! threads, no channels, and the trace sink still needs neither `Send`
-//! nor `'static`. Per-connection framing state lives in incremental
+//! threads, no channels, and the trace sink needs neither `Send` nor
+//! `'static`. Per-connection framing state lives in incremental
 //! decoders, lease expiry rides a hierarchical timer wheel instead of
 //! a per-lease scan, and each connection remembers the *epoch* of its
 //! registration so a sever from a superseded connection (the worker
 //! already resumed on a new socket) is ignored.
 
-use std::io;
-use std::net::{TcpListener, ToSocketAddrs};
-
-use ic_dag::Dag;
-use ic_sched::policy::AllocationPolicy;
-use ic_sim::trace::TraceSink;
-
-use crate::reactor::{Driver, Reactor};
 use crate::wire::PROTO_V1;
 
 /// Tunables of a serving run. Construct with [`ServerConfig::builder`]
@@ -268,75 +263,4 @@ pub struct ServeReport {
     /// Federated runs only: successful peer-link (re)connects dialed
     /// by this shard.
     pub peer_reconnects: usize,
-}
-
-/// A bound, not-yet-running IC task server.
-pub struct Server<'a> {
-    dag: &'a Dag,
-    policy: &'a dyn AllocationPolicy,
-    cfg: ServerConfig,
-    listener: TcpListener,
-}
-
-impl<'a> Server<'a> {
-    /// Bind a listener. The dag and policy are borrowed for the
-    /// server's lifetime; [`Server::run`] drives everything inline.
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        dag: &'a Dag,
-        policy: &'a dyn AllocationPolicy,
-        cfg: ServerConfig,
-    ) -> io::Result<Server<'a>> {
-        let listener = TcpListener::bind(addr)?;
-        Ok(Server {
-            dag,
-            policy,
-            cfg,
-            listener,
-        })
-    }
-
-    /// The bound address (useful after binding port 0).
-    pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// Serve until the dag completes, streaming every decision into
-    /// `sink` (header first, then events in server order). Returns once
-    /// all tasks are executed and connected workers have had a drain
-    /// grace period to pick up their `Drain` replies.
-    ///
-    /// This is the compatibility wrapper around the event-driven core:
-    /// it assembles the production [`Driver`] (wall clock, nonblocking
-    /// TCP poller) and delegates to [`Reactor::run_until_drain`].
-    ///
-    /// # Panics
-    /// Panics if the policy rejects the dag in
-    /// [`AllocationPolicy::prepare`].
-    pub fn run(self, sink: &mut dyn TraceSink) -> io::Result<ServeReport> {
-        let driver = Driver::tcp(self.listener, &self.cfg)?;
-        Reactor::new(self.dag, self.policy, self.cfg, driver).run_until_drain(sink)
-    }
-
-    /// Serve one *shard* of a federated run: like [`Server::run`], but
-    /// the reactor also maintains v3 peer links to every other shard —
-    /// forwarding local completions named in `fed`'s notify map as
-    /// `remote-done` frames and gating stub/replica nodes on the
-    /// notifications that arrive. `meta` is stamped into the shard's
-    /// trace header so `ic-prio merge` can reassemble the global run.
-    ///
-    /// # Panics
-    /// Panics if the policy rejects the dag in
-    /// [`AllocationPolicy::prepare`].
-    pub fn run_federated(
-        self,
-        meta: ic_sim::trace::FedMeta,
-        fed: crate::reactor::FedConfig,
-        sink: &mut dyn TraceSink,
-    ) -> io::Result<ServeReport> {
-        let driver = Driver::tcp(self.listener, &self.cfg)?;
-        let mut reactor = Reactor::new(self.dag, self.policy, self.cfg, driver);
-        reactor.set_fed(meta, fed);
-        reactor.run_until_drain(sink)
-    }
 }

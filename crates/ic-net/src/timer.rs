@@ -1,10 +1,9 @@
 //! A hierarchical timer wheel for lease expiry and wakeup deadlines.
 //!
-//! The blocking server checked every lease's deadline on every loop
-//! iteration — an O(leases) scan per tick that the reactor replaces
-//! with this wheel: O(1) amortized `schedule`, O(1) amortized
-//! `advance` per elapsed tick, independent of how many timers are
-//! pending.
+//! Checking every lease's deadline on every loop iteration would be
+//! an O(leases) scan per tick; the reactor uses this wheel instead:
+//! O(1) amortized `schedule`, O(1) amortized `advance` per elapsed
+//! tick, independent of how many timers are pending.
 //!
 //! # Lazy (non-cancelable) timers
 //!

@@ -49,11 +49,12 @@
 //! buffer (so one `write` can carry many frames), and the incremental
 //! [`Decoder`] accepts transport bytes in whatever chunks the socket
 //! yields ([`Decoder::feed`]) and hands back complete messages
-//! ([`Decoder::next_msg`]). The older per-frame stream helpers
-//! [`write_msg`]/[`read_msg`] are deprecated wrappers kept for
-//! compatibility.
+//! ([`Decoder::next_msg`]). [`Conn`] wraps the pair around a blocking
+//! `TcpStream` for peers that talk to the server one frame at a time:
+//! the worker client and the scripted peers of the tests.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 
 use ic_sim::json::{self, json_string, Json};
 
@@ -568,14 +569,11 @@ fn malformed(msg: &str) -> WireError {
     WireError::Malformed(msg.to_string())
 }
 
-/// Everything that can go wrong reading a frame. `Io` with
-/// `UnexpectedEof` mid-frame means the peer hung up; the rest are
-/// protocol violations the reader survives without panicking.
+/// Everything that can be wrong with a received frame. Each is a
+/// protocol violation the decoder survives without panicking; a
+/// transport failure is the caller's `io::Error`, not a `WireError`.
 #[derive(Debug)]
 pub enum WireError {
-    /// The underlying transport failed (includes truncation:
-    /// `UnexpectedEof` inside a frame).
-    Io(std::io::Error),
     /// The length prefix exceeds [`MAX_FRAME`].
     Oversized(usize),
     /// The payload is not valid JSON (or not valid UTF-8).
@@ -587,7 +585,6 @@ pub enum WireError {
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::Io(e) => write!(f, "i/o: {e}"),
             WireError::Oversized(n) => {
                 write!(f, "frame of {n} bytes exceeds the {MAX_FRAME}-byte limit")
             }
@@ -599,18 +596,9 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-impl From<std::io::Error> for WireError {
-    fn from(e: std::io::Error) -> Self {
-        WireError::Io(e)
-    }
-}
-
-impl WireError {
-    /// True when the error means the peer closed the connection cleanly
-    /// between frames (EOF on the length prefix) — the normal end of a
-    /// conversation, as opposed to a protocol violation.
-    pub fn is_clean_eof(&self) -> bool {
-        matches!(self, WireError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof)
+impl From<WireError> for io::Error {
+    fn from(e: WireError) -> io::Error {
+        io::Error::new(io::ErrorKind::InvalidData, e.to_string())
     }
 }
 
@@ -626,7 +614,7 @@ impl Frame {
     /// the number of bytes appended. Nothing is appended (returning 0)
     /// in the unrepresentable case of a body above `u32::MAX` bytes —
     /// callers keep bodies within [`MAX_FRAME`], which is
-    /// debug-asserted here exactly as [`write_msg`] always did.
+    /// debug-asserted here.
     pub fn encode_into(msg: &Message, out: &mut Vec<u8>) -> usize {
         let body = msg.to_json();
         debug_assert!(body.len() <= MAX_FRAME, "outgoing frame within bounds");
@@ -645,7 +633,7 @@ impl Frame {
 /// frames at once, a length prefix split across reads — and drain
 /// complete messages with [`next_msg`]. An oversized length prefix is
 /// rejected as soon as its 4 bytes arrive, before any body is
-/// buffered, preserving [`read_msg`]'s allocation bound.
+/// buffered, so a hostile prefix cannot make the peer allocate.
 ///
 /// [`feed`]: Decoder::feed
 /// [`next_msg`]: Decoder::next_msg
@@ -684,8 +672,7 @@ impl Decoder {
     /// * `Err(_)` — the prefix was oversized or the payload was not a
     ///   protocol message. The broken frame is consumed, but on a
     ///   protocol as fragile as length-prefixed JSON the only safe
-    ///   reaction is to drop the connection, exactly as the blocking
-    ///   reader's callers always did.
+    ///   reaction is to drop the connection.
     pub fn next_msg(&mut self) -> Result<Option<Message>, WireError> {
         let avail = &self.buf[self.start..];
         let Some(len_buf) = avail.first_chunk::<4>() else {
@@ -707,59 +694,74 @@ impl Decoder {
     }
 }
 
-/// Write `msg` as one frame and flush it.
-#[deprecated(
-    since = "0.1.0",
-    note = "encode with `Frame::encode_into` and write the buffer; \
-            the reactor and the worker client share that path"
-)]
-pub fn write_msg(w: &mut impl Write, msg: &Message) -> std::io::Result<()> {
-    let mut frame = Vec::new();
-    if Frame::encode_into(msg, &mut frame) == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "frame exceeds u32 length",
-        ));
-    }
-    w.write_all(&frame)?;
-    w.flush()
+/// One blocking framed TCP connection: [`Frame`] on the way out, a
+/// [`Decoder`] on the way in — the same framing code the reactor runs
+/// on its side of the wire. The worker client and the scripted peers
+/// of the end-to-end tests all speak through this.
+#[derive(Debug)]
+pub struct Conn {
+    stream: TcpStream,
+    dec: Decoder,
+    /// Reusable encode buffer.
+    wbuf: Vec<u8>,
 }
 
-/// Read one frame and decode it. Never panics on hostile input: an
-/// oversized prefix, a truncated body, non-UTF-8 bytes, broken JSON,
-/// and well-formed-but-foreign JSON each map to their [`WireError`]
-/// variant.
-#[deprecated(
-    since = "0.1.0",
-    note = "feed transport bytes to `Decoder::feed` and drain `Decoder::next_msg`"
-)]
-pub fn read_msg(r: &mut impl Read) -> Result<Message, WireError> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(WireError::Oversized(len));
+impl Conn {
+    /// Connect to `addr` (Nagle off: frames are small and answered
+    /// one at a time).
+    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Conn> {
+        let stream = TcpStream::connect(addr)?;
+        let _ = stream.set_nodelay(true);
+        Ok(Conn {
+            stream,
+            dec: Decoder::new(),
+            wbuf: Vec::new(),
+        })
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    let mut dec = Decoder::new();
-    dec.feed(&len_buf);
-    dec.feed(&body);
-    match dec.next_msg() {
-        Ok(Some(msg)) => Ok(msg),
-        // Unreachable: the full frame was fed. Kept total for safety.
-        Ok(None) => Err(WireError::Io(std::io::ErrorKind::UnexpectedEof.into())),
-        Err(e) => Err(e),
+
+    /// Encode and transmit one frame.
+    pub fn send(&mut self, msg: &Message) -> io::Result<()> {
+        self.wbuf.clear();
+        Frame::encode_into(msg, &mut self.wbuf);
+        self.stream.write_all(&self.wbuf)
+    }
+
+    /// Block until the next complete frame arrives. A peer that hangs
+    /// up — between frames or inside one — is `UnexpectedEof`; a
+    /// [`WireError`] arrives as `InvalidData`.
+    pub fn recv(&mut self) -> io::Result<Message> {
+        loop {
+            if let Some(msg) = self.dec.next_msg()? {
+                return Ok(msg);
+            }
+            let mut chunk = [0u8; 4096];
+            let n = self.stream.read(&mut chunk)?;
+            if n == 0 {
+                return Err(io::ErrorKind::UnexpectedEof.into());
+            }
+            self.dec.feed(&chunk[..n]);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    // The deprecated stream helpers stay pinned by these tests until
-    // they are removed.
-    #![allow(deprecated)]
-
     use super::*;
+
+    /// One frame holding exactly `body`, framed by hand so hostile
+    /// bodies the encoder would never emit can be fed to a decoder.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut buf = (body.len() as u32).to_be_bytes().to_vec();
+        buf.extend_from_slice(body);
+        buf
+    }
+
+    /// Decode the single frame in `buf`.
+    fn decode(buf: &[u8]) -> Result<Option<Message>, WireError> {
+        let mut dec = Decoder::new();
+        dec.feed(buf);
+        dec.next_msg()
+    }
 
     #[test]
     fn decoder_reassembles_frames_from_arbitrary_chunks() {
@@ -833,23 +835,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_helpers_and_buffer_path_produce_identical_bytes() {
-        let msg = Message::Welcome {
-            worker: 3,
-            lease_ms: 500,
-            proto: PROTO_V2,
-            resume: Some("tok".into()),
-            tasks: vec![5],
-        };
-        let mut streamed = Vec::new();
-        write_msg(&mut streamed, &msg).unwrap();
-        let mut buffered = Vec::new();
-        let n = Frame::encode_into(&msg, &mut buffered);
-        assert_eq!(streamed, buffered);
-        assert_eq!(n, buffered.len());
-    }
-
-    #[test]
     fn every_variant_round_trips_through_a_frame() {
         let msgs = [
             Message::Hello {
@@ -906,14 +891,16 @@ mod tests {
         ];
         let mut buf = Vec::new();
         for m in &msgs {
-            write_msg(&mut buf, m).unwrap();
+            assert!(Frame::encode_into(m, &mut buf) > 0);
         }
-        let mut r = &buf[..];
+        let mut dec = Decoder::new();
+        dec.feed(&buf);
         for m in &msgs {
-            assert_eq!(&read_msg(&mut r).unwrap(), m);
+            assert_eq!(&dec.next_msg().unwrap().unwrap(), m);
         }
         // And the stream is exactly consumed.
-        assert!(read_msg(&mut r).unwrap_err().is_clean_eof());
+        assert!(matches!(dec.next_msg(), Ok(None)));
+        assert_eq!(dec.pending(), 0);
     }
 
     #[test]
@@ -947,10 +934,8 @@ mod tests {
             ),
         ];
         for (body, want) in cases {
-            let mut buf = Vec::new();
-            buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
-            buf.extend_from_slice(body.as_bytes());
-            assert_eq!(&read_msg(&mut &buf[..]).unwrap(), want, "{body}");
+            let got = decode(&framed(body.as_bytes())).unwrap().unwrap();
+            assert_eq!(&got, want, "{body}");
         }
     }
 
@@ -991,8 +976,8 @@ mod tests {
     fn integral_speed_survives_the_round_trip() {
         let m = Message::hello("w", 3.0);
         let mut buf = Vec::new();
-        write_msg(&mut buf, &m).unwrap();
-        assert_eq!(read_msg(&mut &buf[..]).unwrap(), m);
+        Frame::encode_into(&m, &mut buf);
+        assert_eq!(decode(&buf).unwrap().unwrap(), m);
     }
 
     #[test]
@@ -1000,7 +985,7 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(MAX_FRAME as u32 + 1).to_be_bytes());
         buf.extend_from_slice(b"ignored");
-        match read_msg(&mut &buf[..]) {
+        match decode(&buf) {
             Err(WireError::Oversized(n)) => assert_eq!(n, MAX_FRAME + 1),
             other => panic!("expected Oversized, got {other:?}"),
         }
@@ -1015,44 +1000,46 @@ mod tests {
         let msg = Message::hello("a".repeat(MAX_FRAME - base), 1.0);
         assert_eq!(msg.to_json().len(), MAX_FRAME);
         let mut buf = Vec::new();
-        write_msg(&mut buf, &msg).unwrap();
-        assert_eq!(read_msg(&mut &buf[..]).unwrap(), msg);
+        Frame::encode_into(&msg, &mut buf);
+        assert_eq!(decode(&buf).unwrap().unwrap(), msg);
 
         // One byte past the cap is rejected with the exact length,
-        // before the body is read. Framed by hand: `write_msg` itself
+        // before the body is read. Framed by hand: the encoder itself
         // debug-asserts the bound.
         let over = Message::hello("a".repeat(MAX_FRAME - base + 1), 1.0).to_json();
         assert_eq!(over.len(), MAX_FRAME + 1);
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&u32::try_from(over.len()).unwrap().to_be_bytes());
-        buf.extend_from_slice(over.as_bytes());
-        match read_msg(&mut &buf[..]) {
+        match decode(&framed(over.as_bytes())) {
             Err(WireError::Oversized(n)) => assert_eq!(n, MAX_FRAME + 1),
             other => panic!("expected Oversized, got {other:?}"),
         }
     }
 
     #[test]
-    fn truncated_body_is_an_io_error() {
+    fn truncated_body_is_no_message_and_a_hangup_inside_it_is_an_io_error() {
         let mut buf = Vec::new();
-        write_msg(&mut buf, &Message::request()).unwrap();
+        Frame::encode_into(&Message::request(), &mut buf);
         buf.truncate(buf.len() - 2);
-        match read_msg(&mut &buf[..]) {
-            Err(WireError::Io(e)) => {
-                assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof);
-            }
-            other => panic!("expected Io, got {other:?}"),
-        }
+        // The decoder waits for the rest instead of inventing a frame.
+        let mut dec = Decoder::new();
+        dec.feed(&buf);
+        assert!(matches!(dec.next_msg(), Ok(None)));
+        assert_eq!(dec.pending(), buf.len());
+
+        // On a live connection the peer hanging up mid-frame is EOF.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut conn = Conn::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        peer.write_all(&buf).unwrap();
+        drop(peer);
+        let err = conn.recv().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]
     fn garbage_payload_is_a_garbage_error() {
         for body in [&b"not json"[..], b"{\"type\":", b"\xff\xfe"] {
-            let mut buf = Vec::new();
-            buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
-            buf.extend_from_slice(body);
             assert!(
-                matches!(read_msg(&mut &buf[..]), Err(WireError::Garbage(_))),
+                matches!(decode(&framed(body)), Err(WireError::Garbage(_))),
                 "{body:?}"
             );
         }
@@ -1081,11 +1068,11 @@ mod tests {
             "{\"type\":\"peer-drain\"}",
             "{\"type\":\"peer-drain\",\"shard\":-1}",
         ] {
-            let mut buf = Vec::new();
-            buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
-            buf.extend_from_slice(body.as_bytes());
             assert!(
-                matches!(read_msg(&mut &buf[..]), Err(WireError::Malformed(_))),
+                matches!(
+                    decode(&framed(body.as_bytes())),
+                    Err(WireError::Malformed(_))
+                ),
                 "{body}"
             );
         }

@@ -19,13 +19,13 @@
 //! without a report.
 
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::Duration;
 
 use ic_dag::rng::XorShift64;
 
-use crate::wire::{Decoder, Frame, Message, WireError, ERR_BAD_RESUME, PROTO_CURRENT, PROTO_V2};
+use crate::wire::{Conn, Message, ERR_BAD_RESUME, PROTO_CURRENT, PROTO_V2};
 
 /// How (whether) a worker misbehaves — the `--flaky` fault-injection
 /// surface.
@@ -200,44 +200,15 @@ pub struct WorkerReport {
     pub died: bool,
 }
 
-/// One live connection to the server (plus what its `welcome` said).
-/// Framing goes through the buffer-oriented [`Frame`]/[`Decoder`]
-/// path — the same code the reactor runs on its side of the wire.
+/// One live connection to the server plus what its `welcome` said.
 struct Session {
-    stream: TcpStream,
-    dec: Decoder,
-    /// Reusable encode buffer.
-    wbuf: Vec<u8>,
+    conn: Conn,
     worker: u64,
     lease_ms: u64,
     /// Negotiated protocol version (the minimum of both sides').
     proto: u32,
     /// Resume token, when the (v2) server issued one.
     token: Option<String>,
-}
-
-impl Session {
-    /// Encode and transmit one frame.
-    fn send(&mut self, msg: &Message) -> io::Result<()> {
-        self.wbuf.clear();
-        Frame::encode_into(msg, &mut self.wbuf);
-        self.stream.write_all(&self.wbuf)
-    }
-
-    /// Block until the next complete frame arrives.
-    fn recv(&mut self) -> io::Result<Message> {
-        loop {
-            if let Some(msg) = self.dec.next_msg().map_err(to_io)? {
-                return Ok(msg);
-            }
-            let mut chunk = [0u8; 4096];
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(io::ErrorKind::UnexpectedEof.into());
-            }
-            self.dec.feed(&chunk[..n]);
-        }
-    }
 }
 
 /// Connect and register (fresh or with a resume token). Returns the
@@ -248,37 +219,30 @@ fn open(
     cfg: &WorkerConfig,
     resume: Option<String>,
 ) -> io::Result<(Session, Vec<u64>)> {
-    let stream = TcpStream::connect(addr)?;
-    let _ = stream.set_nodelay(true);
-    let mut sess = Session {
-        stream,
-        dec: Decoder::new(),
-        wbuf: Vec::new(),
-        worker: 0,
-        lease_ms: 0,
-        proto: PROTO_CURRENT,
-        token: None,
-    };
-    sess.send(&Message::Hello {
+    let mut conn = Conn::connect(addr)?;
+    conn.send(&Message::Hello {
         id: cfg.id.clone(),
         speed: cfg.speed,
         proto: cfg.proto,
         resume,
     })?;
-    match sess.recv()? {
+    match conn.recv()? {
         Message::Welcome {
             worker,
             lease_ms,
             proto,
-            resume,
+            resume: token,
             tasks,
-        } => {
-            sess.worker = worker;
-            sess.lease_ms = lease_ms;
-            sess.proto = proto;
-            sess.token = resume;
-            Ok((sess, tasks))
-        }
+        } => Ok((
+            Session {
+                conn,
+                worker,
+                lease_ms,
+                proto,
+                token,
+            },
+            tasks,
+        )),
         Message::Error { code, msg } => Err(io::Error::other(if code.is_empty() {
             msg
         } else {
@@ -361,15 +325,15 @@ fn step_once(
         } else {
             1
         };
-        sess.send(&Message::Request { max })?;
-        match sess.recv()? {
+        sess.conn.send(&Message::Request { max })?;
+        match sess.conn.recv()? {
             Message::Assign { tasks } => st.held.extend(tasks),
             Message::Wait { ms } => {
                 std::thread::sleep(Duration::from_millis(ms.max(1)));
                 return Ok(None);
             }
             Message::Drain => {
-                let _ = sess.send(&Message::Bye);
+                let _ = sess.conn.send(&Message::Bye);
                 return Ok(Some(WorkerReport {
                     worker: sess.worker,
                     completed: st.completed,
@@ -397,7 +361,7 @@ fn step_once(
             // Hold the task silently past several lease windows,
             // then give up without reporting.
             std::thread::sleep(Duration::from_millis(sess.lease_ms.saturating_mul(4)));
-            let _ = sess.send(&Message::Bye);
+            let _ = sess.conn.send(&Message::Bye);
             Ok(Some(WorkerReport {
                 worker: sess.worker,
                 completed: st.completed,
@@ -541,8 +505,8 @@ fn compute_front(
         let mut i = 0;
         while i < held.len() {
             let t = held[i];
-            sess.send(&Message::Heartbeat { task: t })?;
-            match sess.recv()? {
+            sess.conn.send(&Message::Heartbeat { task: t })?;
+            match sess.conn.recv()? {
                 Message::Ack { .. } => i += 1,
                 Message::Revoke { task: revoked } if revoked == t => {
                     held.remove(i);
@@ -555,21 +519,14 @@ fn compute_front(
         }
     }
     std::thread::sleep(Duration::from_millis(left));
-    sess.send(&Message::Done { task, ok: true })?;
+    sess.conn.send(&Message::Done { task, ok: true })?;
     held.pop_front();
-    match sess.recv()? {
+    match sess.conn.recv()? {
         Message::Ack { accepted, .. } => Ok(if accepted {
             TaskOutcome::Accepted
         } else {
             TaskOutcome::Rejected
         }),
         other => Err(io::Error::other(format!("expected ack, got {other:?}"))),
-    }
-}
-
-fn to_io(e: WireError) -> io::Error {
-    match e {
-        WireError::Io(e) => e,
-        other => io::Error::other(other.to_string()),
     }
 }

@@ -6,25 +6,31 @@
 //! tolerated, no IC0401/IC0402/IC0403; resumes and speculative
 //! re-leases tolerated, no IC0410-IC0412).
 
-// The hand-scripted protocol conversations below deliberately speak
-// through the deprecated stream shims: they are the compatibility
-// surface, and these tests pin that the shims still produce
-// byte-identical frames against the reactor. New code uses
-// `Frame`/`Decoder` (see `wire.rs` and `worker.rs`).
-#![allow(deprecated)]
-
-use std::io::{BufReader, BufWriter};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
 
 use ic_audit::{audit_trace, Severity};
 use ic_dag::builder::from_arcs;
 use ic_families::mesh::{out_mesh, out_mesh_schedule};
 use ic_net::{
-    read_msg, run_worker, write_msg, FaultPlan, Message, ServeReport, Server, ServerConfig,
-    WorkerConfig, ERR_UNSUPPORTED, PROTO_V1, PROTO_V2,
+    run_worker, Conn, Driver, FaultPlan, Message, Reactor, ServeReport, ServerConfig, WorkerConfig,
+    ERR_UNSUPPORTED, PROTO_V1, PROTO_V2,
 };
+use ic_sched::policy::AllocationPolicy;
 use ic_sim::{MemorySink, Trace};
+
+/// Bind an ephemeral localhost port and build the reactor that will
+/// serve `dag` on it — the production path, `Driver::tcp` included.
+fn bind<'a>(
+    dag: &'a ic_dag::Dag,
+    policy: &'a dyn AllocationPolicy,
+    cfg: ServerConfig,
+) -> (Reactor<'a>, SocketAddr) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let driver = Driver::tcp(listener, &cfg).unwrap();
+    (Reactor::new(dag, policy, cfg, driver), addr)
+}
 
 fn assert_audit_clean(trace: &Trace) {
     let errors: Vec<_> = audit_trace(trace)
@@ -49,8 +55,7 @@ fn flaky_workers_complete_a_mesh_with_an_audit_clean_trace() {
         .wait_ms(5)
         .seed(42)
         .build();
-    let server = Server::bind("127.0.0.1:0", &mesh, &sched, cfg).unwrap();
-    let addr = server.local_addr().unwrap();
+    let (mut server, addr) = bind(&mesh, &sched, cfg);
 
     let plans = [
         ("steady-a", FaultPlan::None, 1.0),
@@ -77,7 +82,7 @@ fn flaky_workers_complete_a_mesh_with_an_audit_clean_trace() {
                 s.spawn(move || run_worker(addr, &cfg))
             })
             .collect();
-        let report = server.run(&mut sink).unwrap();
+        let report = server.run_until_drain(&mut sink).unwrap();
         let worker_reports: Vec<_> = handles
             .into_iter()
             .map(|h| h.join().unwrap().unwrap())
@@ -125,8 +130,7 @@ fn severed_connection_resumes_mid_lease_without_reallocation() {
         .wait_ms(5)
         .seed(9)
         .build();
-    let server = Server::bind("127.0.0.1:0", &mesh, &sched, cfg).unwrap();
-    let addr = server.local_addr().unwrap();
+    let (mut server, addr) = bind(&mesh, &sched, cfg);
 
     let mut sink = MemorySink::new();
     let (report, wreport) = std::thread::scope(|s| {
@@ -139,7 +143,7 @@ fn severed_connection_resumes_mid_lease_without_reallocation() {
                 .build();
             run_worker(addr, &cfg).unwrap()
         });
-        let report = server.run(&mut sink).unwrap();
+        let report = server.run_until_drain(&mut sink).unwrap();
         (report, h.join().unwrap())
     });
 
@@ -177,32 +181,29 @@ fn drain_barrier_steal_first_completion_wins_and_loser_is_revoked() {
         .seed(11)
         .steal_after(30)
         .build();
-    let server = Server::bind("127.0.0.1:0", &dag, &policy, cfg).unwrap();
-    let addr = server.local_addr().unwrap();
+    let (mut server, addr) = bind(&dag, &policy, cfg);
 
     let mut sink = MemorySink::new();
     let report: ServeReport = std::thread::scope(|s| {
         s.spawn(|| {
             let open = |id: &str| {
-                let stream = TcpStream::connect(addr).unwrap();
-                let mut r = BufReader::new(stream.try_clone().unwrap());
-                let mut w = BufWriter::new(stream);
-                write_msg(&mut w, &Message::hello(id, 1.0)).unwrap();
+                let mut c = Conn::connect(addr).unwrap();
+                c.send(&Message::hello(id, 1.0)).unwrap();
                 assert!(matches!(
-                    read_msg(&mut r).unwrap(),
+                    c.recv().unwrap(),
                     Message::Welcome {
                         proto: PROTO_V2,
                         ..
                     }
                 ));
-                (r, w)
+                c
             };
             // Register both before requesting: the server holds the
             // trace header (and so all assignments) for `expect = 2`.
-            let (mut ar, mut aw) = open("straggler");
-            let (mut br, mut bw) = open("thief");
-            write_msg(&mut aw, &Message::request()).unwrap();
-            let Message::Assign { tasks } = read_msg(&mut ar).unwrap() else {
+            let mut a = open("straggler");
+            let mut b = open("thief");
+            a.send(&Message::request()).unwrap();
+            let Message::Assign { tasks } = a.recv().unwrap() else {
                 panic!("straggler expected the only task");
             };
             assert_eq!(tasks, vec![0]);
@@ -211,8 +212,8 @@ fn drain_barrier_steal_first_completion_wins_and_loser_is_revoked() {
             // but the lease is outstanding. After `steal_after`, its
             // request is answered with a speculative duplicate.
             let stolen = loop {
-                write_msg(&mut bw, &Message::request()).unwrap();
-                match read_msg(&mut br).unwrap() {
+                b.send(&Message::request()).unwrap();
+                match b.recv().unwrap() {
                     Message::Assign { tasks } => break tasks[0],
                     Message::Wait { ms } => std::thread::sleep(Duration::from_millis(ms.max(1))),
                     other => panic!("thief expected assign or wait, got {other:?}"),
@@ -221,22 +222,19 @@ fn drain_barrier_steal_first_completion_wins_and_loser_is_revoked() {
             assert_eq!(stolen, 0, "the straggler's task is re-leased");
 
             // First completion wins...
-            write_msg(
-                &mut bw,
-                &Message::Done {
-                    task: stolen,
-                    ok: true,
-                },
-            )
+            b.send(&Message::Done {
+                task: stolen,
+                ok: true,
+            })
             .unwrap();
             assert!(matches!(
-                read_msg(&mut br).unwrap(),
+                b.recv().unwrap(),
                 Message::Ack { accepted: true, .. }
             ));
             // ...the straggler's duplicate report is rejected...
-            write_msg(&mut aw, &Message::Done { task: 0, ok: true }).unwrap();
+            a.send(&Message::Done { task: 0, ok: true }).unwrap();
             assert!(matches!(
-                read_msg(&mut ar).unwrap(),
+                a.recv().unwrap(),
                 Message::Ack {
                     accepted: false,
                     ..
@@ -244,19 +242,16 @@ fn drain_barrier_steal_first_completion_wins_and_loser_is_revoked() {
             ));
             // ...and a heartbeat on the lost lease is answered with the
             // v2 `revoke` frame, not an ack.
-            write_msg(&mut aw, &Message::Heartbeat { task: 0 }).unwrap();
-            assert!(matches!(
-                read_msg(&mut ar).unwrap(),
-                Message::Revoke { task: 0 }
-            ));
+            a.send(&Message::Heartbeat { task: 0 }).unwrap();
+            assert!(matches!(a.recv().unwrap(), Message::Revoke { task: 0 }));
 
-            for (r, w) in [(&mut ar, &mut aw), (&mut br, &mut bw)] {
-                write_msg(w, &Message::request()).unwrap();
-                assert!(matches!(read_msg(r).unwrap(), Message::Drain));
-                write_msg(w, &Message::Bye).unwrap();
+            for c in [&mut a, &mut b] {
+                c.send(&Message::request()).unwrap();
+                assert!(matches!(c.recv().unwrap(), Message::Drain));
+                c.send(&Message::Bye).unwrap();
             }
         });
-        server.run(&mut sink).unwrap()
+        server.run_until_drain(&mut sink).unwrap()
     });
 
     assert_eq!(report.completions, 1);
@@ -303,26 +298,23 @@ fn batched_allocation_over_tcp_matches_the_offline_batch_schedule() {
         .seed(2)
         .batch(4)
         .build();
-    let server = Server::bind("127.0.0.1:0", &mesh, &policy, cfg).unwrap();
-    let addr = server.local_addr().unwrap();
+    let (mut server, addr) = bind(&mesh, &policy, cfg);
 
     let mut sink = MemorySink::new();
     let rounds: Vec<Vec<u64>> = std::thread::scope(|s| {
         let h = s.spawn(|| {
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut r = BufReader::new(stream.try_clone().unwrap());
-            let mut w = BufWriter::new(stream);
-            write_msg(&mut w, &Message::hello("batcher", 1.0)).unwrap();
-            assert!(matches!(read_msg(&mut r).unwrap(), Message::Welcome { .. }));
+            let mut c = Conn::connect(addr).unwrap();
+            c.send(&Message::hello("batcher", 1.0)).unwrap();
+            assert!(matches!(c.recv().unwrap(), Message::Welcome { .. }));
             let mut rounds = Vec::new();
             loop {
-                write_msg(&mut w, &Message::Request { max: 4 }).unwrap();
-                match read_msg(&mut r).unwrap() {
+                c.send(&Message::Request { max: 4 }).unwrap();
+                match c.recv().unwrap() {
                     Message::Assign { tasks } => {
                         for &t in &tasks {
-                            write_msg(&mut w, &Message::Done { task: t, ok: true }).unwrap();
+                            c.send(&Message::Done { task: t, ok: true }).unwrap();
                             assert!(matches!(
-                                read_msg(&mut r).unwrap(),
+                                c.recv().unwrap(),
                                 Message::Ack { accepted: true, .. }
                             ));
                         }
@@ -333,10 +325,10 @@ fn batched_allocation_over_tcp_matches_the_offline_batch_schedule() {
                     other => panic!("unexpected reply {other:?}"),
                 }
             }
-            write_msg(&mut w, &Message::Bye).unwrap();
+            c.send(&Message::Bye).unwrap();
             rounds
         });
-        server.run(&mut sink).unwrap();
+        server.run_until_drain(&mut sink).unwrap();
         h.join().unwrap()
     });
 
@@ -363,86 +355,83 @@ fn duplicate_and_foreign_reports_are_rejected_without_trace_damage() {
         .wait_ms(5)
         .seed(7)
         .build();
-    let server = Server::bind("127.0.0.1:0", &dag, &policy, cfg).unwrap();
-    let addr = server.local_addr().unwrap();
+    let (mut server, addr) = bind(&dag, &policy, cfg);
 
     let mut sink = MemorySink::new();
     std::thread::scope(|s| {
         s.spawn(|| {
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut r = BufReader::new(stream.try_clone().unwrap());
-            let mut w = BufWriter::new(stream);
-            let send = |w: &mut BufWriter<TcpStream>, m: &Message| write_msg(w, m).unwrap();
-            let recv = |r: &mut BufReader<TcpStream>| read_msg(r).unwrap();
+            let mut c = Conn::connect(addr).unwrap();
+            let send = |c: &mut Conn, m: &Message| c.send(m).unwrap();
+            let recv = |c: &mut Conn| c.recv().unwrap();
 
-            send(&mut w, &Message::hello("manual", 1.0));
-            assert!(matches!(recv(&mut r), Message::Welcome { worker: 0, .. }));
+            send(&mut c, &Message::hello("manual", 1.0));
+            assert!(matches!(recv(&mut c), Message::Welcome { worker: 0, .. }));
 
-            send(&mut w, &Message::request());
-            let Message::Assign { tasks } = recv(&mut r) else {
+            send(&mut c, &Message::request());
+            let Message::Assign { tasks } = recv(&mut c) else {
                 panic!("expected an assignment");
             };
             let first = tasks[0];
             // A report for a task we don't hold is rejected.
             send(
-                &mut w,
+                &mut c,
                 &Message::Done {
                     task: first + 1,
                     ok: true,
                 },
             );
             assert!(matches!(
-                recv(&mut r),
+                recv(&mut c),
                 Message::Ack {
                     accepted: false,
                     ..
                 }
             ));
             // A heartbeat on the held lease is accepted.
-            send(&mut w, &Message::Heartbeat { task: first });
-            assert!(matches!(recv(&mut r), Message::Ack { accepted: true, .. }));
+            send(&mut c, &Message::Heartbeat { task: first });
+            assert!(matches!(recv(&mut c), Message::Ack { accepted: true, .. }));
             // The real report lands...
             send(
-                &mut w,
+                &mut c,
                 &Message::Done {
                     task: first,
                     ok: true,
                 },
             );
-            assert!(matches!(recv(&mut r), Message::Ack { accepted: true, .. }));
+            assert!(matches!(recv(&mut c), Message::Ack { accepted: true, .. }));
             // ...and reporting it again is a duplicate.
             send(
-                &mut w,
+                &mut c,
                 &Message::Done {
                     task: first,
                     ok: true,
                 },
             );
             assert!(matches!(
-                recv(&mut r),
+                recv(&mut c),
                 Message::Ack {
                     accepted: false,
                     ..
                 }
             ));
 
-            send(&mut w, &Message::request());
-            let Message::Assign { tasks } = recv(&mut r) else {
+            send(&mut c, &Message::request());
+            let Message::Assign { tasks } = recv(&mut c) else {
                 panic!("expected the second assignment");
             };
             send(
-                &mut w,
+                &mut c,
                 &Message::Done {
                     task: tasks[0],
                     ok: true,
                 },
             );
-            assert!(matches!(recv(&mut r), Message::Ack { accepted: true, .. }));
-            send(&mut w, &Message::request());
-            assert!(matches!(recv(&mut r), Message::Drain));
-            send(&mut w, &Message::Bye);
+            assert!(matches!(recv(&mut c), Message::Ack { accepted: true, .. }));
+            send(&mut c, &Message::request());
+            assert!(matches!(recv(&mut c), Message::Drain));
+            send(&mut c, &Message::Bye);
         });
-        server.run(&mut sink).unwrap();
+        server.run_until_drain(&mut sink).unwrap();
     });
 
     let trace = sink.into_trace().unwrap();
@@ -466,29 +455,26 @@ fn expired_lease_reallocates_and_late_report_is_rejected() {
         .wait_ms(5)
         .seed(7)
         .build();
-    let server = Server::bind("127.0.0.1:0", &dag, &policy, cfg).unwrap();
-    let addr = server.local_addr().unwrap();
+    let (mut server, addr) = bind(&dag, &policy, cfg);
 
     let mut sink = MemorySink::new();
     let report: ServeReport = std::thread::scope(|s| {
         s.spawn(|| {
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut r = BufReader::new(stream.try_clone().unwrap());
-            let mut w = BufWriter::new(stream);
+            let mut c = Conn::connect(addr).unwrap();
 
-            write_msg(&mut w, &Message::hello("late", 1.0)).unwrap();
-            assert!(matches!(read_msg(&mut r).unwrap(), Message::Welcome { .. }));
-            write_msg(&mut w, &Message::request()).unwrap();
-            let Message::Assign { tasks } = read_msg(&mut r).unwrap() else {
+            c.send(&Message::hello("late", 1.0)).unwrap();
+            assert!(matches!(c.recv().unwrap(), Message::Welcome { .. }));
+            c.send(&Message::request()).unwrap();
+            let Message::Assign { tasks } = c.recv().unwrap() else {
                 panic!("expected an assignment");
             };
             let task = tasks[0];
             // Sit on the task well past the lease, without heartbeating.
             std::thread::sleep(Duration::from_millis(250));
-            write_msg(&mut w, &Message::Done { task, ok: true }).unwrap();
+            c.send(&Message::Done { task, ok: true }).unwrap();
             assert!(
                 matches!(
-                    read_msg(&mut r).unwrap(),
+                    c.recv().unwrap(),
                     Message::Ack {
                         accepted: false,
                         ..
@@ -499,13 +485,13 @@ fn expired_lease_reallocates_and_late_report_is_rejected() {
             // Ask again: the task comes back to us, and this time we
             // report in time.
             loop {
-                write_msg(&mut w, &Message::request()).unwrap();
-                match read_msg(&mut r).unwrap() {
+                c.send(&Message::request()).unwrap();
+                match c.recv().unwrap() {
                     Message::Assign { tasks } => {
                         let task = tasks[0];
-                        write_msg(&mut w, &Message::Done { task, ok: true }).unwrap();
+                        c.send(&Message::Done { task, ok: true }).unwrap();
                         assert!(matches!(
-                            read_msg(&mut r).unwrap(),
+                            c.recv().unwrap(),
                             Message::Ack { accepted: true, .. }
                         ));
                     }
@@ -516,9 +502,9 @@ fn expired_lease_reallocates_and_late_report_is_rejected() {
                     other => panic!("unexpected reply {other:?}"),
                 }
             }
-            write_msg(&mut w, &Message::Bye).unwrap();
+            c.send(&Message::Bye).unwrap();
         });
-        server.run(&mut sink).unwrap()
+        server.run_until_drain(&mut sink).unwrap()
     });
 
     assert_eq!(report.completions, 1);
@@ -551,28 +537,25 @@ fn request_while_leased_forfeits_the_old_task() {
         .wait_ms(5)
         .seed(7)
         .build();
-    let server = Server::bind("127.0.0.1:0", &dag, &policy, cfg).unwrap();
-    let addr = server.local_addr().unwrap();
+    let (mut server, addr) = bind(&dag, &policy, cfg);
 
     let mut sink = MemorySink::new();
     let report: ServeReport = std::thread::scope(|s| {
         s.spawn(|| {
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut r = BufReader::new(stream.try_clone().unwrap());
-            let mut w = BufWriter::new(stream);
+            let mut c = Conn::connect(addr).unwrap();
 
-            write_msg(&mut w, &Message::hello("greedy", 1.0)).unwrap();
-            assert!(matches!(read_msg(&mut r).unwrap(), Message::Welcome { .. }));
-            write_msg(&mut w, &Message::request()).unwrap();
-            let Message::Assign { tasks } = read_msg(&mut r).unwrap() else {
+            c.send(&Message::hello("greedy", 1.0)).unwrap();
+            assert!(matches!(c.recv().unwrap(), Message::Welcome { .. }));
+            c.send(&Message::request()).unwrap();
+            let Message::Assign { tasks } = c.recv().unwrap() else {
                 panic!("expected an assignment");
             };
             let first = tasks[0];
             // Ask again without completing: the held task is forfeited
             // and the *other* task is assigned (the forfeit is backing
             // off).
-            write_msg(&mut w, &Message::request()).unwrap();
-            let Message::Assign { tasks } = read_msg(&mut r).unwrap() else {
+            c.send(&Message::request()).unwrap();
+            let Message::Assign { tasks } = c.recv().unwrap() else {
                 panic!("expected a second assignment");
             };
             let second = tasks[0];
@@ -580,28 +563,25 @@ fn request_while_leased_forfeits_the_old_task() {
                 second, first,
                 "the forfeited task must not be re-leased yet"
             );
-            write_msg(
-                &mut w,
-                &Message::Done {
-                    task: second,
-                    ok: true,
-                },
-            )
+            c.send(&Message::Done {
+                task: second,
+                ok: true,
+            })
             .unwrap();
             assert!(matches!(
-                read_msg(&mut r).unwrap(),
+                c.recv().unwrap(),
                 Message::Ack { accepted: true, .. }
             ));
             // The forfeited task comes back after its backoff.
             loop {
-                write_msg(&mut w, &Message::request()).unwrap();
-                match read_msg(&mut r).unwrap() {
+                c.send(&Message::request()).unwrap();
+                match c.recv().unwrap() {
                     Message::Assign { tasks } => {
                         let task = tasks[0];
                         assert_eq!(task, first, "only the forfeited task remains");
-                        write_msg(&mut w, &Message::Done { task, ok: true }).unwrap();
+                        c.send(&Message::Done { task, ok: true }).unwrap();
                         assert!(matches!(
-                            read_msg(&mut r).unwrap(),
+                            c.recv().unwrap(),
                             Message::Ack { accepted: true, .. }
                         ));
                     }
@@ -610,9 +590,9 @@ fn request_while_leased_forfeits_the_old_task() {
                     other => panic!("unexpected reply {other:?}"),
                 }
             }
-            write_msg(&mut w, &Message::Bye).unwrap();
+            c.send(&Message::Bye).unwrap();
         });
-        server.run(&mut sink).unwrap()
+        server.run_until_drain(&mut sink).unwrap()
     });
 
     assert_eq!(report.completions, 2);
@@ -646,8 +626,7 @@ fn scale_smoke_256_flaky_workers_complete_audit_clean() {
         .batch(2)
         .shards(64)
         .build();
-    let server = Server::bind("127.0.0.1:0", &mesh, &sched, cfg).unwrap();
-    let addr = server.local_addr().unwrap();
+    let (mut server, addr) = bind(&mesh, &sched, cfg);
 
     let mut sink = MemorySink::new();
     let (report, worker_reports) = std::thread::scope(|s| {
@@ -667,7 +646,7 @@ fn scale_smoke_256_flaky_workers_complete_audit_clean() {
                 s.spawn(move || run_worker(addr, &cfg))
             })
             .collect();
-        let report = server.run(&mut sink).unwrap();
+        let report = server.run_until_drain(&mut sink).unwrap();
         let worker_reports: Vec<_> = handles
             .into_iter()
             .map(|h| h.join().unwrap().unwrap())
@@ -701,8 +680,7 @@ fn mid_run_trace_snapshot_is_replayable_with_at_most_ic0405() {
         .wait_ms(5)
         .seed(13)
         .build();
-    let server = Server::bind("127.0.0.1:0", &dag, &policy, cfg).unwrap();
-    let addr = server.local_addr().unwrap();
+    let (mut server, addr) = bind(&dag, &policy, cfg);
 
     let dir = std::env::temp_dir().join(format!("ic-net-killsnap-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -712,55 +690,50 @@ fn mid_run_trace_snapshot_is_replayable_with_at_most_ic0405() {
     let snapshot = std::thread::scope(|s| {
         let path = &path;
         let h = s.spawn(move || {
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut r = BufReader::new(stream.try_clone().unwrap());
-            let mut w = BufWriter::new(stream);
-            write_msg(&mut w, &Message::hello("snapshooter", 1.0)).unwrap();
-            assert!(matches!(read_msg(&mut r).unwrap(), Message::Welcome { .. }));
-            write_msg(&mut w, &Message::request()).unwrap();
-            let Message::Assign { tasks } = read_msg(&mut r).unwrap() else {
+            let mut c = Conn::connect(addr).unwrap();
+            c.send(&Message::hello("snapshooter", 1.0)).unwrap();
+            assert!(matches!(c.recv().unwrap(), Message::Welcome { .. }));
+            c.send(&Message::request()).unwrap();
+            let Message::Assign { tasks } = c.recv().unwrap() else {
                 panic!("expected the first assignment");
             };
             let first = tasks[0];
             // Forfeit the held task by asking again: the `Failed`
             // event is lease-affecting, so the sink flushes everything
             // up to and including it.
-            write_msg(&mut w, &Message::request()).unwrap();
-            let Message::Assign { tasks } = read_msg(&mut r).unwrap() else {
+            c.send(&Message::request()).unwrap();
+            let Message::Assign { tasks } = c.recv().unwrap() else {
                 panic!("expected the second assignment");
             };
             let second = tasks[0];
             // One more round-trip so the previous dispatch (and its
             // sink writes) has fully completed before we look.
-            write_msg(&mut w, &Message::Heartbeat { task: second }).unwrap();
+            c.send(&Message::Heartbeat { task: second }).unwrap();
             assert!(matches!(
-                read_msg(&mut r).unwrap(),
+                c.recv().unwrap(),
                 Message::Ack { accepted: true, .. }
             ));
             // This is what a SIGKILL right now would leave on disk.
             let snapshot = std::fs::read_to_string(path).unwrap();
 
             // Then the run continues to completion as normal.
-            write_msg(
-                &mut w,
-                &Message::Done {
-                    task: second,
-                    ok: true,
-                },
-            )
+            c.send(&Message::Done {
+                task: second,
+                ok: true,
+            })
             .unwrap();
             assert!(matches!(
-                read_msg(&mut r).unwrap(),
+                c.recv().unwrap(),
                 Message::Ack { accepted: true, .. }
             ));
             loop {
-                write_msg(&mut w, &Message::request()).unwrap();
-                match read_msg(&mut r).unwrap() {
+                c.send(&Message::request()).unwrap();
+                match c.recv().unwrap() {
                     Message::Assign { tasks } => {
                         for t in tasks {
-                            write_msg(&mut w, &Message::Done { task: t, ok: true }).unwrap();
+                            c.send(&Message::Done { task: t, ok: true }).unwrap();
                             assert!(matches!(
-                                read_msg(&mut r).unwrap(),
+                                c.recv().unwrap(),
                                 Message::Ack { accepted: true, .. }
                             ));
                         }
@@ -770,11 +743,11 @@ fn mid_run_trace_snapshot_is_replayable_with_at_most_ic0405() {
                     other => panic!("unexpected reply {other:?}"),
                 }
             }
-            write_msg(&mut w, &Message::Bye).unwrap();
+            c.send(&Message::Bye).unwrap();
             let _ = first;
             snapshot
         });
-        server.run(&mut sink).unwrap();
+        server.run_until_drain(&mut sink).unwrap();
         h.join().unwrap()
     });
     sink.finish().unwrap();
@@ -830,8 +803,7 @@ fn killed_server_recovers_from_its_wal_and_the_worker_resumes_across_restart() {
             .seed(29)
             .build()
     };
-    let server = Server::bind("127.0.0.1:0", &dag, &policy, cfg()).unwrap();
-    let addr = server.local_addr().unwrap();
+    let (mut server, addr) = bind(&dag, &policy, cfg());
 
     let dir = std::env::temp_dir().join(format!("ic-net-crashwal-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -846,34 +818,32 @@ fn killed_server_recovers_from_its_wal_and_the_worker_resumes_across_restart() {
     let (snapshot, token) = std::thread::scope(|s| {
         let live = &live;
         let h = s.spawn(move || {
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut r = BufReader::new(stream.try_clone().unwrap());
-            let mut w = BufWriter::new(stream);
-            write_msg(&mut w, &Message::hello("phoenix", 1.0)).unwrap();
-            let Message::Welcome { resume, .. } = read_msg(&mut r).unwrap() else {
+            let mut c = Conn::connect(addr).unwrap();
+            c.send(&Message::hello("phoenix", 1.0)).unwrap();
+            let Message::Welcome { resume, .. } = c.recv().unwrap() else {
                 panic!("expected the registration welcome");
             };
             let token = resume.expect("a v2 welcome carries a resume token");
-            write_msg(&mut w, &Message::request()).unwrap();
-            let Message::Assign { tasks } = read_msg(&mut r).unwrap() else {
+            c.send(&Message::request()).unwrap();
+            let Message::Assign { tasks } = c.recv().unwrap() else {
                 panic!("expected the first assignment");
             };
             let t0 = tasks[0];
-            write_msg(&mut w, &Message::Done { task: t0, ok: true }).unwrap();
+            c.send(&Message::Done { task: t0, ok: true }).unwrap();
             assert!(matches!(
-                read_msg(&mut r).unwrap(),
+                c.recv().unwrap(),
                 Message::Ack { accepted: true, .. }
             ));
-            write_msg(&mut w, &Message::request()).unwrap();
-            let Message::Assign { tasks } = read_msg(&mut r).unwrap() else {
+            c.send(&Message::request()).unwrap();
+            let Message::Assign { tasks } = c.recv().unwrap() else {
                 panic!("expected the second assignment");
             };
             let held = tasks[0];
             // A heartbeat round-trip guarantees the allocation's sink
             // write (WAL-flushed) is on disk before we look.
-            write_msg(&mut w, &Message::Heartbeat { task: held }).unwrap();
+            c.send(&Message::Heartbeat { task: held }).unwrap();
             assert!(matches!(
-                read_msg(&mut r).unwrap(),
+                c.recv().unwrap(),
                 Message::Ack { accepted: true, .. }
             ));
             // What a SIGKILL right now would leave behind: one
@@ -882,26 +852,23 @@ fn killed_server_recovers_from_its_wal_and_the_worker_resumes_across_restart() {
             let snapshot = std::fs::read_to_string(live).unwrap();
 
             // Let the first run finish so the scope can join.
-            write_msg(
-                &mut w,
-                &Message::Done {
-                    task: held,
-                    ok: true,
-                },
-            )
+            c.send(&Message::Done {
+                task: held,
+                ok: true,
+            })
             .unwrap();
             assert!(matches!(
-                read_msg(&mut r).unwrap(),
+                c.recv().unwrap(),
                 Message::Ack { accepted: true, .. }
             ));
             loop {
-                write_msg(&mut w, &Message::request()).unwrap();
-                match read_msg(&mut r).unwrap() {
+                c.send(&Message::request()).unwrap();
+                match c.recv().unwrap() {
                     Message::Assign { tasks } => {
                         for t in tasks {
-                            write_msg(&mut w, &Message::Done { task: t, ok: true }).unwrap();
+                            c.send(&Message::Done { task: t, ok: true }).unwrap();
                             assert!(matches!(
-                                read_msg(&mut r).unwrap(),
+                                c.recv().unwrap(),
                                 Message::Ack { accepted: true, .. }
                             ));
                         }
@@ -911,10 +878,10 @@ fn killed_server_recovers_from_its_wal_and_the_worker_resumes_across_restart() {
                     other => panic!("unexpected reply {other:?}"),
                 }
             }
-            write_msg(&mut w, &Message::Bye).unwrap();
+            c.send(&Message::Bye).unwrap();
             (snapshot, token)
         });
-        server.run(&mut sink).unwrap();
+        server.run_until_drain(&mut sink).unwrap();
         h.join().unwrap()
     });
     sink.finish().unwrap();
@@ -956,39 +923,34 @@ fn killed_server_recovers_from_its_wal_and_the_worker_resumes_across_restart() {
 
     let report2 = std::thread::scope(|s| {
         s.spawn(move || {
-            let stream = TcpStream::connect(addr2).unwrap();
-            let mut r = BufReader::new(stream.try_clone().unwrap());
-            let mut w = BufWriter::new(stream);
+            let mut c = Conn::connect(addr2).unwrap();
             // The old token against the NEW server: recovery matches
             // the slot by id and hands the held lease straight back.
-            write_msg(
-                &mut w,
-                &Message::Hello {
-                    id: "phoenix".into(),
-                    speed: 1.0,
-                    proto: PROTO_V2,
-                    resume: Some(token),
-                },
-            )
+            c.send(&Message::Hello {
+                id: "phoenix".into(),
+                speed: 1.0,
+                proto: PROTO_V2,
+                resume: Some(token),
+            })
             .unwrap();
-            let Message::Welcome { tasks, .. } = read_msg(&mut r).unwrap() else {
+            let Message::Welcome { tasks, .. } = c.recv().unwrap() else {
                 panic!("expected the resume welcome");
             };
             assert_eq!(tasks, vec![1], "the crash-surviving lease is restored");
-            write_msg(&mut w, &Message::Done { task: 1, ok: true }).unwrap();
+            c.send(&Message::Done { task: 1, ok: true }).unwrap();
             assert!(matches!(
-                read_msg(&mut r).unwrap(),
+                c.recv().unwrap(),
                 Message::Ack { accepted: true, .. }
             ));
             loop {
-                write_msg(&mut w, &Message::request()).unwrap();
-                match read_msg(&mut r).unwrap() {
+                c.send(&Message::request()).unwrap();
+                match c.recv().unwrap() {
                     Message::Assign { tasks } => {
                         for t in tasks {
                             assert_ne!(t, 0, "t0 completed pre-crash; never re-executed");
-                            write_msg(&mut w, &Message::Done { task: t, ok: true }).unwrap();
+                            c.send(&Message::Done { task: t, ok: true }).unwrap();
                             assert!(matches!(
-                                read_msg(&mut r).unwrap(),
+                                c.recv().unwrap(),
                                 Message::Ack { accepted: true, .. }
                             ));
                         }
@@ -998,7 +960,7 @@ fn killed_server_recovers_from_its_wal_and_the_worker_resumes_across_restart() {
                     other => panic!("unexpected reply {other:?}"),
                 }
             }
-            write_msg(&mut w, &Message::Bye).unwrap();
+            c.send(&Message::Bye).unwrap();
         });
         reactor.run_until_drain(&mut sink2).unwrap()
     });
@@ -1046,25 +1008,22 @@ fn non_hello_opening_is_rejected_with_a_protocol_error() {
     let dag = from_arcs(1, &[]).unwrap();
     let policy = ic_sched::Schedule::in_id_order(&dag);
     let cfg = ServerConfig::builder().expect_workers(1).wait_ms(5).build();
-    let server = Server::bind("127.0.0.1:0", &dag, &policy, cfg).unwrap();
-    let addr = server.local_addr().unwrap();
+    let (mut server, addr) = bind(&dag, &policy, cfg);
 
     let mut sink = MemorySink::new();
     std::thread::scope(|s| {
         s.spawn(|| {
             // Rude connection: demands work without registering.
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut r = BufReader::new(stream.try_clone().unwrap());
-            let mut w = BufWriter::new(stream);
-            write_msg(&mut w, &Message::request()).unwrap();
-            assert!(matches!(read_msg(&mut r).unwrap(), Message::Error { .. }));
+            let mut c = Conn::connect(addr).unwrap();
+            c.send(&Message::request()).unwrap();
+            assert!(matches!(c.recv().unwrap(), Message::Error { .. }));
             // A real worker still finishes the dag.
             let worker = WorkerConfig::builder().id("real").build();
             let report = run_worker(addr, &worker).unwrap();
             assert_eq!(report.completed, 1);
             assert!(!report.died);
         });
-        server.run(&mut sink).unwrap();
+        server.run_until_drain(&mut sink).unwrap();
     });
     assert_audit_clean(&sink.into_trace().unwrap());
 }
@@ -1081,27 +1040,21 @@ fn v1_hello_against_a_v2_only_server_gets_a_typed_error_frame() {
         .wait_ms(5)
         .min_proto(PROTO_V2)
         .build();
-    let server = Server::bind("127.0.0.1:0", &dag, &policy, cfg).unwrap();
-    let addr = server.local_addr().unwrap();
+    let (mut server, addr) = bind(&dag, &policy, cfg);
 
     let mut sink = MemorySink::new();
     std::thread::scope(|s| {
         s.spawn(|| {
             // A v1 peer: its hello carries no proto field at all.
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut r = BufReader::new(stream.try_clone().unwrap());
-            let mut w = BufWriter::new(stream);
-            write_msg(
-                &mut w,
-                &Message::Hello {
-                    id: "ancient".into(),
-                    speed: 1.0,
-                    proto: PROTO_V1,
-                    resume: None,
-                },
-            )
+            let mut c = Conn::connect(addr).unwrap();
+            c.send(&Message::Hello {
+                id: "ancient".into(),
+                speed: 1.0,
+                proto: PROTO_V1,
+                resume: None,
+            })
             .unwrap();
-            match read_msg(&mut r).unwrap() {
+            match c.recv().unwrap() {
                 Message::Error { code, msg } => {
                     assert_eq!(code, ERR_UNSUPPORTED, "typed code, not prose: {msg}");
                 }
@@ -1112,7 +1065,7 @@ fn v1_hello_against_a_v2_only_server_gets_a_typed_error_frame() {
             let report = run_worker(addr, &worker).unwrap();
             assert_eq!(report.completed, 1);
         });
-        server.run(&mut sink).unwrap();
+        server.run_until_drain(&mut sink).unwrap();
     });
     assert_audit_clean(&sink.into_trace().unwrap());
 }

@@ -4,14 +4,23 @@
 //! exactly, and arbitrary hostile bytes must come back as typed
 //! [`WireError`]s — never a panic, never an unbounded allocation.
 
-// The deprecated stream shims stay deliberately exercised here: these
-// round trips pin their byte-compatibility with the buffer-based
-// `Frame::encode_into`/`Decoder` path that replaced them.
-#![allow(deprecated)]
-
 use ic_dag::rng::XorShift64;
 use ic_dag::testgen::random_i64s;
-use ic_net::{read_msg, write_msg, Message, WireError, MAX_FRAME, PROTO_V3};
+use ic_net::{Decoder, Frame, Message, WireError, MAX_FRAME, PROTO_V3};
+
+/// `msg` as one encoded frame.
+fn encode(msg: &Message) -> Vec<u8> {
+    let mut buf = Vec::new();
+    assert!(Frame::encode_into(msg, &mut buf) > 0);
+    buf
+}
+
+/// What a fresh decoder makes of the first frame in `bytes`.
+fn decode(bytes: &[u8]) -> Result<Option<Message>, WireError> {
+    let mut dec = Decoder::new();
+    dec.feed(bytes);
+    dec.next_msg()
+}
 
 /// A random protocol message, all variants reachable, with adversarial
 /// strings (quotes, backslashes, control bytes, unicode).
@@ -102,10 +111,8 @@ fn random_messages_round_trip_through_frames() {
     let mut rng = XorShift64::new(0xF8A3E);
     for case in 0..500 {
         let msg = random_message(&mut rng);
-        let mut buf = Vec::new();
-        write_msg(&mut buf, &msg).unwrap();
-        let back = read_msg(&mut &buf[..]).unwrap();
-        assert_eq!(back, msg, "case {case}");
+        let back = decode(&encode(&msg)).unwrap();
+        assert_eq!(back, Some(msg), "case {case}");
     }
 }
 
@@ -116,15 +123,16 @@ fn random_frame_streams_round_trip_in_order() {
         let msgs: Vec<Message> = (0..1 + rng.gen_range(20))
             .map(|_| random_message(&mut rng))
             .collect();
-        let mut buf = Vec::new();
+        let mut dec = Decoder::new();
         for m in &msgs {
-            write_msg(&mut buf, m).unwrap();
+            dec.feed(&encode(m));
         }
-        let mut r = &buf[..];
         for (i, m) in msgs.iter().enumerate() {
-            assert_eq!(&read_msg(&mut r).unwrap(), m, "case {case} frame {i}");
+            let got = dec.next_msg().unwrap();
+            assert_eq!(got.as_ref(), Some(m), "case {case} frame {i}");
         }
-        assert!(read_msg(&mut r).unwrap_err().is_clean_eof(), "case {case}");
+        assert!(matches!(dec.next_msg(), Ok(None)), "case {case}");
+        assert_eq!(dec.pending(), 0, "case {case}");
     }
 }
 
@@ -140,31 +148,32 @@ fn random_garbage_never_panics_the_reader() {
         let mut framed = Vec::new();
         framed.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
         framed.extend_from_slice(&bytes);
-        let _ = read_msg(&mut &framed[..]);
+        let _ = decode(&framed);
         // As a raw stream (garbage length prefix included): same deal.
-        let _ = read_msg(&mut &bytes[..]);
+        let _ = decode(&bytes);
     }
 }
 
 #[test]
-fn random_truncations_of_valid_frames_error_cleanly() {
+fn random_truncations_of_valid_frames_wait_for_the_rest() {
+    // A truncated frame is never a message and never an error: the
+    // decoder holds every byte until the rest arrives (the transport,
+    // not the decoder, reports a peer that hangs up mid-frame — see
+    // `Conn::recv`), and then yields exactly the original.
     let mut rng = XorShift64::new(0xCAFE);
     for case in 0..200 {
         let msg = random_message(&mut rng);
-        let mut buf = Vec::new();
-        write_msg(&mut buf, &msg).unwrap();
+        let buf = encode(&msg);
         let cut = rng.gen_range(buf.len()); // strictly shorter
-        buf.truncate(cut);
-        match read_msg(&mut &buf[..]) {
-            Err(WireError::Io(e)) => {
-                assert_eq!(
-                    e.kind(),
-                    std::io::ErrorKind::UnexpectedEof,
-                    "case {case} cut at {cut}"
-                );
-            }
-            other => panic!("case {case} cut at {cut}: expected Io(UnexpectedEof), got {other:?}"),
-        }
+        let mut dec = Decoder::new();
+        dec.feed(&buf[..cut]);
+        assert!(
+            matches!(dec.next_msg(), Ok(None)),
+            "case {case} cut at {cut}"
+        );
+        assert_eq!(dec.pending(), cut, "case {case} cut at {cut}");
+        dec.feed(&buf[cut..]);
+        assert_eq!(dec.next_msg().unwrap(), Some(msg), "case {case}");
     }
 }
 
@@ -191,7 +200,7 @@ fn mangled_peer_frames_error_cleanly_and_never_panic() {
         let mut framed = Vec::new();
         framed.extend_from_slice(&(body.len() as u32).to_be_bytes());
         framed.extend_from_slice(body.as_bytes());
-        let _ = read_msg(&mut &framed[..]); // must not panic, case {i}
+        let _ = decode(&framed); // must not panic, case {i}
         let _ = i;
     }
 }
@@ -202,14 +211,13 @@ fn peer_frames_obey_the_frame_cap() {
     // senders. A peer frame whose declared length exceeds MAX_FRAME is
     // rejected before any payload is read, exactly like worker frames.
     let msg = Message::RemoteDone { task: 65, shard: 1 };
-    let mut buf = Vec::new();
-    write_msg(&mut buf, &msg).unwrap();
+    let buf = encode(&msg);
     assert!(buf.len() - 4 <= MAX_FRAME, "peer frames fit the cap");
     let mut oversized = Vec::new();
     oversized.extend_from_slice(&((MAX_FRAME as u32) + 1).to_be_bytes());
     oversized.extend_from_slice(&buf[4..]);
     assert!(matches!(
-        read_msg(&mut &oversized[..]),
+        decode(&oversized),
         Err(WireError::Oversized(n)) if n == MAX_FRAME + 1
     ));
 }
@@ -223,7 +231,7 @@ fn oversized_length_prefixes_are_rejected_for_any_length() {
         buf.extend_from_slice(&(len as u32).to_be_bytes());
         buf.extend_from_slice(b"payload never read");
         assert!(matches!(
-            read_msg(&mut &buf[..]),
+            decode(&buf),
             Err(WireError::Oversized(n)) if n == len
         ));
     }

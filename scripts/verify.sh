@@ -92,6 +92,18 @@ if ! git diff --quiet HEAD -- BENCH.json 2> /dev/null; then
         --baseline target/verify/BENCH.baseline.json --max-regress net=1.2
 fi
 
+echo "==> bench/run.sh --smoke (real-process end-to-end benchmark on tiny dags)"
+# The BENCHMARK.json harness end to end: build `ic-prio` and the
+# `ic-e2e` load generator from source (into .bench_build, its own
+# target directory), then drive every workload — pingpong, paced,
+# saturate with and without the WAL, SIGKILL -> recover — against real
+# `ic-prio serve` processes on mesh:40 / butterfly:4. The numbers are
+# not gated here (`bench/run.sh --compare` does that against the
+# BENCHMARK.json bounds); the run itself fails on an incomplete dag, a
+# trace that does not audit, or a recovery that loses work. `timeout`
+# covers the cold build plus the ~6 s of measurement.
+timeout 900 bash bench/run.sh --smoke > /dev/null
+
 echo "==> differential oracle (indexed machine vs reference, byte-identical effects)"
 IC_DIFF_CASES=96 cargo test --release --offline -q -p ic-check --test differential
 
