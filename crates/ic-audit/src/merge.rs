@@ -35,17 +35,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ic_sim::trace::{FedMeta, Trace, TraceEvent, TraceHeader};
+use ic_dag::NodeId;
+use ic_sim::trace::{EventKind, FedMeta, Trace, TraceEvent, TraceHeader, FED_CLIENT};
 
 use crate::diag::{
     Diagnostic, DIVERGENT_REPLICATED_COMPLETION, FEDERATION_METADATA_MISMATCH,
     REMOTE_DONE_WITHOUT_COMPLETION, REMOTE_ELIGIBILITY_VIOLATION,
 };
-
-/// The synthetic client id the lease machine books stub and replica
-/// hand-off events under (mirrors `ic_net::FED_CLIENT`; kept local so
-/// the auditor does not depend on the transport crate).
-const FED_CLIENT: usize = 1 << 32;
 
 /// Outcome of [`merge_traces`]: the merged global trace (absent only
 /// when the federation metadata was too inconsistent to interleave at
@@ -167,10 +163,8 @@ fn validate<'a>(traces: &'a [Trace], diags: &mut Vec<Diagnostic>) -> Option<Vec<
     for (&_sid, &(meta, trace)) in &by_shard {
         let mut span = trace.header.clients;
         for ev in &trace.events {
-            if let Some(c) = event_client(ev) {
-                if c != FED_CLIENT {
-                    span = span.max(c + 1);
-                }
+            if ev.client != FED_CLIENT {
+                span = span.max(ev.client + 1);
             }
         }
         let stubs = meta
@@ -189,34 +183,6 @@ fn validate<'a>(traces: &'a [Trace], diags: &mut Vec<Diagnostic>) -> Option<Vec<
         offset += span;
     }
     Some(out)
-}
-
-fn event_client(ev: &TraceEvent) -> Option<usize> {
-    match *ev {
-        TraceEvent::Allocated { client, .. }
-        | TraceEvent::Completed { client, .. }
-        | TraceEvent::Failed { client, .. }
-        | TraceEvent::Idle { client, .. }
-        | TraceEvent::Resumed { client, .. }
-        | TraceEvent::Speculated { client, .. }
-        | TraceEvent::Revoked { client, .. } => Some(client),
-    }
-}
-
-fn event_task(ev: &TraceEvent) -> Option<usize> {
-    match *ev {
-        TraceEvent::Allocated { task, .. }
-        | TraceEvent::Completed { task, .. }
-        | TraceEvent::Failed { task, .. }
-        | TraceEvent::Resumed { task, .. }
-        | TraceEvent::Speculated { task, .. }
-        | TraceEvent::Revoked { task, .. } => Some(task.index()),
-        TraceEvent::Idle { .. } => None,
-    }
-}
-
-fn event_time(ev: &TraceEvent) -> f64 {
-    ev.time()
 }
 
 /// Per replicated task: how its copies have been rewritten so far.
@@ -295,10 +261,11 @@ pub fn merge_traces(traces: &[Trace]) -> MergedTrace {
     let mut replica_state: BTreeMap<u64, ReplicaState> = BTreeMap::new();
     let mut merged: Vec<TraceEvent> = Vec::new();
     let mut step = 0u64;
-    let mut emit = |ev: TraceEvent, merged: &mut Vec<TraceEvent>| {
-        let renumbered = renumber(ev, step);
+    // Stamp an event with its merged global step index.
+    let mut emit = |mut ev: TraceEvent, merged: &mut Vec<TraceEvent>| {
+        ev.step = step;
         step += 1;
-        merged.push(renumbered);
+        merged.push(ev);
     };
 
     loop {
@@ -313,21 +280,19 @@ pub fn merge_traces(traces: &[Trace]) -> MergedTrace {
                 continue;
             };
             exhausted = false;
-            if event_client(ev) == Some(FED_CLIENT) {
-                if let TraceEvent::Completed { task, .. } = *ev {
-                    let blocked = sh
-                        .global_task(task.index())
-                        .and_then(|g| usize::try_from(g).ok())
-                        .map(|g| !completed_global.get(g).copied().unwrap_or(false))
-                        .unwrap_or(false);
-                    if blocked {
-                        continue;
-                    }
+            if ev.client == FED_CLIENT && ev.kind == EventKind::Completed {
+                let blocked = ev
+                    .task
+                    .and_then(|task| sh.global_task(task.index()))
+                    .and_then(|g| usize::try_from(g).ok())
+                    .map(|g| !completed_global.get(g).copied().unwrap_or(false))
+                    .unwrap_or(false);
+                if blocked {
+                    continue;
                 }
             }
-            let t = event_time(ev);
-            if best.map(|(bt, _)| t < bt).unwrap_or(true) {
-                best = Some((t, i));
+            if best.map(|(bt, _)| ev.time < bt).unwrap_or(true) {
+                best = Some((ev.time, i));
             }
         }
         if exhausted {
@@ -338,7 +303,11 @@ pub fn merge_traces(traces: &[Trace]) -> MergedTrace {
             // merged: the federation consumed remote-dones nobody
             // performed.
             for sh in &shards {
-                if let Some(TraceEvent::Completed { task, .. }) = sh.trace.events.get(sh.head) {
+                let head = sh.trace.events.get(sh.head);
+                if let Some(task) = head
+                    .filter(|ev| ev.kind == EventKind::Completed)
+                    .and_then(|ev| ev.task)
+                {
                     let g = sh.global_task(task.index()).unwrap_or(u64::MAX);
                     diags.push(Diagnostic::error(
                         REMOTE_DONE_WITHOUT_COMPLETION,
@@ -353,43 +322,50 @@ pub fn merge_traces(traces: &[Trace]) -> MergedTrace {
             break;
         };
         let sh = &mut shards[i];
-        let ev = sh.trace.events[sh.head].clone();
+        let ev = sh.trace.events[sh.head];
         sh.head += 1;
 
-        let client = event_client(&ev);
-        if client == Some(FED_CLIENT) {
+        if ev.client == FED_CLIENT {
             // Bookkeeping: stub claims, replica hand-offs. All dropped;
             // the gate condition was enforced above. Record consumed
             // stub gates so later allocations can be checked against
             // them in this shard's own stream order.
-            if let TraceEvent::Completed { task, .. } = ev {
-                if let Some(g) = sh.global_task(task.index()) {
+            if ev.kind == EventKind::Completed {
+                if let Some(g) = ev.task.and_then(|task| sh.global_task(task.index())) {
                     sh.consumed_stubs.insert(g);
                 }
             }
             continue;
         }
-        let gclient = client.map(|c| c + sh.client_offset).unwrap_or(0);
-        let Some(local_task) = event_task(&ev) else {
-            emit(rewrite(&ev, gclient, None), &mut merged);
+        // Onto the global id spaces; the recorded pool size is a local
+        // quantity with no global meaning and is cleared.
+        let ev = TraceEvent {
+            client: ev.client + sh.client_offset,
+            pool: None,
+            ..ev
+        };
+        let Some(local_task) = ev.task else {
+            emit(ev, &mut merged);
             continue;
         };
-        let Some(g64) = sh.global_task(local_task) else {
+        let Some(g64) = sh.global_task(local_task.index()) else {
             fed_error(
                 &mut diags,
                 format!(
-                    "shard {}: event references local node {local_task} beyond its sub-dag",
-                    sh.meta.shard
+                    "shard {}: event references local node {} beyond its sub-dag",
+                    sh.meta.shard,
+                    local_task.index()
                 ),
             );
             continue;
         };
         let g = usize::try_from(g64).unwrap_or(usize::MAX);
+        let ev = TraceEvent {
+            task: Some(NodeId::new(g)),
+            ..ev
+        };
 
-        if matches!(
-            ev,
-            TraceEvent::Allocated { .. } | TraceEvent::Speculated { .. }
-        ) {
+        if matches!(ev.kind, EventKind::Allocated | EventKind::Speculated) {
             // Allocating before this shard consumed the stub gate of a
             // remote predecessor means the shard jumped eligibility.
             for &p in &parents[g] {
@@ -409,13 +385,13 @@ pub fn merge_traces(traces: &[Trace]) -> MergedTrace {
 
         if replicated.contains(&g64) {
             let state = replica_state.entry(g64).or_default();
-            if let Some(out) = rewrite_replica(&ev, gclient, g, state, &mut completed_global) {
+            if let Some(out) = rewrite_replica(ev, state, &mut completed_global[g]) {
                 emit(out, &mut merged);
             }
             continue;
         }
 
-        if let TraceEvent::Completed { .. } = ev {
+        if ev.kind == EventKind::Completed {
             if completed_global[g] {
                 diags.push(Diagnostic::error(
                     DIVERGENT_REPLICATED_COMPLETION,
@@ -429,7 +405,7 @@ pub fn merge_traces(traces: &[Trace]) -> MergedTrace {
             }
             completed_global[g] = true;
         }
-        emit(rewrite(&ev, gclient, Some(g)), &mut merged);
+        emit(ev, &mut merged);
     }
 
     // The merged header: the global dag, every shard's workers under
@@ -449,7 +425,7 @@ pub fn merge_traces(traces: &[Trace]) -> MergedTrace {
                     sh.trace
                         .events
                         .iter()
-                        .filter_map(event_client)
+                        .map(|ev| ev.client)
                         .filter(|&c| c != FED_CLIENT)
                         .map(|c| c + 1)
                         .max()
@@ -476,92 +452,55 @@ pub fn merge_traces(traces: &[Trace]) -> MergedTrace {
     }
 }
 
-/// First-completion-wins rewriting for a replicated task. Returns the
-/// event to emit, if any.
+/// First-completion-wins rewriting for a replicated task, given one
+/// of its events already on the global id spaces. Returns the event to
+/// emit, if any.
 fn rewrite_replica(
-    ev: &TraceEvent,
-    gclient: usize,
-    g: usize,
+    ev: TraceEvent,
     state: &mut ReplicaState,
-    completed_global: &mut [bool],
+    completed_global: &mut bool,
 ) -> Option<TraceEvent> {
-    let (step, time) = (ev.step(), ev.time());
-    match *ev {
-        TraceEvent::Allocated { .. } | TraceEvent::Speculated { .. } => {
+    let gclient = ev.client;
+    let as_kind = |kind| Some(TraceEvent { kind, ..ev });
+    match ev.kind {
+        EventKind::Allocated | EventKind::Speculated => {
             if state.completed {
                 // Too late: the task is globally done; this copy's
                 // lease (and its eventual release) never happened.
                 state.ghosts.push(gclient);
-                None
-            } else if state.holders.is_empty() && matches!(*ev, TraceEvent::Allocated { .. }) {
-                state.holders.push(gclient);
-                Some(rewrite(ev, gclient, Some(g)))
-            } else {
-                // A concurrent copy: the speculative-duplicate shape.
-                state.holders.push(gclient);
-                Some(TraceEvent::Speculated {
-                    step,
-                    time,
-                    client: gclient,
-                    task: ic_dag::NodeId::new(g),
-                    pool: None,
-                })
+                return None;
             }
-        }
-        TraceEvent::Completed { .. } => {
-            if drop_ghost(state, gclient) {
-                None
-            } else if state.completed {
-                // A later copy finished too: close its lease as a
-                // stale duplicate.
-                release_holder(state, gclient);
-                Some(TraceEvent::Revoked {
-                    step,
-                    time,
-                    client: gclient,
-                    task: ic_dag::NodeId::new(g),
-                })
+            // Any copy but the first allocation is a concurrent one:
+            // the speculative-duplicate shape.
+            let first = state.holders.is_empty() && ev.kind == EventKind::Allocated;
+            state.holders.push(gclient);
+            as_kind(if first {
+                EventKind::Allocated
             } else {
+                EventKind::Speculated
+            })
+        }
+        EventKind::Completed | EventKind::Failed | EventKind::Revoked => {
+            if drop_ghost(state, gclient) {
+                return None;
+            }
+            if ev.kind == EventKind::Revoked && !state.completed {
+                return None;
+            }
+            release_holder(state, gclient);
+            if state.completed {
+                // A later copy finished (or failed) too: close its
+                // lease as a stale duplicate.
+                return as_kind(EventKind::Revoked);
+            }
+            if ev.kind == EventKind::Completed {
                 state.completed = true;
-                if g < completed_global.len() {
-                    completed_global[g] = true;
-                }
-                release_holder(state, gclient);
-                Some(rewrite(ev, gclient, Some(g)))
+                *completed_global = true;
             }
+            Some(ev)
         }
-        TraceEvent::Failed { .. } => {
-            if drop_ghost(state, gclient) {
-                None
-            } else if state.completed {
-                release_holder(state, gclient);
-                Some(TraceEvent::Revoked {
-                    step,
-                    time,
-                    client: gclient,
-                    task: ic_dag::NodeId::new(g),
-                })
-            } else {
-                release_holder(state, gclient);
-                Some(rewrite(ev, gclient, Some(g)))
-            }
-        }
-        TraceEvent::Revoked { .. } => {
-            if drop_ghost(state, gclient) || !state.completed {
-                None
-            } else {
-                release_holder(state, gclient);
-                Some(rewrite(ev, gclient, Some(g)))
-            }
-        }
-        TraceEvent::Resumed { .. } => {
-            if state.holders.contains(&gclient) {
-                Some(rewrite(ev, gclient, Some(g)))
-            } else {
-                None
-            }
-        }
-        TraceEvent::Idle { .. } => Some(rewrite(ev, gclient, None)),
+        EventKind::Resumed => state.holders.contains(&gclient).then_some(ev),
+        EventKind::Idle => Some(ev),
     }
 }
 
@@ -580,158 +519,31 @@ fn release_holder(state: &mut ReplicaState, gclient: usize) {
     }
 }
 
-/// Rewrite an event onto the global id spaces, clearing the (local,
-/// meaningless) recorded pool size.
-fn rewrite(ev: &TraceEvent, gclient: usize, gtask: Option<usize>) -> TraceEvent {
-    let task = ic_dag::NodeId::new(gtask.unwrap_or(0));
-    match *ev {
-        TraceEvent::Allocated { step, time, .. } => TraceEvent::Allocated {
-            step,
-            time,
-            client: gclient,
-            task,
-            pool: None,
-        },
-        TraceEvent::Completed { step, time, .. } => TraceEvent::Completed {
-            step,
-            time,
-            client: gclient,
-            task,
-            pool: None,
-        },
-        TraceEvent::Failed { step, time, .. } => TraceEvent::Failed {
-            step,
-            time,
-            client: gclient,
-            task,
-            pool: None,
-        },
-        TraceEvent::Idle { step, time, .. } => TraceEvent::Idle {
-            step,
-            time,
-            client: gclient,
-        },
-        TraceEvent::Resumed { step, time, .. } => TraceEvent::Resumed {
-            step,
-            time,
-            client: gclient,
-            task,
-        },
-        TraceEvent::Speculated { step, time, .. } => TraceEvent::Speculated {
-            step,
-            time,
-            client: gclient,
-            task,
-            pool: None,
-        },
-        TraceEvent::Revoked { step, time, .. } => TraceEvent::Revoked {
-            step,
-            time,
-            client: gclient,
-            task,
-        },
-    }
-}
-
-/// Stamp an event with its merged global step index.
-fn renumber(ev: TraceEvent, step: u64) -> TraceEvent {
-    match ev {
-        TraceEvent::Allocated {
-            time,
-            client,
-            task,
-            pool,
-            ..
-        } => TraceEvent::Allocated {
-            step,
-            time,
-            client,
-            task,
-            pool,
-        },
-        TraceEvent::Completed {
-            time,
-            client,
-            task,
-            pool,
-            ..
-        } => TraceEvent::Completed {
-            step,
-            time,
-            client,
-            task,
-            pool,
-        },
-        TraceEvent::Failed {
-            time,
-            client,
-            task,
-            pool,
-            ..
-        } => TraceEvent::Failed {
-            step,
-            time,
-            client,
-            task,
-            pool,
-        },
-        TraceEvent::Idle { time, client, .. } => TraceEvent::Idle { step, time, client },
-        TraceEvent::Resumed {
-            time, client, task, ..
-        } => TraceEvent::Resumed {
-            step,
-            time,
-            client,
-            task,
-        },
-        TraceEvent::Speculated {
-            time,
-            client,
-            task,
-            pool,
-            ..
-        } => TraceEvent::Speculated {
-            step,
-            time,
-            client,
-            task,
-            pool,
-        },
-        TraceEvent::Revoked {
-            time, client, task, ..
-        } => TraceEvent::Revoked {
-            step,
-            time,
-            client,
-            task,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::diag::Severity;
     use crate::trace::audit_trace;
-    use ic_dag::NodeId;
 
     fn ev_alloc(step: u64, client: usize, task: usize) -> TraceEvent {
-        TraceEvent::Allocated {
+        TraceEvent::on_task(
+            EventKind::Allocated,
             step,
-            time: step as f64,
+            step as f64,
             client,
-            task: NodeId::new(task),
-            pool: Some(99),
-        }
+            NodeId::new(task),
+            Some(99),
+        )
     }
     fn ev_done(step: u64, client: usize, task: usize) -> TraceEvent {
-        TraceEvent::Completed {
+        TraceEvent::on_task(
+            EventKind::Completed,
             step,
-            time: step as f64,
+            step as f64,
             client,
-            task: NodeId::new(task),
-            pool: Some(99),
-        }
+            NodeId::new(task),
+            Some(99),
+        )
     }
 
     fn shard_header(nodes: usize, arcs: &[(u32, u32)], fed: FedMeta) -> TraceHeader {
@@ -791,17 +603,14 @@ mod tests {
         // renumbered, clients remapped (shard 1's worker is client 1).
         assert_eq!(trace.events.len(), 4);
         assert_eq!(
-            trace
-                .events
-                .iter()
-                .map(TraceEvent::step)
-                .collect::<Vec<_>>(),
+            trace.events.iter().map(|e| e.step).collect::<Vec<_>>(),
             vec![0, 1, 2, 3]
         );
-        assert!(matches!(
-            trace.events[2],
-            TraceEvent::Allocated { client: 1, task, .. } if task.index() == 1
-        ));
+        let ev = trace.events[2];
+        assert_eq!(
+            (ev.kind, ev.client, ev.task),
+            (EventKind::Allocated, 1, Some(NodeId::new(1)))
+        );
         let errors: Vec<_> = audit_trace(&trace)
             .into_iter()
             .filter(|d| d.severity == Severity::Error)
@@ -874,13 +683,13 @@ mod tests {
         let done0 = trace
             .events
             .iter()
-            .filter(|e| matches!(e, TraceEvent::Completed { task, .. } if task.index() == 0))
+            .filter(|e| e.kind == EventKind::Completed && e.task == Some(NodeId::new(0)))
             .count();
         assert_eq!(done0, 1);
         assert!(trace
             .events
             .iter()
-            .any(|e| matches!(e, TraceEvent::Revoked { task, .. } if task.index() == 0)));
+            .any(|e| e.kind == EventKind::Revoked && e.task == Some(NodeId::new(0))));
         let errors: Vec<_> = audit_trace(&trace)
             .into_iter()
             .filter(|d| d.severity == Severity::Error)

@@ -35,7 +35,7 @@
 use ic_dag::Dag;
 use ic_sched::optimal::optimal_envelope;
 use ic_sched::Schedule;
-use ic_sim::trace::{Trace, TraceEvent};
+use ic_sim::trace::{EventKind, Trace};
 
 use crate::diag::{
     Diagnostic, Severity, COMPLETION_BEFORE_ALLOCATION, ENVELOPE_DEPARTURE,
@@ -124,16 +124,18 @@ fn replay(dag: &Dag, trace: &Trace) -> Vec<Diagnostic> {
     };
 
     for ev in &trace.events {
-        match *ev {
-            TraceEvent::Allocated {
-                step,
-                client,
-                task,
-                pool: rec,
-                ..
-            } => {
-                let t = task.index();
-                if t >= n {
+        let Some(task) = ev.task else { continue };
+        let (step, client, rec) = (ev.step, ev.client, ev.pool);
+        let t = task.index();
+        // What the replay knows of the task: nothing when the id is
+        // out of range, else whether it completed and who holds it.
+        let known = t < n;
+        let done = known && completed[t];
+        let held = known && !holders[t].is_empty();
+        let held_by_client = known && holders[t].contains(&client);
+        match ev.kind {
+            EventKind::Allocated => {
+                if !known {
                     diags.push(Diagnostic::error(
                         NON_ELIGIBLE_ALLOCATION,
                         format!(
@@ -141,10 +143,8 @@ fn replay(dag: &Dag, trace: &Trace) -> Vec<Diagnostic> {
                         ),
                     ));
                     pool_trusted = false;
-                    continue;
-                }
-                if completed[t] || !holders[t].is_empty() {
-                    let why = if completed[t] {
+                } else if done || held {
+                    let why = if done {
                         "already completed"
                     } else {
                         "already allocated"
@@ -178,18 +178,11 @@ fn replay(dag: &Dag, trace: &Trace) -> Vec<Diagnostic> {
                     check_pool(&mut pool_trusted, &mut diags, step, rec, pool);
                 }
             }
-            TraceEvent::Completed {
-                step,
-                client,
-                task,
-                pool: rec,
-                ..
-            } => {
-                let t = task.index();
-                if t >= n || holders[t].is_empty() || completed[t] {
-                    let why = if t >= n {
+            EventKind::Completed => {
+                if !held || done {
+                    let why = if !known {
                         "an out-of-range node id"
-                    } else if completed[t] {
+                    } else if done {
                         "already completed"
                     } else {
                         "never allocated"
@@ -214,15 +207,8 @@ fn replay(dag: &Dag, trace: &Trace) -> Vec<Diagnostic> {
                 // must close each with an explicit `revoke` event.
                 check_pool(&mut pool_trusted, &mut diags, step, rec, pool);
             }
-            TraceEvent::Failed {
-                step,
-                client,
-                task,
-                pool: rec,
-                ..
-            } => {
-                let t = task.index();
-                if t >= n || holders[t].is_empty() || completed[t] {
+            EventKind::Failed => {
+                if !held || done {
                     diags.push(Diagnostic::error(
                         COMPLETION_BEFORE_ALLOCATION,
                         format!(
@@ -242,11 +228,8 @@ fn replay(dag: &Dag, trace: &Trace) -> Vec<Diagnostic> {
                 }
                 check_pool(&mut pool_trusted, &mut diags, step, rec, pool);
             }
-            TraceEvent::Resumed {
-                step, client, task, ..
-            } => {
-                let t = task.index();
-                if t >= n || completed[t] || !holders[t].contains(&client) {
+            EventKind::Resumed => {
+                if done || !held_by_client {
                     diags.push(Diagnostic::error(
                         RESUME_WITHOUT_LEASE,
                         format!(
@@ -258,18 +241,11 @@ fn replay(dag: &Dag, trace: &Trace) -> Vec<Diagnostic> {
                 // A legal resume changes nothing: the allocation is
                 // still open, the pool untouched.
             }
-            TraceEvent::Speculated {
-                step,
-                client,
-                task,
-                pool: rec,
-                ..
-            } => {
-                let t = task.index();
-                if t >= n || completed[t] || holders[t].is_empty() {
-                    let why = if t >= n {
+            EventKind::Speculated => {
+                if done || !held {
+                    let why = if !known {
                         "an out-of-range node id"
-                    } else if completed[t] {
+                    } else if done {
                         "already completed"
                     } else {
                         "not in flight"
@@ -284,7 +260,7 @@ fn replay(dag: &Dag, trace: &Trace) -> Vec<Diagnostic> {
                     pool_trusted = false;
                     continue;
                 }
-                if holders[t].contains(&client) {
+                if held_by_client {
                     diags.push(Diagnostic::error(
                         SPECULATION_WITHOUT_LEASE,
                         format!(
@@ -308,14 +284,11 @@ fn replay(dag: &Dag, trace: &Trace) -> Vec<Diagnostic> {
                 holders[t].push(client);
                 check_pool(&mut pool_trusted, &mut diags, step, rec, pool);
             }
-            TraceEvent::Revoked {
-                step, client, task, ..
-            } => {
-                let t = task.index();
-                if t >= n || !completed[t] || !holders[t].contains(&client) {
-                    let why = if t >= n {
+            EventKind::Revoked => {
+                if !done || !held_by_client {
+                    let why = if !known {
                         "an out-of-range node id"
-                    } else if !completed[t] {
+                    } else if !done {
                         "not completed — only stale duplicates may be revoked"
                     } else {
                         "not leased to that client"
@@ -328,7 +301,8 @@ fn replay(dag: &Dag, trace: &Trace) -> Vec<Diagnostic> {
                 }
                 release(&mut holders[t], client);
             }
-            TraceEvent::Idle { .. } => {}
+            // An idle event names no task: skipped above.
+            EventKind::Idle => {}
         }
     }
 
@@ -383,7 +357,7 @@ mod tests {
     use super::*;
     use ic_dag::NodeId;
     use ic_sched::heuristics::Policy;
-    use ic_sim::trace::MemorySink;
+    use ic_sim::trace::{MemorySink, TraceEvent};
     use ic_sim::{simulate_traced, ClientProfile, SimConfig};
 
     fn clean_trace(dag: &Dag, clients: usize, seed: u64) -> Trace {
@@ -437,11 +411,8 @@ mod tests {
         let g = vee();
         let mut trace = clean_trace(&g, 1, 1);
         // Retarget the first allocation at a non-source.
-        if let TraceEvent::Allocated { task, .. } = &mut trace.events[0] {
-            *task = NodeId::new(1);
-        } else {
-            panic!("first event is an allocation");
-        }
+        assert_eq!(trace.events[0].kind, EventKind::Allocated);
+        trace.events[0].task = Some(NodeId::new(1));
         let diags = audit_trace(&trace);
         assert!(diags.iter().any(|d| d.code == NON_ELIGIBLE_ALLOCATION));
     }
@@ -461,8 +432,8 @@ mod tests {
         let g = ic_families::mesh::out_mesh(4);
         let mut trace = clean_trace(&g, 2, 3);
         for ev in &mut trace.events {
-            if let TraceEvent::Completed { pool, .. } = ev {
-                *pool = pool.map(|p| p + 1);
+            if ev.kind == EventKind::Completed {
+                ev.pool = ev.pool.map(|p| p + 1);
             }
         }
         let diags = audit_trace(&trace);
@@ -482,7 +453,7 @@ mod tests {
         let last = trace
             .events
             .iter()
-            .rposition(|ev| matches!(ev, TraceEvent::Completed { .. }))
+            .rposition(|ev| ev.kind == EventKind::Completed)
             .unwrap();
         trace.events.truncate(last);
         let diags = audit_trace(&trace);
@@ -549,65 +520,17 @@ mod tests {
         let trace = Trace {
             header,
             events: vec![
-                TraceEvent::Allocated {
-                    step: 0,
-                    time: ev(0),
-                    client: 0,
-                    task: NodeId::new(0),
-                    pool: Some(1),
-                },
-                TraceEvent::Allocated {
-                    step: 1,
-                    time: ev(1),
-                    client: 1,
-                    task: NodeId::new(1),
-                    pool: Some(0),
-                },
+                TraceEvent::on_task(EventKind::Allocated, 0, ev(0), 0, NodeId::new(0), Some(1)),
+                TraceEvent::on_task(EventKind::Allocated, 1, ev(1), 1, NodeId::new(1), Some(0)),
                 // Client 0's lease expires: task 0 is deferred but
                 // remains in the recorded pool.
-                TraceEvent::Failed {
-                    step: 2,
-                    time: ev(2),
-                    client: 0,
-                    task: NodeId::new(0),
-                    pool: Some(1),
-                },
-                TraceEvent::Completed {
-                    step: 3,
-                    time: ev(3),
-                    client: 1,
-                    task: NodeId::new(1),
-                    pool: Some(1),
-                },
+                TraceEvent::on_task(EventKind::Failed, 2, ev(2), 0, NodeId::new(0), Some(1)),
+                TraceEvent::on_task(EventKind::Completed, 3, ev(3), 1, NodeId::new(1), Some(1)),
                 // Backoff over: task 0 goes to a different worker.
-                TraceEvent::Allocated {
-                    step: 4,
-                    time: ev(4),
-                    client: 2,
-                    task: NodeId::new(0),
-                    pool: Some(0),
-                },
-                TraceEvent::Completed {
-                    step: 5,
-                    time: ev(5),
-                    client: 2,
-                    task: NodeId::new(0),
-                    pool: Some(1),
-                },
-                TraceEvent::Allocated {
-                    step: 6,
-                    time: ev(6),
-                    client: 0,
-                    task: NodeId::new(2),
-                    pool: Some(0),
-                },
-                TraceEvent::Completed {
-                    step: 7,
-                    time: ev(7),
-                    client: 0,
-                    task: NodeId::new(2),
-                    pool: Some(0),
-                },
+                TraceEvent::on_task(EventKind::Allocated, 4, ev(4), 2, NodeId::new(0), Some(0)),
+                TraceEvent::on_task(EventKind::Completed, 5, ev(5), 2, NodeId::new(0), Some(1)),
+                TraceEvent::on_task(EventKind::Allocated, 6, ev(6), 0, NodeId::new(2), Some(0)),
+                TraceEvent::on_task(EventKind::Completed, 7, ev(7), 0, NodeId::new(2), Some(0)),
             ],
         };
         let diags = audit_trace(&trace);
@@ -627,53 +550,13 @@ mod tests {
         Trace {
             header,
             events: vec![
-                TraceEvent::Allocated {
-                    step: 0,
-                    time: 0.0,
-                    client: 0,
-                    task: NodeId::new(0),
-                    pool: Some(0),
-                },
-                TraceEvent::Speculated {
-                    step: 1,
-                    time: 1.0,
-                    client: 1,
-                    task: NodeId::new(0),
-                    pool: Some(0),
-                },
-                TraceEvent::Resumed {
-                    step: 2,
-                    time: 1.5,
-                    client: 0,
-                    task: NodeId::new(0),
-                },
-                TraceEvent::Completed {
-                    step: 3,
-                    time: 2.0,
-                    client: 1,
-                    task: NodeId::new(0),
-                    pool: Some(1),
-                },
-                TraceEvent::Revoked {
-                    step: 4,
-                    time: 2.1,
-                    client: 0,
-                    task: NodeId::new(0),
-                },
-                TraceEvent::Allocated {
-                    step: 5,
-                    time: 2.2,
-                    client: 1,
-                    task: NodeId::new(1),
-                    pool: Some(0),
-                },
-                TraceEvent::Completed {
-                    step: 6,
-                    time: 3.0,
-                    client: 1,
-                    task: NodeId::new(1),
-                    pool: Some(0),
-                },
+                TraceEvent::on_task(EventKind::Allocated, 0, 0.0, 0, NodeId::new(0), Some(0)),
+                TraceEvent::on_task(EventKind::Speculated, 1, 1.0, 1, NodeId::new(0), Some(0)),
+                TraceEvent::on_task(EventKind::Resumed, 2, 1.5, 0, NodeId::new(0), None),
+                TraceEvent::on_task(EventKind::Completed, 3, 2.0, 1, NodeId::new(0), Some(1)),
+                TraceEvent::on_task(EventKind::Revoked, 4, 2.1, 0, NodeId::new(0), None),
+                TraceEvent::on_task(EventKind::Allocated, 5, 2.2, 1, NodeId::new(1), Some(0)),
+                TraceEvent::on_task(EventKind::Completed, 6, 3.0, 1, NodeId::new(1), Some(0)),
             ],
         }
     }
@@ -689,21 +572,9 @@ mod tests {
         // The speculating client fails, but the original holder is
         // still on the task: the pool must NOT regain it.
         let mut t = steal_trace();
-        t.events[3] = TraceEvent::Failed {
-            step: 3,
-            time: 2.0,
-            client: 1,
-            task: NodeId::new(0),
-            pool: Some(0),
-        };
+        t.events[3] = TraceEvent::on_task(EventKind::Failed, 3, 2.0, 1, NodeId::new(0), Some(0));
         // The original holder then completes; no revoke needed.
-        t.events[4] = TraceEvent::Completed {
-            step: 4,
-            time: 2.1,
-            client: 0,
-            task: NodeId::new(0),
-            pool: Some(1),
-        };
+        t.events[4] = TraceEvent::on_task(EventKind::Completed, 4, 2.1, 0, NodeId::new(0), Some(1));
         let diags = audit_trace(&t);
         assert!(diags.is_empty(), "{diags:?}");
     }
@@ -712,12 +583,7 @@ mod tests {
     fn resume_without_lease_is_ic0410() {
         let mut t = steal_trace();
         // Client 1 never held task 1's lease at that point.
-        t.events[2] = TraceEvent::Resumed {
-            step: 2,
-            time: 1.5,
-            client: 1,
-            task: NodeId::new(1),
-        };
+        t.events[2] = TraceEvent::on_task(EventKind::Resumed, 2, 1.5, 1, NodeId::new(1), None);
         let diags = audit_trace(&t);
         assert!(
             diags
@@ -742,12 +608,9 @@ mod tests {
     #[test]
     fn self_speculation_is_ic0411() {
         let mut t = steal_trace();
-        if let TraceEvent::Speculated { client, .. } = &mut t.events[1] {
-            *client = 0; // the holder speculates on its own task
-        } else {
-            panic!("event 1 is the speculation");
-        }
-        // The revoke target also shifts to keep the tail consistent.
+        assert_eq!(t.events[1].kind, EventKind::Speculated);
+        t.events[1].client = 0; // the holder speculates on its own task
+                                // The revoke target also shifts to keep the tail consistent.
         let diags = audit_trace(&t);
         assert!(
             diags.iter().any(|d| d.code == SPECULATION_WITHOUT_LEASE),
@@ -776,47 +639,12 @@ mod tests {
         let t = Trace {
             header,
             events: vec![
-                TraceEvent::Allocated {
-                    step: 0,
-                    time: 0.0,
-                    client: 0,
-                    task: NodeId::new(0),
-                    pool: Some(1),
-                },
-                TraceEvent::Speculated {
-                    step: 1,
-                    time: 0.5,
-                    client: 1,
-                    task: NodeId::new(0),
-                    pool: Some(1),
-                },
-                TraceEvent::Completed {
-                    step: 2,
-                    time: 1.0,
-                    client: 0,
-                    task: NodeId::new(0),
-                    pool: Some(1),
-                },
-                TraceEvent::Revoked {
-                    step: 3,
-                    time: 1.1,
-                    client: 1,
-                    task: NodeId::new(0),
-                },
-                TraceEvent::Allocated {
-                    step: 4,
-                    time: 1.2,
-                    client: 1,
-                    task: NodeId::new(1),
-                    pool: Some(0),
-                },
-                TraceEvent::Completed {
-                    step: 5,
-                    time: 2.0,
-                    client: 1,
-                    task: NodeId::new(1),
-                    pool: Some(0),
-                },
+                TraceEvent::on_task(EventKind::Allocated, 0, 0.0, 0, NodeId::new(0), Some(1)),
+                TraceEvent::on_task(EventKind::Speculated, 1, 0.5, 1, NodeId::new(0), Some(1)),
+                TraceEvent::on_task(EventKind::Completed, 2, 1.0, 0, NodeId::new(0), Some(1)),
+                TraceEvent::on_task(EventKind::Revoked, 3, 1.1, 1, NodeId::new(0), None),
+                TraceEvent::on_task(EventKind::Allocated, 4, 1.2, 1, NodeId::new(1), Some(0)),
+                TraceEvent::on_task(EventKind::Completed, 5, 2.0, 1, NodeId::new(1), Some(0)),
             ],
         };
         let diags = audit_trace(&t);
@@ -839,13 +667,7 @@ mod tests {
         let mut t = steal_trace();
         t.events.insert(
             5,
-            TraceEvent::Completed {
-                step: 5,
-                time: 2.15,
-                client: 0,
-                task: NodeId::new(0),
-                pool: Some(1),
-            },
+            TraceEvent::on_task(EventKind::Completed, 5, 2.15, 0, NodeId::new(0), Some(1)),
         );
         let diags = audit_trace(&t);
         assert!(
@@ -860,7 +682,7 @@ mod tests {
         // Failed is still IC0401: tolerance is for failures only.
         let g = vee();
         let mut trace = clean_trace(&g, 1, 1);
-        let first = trace.events[0].clone();
+        let first = trace.events[0];
         trace.events.insert(1, first);
         let diags = audit_trace(&trace);
         assert!(

@@ -284,7 +284,8 @@ fn run_fleet(r: &mut Runner, workers: usize) {
         let trace = sink.into_trace().expect("trace");
         let mut by_mix = [0usize; 3];
         for e in &trace.events {
-            if let ic_sim::TraceEvent::Failed { client, .. } = *e {
+            if e.kind == ic_sim::EventKind::Failed {
+                let client = e.client;
                 let i = trace
                     .header
                     .workers

@@ -33,7 +33,7 @@
 //! that (rebuilt slots keep epoch 0) and is pinned to IC0702 by the
 //! negative suite.
 
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashSet};
 
 use ic_audit::diag::{
     Diagnostic, RECOVERY_CORRUPT_TRACE, RECOVERY_DUPLICATE_COMPLETION, RECOVERY_EPOCH_REGRESSION,
@@ -42,9 +42,9 @@ use ic_dag::Dag;
 use ic_net::machine::{RestoreError, SeededBugs};
 use ic_net::{Effect, LeaseMachine};
 use ic_sched::policy::AllocationPolicy;
-use ic_sim::trace::{TraceEvent, TraceHeader};
+use ic_sim::trace::{EventKind, TraceEvent, TraceHeader};
 
-use crate::explore::{CheckConfig, CheckOutcome, CheckStats, Violation};
+use crate::explore::{collect_trace, CheckConfig, CheckOutcome, CheckStats, Minimizer};
 use crate::invariants;
 use crate::scenario::{Action, Fleet, FleetSpec, Phase, WorkerModel, WorkerSpec};
 
@@ -76,14 +76,23 @@ pub fn check_crash(
     let root = Fleet::new(dag, policy, fleet, SeededBugs::default());
     ctx.visited.insert(root.fingerprint());
     ctx.stats.states = 1;
-    if let Some(diag) = ctx.crash_violation(&root, &[]) {
-        return ctx.into_violation(diag, Vec::new());
+    let found = match ctx.crash_violation(&root, &[]) {
+        Some(diag) => Some((diag, Vec::new())),
+        None => dfs(&mut ctx, &root, Vec::new(), 0).map(|diag| (diag, ctx.path.clone())),
+    };
+    let Some((diag, dfs_path)) = found else {
+        return CheckOutcome::Clean(ctx.stats);
+    };
+    let stats = std::mem::take(&mut ctx.stats);
+    Minimizer {
+        spec: fleet,
+        cfg,
+        check: |child: &Fleet<'_, '_>, _: &[Effect], log: &[TraceEvent]| {
+            ctx.crash_violation(child, log)
+        },
+        key: fingerprint_with_log,
     }
-    if let Some(diag) = dfs(&mut ctx, &root, Vec::new(), 0) {
-        let path = ctx.path.clone();
-        return ctx.into_violation(diag, path);
-    }
-    CheckOutcome::Clean(ctx.stats)
+    .into_violation(root, stats, diag, dfs_path)
 }
 
 /// The header the live fleet's boot writes (no registration barrier:
@@ -202,11 +211,11 @@ impl CrashCtx<'_, '_, '_> {
         // epoch the live machine holds for that slot and (b) one bump
         // per resume the log records for it — otherwise a stale Gone
         // from a pre-crash connection could kill a recovered slot.
-        let clients: BTreeSet<usize> = events.iter().map(TraceEvent::client).collect();
+        let clients: BTreeSet<usize> = events.iter().map(|e| e.client).collect();
         for &c in &clients {
             let resumes = events
                 .iter()
-                .filter(|e| matches!(e, TraceEvent::Resumed { client, .. } if *client == c))
+                .filter(|e| e.kind == EventKind::Resumed && e.client == c)
                 .count() as u64;
             let floor = (resumes + 1).max(live.machine.worker_epoch(c).unwrap_or(0));
             match rebuilt.worker_epoch(c) {
@@ -239,28 +248,6 @@ impl CrashCtx<'_, '_, '_> {
         };
         invariants::violation(self.dag, &synthetic)
     }
-
-    fn into_violation(self, diag: Diagnostic, dfs_path: Vec<Action>) -> CheckOutcome {
-        let path = if self.cfg.minimize {
-            bfs_shortest(
-                self.dag,
-                self.policy,
-                self.spec,
-                self.cfg,
-                self.bugs,
-                &self.header,
-                diag.code,
-            )
-            .unwrap_or(dfs_path)
-        } else {
-            dfs_path
-        };
-        CheckOutcome::Violation(Box::new(Violation {
-            diag,
-            trace: path.iter().map(|a| a.to_string()).collect(),
-            stats: self.stats,
-        }))
-    }
 }
 
 /// A placeholder worker model for the synthetic post-crash fleet:
@@ -275,11 +262,9 @@ fn severed_model(spec: &WorkerSpec, slot: usize) -> WorkerModel {
 /// `Completed` events per task along the log (feeds the IC0502 scan).
 fn completion_counts(dag: &Dag, events: &[TraceEvent]) -> Vec<u32> {
     let mut counts = vec![0u32; dag.num_nodes()];
-    for e in events {
-        if let TraceEvent::Completed { task, .. } = e {
-            if let Some(c) = counts.get_mut(task.index()) {
-                *c += 1;
-            }
+    for e in events.iter().filter(|e| e.kind == EventKind::Completed) {
+        if let Some(c) = e.task.and_then(|task| counts.get_mut(task.index())) {
+            *c += 1;
         }
     }
     counts
@@ -293,14 +278,6 @@ fn restore_code(e: &RestoreError) -> &'static str {
         RestoreError::DuplicateCompletion { .. } => RECOVERY_DUPLICATE_COMPLETION,
         RestoreError::HeaderMismatch { .. } => ic_audit::diag::RECOVERY_HEADER_MISMATCH,
         RestoreError::Corrupt { .. } | RestoreError::Federated => RECOVERY_CORRUPT_TRACE,
-    }
-}
-
-fn collect_trace(events: &mut Vec<TraceEvent>, fx: &[Effect]) {
-    for e in fx {
-        if let Effect::Trace(ev) = e {
-            events.push(ev.clone());
-        }
     }
 }
 
@@ -358,61 +335,4 @@ fn fingerprint_with_log(fleet: &Fleet<'_, '_>, events: &[TraceEvent]) -> u64 {
         e.to_json_line().hash(&mut h);
     }
     h.finish()
-}
-
-/// Breadth-first shortest path reproducing `code` (counterexample
-/// minimization, mirroring [`crate::explore`]'s).
-fn bfs_shortest(
-    dag: &Dag,
-    policy: &dyn AllocationPolicy,
-    spec: &FleetSpec,
-    cfg: &CheckConfig,
-    bugs: SeededBugs,
-    header: &TraceHeader,
-    code: &str,
-) -> Option<Vec<Action>> {
-    let ctx = CrashCtx {
-        dag,
-        policy,
-        spec,
-        cfg,
-        bugs,
-        header: header.clone(),
-        visited: HashSet::new(),
-        stats: CheckStats::default(),
-        path: Vec::new(),
-    };
-    let root = Fleet::new(dag, policy, spec, SeededBugs::default());
-    let mut visited = HashSet::new();
-    visited.insert(fingerprint_with_log(&root, &[]));
-    let mut queue: VecDeque<(Fleet<'_, '_>, Vec<TraceEvent>, Vec<Action>)> = VecDeque::new();
-    queue.push_back((root, Vec::new(), Vec::new()));
-    let mut states = 1usize;
-    while let Some((fleet, events, path)) = queue.pop_front() {
-        if path.len() >= cfg.max_depth {
-            continue;
-        }
-        for a in fleet.enabled(spec) {
-            let mut child = fleet.clone();
-            let fx = child.apply(spec, a);
-            let mut child_events = events.clone();
-            collect_trace(&mut child_events, &fx);
-            let mut step_path = path.clone();
-            step_path.push(a);
-            if let Some(d) = ctx.crash_violation(&child, &child_events) {
-                if d.code == code {
-                    return Some(step_path);
-                }
-                continue;
-            }
-            if visited.insert(fingerprint_with_log(&child, &child_events)) {
-                states += 1;
-                if states >= cfg.max_states {
-                    return None;
-                }
-                queue.push_back((child, child_events, step_path));
-            }
-        }
-    }
-    None
 }

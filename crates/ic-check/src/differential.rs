@@ -6,7 +6,7 @@
 //! surface `step(Event) -> Vec<Effect>` and every emitted effect and
 //! trace byte stay identical — the indices change complexity, never
 //! behavior. The old `Vec<Lease>` machine was frozen verbatim as
-//! `ic_net::reference::ReferenceMachine`, and this module pins the
+//! [`crate::reference::ReferenceMachine`], and this module pins the
 //! contract by *dual-driving* both machines with one randomized event
 //! script and demanding, at every step:
 //!
@@ -30,13 +30,14 @@
 use ic_dag::rng::XorShift64;
 use ic_dag::Dag;
 use ic_net::machine::{Effect, Event, LeaseMachine, SeededBugs};
-use ic_net::reference::ReferenceMachine;
 use ic_net::wire::Message;
 use ic_net::ServerConfig;
 use ic_sched::heuristics::Policy;
 use ic_sched::policy::AllocationPolicy;
 use ic_sched::Schedule;
 use ic_sim::trace::FedMeta;
+
+use crate::reference::ReferenceMachine;
 
 /// Coverage counters from one differential case, so a test suite can
 /// assert that the scripts actually reached the interesting paths

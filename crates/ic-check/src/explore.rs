@@ -30,8 +30,9 @@ use std::collections::{HashSet, VecDeque};
 use ic_audit::diag::Diagnostic;
 use ic_dag::Dag;
 use ic_net::machine::SeededBugs;
-use ic_net::PROTO_V2;
+use ic_net::{Effect, PROTO_V2};
 use ic_sched::policy::AllocationPolicy;
+use ic_sim::trace::TraceEvent;
 
 use crate::invariants;
 use crate::scenario::{Action, Fleet, FleetSpec};
@@ -138,7 +139,6 @@ pub fn check(
         dag,
         spec: fleet,
         cfg,
-        bugs,
         visited: HashSet::new(),
         stats: CheckStats::default(),
         path: Vec::new(),
@@ -146,47 +146,118 @@ pub fn check(
     let root = Fleet::new(dag, policy, fleet, bugs);
     ctx.visited.insert(root.fingerprint());
     ctx.stats.states = 1;
-    if let Some(diag) = invariants::violation(dag, &root) {
-        return ctx.into_violation(policy, diag, Vec::new());
+    let found = match invariants::violation(dag, &root) {
+        Some(diag) => Some((diag, Vec::new())),
+        None => dfs(&mut ctx, &root, 0, &[]).map(|diag| (diag, ctx.path.clone())),
+    };
+    let Some((diag, dfs_path)) = found else {
+        return CheckOutcome::Clean(ctx.stats);
+    };
+    Minimizer {
+        spec: fleet,
+        cfg,
+        check: |child: &Fleet<'_, '_>, fx: &[Effect], _: &[TraceEvent]| {
+            invariants::drain_violation(child, fx).or_else(|| invariants::violation(dag, child))
+        },
+        key: |fleet: &Fleet<'_, '_>, _: &[TraceEvent]| fleet.fingerprint(),
     }
-    if let Some(diag) = dfs(&mut ctx, &root, 0, &[]) {
-        let path = ctx.path.clone();
-        return ctx.into_violation(policy, diag, path);
-    }
-    CheckOutcome::Clean(ctx.stats)
+    .into_violation(root, ctx.stats, diag, dfs_path)
 }
 
 struct Ctx<'s, 'd> {
     dag: &'d Dag,
     spec: &'s FleetSpec,
     cfg: &'s CheckConfig,
-    bugs: SeededBugs,
     visited: HashSet<u64>,
     stats: CheckStats,
     path: Vec<Action>,
 }
 
-impl Ctx<'_, '_> {
-    /// Package a violation, minimizing the trace breadth-first when
-    /// configured (falls back to the DFS path if the BFS re-run hits
-    /// its bounds first).
-    fn into_violation(
+/// Append the trace events among `fx` to the log written so far.
+pub(crate) fn collect_trace(log: &mut Vec<TraceEvent>, fx: &[Effect]) {
+    for e in fx {
+        if let Effect::Trace(ev) = e {
+            log.push(*ev);
+        }
+    }
+}
+
+/// Counterexample minimization, shared by [`check`] and
+/// [`crate::check_crash`]. The two explorations differ only in the
+/// per-state `check` (given a state, the effects of the transition
+/// into it, and the trace log written along the path) and in the
+/// visited-set `key` (the crash checker also hashes that log).
+pub(crate) struct Minimizer<'s, C, K> {
+    pub(crate) spec: &'s FleetSpec,
+    pub(crate) cfg: &'s CheckConfig,
+    pub(crate) check: C,
+    pub(crate) key: K,
+}
+
+impl<C, K> Minimizer<'_, C, K>
+where
+    C: Fn(&Fleet<'_, '_>, &[Effect], &[TraceEvent]) -> Option<Diagnostic>,
+    K: Fn(&Fleet<'_, '_>, &[TraceEvent]) -> u64,
+{
+    /// Package a violation, minimizing the trace breadth-first from
+    /// `root` when configured (falls back to the DFS path if the BFS
+    /// re-run hits its bounds first).
+    pub(crate) fn into_violation(
         self,
-        policy: &dyn AllocationPolicy,
+        root: Fleet<'_, '_>,
+        stats: CheckStats,
         diag: Diagnostic,
         dfs_path: Vec<Action>,
     ) -> CheckOutcome {
         let path = if self.cfg.minimize {
-            bfs_shortest(self.dag, policy, self.spec, self.cfg, self.bugs, diag.code)
-                .unwrap_or(dfs_path)
+            self.bfs_shortest(root, diag.code).unwrap_or(dfs_path)
         } else {
             dfs_path
         };
         CheckOutcome::Violation(Box::new(Violation {
             diag,
             trace: path.iter().map(|a| a.to_string()).collect(),
-            stats: self.stats,
+            stats,
         }))
+    }
+
+    /// Breadth-first search for the shortest path reproducing `code`.
+    /// Shares the same action space as the DFS (minus sleep sets,
+    /// which only skip redundant orders), so the first hit is a
+    /// minimum-length counterexample.
+    fn bfs_shortest(&self, root: Fleet<'_, '_>, code: &str) -> Option<Vec<Action>> {
+        let mut visited = HashSet::new();
+        visited.insert((self.key)(&root, &[]));
+        let mut queue = VecDeque::new();
+        queue.push_back((root, Vec::<TraceEvent>::new(), Vec::<Action>::new()));
+        let mut states = 1usize;
+        while let Some((fleet, log, path)) = queue.pop_front() {
+            if path.len() >= self.cfg.max_depth {
+                continue;
+            }
+            for a in fleet.enabled(self.spec) {
+                let mut child = fleet.clone();
+                let fx = child.apply(self.spec, a);
+                let mut child_log = log.clone();
+                collect_trace(&mut child_log, &fx);
+                let mut step_path = path.clone();
+                step_path.push(a);
+                if let Some(d) = (self.check)(&child, &fx, &child_log) {
+                    if d.code == code {
+                        return Some(step_path);
+                    }
+                    continue; // a different violation: don't expand past it
+                }
+                if visited.insert((self.key)(&child, &child_log)) {
+                    states += 1;
+                    if states >= self.cfg.max_states {
+                        return None;
+                    }
+                    queue.push_back((child, child_log, step_path));
+                }
+            }
+        }
+        None
     }
 }
 
@@ -270,53 +341,6 @@ fn dfs(
         }
         ctx.path.pop();
         explored.push(a);
-    }
-    None
-}
-
-/// Breadth-first search for the shortest path reproducing `code`.
-/// Shares the same action space as the DFS (minus sleep sets, which
-/// only skip redundant orders), so the first hit is a minimum-length
-/// counterexample.
-fn bfs_shortest(
-    dag: &Dag,
-    policy: &dyn AllocationPolicy,
-    spec: &FleetSpec,
-    cfg: &CheckConfig,
-    bugs: SeededBugs,
-    code: &str,
-) -> Option<Vec<Action>> {
-    let root = Fleet::new(dag, policy, spec, bugs);
-    let mut visited = HashSet::new();
-    visited.insert(root.fingerprint());
-    let mut queue: VecDeque<(Fleet<'_, '_>, Vec<Action>)> = VecDeque::new();
-    queue.push_back((root, Vec::new()));
-    let mut states = 1usize;
-    while let Some((fleet, path)) = queue.pop_front() {
-        if path.len() >= cfg.max_depth {
-            continue;
-        }
-        for a in fleet.enabled(spec) {
-            let mut child = fleet.clone();
-            let fx = child.apply(spec, a);
-            let mut step_path = path.clone();
-            step_path.push(a);
-            if let Some(d) = invariants::drain_violation(&child, &fx)
-                .or_else(|| invariants::violation(dag, &child))
-            {
-                if d.code == code {
-                    return Some(step_path);
-                }
-                continue; // a different violation: don't expand past it
-            }
-            if visited.insert(child.fingerprint()) {
-                states += 1;
-                if states >= cfg.max_states {
-                    return None;
-                }
-                queue.push_back((child, step_path));
-            }
-        }
     }
     None
 }

@@ -60,6 +60,8 @@ pub mod crash;
 pub mod differential;
 pub mod explore;
 pub mod invariants;
+#[doc(hidden)]
+pub mod reference;
 pub mod scenario;
 
 pub use crash::check_crash;

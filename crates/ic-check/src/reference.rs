@@ -1,26 +1,25 @@
 //! The *reference* lease machine: the pre-index, linear-scan
-//! implementation of [`crate::machine::LeaseMachine`], frozen verbatim
-//! when the lease table was rewritten as an indexed slab.
+//! implementation of [`ic_net::LeaseMachine`], frozen verbatim when
+//! the lease table was rewritten as an indexed slab.
 //!
 //! Every lookup here is a linear scan over a plain `Vec<Lease>` — the
 //! original, obviously-correct formulation. It exists solely as the
-//! differential oracle: `ic-check` drives this machine and the indexed
-//! one with identical event scripts and asserts byte-identical effect
-//! sequences (see `ic-check`'s `differential` module). It is hidden
-//! from docs and must never grow features the real machine lacks.
+//! differential oracle: [`crate::differential`] drives this machine
+//! and the indexed one with identical event scripts and asserts
+//! byte-identical effect sequences. It is built on `ic-net`'s public
+//! items only, and must never grow features the real machine lacks.
 
 use std::hash::{Hash, Hasher};
 
 use ic_dag::rng::XorShift64;
 use ic_dag::{Dag, NodeId};
+use ic_net::machine::{Effect, Event, LeaseView, SeededBugs};
+use ic_net::wire::{Message, ERR_BAD_RESUME, ERR_UNSUPPORTED, PROTO_CURRENT, PROTO_V1, PROTO_V2};
+use ic_net::{ServeReport, ServerConfig};
 use ic_sched::batched::fill_round;
 use ic_sched::eligibility::ExecState;
 use ic_sched::policy::AllocationPolicy;
-use ic_sim::trace::{FedMeta, TraceEvent, TraceHeader, WorkerParams};
-
-use crate::machine::{Effect, Event, LeaseView, SeededBugs, FED_CLIENT};
-use crate::server::{ServeReport, ServerConfig};
-use crate::wire::{Message, ERR_BAD_RESUME, ERR_UNSUPPORTED, PROTO_CURRENT, PROTO_V2};
+use ic_sim::trace::{EventKind, FedMeta, TraceEvent, TraceHeader, WorkerParams, FED_CLIENT};
 
 /// Per-worker registration record. The slot outlives its TCP
 /// connection: a v2 worker that disconnects mid-lease can reclaim it
@@ -375,21 +374,18 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
     pub fn summary(&self, now_us: u64) -> ServeReport {
         let end = self.completed_at_us.unwrap_or(now_us);
         let makespan = end.saturating_sub(self.origin_us) as f64 * 1e-6;
-        ServeReport {
-            completions: self.completions,
-            failures: self.failure_events,
-            allocations: self.allocation_steps,
-            workers_registered: self.workers.len(),
-            late_workers: self.late_workers,
-            resumes: self.resumes,
-            steals: self.steals,
-            revokes: self.revokes,
-            makespan,
-            remote_completions: self.remote_completions,
-            peer_tx: 0,
-            peer_rx: 0,
-            peer_reconnects: 0,
-        }
+        let mut report = ServeReport::default();
+        report.completions = self.completions;
+        report.failures = self.failure_events;
+        report.allocations = self.allocation_steps;
+        report.workers_registered = self.workers.len();
+        report.late_workers = self.late_workers;
+        report.resumes = self.resumes;
+        report.steals = self.steals;
+        report.revokes = self.revokes;
+        report.makespan = makespan;
+        report.remote_completions = self.remote_completions;
+        report
     }
 
     /// Remote completions applied so far (stub or replica executions
@@ -460,9 +456,39 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
         now_us.saturating_sub(self.origin_us) as f64 * 1e-6
     }
 
-    fn emit(&mut self, fx: &mut Vec<Effect>, ev: TraceEvent) {
+    /// Emit the next trace event, stamped with the step counter, the
+    /// trace time of `now_us`, and the recorded pool as it stands.
+    /// `task` is `None` exactly for [`EventKind::Idle`].
+    fn emit(
+        &mut self,
+        fx: &mut Vec<Effect>,
+        kind: EventKind,
+        now_us: u64,
+        client: usize,
+        task: Option<NodeId>,
+    ) {
+        self.emit_with_pool(fx, kind, now_us, client, task, self.recorded_pool());
+    }
+
+    /// [`ReferenceMachine::emit`] recording `pool` instead of the
+    /// current pool: a batched round claims all its tasks before the
+    /// first `alloc` event is written.
+    fn emit_with_pool(
+        &mut self,
+        fx: &mut Vec<Effect>,
+        kind: EventKind,
+        now_us: u64,
+        client: usize,
+        task: Option<NodeId>,
+        pool: usize,
+    ) {
         debug_assert!(self.header_written, "events only after the header");
-        fx.push(Effect::Trace(ev));
+        debug_assert_eq!(task.is_none(), kind == EventKind::Idle);
+        let (step, time) = (self.step, self.t(now_us));
+        fx.push(Effect::Trace(match task {
+            Some(task) => TraceEvent::on_task(kind, step, time, client, task, Some(pool)),
+            None => TraceEvent::idle(step, time, client),
+        }));
         self.step += 1;
     }
 
@@ -507,14 +533,7 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
                 debug_assert!(false, "stub {v} must be an unexecuted source");
                 continue;
             }
-            let ev = TraceEvent::Allocated {
-                step: self.step,
-                time: self.t(now_us),
-                client: FED_CLIENT,
-                task: v,
-                pool: Some(self.recorded_pool()),
-            };
-            self.emit(fx, ev);
+            self.emit(fx, EventKind::Allocated, now_us, FED_CLIENT, Some(v));
         }
         // Remote completions that raced ahead of the header apply now.
         self.drain_pending_remote(now_us, fx);
@@ -563,14 +582,7 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
             self.deferred.push((now_us.saturating_add(backoff_us), v));
         }
         self.failure_events += 1;
-        let ev = TraceEvent::Failed {
-            step: self.step,
-            time: self.t(now_us),
-            client: lease.worker,
-            task: v,
-            pool: Some(self.recorded_pool()),
-        };
-        self.emit(fx, ev);
+        self.emit(fx, EventKind::Failed, now_us, lease.worker, Some(v));
     }
 
     /// Remove and lose every lease held by `worker`.
@@ -698,13 +710,7 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
         }
         self.resumes += 1;
         for &v in &held {
-            let ev = TraceEvent::Resumed {
-                step: self.step,
-                time: self.t(now_us),
-                client: worker,
-                task: v,
-            };
-            self.emit(fx, ev);
+            self.emit(fx, EventKind::Resumed, now_us, worker, Some(v));
         }
         fx.push(Effect::Registered {
             msg: Message::Welcome {
@@ -749,9 +755,7 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
     }
 
     fn worker_proto(&self, worker: usize) -> u32 {
-        self.workers
-            .get(worker)
-            .map_or(crate::wire::PROTO_V1, |w| w.proto)
+        self.workers.get(worker).map_or(PROTO_V1, |w| w.proto)
     }
 
     /// Answer a work request: `Assign` when the pool has tasks,
@@ -795,12 +799,7 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
             if let Some(w) = self.workers.get_mut(worker) {
                 if !w.waiting {
                     w.waiting = true;
-                    let ev = TraceEvent::Idle {
-                        step: self.step,
-                        time: self.t(now_us),
-                        client: worker,
-                    };
-                    self.emit(fx, ev);
+                    self.emit(fx, EventKind::Idle, now_us, worker, None);
                 }
             }
             return Message::Wait {
@@ -838,14 +837,14 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
                 granted_us: now_us,
                 speculative: false,
             });
-            let ev = TraceEvent::Allocated {
-                step: self.step,
-                time: self.t(now_us),
-                client: worker,
-                task: v,
-                pool: Some(base + (k - 1 - i)),
-            };
-            self.emit(fx, ev);
+            self.emit_with_pool(
+                fx,
+                EventKind::Allocated,
+                now_us,
+                worker,
+                Some(v),
+                base + (k - 1 - i),
+            );
         }
         if let Some(w) = self.workers.get_mut(worker) {
             w.waiting = false;
@@ -891,14 +890,7 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
             speculative: true,
         });
         // The pool does not shrink: the task was already allocated.
-        let ev = TraceEvent::Speculated {
-            step: self.step,
-            time: self.t(now_us),
-            client: worker,
-            task: v,
-            pool: Some(self.recorded_pool()),
-        };
-        self.emit(fx, ev);
+        self.emit(fx, EventKind::Speculated, now_us, worker, Some(v));
         if let Some(w) = self.workers.get_mut(worker) {
             w.waiting = false;
         }
@@ -933,14 +925,7 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
                 if let Some(v) = self.dag.node_ids().find(|v| v.index() as u64 == task) {
                     if self.state.is_executed(v) {
                         self.completions += 1;
-                        let ev = TraceEvent::Completed {
-                            step: self.step,
-                            time: self.t(now_us),
-                            client: worker,
-                            task: v,
-                            pool: Some(self.recorded_pool()),
-                        };
-                        self.emit(fx, ev);
+                        self.emit(fx, EventKind::Completed, now_us, worker, Some(v));
                         return true;
                     }
                 }
@@ -961,14 +946,7 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
                 return false;
             }
             self.completions += 1;
-            let ev = TraceEvent::Completed {
-                step: self.step,
-                time: self.t(now_us),
-                client: worker,
-                task: v,
-                pool: Some(self.recorded_pool()),
-            };
-            self.emit(fx, ev);
+            self.emit(fx, EventKind::Completed, now_us, worker, Some(v));
             // Cancel the stale duplicates (if any): their leases are
             // removed now; their workers learn via the `Revoke` reply
             // to their next heartbeat or the rejected `Done`.
@@ -977,13 +955,7 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
                 if self.leases[i].task == v {
                     let dup = self.leases.swap_remove(i);
                     self.revokes += 1;
-                    let ev = TraceEvent::Revoked {
-                        step: self.step,
-                        time: self.t(now_us),
-                        client: dup.worker,
-                        task: dup.task,
-                    };
-                    self.emit(fx, ev);
+                    self.emit(fx, EventKind::Revoked, now_us, dup.worker, Some(dup.task));
                 } else {
                     i += 1;
                 }
@@ -1053,39 +1025,18 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
                 debug_assert!(false, "pooled node {v} must be claimable");
                 return true;
             }
-            let ev = TraceEvent::Allocated {
-                step: self.step,
-                time: self.t(now_us),
-                client: FED_CLIENT,
-                task: v,
-                pool: Some(self.recorded_pool()),
-            };
-            self.emit(fx, ev);
+            self.emit(fx, EventKind::Allocated, now_us, FED_CLIENT, Some(v));
         } else if let Some(pos) = self.deferred.iter().position(|&(_, d)| d == v) {
             // A replica waiting out a backoff: already claimed; leave
             // the backoff queue and allocate to the federation.
             self.deferred.swap_remove(pos);
-            let ev = TraceEvent::Allocated {
-                step: self.step,
-                time: self.t(now_us),
-                client: FED_CLIENT,
-                task: v,
-                pool: Some(self.recorded_pool()),
-            };
-            self.emit(fx, ev);
+            self.emit(fx, EventKind::Allocated, now_us, FED_CLIENT, Some(v));
         } else if self.leases.iter().any(|l| l.task == v) {
             // Workers hold leases: the federation takes a (winning)
             // duplicate, mirroring the speculative-lease path, so the
             // completion below resolves against *its* lease under
             // replay and the workers' leases revoke legally after it.
-            let ev = TraceEvent::Speculated {
-                step: self.step,
-                time: self.t(now_us),
-                client: FED_CLIENT,
-                task: v,
-                pool: Some(self.recorded_pool()),
-            };
-            self.emit(fx, ev);
+            self.emit(fx, EventKind::Speculated, now_us, FED_CLIENT, Some(v));
         }
         // (Otherwise: a stub, claimed by the federation at the header.)
         if self.state.execute_counting(v).is_err() {
@@ -1093,14 +1044,7 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
             return true;
         }
         self.remote_completions += 1;
-        let ev = TraceEvent::Completed {
-            step: self.step,
-            time: self.t(now_us),
-            client: FED_CLIENT,
-            task: v,
-            pool: Some(self.recorded_pool()),
-        };
-        self.emit(fx, ev);
+        self.emit(fx, EventKind::Completed, now_us, FED_CLIENT, Some(v));
         // First completion wins: cancel every local lease on the node.
         // The holders learn via the `Revoke` reply to their next
         // heartbeat, or their eventual `done` is rejected.
@@ -1109,13 +1053,7 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
             if self.leases[i].task == v {
                 let dup = self.leases.swap_remove(i);
                 self.revokes += 1;
-                let ev = TraceEvent::Revoked {
-                    step: self.step,
-                    time: self.t(now_us),
-                    client: dup.worker,
-                    task: dup.task,
-                };
-                self.emit(fx, ev);
+                self.emit(fx, EventKind::Revoked, now_us, dup.worker, Some(dup.task));
             } else {
                 i += 1;
             }

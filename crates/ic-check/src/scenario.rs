@@ -588,8 +588,11 @@ impl<'a, 'd> Fleet<'a, 'd> {
                     _ => {}
                 },
                 Effect::Trace(ev) => {
-                    if let ic_sim::trace::TraceEvent::Completed { task, .. } = ev {
-                        if let Some(c) = self.completions.get_mut(task.index()) {
+                    if ev.kind == ic_sim::trace::EventKind::Completed {
+                        let done = ev
+                            .task
+                            .and_then(|task| self.completions.get_mut(task.index()));
+                        if let Some(c) = done {
                             *c += 1;
                         }
                     }

@@ -9,7 +9,7 @@
 use std::time::Duration;
 
 use ic_net::{loopback, Driver, LoopbackConn, ManualClock, Message, Reactor, ServerConfig};
-use ic_sim::{MemorySink, TraceEvent};
+use ic_sim::{EventKind, MemorySink};
 
 /// Receive with a generous real-time bound (the *content* is
 /// deterministic; only scheduling latency is not).
@@ -108,7 +108,7 @@ fn manual_clock_runs_are_byte_identical() {
     let fails = trace
         .events
         .iter()
-        .filter(|e| matches!(e, TraceEvent::Failed { .. }))
+        .filter(|e| e.kind == EventKind::Failed)
         .count();
     assert_eq!(fails, report_a.failures);
     let errors: Vec<_> = ic_audit::audit_trace(&trace)

@@ -865,7 +865,7 @@ pub fn recover_run(path: &str, text: &str) -> Result<CmdOutput, String> {
         .map_err(|e| format!("{path}: header dag does not build: {e}"))?;
     let policy = HeaderPolicy(header.policy.clone());
     let cfg = ic_net::ServerConfig::builder().seed(header.seed).build();
-    let rcfg = ic_net::RecoveryConfig::builder().keep_torn_tail().build();
+    let rcfg = ic_net::RecoveryConfig::default();
     let recovery = ic_net::Recovery::replay_str(&dag, &policy, cfg, rcfg, text)
         .map_err(|e| format!("{path}: {e}"))?;
     let report = recovery.report();

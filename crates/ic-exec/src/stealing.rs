@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use ic_dag::{Dag, NodeId};
 use ic_sched::Schedule;
-use ic_sim::trace::{TraceEvent, TraceHeader, TraceSink};
+use ic_sim::trace::{EventKind, TraceEvent, TraceHeader, TraceSink};
 
 use crate::ExecReport;
 
@@ -49,30 +49,13 @@ impl EventLog {
         }
     }
 
-    fn allocated(&self, client: usize, task: NodeId) {
+    /// Log a `kind` event about `task`; the executor's pool is sharded
+    /// across the worker deques, so no pool sample is recorded.
+    fn record(&self, kind: EventKind, client: usize, task: NodeId) {
         let time = self.start.elapsed().as_secs_f64();
         let mut ev = self.events.lock().expect("event log lock");
         let step = ev.len() as u64;
-        ev.push(TraceEvent::Allocated {
-            step,
-            time,
-            client,
-            task,
-            pool: None,
-        });
-    }
-
-    fn completed(&self, client: usize, task: NodeId) {
-        let time = self.start.elapsed().as_secs_f64();
-        let mut ev = self.events.lock().expect("event log lock");
-        let step = ev.len() as u64;
-        ev.push(TraceEvent::Completed {
-            step,
-            time,
-            client,
-            task,
-            pool: None,
-        });
+        ev.push(TraceEvent::on_task(kind, step, time, client, task, None));
     }
 }
 
@@ -230,7 +213,7 @@ where
                     };
                     backoff = 0;
                     if let Some(log) = log {
-                        log.allocated(me, v);
+                        log.record(EventKind::Allocated, me, v);
                     }
                     let now_running = running.fetch_add(1, Ordering::Relaxed) + 1;
                     peak.fetch_max(now_running, Ordering::Relaxed);
@@ -251,7 +234,7 @@ where
                     // the log mutex then orders it ahead of every
                     // allocation it enables.
                     if let Some(log) = log {
-                        log.completed(me, v);
+                        log.record(EventKind::Completed, me, v);
                     }
                     for &c in dag.children(v) {
                         // AcqRel: the last decrement synchronizes all
@@ -395,11 +378,12 @@ mod tests {
         // never goes negative.
         let mut missing: Vec<usize> = g.node_ids().map(|v| g.in_degree(v)).collect();
         for ev in &trace.events {
-            match *ev {
-                ic_sim::TraceEvent::Allocated { task, .. } => {
+            let task = ev.task.expect("the executor logs no idle events");
+            match ev.kind {
+                EventKind::Allocated => {
                     assert_eq!(missing[task.index()], 0, "allocated before ELIGIBLE");
                 }
-                ic_sim::TraceEvent::Completed { task, .. } => {
+                EventKind::Completed => {
                     for &c in g.children(task) {
                         missing[c.index()] -= 1;
                     }

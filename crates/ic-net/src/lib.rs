@@ -55,8 +55,6 @@ mod lease_table;
 pub mod machine;
 pub mod reactor;
 pub mod recovery;
-#[doc(hidden)]
-pub mod reference;
 pub mod server;
 pub mod timer;
 pub mod wire;

@@ -38,23 +38,17 @@ use ic_dag::{Dag, NodeId};
 use ic_sched::batched::fill_round;
 use ic_sched::eligibility::ExecState;
 use ic_sched::policy::AllocationPolicy;
-use ic_sim::trace::{FedMeta, TraceEvent, TraceHeader, WorkerParams};
+pub use ic_sim::trace::FED_CLIENT;
+use ic_sim::trace::{EventKind, FedMeta, TraceEvent, TraceHeader, WorkerParams};
 
 use crate::lease_table::{Lease, LeaseTable};
 use crate::server::{ServeReport, ServerConfig};
 use crate::wire::{Message, ERR_BAD_RESUME, ERR_UNSUPPORTED, PROTO_CURRENT, PROTO_V2};
 
-/// The pseudo-client id recorded on trace events caused by the
-/// *federation* rather than by a worker: stub allocations at the
-/// header, and completions applied from a peer shard's `remote-done`.
-/// Chosen far above any real slot index, and exactly representable as
-/// an `f64` so it survives the JSON number path unchanged.
-pub const FED_CLIENT: usize = 1 << 32;
-
 /// Trace seconds back to driver microseconds — the inverse of the
 /// machine's `t()` timestamping, used when replaying a trace to place
 /// the recovered clock origin.
-fn micros(t: f64) -> u64 {
+pub(crate) fn micros(t: f64) -> u64 {
     (t.max(0.0) * 1e6) as u64
 }
 
@@ -330,8 +324,8 @@ pub struct LeaseMachine<'a, 'd> {
     /// indices, so the hot per-event lookups are O(1) instead of a
     /// scan over one lease per connected worker (see
     /// [`crate::lease_table`] for the layout and the order-fidelity
-    /// argument; `crate::reference` keeps the old linear-scan machine
-    /// as the differential oracle).
+    /// argument; `ic-check`'s `reference` module keeps the old
+    /// linear-scan machine as the differential oracle).
     leases: LeaseTable,
     /// Resume-token → worker slot, kept in lockstep with each slot's
     /// current token (rotated on every resume), replacing the old
@@ -655,27 +649,29 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
         for i in 0..declared.len() {
             ensure_slot(&mut m.workers, &declared, i, 0)?;
         }
-        fn known(v: NodeId, nodes: usize, step: u64) -> Result<NodeId, RestoreError> {
-            if v.index() < nodes {
-                Ok(v)
-            } else {
-                Err(RestoreError::Corrupt {
-                    step,
-                    reason: format!("unknown task t{v}"),
-                })
-            }
-        }
-
         let deadline = m.lease_deadline(now_us);
         for ev in events {
-            let step = ev.step();
+            let (step, client) = (ev.step, ev.client);
             let corrupt = |reason: String| RestoreError::Corrupt { step, reason };
-            match *ev {
-                TraceEvent::Allocated { client, task, .. }
-                | TraceEvent::Speculated { client, task, .. } => {
-                    ensure_slot(&mut m.workers, &declared, client, step)?;
-                    let v = known(task, dag.num_nodes(), step)?;
-                    let speculative = matches!(*ev, TraceEvent::Speculated { .. });
+            ensure_slot(&mut m.workers, &declared, client, step)?;
+            let Some(v) = ev.task else {
+                m.workers[client].waiting = true;
+                continue;
+            };
+            if v.index() >= dag.num_nodes() {
+                return Err(corrupt(format!("unknown task t{v}")));
+            }
+            // Every outcome closes the lease it names.
+            let close = |leases: &mut LeaseTable, what: &str| {
+                let id = leases
+                    .find(client, v)
+                    .ok_or_else(|| corrupt(format!("{what} of {v} without a lease")))?;
+                leases.remove(id);
+                Ok::<(), RestoreError>(())
+            };
+            match ev.kind {
+                EventKind::Allocated | EventKind::Speculated => {
+                    let speculative = ev.kind == EventKind::Speculated;
                     if speculative {
                         m.steals += 1;
                     } else {
@@ -700,30 +696,18 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
                     });
                     m.workers[client].waiting = false;
                 }
-                TraceEvent::Completed { client, task, .. } => {
-                    ensure_slot(&mut m.workers, &declared, client, step)?;
-                    let v = known(task, dag.num_nodes(), step)?;
+                EventKind::Completed => {
                     if m.state.is_executed(v) {
-                        return Err(RestoreError::DuplicateCompletion { task, step });
+                        return Err(RestoreError::DuplicateCompletion { task: v, step });
                     }
-                    let id = m
-                        .leases
-                        .find(client, v)
-                        .ok_or_else(|| corrupt(format!("completion of {v} without a lease")))?;
-                    m.leases.remove(id);
+                    close(&mut m.leases, "completion")?;
                     m.state
                         .execute_counting(v)
                         .map_err(|_| corrupt(format!("completed task {v} was not ELIGIBLE")))?;
                     m.completions += 1;
                 }
-                TraceEvent::Failed { client, task, .. } => {
-                    ensure_slot(&mut m.workers, &declared, client, step)?;
-                    let v = known(task, dag.num_nodes(), step)?;
-                    let id = m
-                        .leases
-                        .find(client, v)
-                        .ok_or_else(|| corrupt(format!("failure of {v} without a lease")))?;
-                    m.leases.remove(id);
+                EventKind::Failed => {
+                    close(&mut m.leases, "failure")?;
                     m.failures[v.index()] += 1;
                     m.failure_events += 1;
                     if !m.leases.has_holder(v) {
@@ -733,24 +717,13 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
                         m.deferred.push((now_us, v));
                     }
                 }
-                TraceEvent::Revoked { client, task, .. } => {
-                    ensure_slot(&mut m.workers, &declared, client, step)?;
-                    let v = known(task, dag.num_nodes(), step)?;
-                    let id = m
-                        .leases
-                        .find(client, v)
-                        .ok_or_else(|| corrupt(format!("revocation of {v} without a lease")))?;
-                    m.leases.remove(id);
+                EventKind::Revoked => {
+                    close(&mut m.leases, "revocation")?;
                     m.revokes += 1;
                 }
-                TraceEvent::Resumed { client, .. } => {
-                    ensure_slot(&mut m.workers, &declared, client, step)?;
-                    m.resumes += 1;
-                }
-                TraceEvent::Idle { client, .. } => {
-                    ensure_slot(&mut m.workers, &declared, client, step)?;
-                    m.workers[client].waiting = true;
-                }
+                EventKind::Resumed => m.resumes += 1,
+                // An idle event names no task: handled above.
+                EventKind::Idle => {}
             }
         }
 
@@ -758,8 +731,8 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
         // monotone steps, and timestamps that resume where the prefix
         // stopped (`origin` backdated so `now_us` maps to the last
         // recorded time).
-        m.step = events.last().map_or(0, |e| e.step() + 1);
-        let elapsed_us = events.last().map_or(0, |e| micros(e.time()));
+        m.step = events.last().map_or(0, |e| e.step + 1);
+        let elapsed_us = events.last().map_or(0, |e| micros(e.time));
         m.origin_us = now_us.saturating_sub(elapsed_us);
         m.late_workers = m.workers.len().saturating_sub(header.workers.len());
         // Epochs restart strictly above anything the crashed machine
@@ -1046,9 +1019,39 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
         now_us.saturating_sub(self.origin_us) as f64 * 1e-6
     }
 
-    fn emit(&mut self, fx: &mut Vec<Effect>, ev: TraceEvent) {
+    /// Emit the next trace event, stamped with the step counter, the
+    /// trace time of `now_us`, and the recorded pool as it stands.
+    /// `task` is `None` exactly for [`EventKind::Idle`].
+    fn emit(
+        &mut self,
+        fx: &mut Vec<Effect>,
+        kind: EventKind,
+        now_us: u64,
+        client: usize,
+        task: Option<NodeId>,
+    ) {
+        self.emit_with_pool(fx, kind, now_us, client, task, self.recorded_pool());
+    }
+
+    /// [`LeaseMachine::emit`] recording `pool` instead of the current
+    /// pool: a batched round claims all its tasks before the first
+    /// `alloc` event is written.
+    fn emit_with_pool(
+        &mut self,
+        fx: &mut Vec<Effect>,
+        kind: EventKind,
+        now_us: u64,
+        client: usize,
+        task: Option<NodeId>,
+        pool: usize,
+    ) {
         debug_assert!(self.header_written, "events only after the header");
-        fx.push(Effect::Trace(ev));
+        let (step, time) = (self.step, self.t(now_us));
+        debug_assert_eq!(task.is_none(), kind == EventKind::Idle);
+        fx.push(Effect::Trace(match task {
+            Some(task) => TraceEvent::on_task(kind, step, time, client, task, Some(pool)),
+            None => TraceEvent::idle(step, time, client),
+        }));
         self.step += 1;
     }
 
@@ -1093,14 +1096,7 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
                 debug_assert!(false, "stub {v} must be an unexecuted source");
                 continue;
             }
-            let ev = TraceEvent::Allocated {
-                step: self.step,
-                time: self.t(now_us),
-                client: FED_CLIENT,
-                task: v,
-                pool: Some(self.recorded_pool()),
-            };
-            self.emit(fx, ev);
+            self.emit(fx, EventKind::Allocated, now_us, FED_CLIENT, Some(v));
         }
         // Remote completions that raced ahead of the header apply now.
         self.drain_pending_remote(now_us, fx);
@@ -1149,14 +1145,7 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
             self.deferred.push((now_us.saturating_add(backoff_us), v));
         }
         self.failure_events += 1;
-        let ev = TraceEvent::Failed {
-            step: self.step,
-            time: self.t(now_us),
-            client: lease.worker,
-            task: v,
-            pool: Some(self.recorded_pool()),
-        };
-        self.emit(fx, ev);
+        self.emit(fx, EventKind::Failed, now_us, lease.worker, Some(v));
     }
 
     /// Remove and lose every lease held by `worker`, in the same order
@@ -1300,13 +1289,7 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
         let held = self.leases.renew_worker(worker, deadline);
         self.resumes += 1;
         for &v in &held {
-            let ev = TraceEvent::Resumed {
-                step: self.step,
-                time: self.t(now_us),
-                client: worker,
-                task: v,
-            };
-            self.emit(fx, ev);
+            self.emit(fx, EventKind::Resumed, now_us, worker, Some(v));
         }
         fx.push(Effect::Registered {
             msg: Message::Welcome {
@@ -1412,12 +1395,7 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
             if let Some(w) = self.workers.get_mut(worker) {
                 if !w.waiting {
                     w.waiting = true;
-                    let ev = TraceEvent::Idle {
-                        step: self.step,
-                        time: self.t(now_us),
-                        client: worker,
-                    };
-                    self.emit(fx, ev);
+                    self.emit(fx, EventKind::Idle, now_us, worker, None);
                 }
             }
             return Message::Wait {
@@ -1455,14 +1433,14 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
                 granted_us: now_us,
                 speculative: false,
             });
-            let ev = TraceEvent::Allocated {
-                step: self.step,
-                time: self.t(now_us),
-                client: worker,
-                task: v,
-                pool: Some(base + (k - 1 - i)),
-            };
-            self.emit(fx, ev);
+            self.emit_with_pool(
+                fx,
+                EventKind::Allocated,
+                now_us,
+                worker,
+                Some(v),
+                base + (k - 1 - i),
+            );
         }
         if let Some(w) = self.workers.get_mut(worker) {
             w.waiting = false;
@@ -1514,14 +1492,7 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
             speculative: true,
         });
         // The pool does not shrink: the task was already allocated.
-        let ev = TraceEvent::Speculated {
-            step: self.step,
-            time: self.t(now_us),
-            client: worker,
-            task: v,
-            pool: Some(self.recorded_pool()),
-        };
-        self.emit(fx, ev);
+        self.emit(fx, EventKind::Speculated, now_us, worker, Some(v));
         if let Some(w) = self.workers.get_mut(worker) {
             w.waiting = false;
         }
@@ -1553,14 +1524,7 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
                 if let Some(v) = node {
                     if self.state.is_executed(v) {
                         self.completions += 1;
-                        let ev = TraceEvent::Completed {
-                            step: self.step,
-                            time: self.t(now_us),
-                            client: worker,
-                            task: v,
-                            pool: Some(self.recorded_pool()),
-                        };
-                        self.emit(fx, ev);
+                        self.emit(fx, EventKind::Completed, now_us, worker, Some(v));
                         return true;
                     }
                 }
@@ -1582,26 +1546,13 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
             }
             self.note_executed(v);
             self.completions += 1;
-            let ev = TraceEvent::Completed {
-                step: self.step,
-                time: self.t(now_us),
-                client: worker,
-                task: v,
-                pool: Some(self.recorded_pool()),
-            };
-            self.emit(fx, ev);
+            self.emit(fx, EventKind::Completed, now_us, worker, Some(v));
             // Cancel the stale duplicates (if any): their leases are
             // removed now; their workers learn via the `Revoke` reply
             // to their next heartbeat or the rejected `Done`.
             while let Some(dup) = self.leases.remove_task_next(v) {
                 self.revokes += 1;
-                let ev = TraceEvent::Revoked {
-                    step: self.step,
-                    time: self.t(now_us),
-                    client: dup.worker,
-                    task: dup.task,
-                };
-                self.emit(fx, ev);
+                self.emit(fx, EventKind::Revoked, now_us, dup.worker, Some(dup.task));
             }
             // A completion may unlock queued remote notifications
             // (a replica whose other predecessors just became met).
@@ -1715,39 +1666,18 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
                 debug_assert!(false, "pooled node {v} must be claimable");
                 return true;
             }
-            let ev = TraceEvent::Allocated {
-                step: self.step,
-                time: self.t(now_us),
-                client: FED_CLIENT,
-                task: v,
-                pool: Some(self.recorded_pool()),
-            };
-            self.emit(fx, ev);
+            self.emit(fx, EventKind::Allocated, now_us, FED_CLIENT, Some(v));
         } else if let Some(pos) = self.deferred.iter().position(|&(_, d)| d == v) {
             // A replica waiting out a backoff: already claimed; leave
             // the backoff queue and allocate to the federation.
             self.deferred.swap_remove(pos);
-            let ev = TraceEvent::Allocated {
-                step: self.step,
-                time: self.t(now_us),
-                client: FED_CLIENT,
-                task: v,
-                pool: Some(self.recorded_pool()),
-            };
-            self.emit(fx, ev);
+            self.emit(fx, EventKind::Allocated, now_us, FED_CLIENT, Some(v));
         } else if self.leases.has_holder(v) {
             // Workers hold leases: the federation takes a (winning)
             // duplicate, mirroring the speculative-lease path, so the
             // completion below resolves against *its* lease under
             // replay and the workers' leases revoke legally after it.
-            let ev = TraceEvent::Speculated {
-                step: self.step,
-                time: self.t(now_us),
-                client: FED_CLIENT,
-                task: v,
-                pool: Some(self.recorded_pool()),
-            };
-            self.emit(fx, ev);
+            self.emit(fx, EventKind::Speculated, now_us, FED_CLIENT, Some(v));
         }
         // (Otherwise: a stub, claimed by the federation at the header.)
         if self.state.execute_counting(v).is_err() {
@@ -1756,26 +1686,13 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
         }
         self.note_executed(v);
         self.remote_completions += 1;
-        let ev = TraceEvent::Completed {
-            step: self.step,
-            time: self.t(now_us),
-            client: FED_CLIENT,
-            task: v,
-            pool: Some(self.recorded_pool()),
-        };
-        self.emit(fx, ev);
+        self.emit(fx, EventKind::Completed, now_us, FED_CLIENT, Some(v));
         // First completion wins: cancel every local lease on the node.
         // The holders learn via the `Revoke` reply to their next
         // heartbeat, or their eventual `done` is rejected.
         while let Some(dup) = self.leases.remove_task_next(v) {
             self.revokes += 1;
-            let ev = TraceEvent::Revoked {
-                step: self.step,
-                time: self.t(now_us),
-                client: dup.worker,
-                task: dup.task,
-            };
-            self.emit(fx, ev);
+            self.emit(fx, EventKind::Revoked, now_us, dup.worker, Some(dup.task));
         }
         if self.is_complete() && self.completed_at_us.is_none() {
             self.completed_at_us = Some(now_us);
@@ -2905,14 +2822,14 @@ mod tests {
 
         // Duplicate completion: replay the `Completed` event twice.
         let mut doubled = trace.events.clone();
-        doubled.push(trace.events[1].clone());
+        doubled.push(trace.events[1]);
         let err = LeaseMachine::restore(&g, &policy, cfg(), &trace.header, &doubled, 0)
             .expect_err("a task cannot complete twice");
         assert!(matches!(err, RestoreError::DuplicateCompletion { .. }));
         assert_eq!(err.code(), "IC0701");
 
         // Custody corruption: a completion whose lease never existed.
-        let headless = vec![trace.events[1].clone()];
+        let headless = vec![trace.events[1]];
         let err = LeaseMachine::restore(&g, &policy, cfg(), &trace.header, &headless, 0)
             .expect_err("completion without a lease");
         assert!(matches!(err, RestoreError::Corrupt { .. }));

@@ -62,7 +62,7 @@ use crate::machine::{Effect, Event, LeaseMachine, FED_CLIENT};
 use crate::server::{ServeReport, ServerConfig};
 use crate::timer::TimerWheel;
 use crate::wire::{Decoder, Frame, Message, PROTO_V3};
-use ic_sim::trace::TraceEvent;
+use ic_sim::trace::{EventKind, TraceEvent};
 
 /// A source of driver time, in microseconds. The reactor stamps every
 /// machine event with `now_us()`; nothing else in the system reads a
@@ -962,10 +962,8 @@ impl<'a> Reactor<'a> {
     /// re-notify: the originating shard already told everyone.
     fn record_trace(&mut self, ev: TraceEvent, sink: &mut dyn TraceSink) {
         sink.record(&ev);
-        let TraceEvent::Completed { task, client, .. } = ev else {
-            return;
-        };
-        if client == FED_CLIENT {
+        let Some(task) = ev.task else { return };
+        if ev.kind != EventKind::Completed || ev.client == FED_CLIENT {
             return;
         }
         let local = u64::try_from(task.index()).unwrap_or(u64::MAX);

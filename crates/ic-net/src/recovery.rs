@@ -59,7 +59,7 @@ use ic_dag::Dag;
 use ic_sched::policy::AllocationPolicy;
 use ic_sim::trace::{TornTail, TraceParseError, TraceReader};
 
-use crate::machine::{LeaseMachine, RestoreError};
+use crate::machine::{micros, LeaseMachine, RestoreError};
 use crate::reactor::{Driver, Reactor};
 use crate::server::ServerConfig;
 
@@ -74,17 +74,12 @@ pub struct RecoveryConfig {
     /// window closes, unresumed workers are served by lease expiry
     /// alone (a stray id can then no longer claim a slot).
     pub resume_window_ms: u64,
-    /// Physically truncate a torn final line off the trace file before
-    /// appending to it (default). Disable for a read-only dry run over
-    /// a file the caller does not want modified.
-    pub truncate_torn_tail: bool,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
             resume_window_ms: 2_000,
-            truncate_torn_tail: true,
         }
     }
 }
@@ -110,13 +105,6 @@ impl RecoveryConfigBuilder {
     /// resumes entirely — every recovered lease waits out its expiry).
     pub fn resume_window(mut self, ms: u64) -> Self {
         self.cfg.resume_window_ms = ms;
-        self
-    }
-
-    /// Leave a torn final line on disk instead of truncating it
-    /// (read-only dry runs).
-    pub fn keep_torn_tail(mut self) -> Self {
-        self.cfg.truncate_torn_tail = false;
         self
     }
 
@@ -217,8 +205,8 @@ impl From<RestoreError> for RecoverError {
 /// A machine rebuilt from a crashed run's trace, ready to serve again.
 ///
 /// Build with [`Recovery::replay`] (a trace file; truncates a torn
-/// tail unless configured otherwise) or [`Recovery::replay_str`]
-/// (in-memory text, no filesystem side effects). Inspect with
+/// tail) or [`Recovery::replay_str`] (in-memory text, no filesystem
+/// side effects — the read-only dry run). Inspect with
 /// [`Recovery::report`] / [`Recovery::state_json`], or hand it a
 /// [`Driver`] with [`Recovery::into_reactor`] to go live.
 pub struct Recovery<'a> {
@@ -235,9 +223,9 @@ pub struct Recovery<'a> {
 impl<'a> Recovery<'a> {
     /// Replay `path` and rebuild the machine. The header must match
     /// the given dag, policy, and config seed (IC0703 otherwise); a
-    /// torn final line is dropped, reported in the report, and —
-    /// unless [`RecoveryConfigBuilder::keep_torn_tail`] — truncated
-    /// off the file so the recovered server can append to it.
+    /// torn final line is dropped, reported in the report, and
+    /// truncated off the file so the recovered server can append to
+    /// it.
     pub fn replay(
         dag: &'a Dag,
         policy: &'a dyn AllocationPolicy,
@@ -248,7 +236,7 @@ impl<'a> Recovery<'a> {
         let path = path.as_ref();
         let text = fs::read_to_string(path)?;
         let recovery = Recovery::replay_str(dag, policy, cfg, rcfg, &text)?;
-        if recovery.report.torn_tail.is_some() && recovery.rcfg.truncate_torn_tail {
+        if recovery.report.torn_tail.is_some() {
             let file = fs::OpenOptions::new().write(true).open(path)?;
             file.set_len(recovery.report.valid_bytes)?;
         }
@@ -269,10 +257,7 @@ impl<'a> Recovery<'a> {
         // Restore "at" the crashed run's last recorded instant, so the
         // machine's clock origin lands at zero and a reactor driven by
         // an offset clock continues the trace's timestamps seamlessly.
-        let resumed_at_us = trace
-            .events
-            .last()
-            .map_or(0, |e| (e.time().max(0.0) * 1e6) as u64);
+        let resumed_at_us = trace.events.last().map_or(0, |e| micros(e.time));
         let machine = LeaseMachine::restore(
             dag,
             policy,
@@ -490,10 +475,9 @@ mod tests {
 
     /// `Recovery::replay` truncates the torn bytes off the file — the
     /// recovered server appends where the valid prefix ends, keeping
-    /// the file one parseable run — unless the operator asked to keep
-    /// them for forensics.
+    /// the file one parseable run.
     #[test]
-    fn replay_truncates_the_torn_file_unless_asked_to_keep_it() {
+    fn replay_truncates_the_torn_file() {
         let dag = from_arcs(3, &[]).unwrap();
         let policy = Policy::Fifo;
         let whole = crashed_trace_text(&dag);
@@ -501,16 +485,6 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("ic-net-torn-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
-
-        let kept = dir.join("kept.jsonl");
-        fs::write(&kept, &torn).unwrap();
-        let rcfg = RecoveryConfig::builder().keep_torn_tail().build();
-        Recovery::replay(&dag, &policy, cfg(), rcfg, &kept).unwrap();
-        assert_eq!(
-            fs::read_to_string(&kept).unwrap(),
-            torn,
-            "keep_torn_tail leaves the file alone"
-        );
 
         let trimmed = dir.join("trimmed.jsonl");
         fs::write(&trimmed, &torn).unwrap();

@@ -224,7 +224,7 @@ impl ServerConfigBuilder {
 }
 
 /// Summary of a completed serving run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 #[non_exhaustive]
 pub struct ServeReport {
     /// Tasks completed (equals the dag's node count on success).

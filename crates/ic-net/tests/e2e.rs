@@ -100,8 +100,11 @@ fn flaky_workers_complete_a_mesh_with_an_audit_clean_trace() {
 
     let trace = sink.into_trace().expect("header written");
     assert_eq!(trace.header.workers.len(), 6, "all six declared in header");
-    assert_eq!(trace.header.workers[3].id, "dies-early");
-    assert_eq!(trace.header.workers[2].speed, 2.0);
+    // Slots are handed out in connection order, which six racing
+    // threads do not fix: look the declarations up by id.
+    let declared = |id: &str| trace.header.workers.iter().find(|w| w.id == id);
+    assert!(declared("dies-early").is_some());
+    assert_eq!(declared("steady-c").map(|w| w.speed), Some(2.0));
     assert_eq!(trace.completion_order().len(), 66);
     assert!(
         worker_reports.iter().filter(|r| r.died).count() >= 2,
@@ -158,7 +161,7 @@ fn severed_connection_resumes_mid_lease_without_reallocation() {
     let resumed = trace
         .events
         .iter()
-        .filter(|e| matches!(e, ic_sim::TraceEvent::Resumed { .. }))
+        .filter(|e| e.kind == ic_sim::EventKind::Resumed)
         .count();
     assert_eq!(resumed, 1, "trace records the resume");
     assert_audit_clean(&trace);
@@ -260,24 +263,21 @@ fn drain_barrier_steal_first_completion_wins_and_loser_is_revoked() {
     assert_eq!(report.revokes, 1, "the straggler's lease was revoked");
 
     let trace = sink.into_trace().unwrap();
-    let kind_counts = |want: &str| {
-        trace
-            .events
-            .iter()
-            .filter(|e| match e {
-                ic_sim::TraceEvent::Speculated { .. } => want == "spec",
-                ic_sim::TraceEvent::Revoked { .. } => want == "revoke",
-                ic_sim::TraceEvent::Completed { .. } => want == "complete",
-                _ => false,
-            })
-            .count()
-    };
-    assert_eq!(kind_counts("spec"), 1, "the steal is in the trace");
-    assert_eq!(kind_counts("revoke"), 1, "so is the revocation");
+    let kind_counts = |want| trace.events.iter().filter(|e| e.kind == want).count();
+    assert_eq!(
+        kind_counts(ic_sim::EventKind::Speculated),
+        1,
+        "the steal is in the trace"
+    );
+    assert_eq!(
+        kind_counts(ic_sim::EventKind::Revoked),
+        1,
+        "so is the revocation"
+    );
     // The duplicate completion left no event: one allocation, the
     // thief's idle tick at the barrier, one speculation, one
     // completion, one revocation — nothing else.
-    assert_eq!(kind_counts("complete"), 1);
+    assert_eq!(kind_counts(ic_sim::EventKind::Completed), 1);
     assert_eq!(trace.events.len(), 5, "{:?}", trace.events);
     assert_audit_clean(&trace);
 }
@@ -513,7 +513,7 @@ fn expired_lease_reallocates_and_late_report_is_rejected() {
     let fails = trace
         .events
         .iter()
-        .filter(|e| matches!(e, ic_sim::TraceEvent::Failed { .. }))
+        .filter(|e| e.kind == ic_sim::EventKind::Failed)
         .count();
     assert_eq!(fails, 1, "trace records the expiry");
     assert_audit_clean(&trace);
@@ -602,7 +602,7 @@ fn request_while_leased_forfeits_the_old_task() {
     let fails = trace
         .events
         .iter()
-        .filter(|e| matches!(e, ic_sim::TraceEvent::Failed { .. }))
+        .filter(|e| e.kind == ic_sim::EventKind::Failed)
         .count();
     assert_eq!(fails, 1, "trace records the forfeit");
     assert_audit_clean(&trace);
@@ -758,7 +758,7 @@ fn mid_run_trace_snapshot_is_replayable_with_at_most_ic0405() {
     assert!(
         snap.events
             .iter()
-            .any(|e| matches!(e, ic_sim::TraceEvent::Failed { .. })),
+            .any(|e| e.kind == ic_sim::EventKind::Failed),
         "the flush point (the forfeit) is in the snapshot: {:?}",
         snap.events
     );
@@ -985,8 +985,8 @@ fn killed_server_recovers_from_its_wal_and_the_worker_resumes_across_restart() {
             .events
             .iter()
             .filter(|e| {
-                matches!(e, ic_sim::TraceEvent::Completed { task: t, .. }
-                    if t.index() as u64 == task)
+                e.kind == ic_sim::EventKind::Completed
+                    && e.task.is_some_and(|t| t.index() as u64 == task)
             })
             .count();
         assert_eq!(times, 1, "t{task} executed exactly once across the crash");
@@ -994,7 +994,7 @@ fn killed_server_recovers_from_its_wal_and_the_worker_resumes_across_restart() {
     let resumed = full
         .events
         .iter()
-        .filter(|e| matches!(e, ic_sim::TraceEvent::Resumed { .. }))
+        .filter(|e| e.kind == ic_sim::EventKind::Resumed)
         .count();
     assert_eq!(resumed, 1, "the cross-restart resume is in the trace");
     assert_audit_clean(&full);

@@ -42,6 +42,6 @@ pub use compare::{compare_policies, summarize_policy, PolicySummary};
 pub use metrics::SimResult;
 pub use server::{simulate, simulate_traced, ClientProfile, SimConfig};
 pub use trace::{
-    FedMeta, FileSink, MemorySink, NullSink, ReplayPolicy, Trace, TraceEvent, TraceHeader,
-    TraceSink, WorkerParams,
+    EventKind, FedMeta, FileSink, MemorySink, NullSink, ReplayPolicy, Trace, TraceEvent,
+    TraceHeader, TraceSink, WorkerParams,
 };

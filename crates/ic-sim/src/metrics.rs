@@ -6,7 +6,7 @@
 //! recomputes the same numbers from a captured [`Trace`]. One source of
 //! truth: what the auditor replays is exactly what the reports count.
 
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{EventKind, Trace, TraceEvent};
 
 /// The outcome of one simulated execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,7 +146,7 @@ impl SimResult {
 /// * `eligible_trace` starts at `(0, #sources)` and gains one sample
 ///   per completion/failure (the pool after newly enabled tasks joined
 ///   or the lost task re-entered, before re-allocation);
-/// * an [`TraceEvent::Idle`] among the first `clients` events is an
+/// * an [`EventKind::Idle`] among the first `clients` events is an
 ///   initial-batch shortfall;
 /// * an idle request while allocated work is outstanding (and the
 ///   computation unfinished) is a gridlock event;
@@ -178,37 +178,36 @@ impl MetricsFold {
     }
 
     pub(crate) fn apply(&mut self, ev: &TraceEvent) {
-        self.last_time = self.last_time.max(ev.time());
-        match *ev {
-            TraceEvent::Allocated { time, client, .. } => {
-                self.res.allocations += 1;
-                if client < self.clients {
+        let (time, client) = (ev.time, ev.client);
+        self.last_time = self.last_time.max(time);
+        let tracked = client < self.clients;
+        match ev.kind {
+            // A v3 speculative duplicate lease occupies its client like
+            // an allocation, without being one.
+            EventKind::Allocated | EventKind::Speculated => {
+                if ev.kind == EventKind::Allocated {
+                    self.res.allocations += 1;
+                }
+                if tracked {
                     self.res.idle_time += time - self.request_time[client];
                 }
             }
-            TraceEvent::Completed {
-                time, client, pool, ..
-            } => {
-                self.res.completions += 1;
-                if client < self.clients {
+            // A v3 revoke frees its client without being a completion
+            // or a failure (and carries no pool sample).
+            EventKind::Completed | EventKind::Failed | EventKind::Revoked => {
+                match ev.kind {
+                    EventKind::Completed => self.res.completions += 1,
+                    EventKind::Failed => self.res.failures += 1,
+                    _ => {}
+                }
+                if tracked {
                     self.request_time[client] = time;
                 }
-                if let Some(p) = pool {
+                if let Some(p) = ev.pool {
                     self.res.record_pool(time, p);
                 }
             }
-            TraceEvent::Failed {
-                time, client, pool, ..
-            } => {
-                self.res.failures += 1;
-                if client < self.clients {
-                    self.request_time[client] = time;
-                }
-                if let Some(p) = pool {
-                    self.res.record_pool(time, p);
-                }
-            }
-            TraceEvent::Idle { .. } => {
+            EventKind::Idle => {
                 let outstanding = self
                     .res
                     .allocations
@@ -220,22 +219,9 @@ impl MetricsFold {
                     self.res.unsatisfied_at_batch += 1;
                 }
             }
-            // v3 lease-lifecycle events from the networked server. A
-            // resume changes no metric (the original allocation is
-            // still open); a speculative duplicate lease occupies its
-            // client like an allocation; a revoke frees the client
-            // without being a completion or failure.
-            TraceEvent::Resumed { .. } => {}
-            TraceEvent::Speculated { time, client, .. } => {
-                if client < self.clients {
-                    self.res.idle_time += time - self.request_time[client];
-                }
-            }
-            TraceEvent::Revoked { time, client, .. } => {
-                if client < self.clients {
-                    self.request_time[client] = time;
-                }
-            }
+            // A v3 resume changes no metric: the original allocation is
+            // still open.
+            EventKind::Resumed => {}
         }
         self.events_seen += 1;
     }

@@ -9,7 +9,7 @@ use ic_sched::eligibility::ExecState;
 use ic_sched::policy::{AllocationPolicy, PolicyContext};
 
 use crate::metrics::{MetricsFold, SimResult};
-use crate::trace::{NullSink, TraceEvent, TraceHeader, TraceSink, WorkerParams};
+use crate::trace::{EventKind, NullSink, TraceEvent, TraceHeader, TraceSink, WorkerParams};
 
 /// Stochastic profile of the remote clients.
 #[derive(Debug, Clone)]
@@ -208,7 +208,19 @@ pub fn simulate_traced(
     let mut fold = MetricsFold::new(n, st.pool_len(), clients);
     let mut step = 0u64;
     // Metrics and sink see the identical stream, in emission order.
-    let mut emit = |fold: &mut MetricsFold, ev: TraceEvent| {
+    // `pool` is the ELIGIBLE-pool size after the event; a request that
+    // found no task (`None`) is the idle event.
+    let mut emit = |fold: &mut MetricsFold,
+                    kind: EventKind,
+                    time: f64,
+                    client: usize,
+                    task: Option<NodeId>,
+                    pool: usize| {
+        let ev = match task {
+            Some(task) => TraceEvent::on_task(kind, step, time, client, task, Some(pool)),
+            None => TraceEvent::idle(step, time, client),
+        };
+        step += 1;
         fold.apply(&ev);
         sink.record(&ev);
     };
@@ -249,35 +261,19 @@ pub fn simulate_traced(
     // Initial batch of requests at t = 0.
     for client in 0..clients {
         if st.pool_len() == 0 {
-            emit(
-                &mut fold,
-                TraceEvent::Idle {
-                    step,
-                    time: 0.0,
-                    client,
-                },
-            );
-            step += 1;
+            emit(&mut fold, EventKind::Idle, 0.0, client, None, 0);
             waiting.push((client, 0.0));
         } else {
             let (v, done) = allocate(&mut rng, &mut st, client, 0.0);
             events.push(Reverse((Time(done), client, v)));
-            emit(
-                &mut fold,
-                TraceEvent::Allocated {
-                    step,
-                    time: 0.0,
-                    client,
-                    task: v,
-                    pool: Some(st.pool_len()),
-                },
-            );
-            step += 1;
+            let pool = st.pool_len();
+            emit(&mut fold, EventKind::Allocated, 0.0, client, Some(v), pool);
         }
     }
 
     while let Some(Reverse((Time(now), client, v))) = events.pop() {
-        if cfg.clients.failure_prob > 0.0 && rng.gen_f64() < cfg.clients.failure_prob {
+        let outcome = if cfg.clients.failure_prob > 0.0 && rng.gen_f64() < cfg.clients.failure_prob
+        {
             // The client lost the task: it returns to the pool (its
             // parents are all executed, so it is still ELIGIBLE).
             let unclaimed = st.unclaim(v).is_ok();
@@ -285,33 +281,15 @@ pub fn simulate_traced(
                 unclaimed,
                 "a lost task was claimed, hence ELIGIBLE and unpooled"
             );
-            emit(
-                &mut fold,
-                TraceEvent::Failed {
-                    step,
-                    time: now,
-                    client,
-                    task: v,
-                    pool: Some(st.pool_len()),
-                },
-            );
+            EventKind::Failed
         } else {
             // Executing a claimed task auto-pools its newly ELIGIBLE
             // children in id order.
             let executed = st.execute_counting(v).is_ok();
             debug_assert!(executed, "simulation executes tasks in a valid order");
-            emit(
-                &mut fold,
-                TraceEvent::Completed {
-                    step,
-                    time: now,
-                    client,
-                    task: v,
-                    pool: Some(st.pool_len()),
-                },
-            );
-        }
-        step += 1;
+            EventKind::Completed
+        };
+        emit(&mut fold, outcome, now, client, Some(v), st.pool_len());
 
         // The finishing client requests again, after any already-waiting
         // clients are served (FIFO among clients).
@@ -323,15 +301,7 @@ pub fn simulate_traced(
                 // empty pool: the metrics fold counts it as gridlock
                 // when allocated work is still outstanding.
                 if since == now {
-                    emit(
-                        &mut fold,
-                        TraceEvent::Idle {
-                            step,
-                            time: now,
-                            client: cl,
-                        },
-                    );
-                    step += 1;
+                    emit(&mut fold, EventKind::Idle, now, cl, None, 0);
                 }
                 still_waiting.push((cl, since));
             } else {
@@ -339,15 +309,12 @@ pub fn simulate_traced(
                 events.push(Reverse((Time(done), cl, w)));
                 emit(
                     &mut fold,
-                    TraceEvent::Allocated {
-                        step,
-                        time: now,
-                        client: cl,
-                        task: w,
-                        pool: Some(st.pool_len()),
-                    },
+                    EventKind::Allocated,
+                    now,
+                    cl,
+                    Some(w),
+                    st.pool_len(),
                 );
-                step += 1;
             }
         }
         waiting = still_waiting;

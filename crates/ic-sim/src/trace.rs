@@ -183,158 +183,139 @@ impl TraceHeader {
     }
 }
 
-/// One step of an execution, with its logical timestamp.
-///
-/// `step` is the global event index (0-based, monotone); `time` is the
-/// run's clock — simulated time units for `ic-sim`, elapsed seconds for
-/// `ic-exec`. `pool` is the size of the ELIGIBLE-and-unallocated pool
-/// *after* the event applied, when the emitter tracks it (`None` for
-/// the real executor, whose pool is sharded across worker deques).
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// The server allocated `task` to `client`.
-    Allocated {
-        /// Global event index.
-        step: u64,
-        /// Event timestamp.
-        time: f64,
-        /// Receiving client.
-        client: usize,
-        /// Allocated task.
-        task: NodeId,
-        /// ELIGIBLE-pool size after the allocation, if tracked.
-        pool: Option<usize>,
-    },
-    /// `client` returned a completed `task`.
-    Completed {
-        /// Global event index.
-        step: u64,
-        /// Event timestamp.
-        time: f64,
-        /// Reporting client.
-        client: usize,
-        /// Completed task.
-        task: NodeId,
-        /// ELIGIBLE-pool size after newly enabled tasks joined, if tracked.
-        pool: Option<usize>,
-    },
-    /// `client` lost `task` (crash or bad result); the task returned to
-    /// the ELIGIBLE pool.
-    Failed {
-        /// Global event index.
-        step: u64,
-        /// Event timestamp.
-        time: f64,
-        /// Failing client.
-        client: usize,
-        /// Lost task.
-        task: NodeId,
-        /// ELIGIBLE-pool size after the task re-entered, if tracked.
-        pool: Option<usize>,
-    },
-    /// `client` requested work and none could be allocated — the
+/// The pseudo-client id recorded on trace events caused by the
+/// *federation* rather than by a worker: stub allocations at the
+/// header, and completions applied from a peer shard's `remote-done`.
+/// Chosen far above any real slot index, and exactly representable as
+/// an `f64` so it survives the JSON number path unchanged.
+pub const FED_CLIENT: usize = 1 << 32;
+
+/// What a [`TraceEvent`] records. The kind owns the JSONL `type` name
+/// ([`EventKind::name`]) and the rule for which events carry a pool
+/// sample ([`EventKind::carries_pool`]); every kind but
+/// [`EventKind::Idle`] concerns a task.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventKind {
+    /// The server allocated the task to the client.
+    Allocated,
+    /// The client returned the completed task.
+    Completed,
+    /// The client lost the task (crash or bad result); the task
+    /// returned to the ELIGIBLE pool.
+    Failed,
+    /// The client requested work and none could be allocated — the
     /// paper's gridlock scenario when allocated work is outstanding.
-    Idle {
-        /// Global event index.
-        step: u64,
-        /// Event timestamp.
-        time: f64,
-        /// Unserved client.
-        client: usize,
-    },
-    /// `client` reconnected (resume token) and kept its lease on
-    /// `task`: the allocation stays open, nothing re-enters the pool.
+    Idle,
+    /// The client reconnected (resume token) and kept its lease on the
+    /// task: the allocation stays open, nothing re-enters the pool.
     /// Emitted once per lease the resume restored (v3).
-    Resumed {
-        /// Global event index.
-        step: u64,
-        /// Event timestamp.
-        time: f64,
-        /// Reconnecting client.
-        client: usize,
-        /// The task whose lease survived the reconnect.
-        task: NodeId,
-    },
-    /// `client` received a *speculative* duplicate lease on an
-    /// in-flight `task` (drain-barrier work stealing). The task was
+    Resumed,
+    /// The client received a *speculative* duplicate lease on the
+    /// in-flight task (drain-barrier work stealing). The task was
     /// already allocated, so the pool does not shrink (v3).
-    Speculated {
-        /// Global event index.
-        step: u64,
-        /// Event timestamp.
-        time: f64,
-        /// The idle client stealing the in-flight task.
-        client: usize,
-        /// The duplicated task.
-        task: NodeId,
-        /// ELIGIBLE-pool size after the event (unchanged by it), if
-        /// tracked.
-        pool: Option<usize>,
-    },
-    /// `client`'s duplicate lease on `task` was cancelled: another
+    Speculated,
+    /// The client's duplicate lease on the task was cancelled: another
     /// holder completed it first. Not a failure — the work was simply
     /// redundant (v3).
-    Revoked {
-        /// Global event index.
-        step: u64,
-        /// Event timestamp.
-        time: f64,
-        /// The client losing its duplicate lease.
-        client: usize,
-        /// The already-completed task.
-        task: NodeId,
-    },
+    Revoked,
+}
+
+impl EventKind {
+    /// Every kind, in the order the format grew them.
+    const ALL: [EventKind; 7] = [
+        EventKind::Allocated,
+        EventKind::Completed,
+        EventKind::Failed,
+        EventKind::Idle,
+        EventKind::Resumed,
+        EventKind::Speculated,
+        EventKind::Revoked,
+    ];
+
+    /// The JSONL `type` name.
+    pub fn name(self) -> &'static str {
+        match self {
+            EventKind::Allocated => "alloc",
+            EventKind::Completed => "complete",
+            EventKind::Failed => "fail",
+            EventKind::Idle => "idle",
+            EventKind::Resumed => "resume",
+            EventKind::Speculated => "spec",
+            EventKind::Revoked => "revoke",
+        }
+    }
+
+    /// The kind a JSONL `type` name denotes.
+    pub fn from_name(name: &str) -> Option<EventKind> {
+        EventKind::ALL.into_iter().find(|k| k.name() == name)
+    }
+
+    /// Whether events of this kind record the ELIGIBLE-pool size after
+    /// they applied: the ones that can move the pool, plus `spec`,
+    /// which asserts it did not move.
+    pub fn carries_pool(self) -> bool {
+        matches!(
+            self,
+            EventKind::Allocated | EventKind::Completed | EventKind::Failed | EventKind::Speculated
+        )
+    }
+}
+
+/// One step of an execution, with its logical timestamp.
+///
+/// Build events with [`TraceEvent::on_task`] and [`TraceEvent::idle`]
+/// (the parser does the same): they keep `task` absent exactly on
+/// [`EventKind::Idle`] and `pool` absent on kinds that carry none.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TraceEvent {
+    /// Global event index (0-based, monotone).
+    pub step: u64,
+    /// The run's clock — simulated time units for `ic-sim`, elapsed
+    /// seconds for `ic-exec` and `ic-net`.
+    pub time: f64,
+    /// The client (worker slot) the event concerns.
+    pub client: usize,
+    /// What happened.
+    pub kind: EventKind,
+    /// The task concerned; `None` exactly for [`EventKind::Idle`].
+    pub task: Option<NodeId>,
+    /// Size of the ELIGIBLE-and-unallocated pool *after* the event
+    /// applied, when the emitter tracks it (`None` for the real
+    /// executor, whose pool is sharded across worker deques).
+    pub pool: Option<usize>,
 }
 
 impl TraceEvent {
-    /// Global event index.
-    pub fn step(&self) -> u64 {
-        match *self {
-            TraceEvent::Allocated { step, .. }
-            | TraceEvent::Completed { step, .. }
-            | TraceEvent::Failed { step, .. }
-            | TraceEvent::Idle { step, .. }
-            | TraceEvent::Resumed { step, .. }
-            | TraceEvent::Speculated { step, .. }
-            | TraceEvent::Revoked { step, .. } => step,
+    /// A `kind` event about `task`. `pool` is kept only when `kind`
+    /// [carries one](EventKind::carries_pool).
+    pub fn on_task(
+        kind: EventKind,
+        step: u64,
+        time: f64,
+        client: usize,
+        task: NodeId,
+        pool: Option<usize>,
+    ) -> TraceEvent {
+        debug_assert!(kind != EventKind::Idle, "idle events concern no task");
+        TraceEvent {
+            step,
+            time,
+            client,
+            kind,
+            task: Some(task),
+            pool: pool.filter(|_| kind.carries_pool()),
         }
     }
 
-    /// Event timestamp.
-    pub fn time(&self) -> f64 {
-        match *self {
-            TraceEvent::Allocated { time, .. }
-            | TraceEvent::Completed { time, .. }
-            | TraceEvent::Failed { time, .. }
-            | TraceEvent::Idle { time, .. }
-            | TraceEvent::Resumed { time, .. }
-            | TraceEvent::Speculated { time, .. }
-            | TraceEvent::Revoked { time, .. } => time,
-        }
-    }
-
-    /// The client (worker slot) the event concerns.
-    pub fn client(&self) -> usize {
-        match *self {
-            TraceEvent::Allocated { client, .. }
-            | TraceEvent::Completed { client, .. }
-            | TraceEvent::Failed { client, .. }
-            | TraceEvent::Idle { client, .. }
-            | TraceEvent::Resumed { client, .. }
-            | TraceEvent::Speculated { client, .. }
-            | TraceEvent::Revoked { client, .. } => client,
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::Allocated { .. } => "alloc",
-            TraceEvent::Completed { .. } => "complete",
-            TraceEvent::Failed { .. } => "fail",
-            TraceEvent::Idle { .. } => "idle",
-            TraceEvent::Resumed { .. } => "resume",
-            TraceEvent::Speculated { .. } => "spec",
-            TraceEvent::Revoked { .. } => "revoke",
+    /// `client` requested work and none could be allocated.
+    pub fn idle(step: u64, time: f64, client: usize) -> TraceEvent {
+        TraceEvent {
+            step,
+            time,
+            client,
+            kind: EventKind::Idle,
+            task: None,
+            pool: None,
         }
     }
 
@@ -342,25 +323,16 @@ impl TraceEvent {
     pub fn to_json_line(&self) -> String {
         let mut line = format!(
             "{{\"type\":\"{}\",\"step\":{},\"t\":{},\"client\":{}",
-            self.kind(),
-            self.step(),
-            self.time(),
-            self.client()
+            self.kind.name(),
+            self.step,
+            self.time,
+            self.client
         );
-        match *self {
-            TraceEvent::Allocated { task, pool, .. }
-            | TraceEvent::Completed { task, pool, .. }
-            | TraceEvent::Failed { task, pool, .. }
-            | TraceEvent::Speculated { task, pool, .. } => {
-                line.push_str(&format!(",\"task\":{}", task.0));
-                if let Some(p) = pool {
-                    line.push_str(&format!(",\"pool\":{p}"));
-                }
-            }
-            TraceEvent::Resumed { task, .. } | TraceEvent::Revoked { task, .. } => {
-                line.push_str(&format!(",\"task\":{}", task.0));
-            }
-            TraceEvent::Idle { .. } => {}
+        if let Some(task) = self.task {
+            line.push_str(&format!(",\"task\":{}", task.0));
+        }
+        if let Some(p) = self.pool {
+            line.push_str(&format!(",\"pool\":{p}"));
         }
         line.push_str("}\n");
         line
@@ -420,7 +392,7 @@ impl TraceSink for MemorySink {
     }
 
     fn record(&mut self, event: &TraceEvent) {
-        self.events.push(event.clone());
+        self.events.push(*event);
     }
 }
 
@@ -532,7 +504,7 @@ impl TraceSink for FileSink {
         // Write-ahead-log rule: every event crash recovery replays
         // reaches the OS before the server acts on it being durable.
         // Only `Idle` — pure gridlock telemetry — batches.
-        if !matches!(event, TraceEvent::Idle { .. }) {
+        if event.kind != EventKind::Idle {
             self.flush_lines();
         }
     }
@@ -587,24 +559,20 @@ impl Trace {
     /// (`spec` events) are *not* allocations in the scheduling sense —
     /// their task was already counted — so they are excluded.
     pub fn allocation_order(&self) -> Vec<NodeId> {
-        self.events
-            .iter()
-            .filter_map(|ev| match *ev {
-                TraceEvent::Allocated { task, .. } => Some(task),
-                _ => None,
-            })
-            .collect()
+        self.tasks_of(EventKind::Allocated)
     }
 
     /// The tasks in completion order — the execution order the run
     /// actually realized, comparable against the optimal envelope.
     pub fn completion_order(&self) -> Vec<NodeId> {
+        self.tasks_of(EventKind::Completed)
+    }
+
+    fn tasks_of(&self, kind: EventKind) -> Vec<NodeId> {
         self.events
             .iter()
-            .filter_map(|ev| match *ev {
-                TraceEvent::Completed { task, .. } => Some(task),
-                _ => None,
-            })
+            .filter(|ev| ev.kind == kind)
+            .filter_map(|ev| ev.task)
             .collect()
     }
 
@@ -617,47 +585,28 @@ impl Trace {
         let mut out = vec![Vec::new(); self.header.clients];
         let mut open: Vec<(usize, NodeId, f64)> = Vec::new();
         for ev in &self.events {
-            match *ev {
-                TraceEvent::Allocated {
-                    client, task, time, ..
-                } => {
+            let Some(task) = ev.task else { continue };
+            let client = ev.client;
+            match ev.kind {
+                // A speculative duplicate lease opens a service
+                // interval of its own for the stealing client.
+                EventKind::Allocated | EventKind::Speculated => {
                     if client >= out.len() {
                         out.resize(client + 1, Vec::new());
                     }
-                    open.push((client, task, time));
+                    open.push((client, task, ev.time));
                 }
-                TraceEvent::Speculated {
-                    client, task, time, ..
-                } => {
-                    // A speculative duplicate lease opens a service
-                    // interval of its own for the stealing client.
-                    if client >= out.len() {
-                        out.resize(client + 1, Vec::new());
-                    }
-                    open.push((client, task, time));
-                }
-                TraceEvent::Completed {
-                    client, task, time, ..
-                }
-                | TraceEvent::Failed {
-                    client, task, time, ..
-                } => {
+                // A revoked duplicate produced no outcome: its interval
+                // closes without recording a sample.
+                EventKind::Completed | EventKind::Failed | EventKind::Revoked => {
                     if let Some(i) = open.iter().position(|&(c, t, _)| c == client && t == task) {
                         let (_, _, start) = open.swap_remove(i);
-                        if client >= out.len() {
-                            out.resize(client + 1, Vec::new());
+                        if ev.kind != EventKind::Revoked {
+                            out[client].push(ev.time - start);
                         }
-                        out[client].push(time - start);
                     }
                 }
-                TraceEvent::Revoked { client, task, .. } => {
-                    // A revoked duplicate produced no outcome: close
-                    // the open interval without recording a sample.
-                    if let Some(i) = open.iter().position(|&(c, t, _)| c == client && t == task) {
-                        open.swap_remove(i);
-                    }
-                }
-                TraceEvent::Idle { .. } | TraceEvent::Resumed { .. } => {}
+                EventKind::Idle | EventKind::Resumed => {}
             }
         }
         out
@@ -998,14 +947,10 @@ fn parse_event(kind: &str, v: &Json, lineno: usize) -> Result<TraceEvent, TraceP
     let client = field(v, "client", lineno)?
         .as_usize()
         .ok_or_else(|| bad("client"))?;
-    if kind == "idle" {
-        return Ok(TraceEvent::Idle { step, time, client });
-    }
-    if !matches!(
-        kind,
-        "alloc" | "complete" | "fail" | "resume" | "spec" | "revoke"
-    ) {
-        return Err(err(lineno, format!("unknown event type \"{kind}\"")));
+    let kind = EventKind::from_name(kind)
+        .ok_or_else(|| err(lineno, format!("unknown event type \"{kind}\"")))?;
+    if kind == EventKind::Idle {
+        return Ok(TraceEvent::idle(step, time, client));
     }
     let task = NodeId(
         field(v, "task", lineno)?
@@ -1017,48 +962,7 @@ fn parse_event(kind: &str, v: &Json, lineno: usize) -> Result<TraceEvent, TraceP
         Some(p) => Some(p.as_usize().ok_or_else(|| bad("pool"))?),
         None => None,
     };
-    match kind {
-        "alloc" => Ok(TraceEvent::Allocated {
-            step,
-            time,
-            client,
-            task,
-            pool,
-        }),
-        "complete" => Ok(TraceEvent::Completed {
-            step,
-            time,
-            client,
-            task,
-            pool,
-        }),
-        "resume" => Ok(TraceEvent::Resumed {
-            step,
-            time,
-            client,
-            task,
-        }),
-        "spec" => Ok(TraceEvent::Speculated {
-            step,
-            time,
-            client,
-            task,
-            pool,
-        }),
-        "revoke" => Ok(TraceEvent::Revoked {
-            step,
-            time,
-            client,
-            task,
-        }),
-        _ => Ok(TraceEvent::Failed {
-            step,
-            time,
-            client,
-            task,
-            pool,
-        }),
-    }
+    Ok(TraceEvent::on_task(kind, step, time, client, task, pool))
 }
 
 /// Replays a fixed allocation order as a dynamic [`AllocationPolicy`]:
@@ -1155,32 +1059,10 @@ mod tests {
                 fed: None,
             },
             events: vec![
-                TraceEvent::Allocated {
-                    step: 0,
-                    time: 0.0,
-                    client: 0,
-                    task: NodeId(0),
-                    pool: Some(0),
-                },
-                TraceEvent::Idle {
-                    step: 1,
-                    time: 0.0,
-                    client: 1,
-                },
-                TraceEvent::Completed {
-                    step: 2,
-                    time: 1.25,
-                    client: 0,
-                    task: NodeId(0),
-                    pool: Some(2),
-                },
-                TraceEvent::Failed {
-                    step: 3,
-                    time: 2.5,
-                    client: 1,
-                    task: NodeId(2),
-                    pool: None,
-                },
+                TraceEvent::on_task(EventKind::Allocated, 0, 0.0, 0, NodeId(0), Some(0)),
+                TraceEvent::idle(1, 0.0, 1),
+                TraceEvent::on_task(EventKind::Completed, 2, 1.25, 0, NodeId(0), Some(2)),
+                TraceEvent::on_task(EventKind::Failed, 3, 2.5, 1, NodeId(2), None),
             ],
         }
     }
@@ -1222,32 +1104,10 @@ mod tests {
     fn v3_lease_events_round_trip_and_stay_out_of_the_orders() {
         let mut t = sample_trace();
         t.events.extend([
-            TraceEvent::Resumed {
-                step: 4,
-                time: 3.0,
-                client: 0,
-                task: NodeId(1),
-            },
-            TraceEvent::Speculated {
-                step: 5,
-                time: 3.5,
-                client: 1,
-                task: NodeId(1),
-                pool: Some(0),
-            },
-            TraceEvent::Speculated {
-                step: 6,
-                time: 3.75,
-                client: 0,
-                task: NodeId(2),
-                pool: None,
-            },
-            TraceEvent::Revoked {
-                step: 7,
-                time: 4.0,
-                client: 1,
-                task: NodeId(1),
-            },
+            TraceEvent::on_task(EventKind::Resumed, 4, 3.0, 0, NodeId(1), None),
+            TraceEvent::on_task(EventKind::Speculated, 5, 3.5, 1, NodeId(1), Some(0)),
+            TraceEvent::on_task(EventKind::Speculated, 6, 3.75, 0, NodeId(2), None),
+            TraceEvent::on_task(EventKind::Revoked, 7, 4.0, 1, NodeId(1), None),
         ]);
         let back = Trace::from_jsonl(&t.to_jsonl()).unwrap();
         assert_eq!(back, t);
@@ -1260,19 +1120,8 @@ mod tests {
     fn revoked_speculation_records_no_service_time() {
         let mut t = sample_trace();
         t.events.extend([
-            TraceEvent::Speculated {
-                step: 4,
-                time: 3.0,
-                client: 1,
-                task: NodeId(1),
-                pool: Some(0),
-            },
-            TraceEvent::Revoked {
-                step: 5,
-                time: 4.0,
-                client: 1,
-                task: NodeId(1),
-            },
+            TraceEvent::on_task(EventKind::Speculated, 4, 3.0, 1, NodeId(1), Some(0)),
+            TraceEvent::on_task(EventKind::Revoked, 5, 4.0, 1, NodeId(1), None),
         ]);
         let obs = t.observed_service_times();
         assert!(obs[1].is_empty(), "revoked work yields no sample");
@@ -1280,20 +1129,8 @@ mod tests {
         // An accepted speculative completion does yield one.
         let mut t2 = sample_trace();
         t2.events.extend([
-            TraceEvent::Speculated {
-                step: 4,
-                time: 3.0,
-                client: 1,
-                task: NodeId(1),
-                pool: Some(0),
-            },
-            TraceEvent::Completed {
-                step: 5,
-                time: 4.5,
-                client: 1,
-                task: NodeId(1),
-                pool: Some(0),
-            },
+            TraceEvent::on_task(EventKind::Speculated, 4, 3.0, 1, NodeId(1), Some(0)),
+            TraceEvent::on_task(EventKind::Completed, 5, 4.5, 1, NodeId(1), Some(0)),
         ]);
         assert_eq!(t2.observed_service_times()[1], vec![1.5]);
     }
@@ -1345,7 +1182,7 @@ mod tests {
         // Header plus everything up to the lease-affecting event
         // survive; the buffered tail is gone but nothing is mangled.
         assert_eq!(back.header, t.header);
-        assert_eq!(back.events, vec![t.events[0].clone(), t.events[3].clone()]);
+        assert_eq!(back.events, vec![t.events[0], t.events[3]]);
     }
 
     #[test]

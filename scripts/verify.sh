@@ -295,4 +295,7 @@ cp "$tmpdir/resume.jsonl" target/verify/resume-trace.jsonl
 cp "$tmpdir/wal.jsonl" target/verify/recovered-trace.jsonl
 cp "$tmpdir/merged.jsonl" target/verify/merged-trace.jsonl
 
+echo "==> scripts/loc.sh (lines of Rust per crate)"
+scripts/loc.sh
+
 echo "verify: all green"

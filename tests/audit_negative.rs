@@ -246,16 +246,18 @@ fn traced(dag: &Dag, sched: &Schedule) -> ic_scheduling::sim::Trace {
 /// is IC0401, on every family fixture.
 #[test]
 fn non_eligible_allocation_is_ic0401_across_families() {
-    use ic_scheduling::sim::TraceEvent;
+    use ic_scheduling::sim::EventKind;
     for (name, dag, sched) in fixtures() {
         let mut trace = traced(&dag, &sched);
         // Point the first allocation at the last-scheduled task — a
         // sink (or at least a non-source) in every fixture.
         let victim = *sched.order().last().unwrap();
-        let TraceEvent::Allocated { task, .. } = &mut trace.events[0] else {
-            panic!("{name}: first event is an allocation");
-        };
-        *task = victim;
+        assert_eq!(
+            trace.events[0].kind,
+            EventKind::Allocated,
+            "{name}: first event is an allocation"
+        );
+        trace.events[0].task = Some(victim);
         let diags = ic_scheduling::audit::audit_trace(&trace);
         assert!(
             codes(&diags).contains(&NON_ELIGIBLE_ALLOCATION),
@@ -267,13 +269,13 @@ fn non_eligible_allocation_is_ic0401_across_families() {
 /// Deleting an allocation leaves its completion dangling: IC0402.
 #[test]
 fn dangling_completion_is_ic0402() {
-    use ic_scheduling::sim::TraceEvent;
+    use ic_scheduling::sim::EventKind;
     for (name, dag, sched) in fixtures() {
         let mut trace = traced(&dag, &sched);
         let i = trace
             .events
             .iter()
-            .position(|e| matches!(e, TraceEvent::Allocated { .. }))
+            .position(|e| e.kind == EventKind::Allocated)
             .unwrap();
         trace.events.remove(i);
         let diags = ic_scheduling::audit::audit_trace(&trace);
@@ -288,12 +290,12 @@ fn dangling_completion_is_ic0402() {
 /// first divergence.
 #[test]
 fn inflated_pool_is_ic0403() {
-    use ic_scheduling::sim::TraceEvent;
+    use ic_scheduling::sim::EventKind;
     let (name, dag, sched) = fixtures().remove(2);
     let mut trace = traced(&dag, &sched);
     for ev in &mut trace.events {
-        if let TraceEvent::Completed { pool, .. } = ev {
-            *pool = pool.map(|p| p + 2);
+        if ev.kind == EventKind::Completed {
+            ev.pool = ev.pool.map(|p| p + 2);
         }
     }
     let diags = ic_scheduling::audit::audit_trace(&trace);
@@ -307,13 +309,13 @@ fn inflated_pool_is_ic0403() {
 /// Cutting the trace before its last completion is IC0405.
 #[test]
 fn truncated_trace_is_ic0405() {
-    use ic_scheduling::sim::TraceEvent;
+    use ic_scheduling::sim::EventKind;
     for (name, dag, sched) in fixtures() {
         let mut trace = traced(&dag, &sched);
         let last = trace
             .events
             .iter()
-            .rposition(|e| matches!(e, TraceEvent::Completed { .. }))
+            .rposition(|e| e.kind == EventKind::Completed)
             .unwrap();
         trace.events.truncate(last);
         let diags = ic_scheduling::audit::audit_trace(&trace);

@@ -90,7 +90,7 @@ fn failures_reallocate_and_still_replay_clean() {
         let has_failure = trace
             .events
             .iter()
-            .any(|e| matches!(e, ic_scheduling::sim::TraceEvent::Failed { .. }));
+            .any(|e| e.kind == ic_scheduling::sim::EventKind::Failed);
         let parsed = Trace::from_jsonl(&trace.to_jsonl()).unwrap();
         let diags = audit_trace(&parsed);
         assert!(
