@@ -140,7 +140,7 @@ pub enum IoEvent {
     /// Bytes arrived on a connection (any chunking; the reactor's
     /// per-connection [`Decoder`] reassembles frames).
     Data(ConnId, Vec<u8>),
-    /// The connection is gone: EOF, transport error, or a failed send.
+    /// The connection is gone: EOF, transport error, or a failed write.
     /// Not emitted for connections the *reactor* closed.
     Closed(ConnId),
 }
@@ -154,13 +154,18 @@ pub trait Poller {
     /// empty).
     fn poll(&mut self, timeout: Duration, out: &mut Vec<IoEvent>) -> io::Result<()>;
 
-    /// Queue `bytes` on a connection, transmitting as much as the
-    /// transport accepts now and the rest as it drains. A send to a
-    /// dead connection must surface as a later
-    /// [`IoEvent::Closed`], never as an error here.
+    /// Queue `bytes` on a connection; nothing is transmitted until
+    /// [`flush`](Poller::flush). A connection that is gone drops them.
     fn send(&mut self, conn: ConnId, bytes: &[u8]);
 
-    /// Close a connection after flushing its pending output. No
+    /// Transmit what was queued since the last flush (the reactor
+    /// calls this once per poll round, after the round's trace lines
+    /// reached the OS): one write per connection with output, as much
+    /// as the transport accepts now and the rest as it drains. A dead
+    /// connection surfaces as a later [`IoEvent::Closed`], never here.
+    fn flush(&mut self);
+
+    /// Close a connection once its queued output is out. No
     /// [`IoEvent::Closed`] is reported for it.
     fn close(&mut self, conn: ConnId);
 
@@ -178,7 +183,7 @@ pub trait Poller {
 }
 
 /// A sharded hash table keyed by [`ConnId`], used for the reactor's
-/// connection state and the TCP poller's socket table. Sharding keeps
+/// connection state and the pollers' link tables. Sharding keeps
 /// each underlying map small (cheaper rehashing at 10k-connection
 /// scale) and gives iteration a natural batch structure; the shard
 /// count is a [`ServerConfig::shards`] knob.
@@ -529,6 +534,10 @@ impl<'a> Reactor<'a> {
     /// Serve until the dag completes and the drain grace expires (or
     /// every connection is gone), streaming every decision into
     /// `sink` (header first, then events in server order).
+    ///
+    /// The poll round is the unit of I/O: while its frames are stepped
+    /// trace lines are buffered and replies queued, then `sink.flush()`
+    /// and only then `poller.flush()`; a sink error ends the run first.
     pub fn run_until_drain(&mut self, sink: &mut dyn TraceSink) -> io::Result<ServeReport> {
         let now = self.clock.now_us();
         let fx = self.machine.boot(now);
@@ -554,10 +563,19 @@ impl<'a> Reactor<'a> {
         let poll_timeout = Duration::from_millis(self.cfg.poll_timeout_ms.max(1));
         let drain_grace_us = self.cfg.lease_ms.max(250).saturating_mul(1000);
         let mut done_at: Option<u64> = None;
+        let mut drained = false;
         let mut events: Vec<IoEvent> = Vec::new();
         let mut fired: Vec<Deadline> = Vec::new();
 
         loop {
+            // The one commit point, WAL before wire: a kill inside a
+            // round loses only events no peer heard of (DESIGN §4h).
+            sink.flush()?;
+            self.poller.flush();
+            if drained {
+                break;
+            }
+
             events.clear();
             self.poller.poll(poll_timeout, &mut events)?;
             for ev in events.drain(..) {
@@ -604,20 +622,12 @@ impl<'a> Reactor<'a> {
                 if self.fed.as_ref().is_some_and(|f| !f.drain_sent) {
                     self.broadcast_drain();
                 }
-                let linger_us = self
-                    .fed
-                    .as_ref()
-                    .map(|f| f.cfg.linger_ms.saturating_mul(1000))
-                    .unwrap_or(0);
-                let peers_done = match &self.fed {
-                    None => true,
-                    Some(f) => f.all_drained() || now.saturating_sub(reached) >= linger_us,
-                };
-                let workers_done =
-                    self.machine.connected() == 0 || now.saturating_sub(reached) >= drain_grace_us;
-                if peers_done && workers_done {
-                    break;
-                }
+                let waited = now.saturating_sub(reached);
+                let peers_done = self.fed.as_ref().is_none_or(|f| {
+                    f.all_drained() || waited >= f.cfg.linger_ms.saturating_mul(1000)
+                });
+                let workers_done = self.machine.connected() == 0 || waited >= drain_grace_us;
+                drained = peers_done && workers_done;
             }
         }
         let mut report = self.machine.summary(self.clock.now_us());
@@ -1124,6 +1134,88 @@ impl std::fmt::Debug for Reactor<'_> {
     }
 }
 
+/// One poller connection: a socket or channel sender, and its output.
+struct Link<T> {
+    io: T,
+    wbuf: Vec<u8>,
+    /// Reactor asked to close once `wbuf` drains.
+    closing: bool,
+}
+
+/// A poller's connections and the queue-then-flush half of the
+/// [`Poller`] contract, written once for sockets and channels alike.
+struct Links<T> {
+    table: ShardedTable<Link<T>>,
+    /// Connections that queued output since the last flush.
+    dirty: Vec<ConnId>,
+    /// `Closed` events found outside `poll` (failed flushes).
+    pending: Vec<IoEvent>,
+}
+
+impl<T> Links<T> {
+    fn new(shards: usize) -> Links<T> {
+        Links {
+            table: ShardedTable::new(shards),
+            dirty: Vec::new(),
+            pending: Vec::new(),
+        }
+    }
+
+    fn open(&mut self, id: ConnId, io: T) {
+        let (wbuf, closing) = (Vec::new(), false);
+        self.table.insert(id, Link { io, wbuf, closing });
+    }
+
+    /// [`Poller::send`]: queue only.
+    fn send(&mut self, id: ConnId, bytes: &[u8]) {
+        if let Some(link) = self.table.get_mut(id) {
+            // An empty buffer is a connection not yet on the dirty
+            // list; residue of an earlier flush is the scan's to drain.
+            if link.wbuf.is_empty() {
+                self.dirty.push(id);
+            }
+            link.wbuf.extend_from_slice(bytes);
+        }
+    }
+
+    /// [`Poller::flush`], over the dirty list only. `write` sends what
+    /// the transport takes now and returns `false` for a dead peer.
+    fn flush(&mut self, write: fn(&mut T, &mut Vec<u8>) -> bool) {
+        for id in self.dirty.drain(..) {
+            if let Some(link) = self.table.get_mut(id) {
+                let alive = write(&mut link.io, &mut link.wbuf);
+                if link.spent(alive) {
+                    Self::evict(&mut self.table, id, &mut self.pending);
+                }
+            }
+        }
+    }
+
+    /// [`Poller::close`]: a flush or scan drops it once the farewell is out.
+    fn close(&mut self, id: ConnId) {
+        if let Some(link) = self.table.get_mut(id) {
+            link.closing = true;
+            if link.spent(true) {
+                self.table.remove(id);
+            }
+        }
+    }
+
+    /// Drop a spent link, reporting a drop the reactor did not ask for.
+    fn evict(table: &mut ShardedTable<Link<T>>, id: ConnId, out: &mut Vec<IoEvent>) {
+        if table.remove(id).is_some_and(|link| !link.closing) {
+            out.push(IoEvent::Closed(id));
+        }
+    }
+}
+
+impl<T> Link<T> {
+    /// After a write or a scan: the peer is dead, or the farewell out.
+    fn spent(&self, alive: bool) -> bool {
+        !alive || (self.closing && self.wbuf.is_empty())
+    }
+}
+
 // ---------------------------------------------------------------------
 // TCP poller
 // ---------------------------------------------------------------------
@@ -1150,22 +1242,13 @@ const NAP_MIN: Duration = Duration::from_micros(50);
 /// at the quiet tail.
 pub struct TcpPoller {
     listener: TcpListener,
-    conns: ShardedTable<TcpConn>,
+    links: Links<TcpStream>,
     next_id: ConnId,
     nap: Duration,
     /// Scratch id list reused across polls.
     scan: Vec<ConnId>,
     /// Scratch read buffer.
     rbuf: Vec<u8>,
-    /// Events synthesized outside `poll` (failed sends).
-    pending: Vec<IoEvent>,
-}
-
-struct TcpConn {
-    stream: TcpStream,
-    wbuf: Vec<u8>,
-    /// Reactor asked to close once `wbuf` drains.
-    closing: bool,
 }
 
 impl TcpPoller {
@@ -1174,18 +1257,17 @@ impl TcpPoller {
         listener.set_nonblocking(true)?;
         Ok(TcpPoller {
             listener,
-            conns: ShardedTable::new(shards),
+            links: Links::new(shards),
             next_id: 0,
             nap: NAP_MIN,
             scan: Vec::new(),
             rbuf: vec![0u8; READ_CHUNK],
-            pending: Vec::new(),
         })
     }
 
     /// One accept+scan pass; returns having appended any events.
     fn pass(&mut self, out: &mut Vec<IoEvent>) -> io::Result<()> {
-        out.append(&mut self.pending);
+        out.append(&mut self.links.pending);
 
         // Admit new connections.
         loop {
@@ -1195,14 +1277,7 @@ impl TcpPoller {
                     let _ = stream.set_nodelay(true);
                     let id = self.next_id;
                     self.next_id += 1;
-                    self.conns.insert(
-                        id,
-                        TcpConn {
-                            stream,
-                            wbuf: Vec::new(),
-                            closing: false,
-                        },
-                    );
+                    self.links.open(id, stream);
                     out.push(IoEvent::Open(id));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -1211,71 +1286,56 @@ impl TcpPoller {
             }
         }
 
-        // Scan every connection: drain write buffers, then read.
+        // Scan every connection: drain flush residue, then read.
         self.scan.clear();
-        self.conns.collect_ids(&mut self.scan);
+        self.links.table.collect_ids(&mut self.scan);
         let ids = std::mem::take(&mut self.scan);
         for &id in &ids {
             let mut gathered: Vec<u8> = Vec::new();
-            let fate = {
-                let Some(conn) = self.conns.get_mut(id) else {
-                    continue;
-                };
-                Self::service(conn, &mut self.rbuf, &mut gathered)
+            let Some(link) = self.links.table.get_mut(id) else {
+                continue;
             };
+            let alive = Self::service(link, &mut self.rbuf, &mut gathered);
+            let spent = link.spent(alive);
             if !gathered.is_empty() {
                 out.push(IoEvent::Data(id, gathered));
             }
-            match fate {
-                Fate::Keep => {}
-                Fate::DropSilent => {
-                    self.conns.remove(id);
-                }
-                Fate::DropClosed => {
-                    self.conns.remove(id);
-                    out.push(IoEvent::Closed(id));
-                }
+            if spent {
+                Links::evict(&mut self.links.table, id, out);
             }
         }
         self.scan = ids;
         Ok(())
     }
 
-    /// Flush then read one connection. Appends read bytes to
-    /// `gathered`; the verdict says whether (and how) to drop it.
-    fn service(conn: &mut TcpConn, rbuf: &mut [u8], gathered: &mut Vec<u8>) -> Fate {
-        let on_error = |conn: &TcpConn| {
-            if conn.closing {
-                Fate::DropSilent
-            } else {
-                Fate::DropClosed
-            }
-        };
-        // Flush pending output.
-        while !conn.wbuf.is_empty() {
-            match conn.stream.write(&conn.wbuf) {
-                Ok(0) => return on_error(conn),
+    /// The one socket write loop, shared by `flush` and the scan.
+    fn write(stream: &mut TcpStream, wbuf: &mut Vec<u8>) -> bool {
+        while !wbuf.is_empty() {
+            match stream.write(wbuf) {
+                Ok(0) => return false,
                 Ok(n) => {
-                    conn.wbuf.drain(..n);
+                    wbuf.drain(..n);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return on_error(conn),
+                Err(_) => return false,
             }
         }
-        if conn.closing {
-            // The reactor already forgot this connection; it lives only
-            // until its farewell frame drains.
-            return if conn.wbuf.is_empty() {
-                Fate::DropSilent
-            } else {
-                Fate::Keep
-            };
+        true
+    }
+
+    /// Drain then read one connection, appending read bytes to
+    /// `gathered`; `false` when the peer is gone.
+    fn service(link: &mut Link<TcpStream>, rbuf: &mut [u8], gathered: &mut Vec<u8>) -> bool {
+        if !Self::write(&mut link.io, &mut link.wbuf) {
+            return false;
         }
-        // Read whatever is ready.
+        if link.closing {
+            return true; // the reactor already forgot it: no reads
+        }
         loop {
-            match conn.stream.read(rbuf) {
-                Ok(0) => return Fate::DropClosed,
+            match link.io.read(rbuf) {
+                Ok(0) => return false,
                 Ok(n) => {
                     gathered.extend_from_slice(&rbuf[..n]);
                     if n < rbuf.len() {
@@ -1284,20 +1344,11 @@ impl TcpPoller {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return Fate::DropClosed,
+                Err(_) => return false,
             }
         }
-        Fate::Keep
+        true
     }
-}
-
-/// Verdict of one [`TcpPoller`] connection scan.
-enum Fate {
-    Keep,
-    /// Drop without a `Closed` event (reactor-initiated close).
-    DropSilent,
-    /// Drop and report `Closed`.
-    DropClosed,
 }
 
 impl Poller for TcpPoller {
@@ -1317,54 +1368,15 @@ impl Poller for TcpPoller {
     }
 
     fn send(&mut self, conn: ConnId, bytes: &[u8]) {
-        let failed = {
-            let Some(c) = self.conns.get_mut(conn) else {
-                return;
-            };
-            c.wbuf.extend_from_slice(bytes);
-            // Transmit eagerly: most replies fit the socket buffer
-            // whole, so the common case leaves no buffered residue.
-            let mut failed = false;
-            while !c.wbuf.is_empty() {
-                match c.stream.write(&c.wbuf) {
-                    Ok(0) => {
-                        failed = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        c.wbuf.drain(..n);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            failed
-        };
-        if failed {
-            if let Some(c) = self.conns.remove(conn) {
-                if !c.closing {
-                    self.pending.push(IoEvent::Closed(conn));
-                }
-            }
-        }
+        self.links.send(conn, bytes);
+    }
+
+    fn flush(&mut self) {
+        self.links.flush(Self::write);
     }
 
     fn close(&mut self, conn: ConnId) {
-        let empty = match self.conns.get_mut(conn) {
-            Some(c) => {
-                // Keep the socket until the farewell frame drains.
-                c.closing = true;
-                c.wbuf.is_empty()
-            }
-            None => return,
-        };
-        if empty {
-            self.conns.remove(conn);
-        }
+        self.links.close(conn);
     }
 
     fn adopt(&mut self, stream: TcpStream) -> io::Result<ConnId> {
@@ -1372,14 +1384,7 @@ impl Poller for TcpPoller {
         let _ = stream.set_nodelay(true);
         let id = self.next_id;
         self.next_id += 1;
-        self.conns.insert(
-            id,
-            TcpConn {
-                stream,
-                wbuf: Vec::new(),
-                closing: false,
-            },
-        );
+        self.links.open(id, stream);
         Ok(id)
     }
 }
@@ -1402,8 +1407,7 @@ enum LoopCmd {
 /// script observes a fully deterministic event order.
 pub struct LoopbackPoller {
     rx: Receiver<LoopCmd>,
-    peers: ShardedTable<Sender<Vec<u8>>>,
-    pending: Vec<IoEvent>,
+    links: Links<Sender<Vec<u8>>>,
 }
 
 /// Connection factory for a [`LoopbackPoller`]; clone one per client
@@ -1421,8 +1425,7 @@ pub fn loopback(shards: usize) -> (LoopbackPoller, LoopbackHandle) {
     (
         LoopbackPoller {
             rx,
-            peers: ShardedTable::new(shards),
-            pending: Vec::new(),
+            links: Links::new(shards),
         },
         LoopbackHandle {
             tx,
@@ -1435,16 +1438,16 @@ impl LoopbackPoller {
     fn apply(&mut self, cmd: LoopCmd, out: &mut Vec<IoEvent>) {
         match cmd {
             LoopCmd::Connect { id, peer } => {
-                self.peers.insert(id, peer);
+                self.links.open(id, peer);
                 out.push(IoEvent::Open(id));
             }
             LoopCmd::Data { id, bytes } => {
-                if self.peers.get(id).is_some() {
+                if self.links.table.get(id).is_some() {
                     out.push(IoEvent::Data(id, bytes));
                 }
             }
             LoopCmd::Close { id } => {
-                if self.peers.remove(id).is_some() {
+                if self.links.table.remove(id).is_some() {
                     out.push(IoEvent::Closed(id));
                 }
             }
@@ -1454,7 +1457,7 @@ impl LoopbackPoller {
 
 impl Poller for LoopbackPoller {
     fn poll(&mut self, timeout: Duration, out: &mut Vec<IoEvent>) -> io::Result<()> {
-        out.append(&mut self.pending);
+        out.append(&mut self.links.pending);
         if out.is_empty() {
             match self.rx.recv_timeout(timeout) {
                 Ok(cmd) => self.apply(cmd, out),
@@ -1473,20 +1476,17 @@ impl Poller for LoopbackPoller {
     }
 
     fn send(&mut self, conn: ConnId, bytes: &[u8]) {
-        let dead = match self.peers.get(conn) {
-            Some(peer) => peer.send(bytes.to_vec()).is_err(),
-            None => false,
-        };
-        if dead {
-            self.peers.remove(conn);
-            self.pending.push(IoEvent::Closed(conn));
-        }
+        self.links.send(conn, bytes);
+    }
+
+    fn flush(&mut self) {
+        // One message per round; a dropped sender EOFs the client.
+        self.links
+            .flush(|peer, wbuf| peer.send(std::mem::take(wbuf)).is_ok());
     }
 
     fn close(&mut self, conn: ConnId) {
-        // Dropping the sender EOFs the client after it drains what was
-        // already delivered.
-        self.peers.remove(conn);
+        self.links.close(conn);
     }
 }
 

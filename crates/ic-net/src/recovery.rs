@@ -2,8 +2,8 @@
 //!
 //! The streamed JSONL trace is the server's write-ahead log — every
 //! allocation, completion, failure, speculative grant, and revocation
-//! is flushed to disk before the next decision (see
-//! [`ic_sim::trace::FileSink`]). [`Recovery`] replays that log to
+//! reaches the OS before any peer hears of it ([`ic_sim::trace::FileSink`],
+//! flushed by [`Reactor::run_until_drain`]). [`Recovery`] replays that log to
 //! rebuild the crashed [`LeaseMachine`]: the executed set, the
 //! eligible pool, the backoff queue, and the lease table come back
 //! exactly; worker epochs restart strictly above anything the crashed

@@ -665,10 +665,12 @@ fn scale_smoke_256_flaky_workers_complete_audit_clean() {
 }
 
 /// A server killed mid-run leaves a *replayable* trace: the
-/// [`ic_sim::FileSink`] batches event lines but flushes whole lines on
-/// every lease-affecting event, so at any instant the bytes on disk
-/// parse as a trace whose only audit error can be the IC0405
-/// truncation finding — never a torn line, never incoherent custody.
+/// [`ic_sim::FileSink`] buffers whole event lines and the reactor
+/// flushes them once per poll round, before that round's replies go
+/// out — so everything a client has been told is on disk, and at any
+/// instant the bytes there parse as a trace whose only audit error can
+/// be the IC0405 truncation finding — never a torn line, never
+/// incoherent custody.
 #[test]
 fn mid_run_trace_snapshot_is_replayable_with_at_most_ic0405() {
     let dag = from_arcs(3, &[]).unwrap(); // three independent tasks
@@ -699,15 +701,16 @@ fn mid_run_trace_snapshot_is_replayable_with_at_most_ic0405() {
             };
             let first = tasks[0];
             // Forfeit the held task by asking again: the `Failed`
-            // event is lease-affecting, so the sink flushes everything
-            // up to and including it.
+            // event and the new allocation are flushed with their
+            // round, before the `assign` below is transmitted.
             c.send(&Message::request()).unwrap();
             let Message::Assign { tasks } = c.recv().unwrap() else {
                 panic!("expected the second assignment");
             };
             let second = tasks[0];
-            // One more round-trip so the previous dispatch (and its
-            // sink writes) has fully completed before we look.
+            // One more round trip — not needed for the events above
+            // (their reply is proof they were flushed), only so the
+            // snapshot is taken with the server at rest.
             c.send(&Message::Heartbeat { task: second }).unwrap();
             assert!(matches!(
                 c.recv().unwrap(),
@@ -839,8 +842,9 @@ fn killed_server_recovers_from_its_wal_and_the_worker_resumes_across_restart() {
                 panic!("expected the second assignment");
             };
             let held = tasks[0];
-            // A heartbeat round-trip guarantees the allocation's sink
-            // write (WAL-flushed) is on disk before we look.
+            // The `assign` itself proves the allocation is on disk
+            // (WAL before wire); the heartbeat round trip only puts
+            // the server at rest before we look.
             c.send(&Message::Heartbeat { task: held }).unwrap();
             assert!(matches!(
                 c.recv().unwrap(),

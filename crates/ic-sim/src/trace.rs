@@ -13,7 +13,7 @@
 //! eligibility and tracked the optimal envelope.
 
 use std::cell::Cell;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{self, Write as _};
 use std::path::Path;
 
@@ -321,7 +321,18 @@ impl TraceEvent {
 
     /// Serialize as one JSONL event line (newline included).
     pub fn to_json_line(&self) -> String {
-        let mut line = format!(
+        let mut line = String::new();
+        self.write_json_line(&mut line);
+        line
+    }
+
+    /// Append the JSONL event line (newline included) to `out` — the
+    /// in-place form of [`to_json_line`](TraceEvent::to_json_line),
+    /// with no intermediate `String`.
+    pub fn write_json_line(&self, out: &mut String) {
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            out,
             "{{\"type\":\"{}\",\"step\":{},\"t\":{},\"client\":{}",
             self.kind.name(),
             self.step,
@@ -329,13 +340,12 @@ impl TraceEvent {
             self.client
         );
         if let Some(task) = self.task {
-            line.push_str(&format!(",\"task\":{}", task.0));
+            let _ = write!(out, ",\"task\":{}", task.0);
         }
         if let Some(p) = self.pool {
-            line.push_str(&format!(",\"pool\":{p}"));
+            let _ = write!(out, ",\"pool\":{p}");
         }
-        line.push_str("}\n");
-        line
+        out.push_str("}\n");
     }
 }
 
@@ -354,6 +364,15 @@ pub trait TraceSink {
 
     /// Called for every event, in order.
     fn record(&mut self, event: &TraceEvent);
+
+    /// Make everything handed over so far outlive this process. The
+    /// server calls it once per poll round, *before* any reply of that
+    /// round is transmitted, and stops serving on an error — so no
+    /// peer ever hears of a decision the trace has not seen. Default:
+    /// nothing is held back, nothing to do.
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Discards every event — tracing off.
@@ -399,25 +418,26 @@ impl TraceSink for MemorySink {
 /// Streams a run's trace to a JSONL file in *whole-line batches*,
 /// durable enough to act as the server's write-ahead log.
 ///
-/// Event lines accumulate in an internal buffer holding only complete
-/// lines, flushed to the OS:
+/// [`header`](TraceSink::header) and [`record`](TraceSink::record)
+/// only append to an internal buffer of complete lines — no syscall.
+/// The buffer reaches the OS in one `write`:
 ///
-/// * when the buffer exceeds [`FileSink::BATCH_BYTES`],
-/// * immediately after the header line,
-/// * on every *state-bearing* event (`Allocated`, `Completed`,
-///   `Failed`, `Resumed`, `Speculated`, `Revoked`) — everything crash
-///   recovery replays to rebuild the lease machine; only the chatty,
-///   state-free `Idle` events batch,
+/// * at [`flush`](TraceSink::flush), which the server calls once per
+///   poll round before that round's replies go out (the group commit:
+///   one write covers every lease the round granted);
+/// * early, when it exceeds [`FileSink::BATCH_BYTES`] (early is always
+///   safe — the rule is only that the log is never *behind* the wire);
 /// * and at [`FileSink::finish`] (or drop).
 ///
 /// Long server runs therefore never buffer their trace in memory, and
-/// because flushes happen only on line boundaries, a killed process
+/// because writes happen only on line boundaries, a killed process
 /// leaves a valid — possibly IC0405-truncated — trace on disk at every
-/// instant (the kernel may still tear the *final* line mid-`write`;
+/// instant: records since the last flush are lost as *whole lines*
+/// (the kernel may still tear the *final* line mid-`write`;
 /// [`TraceReader`] tolerates exactly that).
 ///
-/// I/O errors are sticky: the first one is kept and every later write
-/// is skipped; [`FileSink::finish`] surfaces it.
+/// I/O errors are sticky: after the first one nothing more is written,
+/// and `flush` and [`FileSink::finish`] keep returning it.
 #[derive(Debug)]
 pub struct FileSink {
     out: std::fs::File,
@@ -426,7 +446,7 @@ pub struct FileSink {
 }
 
 impl FileSink {
-    /// Buffered bytes past which the next line triggers a flush.
+    /// Buffered bytes past which the next line triggers a write.
     pub const BATCH_BYTES: usize = 16 * 1024;
 
     /// Create (truncating) the trace file at `path`.
@@ -454,58 +474,46 @@ impl FileSink {
         })
     }
 
-    fn write_line(&mut self, line: &str) {
-        if self.err.is_some() {
-            return;
-        }
-        self.buf.push_str(line);
+    /// Spill early once a line has pushed the buffer past the batch
+    /// size; a failure surfaces at the next `flush`.
+    fn spill_if_full(&mut self) {
         if self.buf.len() >= FileSink::BATCH_BYTES {
-            self.flush_lines();
+            let _ = self.flush();
         }
-    }
-
-    /// Push every buffered (complete) line to the OS.
-    fn flush_lines(&mut self) {
-        if self.err.is_some() || self.buf.is_empty() {
-            return;
-        }
-        if let Err(e) = self.out.write_all(self.buf.as_bytes()) {
-            self.err = Some(e);
-        }
-        self.buf.clear();
     }
 
     /// Flush and close, surfacing the first write error if any.
     pub fn finish(mut self) -> io::Result<()> {
-        self.flush_lines();
-        match self.err.take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.flush()
     }
 }
 
 impl Drop for FileSink {
     fn drop(&mut self) {
-        self.flush_lines();
+        let _ = self.flush();
     }
 }
 
 impl TraceSink for FileSink {
     fn header(&mut self, header: &TraceHeader) {
-        self.write_line(&header.to_json_line());
-        // The header is the one line without which the file is not a
-        // trace at all — put it on disk before serving starts.
-        self.flush_lines();
+        self.buf.push_str(&header.to_json_line());
+        self.spill_if_full();
     }
 
     fn record(&mut self, event: &TraceEvent) {
-        self.write_line(&event.to_json_line());
-        // Write-ahead-log rule: every event crash recovery replays
-        // reaches the OS before the server acts on it being durable.
-        // Only `Idle` — pure gridlock telemetry — batches.
-        if event.kind != EventKind::Idle {
-            self.flush_lines();
+        event.write_json_line(&mut self.buf);
+        self.spill_if_full();
+    }
+
+    /// Push every buffered (complete) line to the OS in one write.
+    fn flush(&mut self) -> io::Result<()> {
+        if self.err.is_none() {
+            self.err = self.out.write_all(self.buf.as_bytes()).err();
+        }
+        self.buf.clear();
+        match &self.err {
+            Some(e) => Err(io::Error::new(e.kind(), e.to_string())),
+            None => Ok(()),
         }
     }
 }
@@ -616,7 +624,7 @@ impl Trace {
     pub fn to_jsonl(&self) -> String {
         let mut out = self.header.to_json_line();
         for ev in &self.events {
-            out.push_str(&ev.to_json_line());
+            ev.write_json_line(&mut out);
         }
         out
     }
@@ -1163,48 +1171,70 @@ mod tests {
 
     #[test]
     fn file_sink_killed_mid_run_leaves_a_replayable_trace() {
-        // Simulate a SIGKILL between flushes: the sink is leaked
+        // Simulate a SIGKILL inside a poll round: the sink is leaked
         // (destructor never runs, like a killed process), and the
-        // bytes on disk must still parse as a trace — batching may
-        // lose *whole trailing lines*, never corrupt one.
+        // bytes on disk must still parse as a trace — everything up to
+        // the last `flush()` survives, everything after it is lost as
+        // *whole lines*, never a corrupt one.
         let t = sample_trace();
         let dir = std::env::temp_dir().join("ic-sim-filesink-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("trace-kill-{}.jsonl", std::process::id()));
         let mut sink = FileSink::create(&path).unwrap();
         sink.header(&t.header);
-        sink.record(&t.events[0]); // alloc: state-bearing, flushes
-        sink.record(&t.events[3]); // failed: state-bearing, flushes
-        sink.record(&t.events[1]); // idle: buffered, will be lost
+        sink.record(&t.events[0]);
+        sink.record(&t.events[1]);
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            0,
+            "header and record only buffer — state-bearing events included"
+        );
+        sink.flush().unwrap(); // the round's group commit
+        sink.record(&t.events[2]); // the next round: never flushed
+        sink.record(&t.events[3]);
         std::mem::forget(sink);
         let back = Trace::from_jsonl(&std::fs::read_to_string(&path).unwrap()).unwrap();
         std::fs::remove_file(&path).ok();
-        // Header plus everything up to the lease-affecting event
-        // survive; the buffered tail is gone but nothing is mangled.
         assert_eq!(back.header, t.header);
-        assert_eq!(back.events, vec![t.events[0], t.events[3]]);
+        assert_eq!(back.events, vec![t.events[0], t.events[1]]);
     }
 
     #[test]
-    fn file_sink_flushes_once_the_batch_fills() {
+    fn file_sink_spills_early_once_the_batch_fills() {
         let t = sample_trace();
         let dir = std::env::temp_dir().join("ic-sim-filesink-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("trace-batch-{}.jsonl", std::process::id()));
         let mut sink = FileSink::create(&path).unwrap();
         sink.header(&t.header);
-        let header_bytes = std::fs::metadata(&path).unwrap().len();
-        // State-free `Idle` events buffer until BATCH_BYTES…
-        sink.record(&t.events[1]);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), header_bytes);
-        // …and spill once the batch fills.
-        while std::fs::metadata(&path).unwrap().len() == header_bytes {
-            sink.record(&t.events[1]);
+        // With no `flush()` at all, lines still reach the file once
+        // BATCH_BYTES of them are buffered — and only whole ones.
+        let mut recorded = 0;
+        while std::fs::metadata(&path).unwrap().len() == 0 {
+            sink.record(&t.events[0]);
+            recorded += 1;
         }
-        sink.finish().unwrap();
+        assert!(recorded * t.events[0].to_json_line().len() >= FileSink::BATCH_BYTES / 2);
+        sink.record(&t.events[2]); // buffered behind the spill: lost
+        std::mem::forget(sink);
         let back = Trace::from_jsonl(&std::fs::read_to_string(&path).unwrap()).unwrap();
         std::fs::remove_file(&path).ok();
-        assert!(back.events.len() > 2);
+        assert_eq!(back.events, vec![t.events[0]; recorded]);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn file_sink_write_errors_surface_at_flush_and_stay_sticky() {
+        // `/dev/full` opens fine and fails every write with ENOSPC.
+        let t = sample_trace();
+        let mut sink = FileSink::create("/dev/full").unwrap();
+        sink.header(&t.header);
+        sink.record(&t.events[0]);
+        let e = sink.flush().expect_err("the disk is full");
+        assert_eq!(e.kind(), io::ErrorKind::StorageFull);
+        sink.record(&t.events[2]);
+        assert!(sink.flush().is_err(), "nothing is written past an error");
+        assert!(sink.finish().is_err());
     }
 
     #[test]
