@@ -46,7 +46,6 @@ fn subjects() -> Vec<(String, Dag, FleetSpec)> {
                 ],
                 steal: false,
                 batch: 1,
-                min_proto: 1,
             },
         ),
     ]

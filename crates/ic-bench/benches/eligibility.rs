@@ -3,17 +3,12 @@
 //! * `envelope` — full optimal-envelope sweeps through the incremental
 //!   and layer-parallel enumerator, on the paper's families near the
 //!   64-node lattice cap and on `testgen` random dags;
-//! * `envelope-naive` — the *same* sweeps through the retained naive
-//!   reference walk (`IdealEnumerator::for_each_reference`, which
-//!   recomputes every eligible set from scratch), in the same binary,
-//!   so `BENCH.json` carries a like-for-like speedup baseline;
 //! * `exec-state` — full-run allocation through the dense eligible
 //!   pool: pop + execute every node of large out-meshes, so the
 //!   per-allocation cost (and its independence from dag size) is
 //!   visible in the per-node numbers.
 
 use ic_bench::harness::Runner;
-use ic_dag::ideals::IdealEnumerator;
 use ic_dag::testgen::random_dags;
 use ic_dag::Dag;
 use ic_families::butterfly::butterfly;
@@ -22,21 +17,6 @@ use ic_families::mesh::out_mesh;
 use ic_families::trees::complete_out_tree;
 use ic_sched::heuristics::{schedule_with, Policy};
 use ic_sched::optimal::optimal_envelope;
-
-/// The optimal envelope via the naive reference walk: every state's
-/// eligible set recomputed from scratch, single-threaded.
-fn naive_envelope(dag: &Dag) -> Vec<usize> {
-    let en = IdealEnumerator::new(dag).expect("dags here fit the 64-node cap");
-    let mut env = vec![0usize; dag.num_nodes() + 1];
-    en.for_each_reference(|_, size, eligible| {
-        let c = eligible.count_ones() as usize;
-        let slot = &mut env[size as usize];
-        if c > *slot {
-            *slot = c;
-        }
-    });
-    env
-}
 
 fn bench_envelope(r: &mut Runner) {
     let mut subjects: Vec<(String, Dag)> = Vec::new();
@@ -62,16 +42,6 @@ fn bench_envelope(r: &mut Runner) {
     for (id, g) in &subjects {
         let n = g.num_nodes();
         r.bench_n("envelope", id, n, || optimal_envelope(g).unwrap());
-        r.bench_n("envelope-naive", id, n, || naive_envelope(g));
-    }
-
-    // Sanity: the two walks must agree, or the speedup is meaningless.
-    for (id, g) in &subjects {
-        assert_eq!(
-            optimal_envelope(g).unwrap(),
-            naive_envelope(g),
-            "envelope mismatch on {id}"
-        );
     }
 }
 

@@ -148,7 +148,7 @@ fn run_fleet(r: &mut Runner, workers: usize) {
             let Some(task) = assigned else { continue };
             if is_severing(i) && passes == 1 {
                 // Hold the lease and drop the connection: the lease
-                // survives (v2 + token) until the expiry sweep below.
+                // survives until the expiry sweep below.
                 let now_us = fleet.now;
                 fleet.step(
                     &mut m,

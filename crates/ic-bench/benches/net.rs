@@ -7,8 +7,9 @@
 //! carries the same fault mix as the e2e scale smoke: mostly healthy
 //! workers, a slice of *flaky* ones that voluntarily fail ~10% of
 //! their tasks (`done ok:false` → reallocation), and a slice of
-//! *severing* ones that disconnect mid-lease after one completion
-//! (→ disconnect-triggered reallocation).
+//! *severing* ones that drop their connection mid-lease after one
+//! completion and come straight back with the resume token, as
+//! `ic-prio work --sever-after` does (→ a resume, leases intact).
 //!
 //! Per fleet size `W` (from `IC_NET_FLEETS`, comma-separated, default
 //! `1000,10000`), three raw records go into the `net` group:
@@ -28,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use ic_bench::harness::Runner;
 use ic_net::{
-    loopback, Driver, LoopbackConn, LoopbackHandle, Message, MonotonicClock, Reactor, PROTO_V1,
+    loopback, Driver, LoopbackConn, LoopbackHandle, Message, MonotonicClock, Reactor, PROTO_CURRENT,
 };
 use ic_sim::MemorySink;
 
@@ -41,7 +42,8 @@ enum Mix {
 }
 
 /// Same mix rule as the e2e scale smoke: 2 of every 16 workers
-/// misbehave, one by failing tasks and one by severing mid-lease.
+/// misbehave, one by failing tasks and one by severing mid-lease
+/// (once) and resuming.
 fn mix_of(i: usize) -> Mix {
     match i % 16 {
         7 => Mix::Flaky,
@@ -53,7 +55,11 @@ fn mix_of(i: usize) -> Mix {
 /// One multiplexed worker connection and its protocol state.
 struct Client {
     conn: Option<LoopbackConn>,
+    id: String,
     mix: Mix,
+    /// Resume token from the latest `welcome`; a severing worker spends
+    /// it on its one reconnect.
+    token: Option<String>,
     rng: u64,
     acks_pending: usize,
     completions: u32,
@@ -69,6 +75,15 @@ struct Client {
 }
 
 impl Client {
+    /// Report every task of an `assign` (or of a resume's `welcome`).
+    fn report(&mut self, tasks: Vec<u64>) {
+        for task in tasks {
+            let ok = self.task_succeeds();
+            send(self, &Message::Done { task, ok });
+            self.acks_pending += 1;
+        }
+    }
+
     /// Roll the flaky die: ~10% of reports come back `ok: false`.
     fn task_succeeds(&mut self) -> bool {
         if self.mix != Mix::Flaky {
@@ -110,23 +125,13 @@ fn drive(
         .step_by(stride)
         .map(|i| {
             let conn = handle.connect();
-            let hello = if mix_of(i) == Mix::Severing {
-                // v1: no resume token, so a mid-lease disconnect
-                // releases the leases immediately instead of parking
-                // them for a resume that will never come.
-                Message::Hello {
-                    id: format!("w{i}"),
-                    speed: 1.0,
-                    proto: PROTO_V1,
-                    resume: None,
-                }
-            } else {
-                Message::hello(format!("w{i}"), 1.0)
-            };
-            conn.send(&hello).expect("hello");
+            let id = format!("w{i}");
+            conn.send(&Message::hello(id.as_str(), 1.0)).expect("hello");
             Client {
                 conn: Some(conn),
+                id,
                 mix: mix_of(i),
+                token: None,
                 rng: 0x9E37_79B9_7F4A_7C15 ^ (i as u64 + 1),
                 acks_pending: 0,
                 completions: 0,
@@ -158,10 +163,16 @@ fn drive(
                 };
                 progressed = true;
                 match msg {
-                    Message::Welcome { .. } => {
+                    Message::Welcome { resume, tasks, .. } => {
                         c.welcomed = true;
-                        send(c, &Message::request());
-                        c.req_at = Some(Instant::now());
+                        c.token = resume;
+                        if tasks.is_empty() {
+                            send(c, &Message::request());
+                            c.req_at = Some(Instant::now());
+                        } else {
+                            // Resumed: the leases came back with us.
+                            c.report(tasks);
+                        }
                     }
                     Message::Assign { tasks } => {
                         if let Some(at) = c.req_at.take() {
@@ -169,16 +180,23 @@ fn drive(
                             stats.assign_ns.push(ns);
                         }
                         if c.mix == Mix::Severing && c.completions >= 1 {
-                            // Sever mid-lease: vanish without reporting,
-                            // forcing a disconnect-triggered reallocation.
+                            // Sever mid-lease, once: drop the connection
+                            // without a word and resume on a new one;
+                            // the `welcome` hands the leases back.
+                            c.mix = Mix::Healthy;
                             c.conn = None;
-                            live -= 1;
+                            let conn = handle.connect();
+                            conn.send(&Message::Hello {
+                                id: c.id.clone(),
+                                speed: 1.0,
+                                proto: PROTO_CURRENT,
+                                resume: c.token.take(),
+                            })
+                            .expect("resume hello");
+                            c.conn = Some(conn);
+                            c.welcomed = false;
                         } else {
-                            for task in tasks {
-                                let ok = c.task_succeeds();
-                                send(c, &Message::Done { task, ok });
-                                c.acks_pending += 1;
-                            }
+                            c.report(tasks);
                         }
                     }
                     Message::Ack { accepted, .. } => {
@@ -311,6 +329,7 @@ fn run_fleet(r: &mut Runner, workers: usize) {
     assert_eq!(report.completions, tasks, "fleet completed the dag");
     assert_eq!(report.workers_registered, workers);
     assert!(report.allocations >= tasks);
+    assert!(report.resumes > 0, "the severing slice resumed");
     assert!(!assign_ns.is_empty());
 
     assign_ns.sort_unstable();
@@ -323,8 +342,8 @@ fn run_fleet(r: &mut Runner, workers: usize) {
     let alloc_per_s = report.allocations as f64 / total.as_secs_f64();
     println!(
         "net: {workers} workers, {tasks} tasks: {} allocations ({alloc_per_s:.0}/s), \
-         {} failures recovered, total {:.2?}",
-        report.allocations, report.failures, total,
+         {} failures recovered, {} resumes, total {:.2?}",
+        report.allocations, report.failures, report.resumes, total,
     );
     r.record_raw(
         "net",

@@ -2,9 +2,8 @@
 //!
 //! Reads a `BENCH.json` written by the harness (`IC_BENCH_JSON`),
 //! verifies it structurally — correct schema tag, well-formed records,
-//! every required bench group present — and prints a speedup table for
-//! ids measured under both `envelope` and `envelope-naive`. Exits
-//! nonzero on any violation, so `scripts/verify.sh` can gate on it.
+//! every required bench group present. Exits nonzero on any
+//! violation, so `scripts/verify.sh` can gate on it.
 //!
 //! Usage:
 //!
@@ -14,7 +13,7 @@
 //! ```
 //!
 //! (path defaults to `$IC_BENCH_JSON`; groups default to
-//! `envelope envelope-naive exec-state`).
+//! `envelope exec-state`).
 //!
 //! # Regression gate
 //!
@@ -205,9 +204,7 @@ fn main() -> ExitCode {
     let required: Vec<String> = {
         let rest: Vec<String> = positional.collect();
         if rest.is_empty() {
-            ["envelope", "envelope-naive", "exec-state"]
-                .map(String::from)
-                .to_vec()
+            ["envelope", "exec-state"].map(String::from).to_vec()
         } else {
             rest
         }
@@ -221,21 +218,6 @@ fn main() -> ExitCode {
     for group in &required {
         if !rows.iter().any(|r| &r.group == group) {
             return fail(&format!("{path}: required bench group {group:?} is absent"));
-        }
-    }
-
-    // Informational speedup table: ids present under both the new and
-    // the naive envelope walk.
-    for row in &rows {
-        if row.group != "envelope" {
-            continue;
-        }
-        if let Some(naive) = rows
-            .iter()
-            .find(|r| r.group == "envelope-naive" && r.id == row.id)
-        {
-            let speedup = naive.best as f64 / row.best.max(1) as f64;
-            println!("envelope/{:<24} {speedup:>6.2}x vs naive", row.id);
         }
     }
 

@@ -20,7 +20,8 @@
 //!
 //! Scripts are adversarial, not protocol-polite: besides the normal
 //! hello / request / done / heartbeat traffic they sever connections
-//! mid-lease, resume with rotated (and garbage) tokens, deliver stale
+//! mid-lease, resume with rotated (and garbage) tokens, say `hello`
+//! with a protocol older than the server speaks, deliver stale
 //! `Sever` epochs, jump the clock past lease deadlines, duplicate and
 //! reorder federation `remote-done`s, and occasionally fire events
 //! for workers and tasks that do not exist. Any event sequence is a
@@ -69,7 +70,6 @@ pub struct DiffOutcome {
 struct SimWorker {
     slot: usize,
     epoch: u64,
-    proto: u32,
     token: Option<String>,
     held: Vec<u64>,
     registered: bool,
@@ -276,11 +276,7 @@ pub fn run_case(dag: &Dag, seed: u64) -> Result<DiffOutcome, String> {
                 Event::Hello {
                     id: format!("w{n}"),
                     speed: 1.0,
-                    proto: if rng.next_u64().is_multiple_of(4) {
-                        1
-                    } else {
-                        2
-                    },
+                    proto: 2,
                     resume: None,
                     now_us: now,
                 }
@@ -374,7 +370,7 @@ pub fn run_case(dag: &Dag, seed: u64) -> Result<DiffOutcome, String> {
                 let task = remote_plan.swap_remove(at);
                 Event::RemoteDone { task, now_us: now }
             }
-            Act::Chaos => match rng.next_u64() % 4 {
+            Act::Chaos => match rng.next_u64() % 5 {
                 0 => Event::Done {
                     worker: pick(&mut rng, 8),
                     task: rng.next_u64() % 64,
@@ -389,6 +385,18 @@ pub fn run_case(dag: &Dag, seed: u64) -> Result<DiffOutcome, String> {
                 2 => Event::Expire {
                     worker: pick(&mut rng, 8),
                     task: rng.next_u64() % 64,
+                    now_us: now,
+                },
+                // A peer older than the protocol (`proto` absent on the
+                // wire decodes as 1): refused at the door, token or not.
+                3 => Event::Hello {
+                    id: "old".into(),
+                    speed: 1.0,
+                    proto: u32::from(rng.next_u64().is_multiple_of(2)),
+                    resume: rng
+                        .next_u64()
+                        .is_multiple_of(2)
+                        .then(|| "feedfacefeedface".into()),
                     now_us: now,
                 },
                 _ => Event::RemoteDone {
@@ -411,7 +419,6 @@ pub fn run_case(dag: &Dag, seed: u64) -> Result<DiffOutcome, String> {
                         Message::Welcome {
                             worker,
                             resume,
-                            proto,
                             tasks,
                             ..
                         },
@@ -422,7 +429,6 @@ pub fn run_case(dag: &Dag, seed: u64) -> Result<DiffOutcome, String> {
                         let w = &mut workers[i];
                         w.slot = usize::try_from(*worker).unwrap_or_default();
                         w.epoch = *epoch;
-                        w.proto = *proto;
                         w.token = resume.clone();
                         w.held = tasks.clone();
                         w.registered = true;

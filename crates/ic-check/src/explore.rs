@@ -14,8 +14,8 @@
 //!   commutes with, so only one order of an independent pair is
 //!   walked. The independence relation is deliberately conservative:
 //!   only heartbeats (machine no-ops at the frozen clock) and
-//!   `deliver-gone` for v2 workers (which touches nothing but its own
-//!   slot's connected flag) on *distinct workers and distinct tasks*
+//!   `deliver-gone` (which touches nothing but its own slot's
+//!   connected flag) on *distinct workers and distinct tasks*
 //!   qualify. Every slept order is a pure transposition of an
 //!   explored one, so no state — and no violation — is lost.
 //!
@@ -30,7 +30,7 @@ use std::collections::{HashSet, VecDeque};
 use ic_audit::diag::Diagnostic;
 use ic_dag::Dag;
 use ic_net::machine::SeededBugs;
-use ic_net::{Effect, PROTO_V2};
+use ic_net::Effect;
 use ic_sched::policy::AllocationPolicy;
 use ic_sim::trace::TraceEvent;
 
@@ -264,23 +264,18 @@ where
 /// Whether `a` only touches its own worker's lease-local state — the
 /// precondition for commuting with another worker's lease-local
 /// action. Heartbeats never change machine scheduling state at the
-/// frozen clock; a v2 `deliver-gone` only flips its own slot's
-/// connected flag (resumable workers keep their leases across a
-/// sever).
-fn lease_local(spec: &FleetSpec, a: Action) -> bool {
-    match a {
-        Action::Beat(..) => true,
-        Action::DeliverGone(i) => spec.workers[i].proto >= PROTO_V2,
-        _ => false,
-    }
+/// frozen clock; a `deliver-gone` only flips its own slot's connected
+/// flag (workers keep their leases across a sever).
+fn lease_local(a: Action) -> bool {
+    matches!(a, Action::Beat(..) | Action::DeliverGone(_))
 }
 
 /// Conservative independence: both actions lease-local, on distinct
 /// workers, touching distinct tasks (if any). Independent pairs fully
 /// commute — both orders land on the same state with the same worker
 /// views — so exploring one order suffices.
-fn independent(spec: &FleetSpec, a: Action, b: Action) -> bool {
-    if a.worker() == b.worker() || !lease_local(spec, a) || !lease_local(spec, b) {
+fn independent(a: Action, b: Action) -> bool {
+    if a.worker() == b.worker() || !lease_local(a) || !lease_local(b) {
         return false;
     }
     match (a.task(), b.task()) {
@@ -334,7 +329,7 @@ fn dfs(
             .iter()
             .chain(explored.iter())
             .copied()
-            .filter(|&b| independent(ctx.spec, b, a))
+            .filter(|&b| independent(b, a))
             .collect();
         if let Some(d) = dfs(ctx, &child, depth + 1, &child_sleep) {
             return Some(d);

@@ -122,7 +122,6 @@ mod tests {
             ],
             steal: false,
             batch: 1,
-            min_proto: 1,
         };
         let outcome = run("chain:3", &fleet, &CheckConfig::default());
         assert!(
@@ -136,12 +135,11 @@ mod tests {
     }
 
     #[test]
-    fn the_steal_path_passes_with_a_v1_straggler() {
+    fn the_steal_path_passes_with_a_straggler() {
         let fleet = FleetSpec {
-            workers: vec![WorkerSpec::v2().batch(2), WorkerSpec::v1()],
+            workers: vec![WorkerSpec::v2().batch(2), WorkerSpec::v2()],
             steal: true,
             batch: 2,
-            min_proto: 1,
         };
         let outcome = run("chain:3", &fleet, &CheckConfig::default());
         assert!(outcome.is_clean());
@@ -160,7 +158,6 @@ mod tests {
             ],
             steal: false,
             batch: 1,
-            min_proto: 1,
         };
         let outcome = run("mesh:3", &fleet, &CheckConfig::default());
         let stats = outcome.stats();
@@ -185,7 +182,6 @@ mod tests {
             ],
             steal: true,
             batch: 1,
-            min_proto: 1,
         };
         let cfg = CheckConfig {
             max_states: 20_000,

@@ -14,7 +14,7 @@ use std::hash::{Hash, Hasher};
 use ic_dag::rng::XorShift64;
 use ic_dag::{Dag, NodeId};
 use ic_net::machine::{Effect, Event, LeaseView, SeededBugs};
-use ic_net::wire::{Message, ERR_BAD_RESUME, ERR_UNSUPPORTED, PROTO_CURRENT, PROTO_V1, PROTO_V2};
+use ic_net::wire::{Message, ERR_BAD_RESUME, ERR_UNSUPPORTED, PROTO_CURRENT};
 use ic_net::{ServeReport, ServerConfig};
 use ic_sched::batched::fill_round;
 use ic_sched::eligibility::ExecState;
@@ -22,7 +22,7 @@ use ic_sched::policy::AllocationPolicy;
 use ic_sim::trace::{EventKind, FedMeta, TraceEvent, TraceHeader, WorkerParams, FED_CLIENT};
 
 /// Per-worker registration record. The slot outlives its TCP
-/// connection: a v2 worker that disconnects mid-lease can reclaim it
+/// connection: a worker that disconnects mid-lease can reclaim it
 /// with the resume token.
 #[derive(Debug, Clone)]
 struct WorkerSlot {
@@ -31,10 +31,8 @@ struct WorkerSlot {
     /// Whether the worker's latest request already saw an empty pool
     /// (suppresses repeated `Idle` events while it polls).
     waiting: bool,
-    /// Negotiated protocol version for this slot's current connection.
-    proto: u32,
-    /// Current resume token (v2 slots only; rotated on every resume so
-    /// a stale token cannot hijack the slot).
+    /// Current resume token (rotated on every resume so a stale token
+    /// cannot hijack the slot).
     token: Option<String>,
     /// Bumped on every resume; a `Sever` carrying an older epoch comes
     /// from a superseded connection and is ignored.
@@ -257,24 +255,15 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
                         task,
                         accepted: true,
                     }
-                } else if self.worker_proto(worker) >= PROTO_V2 {
+                } else {
                     // The lease is gone (expired, forfeited, or revoked
-                    // after a losing race): tell a v2 worker to abandon
+                    // after a losing race): tell the worker to abandon
                     // the task instead of finishing doomed work.
                     Message::Revoke { task }
-                } else {
-                    Message::Ack {
-                        task,
-                        accepted: false,
-                    }
                 };
                 fx.push(Effect::Reply(msg));
             }
-            Event::Sever {
-                worker,
-                epoch,
-                now_us,
-            } => self.sever(worker, epoch, now_us, &mut fx),
+            Event::Sever { worker, epoch, .. } => self.sever(worker, epoch),
             Event::Expire {
                 worker,
                 task,
@@ -440,7 +429,7 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
         }
         0xA4u8.hash(h);
         for w in &self.workers {
-            (w.proto, w.epoch, w.connected, w.waiting, w.token.is_some()).hash(h);
+            (w.epoch, w.connected, w.waiting, w.token.is_some()).hash(h);
         }
         0xA5u8.hash(h);
         self.failures.hash(h);
@@ -610,46 +599,26 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
         now_us: u64,
         fx: &mut Vec<Effect>,
     ) {
-        let refused = |fx: &mut Vec<Effect>, msg: Message| {
-            fx.push(Effect::Registered {
-                msg,
-                worker: usize::MAX,
-                epoch: 0,
-            });
-        };
-        if proto < self.cfg.min_proto {
-            return refused(
+        if proto < PROTO_CURRENT {
+            return refuse(
                 fx,
-                Message::Error {
-                    code: ERR_UNSUPPORTED.into(),
-                    msg: format!(
-                        "protocol {proto} not supported: this server requires at least {}",
-                        self.cfg.min_proto
-                    ),
-                },
+                ERR_UNSUPPORTED,
+                format!(
+                    "protocol {proto} not supported: this server requires at least \
+                     {PROTO_CURRENT}"
+                ),
             );
         }
-        let negotiated = proto.min(PROTO_CURRENT);
         if let Some(token) = resume {
-            if negotiated < PROTO_V2 {
-                return refused(
-                    fx,
-                    Message::Error {
-                        code: ERR_UNSUPPORTED.into(),
-                        msg: "resume requires protocol 2".into(),
-                    },
-                );
-            }
-            return self.resume_slot(&token, negotiated, now_us, fx);
+            return self.resume_slot(&token, now_us, fx);
         }
         let worker = self.workers.len();
-        let token = (negotiated >= PROTO_V2).then(|| self.fresh_token());
+        let token = self.fresh_token();
         self.workers.push(WorkerSlot {
             id,
             speed,
             waiting: false,
-            proto: negotiated,
-            token: token.clone(),
+            token: Some(token.clone()),
             epoch: 0,
             connected: true,
         });
@@ -663,8 +632,8 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
             msg: Message::Welcome {
                 worker: worker as u64,
                 lease_ms: self.cfg.lease_ms,
-                proto: negotiated,
-                resume: token,
+                proto: PROTO_CURRENT,
+                resume: Some(token),
                 tasks: Vec::new(),
             },
             worker,
@@ -675,28 +644,19 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
     /// Reattach a reconnecting worker to its slot: rotate the token,
     /// bump the epoch (so the dead connection's `Sever` is ignored),
     /// and restore the heartbeat clock of every lease it still holds.
-    fn resume_slot(&mut self, token: &str, negotiated: u32, now_us: u64, fx: &mut Vec<Effect>) {
+    fn resume_slot(&mut self, token: &str, now_us: u64, fx: &mut Vec<Effect>) {
         let Some(worker) = self
             .workers
             .iter()
             .position(|w| w.token.as_deref() == Some(token))
         else {
-            fx.push(Effect::Registered {
-                msg: Message::Error {
-                    code: ERR_BAD_RESUME.into(),
-                    msg: "unknown or stale resume token".into(),
-                },
-                worker: usize::MAX,
-                epoch: 0,
-            });
-            return;
+            return refuse(fx, ERR_BAD_RESUME, "unknown or stale resume token".into());
         };
         let fresh = self.fresh_token();
         let deadline = self.lease_deadline(now_us);
         let slot = &mut self.workers[worker];
         slot.epoch += 1;
         slot.token = Some(fresh.clone());
-        slot.proto = negotiated;
         slot.waiting = false;
         if !slot.connected {
             slot.connected = true;
@@ -716,7 +676,7 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
             msg: Message::Welcome {
                 worker: worker as u64,
                 lease_ms: self.cfg.lease_ms,
-                proto: negotiated,
+                proto: PROTO_CURRENT,
                 resume: Some(fresh),
                 tasks: held.iter().map(|v| v.index() as u64).collect(),
             },
@@ -726,36 +686,21 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
     }
 
     /// A worker's connection dropped (with its registration epoch).
-    fn sever(&mut self, worker: usize, epoch: u64, now_us: u64, fx: &mut Vec<Effect>) {
-        match self.workers.get_mut(worker) {
-            Some(slot) => {
-                if slot.epoch != epoch && !self.bugs.honor_stale_gone {
-                    // A superseded connection: the worker already
-                    // resumed on a new socket.
-                    return;
-                }
-                if slot.connected {
-                    slot.connected = false;
-                    self.connected = self.connected.saturating_sub(1);
-                }
-                if slot.proto >= PROTO_V2 && slot.token.is_some() {
-                    // v2: keep the leases — the worker may resume.
-                    // Lease expiry is the fallback if it never does.
-                } else {
-                    self.drop_worker_leases(worker, now_us, fx);
-                }
-            }
-            None => {
-                // Never fully registered (e.g. the welcome write
-                // failed): v1 semantics, lose everything.
-                self.connected = self.connected.saturating_sub(1);
-                self.drop_worker_leases(worker, now_us, fx);
-            }
+    /// Its leases stay with the slot: the worker may resume, and lease
+    /// expiry is the fallback if it never does.
+    fn sever(&mut self, worker: usize, epoch: u64) {
+        let Some(slot) = self.workers.get_mut(worker) else {
+            return;
+        };
+        if slot.epoch != epoch && !self.bugs.honor_stale_gone {
+            // A superseded connection: the worker already resumed on
+            // a new socket.
+            return;
         }
-    }
-
-    fn worker_proto(&self, worker: usize) -> u32 {
-        self.workers.get(worker).map_or(PROTO_V1, |w| w.proto)
+        if slot.connected {
+            slot.connected = false;
+            self.connected = self.connected.saturating_sub(1);
+        }
     }
 
     /// Answer a work request: `Assign` when the pool has tasks,
@@ -763,7 +708,7 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
     /// the drain barrier if stealing is enabled, `Wait` otherwise.
     ///
     /// A worker requesting while it still holds leases forfeits them
-    /// (same as a mid-lease disconnect) — otherwise the held tasks,
+    /// (as a lease expiry would) — otherwise the held tasks,
     /// belonging to no queue, could never be reallocated.
     fn allocate_for(
         &mut self,
@@ -806,11 +751,7 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
                 ms: self.cfg.wait_ms,
             };
         }
-        let width = if self.worker_proto(worker) >= PROTO_V2 {
-            max.clamp(1, self.cfg.batch.max(1) as u64) as usize
-        } else {
-            1
-        };
+        let width = max.clamp(1, self.cfg.batch.max(1) as u64) as usize;
         // Claiming removes each task from the pool but keeps it
         // ELIGIBLE until the lease resolves (completion, failure, or
         // expiry). The round is chosen exactly as the offline
@@ -855,13 +796,13 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
     }
 
     /// At the drain barrier (empty pool, nothing deferred, leases
-    /// outstanding), grant an idle v2 worker a speculative duplicate
+    /// outstanding), grant an idle worker a speculative duplicate
     /// of the longest-outstanding primary lease — if stealing is
     /// enabled, that lease is old enough, and the task has no
     /// duplicate yet.
     fn try_steal(&mut self, worker: usize, now_us: u64, fx: &mut Vec<Effect>) -> Option<Message> {
         let after_us = self.cfg.steal_after_ms?.saturating_mul(1_000);
-        if !self.deferred.is_empty() || self.worker_proto(worker) < PROTO_V2 {
+        if !self.deferred.is_empty() {
             return None;
         }
         let mut straggler: Option<(u64, NodeId)> = None;
@@ -1085,6 +1026,19 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
             }
         }
     }
+}
+
+/// Answer a `hello` with a typed error frame; the driver sends it and
+/// closes the connection.
+fn refuse(fx: &mut Vec<Effect>, code: &str, msg: String) {
+    fx.push(Effect::Registered {
+        msg: Message::Error {
+            code: code.into(),
+            msg,
+        },
+        worker: usize::MAX,
+        epoch: 0,
+    });
 }
 
 impl std::fmt::Debug for ReferenceMachine<'_, '_> {

@@ -37,20 +37,18 @@ use std::hash::{Hash, Hasher};
 
 use ic_dag::Dag;
 use ic_net::machine::SeededBugs;
-use ic_net::{Effect, Event, LeaseMachine, Message, ServerConfig, PROTO_V2};
+use ic_net::{Effect, Event, LeaseMachine, Message, ServerConfig, PROTO_CURRENT};
 use ic_sched::policy::AllocationPolicy;
 
 /// One scripted worker of the fleet.
 #[derive(Debug, Clone)]
 pub struct WorkerSpec {
-    /// Protocol version the worker speaks in its `hello`.
-    pub proto: u32,
-    /// The `max` it asks for per request (batched assignment for v2).
+    /// The `max` it asks for per request (batched assignment).
     pub max_batch: u64,
     /// How many failure reports (`done{ok: false}`) it may issue.
     pub fail_budget: u32,
     /// How many times its connection may sever (each sever allows one
-    /// resume attempt for a v2 worker holding a token).
+    /// resume attempt).
     pub sever_budget: u32,
     /// How many of its leases the adversary may force-expire.
     pub expire_budget: u32,
@@ -67,23 +65,9 @@ pub struct WorkerSpec {
 }
 
 impl WorkerSpec {
-    /// A well-behaved v2 worker: no failures, no severs, no expiries.
+    /// A well-behaved worker: no failures, no severs, no expiries.
     pub fn v2() -> Self {
         WorkerSpec {
-            proto: PROTO_V2,
-            max_batch: 1,
-            fail_budget: 0,
-            sever_budget: 0,
-            expire_budget: 0,
-            heartbeats: false,
-            request_while_holding: false,
-        }
-    }
-
-    /// A well-behaved v1 worker.
-    pub fn v1() -> Self {
-        WorkerSpec {
-            proto: 1,
             max_batch: 1,
             fail_budget: 0,
             sever_budget: 0,
@@ -144,8 +128,6 @@ pub struct FleetSpec {
     pub steal: bool,
     /// Server-side batch ceiling per `assign`.
     pub batch: usize,
-    /// Server's minimum accepted protocol version.
-    pub min_proto: u32,
 }
 
 impl FleetSpec {
@@ -155,7 +137,6 @@ impl FleetSpec {
             workers: (0..n).map(|_| WorkerSpec::v2()).collect(),
             steal: false,
             batch: 1,
-            min_proto: 1,
         }
     }
 
@@ -178,8 +159,7 @@ impl FleetSpec {
             .backoff_base_ms(0)
             .wait_ms(0)
             .seed(0x1C5EED)
-            .batch(self.batch.max(1))
-            .min_proto(self.min_proto);
+            .batch(self.batch.max(1));
         if self.steal {
             b = b.steal_after(0);
         }
@@ -262,7 +242,7 @@ pub enum Phase {
     Fresh,
     /// Registered with a live connection.
     Live,
-    /// Connection dropped; may resume (v2 with a token).
+    /// Connection dropped; may resume with its token.
     Severed,
     /// Received `Drain`; the run is over for this worker.
     Drained,
@@ -281,7 +261,7 @@ pub struct WorkerModel {
     pub slot: usize,
     /// The registration epoch of the current connection.
     pub epoch: u64,
-    /// The current resume token, if v2.
+    /// The current resume token, once registered.
     pub token: Option<String>,
     /// Tasks the worker believes it holds (assigned, not yet resolved).
     pub held: Vec<u64>,
@@ -435,11 +415,10 @@ impl<'a, 'd> Fleet<'a, 'd> {
     pub fn apply(&mut self, spec: &FleetSpec, a: Action) -> Vec<Effect> {
         match a {
             Action::Hello(i) => {
-                let ws = &spec.workers[i];
                 let fx = self.machine.step(Event::Hello {
                     id: format!("w{i}"),
                     speed: 1.0,
-                    proto: ws.proto,
+                    proto: PROTO_CURRENT,
                     resume: None,
                     now_us: 0,
                 });
@@ -447,12 +426,11 @@ impl<'a, 'd> Fleet<'a, 'd> {
                 fx
             }
             Action::Resume(i) => {
-                let ws = &spec.workers[i];
                 let token = self.workers[i].token.clone().unwrap_or_default();
                 let fx = self.machine.step(Event::Hello {
                     id: format!("w{i}"),
                     speed: 1.0,
-                    proto: ws.proto,
+                    proto: PROTO_CURRENT,
                     resume: Some(token),
                     now_us: 0,
                 });

@@ -76,7 +76,6 @@ fn the_orphan_on_request_bug_is_caught_as_ic0506() {
         workers: vec![WorkerSpec::v2().greedy()],
         steal: false,
         batch: 1,
-        min_proto: 1,
     };
     let bugs = SeededBugs {
         orphan_on_request: true,
@@ -101,7 +100,6 @@ fn the_duplicate_completion_bug_is_caught_as_ic0502() {
         workers: vec![WorkerSpec::v2(), WorkerSpec::v2()],
         steal: true,
         batch: 1,
-        min_proto: 1,
     };
     let bugs = SeededBugs {
         double_completion_event: true,
@@ -127,7 +125,6 @@ fn the_stale_gone_bug_is_caught_as_ic0504() {
         workers: vec![WorkerSpec::v2().severs(1)],
         steal: false,
         batch: 1,
-        min_proto: 1,
     };
     let bugs = SeededBugs {
         honor_stale_gone: true,
@@ -155,7 +152,6 @@ fn the_skipped_recovery_epoch_bump_is_caught_as_ic0702() {
         workers: vec![WorkerSpec::v2()],
         steal: false,
         batch: 1,
-        min_proto: 1,
     };
     let bugs = SeededBugs {
         skip_recovery_epoch_bump: true,
@@ -203,7 +199,6 @@ fn all_bugs_at_once_still_produce_a_single_minimal_finding() {
         workers: vec![WorkerSpec::v2().greedy().severs(1), WorkerSpec::v2()],
         steal: true,
         batch: 1,
-        min_proto: 1,
     };
     let bugs = SeededBugs {
         orphan_on_request: true,

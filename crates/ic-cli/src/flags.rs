@@ -8,7 +8,7 @@
 
 use std::str::FromStr;
 
-use ic_net::{FaultPlan, ServerConfig, WorkerConfig, PROTO_V1, PROTO_V2};
+use ic_net::{FaultPlan, ServerConfig, WorkerConfig};
 
 /// Why a command did not run. Both variants exit with code 2.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,13 +68,6 @@ impl<'a> Value<'a> {
     /// An integer strictly above zero.
     pub fn positive<T: FromStr + PartialOrd + Default>(self) -> Result<T, CliError> {
         self.parse_if("a positive integer", |n| *n > T::default())
-    }
-
-    /// A worker-facing protocol version.
-    pub fn proto(self) -> Result<u32, CliError> {
-        self.parse_if(&format!("{PROTO_V1} or {PROTO_V2}"), |p| {
-            matches!(*p, PROTO_V1 | PROTO_V2)
-        })
     }
 }
 
@@ -142,7 +135,6 @@ pub fn server_flag(cfg: &mut ServerConfig, flag: &str, v: Value<'_>) -> Result<b
         "--expect" => cfg.expect_workers = v.int()?,
         "--batch" => cfg.batch = v.positive()?,
         "--steal-after" => cfg.steal_after_ms = Some(v.parse_if("milliseconds", |_| true)?),
-        "--min-proto" => cfg.min_proto = v.proto()?,
         "--poll-timeout" => {
             cfg.poll_timeout_ms = v.parse_if("positive milliseconds", |&ms| ms > 0)?;
         }
@@ -161,7 +153,6 @@ pub fn worker_flag(cfg: &mut WorkerConfig, flag: &str, v: Value<'_>) -> Result<b
         "--speed" => cfg.speed = v.parse_if("a positive number", |&f| f > 0.0)?,
         "--mean-ms" => cfg.mean_ms = v.int()?,
         "--batch" => cfg.batch = v.positive()?,
-        "--proto" => cfg.proto = v.proto()?,
         "--retry-ms" => cfg.retry_ms = v.parse_if("positive milliseconds", |&ms| ms > 0)?,
         "--flaky" => {
             let p = v.parse_if("a probability in [0, 1]", |p| (0.0..=1.0).contains(p))?;
@@ -209,21 +200,21 @@ mod tests {
         assert_eq!(cfg.seed, 9);
 
         let mut w = WorkerConfig::default();
-        read(&mut w, &["--batch", "8", "--proto", "1"], worker_flag).unwrap();
+        read(&mut w, &["--batch", "8", "--retry-ms", "20"], worker_flag).unwrap();
         assert_eq!(w.batch, 8);
-        assert_eq!(w.proto, PROTO_V1);
+        assert_eq!(w.retry_ms, 20);
         // Untouched options keep the worker's own seed.
         assert_eq!(w.seed, WorkerConfig::default().seed);
 
         // Flags of the other side (and of the verb itself) are not
-        // consumed: `--min-proto` is a serve flag, not a work flag.
+        // consumed: `--lease-ms` is a serve flag, not a work flag.
         let v = Value {
             flag: "--x",
             text: "2",
         };
         assert_eq!(server_flag(&mut cfg, "--listen", v), Ok(false));
         assert_eq!(worker_flag(&mut w, "--connect", v), Ok(false));
-        assert_eq!(worker_flag(&mut w, "--min-proto", v), Ok(false));
+        assert_eq!(worker_flag(&mut w, "--lease-ms", v), Ok(false));
     }
 
     #[test]
@@ -232,7 +223,6 @@ mod tests {
         for (flag, value) in [
             ("--lease-ms", "0"),
             ("--batch", "x"),
-            ("--min-proto", "3"),
             ("--poll-timeout", "0"),
             ("--shards", "0"),
         ] {
@@ -243,7 +233,7 @@ mod tests {
             );
         }
         let mut w = WorkerConfig::default();
-        assert!(read(&mut w, &["--proto", "0"], worker_flag).is_err());
+        assert!(read(&mut w, &["--retry-ms", "0"], worker_flag).is_err());
         assert!(read(&mut w, &["--seed", "many"], worker_flag).is_err());
         // A flag that lost its value is a bare usage error.
         assert_eq!(

@@ -15,7 +15,7 @@
 //! ic-prio serve (--dag <file> | --family <spec>) [--policy optimal|fifo|...]
 //!          [--listen addr] [--trace out.jsonl | --resume-from trace.jsonl]
 //!          [--lease-ms N] [--expect N]
-//!          [--batch N] [--steal-after MS] [--min-proto V]
+//!          [--batch N] [--steal-after MS]
 //!          [--poll-timeout MS] [--shards N]
 //!          [--shard i/N --peers S=addr,... [--cut C] [--replicate-cut]
 //!           [--sever-link-after N]]
@@ -29,7 +29,7 @@
 //! ic-prio merge <shard.jsonl>... [--out merged.jsonl] [--deny <code-name>]
 //!          [--json]
 //! ic-prio work --connect <addr> [--id s] [--speed f] [--mean-ms N] [--batch N]
-//!          [--proto V] [--no-reconnect] [--retry-ms N]
+//!          [--no-reconnect] [--retry-ms N]
 //!          [--flaky p | --die-after K | --stall-after K | --sever-after K]
 //!          [--seed S] [--json]
 //! ic-prio dot <file>
@@ -64,7 +64,7 @@ fn usage() -> ExitCode {
          [--policy optimal|fifo|lifo|random|greedy|maxout|mindepth] [--listen addr]\n              \
          [--trace out.jsonl | --resume-from trace.jsonl] [--lease-ms N] [--expect N]\n              \
          [--batch N] [--steal-after MS]\n              \
-         [--min-proto V] [--poll-timeout MS] [--shards N] [--port-file p] [--seed S]\n              \
+         [--poll-timeout MS] [--shards N] [--port-file p] [--seed S]\n              \
          [--shard i/N --peers S=addr,... [--cut auto|level|mesh|butterfly|tree]\n              \
          [--replicate-cut] [--sever-link-after N]] [--json]\n  \
          ic-prio recover <trace.jsonl> [--json]\n  \
@@ -73,7 +73,7 @@ fn usage() -> ExitCode {
          [--merged out.jsonl] [--lease-ms N] [--seed S] [--json]\n  \
          ic-prio merge <shard.jsonl>... [--out merged.jsonl] [--deny <code-name>] [--json]\n  \
          ic-prio work --connect <addr> [--id s] [--speed f] [--mean-ms N] [--batch N]\n              \
-         [--proto V] [--no-reconnect] [--retry-ms N]\n              \
+         [--no-reconnect] [--retry-ms N]\n              \
          [--flaky p | --die-after K | --stall-after K | --sever-after K] [--seed S] [--json]\n  \
          ic-prio dot <file>\n  ic-prio export <file>"
     );

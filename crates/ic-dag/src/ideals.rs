@@ -24,8 +24,8 @@
 //!   workers carry identical payloads and dedup cannot lose information.
 //!
 //! The pre-overhaul from-scratch algorithm is retained as
-//! [`IdealEnumerator::for_each_reference`] so differential tests and
-//! benches can compare against it in the same binary.
+//! [`IdealEnumerator::for_each_reference`] so differential tests can
+//! compare against it in the same binary.
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -255,8 +255,8 @@ impl IdealEnumerator {
     /// BFS recomputing [`IdealEnumerator::eligible_mask`] from scratch per
     /// state. Visits every down-set exactly once in nondecreasing size
     /// order, with **unspecified** order within a size. Retained verbatim
-    /// so differential tests and the `envelope-naive` bench group can
-    /// measure the incremental/parallel sweep against it in one binary.
+    /// so differential tests can compare the incremental/parallel sweep
+    /// against it in one binary.
     pub fn for_each_reference(&self, mut f: impl FnMut(u64, u32, u64)) {
         let mut layer: HashSet<u64> = HashSet::new();
         layer.insert(0);

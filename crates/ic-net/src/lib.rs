@@ -8,11 +8,11 @@
 //! matching worker client) built entirely on `std::net`, keeping the
 //! workspace's zero-external-dependency rule.
 //!
-//! * [`wire`] — the *versioned* length-prefixed JSON frame protocol,
-//!   encoded with the in-repo parser ([`ic_sim::json`]); every decoding
-//!   failure is a typed error, never a panic. `hello`/`welcome`
-//!   negotiate the protocol version; v2 adds resume tokens, batched
-//!   assignment, and lease revocation. The buffer-oriented
+//! * [`wire`] — the length-prefixed JSON frame protocol, encoded with
+//!   the in-repo parser ([`ic_sim::json`]); every decoding failure is
+//!   a typed error, never a panic. There is one worker protocol
+//!   (resume tokens, batched assignment, lease revocation), its
+//!   version checked once at `hello`. The buffer-oriented
 //!   [`wire::Frame`] / [`wire::Decoder`] pair is the one framing path
 //!   shared by the reactor and the worker client.
 //! * [`machine`] — the *pure* lease-protocol state machine:
@@ -70,7 +70,7 @@ pub use server::{ServeReport, ServerConfig, ServerConfigBuilder};
 pub use timer::TimerWheel;
 pub use wire::{
     Conn, Decoder, Frame, Message, WireError, ERR_BAD_RESUME, ERR_UNSUPPORTED, MAX_FRAME,
-    PROTO_CURRENT, PROTO_V1, PROTO_V2, PROTO_V3,
+    PROTO_CURRENT, PROTO_V2, PROTO_V3,
 };
 pub use worker::{
     run_worker, FaultPlan, WorkerConfig, WorkerConfigBuilder, WorkerReport, RETRY_TOTAL_MS,

@@ -43,7 +43,7 @@ use ic_sim::trace::{EventKind, FedMeta, TraceEvent, TraceHeader, WorkerParams};
 
 use crate::lease_table::{Lease, LeaseTable};
 use crate::server::{ServeReport, ServerConfig};
-use crate::wire::{Message, ERR_BAD_RESUME, ERR_UNSUPPORTED, PROTO_CURRENT, PROTO_V2};
+use crate::wire::{Message, ERR_BAD_RESUME, ERR_UNSUPPORTED, PROTO_CURRENT};
 
 /// Trace seconds back to driver microseconds — the inverse of the
 /// machine's `t()` timestamping, used when replaying a trace to place
@@ -73,7 +73,8 @@ pub enum Event {
         id: String,
         /// Self-reported relative speed (recorded in the header).
         speed: f64,
-        /// Highest protocol version the worker speaks.
+        /// Highest protocol version the worker speaks; below
+        /// [`PROTO_CURRENT`] the hello is refused.
         proto: u32,
         /// Resume token from a previous `welcome`, if reconnecting.
         resume: Option<String>,
@@ -109,9 +110,11 @@ pub enum Event {
         /// Event time in driver microseconds.
         now_us: u64,
     },
-    /// A worker's connection is gone (EOF, timeout, `bye`). Carries
-    /// the registration epoch so a superseded connection — the worker
-    /// already resumed on a new socket — cannot disturb the slot.
+    /// A worker's connection is gone (EOF, timeout, `bye`). The slot
+    /// keeps its leases — the worker may resume, and expiry is the
+    /// fallback if it never does. Carries the registration epoch so a
+    /// superseded connection — the worker already resumed on a new
+    /// socket — cannot disturb the slot.
     Sever {
         /// The worker's slot index.
         worker: usize,
@@ -267,7 +270,7 @@ impl std::fmt::Display for RestoreError {
 impl std::error::Error for RestoreError {}
 
 /// Per-worker registration record. The slot outlives its TCP
-/// connection: a v2 worker that disconnects mid-lease can reclaim it
+/// connection: a worker that disconnects mid-lease can reclaim it
 /// with the resume token.
 #[derive(Debug, Clone)]
 struct WorkerSlot {
@@ -276,10 +279,9 @@ struct WorkerSlot {
     /// Whether the worker's latest request already saw an empty pool
     /// (suppresses repeated `Idle` events while it polls).
     waiting: bool,
-    /// Negotiated protocol version for this slot's current connection.
-    proto: u32,
-    /// Current resume token (v2 slots only; rotated on every resume so
-    /// a stale token cannot hijack the slot).
+    /// Current resume token (rotated on every resume so a stale token
+    /// cannot hijack the slot); `None` only on a crash-recovered slot
+    /// nobody has resumed yet.
     token: Option<String>,
     /// Bumped on every resume; a `Sever` carrying an older epoch comes
     /// from a superseded connection and is ignored.
@@ -637,7 +639,6 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
                     id,
                     speed,
                     waiting: false,
-                    proto: PROTO_V2,
                     token: None,
                     epoch: 0,
                     connected: false,
@@ -810,24 +811,15 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
                         task,
                         accepted: true,
                     }
-                } else if self.worker_proto(worker) >= PROTO_V2 {
+                } else {
                     // The lease is gone (expired, forfeited, or revoked
-                    // after a losing race): tell a v2 worker to abandon
+                    // after a losing race): tell the worker to abandon
                     // the task instead of finishing doomed work.
                     Message::Revoke { task }
-                } else {
-                    Message::Ack {
-                        task,
-                        accepted: false,
-                    }
                 };
                 fx.push(Effect::Reply(msg));
             }
-            Event::Sever {
-                worker,
-                epoch,
-                now_us,
-            } => self.sever(worker, epoch, now_us, &mut fx),
+            Event::Sever { worker, epoch, .. } => self.sever(worker, epoch),
             Event::Expire {
                 worker,
                 task,
@@ -1003,7 +995,7 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
         }
         0xA4u8.hash(h);
         for w in &self.workers {
-            (w.proto, w.epoch, w.connected, w.waiting, w.token.is_some()).hash(h);
+            (w.epoch, w.connected, w.waiting, w.token.is_some()).hash(h);
         }
         0xA5u8.hash(h);
         self.failures.hash(h);
@@ -1171,49 +1163,29 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
         now_us: u64,
         fx: &mut Vec<Effect>,
     ) {
-        let refused = |fx: &mut Vec<Effect>, msg: Message| {
-            fx.push(Effect::Registered {
-                msg,
-                worker: usize::MAX,
-                epoch: 0,
-            });
-        };
-        if proto < self.cfg.min_proto {
-            return refused(
+        // The one place a protocol version is compared: everything
+        // past this line speaks PROTO_CURRENT.
+        if proto < PROTO_CURRENT {
+            return refuse(
                 fx,
-                Message::Error {
-                    code: ERR_UNSUPPORTED.into(),
-                    msg: format!(
-                        "protocol {proto} not supported: this server requires at least {}",
-                        self.cfg.min_proto
-                    ),
-                },
+                ERR_UNSUPPORTED,
+                format!(
+                    "protocol {proto} not supported: this server requires at least \
+                     {PROTO_CURRENT}"
+                ),
             );
         }
-        let negotiated = proto.min(PROTO_CURRENT);
         if let Some(token) = resume {
-            if negotiated < PROTO_V2 {
-                return refused(
-                    fx,
-                    Message::Error {
-                        code: ERR_UNSUPPORTED.into(),
-                        msg: "resume requires protocol 2".into(),
-                    },
-                );
-            }
-            return self.resume_slot(&id, &token, negotiated, now_us, fx);
+            return self.resume_slot(&id, &token, now_us, fx);
         }
         let worker = self.workers.len();
-        let token = (negotiated >= PROTO_V2).then(|| self.fresh_token());
-        if let Some(t) = &token {
-            self.token_index.insert(t.clone(), worker);
-        }
+        let token = self.fresh_token();
+        self.token_index.insert(token.clone(), worker);
         self.workers.push(WorkerSlot {
             id,
             speed,
             waiting: false,
-            proto: negotiated,
-            token: token.clone(),
+            token: Some(token.clone()),
             epoch: 0,
             connected: true,
             awaiting_recovery: false,
@@ -1228,8 +1200,8 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
             msg: Message::Welcome {
                 worker: worker as u64,
                 lease_ms: self.cfg.lease_ms,
-                proto: negotiated,
-                resume: token,
+                proto: PROTO_CURRENT,
+                resume: Some(token),
                 tasks: Vec::new(),
             },
             worker,
@@ -1247,29 +1219,14 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
     /// [`WorkerSlot::awaiting_recovery`] slot by the hello's worker
     /// `id` — the surviving worker reclaims its slot and leases with
     /// zero lost work.
-    fn resume_slot(
-        &mut self,
-        id: &str,
-        token: &str,
-        negotiated: u32,
-        now_us: u64,
-        fx: &mut Vec<Effect>,
-    ) {
+    fn resume_slot(&mut self, id: &str, token: &str, now_us: u64, fx: &mut Vec<Effect>) {
         let matched = self
             .token_index
             .get(token)
             .copied()
             .or_else(|| self.recovery_match(id, now_us));
         let Some(worker) = matched else {
-            fx.push(Effect::Registered {
-                msg: Message::Error {
-                    code: ERR_BAD_RESUME.into(),
-                    msg: "unknown or stale resume token".into(),
-                },
-                worker: usize::MAX,
-                epoch: 0,
-            });
-            return;
+            return refuse(fx, ERR_BAD_RESUME, "unknown or stale resume token".into());
         };
         let fresh = self.fresh_token();
         let deadline = self.lease_deadline(now_us);
@@ -1278,7 +1235,6 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
         let slot = &mut self.workers[worker];
         slot.epoch += 1;
         slot.token = Some(fresh.clone());
-        slot.proto = negotiated;
         slot.waiting = false;
         slot.awaiting_recovery = false;
         if !slot.connected {
@@ -1295,7 +1251,7 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
             msg: Message::Welcome {
                 worker: worker as u64,
                 lease_ms: self.cfg.lease_ms,
-                proto: negotiated,
+                proto: PROTO_CURRENT,
                 resume: Some(fresh),
                 tasks: held.iter().map(|v| v.index() as u64).collect(),
             },
@@ -1317,39 +1273,21 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
             .position(|w| w.awaiting_recovery && !w.connected && w.id == id)
     }
 
-    /// A worker's connection dropped (with its registration epoch).
-    fn sever(&mut self, worker: usize, epoch: u64, now_us: u64, fx: &mut Vec<Effect>) {
-        match self.workers.get_mut(worker) {
-            Some(slot) => {
-                if slot.epoch != epoch && !self.bugs.honor_stale_gone {
-                    // A superseded connection: the worker already
-                    // resumed on a new socket.
-                    return;
-                }
-                if slot.connected {
-                    slot.connected = false;
-                    self.connected = self.connected.saturating_sub(1);
-                }
-                if slot.proto >= PROTO_V2 && slot.token.is_some() {
-                    // v2: keep the leases — the worker may resume.
-                    // Lease expiry is the fallback if it never does.
-                } else {
-                    self.drop_worker_leases(worker, now_us, fx);
-                }
-            }
-            None => {
-                // Never fully registered (e.g. the welcome write
-                // failed): v1 semantics, lose everything.
-                self.connected = self.connected.saturating_sub(1);
-                self.drop_worker_leases(worker, now_us, fx);
-            }
+    /// A worker's connection dropped (with its registration epoch);
+    /// see [`Event::Sever`] for what that does and does not release.
+    fn sever(&mut self, worker: usize, epoch: u64) {
+        let Some(slot) = self.workers.get_mut(worker) else {
+            return;
+        };
+        if slot.epoch != epoch && !self.bugs.honor_stale_gone {
+            // A superseded connection: the worker already resumed on
+            // a new socket.
+            return;
         }
-    }
-
-    fn worker_proto(&self, worker: usize) -> u32 {
-        self.workers
-            .get(worker)
-            .map_or(crate::wire::PROTO_V1, |w| w.proto)
+        if slot.connected {
+            slot.connected = false;
+            self.connected = self.connected.saturating_sub(1);
+        }
     }
 
     /// Answer a work request: `Assign` when the pool has tasks,
@@ -1357,7 +1295,7 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
     /// the drain barrier if stealing is enabled, `Wait` otherwise.
     ///
     /// A worker requesting while it still holds leases forfeits them
-    /// (same as a mid-lease disconnect) — otherwise the held tasks,
+    /// (as a lease expiry would) — otherwise the held tasks,
     /// belonging to no queue, could never be reallocated.
     fn allocate_for(
         &mut self,
@@ -1402,11 +1340,7 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
                 ms: self.cfg.wait_ms,
             };
         }
-        let width = if self.worker_proto(worker) >= PROTO_V2 {
-            max.clamp(1, self.cfg.batch.max(1) as u64) as usize
-        } else {
-            1
-        };
+        let width = max.clamp(1, self.cfg.batch.max(1) as u64) as usize;
         // Claiming removes each task from the pool but keeps it
         // ELIGIBLE until the lease resolves (completion, failure, or
         // expiry). The round is chosen exactly as the offline
@@ -1451,13 +1385,13 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
     }
 
     /// At the drain barrier (empty pool, nothing deferred, leases
-    /// outstanding), grant an idle v2 worker a speculative duplicate
+    /// outstanding), grant an idle worker a speculative duplicate
     /// of the longest-outstanding primary lease — if stealing is
     /// enabled, that lease is old enough, and the task has no
     /// duplicate yet.
     fn try_steal(&mut self, worker: usize, now_us: u64, fx: &mut Vec<Effect>) -> Option<Message> {
         let after_us = self.cfg.steal_after_ms?.saturating_mul(1_000);
-        if !self.deferred.is_empty() || self.worker_proto(worker) < PROTO_V2 {
+        if !self.deferred.is_empty() {
             return None;
         }
         if self.leases.stealable() == 0 {
@@ -1734,6 +1668,19 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
     }
 }
 
+/// Answer a `hello` with a typed error frame; the driver sends it and
+/// closes the connection.
+fn refuse(fx: &mut Vec<Effect>, code: &str, msg: String) {
+    fx.push(Effect::Registered {
+        msg: Message::Error {
+            code: code.into(),
+            msg,
+        },
+        worker: usize::MAX,
+        epoch: 0,
+    });
+}
+
 impl std::fmt::Debug for LeaseMachine<'_, '_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LeaseMachine")
@@ -1751,7 +1698,7 @@ impl std::fmt::Debug for LeaseMachine<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::PROTO_V1;
+    use crate::wire::PROTO_V2;
     use ic_audit::{audit_trace, Severity};
     use ic_dag::builder::from_arcs;
     use ic_sched::batched::batches_with;
@@ -1963,9 +1910,9 @@ mod tests {
         assert!(errors.is_empty(), "trace must replay clean: {errors:?}");
     }
 
-    /// A mid-lease disconnect of a v1 (or never-registered) worker
-    /// reallocates the held task through the same claimed-while-
-    /// deferred path as a failure report.
+    /// A mid-lease disconnect keeps the lease until it expires; the
+    /// expiry then reallocates the held task through the same
+    /// claimed-while-deferred path as a failure report.
     #[test]
     fn disconnect_reallocation_keeps_pool_accounting_consistent() {
         let g = from_arcs(3, &[(0, 1), (0, 2)]).unwrap();
@@ -1977,6 +1924,7 @@ mod tests {
         let mut sink = MemorySink::new();
         let mut m = LeaseMachine::new(&g, &policy, cfg);
         boot(&mut m, &mut sink);
+        hello(&mut m, &mut sink, "a");
 
         let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 1, 0) else {
             panic!("the source must be allocatable");
@@ -1991,21 +1939,34 @@ mod tests {
                 now_us: 0,
             },
         );
+        assert_eq!((m.deferred_tasks().len(), m.lease_views().len()), (0, 1));
+        assert_eq!(m.connected(), 0);
+        assert_accounting(&m);
+        let now = 10_000_000;
+        drive(
+            &mut m,
+            &mut sink,
+            Event::Expire {
+                worker: 0,
+                task: tasks[0],
+                now_us: now,
+            },
+        );
         assert_eq!((m.deferred_tasks().len(), m.lease_views().len()), (1, 0));
         assert_accounting(&m);
 
         // Zero backoff: another worker picks the task right back up.
-        let Message::Assign { tasks: retry } = request(&mut m, &mut sink, 1, 1, 0) else {
+        let Message::Assign { tasks: retry } = request(&mut m, &mut sink, 1, 1, now) else {
             panic!("the lost task must be immediately reallocatable");
         };
         assert_eq!(retry, tasks);
         assert_accounting(&m);
-        assert!(done(&mut m, &mut sink, 1, retry[0], true, 0));
+        assert!(done(&mut m, &mut sink, 1, retry[0], true, now));
         assert_eq!(m.exec().pool_len(), 2, "both children became ELIGIBLE");
         assert_accounting(&m);
     }
 
-    /// The resume lifecycle on the machine: a v2 worker that
+    /// The resume lifecycle on the machine: a worker that
     /// disconnects mid-lease keeps the lease, reclaims its slot with
     /// the token (rotated, so the old token dies), and the dead
     /// connection's stale `Sever` cannot disturb the resumed slot.
@@ -2035,14 +1996,14 @@ mod tests {
             ..
         } = replies.remove(0)
         else {
-            panic!("a v2 hello must be welcomed with a resume token");
+            panic!("a hello must be welcomed with a resume token");
         };
         assert_eq!(proto, PROTO_V2);
         let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 1, 0) else {
             panic!("the source must be allocatable");
         };
 
-        // The connection dies mid-lease: the v2 slot keeps the lease.
+        // The connection dies mid-lease: the slot keeps the lease.
         drive(
             &mut m,
             &mut sink,
@@ -2125,7 +2086,7 @@ mod tests {
         assert!(errors.is_empty(), "trace must replay clean: {errors:?}");
     }
 
-    /// The drain-barrier steal lifecycle: an idle v2 worker gets a
+    /// The drain-barrier steal lifecycle: an idle worker gets a
     /// speculative duplicate of the straggling lease, the first
     /// completion wins, the loser is revoked without a pool change,
     /// and the loser's late report is rejected without a trace event.
@@ -2142,18 +2103,7 @@ mod tests {
         let mut m = LeaseMachine::new(&g, &policy, cfg);
         boot(&mut m, &mut sink);
         for id in ["a", "b"] {
-            let replies = drive(
-                &mut m,
-                &mut sink,
-                Event::Hello {
-                    id: id.into(),
-                    speed: 1.0,
-                    proto: PROTO_V2,
-                    resume: None,
-                    now_us: 0,
-                },
-            );
-            assert!(matches!(replies[0], Message::Welcome { .. }));
+            hello(&mut m, &mut sink, id);
         }
 
         let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 1, 0) else {
@@ -2187,7 +2137,7 @@ mod tests {
             "a late report emits nothing"
         );
 
-        // The loser learns via its next heartbeat: a v2 Revoke frame.
+        // The loser learns via its next heartbeat: a Revoke frame.
         let replies = drive(
             &mut m,
             &mut sink,
@@ -2211,7 +2161,7 @@ mod tests {
     }
 
     /// Batched allocation follows the offline batch schedule: a lone
-    /// v2 worker requesting `max` tasks per round executes exactly the
+    /// worker requesting `max` tasks per round executes exactly the
     /// rounds `ic_sched::batched::batches_with` computes, and the
     /// per-task trace still replays clean.
     #[test]
@@ -2228,18 +2178,7 @@ mod tests {
         let mut sink = MemorySink::new();
         let mut m = LeaseMachine::new(&g, &policy, cfg);
         boot(&mut m, &mut sink);
-        let replies = drive(
-            &mut m,
-            &mut sink,
-            Event::Hello {
-                id: "a".into(),
-                speed: 1.0,
-                proto: PROTO_V2,
-                resume: None,
-                now_us: 0,
-            },
-        );
-        assert!(matches!(replies[0], Message::Welcome { .. }));
+        hello(&mut m, &mut sink, "a");
 
         let mut online: Vec<Vec<u64>> = Vec::new();
         while !m.is_complete() {
@@ -2258,58 +2197,51 @@ mod tests {
         assert!(errors.is_empty(), "trace must replay clean: {errors:?}");
     }
 
-    /// Protocol gatekeeping: a hello below `min_proto` is refused with
-    /// the typed `unsupported` error; a v1 worker on a default server
-    /// is capped at one task per assign.
+    /// The version is checked once, at the door: a hello offering
+    /// less than protocol 2 (a wire hello with `proto` absent decodes
+    /// as 1) is refused with the typed `unsupported` error and leaves
+    /// no mark — no slot, no header, no trace event — and the next
+    /// current-protocol worker is served as if it never happened.
     #[test]
-    fn min_proto_refuses_and_v1_is_never_batched() {
+    fn a_hello_below_protocol_2_is_refused_and_leaves_no_mark() {
         let g = from_arcs(3, &[]).unwrap();
         let policy = Policy::Fifo;
-        let cfg = ServerConfig::builder().min_proto(PROTO_V2).build();
+        let cfg = ServerConfig::builder().expect_workers(1).batch(4).build();
         let mut sink = MemorySink::new();
         let mut m = LeaseMachine::new(&g, &policy, cfg);
         boot(&mut m, &mut sink);
-        let replies = drive(
-            &mut m,
-            &mut sink,
-            Event::Hello {
+        for proto in [0, 1] {
+            let fx = m.step(Event::Hello {
                 id: "old".into(),
                 speed: 1.0,
-                proto: PROTO_V1,
+                proto,
                 resume: None,
                 now_us: 0,
-            },
-        );
-        assert!(
-            matches!(replies[0], Message::Error { ref code, .. } if code == ERR_UNSUPPORTED),
-            "a v1 hello against a v2-only server gets the typed error"
-        );
-        assert_eq!(m.num_workers(), 0, "a refused peer takes no slot");
+            });
+            let [Effect::Registered {
+                msg: Message::Error { code, .. },
+                worker: usize::MAX,
+                ..
+            }] = fx.as_slice()
+            else {
+                panic!("proto {proto}: one typed refusal and nothing else, got {fx:?}");
+            };
+            assert_eq!(code, ERR_UNSUPPORTED);
+        }
+        assert_eq!((m.num_workers(), m.connected()), (0, 0));
+        assert_eq!(m.trace_steps(), 0);
 
-        let cfg = ServerConfig::builder().batch(4).build();
-        let mut sink = MemorySink::new();
-        let mut m = LeaseMachine::new(&g, &policy, cfg);
-        boot(&mut m, &mut sink);
-        let mut replies = drive(
-            &mut m,
-            &mut sink,
-            Event::Hello {
-                id: "old".into(),
-                speed: 1.0,
-                proto: PROTO_V1,
-                resume: None,
-                now_us: 0,
-            },
-        );
-        let Message::Welcome { proto, resume, .. } = replies.remove(0) else {
-            panic!("a v1 hello is welcome on a default server");
-        };
-        assert_eq!(proto, PROTO_V1);
-        assert_eq!(resume, None, "v1 peers get no resume token");
+        // The barrier of one is still unmet: the current hello writes
+        // the header, and its batched request is served.
+        hello(&mut m, &mut sink, "new");
         let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 4, 0) else {
             panic!("sources are allocatable");
         };
-        assert_eq!(tasks.len(), 1, "v1 workers are never batched");
+        assert_eq!(tasks.len(), 3);
+        let trace = sink
+            .into_trace()
+            .expect("the current hello met the barrier");
+        assert_eq!(trace.header.workers.len(), 1);
     }
 
     /// Targeted expiry: an `Expire` whose deadline has not passed is a

@@ -802,7 +802,19 @@ impl<'a> Reactor<'a> {
                 return self.drop_conn(id, sink);
             }
         };
+        let beat = matches!(event, Event::Heartbeat { .. });
         let fx = self.machine.step(event);
+        // A heartbeat's accepted ack renewed the lease: re-arm it. A
+        // done's ack has no lease left to time.
+        if beat {
+            if let Some(Effect::Reply(Message::Ack {
+                task,
+                accepted: true,
+            })) = fx.last()
+            {
+                self.arm_lease(worker, *task, now_us);
+            }
+        }
         self.perform(fx, now_us, Some((id, Some(reg))), sink);
     }
 
@@ -1055,21 +1067,12 @@ impl<'a> Reactor<'a> {
                     match &msg {
                         // Every grant path re-arms the wheel: primary
                         // and speculative assigns here, heartbeat
-                        // renewals below, resumes at registration.
+                        // renewals where the heartbeat is dispatched,
+                        // resumes at registration.
                         Message::Assign { tasks } => {
                             for &task in tasks {
                                 self.arm_lease(worker, task, now_us);
                             }
-                        }
-                        Message::Ack {
-                            task,
-                            accepted: true,
-                        } => {
-                            // Only heartbeats renew; a done's ack has
-                            // no lease left to time. Arming on both is
-                            // harmless (lazy timers), arming on
-                            // heartbeat is required.
-                            self.arm_lease(worker, *task, now_us);
                         }
                         Message::Wait { .. } => {
                             // At the drain barrier a steal deadline
@@ -1582,5 +1585,69 @@ impl Drop for LoopbackConn {
             self.closed = true;
             let _ = self.tx.send(LoopCmd::Close { id: self.id });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ic_sim::MemorySink;
+
+    const TASKS: u64 = 8;
+    const LEASE_US: u64 = 100_000;
+
+    /// One worker takes all [`TASKS`] tasks in a single batch at time
+    /// 0, reports them at half a lease (after heartbeating task 0, if
+    /// `heartbeat`), and asks again at 1¼ leases, which drains it.
+    /// Returns the timers still pending when the reactor exits: by
+    /// then every assign timer (due at one lease) has fired, and
+    /// anything armed at half a lease (due at 1½) has not.
+    fn timers_left(heartbeat: bool) -> usize {
+        let dag = ic_dag::builder::from_arcs(TASKS as usize, &[]).unwrap();
+        let policy = ic_sched::Schedule::in_id_order(&dag);
+        let cfg = ServerConfig::builder()
+            .lease_ms(LEASE_US / 1000)
+            .expect_workers(1)
+            .batch(TASKS as usize)
+            .build();
+        let clock = ManualClock::new(0);
+        let (poller, handle) = loopback(1);
+        let driver = Driver::new(Box::new(clock.clone()), Box::new(poller));
+        let mut reactor = Reactor::new(&dag, &policy, cfg, driver);
+
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let mut conn = handle.connect();
+                let mut call = |msg: Message| {
+                    conn.send(&msg).unwrap();
+                    conn.recv_timeout(Duration::from_secs(10))
+                        .unwrap()
+                        .expect("the reactor answers every frame")
+                };
+                let welcome = call(Message::hello("w", 1.0));
+                assert!(matches!(welcome, Message::Welcome { .. }));
+                let Message::Assign { tasks } = call(Message::Request { max: TASKS }) else {
+                    panic!("the whole dag fits one batch");
+                };
+                clock.advance(LEASE_US / 2);
+                let beat = heartbeat.then_some(Message::Heartbeat { task: 0 });
+                let dones = tasks.iter().map(|&task| Message::Done { task, ok: true });
+                for msg in beat.into_iter().chain(dones) {
+                    assert!(matches!(call(msg), Message::Ack { accepted: true, .. }));
+                }
+                clock.advance(3 * LEASE_US / 4);
+                assert_eq!(call(Message::request()), Message::Drain);
+            });
+            reactor.run_until_drain(&mut MemorySink::new()).unwrap();
+        });
+        reactor.wheel.len()
+    }
+
+    /// An accepted `done` resolves its lease, so its ack arms nothing;
+    /// an accepted heartbeat renews one, so its ack must.
+    #[test]
+    fn a_completed_task_leaves_no_timer_and_a_heartbeat_arms_one() {
+        assert_eq!(timers_left(false), 0, "one dead timer per done ack");
+        assert_eq!(timers_left(true), 1, "the heartbeat's renewal");
     }
 }

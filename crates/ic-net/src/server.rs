@@ -14,12 +14,13 @@
 //! * **exponential-backoff reallocation** — a task failed `k` times
 //!   waits `backoff_base_ms · 2^min(k-1, 6)` before re-entering the
 //!   pool, so a poison task cannot monopolize allocations;
-//! * **resumable leases** (v2) — each `welcome` carries a single-use
+//! * **resumable leases** — each `welcome` carries a single-use
 //!   resume token; a worker whose TCP connection drops mid-lease can
 //!   reconnect with `hello{resume}` and keep its leases (heartbeat
-//!   clocks restored). Lease expiry is the fallback: a worker that
-//!   never resumes still forfeits on the usual clock;
-//! * **straggler re-lease** (v2, opt-in via `steal_after_ms`) — when
+//!   clocks restored). A disconnect by itself releases nothing: lease
+//!   expiry is the fallback, so a worker that never resumes forfeits
+//!   on the usual clock;
+//! * **straggler re-lease** (opt-in via `steal_after_ms`) — when
 //!   the pool is empty but leases are outstanding (the drain barrier),
 //!   an idle worker is granted a *speculative* duplicate lease on the
 //!   longest-outstanding task. First completion wins; the stale
@@ -51,14 +52,13 @@
 //! backoff (they are ELIGIBLE and unallocated — exactly what the
 //! auditor reconstructs).
 //!
-//! # Protocol versions
+//! # Protocol version
 //!
-//! `hello` carries the highest protocol version the worker speaks;
-//! `welcome` answers with the negotiated version (the minimum of both
-//! sides'). Resume tokens, batched assignment, and speculative leases
-//! are only offered to v2 peers; a v1 peer sees exactly the v1 wire
-//! surface. A peer below [`ServerConfig::min_proto`] is refused with a
-//! typed `error{code: "unsupported"}` frame.
+//! There is one worker protocol ([`crate::wire::PROTO_CURRENT`], 2)
+//! and it is checked once: a `hello` offering less is refused with a
+//! typed `error{code: "unsupported"}` frame and the connection is
+//! closed. Every registered worker gets resume tokens, batched
+//! assignment, speculative leases and `revoke`.
 //!
 //! # Architecture
 //!
@@ -74,8 +74,6 @@
 //! a per-lease scan, and each connection remembers the *epoch* of its
 //! registration so a sever from a superseded connection (the worker
 //! already resumed on a new socket) is ignored.
-
-use crate::wire::PROTO_V1;
 
 /// Tunables of a serving run. Construct with [`ServerConfig::builder`]
 /// (the struct is `#[non_exhaustive]`: new knobs may appear without a
@@ -102,17 +100,13 @@ pub struct ServerConfig {
     /// tokens (the server draws no other randomness).
     pub seed: u64,
     /// Maximum tasks per `assign`. The actual batch is the minimum of
-    /// this and the `max` the worker's `request` asked for; v1 workers
-    /// always get one task.
+    /// this and the `max` the worker's `request` asked for.
     pub batch: usize,
     /// Straggler re-lease: when the pool is empty and a primary lease
-    /// has been outstanding this long, an idle v2 worker gets a
+    /// has been outstanding this long, an idle worker gets a
     /// speculative duplicate of it. `None` (the default) disables
     /// stealing.
     pub steal_after_ms: Option<u64>,
-    /// Lowest protocol version this server accepts; a `hello` below it
-    /// is refused with a typed `error{code: "unsupported"}` frame.
-    pub min_proto: u32,
     /// Upper bound on how long one reactor iteration may park waiting
     /// for I/O, in milliseconds. This caps the latency of timer
     /// processing (lease expiry, drain checks) when no frames arrive.
@@ -132,7 +126,6 @@ impl Default for ServerConfig {
             seed: 0x1C5EED,
             batch: 1,
             steal_after_ms: None,
-            min_proto: PROTO_V1,
             poll_timeout_ms: 5,
             shards: 8,
         }
@@ -199,12 +192,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Lowest accepted protocol version.
-    pub fn min_proto(mut self, proto: u32) -> Self {
-        self.cfg.min_proto = proto;
-        self
-    }
-
     /// Reactor poll timeout in milliseconds (clamped to at least 1).
     pub fn poll_timeout(mut self, ms: u64) -> Self {
         self.cfg.poll_timeout_ms = ms.max(1);
@@ -230,7 +217,8 @@ pub struct ServeReport {
     /// Tasks completed (equals the dag's node count on success).
     pub completions: usize,
     /// Reallocation events: lease expiries, worker-reported failures,
-    /// and mid-lease disconnects (including forfeited duplicates).
+    /// and forfeits by a worker that asked again while holding leases
+    /// (including forfeited duplicates).
     pub failures: usize,
     /// Allocation decisions made (primary leases only; speculative
     /// duplicates count under [`ServeReport::steals`]).

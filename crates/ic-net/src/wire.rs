@@ -14,33 +14,27 @@
 //!
 //! ```text
 //! {"type":"hello","id":"worker-3","speed":2.0,"proto":2}
-//! {"type":"assign","task":17}
+//! {"type":"assign","tasks":[17]}
 //! ```
 //!
 //! # Protocol versions
 //!
-//! The wire format is *versioned*, negotiated at registration: `hello`
-//! carries the client's highest supported version ([`PROTO_CURRENT`]),
-//! `welcome` answers with the negotiated one (the minimum of the two).
-//! Version 1 is the original protocol; version 2 added
+//! There is one worker protocol, version 2 ([`PROTO_CURRENT`]): resume
+//! tokens (`hello.resume` / `welcome.resume`, and the `welcome.tasks`
+//! list of leases restored on a resume), batched allocation
+//! (`request.max`, `assign.tasks`), the `revoke` frame cancelling a
+//! lease the worker lost, and the machine-readable `error.code`. The
+//! version is checked once, at `hello`: a worker offering less is
+//! refused with `error{code:"unsupported"}` and the connection closed.
+//! So that an old peer gets that typed frame rather than a decode
+//! failure, the decoder still reads an absent `proto` as 1, an absent
+//! `request.max` as 1, and an absent `error.code` as `""`.
 //!
-//! * resume tokens (`hello.resume` / `welcome.resume`, and the
-//!   `welcome.tasks` list of leases restored on a resume);
-//! * batched allocation (`request.max`, multi-task `assign`);
-//! * the `revoke` frame cancelling a speculative duplicate lease;
-//! * the machine-readable `error.code` field.
-//!
-//! Every v2 field is *additive*: a v1 decoder that ignores unknown JSON
-//! fields still parses v2 `hello`/`welcome` frames, and the encoder
-//! emits a single-task `assign` in the v1 shape (`"task":N`). Frames a
-//! v1 peer cannot express degrade safely: the decoder defaults
-//! `proto` to 1, `request.max` to 1, and `error.code` to `""`.
-//!
-//! Version 3 adds the *inter-server* federation frames — `peer-hello`,
-//! `remote-done`, `peer-drain` — exchanged only on shard-to-shard
-//! links of a federated run (`ic-fed`). They are additive message
-//! *types* on the same framing layer: [`PROTO_CURRENT`] stays at v2,
-//! so the worker-facing surface is byte-for-byte unchanged.
+//! The *inter-server* federation frames — `peer-hello`, `remote-done`,
+//! `peer-drain` — are exchanged only on shard-to-shard links of a
+//! federated run (`ic-fed`). They are additive message *types* on the
+//! same framing layer, versioned on their own as [`PROTO_V3`] in
+//! `peer-hello`; workers never see them.
 //!
 //! # Buffer-oriented API
 //!
@@ -62,12 +56,8 @@ use ic_sim::json::{self, json_string, Json};
 /// prefix above this is rejected before any allocation.
 pub const MAX_FRAME: usize = 1 << 20;
 
-/// The original wire protocol: single-task assigns, no resume, no
-/// revoke.
-pub const PROTO_V1: u32 = 1;
-
-/// Protocol 2: resume tokens, batched `assign`, `revoke`, typed error
-/// codes.
+/// The worker protocol: resume tokens, batched `assign`, `revoke`,
+/// typed error codes.
 pub const PROTO_V2: u32 = 2;
 
 /// Protocol 3: the *inter-server* federation frames (`peer-hello`,
@@ -77,13 +67,13 @@ pub const PROTO_V2: u32 = 2;
 /// v3 frames are additive message types on the same framing layer.
 pub const PROTO_V3: u32 = 3;
 
-/// The highest protocol version this build speaks *to workers*. Peer
-/// (shard-to-shard) links speak [`PROTO_V3`] on top of the same frames.
+/// The protocol version this build speaks *to workers*, and the lowest
+/// a `hello` may offer. Peer (shard-to-shard) links speak [`PROTO_V3`]
+/// on top of the same frames.
 pub const PROTO_CURRENT: u32 = PROTO_V2;
 
-/// The machine-readable [`Message::Error`] code sent when version
-/// negotiation fails (the peer's protocol is below the server's
-/// minimum, or zero).
+/// The machine-readable [`Message::Error`] code sent when a `hello`
+/// offers a protocol below [`PROTO_CURRENT`].
 pub const ERR_UNSUPPORTED: &str = "unsupported";
 
 /// The [`Message::Error`] code sent when a resume token is unknown or
@@ -120,19 +110,18 @@ pub enum Message {
         id: String,
         /// Declared speed factor (1.0 = baseline).
         speed: f64,
-        /// Highest protocol version the worker speaks. Decodes as
-        /// [`PROTO_V1`] when absent, so v1 peers need no change.
+        /// Highest protocol version the worker speaks. Decodes as 1
+        /// when absent, which the server refuses as `unsupported`.
         proto: u32,
         /// Resume token from a previous `welcome`: reconnect to the
-        /// same worker slot, keeping its leases (v2).
+        /// same worker slot, keeping its leases.
         resume: Option<String>,
     },
     /// Worker asks for work.
     Request {
         /// Maximum number of tasks the worker will accept in one
         /// `assign` (its batch appetite). Decodes as 1 when absent; a
-        /// server never sends a multi-task `assign` unless the worker
-        /// asked for more than one.
+        /// server never sends more tasks than the worker asked for.
         max: u64,
     },
     /// Worker reports the outcome of one leased task. `ok = false`
@@ -158,20 +147,19 @@ pub enum Message {
         /// Lease duration: a leased task whose worker neither reports
         /// nor heartbeats within this window is reallocated.
         lease_ms: u64,
-        /// Negotiated protocol version (min of both sides'). Decodes
-        /// as [`PROTO_V1`] when absent.
+        /// The protocol version of this session ([`PROTO_CURRENT`]).
+        /// Decodes as 1 when absent.
         proto: u32,
-        /// Fresh resume token for this connection (v2; rotated on
-        /// every reconnect, so a stale token cannot hijack the slot).
+        /// Fresh resume token for this connection (rotated on every
+        /// reconnect, so a stale token cannot hijack the slot).
         resume: Option<String>,
         /// On a resume: the tasks this worker still holds leases on
         /// (heartbeat clocks restored). Empty on a fresh registration.
         tasks: Vec<u64>,
     },
-    /// Server allocates one or more tasks to the requesting worker. A
-    /// single task is encoded in the v1 shape (`"task":N`); more than
-    /// one uses the v2 `"tasks":[...]` list and is only ever sent to a
-    /// worker that requested `max > 1`.
+    /// Server allocates one or more tasks to the requesting worker,
+    /// never more than its `request.max`. Always written as the
+    /// `"tasks":[...]` list, whatever its length.
     Assign {
         /// The leased tasks' node indices (never empty).
         tasks: Vec<u64>,
@@ -194,7 +182,7 @@ pub enum Message {
     },
     /// Server cancels the worker's (speculative) lease on `task`:
     /// another worker already completed it. The worker abandons the
-    /// task without reporting (v2 only).
+    /// task without reporting.
     Revoke {
         /// The task's node index.
         task: u64,
@@ -202,7 +190,7 @@ pub enum Message {
     /// Protocol error; the server closes the connection after sending.
     Error {
         /// Machine-readable code (e.g. [`ERR_UNSUPPORTED`]); empty for
-        /// generic protocol violations and on frames from v1 peers.
+        /// generic protocol violations.
         code: String,
         /// Human-readable reason.
         msg: String,
@@ -243,7 +231,7 @@ pub enum Message {
 }
 
 impl Message {
-    /// A v1-compatible `hello` (current protocol, no resume token).
+    /// A fresh `hello` (current protocol, no resume token).
     pub fn hello(id: impl Into<String>, speed: f64) -> Message {
         Message::Hello {
             id: id.into(),
@@ -253,12 +241,12 @@ impl Message {
         }
     }
 
-    /// A single-task `request` (every protocol version).
+    /// A single-task `request`.
     pub fn request() -> Message {
         Message::Request { max: 1 }
     }
 
-    /// A single-task `assign` (encoded in the v1 wire shape).
+    /// A single-task `assign`.
     pub fn assign(task: u64) -> Message {
         Message::Assign { tasks: vec![task] }
     }
@@ -281,14 +269,10 @@ impl Message {
                 resume,
             } => {
                 let mut s = format!(
-                    "{{\"type\":\"hello\",\"id\":{},\"speed\":{}",
+                    "{{\"type\":\"hello\",\"id\":{},\"speed\":{},\"proto\":{proto}",
                     json_string(id),
                     fmt_f64(*speed)
                 );
-                // Omitting `proto` at 1 keeps the v1 frame byte-stable.
-                if *proto != PROTO_V1 {
-                    s.push_str(&format!(",\"proto\":{proto}"));
-                }
                 if let Some(tok) = resume {
                     s.push_str(&format!(",\"resume\":{}", json_string(tok)));
                 }
@@ -316,39 +300,22 @@ impl Message {
                 resume,
                 tasks,
             } => {
-                let mut s =
-                    format!("{{\"type\":\"welcome\",\"worker\":{worker},\"lease_ms\":{lease_ms}");
-                if *proto != PROTO_V1 {
-                    s.push_str(&format!(",\"proto\":{proto}"));
-                }
+                let mut s = format!(
+                    "{{\"type\":\"welcome\",\"worker\":{worker},\"lease_ms\":{lease_ms},\
+                     \"proto\":{proto}"
+                );
                 if let Some(tok) = resume {
                     s.push_str(&format!(",\"resume\":{}", json_string(tok)));
                 }
                 if !tasks.is_empty() {
-                    s.push_str(",\"tasks\":[");
-                    for (i, t) in tasks.iter().enumerate() {
-                        if i > 0 {
-                            s.push(',');
-                        }
-                        s.push_str(&t.to_string());
-                    }
-                    s.push(']');
+                    s.push_str(&format!(",\"tasks\":[{}]", id_list(tasks)));
                 }
                 s.push('}');
                 s
             }
             Message::Assign { tasks } => {
                 debug_assert!(!tasks.is_empty(), "assign carries at least one task");
-                if tasks.len() == 1 {
-                    format!("{{\"type\":\"assign\",\"task\":{}}}", tasks[0])
-                } else {
-                    let list = tasks
-                        .iter()
-                        .map(u64::to_string)
-                        .collect::<Vec<_>>()
-                        .join(",");
-                    format!("{{\"type\":\"assign\",\"tasks\":[{list}]}}")
-                }
+                format!("{{\"type\":\"assign\",\"tasks\":[{}]}}", id_list(tasks))
             }
             Message::Wait { ms } => format!("{{\"type\":\"wait\",\"ms\":{ms}}}"),
             Message::Drain => "{\"type\":\"drain\"}".into(),
@@ -387,8 +354,8 @@ impl Message {
 
     /// Decode a frame body. Any structural problem — not an object, an
     /// unknown `"type"`, a missing or mistyped field — is
-    /// [`WireError::Malformed`]. Optional v2 fields default to their
-    /// v1 meaning when absent.
+    /// [`WireError::Malformed`]. `proto`, `request.max` and
+    /// `error.code` have defaults when absent (see the module docs).
     pub fn from_json(v: &Json) -> Result<Message, WireError> {
         let kind = v
             .get("type")
@@ -404,10 +371,11 @@ impl Message {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| malformed("missing numeric \"shard\""))
         };
-        // Optional `proto`: absent means v1; present but mistyped is
-        // malformed (a peer that writes the field must write it right).
+        // Optional `proto`: absent means 1, so a peer that predates the
+        // field is refused by version, not by syntax; present but
+        // mistyped is malformed.
         let proto = || match v.get("proto") {
-            None => Ok(PROTO_V1),
+            None => Ok(1),
             Some(p) => p
                 .as_u64()
                 .and_then(|p| u32::try_from(p).ok())
@@ -469,23 +437,14 @@ impl Message {
                 },
             }),
             "assign" => {
-                // One task in the v1 shape, or a non-empty v2 list;
-                // both at once is ambiguous and rejected.
-                match (v.get("task"), v.get("tasks")) {
-                    (Some(t), None) => Ok(Message::Assign {
-                        tasks: vec![t
-                            .as_u64()
-                            .ok_or_else(|| malformed("missing numeric \"task\""))?],
-                    }),
-                    (None, Some(list)) => {
-                        let tasks = task_list(list)?;
-                        if tasks.is_empty() {
-                            return Err(malformed("assign with an empty \"tasks\" list"));
-                        }
-                        Ok(Message::Assign { tasks })
-                    }
-                    _ => Err(malformed("assign needs \"task\" or a \"tasks\" list")),
+                let list = v
+                    .get("tasks")
+                    .ok_or_else(|| malformed("assign without a \"tasks\" list"))?;
+                let tasks = task_list(list)?;
+                if tasks.is_empty() {
+                    return Err(malformed("assign with an empty \"tasks\" list"));
                 }
+                Ok(Message::Assign { tasks })
             }
             "wait" => Ok(Message::Wait {
                 ms: v
@@ -534,6 +493,12 @@ impl Message {
             other => Err(malformed(&format!("unknown message type \"{other}\""))),
         }
     }
+}
+
+/// Task ids as the inside of a JSON list: `1,2,3`.
+fn id_list(tasks: &[u64]) -> String {
+    let ids: Vec<String> = tasks.iter().map(u64::to_string).collect();
+    ids.join(",")
 }
 
 fn task_list(list: &Json) -> Result<Vec<u64>, WireError> {
@@ -860,7 +825,7 @@ mod tests {
             Message::Welcome {
                 worker: 0,
                 lease_ms: 250,
-                proto: PROTO_V1,
+                proto: PROTO_V2,
                 resume: None,
                 tasks: Vec::new(),
             },
@@ -904,30 +869,19 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_decode_with_default_v2_fields() {
-        // Frames as a v1 peer writes them: no proto, no max, no code.
+    fn absent_optional_fields_decode_to_their_defaults() {
+        // No proto (refused later, by version), no max, no code.
         let cases: &[(&str, Message)] = &[
             (
                 "{\"type\":\"hello\",\"id\":\"w\",\"speed\":1.0}",
                 Message::Hello {
                     id: "w".into(),
                     speed: 1.0,
-                    proto: PROTO_V1,
+                    proto: 1,
                     resume: None,
                 },
             ),
             ("{\"type\":\"request\"}", Message::request()),
-            (
-                "{\"type\":\"welcome\",\"worker\":2,\"lease_ms\":500}",
-                Message::Welcome {
-                    worker: 2,
-                    lease_ms: 500,
-                    proto: PROTO_V1,
-                    resume: None,
-                    tasks: Vec::new(),
-                },
-            ),
-            ("{\"type\":\"assign\",\"task\":5}", Message::assign(5)),
             (
                 "{\"type\":\"error\",\"msg\":\"boom\"}",
                 Message::error("boom"),
@@ -940,14 +894,17 @@ mod tests {
     }
 
     #[test]
-    fn single_task_assign_keeps_the_v1_wire_shape() {
+    fn single_task_assign_is_a_list_and_the_bare_task_shape_is_malformed() {
         assert_eq!(
             Message::assign(5).to_json(),
-            "{\"type\":\"assign\",\"task\":5}"
+            "{\"type\":\"assign\",\"tasks\":[5]}"
         );
-        // So does a default request and a plain hello.
+        assert!(matches!(
+            decode(&framed(b"{\"type\":\"assign\",\"task\":5}")),
+            Err(WireError::Malformed(_))
+        ));
+        // A default request still omits `max`.
         assert_eq!(Message::request().to_json(), "{\"type\":\"request\"}");
-        assert!(!Message::request().to_json().contains("max"));
     }
 
     #[test]
@@ -1053,7 +1010,7 @@ mod tests {
             "[1,2,3]",
             "{\"type\":\"assign\"}",
             "{\"type\":\"assign\",\"tasks\":[]}",
-            "{\"type\":\"assign\",\"task\":1,\"tasks\":[2]}",
+            "{\"type\":\"assign\",\"task\":1}",
             "{\"type\":\"assign\",\"tasks\":[1,\"two\"]}",
             "{\"type\":\"done\",\"task\":1}",
             "{\"type\":\"hello\",\"id\":7,\"speed\":1.0}",

@@ -6,11 +6,11 @@
 //! jitter from the worker's seed); what matters to the server — and
 //! what the fault plans exercise — is the *protocol* behaviour: a
 //! worker may die without reporting, may stall past its lease, may
-//! honestly report a failure — or (v2) may lose its TCP connection
+//! honestly report a failure — or may lose its TCP connection
 //! mid-lease and reconnect with the resume token from its `welcome`,
 //! keeping its leases.
 //!
-//! A v2 worker may request up to [`WorkerConfig::batch`] tasks per
+//! A worker may request up to [`WorkerConfig::batch`] tasks per
 //! `request`; it computes them in assignment order, heartbeating
 //! *every* held lease at a third of the lease interval so a slow but
 //! healthy worker is never mistaken for a dead one. A `revoke` reply
@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use ic_dag::rng::XorShift64;
 
-use crate::wire::{Conn, Message, ERR_BAD_RESUME, PROTO_CURRENT, PROTO_V2};
+use crate::wire::{Conn, Message, ERR_BAD_RESUME, PROTO_CURRENT};
 
 /// How (whether) a worker misbehaves — the `--flaky` fault-injection
 /// surface.
@@ -43,9 +43,9 @@ pub enum FaultPlan {
     /// exits — the slow-silent failure mode leases exist for.
     StallAfter(usize),
     /// Completes this many tasks, then severs its TCP connection while
-    /// holding an assignment — and (if reconnecting is enabled and the
-    /// server issued a resume token) reconnects with `hello{resume}`
-    /// to pick its leases back up. The sever happens once.
+    /// holding an assignment — and (if reconnecting is enabled)
+    /// reconnects with `hello{resume}` to pick its leases back up. The
+    /// sever happens once.
     SeverAfter(usize),
 }
 
@@ -65,10 +65,8 @@ pub struct WorkerConfig {
     pub fault: FaultPlan,
     /// Seed for the worker's private jitter/fault randomness.
     pub seed: u64,
-    /// Highest protocol version to offer in `hello`.
-    pub proto: u32,
-    /// Batch appetite: the `max` sent with each `request` (only
-    /// honoured on v2 connections; clamped to at least 1).
+    /// Batch appetite: the `max` sent with each `request` (clamped
+    /// to at least 1).
     pub batch: u64,
     /// Whether a severed connection is re-established with the resume
     /// token. Disabled, [`FaultPlan::SeverAfter`] behaves like
@@ -98,7 +96,6 @@ impl Default for WorkerConfig {
             mean_ms: 10,
             fault: FaultPlan::None,
             seed: 1,
-            proto: PROTO_CURRENT,
             batch: 1,
             reconnect: true,
             retry_ms: 0,
@@ -153,12 +150,6 @@ impl WorkerConfigBuilder {
         self
     }
 
-    /// Highest protocol version to offer.
-    pub fn proto(mut self, proto: u32) -> Self {
-        self.cfg.proto = proto;
-        self
-    }
-
     /// Batch appetite (clamped to at least 1).
     pub fn batch(mut self, batch: u64) -> Self {
         self.cfg.batch = batch.max(1);
@@ -205,9 +196,7 @@ struct Session {
     conn: Conn,
     worker: u64,
     lease_ms: u64,
-    /// Negotiated protocol version (the minimum of both sides').
-    proto: u32,
-    /// Resume token, when the (v2) server issued one.
+    /// Resume token from the `welcome`.
     token: Option<String>,
 }
 
@@ -223,22 +212,21 @@ fn open(
     conn.send(&Message::Hello {
         id: cfg.id.clone(),
         speed: cfg.speed,
-        proto: cfg.proto,
+        proto: PROTO_CURRENT,
         resume,
     })?;
     match conn.recv()? {
         Message::Welcome {
             worker,
             lease_ms,
-            proto,
             resume: token,
             tasks,
+            ..
         } => Ok((
             Session {
                 conn,
                 worker,
                 lease_ms,
-                proto,
                 token,
             },
             tasks,
@@ -320,11 +308,7 @@ fn step_once(
     rng: &mut XorShift64,
 ) -> io::Result<Option<WorkerReport>> {
     if st.held.is_empty() {
-        let max = if sess.proto >= PROTO_V2 {
-            cfg.batch.max(1)
-        } else {
-            1
-        };
+        let max = cfg.batch.max(1);
         sess.conn.send(&Message::Request { max })?;
         match sess.conn.recv()? {
             Message::Assign { tasks } => st.held.extend(tasks),
@@ -348,8 +332,8 @@ fn step_once(
 
     match plan_action(cfg.fault, st.completed, st.severed, rng) {
         Action::Die => {
-            // Drop the connection mid-lease: the server's lease
-            // (or the disconnect itself) reallocates.
+            // Drop the connection mid-lease: the lease's expiry
+            // reallocates.
             Ok(Some(WorkerReport {
                 worker: sess.worker,
                 completed: st.completed,
@@ -377,8 +361,7 @@ fn step_once(
                 None
             };
             let Some(token) = token else {
-                // No token (v1 session) or reconnecting disabled:
-                // the sever is just a death.
+                // Reconnecting disabled: the sever is just a death.
                 return Ok(Some(WorkerReport {
                     worker: sess.worker,
                     completed: st.completed,

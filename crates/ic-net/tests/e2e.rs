@@ -6,15 +6,16 @@
 //! tolerated, no IC0401/IC0402/IC0403; resumes and speculative
 //! re-leases tolerated, no IC0410-IC0412).
 
-use std::net::{SocketAddr, TcpListener};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 use ic_audit::{audit_trace, Severity};
 use ic_dag::builder::from_arcs;
 use ic_families::mesh::{out_mesh, out_mesh_schedule};
 use ic_net::{
-    run_worker, Conn, Driver, FaultPlan, Message, Reactor, ServeReport, ServerConfig, WorkerConfig,
-    ERR_UNSUPPORTED, PROTO_V1, PROTO_V2,
+    run_worker, Conn, Decoder, Driver, FaultPlan, Message, Reactor, ServeReport, ServerConfig,
+    WorkerConfig, ERR_UNSUPPORTED, PROTO_V2,
 };
 use ic_sched::policy::AllocationPolicy;
 use ic_sim::{MemorySink, Trace};
@@ -244,7 +245,7 @@ fn drain_barrier_steal_first_completion_wins_and_loser_is_revoked() {
                 }
             ));
             // ...and a heartbeat on the lost lease is answered with the
-            // v2 `revoke` frame, not an ack.
+            // `revoke` frame, not an ack.
             a.send(&Message::Heartbeat { task: 0 }).unwrap();
             assert!(matches!(a.recv().unwrap(), Message::Revoke { task: 0 }));
 
@@ -283,7 +284,7 @@ fn drain_barrier_steal_first_completion_wins_and_loser_is_revoked() {
 }
 
 /// Batched allocation over the real wire reproduces `ic_sched::batched`
-/// exactly: a lone v2 worker requesting `max = 4` and completing each
+/// exactly: a lone worker requesting `max = 4` and completing each
 /// batch before the next request sees precisely the offline
 /// batch-schedule rounds.
 #[test]
@@ -826,7 +827,7 @@ fn killed_server_recovers_from_its_wal_and_the_worker_resumes_across_restart() {
             let Message::Welcome { resume, .. } = c.recv().unwrap() else {
                 panic!("expected the registration welcome");
             };
-            let token = resume.expect("a v2 welcome carries a resume token");
+            let token = resume.expect("a welcome carries a resume token");
             c.send(&Message::request()).unwrap();
             let Message::Assign { tasks } = c.recv().unwrap() else {
                 panic!("expected the first assignment");
@@ -1032,37 +1033,39 @@ fn non_hello_opening_is_rejected_with_a_protocol_error() {
     assert_audit_clean(&sink.into_trace().unwrap());
 }
 
-/// A v1 `hello` against a server that requires protocol 2 is refused
-/// with the typed `error{unsupported}` frame — never a panic, never a
-/// misparse — and the server goes on to serve a v2 worker normally.
+/// A `hello` below protocol 2 — `proto` absent (how a peer that
+/// predates the field writes it), 0 or 1 — is refused by a default
+/// server with the typed `error{unsupported}` frame and a closed
+/// connection — never a panic, never a misparse — and the server goes
+/// on to serve a current worker normally.
 #[test]
 fn v1_hello_against_a_v2_only_server_gets_a_typed_error_frame() {
     let dag = from_arcs(1, &[]).unwrap();
     let policy = ic_sched::Schedule::in_id_order(&dag);
-    let cfg = ServerConfig::builder()
-        .expect_workers(1)
-        .wait_ms(5)
-        .min_proto(PROTO_V2)
-        .build();
+    let cfg = ServerConfig::builder().expect_workers(1).wait_ms(5).build();
     let (mut server, addr) = bind(&dag, &policy, cfg);
 
     let mut sink = MemorySink::new();
     std::thread::scope(|s| {
         s.spawn(|| {
-            // A v1 peer: its hello carries no proto field at all.
-            let mut c = Conn::connect(addr).unwrap();
-            c.send(&Message::Hello {
-                id: "ancient".into(),
-                speed: 1.0,
-                proto: PROTO_V1,
-                resume: None,
-            })
-            .unwrap();
-            match c.recv().unwrap() {
-                Message::Error { code, msg } => {
-                    assert_eq!(code, ERR_UNSUPPORTED, "typed code, not prose: {msg}");
+            for proto in ["", r#","proto":0"#, r#","proto":1"#] {
+                // Framed by hand: the encoder always writes `proto`.
+                let body = format!(r#"{{"type":"hello","id":"ancient","speed":1.0{proto}}}"#);
+                let mut c = TcpStream::connect(addr).unwrap();
+                c.write_all(&(body.len() as u32).to_be_bytes()).unwrap();
+                c.write_all(body.as_bytes()).unwrap();
+                // One frame, then the server hangs up: read to EOF.
+                let mut reply = Vec::new();
+                c.read_to_end(&mut reply).unwrap();
+                let mut dec = Decoder::new();
+                dec.feed(&reply);
+                match dec.next_msg().unwrap() {
+                    Some(Message::Error { code, msg }) => {
+                        assert_eq!(code, ERR_UNSUPPORTED, "typed code, not prose: {msg}");
+                    }
+                    other => panic!("{body}: expected the unsupported frame, got {other:?}"),
                 }
-                other => panic!("expected the unsupported error frame, got {other:?}"),
+                assert_eq!(dec.pending(), 0, "{body}: nothing after the error frame");
             }
             // A current-protocol worker is still served.
             let worker = WorkerConfig::builder().id("modern").build();
@@ -1071,5 +1074,7 @@ fn v1_hello_against_a_v2_only_server_gets_a_typed_error_frame() {
         });
         server.run_until_drain(&mut sink).unwrap();
     });
-    assert_audit_clean(&sink.into_trace().unwrap());
+    let trace = sink.into_trace().unwrap();
+    assert_eq!(trace.header.workers.len(), 1, "refused peers took no slot");
+    assert_audit_clean(&trace);
 }

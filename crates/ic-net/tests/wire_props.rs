@@ -94,8 +94,8 @@ fn random_message(rng: &mut XorShift64) -> Message {
             shard: rng.next_u64() % 8,
         },
         _ => Message::Error {
-            // An empty code must encode like a v1 error frame and
-            // round-trip; non-empty codes exercise the v2 field.
+            // An empty code is omitted on the wire and must still
+            // round-trip; non-empty codes exercise the field.
             code: if rng.gen_bool(0.5) {
                 String::new()
             } else {

@@ -86,7 +86,7 @@ IC_BENCH_JSON="$PWD/target/verify/BENCH.json" IC_BENCH_APPEND=1 \
 # compared; full-report regenerations also gate the 10k id, at the
 # stricter 1.2x the ISSUE demands, below).
 ./target/release/bench-check target/verify/BENCH.json \
-    envelope envelope-naive exec-state check machine net fed recovery wal \
+    envelope exec-state check machine net fed recovery wal \
     --baseline BENCH.json --max-regress net=2.0
 # When the committed BENCH.json itself changed, gate its net group
 # against the last committed version: a regeneration that loses more
@@ -94,7 +94,7 @@ IC_BENCH_JSON="$PWD/target/verify/BENCH.json" IC_BENCH_APPEND=1 \
 if ! git diff --quiet HEAD -- BENCH.json 2> /dev/null; then
     git show HEAD:BENCH.json > target/verify/BENCH.baseline.json
     ./target/release/bench-check BENCH.json \
-        envelope envelope-naive exec-state check machine net fed recovery wal \
+        envelope exec-state check machine net fed recovery wal \
         --baseline target/verify/BENCH.baseline.json --max-regress net=1.2
 fi
 
@@ -303,5 +303,8 @@ cp "$tmpdir/merged.jsonl" target/verify/merged-trace.jsonl
 
 echo "==> scripts/loc.sh (lines of Rust per crate)"
 scripts/loc.sh
+
+echo "==> scripts/knobs.sh (config fields, CLI flags, env reads, cargo features)"
+scripts/knobs.sh
 
 echo "verify: all green"
