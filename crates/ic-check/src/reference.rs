@@ -183,11 +183,6 @@ impl<'a, 'd> ReferenceMachine<'a, 'd> {
         self.fed = Some(fed);
     }
 
-    /// Federation metadata, if [`ReferenceMachine::set_fed`] was called.
-    pub fn fed(&self) -> Option<&FedMeta> {
-        self.fed.as_ref()
-    }
-
     /// Start the run: with no registration barrier
     /// (`expect_workers == 0`) the trace header goes out immediately,
     /// before anyone registers. With a barrier this is a no-op — the

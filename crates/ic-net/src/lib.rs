@@ -19,14 +19,19 @@
 //!   `LeaseMachine::step(Event) -> Vec<Effect>` with no clock, socket,
 //!   or sink of its own, so the `ic-check` model checker can
 //!   exhaustively enumerate event interleavings over the exact code
-//!   the server runs.
+//!   the server runs. `machine/mod.rs` is the live protocol; WAL
+//!   restore, the federation's `remote-done` path and the checkers'
+//!   read-only views are its private `restore`, `remote` and `view`
+//!   submodules.
 //! * [`reactor`] — the server itself ([`Reactor`] over a [`Driver`],
 //!   the one way a dag gets served): one thread, a nonblocking
 //!   [`reactor::Poller`], per-connection frame buffers, a hierarchical
 //!   [`timer::TimerWheel`] for lease expiry, and an injectable
 //!   [`reactor::Clock`]/[`reactor::Poller`] pair
 //!   ([`reactor::Driver`]) so deterministic in-process drivers and the
-//!   live TCP driver run the same code.
+//!   live TCP driver run the same code. Federation peer links
+//!   ([`FedConfig`]) live in the private `peers` module, which the
+//!   poll loop enters at six calls.
 //! * [`timer`] — the lazy (never-cancelled) hierarchical timer wheel
 //!   behind lease expiry and steal-deadline wakeups.
 //! * [`server`] — the shared [`server::ServerConfig`] and the
@@ -53,6 +58,7 @@
 
 mod lease_table;
 pub mod machine;
+mod peers;
 pub mod reactor;
 pub mod recovery;
 pub mod server;
@@ -61,8 +67,9 @@ pub mod wire;
 pub mod worker;
 
 pub use machine::{Effect, Event, LeaseMachine, LeaseView, RestoreError, FED_CLIENT};
+pub use peers::FedConfig;
 pub use reactor::{
-    loopback, Clock, ConnId, Deadline, Driver, FedConfig, IoEvent, LoopbackConn, LoopbackHandle,
+    loopback, Clock, ConnId, Deadline, Driver, IoEvent, LoopbackConn, LoopbackHandle,
     LoopbackPoller, ManualClock, MonotonicClock, Poller, Reactor, ShardedTable, TcpPoller,
 };
 pub use recovery::{RecoverError, RecoverReport, Recovery, RecoveryConfig, RecoveryConfigBuilder};

@@ -29,9 +29,14 @@
 //! [`LeaseMachine::fingerprint`] hashes exactly the
 //! scheduling-relevant state, `ic-check` can DFS-enumerate event
 //! interleavings over it directly.
+//!
+//! This file is the live protocol — [`LeaseMachine::step`] and what it
+//! calls. The rest of the `impl` sits in three private submodules:
+//! `restore` ([`LeaseMachine::restore`], [`RestoreError`]), `remote`
+//! (the federation: [`LeaseMachine::set_fed`] and the
+//! [`Event::RemoteDone`] path) and `view` (everything read-only).
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
 use ic_dag::rng::XorShift64;
 use ic_dag::{Dag, NodeId};
@@ -39,18 +44,20 @@ use ic_sched::batched::fill_round;
 use ic_sched::eligibility::ExecState;
 use ic_sched::policy::AllocationPolicy;
 pub use ic_sim::trace::FED_CLIENT;
-use ic_sim::trace::{EventKind, FedMeta, TraceEvent, TraceHeader, WorkerParams};
+use ic_sim::trace::{EventKind, TraceEvent, TraceHeader, WorkerParams};
 
 use crate::lease_table::{Lease, LeaseTable};
-use crate::server::{ServeReport, ServerConfig};
+use crate::server::ServerConfig;
 use crate::wire::{Message, ERR_BAD_RESUME, ERR_UNSUPPORTED, PROTO_CURRENT};
 
-/// Trace seconds back to driver microseconds — the inverse of the
-/// machine's `t()` timestamping, used when replaying a trace to place
-/// the recovered clock origin.
-pub(crate) fn micros(t: f64) -> u64 {
-    (t.max(0.0) * 1e6) as u64
-}
+mod remote;
+mod restore;
+mod view;
+
+use remote::Remote;
+pub(crate) use restore::micros;
+pub use restore::RestoreError;
+pub use view::LeaseView;
 
 /// One input to the machine. Times are microseconds on the driver's
 /// clock; the machine never reads a clock of its own.
@@ -204,71 +211,6 @@ pub struct SeededBugs {
     pub skip_recovery_epoch_bump: bool,
 }
 
-/// Why a trace prefix cannot rebuild a [`LeaseMachine`]
-/// ([`LeaseMachine::restore`]). Each variant maps onto one of the
-/// IC07xx recovery diagnostics registered in `ic-audit`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RestoreError {
-    /// The trace header disagrees with the launch configuration —
-    /// different dag, policy, or seed (IC0703).
-    HeaderMismatch {
-        /// What disagreed, human-readable.
-        reason: String,
-    },
-    /// The prefix completes the same task twice (IC0701): the trace is
-    /// not the history of one legal run and must not be extended.
-    DuplicateCompletion {
-        /// The task completed twice.
-        task: NodeId,
-        /// The `step` of the second completion.
-        step: u64,
-    },
-    /// An event references impossible state — an unknown task id, a
-    /// completion or failure with no open lease, an allocation of a
-    /// non-ELIGIBLE task.
-    Corrupt {
-        /// The `step` of the offending event.
-        step: u64,
-        /// What was impossible about it.
-        reason: String,
-    },
-    /// The trace belongs to one shard of a federated run; shard traces
-    /// interleave with peer state that a single machine cannot replay.
-    Federated,
-}
-
-impl RestoreError {
-    /// The stable IC07xx diagnostic code for this failure.
-    pub fn code(&self) -> &'static str {
-        match self {
-            RestoreError::HeaderMismatch { .. } => "IC0703",
-            RestoreError::DuplicateCompletion { .. } => "IC0701",
-            RestoreError::Corrupt { .. } | RestoreError::Federated => "IC0704",
-        }
-    }
-}
-
-impl std::fmt::Display for RestoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RestoreError::HeaderMismatch { reason } => {
-                write!(f, "trace header mismatch: {reason}")
-            }
-            RestoreError::DuplicateCompletion { task, step } => {
-                write!(f, "task t{task} completed twice (second at step {step})")
-            }
-            RestoreError::Corrupt { step, reason } => {
-                write!(f, "corrupt trace at step {step}: {reason}")
-            }
-            RestoreError::Federated => {
-                write!(f, "federated shard traces are not recoverable")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RestoreError {}
-
 /// Per-worker registration record. The slot outlives its TCP
 /// connection: a worker that disconnects mid-lease can reclaim it
 /// with the resume token.
@@ -296,18 +238,6 @@ struct WorkerSlot {
     awaiting_recovery: bool,
 }
 
-/// A read-only view of one lease-table entry, for drivers, tests, and
-/// the model checker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeaseView {
-    /// The holding worker's slot index.
-    pub worker: usize,
-    /// The leased task.
-    pub task: NodeId,
-    /// Whether this is a speculative drain-barrier duplicate.
-    pub speculative: bool,
-}
-
 /// The pure lease-protocol coordinator: all scheduling state, no side
 /// effects. See the [module docs](self) for the contract.
 #[derive(Clone)]
@@ -323,15 +253,12 @@ pub struct LeaseMachine<'a, 'd> {
     /// They stay claimed in `state` until promoted back to the pool.
     deferred: Vec<(u64, NodeId)>,
     /// The lease table: a slab with worker, task, and table-order
-    /// indices, so the hot per-event lookups are O(1) instead of a
-    /// scan over one lease per connected worker (see
-    /// [`crate::lease_table`] for the layout and the order-fidelity
-    /// argument; `ic-check`'s `reference` module keeps the old
-    /// linear-scan machine as the differential oracle).
+    /// indices, so the hot per-event lookups are O(1) (see
+    /// [`crate::lease_table`] for the layout and why its order matches
+    /// the linear-scan `reference` machine in `ic-check`).
     leases: LeaseTable,
     /// Resume-token → worker slot, kept in lockstep with each slot's
-    /// current token (rotated on every resume), replacing the old
-    /// linear token scan of `workers`.
+    /// current token (rotated on every resume).
     token_index: HashMap<String, usize>,
     /// Per-node failure counts, surfaced to policies via
     /// [`ic_sched::policy::PolicyContext::retries`].
@@ -360,41 +287,8 @@ pub struct LeaseMachine<'a, 'd> {
     /// deterministic given its inputs).
     rng: XorShift64,
     bugs: SeededBugs,
-    /// Federation metadata ([`LeaseMachine::set_fed`]); `None` for a
-    /// standalone (single-server) run.
-    fed: Option<FedMeta>,
-    /// `stub_mask[v]`: node `v` is a stub — a remote predecessor owned
-    /// by a peer shard, claimed by [`FED_CLIENT`] at the header and
-    /// completed only by that shard's `remote-done`.
-    stub_mask: Vec<bool>,
-    /// `replica_mask[v]`: node `v` is a replicated boundary task
-    /// (`--replicate-cut`): allocatable locally, but a peer's
-    /// `remote-done` may win the race and revoke local leases.
-    replica_mask: Vec<bool>,
-    /// Remote completions that cannot apply yet: arrived before the
-    /// header, or for nodes whose own remote predecessors are still
-    /// pending (peer messages carry no ordering across shards).
-    /// Arrival order is observable (it fixes the order of queued
-    /// completions within a drain pass), so the queue stays a `Vec`;
-    /// the companion index fields below make membership checks and
-    /// readiness sweeps O(1) per event instead of a rescan.
-    pending_remote: Vec<NodeId>,
-    /// `pending_mask[v]`: `v` is in `pending_remote` (O(1) dedup).
-    pending_mask: Vec<bool>,
-    /// For each queued node, how many of its parents are still
-    /// unexecuted; 0 means ready to apply on the next drain.
-    pending_missing: Vec<u32>,
-    /// `remote_waiters[p]`: queued nodes waiting on parent `p`; each
-    /// execution of `p` decrements their `pending_missing` instead of
-    /// the old full readiness rescan.
-    remote_waiters: Vec<Vec<NodeId>>,
-    /// Queued nodes whose `pending_missing` is 0 — the drain sweep
-    /// exits O(1) when this is 0, which is every drain call outside a
-    /// federation.
-    pending_ready: usize,
-    /// Remote completions applied (stub or replica executions driven
-    /// by a peer's `remote-done`).
-    remote_completions: usize,
+    /// The federation's side; all empty on a standalone machine.
+    remote: Remote,
 }
 
 impl<'a, 'd> LeaseMachine<'a, 'd> {
@@ -446,54 +340,18 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
             recovery_resume_until_us: 0,
             rng,
             bugs: SeededBugs::default(),
-            fed: None,
-            stub_mask: Vec::new(),
-            replica_mask: Vec::new(),
-            pending_remote: Vec::new(),
-            pending_mask: Vec::new(),
-            pending_missing: Vec::new(),
-            remote_waiters: Vec::new(),
-            pending_ready: 0,
-            remote_completions: 0,
+            remote: Remote::default(),
         }
     }
 
     /// The local [`NodeId`] for a raw wire task id, if it names a node
     /// of this dag. Node ids are dense (`0..num_nodes`), so this is a
-    /// bounds check, not the old full-dag `node_ids().find` scan.
+    /// bounds check.
     fn node_from_raw(&self, task: u64) -> Option<NodeId> {
         u32::try_from(task)
             .ok()
             .map(NodeId)
             .filter(|v| v.index() < self.dag.num_nodes())
-    }
-
-    /// Declare this machine one shard of a federated run. Must be
-    /// called before [`LeaseMachine::boot`]: the trace header then
-    /// carries the metadata, and every stub node is claimed by
-    /// [`FED_CLIENT`] right after the header so it can only complete
-    /// through a peer's [`Event::RemoteDone`]. Out-of-range stub or
-    /// replica ids are ignored defensively.
-    pub fn set_fed(&mut self, fed: FedMeta) {
-        let n = self.dag.num_nodes();
-        self.stub_mask = vec![false; n];
-        for &s in &fed.stubs {
-            if let Some(slot) = self.stub_mask.get_mut(s as usize) {
-                *slot = true;
-            }
-        }
-        self.replica_mask = vec![false; n];
-        for &r in &fed.replicas {
-            if let Some(slot) = self.replica_mask.get_mut(r as usize) {
-                *slot = true;
-            }
-        }
-        self.fed = Some(fed);
-    }
-
-    /// Federation metadata, if [`LeaseMachine::set_fed`] was called.
-    pub fn fed(&self) -> Option<&FedMeta> {
-        self.fed.as_ref()
     }
 
     /// Start the run: with no registration barrier
@@ -512,260 +370,6 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
     #[doc(hidden)]
     pub fn seed_bugs(&mut self, bugs: SeededBugs) {
         self.bugs = bugs;
-    }
-
-    /// Rebuild a machine from the replayed prefix of its own trace —
-    /// the crash-recovery core behind [`crate::recovery`].
-    ///
-    /// The trace is the server's write-ahead log: replaying its
-    /// `alloc`/`complete`/`fail`/`spec`/`revoke` events against a
-    /// fresh machine reconstructs the executed set, the eligible pool,
-    /// the backoff queue, and the lease table exactly as the crashed
-    /// machine held them. Outstanding leases are re-armed to expire at
-    /// `now_us + lease_ms` (reallocation is the fallback for workers
-    /// that never return); every rebuilt slot is marked
-    /// awaiting-recovery with its epoch bumped past anything the
-    /// pre-crash run could have issued (`events + 1` — each epoch bump
-    /// that left evidence emitted at least one event); the trace
-    /// cursor (`step`, timestamp origin) continues where the prefix
-    /// ends, so appended events extend the same audit-clean run.
-    ///
-    /// The header must match the launch configuration (same dag, same
-    /// policy, same seed) — recovery refuses to graft a trace onto a
-    /// different run. Pool/backoff *membership* is recovered exactly;
-    /// FIFO arrival order within the pool is not observable from the
-    /// trace and may differ, which is the same reordering any crash
-    /// already inflicts on in-flight work.
-    pub fn restore(
-        dag: &'d Dag,
-        policy: &'a dyn AllocationPolicy,
-        cfg: ServerConfig,
-        header: &TraceHeader,
-        events: &[TraceEvent],
-        now_us: u64,
-    ) -> Result<Self, RestoreError> {
-        Self::restore_with(
-            dag,
-            policy,
-            cfg,
-            header,
-            events,
-            now_us,
-            SeededBugs::default(),
-        )
-    }
-
-    /// [`LeaseMachine::restore`] with seeded bugs active during the
-    /// rebuild (the `ic-check` negative suite re-introduces the
-    /// skipped epoch bump through this).
-    #[doc(hidden)]
-    pub fn restore_with(
-        dag: &'d Dag,
-        policy: &'a dyn AllocationPolicy,
-        cfg: ServerConfig,
-        header: &TraceHeader,
-        events: &[TraceEvent],
-        now_us: u64,
-        bugs: SeededBugs,
-    ) -> Result<Self, RestoreError> {
-        if header.fed.is_some() {
-            return Err(RestoreError::Federated);
-        }
-        let mismatch = |reason: String| RestoreError::HeaderMismatch { reason };
-        if header.nodes != dag.num_nodes() {
-            return Err(mismatch(format!(
-                "trace dag has {} nodes, launch dag has {}",
-                header.nodes,
-                dag.num_nodes()
-            )));
-        }
-        let arcs: Vec<(u32, u32)> = dag.arcs().map(|(u, v)| (u.0, v.0)).collect();
-        if header.arcs != arcs {
-            return Err(mismatch(format!(
-                "trace dag has {} arcs that differ from the launch dag's {}",
-                header.arcs.len(),
-                arcs.len()
-            )));
-        }
-        if header.policy != policy.name() {
-            return Err(mismatch(format!(
-                "trace ran policy {:?}, launch requests {:?}",
-                header.policy,
-                policy.name()
-            )));
-        }
-        if header.seed != cfg.seed {
-            return Err(mismatch(format!(
-                "trace ran seed {:#x}, launch requests {:#x}",
-                header.seed, cfg.seed
-            )));
-        }
-
-        let mut m = LeaseMachine::new(dag, policy, cfg);
-        m.bugs = bugs;
-        m.header_written = true;
-
-        // Slots named by the header carry their declared id and speed;
-        // clients that only appear in events (late workers) get
-        // synthesized ids — their real ids never reached the trace, so
-        // they cannot id-match a resume and fall back to lease expiry.
-        let declared: HashMap<usize, (String, f64)> = header
-            .workers
-            .iter()
-            .map(|w| (w.client, (w.id.clone(), w.speed)))
-            .collect();
-        fn ensure_slot(
-            workers: &mut Vec<WorkerSlot>,
-            declared: &HashMap<usize, (String, f64)>,
-            client: usize,
-            step: u64,
-        ) -> Result<(), RestoreError> {
-            if client >= FED_CLIENT {
-                return Err(RestoreError::Federated);
-            }
-            if client > 1 << 20 {
-                return Err(RestoreError::Corrupt {
-                    step,
-                    reason: format!("implausible client index {client}"),
-                });
-            }
-            while workers.len() <= client {
-                let i = workers.len();
-                let (id, speed) = declared
-                    .get(&i)
-                    .cloned()
-                    .unwrap_or_else(|| (format!("recovered-{i}"), 1.0));
-                workers.push(WorkerSlot {
-                    id,
-                    speed,
-                    waiting: false,
-                    token: None,
-                    epoch: 0,
-                    connected: false,
-                    awaiting_recovery: true,
-                });
-            }
-            Ok(())
-        }
-        for i in 0..declared.len() {
-            ensure_slot(&mut m.workers, &declared, i, 0)?;
-        }
-        let deadline = m.lease_deadline(now_us);
-        for ev in events {
-            let (step, client) = (ev.step, ev.client);
-            let corrupt = |reason: String| RestoreError::Corrupt { step, reason };
-            ensure_slot(&mut m.workers, &declared, client, step)?;
-            let Some(v) = ev.task else {
-                m.workers[client].waiting = true;
-                continue;
-            };
-            if v.index() >= dag.num_nodes() {
-                return Err(corrupt(format!("unknown task t{v}")));
-            }
-            // Every outcome closes the lease it names.
-            let close = |leases: &mut LeaseTable, what: &str| {
-                let id = leases
-                    .find(client, v)
-                    .ok_or_else(|| corrupt(format!("{what} of {v} without a lease")))?;
-                leases.remove(id);
-                Ok::<(), RestoreError>(())
-            };
-            match ev.kind {
-                EventKind::Allocated | EventKind::Speculated => {
-                    let speculative = ev.kind == EventKind::Speculated;
-                    if speculative {
-                        m.steals += 1;
-                    } else {
-                        // A re-allocation of a backed-off task implies
-                        // its backoff elapsed before the crash.
-                        if let Some(pos) = m.deferred.iter().position(|&(_, d)| d == v) {
-                            m.deferred.swap_remove(pos);
-                            let unclaimed = m.state.unclaim(v).is_ok();
-                            debug_assert!(unclaimed, "deferred tasks are claimed");
-                        }
-                        m.state.claim(v).map_err(|_| {
-                            corrupt(format!("allocated task {v} was not in the pool"))
-                        })?;
-                        m.allocation_steps += 1;
-                    }
-                    m.leases.insert(Lease {
-                        worker: client,
-                        task: v,
-                        deadline_us: deadline,
-                        granted_us: now_us,
-                        speculative,
-                    });
-                    m.workers[client].waiting = false;
-                }
-                EventKind::Completed => {
-                    if m.state.is_executed(v) {
-                        return Err(RestoreError::DuplicateCompletion { task: v, step });
-                    }
-                    close(&mut m.leases, "completion")?;
-                    m.state
-                        .execute_counting(v)
-                        .map_err(|_| corrupt(format!("completed task {v} was not ELIGIBLE")))?;
-                    m.completions += 1;
-                }
-                EventKind::Failed => {
-                    close(&mut m.leases, "failure")?;
-                    m.failures[v.index()] += 1;
-                    m.failure_events += 1;
-                    if !m.leases.has_holder(v) {
-                        // Ready immediately: the recovered server's
-                        // first request promotes it, which is at least
-                        // as late as the original backoff would allow.
-                        m.deferred.push((now_us, v));
-                    }
-                }
-                EventKind::Revoked => {
-                    close(&mut m.leases, "revocation")?;
-                    m.revokes += 1;
-                }
-                EventKind::Resumed => m.resumes += 1,
-                // An idle event names no task: handled above.
-                EventKind::Idle => {}
-            }
-        }
-
-        // Continue the crashed run's trace cursor: appended events get
-        // monotone steps, and timestamps that resume where the prefix
-        // stopped (`origin` backdated so `now_us` maps to the last
-        // recorded time).
-        m.step = events.last().map_or(0, |e| e.step + 1);
-        let elapsed_us = events.last().map_or(0, |e| micros(e.time));
-        m.origin_us = now_us.saturating_sub(elapsed_us);
-        m.late_workers = m.workers.len().saturating_sub(header.workers.len());
-        // Epochs restart strictly above anything the crashed machine
-        // could have issued: every pre-crash epoch bump either emitted
-        // a `resume` event or rode a connection that is now dead, and
-        // `events + 1` dominates the evidence-bearing bound. The
-        // seeded IC0702 bug skips exactly this.
-        let epoch = if m.bugs.skip_recovery_epoch_bump {
-            0
-        } else {
-            events.len() as u64 + 1
-        };
-        for w in &mut m.workers {
-            w.epoch = epoch;
-        }
-        if m.is_complete() {
-            m.completed_at_us = Some(now_us);
-        }
-        Ok(m)
-    }
-
-    /// Open the post-restore resume window: until `until_us` (driver
-    /// time), a resume `hello` whose token is unknown may reclaim an
-    /// awaiting-recovery slot whose worker id matches. After the
-    /// window, unresumed slots are served by lease expiry alone.
-    pub fn await_resumes(&mut self, until_us: u64) {
-        self.recovery_resume_until_us = until_us;
-    }
-
-    /// Crash-recovered slots still waiting for their worker to resume.
-    pub fn awaiting_resume(&self) -> usize {
-        self.workers.iter().filter(|w| w.awaiting_recovery).count()
     }
 
     /// Apply one event, returning the effects in the order the driver
@@ -841,24 +445,9 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
         fx
     }
 
-    /// Every lease whose heartbeat deadline has passed at `now_us`, as
-    /// `(worker, task)` pairs ready to feed back as [`Event::Expire`].
-    pub fn expired(&self, now_us: u64) -> Vec<(usize, u64)> {
-        self.leases
-            .iter()
-            .filter(|l| l.deadline_us <= now_us)
-            .map(|l| (l.worker, l.task.index() as u64))
-            .collect()
-    }
-
     /// Whether every task of the dag has executed.
     pub fn is_complete(&self) -> bool {
         self.state.num_executed() == self.dag.num_nodes()
-    }
-
-    /// Workers with a live connection right now.
-    pub fn connected(&self) -> usize {
-        self.connected
     }
 
     /// Pool size as the trace records it: allocatable now, plus tasks
@@ -867,144 +456,6 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
     pub fn recorded_pool(&self) -> usize {
         self.state.pool_len() + self.deferred.len()
     }
-
-    /// The execution state (read-only).
-    pub fn exec(&self) -> &ExecState<'d> {
-        &self.state
-    }
-
-    /// The lease table (read-only views, in table order).
-    pub fn lease_views(&self) -> Vec<LeaseView> {
-        self.leases
-            .iter()
-            .map(|l| LeaseView {
-                worker: l.worker,
-                task: l.task,
-                speculative: l.speculative,
-            })
-            .collect()
-    }
-
-    /// Tasks parked in the backoff queue (unordered).
-    pub fn deferred_tasks(&self) -> Vec<NodeId> {
-        self.deferred.iter().map(|&(_, v)| v).collect()
-    }
-
-    /// How many workers ever registered.
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// A slot's current registration epoch, if the slot exists.
-    pub fn worker_epoch(&self, worker: usize) -> Option<u64> {
-        self.workers.get(worker).map(|w| w.epoch)
-    }
-
-    /// Whether a live connection currently owns the slot.
-    pub fn worker_connected(&self, worker: usize) -> bool {
-        self.workers.get(worker).is_some_and(|w| w.connected)
-    }
-
-    /// A slot's self-declared worker id, if the slot exists.
-    pub fn worker_id(&self, worker: usize) -> Option<&str> {
-        self.workers.get(worker).map(|w| w.id.as_str())
-    }
-
-    /// Failure count of one task (lease expiries, forfeits, reported
-    /// failures).
-    pub fn failure_count(&self, v: NodeId) -> u32 {
-        self.failures.get(v.index()).copied().unwrap_or(0)
-    }
-
-    /// Trace events emitted so far.
-    pub fn trace_steps(&self) -> u64 {
-        self.step
-    }
-
-    /// Summarize the run as the driver's [`ServeReport`]; `now_us` is
-    /// the fallback makespan endpoint if the dag never completed.
-    pub fn summary(&self, now_us: u64) -> ServeReport {
-        let end = self.completed_at_us.unwrap_or(now_us);
-        let makespan = end.saturating_sub(self.origin_us) as f64 * 1e-6;
-        ServeReport {
-            completions: self.completions,
-            failures: self.failure_events,
-            allocations: self.allocation_steps,
-            workers_registered: self.workers.len(),
-            late_workers: self.late_workers,
-            resumes: self.resumes,
-            steals: self.steals,
-            revokes: self.revokes,
-            makespan,
-            remote_completions: self.remote_completions,
-            peer_tx: 0,
-            peer_rx: 0,
-            peer_reconnects: 0,
-        }
-    }
-
-    /// Remote completions applied so far (stub or replica executions
-    /// driven by peers' `remote-done` notifications).
-    pub fn remote_completions(&self) -> usize {
-        self.remote_completions
-    }
-
-    /// Remote completions queued, waiting for their own predecessors.
-    pub fn pending_remote(&self) -> usize {
-        self.pending_remote.len()
-    }
-
-    /// Hash the scheduling-relevant state: executed set, pool (in
-    /// arrival order — FIFO policies depend on it), backoff queue,
-    /// lease table (sorted; grant times and deadlines excluded), slot
-    /// states, and failure counts. Token strings, the rng, trace step
-    /// counters, and all timestamps are excluded, so two states that
-    /// can only diverge in timing or cosmetics collide — exactly what
-    /// a frozen-clock model checker wants for its visited set.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.fingerprint_into(&mut h);
-        h.finish()
-    }
-
-    /// [`LeaseMachine::fingerprint`] into a caller-chosen hasher.
-    pub fn fingerprint_into(&self, h: &mut impl Hasher) {
-        self.header_written.hash(h);
-        for v in self.dag.node_ids() {
-            self.state.is_executed(v).hash(h);
-        }
-        let mut pool: Vec<NodeId> = self.state.pool().to_vec();
-        pool.sort_unstable_by_key(|&v| self.state.pool_seq(v));
-        0xA1u8.hash(h);
-        for v in &pool {
-            v.index().hash(h);
-        }
-        0xA2u8.hash(h);
-        for &(_, v) in &self.deferred {
-            v.index().hash(h);
-        }
-        0xA3u8.hash(h);
-        let mut leases: Vec<(usize, usize, bool)> = self
-            .leases
-            .iter()
-            .map(|l| (l.worker, l.task.index(), l.speculative))
-            .collect();
-        leases.sort_unstable();
-        for l in &leases {
-            l.hash(h);
-        }
-        0xA4u8.hash(h);
-        for w in &self.workers {
-            (w.epoch, w.connected, w.waiting, w.token.is_some()).hash(h);
-        }
-        0xA5u8.hash(h);
-        self.failures.hash(h);
-    }
-
-    // ------------------------------------------------------------------
-    // Internals (straight ports of the old coordinator, with `Instant`
-    // arithmetic replaced by event-supplied microseconds).
-    // ------------------------------------------------------------------
 
     /// Trace timestamp for an event happening at `now_us`.
     fn t(&self, now_us: u64) -> f64 {
@@ -1067,29 +518,14 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
         let mut header =
             TraceHeader::for_run(self.dag, clients, self.cfg.seed, &self.policy.name())
                 .with_workers(params);
-        if let Some(fed) = &self.fed {
+        if let Some(fed) = &self.remote.meta {
             header = header.with_fed(fed.clone());
         }
         fx.push(Effect::Header(header));
         self.header_written = true;
         // Serving time starts when serving can actually start.
         self.origin_us = now_us;
-        // Claim every stub for the federation: each is a source of the
-        // local sub-dag, so it leaves the pool immediately and can only
-        // complete through a peer's `remote-done`. The `alloc` events
-        // keep the trace's pool accounting exact under replay.
-        let stubs: Vec<NodeId> = self
-            .dag
-            .node_ids()
-            .filter(|v| self.stub_mask.get(v.index()).copied().unwrap_or(false))
-            .collect();
-        for v in stubs {
-            if self.state.claim(v).is_err() {
-                debug_assert!(false, "stub {v} must be an unexecuted source");
-                continue;
-            }
-            self.emit(fx, EventKind::Allocated, now_us, FED_CLIENT, Some(v));
-        }
+        self.claim_stubs(now_us, fx);
         // Remote completions that raced ahead of the header apply now.
         self.drain_pending_remote(now_us, fx);
     }
@@ -1140,11 +576,9 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
         self.emit(fx, EventKind::Failed, now_us, lease.worker, Some(v));
     }
 
-    /// Remove and lose every lease held by `worker`, in the same order
-    /// the old scan-and-`swap_remove` loop produced (lowest table
-    /// position first). O(held-by-worker), not O(live leases) — this
-    /// runs on *every* `request`, which made the old scan the dominant
-    /// per-allocation cost at 10k workers.
+    /// Remove and lose every lease held by `worker`, lowest table
+    /// position first. O(held-by-worker), not O(live leases): this
+    /// runs on *every* `request`.
     fn drop_worker_leases(&mut self, worker: usize, now_us: u64, fx: &mut Vec<Effect>) {
         while let Some(lease) = self.leases.remove_worker_next(worker) {
             self.lose_lease(lease, now_us, fx);
@@ -1468,162 +902,35 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
         let lease = self.leases.remove(id);
         let v = lease.task;
         if ok {
-            // Newly ELIGIBLE children enter the pool inside
-            // `execute_counting` (in id order). A leased task is
-            // ELIGIBLE by construction — `ic-check` proves exactly
-            // this invariant exhaustively — so failure is refused
-            // defensively rather than unwrapped.
-            if self.state.execute_counting(v).is_err() {
-                debug_assert!(false, "leased task {v} was not ELIGIBLE");
+            if !self.complete(v, worker, now_us, fx) {
                 self.leases.insert(lease);
                 return false;
             }
-            self.note_executed(v);
             self.completions += 1;
-            self.emit(fx, EventKind::Completed, now_us, worker, Some(v));
-            // Cancel the stale duplicates (if any): their leases are
-            // removed now; their workers learn via the `Revoke` reply
-            // to their next heartbeat or the rejected `Done`.
-            while let Some(dup) = self.leases.remove_task_next(v) {
-                self.revokes += 1;
-                self.emit(fx, EventKind::Revoked, now_us, dup.worker, Some(dup.task));
-            }
             // A completion may unlock queued remote notifications
             // (a replica whose other predecessors just became met).
             self.drain_pending_remote(now_us, fx);
-            if self.is_complete() && self.completed_at_us.is_none() {
-                self.completed_at_us = Some(now_us);
-            }
         } else {
             self.lose_lease(lease, now_us, fx);
         }
         true
     }
 
-    /// Apply a peer shard's completion notification for local node
-    /// `task` (see [`Event::RemoteDone`]).
-    fn remote_done(&mut self, task: u64, now_us: u64, fx: &mut Vec<Effect>) {
-        let Some(v) = self.node_from_raw(task) else {
-            return; // foreign id: drop defensively
-        };
-        if !self.header_written {
-            // No events may precede the header; apply right after it.
-            self.queue_pending(v);
-            return;
-        }
-        self.apply_remote(v, now_us, fx);
-        self.drain_pending_remote(now_us, fx);
-    }
-
-    /// Queue `v` in `pending_remote` (deduplicated O(1) via the mask)
-    /// and index its readiness: count the unexecuted parents and
-    /// register `v` on each one's waiter list, so executions update
-    /// readiness incrementally instead of the old per-drain rescan.
-    fn queue_pending(&mut self, v: NodeId) {
-        if self.pending_mask.is_empty() {
-            // First queued entry ever: size the index lazily so
-            // non-federated machines never allocate it.
-            let n = self.dag.num_nodes();
-            self.pending_mask = vec![false; n];
-            self.pending_missing = vec![0; n];
-            self.remote_waiters = vec![Vec::new(); n];
-        }
-        if self.pending_mask[v.index()] {
-            return;
-        }
-        self.pending_mask[v.index()] = true;
-        self.pending_remote.push(v);
-        let mut missing = 0u32;
-        for &p in self.dag.parents(v) {
-            if !self.state.is_executed(p) {
-                missing += 1;
-                self.remote_waiters[p.index()].push(v);
-            }
-        }
-        self.pending_missing[v.index()] = missing;
-        if missing == 0 {
-            self.pending_ready += 1;
-        }
-    }
-
-    /// `p` just executed: tell every queued remote completion waiting
-    /// on it. Waiter lists cannot hold stale entries — a queued node
-    /// leaves the queue only once all its parents have executed, at
-    /// which point every list that named it has already been drained —
-    /// so each decrement here is exact.
-    fn note_executed(&mut self, p: NodeId) {
-        if self.remote_waiters.is_empty() {
-            return;
-        }
-        let waiters = std::mem::take(&mut self.remote_waiters[p.index()]);
-        for v in waiters {
-            if !self.pending_mask[v.index()] {
-                continue;
-            }
-            let m = &mut self.pending_missing[v.index()];
-            if *m > 0 {
-                *m -= 1;
-                if *m == 0 {
-                    self.pending_ready += 1;
-                }
-            }
-        }
-    }
-
-    /// Apply one remote completion if it can apply now; queue it (and
-    /// return `false`) when the node's own predecessors are not all
-    /// executed yet — peer links carry no cross-shard ordering, so a
-    /// consumer's notification can outrun its producer's.
-    fn apply_remote(&mut self, v: NodeId, now_us: u64, fx: &mut Vec<Effect>) -> bool {
-        if self.state.is_executed(v) {
-            return true; // duplicate (e.g. a backlog replay): ignore
-        }
-        let is_stub = self.stub_mask.get(v.index()).copied().unwrap_or(false);
-        let is_replica = self.replica_mask.get(v.index()).copied().unwrap_or(false);
-        if !is_stub && !is_replica {
-            return true; // not a boundary node of this shard: drop
-        }
-        if !self
-            .dag
-            .parents(v)
-            .iter()
-            .all(|&p| self.state.is_executed(p))
-        {
-            self.queue_pending(v);
+    /// The one completion tail, for a worker's `done` and a peer's
+    /// `remote-done` alike: execute `v` (newly ELIGIBLE children enter
+    /// the pool, in id order), emit `Completed` for `client`, revoke
+    /// every lease still out on `v` — first completion wins; the
+    /// holders learn via the `Revoke` reply to their next heartbeat or
+    /// a rejected `done` — and stamp the makespan once the dag is done.
+    /// A claimed task is ELIGIBLE by construction (`ic-check` proves
+    /// it exhaustively), so a failure is refused, not unwrapped:
+    /// `false`, and nothing changed.
+    fn complete(&mut self, v: NodeId, client: usize, now_us: u64, fx: &mut Vec<Effect>) -> bool {
+        if self.state.execute_counting(v).is_err() {
+            debug_assert!(false, "completed task {v} was not ELIGIBLE");
             return false;
         }
-        // Bring the node out of whatever queue it occupies, keeping
-        // the trace's allocation accounting replay-clean.
-        if self.state.is_pooled(v) {
-            // An unallocated replica: the federation claims it.
-            if self.state.claim(v).is_err() {
-                debug_assert!(false, "pooled node {v} must be claimable");
-                return true;
-            }
-            self.emit(fx, EventKind::Allocated, now_us, FED_CLIENT, Some(v));
-        } else if let Some(pos) = self.deferred.iter().position(|&(_, d)| d == v) {
-            // A replica waiting out a backoff: already claimed; leave
-            // the backoff queue and allocate to the federation.
-            self.deferred.swap_remove(pos);
-            self.emit(fx, EventKind::Allocated, now_us, FED_CLIENT, Some(v));
-        } else if self.leases.has_holder(v) {
-            // Workers hold leases: the federation takes a (winning)
-            // duplicate, mirroring the speculative-lease path, so the
-            // completion below resolves against *its* lease under
-            // replay and the workers' leases revoke legally after it.
-            self.emit(fx, EventKind::Speculated, now_us, FED_CLIENT, Some(v));
-        }
-        // (Otherwise: a stub, claimed by the federation at the header.)
-        if self.state.execute_counting(v).is_err() {
-            debug_assert!(false, "remote-done target {v} was not ELIGIBLE");
-            return true;
-        }
-        self.note_executed(v);
-        self.remote_completions += 1;
-        self.emit(fx, EventKind::Completed, now_us, FED_CLIENT, Some(v));
-        // First completion wins: cancel every local lease on the node.
-        // The holders learn via the `Revoke` reply to their next
-        // heartbeat, or their eventual `done` is rejected.
+        self.emit(fx, EventKind::Completed, now_us, client, Some(v));
         while let Some(dup) = self.leases.remove_task_next(v) {
             self.revokes += 1;
             self.emit(fx, EventKind::Revoked, now_us, dup.worker, Some(dup.task));
@@ -1632,39 +939,6 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
             self.completed_at_us = Some(now_us);
         }
         true
-    }
-
-    /// Re-attempt queued remote completions until a pass applies none.
-    /// Each pass takes the queued nodes whose parents are all executed
-    /// (`pending_missing == 0`), in queue order — exactly the set the
-    /// old full readiness rescan computed — and the `pending_ready`
-    /// counter makes the no-op case (every drain call outside a
-    /// federation) O(1).
-    fn drain_pending_remote(&mut self, now_us: u64, fx: &mut Vec<Effect>) {
-        while self.pending_ready > 0 {
-            let ready: Vec<NodeId> = self
-                .pending_remote
-                .iter()
-                .copied()
-                .filter(|&v| self.pending_missing[v.index()] == 0)
-                .collect();
-            debug_assert_eq!(ready.len(), self.pending_ready);
-            if ready.is_empty() {
-                return; // defensive: never loop without progress
-            }
-            self.pending_remote
-                .retain(|&v| self.pending_missing[v.index()] != 0);
-            for &v in &ready {
-                self.pending_mask[v.index()] = false;
-            }
-            self.pending_ready = 0;
-            for v in ready {
-                // Applying may execute nodes and mark later queue
-                // entries ready (bumping `pending_ready` again), or
-                // even re-queue `v` itself; the outer loop re-checks.
-                self.apply_remote(v, now_us, fx);
-            }
-        }
     }
 }
 
@@ -1681,20 +955,6 @@ fn refuse(fx: &mut Vec<Effect>, code: &str, msg: String) {
     });
 }
 
-impl std::fmt::Debug for LeaseMachine<'_, '_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LeaseMachine")
-            .field("executed", &self.state.num_executed())
-            .field("pool", &self.state.pool_len())
-            .field("deferred", &self.deferred.len())
-            .field("leases", &self.leases.len())
-            .field("workers", &self.workers.len())
-            .field("connected", &self.connected)
-            .field("complete", &self.is_complete())
-            .finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1708,7 +968,11 @@ mod tests {
 
     /// Feed one event, route trace effects into the sink, and return
     /// the wire-visible replies (both `Reply` and `Registered` frames).
-    fn drive(m: &mut LeaseMachine<'_, '_>, sink: &mut MemorySink, ev: Event) -> Vec<Message> {
+    pub(super) fn drive(
+        m: &mut LeaseMachine<'_, '_>,
+        sink: &mut MemorySink,
+        ev: Event,
+    ) -> Vec<Message> {
         let mut replies = Vec::new();
         for e in m.step(ev) {
             match e {
@@ -1721,7 +985,7 @@ mod tests {
         replies
     }
 
-    fn boot(m: &mut LeaseMachine<'_, '_>, sink: &mut MemorySink) {
+    pub(super) fn boot(m: &mut LeaseMachine<'_, '_>, sink: &mut MemorySink) {
         for e in m.boot(0) {
             match e {
                 Effect::Header(h) => sink.header(&h),
@@ -1731,7 +995,22 @@ mod tests {
         }
     }
 
-    fn request(
+    pub(super) fn hello(m: &mut LeaseMachine<'_, '_>, sink: &mut MemorySink, id: &str) {
+        let replies = drive(
+            m,
+            sink,
+            Event::Hello {
+                id: id.into(),
+                speed: 1.0,
+                proto: PROTO_V2,
+                resume: None,
+                now_us: 0,
+            },
+        );
+        assert!(matches!(replies[0], Message::Welcome { .. }));
+    }
+
+    pub(super) fn request(
         m: &mut LeaseMachine<'_, '_>,
         sink: &mut MemorySink,
         worker: usize,
@@ -1751,7 +1030,7 @@ mod tests {
         replies.remove(0)
     }
 
-    fn done(
+    pub(super) fn done(
         m: &mut LeaseMachine<'_, '_>,
         sink: &mut MemorySink,
         worker: usize,
@@ -1780,7 +1059,7 @@ mod tests {
     /// exactly one place — the allocatable pool, the backoff queue, or
     /// out on (one or more) leases — and only pooled tasks are
     /// unclaimed.
-    fn assert_accounting(m: &LeaseMachine<'_, '_>) {
+    pub(super) fn assert_accounting(m: &LeaseMachine<'_, '_>) {
         let mut eligible = m.exec().eligible_nodes();
         eligible.sort_unstable_by_key(|v| v.index());
         let mut tracked: Vec<NodeId> = m.exec().pool().to_vec();
@@ -1810,7 +1089,7 @@ mod tests {
         );
     }
 
-    fn audit_errors(sink: MemorySink) -> Vec<ic_audit::Diagnostic> {
+    pub(super) fn audit_errors(sink: MemorySink) -> Vec<ic_audit::Diagnostic> {
         let trace = sink.into_trace().expect("header written");
         audit_trace(&trace)
             .into_iter()
@@ -2333,451 +1612,5 @@ mod tests {
         // Diverging decisions: different fingerprints.
         assert!(done(&mut a, &mut sink, 0, 0, true, 0));
         assert_ne!(a.fingerprint(), b.fingerprint());
-    }
-
-    // ------------------------------------------------------------------
-    // Federation (stub / replica) semantics.
-    // ------------------------------------------------------------------
-
-    fn fed_meta(nodes: usize, stubs: &[u32], replicas: &[u32]) -> FedMeta {
-        FedMeta {
-            shard: 1,
-            shards: 2,
-            global_nodes: nodes + 3,
-            to_global: (0..nodes as u64).map(|i| i + 3).collect(),
-            stubs: stubs.to_vec(),
-            replicas: replicas.to_vec(),
-        }
-    }
-
-    fn hello(m: &mut LeaseMachine<'_, '_>, sink: &mut MemorySink, id: &str) {
-        let replies = drive(
-            m,
-            sink,
-            Event::Hello {
-                id: id.into(),
-                speed: 1.0,
-                proto: PROTO_V2,
-                resume: None,
-                now_us: 0,
-            },
-        );
-        assert!(matches!(replies[0], Message::Welcome { .. }));
-    }
-
-    /// A stub is claimed by the federation at the header, gates its
-    /// children until `remote-done` arrives, executes exactly once
-    /// (duplicates ignored), and the shard trace replays audit-clean.
-    #[test]
-    fn stub_gates_children_until_remote_done() {
-        // Local sub-dag: stub 0 -> task 1 -> task 2.
-        let g = from_arcs(3, &[(0, 1), (1, 2)]).unwrap();
-        let policy = Policy::Fifo;
-        let cfg = ServerConfig::builder().lease_ms(10_000).build();
-        let mut sink = MemorySink::new();
-        let mut m = LeaseMachine::new(&g, &policy, cfg);
-        m.set_fed(fed_meta(3, &[0], &[]));
-        boot(&mut m, &mut sink);
-        hello(&mut m, &mut sink, "w0");
-
-        // The stub holds the frontier closed: nothing allocatable.
-        assert!(matches!(
-            request(&mut m, &mut sink, 0, 1, 10),
-            Message::Wait { .. }
-        ));
-
-        // The owning shard completes the stub's global task.
-        let fx = m.step(Event::RemoteDone {
-            task: 0,
-            now_us: 20,
-        });
-        for e in &fx {
-            if let Effect::Trace(t) = e {
-                sink.record(t);
-            }
-        }
-        assert_eq!(m.remote_completions(), 1);
-        assert_accounting(&m);
-
-        // A duplicate (backlog replay) changes nothing.
-        assert!(m
-            .step(Event::RemoteDone {
-                task: 0,
-                now_us: 21
-            })
-            .is_empty());
-        assert_eq!(m.remote_completions(), 1);
-
-        // Now the child chain allocates and completes normally.
-        let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 1, 30) else {
-            panic!("task 1 must be allocatable after the remote-done");
-        };
-        assert_eq!(tasks, vec![1]);
-        assert!(done(&mut m, &mut sink, 0, 1, true, 40));
-        let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 1, 50) else {
-            panic!("task 2 must follow");
-        };
-        assert_eq!(tasks, vec![2]);
-        assert!(done(&mut m, &mut sink, 0, 2, true, 60));
-        assert!(m.is_complete());
-        assert_eq!(audit_errors(sink), vec![]);
-    }
-
-    /// A leased replica loses the race: the peer's `remote-done`
-    /// completes it for the federation, the worker's lease is revoked
-    /// (its late report rejected, its heartbeat answered `revoke`),
-    /// and the trace replays audit-clean.
-    #[test]
-    fn remote_done_wins_the_replica_race_and_revokes_the_lease() {
-        // Local sub-dag: replica 0 -> task 1.
-        let g = from_arcs(2, &[(0, 1)]).unwrap();
-        let policy = Policy::Fifo;
-        let cfg = ServerConfig::builder().lease_ms(10_000).build();
-        let mut sink = MemorySink::new();
-        let mut m = LeaseMachine::new(&g, &policy, cfg);
-        m.set_fed(fed_meta(2, &[], &[0]));
-        boot(&mut m, &mut sink);
-        hello(&mut m, &mut sink, "w0");
-
-        // The replica is allocatable locally and gets leased.
-        let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 1, 10) else {
-            panic!("replica must be allocatable");
-        };
-        assert_eq!(tasks, vec![0]);
-
-        // The owning shard finishes first.
-        let fx = m.step(Event::RemoteDone {
-            task: 0,
-            now_us: 20,
-        });
-        for e in &fx {
-            if let Effect::Trace(t) = e {
-                sink.record(t);
-            }
-        }
-        assert_eq!(m.remote_completions(), 1);
-        assert_accounting(&m);
-
-        // The worker's report is now late and rejected; its heartbeat
-        // learns the lease is gone via `revoke`.
-        assert!(!done(&mut m, &mut sink, 0, 0, true, 30));
-        let replies = drive(
-            &mut m,
-            &mut sink,
-            Event::Heartbeat {
-                worker: 0,
-                task: 0,
-                now_us: 35,
-            },
-        );
-        assert_eq!(replies, vec![Message::Revoke { task: 0 }]);
-
-        // The child still flows through the worker.
-        let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 1, 40) else {
-            panic!("child must be allocatable");
-        };
-        assert_eq!(tasks, vec![1]);
-        assert!(done(&mut m, &mut sink, 0, 1, true, 50));
-        assert!(m.is_complete());
-        assert_eq!(audit_errors(sink), vec![]);
-    }
-
-    /// A locally-completed replica wins: the later `remote-done` is a
-    /// no-op duplicate.
-    #[test]
-    fn local_replica_completion_wins_and_remote_done_is_ignored() {
-        let g = from_arcs(2, &[(0, 1)]).unwrap();
-        let policy = Policy::Fifo;
-        let cfg = ServerConfig::builder().lease_ms(10_000).build();
-        let mut sink = MemorySink::new();
-        let mut m = LeaseMachine::new(&g, &policy, cfg);
-        m.set_fed(fed_meta(2, &[], &[0]));
-        boot(&mut m, &mut sink);
-        hello(&mut m, &mut sink, "w0");
-
-        let Message::Assign { .. } = request(&mut m, &mut sink, 0, 1, 10) else {
-            panic!("replica must be allocatable");
-        };
-        assert!(done(&mut m, &mut sink, 0, 0, true, 20));
-        assert!(m
-            .step(Event::RemoteDone {
-                task: 0,
-                now_us: 30
-            })
-            .is_empty());
-        assert_eq!(m.remote_completions(), 0);
-        let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 1, 35) else {
-            panic!("child must be allocatable");
-        };
-        assert_eq!(tasks, vec![1]);
-        assert!(done(&mut m, &mut sink, 0, 1, true, 40));
-        assert!(m.is_complete());
-        assert_eq!(audit_errors(sink), vec![]);
-    }
-
-    /// Peer links carry no cross-shard ordering: a replica's
-    /// notification arriving before its own stub predecessor's is
-    /// queued and applied once the stub lands.
-    #[test]
-    fn reordered_remote_dones_queue_until_predecessors_land() {
-        // Local sub-dag: stub 0 -> replica 1 -> task 2.
-        let g = from_arcs(3, &[(0, 1), (1, 2)]).unwrap();
-        let policy = Policy::Fifo;
-        let cfg = ServerConfig::builder().lease_ms(10_000).build();
-        let mut sink = MemorySink::new();
-        let mut m = LeaseMachine::new(&g, &policy, cfg);
-        m.set_fed(fed_meta(3, &[0], &[1]));
-        boot(&mut m, &mut sink);
-        hello(&mut m, &mut sink, "w0");
-
-        // The replica's notification outruns the stub's: queued.
-        assert!(m
-            .step(Event::RemoteDone {
-                task: 1,
-                now_us: 10
-            })
-            .is_empty());
-        assert_eq!(m.pending_remote(), 1);
-        assert_eq!(m.remote_completions(), 0);
-
-        // The stub's notification lands: both apply, in order.
-        let fx = m.step(Event::RemoteDone {
-            task: 0,
-            now_us: 20,
-        });
-        for e in &fx {
-            if let Effect::Trace(t) = e {
-                sink.record(t);
-            }
-        }
-        assert_eq!(m.pending_remote(), 0);
-        assert_eq!(m.remote_completions(), 2);
-        assert_accounting(&m);
-
-        let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 1, 30) else {
-            panic!("task 2 must be allocatable");
-        };
-        assert_eq!(tasks, vec![2]);
-        assert!(done(&mut m, &mut sink, 0, 2, true, 40));
-        assert!(m.is_complete());
-        assert_eq!(audit_errors(sink), vec![]);
-    }
-
-    /// A `remote-done` racing ahead of the header (registration
-    /// barrier still open) is queued — no event may precede the header
-    /// — and applied right after the header goes out.
-    #[test]
-    fn remote_done_before_the_header_waits_for_it() {
-        let g = from_arcs(2, &[(0, 1)]).unwrap();
-        let policy = Policy::Fifo;
-        let cfg = ServerConfig::builder()
-            .lease_ms(10_000)
-            .expect_workers(1)
-            .build();
-        let mut sink = MemorySink::new();
-        let mut m = LeaseMachine::new(&g, &policy, cfg);
-        m.set_fed(fed_meta(2, &[0], &[]));
-        boot(&mut m, &mut sink);
-
-        // Barrier not met: the notification must produce no effects.
-        assert!(m.step(Event::RemoteDone { task: 0, now_us: 5 }).is_empty());
-        assert_eq!(m.remote_completions(), 0);
-
-        // The registering hello writes the header, claims the stub,
-        // and applies the queued completion.
-        hello(&mut m, &mut sink, "w0");
-        assert_eq!(m.remote_completions(), 1);
-        assert_accounting(&m);
-
-        let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 1, 10) else {
-            panic!("child must be allocatable");
-        };
-        assert_eq!(tasks, vec![1]);
-        assert!(done(&mut m, &mut sink, 0, 1, true, 20));
-        assert!(m.is_complete());
-        assert_eq!(audit_errors(sink), vec![]);
-    }
-
-    /// Crash a run after one completion and one outstanding lease,
-    /// then [`LeaseMachine::restore`] from the recorded prefix: the
-    /// rebuilt machine carries the same executed set, the same lease,
-    /// the same pool, a continued trace cursor, and dominating epochs
-    /// — and the resume window hands the lease back to a worker whose
-    /// id matches, even though its token is from before the crash.
-    #[test]
-    fn restore_rebuilds_the_machine_and_resumes_a_matching_worker() {
-        let g = from_arcs(3, &[]).unwrap();
-        let policy = Policy::Fifo;
-        let cfg = || {
-            ServerConfig::builder()
-                .lease_ms(10_000)
-                .expect_workers(1)
-                .seed(7)
-                .build()
-        };
-        let mut sink = MemorySink::new();
-        let mut m = LeaseMachine::new(&g, &policy, cfg());
-        boot(&mut m, &mut sink);
-        hello(&mut m, &mut sink, "phoenix");
-        let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 1, 0) else {
-            panic!("first assignment");
-        };
-        assert!(done(&mut m, &mut sink, 0, tasks[0], true, 0));
-        let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 1, 0) else {
-            panic!("second assignment");
-        };
-        let held = tasks[0];
-
-        // "Kill" the server: all that survives is the trace so far.
-        let trace = sink.into_trace().expect("barrier met, header written");
-        assert_eq!(trace.events.len(), 3, "alloc, complete, alloc");
-
-        let mut r =
-            LeaseMachine::restore(&g, &policy, cfg(), &trace.header, &trace.events, 0).unwrap();
-        assert_eq!(r.exec().num_executed(), 1, "the completion survives");
-        assert_eq!(r.exec().pool_len(), 1, "the never-allocated task");
-        let leases = r.lease_views();
-        assert_eq!(leases.len(), 1, "the outstanding lease is re-armed");
-        assert_eq!(leases[0].worker, 0);
-        assert_eq!(leases[0].task.index() as u64, held);
-        assert!(!leases[0].speculative);
-        assert_accounting(&r);
-        assert_eq!(r.worker_id(0), Some("phoenix"), "declared id from header");
-        assert_eq!(r.awaiting_resume(), 1);
-        assert_eq!(
-            r.trace_steps(),
-            m.trace_steps(),
-            "appended events continue the crashed run's step sequence"
-        );
-        assert!(
-            r.worker_epoch(0) > m.worker_epoch(0),
-            "rebuilt epochs dominate everything the crashed machine issued"
-        );
-
-        // Within the resume window, a matching id reclaims the slot —
-        // the pre-crash token is unknown to the new machine, so only
-        // the id (from the header) can match.
-        r.await_resumes(1_000_000);
-        let mut sink2 = MemorySink::new();
-        let replies = drive(
-            &mut r,
-            &mut sink2,
-            Event::Hello {
-                id: "phoenix".into(),
-                speed: 1.0,
-                proto: PROTO_V2,
-                resume: Some("stale-pre-crash-token".into()),
-                now_us: 10,
-            },
-        );
-        let Message::Welcome { tasks, .. } = &replies[0] else {
-            panic!("expected the resume welcome, got {replies:?}");
-        };
-        assert_eq!(tasks, &vec![held], "the lease is handed straight back");
-        assert_eq!(r.awaiting_resume(), 0);
-        assert_eq!(r.summary(10).resumes, 1);
-
-        // The resumed worker finishes the dag on the restored machine.
-        assert!(done(&mut r, &mut sink2, 0, held, true, 20));
-        let Message::Assign { tasks } = request(&mut r, &mut sink2, 0, 1, 30) else {
-            panic!("the pooled task must be allocatable");
-        };
-        assert!(done(&mut r, &mut sink2, 0, tasks[0], true, 40));
-        assert!(r.is_complete());
-    }
-
-    /// After the resume window closes, an unknown token no longer
-    /// matches by id: the hello registers a fresh slot and the
-    /// crash-surviving lease is left to expire and reallocate.
-    #[test]
-    fn a_late_resume_after_the_window_registers_fresh() {
-        let g = from_arcs(2, &[]).unwrap();
-        let policy = Policy::Fifo;
-        let cfg = ServerConfig::builder()
-            .lease_ms(100)
-            .expect_workers(1)
-            .build();
-        let mut sink = MemorySink::new();
-        let mut m = LeaseMachine::new(&g, &policy, cfg.clone());
-        boot(&mut m, &mut sink);
-        hello(&mut m, &mut sink, "tardy");
-        let Message::Assign { .. } = request(&mut m, &mut sink, 0, 1, 0) else {
-            panic!("assignment");
-        };
-        let trace = sink.into_trace().unwrap();
-
-        let mut r =
-            LeaseMachine::restore(&g, &policy, cfg, &trace.header, &trace.events, 0).unwrap();
-        r.await_resumes(500); // window closes at t=500µs
-        let mut sink2 = MemorySink::new();
-        let replies = drive(
-            &mut r,
-            &mut sink2,
-            Event::Hello {
-                id: "tardy".into(),
-                speed: 1.0,
-                proto: PROTO_V2,
-                resume: Some("stale".into()),
-                now_us: 1_000,
-            },
-        );
-        match &replies[0] {
-            Message::Error { code, .. } => {
-                assert_eq!(*code, crate::wire::ERR_BAD_RESUME, "typed refusal")
-            }
-            other => panic!("a late stale token must be refused, got {other:?}"),
-        }
-        // The slot's lease is still there, on the expiry clock.
-        assert_eq!(r.lease_views().len(), 1);
-        assert_eq!(r.expired(200_000).len(), 1, "expiry reallocates it");
-    }
-
-    /// The restore refusals, each with its stable IC07xx code: a
-    /// duplicated completion (the trace is not one legal run), custody
-    /// corruption (completion without a lease), and a header that
-    /// disagrees with the launch configuration.
-    #[test]
-    fn restore_refuses_duplicate_corrupt_and_mismatched_prefixes() {
-        let g = from_arcs(2, &[]).unwrap();
-        let policy = Policy::Fifo;
-        let cfg = || ServerConfig::builder().expect_workers(1).seed(3).build();
-        let mut sink = MemorySink::new();
-        let mut m = LeaseMachine::new(&g, &policy, cfg());
-        boot(&mut m, &mut sink);
-        hello(&mut m, &mut sink, "w0");
-        let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 1, 0) else {
-            panic!("assignment");
-        };
-        assert!(done(&mut m, &mut sink, 0, tasks[0], true, 0));
-        let trace = sink.into_trace().unwrap();
-        assert_eq!(trace.events.len(), 2, "alloc, complete");
-
-        // Duplicate completion: replay the `Completed` event twice.
-        let mut doubled = trace.events.clone();
-        doubled.push(trace.events[1]);
-        let err = LeaseMachine::restore(&g, &policy, cfg(), &trace.header, &doubled, 0)
-            .expect_err("a task cannot complete twice");
-        assert!(matches!(err, RestoreError::DuplicateCompletion { .. }));
-        assert_eq!(err.code(), "IC0701");
-
-        // Custody corruption: a completion whose lease never existed.
-        let headless = vec![trace.events[1]];
-        let err = LeaseMachine::restore(&g, &policy, cfg(), &trace.header, &headless, 0)
-            .expect_err("completion without a lease");
-        assert!(matches!(err, RestoreError::Corrupt { .. }));
-        assert_eq!(err.code(), "IC0704");
-
-        // Header mismatch: same trace, different launch seed.
-        let other = ServerConfig::builder().expect_workers(1).seed(99).build();
-        let err = LeaseMachine::restore(&g, &policy, other, &trace.header, &trace.events, 0)
-            .expect_err("seed disagreement");
-        assert!(matches!(err, RestoreError::HeaderMismatch { .. }));
-        assert_eq!(err.code(), "IC0703");
-
-        // Dag mismatch: one node too many.
-        let bigger = from_arcs(3, &[]).unwrap();
-        let err = LeaseMachine::restore(&bigger, &policy, cfg(), &trace.header, &trace.events, 0)
-            .expect_err("node-count disagreement");
-        assert_eq!(err.code(), "IC0703");
     }
 }

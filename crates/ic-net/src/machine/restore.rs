@@ -1,0 +1,529 @@
+//! Crash recovery for [`LeaseMachine`]: fold the replayed prefix of
+//! its own trace (the write-ahead log [`crate::recovery`] reads from
+//! disk) back into scheduling state, strictly — an event the live
+//! machine could not have emitted is a typed [`RestoreError`].
+
+use std::collections::HashMap;
+
+use ic_dag::{Dag, NodeId};
+use ic_sched::policy::AllocationPolicy;
+use ic_sim::trace::{EventKind, TraceEvent, TraceHeader, FED_CLIENT};
+
+use super::{LeaseMachine, SeededBugs, WorkerSlot};
+use crate::lease_table::{Lease, LeaseTable};
+use crate::server::ServerConfig;
+
+/// Trace seconds back to driver microseconds — the inverse of the
+/// machine's `t()` timestamping, used when replaying a trace to place
+/// the recovered clock origin.
+pub(crate) fn micros(t: f64) -> u64 {
+    (t.max(0.0) * 1e6) as u64
+}
+
+/// Why a trace prefix cannot rebuild a [`LeaseMachine`]
+/// ([`LeaseMachine::restore`]). Each variant maps onto one of the
+/// IC07xx recovery diagnostics registered in `ic-audit`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RestoreError {
+    /// The trace header disagrees with the launch configuration —
+    /// different dag, policy, or seed (IC0703).
+    HeaderMismatch {
+        /// What disagreed, human-readable.
+        reason: String,
+    },
+    /// The prefix completes the same task twice (IC0701): the trace is
+    /// not the history of one legal run and must not be extended.
+    DuplicateCompletion {
+        /// The task completed twice.
+        task: NodeId,
+        /// The `step` of the second completion.
+        step: u64,
+    },
+    /// An event references impossible state — an unknown task id, a
+    /// completion or failure with no open lease, an allocation of a
+    /// non-ELIGIBLE task.
+    Corrupt {
+        /// The `step` of the offending event.
+        step: u64,
+        /// What was impossible about it.
+        reason: String,
+    },
+    /// The trace belongs to one shard of a federated run; shard traces
+    /// interleave with peer state that a single machine cannot replay.
+    Federated,
+}
+
+impl RestoreError {
+    /// The stable IC07xx diagnostic code for this failure.
+    pub fn code(&self) -> &'static str {
+        match self {
+            RestoreError::HeaderMismatch { .. } => "IC0703",
+            RestoreError::DuplicateCompletion { .. } => "IC0701",
+            RestoreError::Corrupt { .. } | RestoreError::Federated => "IC0704",
+        }
+    }
+}
+
+impl std::fmt::Display for RestoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RestoreError::HeaderMismatch { reason } => {
+                write!(f, "trace header mismatch: {reason}")
+            }
+            RestoreError::DuplicateCompletion { task, step } => {
+                write!(f, "task t{task} completed twice (second at step {step})")
+            }
+            RestoreError::Corrupt { step, reason } => {
+                write!(f, "corrupt trace at step {step}: {reason}")
+            }
+            RestoreError::Federated => {
+                write!(f, "federated shard traces are not recoverable")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RestoreError {}
+
+impl<'a, 'd> LeaseMachine<'a, 'd> {
+    /// Rebuild a machine from the replayed prefix of its own trace —
+    /// the crash-recovery core behind [`crate::recovery`].
+    ///
+    /// The trace is the server's write-ahead log: replaying its
+    /// `alloc`/`complete`/`fail`/`spec`/`revoke` events against a
+    /// fresh machine reconstructs the executed set, the eligible pool,
+    /// the backoff queue, and the lease table exactly as the crashed
+    /// machine held them. Outstanding leases are re-armed to expire at
+    /// `now_us + lease_ms` (reallocation is the fallback for workers
+    /// that never return); every rebuilt slot is marked
+    /// awaiting-recovery with its epoch bumped past anything the
+    /// pre-crash run could have issued (`events + 1` — each epoch bump
+    /// that left evidence emitted at least one event); the trace
+    /// cursor (`step`, timestamp origin) continues where the prefix
+    /// ends, so appended events extend the same audit-clean run.
+    ///
+    /// The header must match the launch configuration (same dag, same
+    /// policy, same seed) — recovery refuses to graft a trace onto a
+    /// different run. Pool/backoff *membership* is recovered exactly;
+    /// FIFO arrival order within the pool is not observable from the
+    /// trace and may differ, which is the same reordering any crash
+    /// already inflicts on in-flight work.
+    pub fn restore(
+        dag: &'d Dag,
+        policy: &'a dyn AllocationPolicy,
+        cfg: ServerConfig,
+        header: &TraceHeader,
+        events: &[TraceEvent],
+        now_us: u64,
+    ) -> Result<Self, RestoreError> {
+        let bugs = SeededBugs::default();
+        Self::restore_with(dag, policy, cfg, header, events, now_us, bugs)
+    }
+
+    /// [`LeaseMachine::restore`] with seeded bugs active during the
+    /// rebuild (the `ic-check` negative suite re-introduces the
+    /// skipped epoch bump through this).
+    #[doc(hidden)]
+    pub fn restore_with(
+        dag: &'d Dag,
+        policy: &'a dyn AllocationPolicy,
+        cfg: ServerConfig,
+        header: &TraceHeader,
+        events: &[TraceEvent],
+        now_us: u64,
+        bugs: SeededBugs,
+    ) -> Result<Self, RestoreError> {
+        if header.fed.is_some() {
+            return Err(RestoreError::Federated);
+        }
+        let mismatch = |reason: String| RestoreError::HeaderMismatch { reason };
+        if header.nodes != dag.num_nodes() {
+            return Err(mismatch(format!(
+                "trace dag has {} nodes, launch dag has {}",
+                header.nodes,
+                dag.num_nodes()
+            )));
+        }
+        let arcs: Vec<(u32, u32)> = dag.arcs().map(|(u, v)| (u.0, v.0)).collect();
+        if header.arcs != arcs {
+            return Err(mismatch(format!(
+                "trace dag has {} arcs that differ from the launch dag's {}",
+                header.arcs.len(),
+                arcs.len()
+            )));
+        }
+        if header.policy != policy.name() {
+            return Err(mismatch(format!(
+                "trace ran policy {:?}, launch requests {:?}",
+                header.policy,
+                policy.name()
+            )));
+        }
+        if header.seed != cfg.seed {
+            return Err(mismatch(format!(
+                "trace ran seed {:#x}, launch requests {:#x}",
+                header.seed, cfg.seed
+            )));
+        }
+
+        let mut m = LeaseMachine::new(dag, policy, cfg);
+        m.bugs = bugs;
+        m.header_written = true;
+
+        // Slots named by the header carry their declared id and speed;
+        // clients that only appear in events (late workers) get
+        // synthesized ids — their real ids never reached the trace, so
+        // they cannot id-match a resume and fall back to lease expiry.
+        let declared: HashMap<usize, (String, f64)> = header
+            .workers
+            .iter()
+            .map(|w| (w.client, (w.id.clone(), w.speed)))
+            .collect();
+        fn ensure_slot(
+            workers: &mut Vec<WorkerSlot>,
+            declared: &HashMap<usize, (String, f64)>,
+            client: usize,
+            step: u64,
+        ) -> Result<(), RestoreError> {
+            if client >= FED_CLIENT {
+                return Err(RestoreError::Federated);
+            }
+            if client > 1 << 20 {
+                return Err(RestoreError::Corrupt {
+                    step,
+                    reason: format!("implausible client index {client}"),
+                });
+            }
+            while workers.len() <= client {
+                let i = workers.len();
+                let (id, speed) = declared
+                    .get(&i)
+                    .cloned()
+                    .unwrap_or_else(|| (format!("recovered-{i}"), 1.0));
+                workers.push(WorkerSlot {
+                    id,
+                    speed,
+                    waiting: false,
+                    token: None,
+                    epoch: 0,
+                    connected: false,
+                    awaiting_recovery: true,
+                });
+            }
+            Ok(())
+        }
+        for i in 0..declared.len() {
+            ensure_slot(&mut m.workers, &declared, i, 0)?;
+        }
+        let deadline = m.lease_deadline(now_us);
+        for ev in events {
+            let (step, client) = (ev.step, ev.client);
+            let corrupt = |reason: String| RestoreError::Corrupt { step, reason };
+            ensure_slot(&mut m.workers, &declared, client, step)?;
+            let Some(v) = ev.task else {
+                m.workers[client].waiting = true;
+                continue;
+            };
+            if v.index() >= dag.num_nodes() {
+                return Err(corrupt(format!("unknown task t{v}")));
+            }
+            // Every outcome closes the lease it names.
+            let close = |leases: &mut LeaseTable, what: &str| {
+                let id = leases
+                    .find(client, v)
+                    .ok_or_else(|| corrupt(format!("{what} of {v} without a lease")))?;
+                leases.remove(id);
+                Ok::<(), RestoreError>(())
+            };
+            match ev.kind {
+                EventKind::Allocated | EventKind::Speculated => {
+                    let speculative = ev.kind == EventKind::Speculated;
+                    if speculative {
+                        m.steals += 1;
+                    } else {
+                        // A re-allocation of a backed-off task implies
+                        // its backoff elapsed before the crash.
+                        if let Some(pos) = m.deferred.iter().position(|&(_, d)| d == v) {
+                            m.deferred.swap_remove(pos);
+                            let unclaimed = m.state.unclaim(v).is_ok();
+                            debug_assert!(unclaimed, "deferred tasks are claimed");
+                        }
+                        m.state.claim(v).map_err(|_| {
+                            corrupt(format!("allocated task {v} was not in the pool"))
+                        })?;
+                        m.allocation_steps += 1;
+                    }
+                    m.leases.insert(Lease {
+                        worker: client,
+                        task: v,
+                        deadline_us: deadline,
+                        granted_us: now_us,
+                        speculative,
+                    });
+                    m.workers[client].waiting = false;
+                }
+                EventKind::Completed => {
+                    if m.state.is_executed(v) {
+                        return Err(RestoreError::DuplicateCompletion { task: v, step });
+                    }
+                    close(&mut m.leases, "completion")?;
+                    m.state
+                        .execute_counting(v)
+                        .map_err(|_| corrupt(format!("completed task {v} was not ELIGIBLE")))?;
+                    m.completions += 1;
+                }
+                EventKind::Failed => {
+                    close(&mut m.leases, "failure")?;
+                    m.failures[v.index()] += 1;
+                    m.failure_events += 1;
+                    if !m.leases.has_holder(v) {
+                        // Ready immediately: the recovered server's
+                        // first request promotes it, which is at least
+                        // as late as the original backoff would allow.
+                        m.deferred.push((now_us, v));
+                    }
+                }
+                EventKind::Revoked => {
+                    close(&mut m.leases, "revocation")?;
+                    m.revokes += 1;
+                }
+                EventKind::Resumed => m.resumes += 1,
+                // An idle event names no task: handled above.
+                EventKind::Idle => {}
+            }
+        }
+
+        // Continue the crashed run's trace cursor: appended events get
+        // monotone steps, and timestamps that resume where the prefix
+        // stopped (`origin` backdated so `now_us` maps to the last
+        // recorded time).
+        m.step = events.last().map_or(0, |e| e.step + 1);
+        let elapsed_us = events.last().map_or(0, |e| micros(e.time));
+        m.origin_us = now_us.saturating_sub(elapsed_us);
+        m.late_workers = m.workers.len().saturating_sub(header.workers.len());
+        // Epochs restart strictly above anything the crashed machine
+        // could have issued: every pre-crash epoch bump either emitted
+        // a `resume` event or rode a connection that is now dead, and
+        // `events + 1` dominates the evidence-bearing bound. The
+        // seeded IC0702 bug skips exactly this.
+        let epoch = if m.bugs.skip_recovery_epoch_bump {
+            0
+        } else {
+            events.len() as u64 + 1
+        };
+        for w in &mut m.workers {
+            w.epoch = epoch;
+        }
+        if m.is_complete() {
+            m.completed_at_us = Some(now_us);
+        }
+        Ok(m)
+    }
+
+    /// Open the post-restore resume window: until `until_us` (driver
+    /// time), a resume `hello` whose token is unknown may reclaim an
+    /// awaiting-recovery slot whose worker id matches. After the
+    /// window, unresumed slots are served by lease expiry alone.
+    pub fn await_resumes(&mut self, until_us: u64) {
+        self.recovery_resume_until_us = until_us;
+    }
+
+    /// Crash-recovered slots still waiting for their worker to resume.
+    pub fn awaiting_resume(&self) -> usize {
+        self.workers.iter().filter(|w| w.awaiting_recovery).count()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{assert_accounting, boot, done, drive, hello, request};
+    use super::*;
+    use crate::machine::Event;
+    use crate::wire::{Message, PROTO_V2};
+    use ic_dag::builder::from_arcs;
+    use ic_sched::heuristics::Policy;
+    use ic_sim::MemorySink;
+
+    /// Crash a run after one completion and one outstanding lease,
+    /// then [`LeaseMachine::restore`] from the recorded prefix: the
+    /// rebuilt machine carries the same executed set, the same lease,
+    /// the same pool, a continued trace cursor, and dominating epochs
+    /// — and the resume window hands the lease back to a worker whose
+    /// id matches, even though its token is from before the crash.
+    #[test]
+    fn restore_rebuilds_the_machine_and_resumes_a_matching_worker() {
+        let g = from_arcs(3, &[]).unwrap();
+        let policy = Policy::Fifo;
+        let cfg = || {
+            ServerConfig::builder()
+                .lease_ms(10_000)
+                .expect_workers(1)
+                .seed(7)
+                .build()
+        };
+        let mut sink = MemorySink::new();
+        let mut m = LeaseMachine::new(&g, &policy, cfg());
+        boot(&mut m, &mut sink);
+        hello(&mut m, &mut sink, "phoenix");
+        let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 1, 0) else {
+            panic!("first assignment");
+        };
+        assert!(done(&mut m, &mut sink, 0, tasks[0], true, 0));
+        let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 1, 0) else {
+            panic!("second assignment");
+        };
+        let held = tasks[0];
+
+        // "Kill" the server: all that survives is the trace so far.
+        let trace = sink.into_trace().expect("barrier met, header written");
+        assert_eq!(trace.events.len(), 3, "alloc, complete, alloc");
+
+        let mut r =
+            LeaseMachine::restore(&g, &policy, cfg(), &trace.header, &trace.events, 0).unwrap();
+        assert_eq!(r.exec().num_executed(), 1, "the completion survives");
+        assert_eq!(r.exec().pool_len(), 1, "the never-allocated task");
+        let leases = r.lease_views();
+        assert_eq!(leases.len(), 1, "the outstanding lease is re-armed");
+        assert_eq!(leases[0].worker, 0);
+        assert_eq!(leases[0].task.index() as u64, held);
+        assert!(!leases[0].speculative);
+        assert_accounting(&r);
+        assert_eq!(r.worker_id(0), Some("phoenix"), "declared id from header");
+        assert_eq!(r.awaiting_resume(), 1);
+        assert_eq!(
+            r.trace_steps(),
+            m.trace_steps(),
+            "appended events continue the crashed run's step sequence"
+        );
+        assert!(
+            r.worker_epoch(0) > m.worker_epoch(0),
+            "rebuilt epochs dominate everything the crashed machine issued"
+        );
+
+        // Within the resume window, a matching id reclaims the slot —
+        // the pre-crash token is unknown to the new machine, so only
+        // the id (from the header) can match.
+        r.await_resumes(1_000_000);
+        let mut sink2 = MemorySink::new();
+        let replies = drive(
+            &mut r,
+            &mut sink2,
+            Event::Hello {
+                id: "phoenix".into(),
+                speed: 1.0,
+                proto: PROTO_V2,
+                resume: Some("stale-pre-crash-token".into()),
+                now_us: 10,
+            },
+        );
+        let Message::Welcome { tasks, .. } = &replies[0] else {
+            panic!("expected the resume welcome, got {replies:?}");
+        };
+        assert_eq!(tasks, &vec![held], "the lease is handed straight back");
+        assert_eq!(r.awaiting_resume(), 0);
+        assert_eq!(r.summary(10).resumes, 1);
+
+        // The resumed worker finishes the dag on the restored machine.
+        assert!(done(&mut r, &mut sink2, 0, held, true, 20));
+        let Message::Assign { tasks } = request(&mut r, &mut sink2, 0, 1, 30) else {
+            panic!("the pooled task must be allocatable");
+        };
+        assert!(done(&mut r, &mut sink2, 0, tasks[0], true, 40));
+        assert!(r.is_complete());
+    }
+
+    /// After the resume window closes, an unknown token no longer
+    /// matches by id: the hello registers a fresh slot and the
+    /// crash-surviving lease is left to expire and reallocate.
+    #[test]
+    fn a_late_resume_after_the_window_registers_fresh() {
+        let g = from_arcs(2, &[]).unwrap();
+        let policy = Policy::Fifo;
+        let cfg = ServerConfig::builder()
+            .lease_ms(100)
+            .expect_workers(1)
+            .build();
+        let mut sink = MemorySink::new();
+        let mut m = LeaseMachine::new(&g, &policy, cfg.clone());
+        boot(&mut m, &mut sink);
+        hello(&mut m, &mut sink, "tardy");
+        let Message::Assign { .. } = request(&mut m, &mut sink, 0, 1, 0) else {
+            panic!("assignment");
+        };
+        let trace = sink.into_trace().unwrap();
+
+        let mut r =
+            LeaseMachine::restore(&g, &policy, cfg, &trace.header, &trace.events, 0).unwrap();
+        r.await_resumes(500); // window closes at t=500µs
+        let mut sink2 = MemorySink::new();
+        let replies = drive(
+            &mut r,
+            &mut sink2,
+            Event::Hello {
+                id: "tardy".into(),
+                speed: 1.0,
+                proto: PROTO_V2,
+                resume: Some("stale".into()),
+                now_us: 1_000,
+            },
+        );
+        match &replies[0] {
+            Message::Error { code, .. } => {
+                assert_eq!(*code, crate::wire::ERR_BAD_RESUME, "typed refusal")
+            }
+            other => panic!("a late stale token must be refused, got {other:?}"),
+        }
+        // The slot's lease is still there, on the expiry clock.
+        assert_eq!(r.lease_views().len(), 1);
+        assert_eq!(r.expired(200_000).len(), 1, "expiry reallocates it");
+    }
+
+    /// The restore refusals, each with its stable IC07xx code: a
+    /// duplicated completion (the trace is not one legal run), custody
+    /// corruption (completion without a lease), and a header that
+    /// disagrees with the launch configuration.
+    #[test]
+    fn restore_refuses_duplicate_corrupt_and_mismatched_prefixes() {
+        let g = from_arcs(2, &[]).unwrap();
+        let policy = Policy::Fifo;
+        let cfg = || ServerConfig::builder().expect_workers(1).seed(3).build();
+        let mut sink = MemorySink::new();
+        let mut m = LeaseMachine::new(&g, &policy, cfg());
+        boot(&mut m, &mut sink);
+        hello(&mut m, &mut sink, "w0");
+        let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 1, 0) else {
+            panic!("assignment");
+        };
+        assert!(done(&mut m, &mut sink, 0, tasks[0], true, 0));
+        let trace = sink.into_trace().unwrap();
+        assert_eq!(trace.events.len(), 2, "alloc, complete");
+
+        // Duplicate completion: replay the `Completed` event twice.
+        let mut doubled = trace.events.clone();
+        doubled.push(trace.events[1]);
+        let err = LeaseMachine::restore(&g, &policy, cfg(), &trace.header, &doubled, 0)
+            .expect_err("a task cannot complete twice");
+        assert!(matches!(err, RestoreError::DuplicateCompletion { .. }));
+        assert_eq!(err.code(), "IC0701");
+
+        // Custody corruption: a completion whose lease never existed.
+        let headless = vec![trace.events[1]];
+        let err = LeaseMachine::restore(&g, &policy, cfg(), &trace.header, &headless, 0)
+            .expect_err("completion without a lease");
+        assert!(matches!(err, RestoreError::Corrupt { .. }));
+        assert_eq!(err.code(), "IC0704");
+
+        // Header mismatch: same trace, different launch seed.
+        let other = ServerConfig::builder().expect_workers(1).seed(99).build();
+        let err = LeaseMachine::restore(&g, &policy, other, &trace.header, &trace.events, 0)
+            .expect_err("seed disagreement");
+        assert!(matches!(err, RestoreError::HeaderMismatch { .. }));
+        assert_eq!(err.code(), "IC0703");
+
+        // Dag mismatch: one node too many.
+        let bigger = from_arcs(3, &[]).unwrap();
+        let err = LeaseMachine::restore(&bigger, &policy, cfg(), &trace.header, &trace.events, 0)
+            .expect_err("node-count disagreement");
+        assert_eq!(err.code(), "IC0703");
+    }
+}

@@ -1,0 +1,332 @@
+//! Peer links between shard servers: the federation's side of a
+//! [`Reactor`](crate::reactor::Reactor).
+//!
+//! A [`Peers`] value owns what one shard knows about the others —
+//! links up, the backlog of completions they were told, who has
+//! drained, the frame tallies — and the reactor enters it at six
+//! points of its loop, each a call borrowing its [`Io`]:
+//! [`Peers::dial`] (a `Redial` timer fired), [`Peers::on_frame`],
+//! [`Peers::link_down`], [`Peers::recorded`] (a local task finished),
+//! [`Peers::drained`] (the dag did) and [`Peers::tally`]. A standalone
+//! server is a federation of one: nobody to dial, notify or wait for,
+//! so the serve path has one shape. The shard with the larger index
+//! dials a link and owns its reconnects.
+
+use std::collections::{HashMap, HashSet};
+use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
+
+use crate::reactor::{ConnId, ConnState, Deadline, Io};
+use crate::server::ServeReport;
+use crate::wire::{Message, PROTO_V3};
+use ic_sim::trace::{EventKind, TraceEvent, FED_CLIENT};
+
+/// Federation wiring for one shard's reactor: who the peers are, which
+/// local completions they must hear about, and how global task ids map
+/// into this shard's sub-dag. Built by `ic-fed` from a partition plan;
+/// pass to [`Reactor::set_fed`](crate::reactor::Reactor::set_fed)
+/// together with the trace-level
+/// [`FedMeta`](ic_sim::trace::FedMeta).
+#[derive(Debug, Clone)]
+pub struct FedConfig {
+    /// This reactor's shard index.
+    pub shard: u64,
+    /// Total shard count in the federation.
+    pub shards: u64,
+    /// Node count of the *global* (pre-partition) dag; peers
+    /// cross-check it in `peer-hello` to refuse mismatched plans.
+    pub global_nodes: u64,
+    /// Every other shard's `(shard, addr)`. The reactor dials peers
+    /// with a smaller shard index and owns their reconnects; peers
+    /// with a larger index dial us.
+    pub peers: Vec<(u64, String)>,
+    /// Local task id → peer shards to notify when a real (non-remote)
+    /// completion of that task lands here.
+    pub notify: HashMap<u64, Vec<u64>>,
+    /// Global task id → local task id, for incoming `remote-done`.
+    pub from_global: HashMap<u64, u64>,
+    /// Local task id → global task id, for outgoing `remote-done`.
+    pub to_global: Vec<u64>,
+    /// After completing, keep serving peers for at most this long
+    /// while waiting for every peer's `peer-drain` (safety valve
+    /// against a partner that died mid-federation).
+    pub linger_ms: u64,
+    /// Delay between reconnect attempts for dialer-owned links.
+    pub redial_ms: u64,
+    /// Test hook: after this many `remote-done` sends, sever every
+    /// peer link once (reconnects then replay the backlog).
+    pub sever_link_after: Option<usize>,
+}
+
+impl FedConfig {
+    /// A config for `shard` of `shards` over a `global_nodes`-node dag
+    /// with default timing knobs and no sever hook.
+    pub fn new(shard: u64, shards: u64, global_nodes: u64) -> FedConfig {
+        FedConfig {
+            shard,
+            shards,
+            global_nodes,
+            peers: Vec::new(),
+            notify: HashMap::new(),
+            from_global: HashMap::new(),
+            to_global: Vec::new(),
+            linger_ms: 5_000,
+            redial_ms: 100,
+            sever_link_after: None,
+        }
+    }
+}
+
+/// One shard's peer links: a [`FedConfig`] and the live state beside
+/// it.
+pub(crate) struct Peers {
+    cfg: FedConfig,
+    /// Peer shard → live connection, if the link is up.
+    links: HashMap<u64, ConnId>,
+    /// Peers that have been linked at least once: a fresh link to one
+    /// of them counts as a reconnect.
+    linked_once: HashSet<u64>,
+    /// Peers that have sent `peer-drain`.
+    drained: HashSet<u64>,
+    /// Local ids of real completions already notified — replayed to a
+    /// (re)connecting peer so no notification is ever lost. Receivers
+    /// treat duplicates as no-ops, so replay is idempotent.
+    sent_log: Vec<u64>,
+    /// Frames sent to peers (hello + remote-done + drain).
+    tx: usize,
+    /// Frames received on established peer links.
+    rx: usize,
+    /// Links established to a peer that had been linked before.
+    reconnects: usize,
+    /// `remote-done` frames sent, for the sever hook (which disarms
+    /// itself by leaving `cfg.sever_link_after` empty once it fired).
+    remote_sends: usize,
+    /// `peer-drain` was broadcast after local completion.
+    drain_sent: bool,
+}
+
+impl Peers {
+    /// The peer state of one shard. The first dial of every link it
+    /// owns rides the wheel, like every redial after it.
+    pub(crate) fn new(cfg: FedConfig, io: &mut Io) -> Peers {
+        let now = io.clock.now_us();
+        for &(peer, _) in cfg.peers.iter().filter(|&&(p, _)| p < cfg.shard) {
+            io.wheel.schedule(now, Deadline::Redial { peer });
+        }
+        Peers {
+            cfg,
+            links: HashMap::new(),
+            linked_once: HashSet::new(),
+            drained: HashSet::new(),
+            sent_log: Vec::new(),
+            tx: 0,
+            rx: 0,
+            reconnects: 0,
+            remote_sends: 0,
+            drain_sent: false,
+        }
+    }
+
+    /// A `Redial` timer fired: dial `peer` unless its link came up
+    /// meanwhile (timers are lazy); on failure — or a poller that
+    /// cannot adopt sockets — try again in `redial_ms`.
+    pub(crate) fn dial(&mut self, peer: u64, io: &mut Io) {
+        if self.links.contains_key(&peer) {
+            return;
+        }
+        let addr = self.cfg.peers.iter().find(|&&(p, _)| p == peer);
+        let stream = addr.and_then(|(_, a)| {
+            let sa = a.to_socket_addrs().ok()?.next()?;
+            TcpStream::connect_timeout(&sa, Duration::from_millis(250)).ok()
+        });
+        match stream.and_then(|s| io.poller.adopt(s).ok()) {
+            Some(id) => {
+                io.conns.insert(id, ConnState::default());
+                self.link_up(id, peer, io);
+            }
+            None => self.redial_later(peer, io),
+        }
+    }
+
+    fn redial_later(&self, peer: u64, io: &mut Io) {
+        let delay_us = self.cfg.redial_ms.max(1).saturating_mul(1000);
+        let at = io.clock.now_us().saturating_add(delay_us);
+        io.wheel.schedule(at, Deadline::Redial { peer });
+    }
+
+    /// A frame on peer link `id`, or the `peer-hello` that makes an
+    /// anonymous connection one. `Ok(Some(task))` is a `remote-done`
+    /// for local `task` to step through the machine; `Err` is a
+    /// protocol error (worker traffic on a peer link, a hello that
+    /// does not match our plan): the reactor drops the connection.
+    pub(crate) fn on_frame(
+        &mut self,
+        id: ConnId,
+        msg: Message,
+        io: &mut Io,
+    ) -> Result<Option<u64>, ()> {
+        let linked = io.conns.get(id).is_some_and(|st| st.peer.is_some());
+        self.rx += usize::from(linked);
+        match msg {
+            Message::PeerHello {
+                shard,
+                shards,
+                nodes,
+                proto,
+            } if !linked => {
+                // An inbound link (the peer with the larger shard
+                // index dialed us): accept only a hello that matches
+                // our own plan exactly.
+                let matches = proto == PROTO_V3
+                    && shards == self.cfg.shards
+                    && nodes == self.cfg.global_nodes
+                    && shard < shards
+                    && shard != self.cfg.shard;
+                if !matches {
+                    io.send(id, &Message::error("peer-hello does not match this shard"));
+                    return Err(());
+                }
+                self.link_up(id, shard, io);
+                Ok(None)
+            }
+            // A duplicate hello on an established link: harmless.
+            Message::PeerHello { .. } => Ok(None),
+            // Map the global id into this shard's sub-dag; a task we
+            // neither host nor consume is ignored (replayed backlog
+            // can overshoot after a plan-side filter).
+            Message::RemoteDone { task, .. } => Ok(self.cfg.from_global.get(&task).copied()),
+            Message::PeerDrain { shard } => {
+                if shard < self.cfg.shards && shard != self.cfg.shard {
+                    self.drained.insert(shard);
+                }
+                Ok(None)
+            }
+            _ => Err(()),
+        }
+    }
+
+    /// Connection `id` is now the link to `peer` (dialed or accepted):
+    /// send our `peer-hello`, replay the full completed-boundary
+    /// backlog (the receiver ignores duplicates), and re-announce the
+    /// drain if this shard already finished.
+    fn link_up(&mut self, id: ConnId, peer: u64, io: &mut Io) {
+        if let Some(st) = io.conns.get_mut(id) {
+            st.peer = Some(peer);
+        }
+        if let Some(old) = self.links.insert(peer, id) {
+            if old != id {
+                io.cut(old); // a replaced link: forget the stale socket
+            }
+        }
+        self.reconnects += usize::from(!self.linked_once.insert(peer));
+        let shard = self.cfg.shard;
+        let hello = Message::PeerHello {
+            shard,
+            shards: self.cfg.shards,
+            nodes: self.cfg.global_nodes,
+            proto: PROTO_V3,
+        };
+        let wanted = |v: &u64| self.cfg.notify.get(v).is_some_and(|d| d.contains(&peer));
+        let backlog = self.sent_log.iter().filter(|v| wanted(v));
+        let msgs: Vec<Message> = std::iter::once(hello)
+            .chain(backlog.map(|&v| self.remote_done(v)))
+            .chain(self.drain_sent.then_some(Message::PeerDrain { shard }))
+            .collect();
+        for m in &msgs {
+            self.send(id, m, io);
+        }
+    }
+
+    /// Peer link `id` to `peer` dropped: forget it and, when this
+    /// shard owns the link (smaller peer index), schedule a redial.
+    pub(crate) fn link_down(&mut self, id: ConnId, peer: u64, io: &mut Io) {
+        if self.links.get(&peer) == Some(&id) {
+            self.links.remove(&peer);
+        }
+        if peer < self.cfg.shard {
+            self.redial_later(peer, io);
+        }
+    }
+
+    /// The `remote-done` frame announcing local task `local`.
+    fn remote_done(&self, local: u64) -> Message {
+        let global = usize::try_from(local)
+            .ok()
+            .and_then(|i| self.cfg.to_global.get(i).copied());
+        Message::RemoteDone {
+            task: global.unwrap_or(local),
+            shard: self.cfg.shard,
+        }
+    }
+
+    /// Send one frame on a peer link, counting it, and fire the sever
+    /// test hook once the configured number of `remote-done` frames
+    /// has gone out: cut every peer link, exactly once. Each link's
+    /// dialer redials, and the backlog replay on reconnect restores
+    /// every lost notification.
+    fn send(&mut self, id: ConnId, msg: &Message, io: &mut Io) {
+        io.send(id, msg);
+        self.tx += 1;
+        self.remote_sends += usize::from(matches!(msg, Message::RemoteDone { .. }));
+        let sent = self.remote_sends;
+        if self.cfg.sever_link_after.take_if(|n| sent >= *n).is_some() {
+            let links: Vec<(u64, ConnId)> = self.links.drain().collect();
+            for (peer, id) in links {
+                io.cut(id);
+                self.link_down(id, peer, io);
+            }
+        }
+    }
+
+    /// A trace event was recorded. When it is a worker's completion of
+    /// a task peers must hear about, send `remote-done` to every linked
+    /// destination, logging it for backlog replay either way.
+    /// Remote-driven completions (client [`FED_CLIENT`]) never
+    /// re-notify: their shard already told everyone.
+    pub(crate) fn recorded(&mut self, ev: &TraceEvent, io: &mut Io) {
+        let real = ev.kind == EventKind::Completed && ev.client != FED_CLIENT;
+        let Some(task) = ev.task.filter(|_| real) else {
+            return;
+        };
+        let local = u64::try_from(task.index()).unwrap_or(u64::MAX);
+        let Some(dests) = self.cfg.notify.get(&local) else {
+            return;
+        };
+        self.sent_log.push(local);
+        let msg = self.remote_done(local);
+        let targets: Vec<ConnId> = dests
+            .iter()
+            .filter_map(|d| self.links.get(d).copied())
+            .collect();
+        for id in targets {
+            self.send(id, &msg, io);
+        }
+    }
+
+    /// This shard's dag completed `waited_us` ago: tell every linked
+    /// peer its boundary is fully delivered (once), and say whether
+    /// every peer has announced the same or the linger ran out.
+    pub(crate) fn drained(&mut self, waited_us: u64, io: &mut Io) -> bool {
+        if !self.drain_sent {
+            self.drain_sent = true;
+            let shard = self.cfg.shard;
+            let drain = Message::PeerDrain { shard };
+            let targets: Vec<ConnId> = self.links.values().copied().collect();
+            for id in targets {
+                self.send(id, &drain, io);
+            }
+        }
+        let all = self.drained.len() as u64 + 1 >= self.cfg.shards;
+        all || waited_us >= self.cfg.linger_ms.saturating_mul(1000)
+    }
+
+    /// The machine's report with this shard's peer-link tallies.
+    pub(crate) fn tally(&self, report: ServeReport) -> ServeReport {
+        ServeReport {
+            peer_tx: self.tx,
+            peer_rx: self.rx,
+            peer_reconnects: self.reconnects,
+            ..report
+        }
+    }
+}

@@ -48,7 +48,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
@@ -58,11 +58,11 @@ use ic_dag::Dag;
 use ic_sched::policy::AllocationPolicy;
 use ic_sim::trace::TraceSink;
 
-use crate::machine::{Effect, Event, LeaseMachine, FED_CLIENT};
+use crate::machine::{Effect, Event, LeaseMachine};
+use crate::peers::{FedConfig, Peers};
 use crate::server::{ServeReport, ServerConfig};
 use crate::timer::TimerWheel;
-use crate::wire::{Decoder, Frame, Message, PROTO_V3};
-use ic_sim::trace::{EventKind, TraceEvent};
+use crate::wire::{Decoder, Frame, Message};
 
 /// A source of driver time, in microseconds. The reactor stamps every
 /// machine event with `now_us()`; nothing else in the system reads a
@@ -265,7 +265,7 @@ pub enum Deadline {
     /// loop iteration so time-dependent state is re-examined promptly
     /// even if no I/O arrives.
     Wake,
-    /// Retry dialing a federation peer link this reactor owns (it
+    /// Dial (or redial) a federation peer link this reactor owns (it
     /// dials every peer with a smaller shard index). Lazy like lease
     /// timers: a firing whose link meanwhile came up is a no-op.
     Redial {
@@ -330,133 +330,41 @@ impl std::fmt::Debug for Driver {
 /// Per-connection reactor state: frame reassembly plus the worker slot
 /// and registration epoch once the connection has said hello.
 #[derive(Debug, Default)]
-struct ConnState {
+pub(crate) struct ConnState {
     dec: Decoder,
     /// `Some((worker, epoch))` once registered.
     reg: Option<(usize, u64)>,
     /// `Some(shard)` once the connection identified as a federation
     /// peer link (v3 `peer-hello`), either dialed by us or accepted.
-    peer: Option<u64>,
+    pub(crate) peer: Option<u64>,
 }
 
-/// Federation wiring for one shard's reactor: who the peers are, which
-/// local completions they must hear about, and how global task ids map
-/// into this shard's sub-dag. Built by `ic-fed` from a partition plan;
-/// pass to [`Reactor::set_fed`] together with the trace-level
-/// [`FedMeta`](ic_sim::trace::FedMeta).
-#[derive(Debug, Clone)]
-pub struct FedConfig {
-    /// This reactor's shard index.
-    pub shard: u64,
-    /// Total shard count in the federation.
-    pub shards: u64,
-    /// Node count of the *global* (pre-partition) dag; peers
-    /// cross-check it in `peer-hello` to refuse mismatched plans.
-    pub global_nodes: u64,
-    /// Every other shard's `(shard, addr)`. The reactor dials peers
-    /// with a smaller shard index and owns their reconnects; peers
-    /// with a larger index dial us.
-    pub peers: Vec<(u64, String)>,
-    /// Local task id → peer shards to notify when a real (non-remote)
-    /// completion of that task lands here.
-    pub notify: HashMap<u64, Vec<u64>>,
-    /// Global task id → local task id, for incoming `remote-done`.
-    pub from_global: HashMap<u64, u64>,
-    /// Local task id → global task id, for outgoing `remote-done`.
-    pub to_global: Vec<u64>,
-    /// After completing, keep serving peers for at most this long
-    /// while waiting for every peer's `peer-drain` (safety valve
-    /// against a partner that died mid-federation).
-    pub linger_ms: u64,
-    /// Delay between reconnect attempts for dialer-owned links.
-    pub redial_ms: u64,
-    /// Test hook: after this many `remote-done` sends, sever every
-    /// peer link once (reconnects then replay the backlog).
-    pub sever_link_after: Option<usize>,
+/// The transport half of a [`Reactor`] — clock, poller, timer wheel,
+/// connection table (peer links are connections like any other) and
+/// the scratch encode buffer — apart from its machine and its
+/// [`Peers`], so a call into the peer links can borrow it whole.
+pub(crate) struct Io {
+    pub(crate) clock: Box<dyn Clock>,
+    pub(crate) poller: Box<dyn Poller>,
+    pub(crate) wheel: TimerWheel<Deadline>,
+    pub(crate) conns: ShardedTable<ConnState>,
+    /// Scratch encode buffer, reused across frames.
+    out: Vec<u8>,
 }
 
-impl FedConfig {
-    /// A config for `shard` of `shards` over a `global_nodes`-node dag
-    /// with default timing knobs and no sever hook.
-    pub fn new(shard: u64, shards: u64, global_nodes: u64) -> FedConfig {
-        FedConfig {
-            shard,
-            shards,
-            global_nodes,
-            peers: Vec::new(),
-            notify: HashMap::new(),
-            from_global: HashMap::new(),
-            to_global: Vec::new(),
-            linger_ms: 5_000,
-            redial_ms: 100,
-            sever_link_after: None,
-        }
-    }
-}
-
-/// Live federation state alongside a [`FedConfig`].
-struct FedState {
-    cfg: FedConfig,
-    /// Peer shard → live connection, if the link is up.
-    links: HashMap<u64, ConnId>,
-    /// Indexed by shard: has that peer ever been linked (so a fresh
-    /// link counts as a reconnect)?
-    linked_once: Vec<bool>,
-    /// Indexed by shard: has that peer sent `peer-drain`?
-    drained: Vec<bool>,
-    /// Local ids of real completions already notified — replayed to a
-    /// (re)connecting peer so no notification is ever lost. Receivers
-    /// treat duplicates as no-ops, so replay is idempotent.
-    sent_log: Vec<u64>,
-    /// Frames sent to peers (hello + remote-done + drain).
-    peer_tx: usize,
-    /// Frames received from peers.
-    peer_rx: usize,
-    /// Successful re-establishments of previously-up links.
-    peer_reconnects: usize,
-    /// `remote-done` frames sent, for the sever hook.
-    remote_sends: usize,
-    /// The sever hook already fired.
-    severed: bool,
-    /// `peer-drain` was broadcast after local completion.
-    drain_sent: bool,
-}
-
-impl FedState {
-    fn new(cfg: FedConfig) -> FedState {
-        let n = usize::try_from(cfg.shards).unwrap_or(0).max(1);
-        let mut drained = vec![false; n];
-        let mut linked_once = vec![false; n];
-        if let Some(d) = usize::try_from(cfg.shard)
-            .ok()
-            .and_then(|i| drained.get_mut(i))
-        {
-            // Our own slot is trivially satisfied.
-            *d = true;
-        }
-        if let Some(l) = usize::try_from(cfg.shard)
-            .ok()
-            .and_then(|i| linked_once.get_mut(i))
-        {
-            *l = true;
-        }
-        FedState {
-            cfg,
-            links: HashMap::new(),
-            linked_once,
-            drained,
-            sent_log: Vec::new(),
-            peer_tx: 0,
-            peer_rx: 0,
-            peer_reconnects: 0,
-            remote_sends: 0,
-            severed: false,
-            drain_sent: false,
-        }
+impl Io {
+    /// Encode one frame into the scratch buffer and hand it to the
+    /// poller.
+    pub(crate) fn send(&mut self, id: ConnId, msg: &Message) {
+        self.out.clear();
+        Frame::encode_into(msg, &mut self.out);
+        self.poller.send(id, &self.out);
     }
 
-    fn all_drained(&self) -> bool {
-        self.drained.iter().all(|&d| d)
+    /// Forget a connection ourselves: no `Closed` event will follow.
+    pub(crate) fn cut(&mut self, id: ConnId) {
+        self.conns.remove(id);
+        self.poller.close(id);
     }
 }
 
@@ -464,14 +372,10 @@ impl FedState {
 /// drive with [`Reactor::run_until_drain`].
 pub struct Reactor<'a> {
     machine: LeaseMachine<'a, 'a>,
-    clock: Box<dyn Clock>,
-    poller: Box<dyn Poller>,
-    wheel: TimerWheel<Deadline>,
-    conns: ShardedTable<ConnState>,
     cfg: ServerConfig,
-    fed: Option<FedState>,
-    /// Scratch encode buffer, reused across replies.
-    out: Vec<u8>,
+    io: Io,
+    /// Peer links to the other shards.
+    peers: Peers,
 }
 
 impl<'a> Reactor<'a> {
@@ -505,15 +409,20 @@ impl<'a> Reactor<'a> {
         driver: Driver,
     ) -> Reactor<'a> {
         let now = driver.clock.now_us();
-        let mut reactor = Reactor {
-            machine,
+        let mut io = Io {
             clock: driver.clock,
             poller: driver.poller,
             wheel: TimerWheel::new(now),
             conns: ShardedTable::new(cfg.shards),
-            cfg,
-            fed: None,
             out: Vec::new(),
+        };
+        // A federation of one until `set_fed` says otherwise.
+        let peers = Peers::new(FedConfig::new(0, 1, 0), &mut io);
+        let mut reactor = Reactor {
+            machine,
+            cfg,
+            io,
+            peers,
         };
         for lease in reactor.machine.lease_views() {
             reactor.arm_lease(lease.worker, lease.task.index() as u64, now);
@@ -525,10 +434,11 @@ impl<'a> Reactor<'a> {
     /// trace header and tells the machine which nodes are stubs and
     /// replicas; `fed` tells the reactor who its peers are and which
     /// completions to forward. Call before
-    /// [`run_until_drain`](Reactor::run_until_drain).
+    /// [`run_until_drain`](Reactor::run_until_drain), whose first
+    /// round dials the links this shard owns.
     pub fn set_fed(&mut self, meta: ic_sim::trace::FedMeta, fed: FedConfig) {
         self.machine.set_fed(meta);
-        self.fed = Some(FedState::new(fed));
+        self.peers = Peers::new(fed, &mut self.io);
     }
 
     /// Serve until the dag completes and the drain grace expires (or
@@ -539,26 +449,9 @@ impl<'a> Reactor<'a> {
     /// trace lines are buffered and replies queued, then `sink.flush()`
     /// and only then `poller.flush()`; a sink error ends the run first.
     pub fn run_until_drain(&mut self, sink: &mut dyn TraceSink) -> io::Result<ServeReport> {
-        let now = self.clock.now_us();
+        let now = self.io.clock.now_us();
         let fx = self.machine.boot(now);
         self.perform(fx, now, None, sink);
-
-        // Dial every federation peer this shard owns the link to.
-        let owned: Vec<u64> = self
-            .fed
-            .as_ref()
-            .map(|f| {
-                f.cfg
-                    .peers
-                    .iter()
-                    .map(|&(p, _)| p)
-                    .filter(|&p| p < f.cfg.shard)
-                    .collect()
-            })
-            .unwrap_or_default();
-        for p in owned {
-            self.dial_peer(p);
-        }
 
         let poll_timeout = Duration::from_millis(self.cfg.poll_timeout_ms.max(1));
         let drain_grace_us = self.cfg.lease_ms.max(250).saturating_mul(1000);
@@ -571,17 +464,17 @@ impl<'a> Reactor<'a> {
             // The one commit point, WAL before wire: a kill inside a
             // round loses only events no peer heard of (DESIGN §4h).
             sink.flush()?;
-            self.poller.flush();
+            self.io.poller.flush();
             if drained {
                 break;
             }
 
             events.clear();
-            self.poller.poll(poll_timeout, &mut events)?;
+            self.io.poller.poll(poll_timeout, &mut events)?;
             for ev in events.drain(..) {
                 match ev {
                     IoEvent::Open(id) => {
-                        self.conns.insert(id, ConnState::default());
+                        self.io.conns.insert(id, ConnState::default());
                     }
                     IoEvent::Data(id, bytes) => self.on_data(id, &bytes, sink),
                     IoEvent::Closed(id) => self.drop_conn(id, sink),
@@ -589,8 +482,8 @@ impl<'a> Reactor<'a> {
             }
 
             fired.clear();
-            let now = self.clock.now_us();
-            self.wheel.advance(now, &mut fired);
+            let now = self.io.clock.now_us();
+            self.io.wheel.advance(now, &mut fired);
             for d in fired.drain(..) {
                 match d {
                     Deadline::Lease { worker, task } => {
@@ -601,56 +494,35 @@ impl<'a> Reactor<'a> {
                         });
                         self.perform(fx, now, None, sink);
                     }
-                    Deadline::Redial { peer } => {
-                        let down = self
-                            .fed
-                            .as_ref()
-                            .is_some_and(|f| !f.links.contains_key(&peer));
-                        if down {
-                            self.dial_peer(peer);
-                        }
-                    }
+                    Deadline::Redial { peer } => self.peers.dial(peer, &mut self.io),
                     Deadline::Wake => {}
                 }
             }
 
             if self.machine.is_complete() {
-                let now = self.clock.now_us();
-                let reached = *done_at.get_or_insert(now);
-                // First pass after completion: tell every linked peer
-                // this shard's boundary is fully delivered.
-                if self.fed.as_ref().is_some_and(|f| !f.drain_sent) {
-                    self.broadcast_drain();
-                }
-                let waited = now.saturating_sub(reached);
-                let peers_done = self.fed.as_ref().is_none_or(|f| {
-                    f.all_drained() || waited >= f.cfg.linger_ms.saturating_mul(1000)
-                });
+                let now = self.io.clock.now_us();
+                let waited = now.saturating_sub(*done_at.get_or_insert(now));
+                let peers_done = self.peers.drained(waited, &mut self.io);
                 let workers_done = self.machine.connected() == 0 || waited >= drain_grace_us;
                 drained = peers_done && workers_done;
             }
         }
-        let mut report = self.machine.summary(self.clock.now_us());
-        if let Some(f) = &self.fed {
-            report.peer_tx = f.peer_tx;
-            report.peer_rx = f.peer_rx;
-            report.peer_reconnects = f.peer_reconnects;
-        }
-        Ok(report)
+        let report = self.machine.summary(self.io.clock.now_us());
+        Ok(self.peers.tally(report))
     }
 
     /// Feed arrived bytes to the connection's decoder and dispatch
     /// every complete frame. A decode error (oversized prefix, garbage
     /// payload, foreign JSON) drops the connection.
     fn on_data(&mut self, id: ConnId, bytes: &[u8], sink: &mut dyn TraceSink) {
-        if let Some(st) = self.conns.get_mut(id) {
+        if let Some(st) = self.io.conns.get_mut(id) {
             st.dec.feed(bytes);
         }
         loop {
             // Decode with the short-lived borrow, dispatch without it:
             // dispatch may remove the connection (drain, bye, error),
             // at which point `get_mut` misses and the loop ends.
-            let msg = match self.conns.get_mut(id).map(|st| st.dec.next_msg()) {
+            let msg = match self.io.conns.get_mut(id).map(|st| st.dec.next_msg()) {
                 None | Some(Ok(None)) => break,
                 Some(Ok(Some(msg))) => msg,
                 Some(Err(_)) => {
@@ -658,7 +530,7 @@ impl<'a> Reactor<'a> {
                     break;
                 }
             };
-            match self.conns.get(id).map(|st| (st.peer, st.reg)) {
+            match self.io.conns.get(id).map(|st| (st.peer, st.reg)) {
                 Some((Some(_), _)) => self.dispatch_peer(id, msg, sink),
                 Some((None, Some(reg))) => self.dispatch_registered(id, reg, msg, sink),
                 Some((None, None)) | None => self.dispatch_unregistered(id, msg, sink),
@@ -669,7 +541,7 @@ impl<'a> Reactor<'a> {
     /// First frame on a connection: a valid `hello` registers (fresh
     /// or resume); anything else is a protocol error.
     fn dispatch_unregistered(&mut self, id: ConnId, msg: Message, sink: &mut dyn TraceSink) {
-        let now_us = self.clock.now_us();
+        let now_us = self.io.clock.now_us();
         match msg {
             Message::Hello {
                 id: wid,
@@ -686,34 +558,10 @@ impl<'a> Reactor<'a> {
                 });
                 self.perform(fx, now_us, Some((id, None)), sink);
             }
-            Message::PeerHello {
-                shard,
-                shards,
-                nodes,
-                proto,
-            } => {
-                // An inbound federation link (the peer with the larger
-                // shard index dialed us). Accept only when the hello
-                // matches our own plan exactly.
-                let ok = self.fed.as_ref().is_some_and(|f| {
-                    proto == PROTO_V3
-                        && shards == f.cfg.shards
-                        && nodes == f.cfg.global_nodes
-                        && shard < shards
-                        && shard != f.cfg.shard
-                });
-                if ok {
-                    if let Some(st) = self.conns.get_mut(id) {
-                        st.peer = Some(shard);
-                    }
-                    self.link_up(id, shard);
-                } else {
-                    self.send_msg(id, &Message::error("peer-hello does not match this shard"));
-                    self.drop_conn(id, sink);
-                }
-            }
+            // A peer shard dialed us.
+            msg @ Message::PeerHello { .. } => self.dispatch_peer(id, msg, sink),
             _ => {
-                self.send_msg(
+                self.io.send(
                     id,
                     &Message::error("expected hello with a positive finite speed"),
                 );
@@ -722,47 +570,17 @@ impl<'a> Reactor<'a> {
         }
     }
 
-    /// A frame from an established federation peer link.
+    /// A frame from an established federation peer link, or the
+    /// `peer-hello` establishing one.
     fn dispatch_peer(&mut self, id: ConnId, msg: Message, sink: &mut dyn TraceSink) {
-        if let Some(f) = self.fed.as_mut() {
-            f.peer_rx += 1;
-        }
-        let now_us = self.clock.now_us();
-        match msg {
-            Message::RemoteDone { task, shard: _ } => {
-                // Map the global id into this shard's sub-dag; a task
-                // we neither host nor consume is ignored (replayed
-                // backlog can overshoot after a plan-side filter).
-                let local = self
-                    .fed
-                    .as_ref()
-                    .and_then(|f| f.cfg.from_global.get(&task).copied());
-                if let Some(local) = local {
-                    let fx = self.machine.step(Event::RemoteDone {
-                        task: local,
-                        now_us,
-                    });
-                    self.perform(fx, now_us, None, sink);
-                }
+        let now_us = self.io.clock.now_us();
+        match self.peers.on_frame(id, msg, &mut self.io) {
+            Ok(Some(task)) => {
+                let fx = self.machine.step(Event::RemoteDone { task, now_us });
+                self.perform(fx, now_us, None, sink);
             }
-            Message::PeerDrain { shard } => {
-                if let Some(f) = self.fed.as_mut() {
-                    if let Some(d) = usize::try_from(shard)
-                        .ok()
-                        .and_then(|i| f.drained.get_mut(i))
-                    {
-                        *d = true;
-                    }
-                }
-            }
-            Message::PeerHello { .. } => {
-                // A duplicate hello on an established link: harmless.
-            }
-            _ => {
-                // Worker traffic on a peer link is a protocol error:
-                // drop the link; the dialer side will re-establish.
-                self.drop_conn(id, sink);
-            }
+            Ok(None) => {}
+            Err(()) => self.drop_conn(id, sink),
         }
     }
 
@@ -774,7 +592,7 @@ impl<'a> Reactor<'a> {
         msg: Message,
         sink: &mut dyn TraceSink,
     ) {
-        let now_us = self.clock.now_us();
+        let now_us = self.io.clock.now_us();
         let worker = reg.0;
         let event = match msg {
             Message::Request { max } => Event::Request {
@@ -795,7 +613,7 @@ impl<'a> Reactor<'a> {
             },
             Message::Bye => return self.drop_conn(id, sink),
             _ => {
-                self.send_msg(
+                self.io.send(
                     id,
                     &Message::error("unexpected server-side message from a worker"),
                 );
@@ -818,209 +636,14 @@ impl<'a> Reactor<'a> {
         self.perform(fx, now_us, Some((id, Some(reg))), sink);
     }
 
-    /// Dial a federation peer this reactor owns the link to; on
-    /// failure (or a poller that cannot adopt sockets) schedule a
-    /// redial.
-    fn dial_peer(&mut self, peer: u64) {
-        let Some(f) = self.fed.as_ref() else { return };
-        let addr = f
-            .cfg
-            .peers
-            .iter()
-            .find(|&&(p, _)| p == peer)
-            .map(|(_, a)| a.clone());
-        let redial_us = f.cfg.redial_ms.max(1).saturating_mul(1000);
-        let stream = addr.and_then(|a| {
-            a.to_socket_addrs()
-                .ok()
-                .and_then(|mut it| it.next())
-                .and_then(|sa| TcpStream::connect_timeout(&sa, Duration::from_millis(250)).ok())
-        });
-        let adopted = stream.and_then(|s| self.poller.adopt(s).ok());
-        match adopted {
-            Some(id) => {
-                self.conns.insert(
-                    id,
-                    ConnState {
-                        peer: Some(peer),
-                        ..ConnState::default()
-                    },
-                );
-                self.link_up(id, peer);
-            }
-            None => {
-                let now = self.clock.now_us();
-                self.wheel
-                    .schedule(now.saturating_add(redial_us), Deadline::Redial { peer });
-            }
-        }
-    }
-
-    /// A peer link is established (dialed or accepted): send our
-    /// `peer-hello`, replay the full completed-boundary backlog (the
-    /// receiver ignores duplicates), and re-announce the drain if this
-    /// shard already finished.
-    fn link_up(&mut self, id: ConnId, peer: u64) {
-        let msgs = {
-            let Some(f) = self.fed.as_mut() else { return };
-            if let Some(old) = f.links.insert(peer, id) {
-                if old != id {
-                    // A replaced link: forget the stale socket.
-                    self.conns.remove(old);
-                    self.poller.close(old);
-                }
-            }
-            if let Some(l) = usize::try_from(peer)
-                .ok()
-                .and_then(|i| f.linked_once.get_mut(i))
-            {
-                if *l {
-                    f.peer_reconnects += 1;
-                }
-                *l = true;
-            }
-            let mut msgs = vec![Message::PeerHello {
-                shard: f.cfg.shard,
-                shards: f.cfg.shards,
-                nodes: f.cfg.global_nodes,
-                proto: PROTO_V3,
-            }];
-            for &v in &f.sent_log {
-                let wants = f.cfg.notify.get(&v).is_some_and(|d| d.contains(&peer));
-                if wants {
-                    let global = usize::try_from(v)
-                        .ok()
-                        .and_then(|i| f.cfg.to_global.get(i).copied())
-                        .unwrap_or(v);
-                    msgs.push(Message::RemoteDone {
-                        task: global,
-                        shard: f.cfg.shard,
-                    });
-                }
-            }
-            if f.drain_sent {
-                msgs.push(Message::PeerDrain { shard: f.cfg.shard });
-            }
-            msgs
-        };
-        for m in &msgs {
-            self.send_peer(id, m);
-        }
-    }
-
-    /// A peer link dropped: forget it and, when this reactor owns the
-    /// link (smaller peer shard index), schedule a redial.
-    fn peer_link_down(&mut self, id: ConnId, peer: u64) {
-        let redial = {
-            let Some(f) = self.fed.as_mut() else { return };
-            if f.links.get(&peer) == Some(&id) {
-                f.links.remove(&peer);
-            }
-            (peer < f.cfg.shard).then_some(f.cfg.redial_ms.max(1).saturating_mul(1000))
-        };
-        if let Some(redial_us) = redial {
-            let now = self.clock.now_us();
-            self.wheel
-                .schedule(now.saturating_add(redial_us), Deadline::Redial { peer });
-        }
-    }
-
-    /// Send one frame on a peer link, counting it (and `remote-done`
-    /// sends toward the sever hook).
-    fn send_peer(&mut self, id: ConnId, msg: &Message) {
-        self.send_msg(id, msg);
-        if let Some(f) = self.fed.as_mut() {
-            f.peer_tx += 1;
-            if matches!(msg, Message::RemoteDone { .. }) {
-                f.remote_sends += 1;
-            }
-        }
-        self.maybe_sever();
-    }
-
-    /// Announce this shard's completion to every linked peer.
-    fn broadcast_drain(&mut self) {
-        let (targets, drain) = {
-            let Some(f) = self.fed.as_mut() else { return };
-            f.drain_sent = true;
-            (
-                f.links.values().copied().collect::<Vec<_>>(),
-                Message::PeerDrain { shard: f.cfg.shard },
-            )
-        };
-        for id in targets {
-            self.send_peer(id, &drain);
-        }
-    }
-
-    /// The sever test hook: once the configured number of
-    /// `remote-done` frames has gone out, cut every peer link exactly
-    /// once. Dialer-owned links redial; the others' dialers notice the
-    /// EOF and redial from their side. Backlog replay on reconnect
-    /// restores every lost notification.
-    fn maybe_sever(&mut self) {
-        let fire = self.fed.as_ref().is_some_and(|f| {
-            !f.severed && f.cfg.sever_link_after.is_some_and(|n| f.remote_sends >= n)
-        });
-        if !fire {
-            return;
-        }
-        let cut: Vec<(u64, ConnId)> = {
-            let Some(f) = self.fed.as_mut() else { return };
-            f.severed = true;
-            f.links.drain().collect()
-        };
-        for (peer, id) in cut {
-            self.conns.remove(id);
-            self.poller.close(id);
-            self.peer_link_down(id, peer);
-        }
-    }
-
-    /// Record one trace event and, when it is a *real* completion of a
-    /// task peers must hear about, send `remote-done` to every linked
-    /// destination (logging it for backlog replay either way).
-    /// Remote-driven completions (client [`FED_CLIENT`]) never
-    /// re-notify: the originating shard already told everyone.
-    fn record_trace(&mut self, ev: TraceEvent, sink: &mut dyn TraceSink) {
-        sink.record(&ev);
-        let Some(task) = ev.task else { return };
-        if ev.kind != EventKind::Completed || ev.client == FED_CLIENT {
-            return;
-        }
-        let local = u64::try_from(task.index()).unwrap_or(u64::MAX);
-        let sends: Vec<(ConnId, Message)> = {
-            let Some(f) = self.fed.as_mut() else { return };
-            let Some(dests) = f.cfg.notify.get(&local) else {
-                return;
-            };
-            f.sent_log.push(local);
-            let global = usize::try_from(local)
-                .ok()
-                .and_then(|i| f.cfg.to_global.get(i).copied())
-                .unwrap_or(local);
-            let msg = Message::RemoteDone {
-                task: global,
-                shard: f.cfg.shard,
-            };
-            dests
-                .iter()
-                .filter_map(|d| f.links.get(d).copied())
-                .map(|id| (id, msg.clone()))
-                .collect()
-        };
-        for (id, m) in sends {
-            self.send_peer(id, &m);
-        }
-    }
-
     /// Schedule the expiry timer for a lease granted or renewed at
     /// `now_us` — the machine computed `now_us + lease_ms` as its
     /// deadline, and the wheel rounds up, so the firing can never be
     /// early.
     fn arm_lease(&mut self, worker: usize, task: u64, now_us: u64) {
         let deadline = now_us.saturating_add(self.cfg.lease_ms.saturating_mul(1000));
-        self.wheel
+        self.io
+            .wheel
             .schedule(deadline, Deadline::Lease { worker, task });
     }
 
@@ -1029,9 +652,9 @@ impl<'a> Reactor<'a> {
     /// worker, schedule the redial if it was a peer link, and close
     /// the transport once any farewell frame has flushed.
     fn drop_conn(&mut self, id: ConnId, sink: &mut dyn TraceSink) {
-        if let Some(st) = self.conns.remove(id) {
+        if let Some(st) = self.io.conns.remove(id) {
             if let Some((worker, epoch)) = st.reg {
-                let now_us = self.clock.now_us();
+                let now_us = self.io.clock.now_us();
                 let fx = self.machine.step(Event::Sever {
                     worker,
                     epoch,
@@ -1040,10 +663,10 @@ impl<'a> Reactor<'a> {
                 self.perform(fx, now_us, None, sink);
             }
             if let Some(peer) = st.peer {
-                self.peer_link_down(id, peer);
+                self.peers.link_down(id, peer, &mut self.io);
             }
         }
-        self.poller.close(id);
+        self.io.poller.close(id);
     }
 
     /// Perform the effects of one machine step taken at `now_us` — the
@@ -1062,7 +685,10 @@ impl<'a> Reactor<'a> {
         for e in fx {
             match (e, from) {
                 (Effect::Header(h), _) => sink.header(&h),
-                (Effect::Trace(ev), _) => self.record_trace(ev, sink),
+                (Effect::Trace(ev), _) => {
+                    sink.record(&ev);
+                    self.peers.recorded(&ev, &mut self.io);
+                }
                 (Effect::Reply(msg), Some((id, Some((worker, _))))) => {
                     match &msg {
                         // Every grant path re-arms the wheel: primary
@@ -1079,7 +705,7 @@ impl<'a> Reactor<'a> {
                             // may be pending: wake the loop by then
                             // even if no I/O arrives.
                             if let Some(steal_ms) = self.cfg.steal_after_ms {
-                                self.wheel.schedule(
+                                self.io.wheel.schedule(
                                     now_us.saturating_add(steal_ms.saturating_mul(1000)),
                                     Deadline::Wake,
                                 );
@@ -1088,17 +714,17 @@ impl<'a> Reactor<'a> {
                         Message::Drain => drained = Some(id),
                         _ => {}
                     }
-                    self.send_msg(id, &msg);
+                    self.io.send(id, &msg);
                 }
                 (Effect::Registered { msg, worker, epoch }, Some((id, _))) => {
-                    self.send_msg(id, &msg);
+                    self.io.send(id, &msg);
                     if let Message::Welcome { tasks, .. } = msg {
                         // A resume's welcome restores held leases with
                         // renewed clocks: re-arm each one.
                         for task in tasks {
                             self.arm_lease(worker, task, now_us);
                         }
-                        if let Some(st) = self.conns.get_mut(id) {
+                        if let Some(st) = self.io.conns.get_mut(id) {
                             st.reg = Some((worker, epoch));
                         }
                     } else {
@@ -1118,21 +744,13 @@ impl<'a> Reactor<'a> {
             self.drop_conn(id, sink);
         }
     }
-
-    /// Encode one frame into the scratch buffer and hand it to the
-    /// poller.
-    fn send_msg(&mut self, id: ConnId, msg: &Message) {
-        self.out.clear();
-        Frame::encode_into(msg, &mut self.out);
-        self.poller.send(id, &self.out);
-    }
 }
 
 impl std::fmt::Debug for Reactor<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Reactor")
-            .field("conns", &self.conns.len())
-            .field("timers", &self.wheel.len())
+            .field("conns", &self.io.conns.len())
+            .field("timers", &self.io.wheel.len())
             .finish_non_exhaustive()
     }
 }
@@ -1640,7 +1258,7 @@ mod tests {
             });
             reactor.run_until_drain(&mut MemorySink::new()).unwrap();
         });
-        reactor.wheel.len()
+        reactor.io.wheel.len()
     }
 
     /// An accepted `done` resolves its lease, so its ack arms nothing;

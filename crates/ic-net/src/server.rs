@@ -248,7 +248,8 @@ pub struct ServeReport {
     pub peer_tx: usize,
     /// Federated runs only: peer frames received from other shards.
     pub peer_rx: usize,
-    /// Federated runs only: successful peer-link (re)connects dialed
-    /// by this shard.
+    /// Federated runs only: peer links re-established after the first
+    /// — redials by this shard and re-accepted links dialed by a peer
+    /// alike; a shard's first link to each peer is not counted.
     pub peer_reconnects: usize,
 }

@@ -21,7 +21,16 @@ echo "==> cargo test"
 cargo test --offline --workspace --quiet
 
 echo "==> ic-lint (no unwrap/expect/panic/narrowing in protocol code)"
-./target/release/ic-lint
+# The lint walks four `src/` trees on its own; hold the number of files
+# it says it scanned against `find`, so a file moved into a
+# subdirectory (src/machine/) can never drop out of the gate unseen.
+lint_out="$(./target/release/ic-lint)" || { echo "$lint_out"; exit 1; }
+echo "$lint_out"
+scanned="$(sed -n 's/^ic-lint: scanned \([0-9]*\) files.*/\1/p' <<< "$lint_out")"
+expected="$(find crates/ic-net/src crates/ic-sim/src crates/ic-fed/src crates/ic-check/src \
+    -name '*.rs' | wc -l)"
+[ "$scanned" = "$expected" ] \
+    || { echo "ic-lint scanned ${scanned:-no} files, find sees $expected"; exit 1; }
 
 echo "==> ic-prio check (model-check the lease protocol)"
 # Exhaustive interleaving exploration of the pure LeaseMachine: two
