@@ -293,39 +293,30 @@ fn run_fleet(r: &mut Runner, workers: usize) {
     });
     let total = t0.elapsed();
 
-    if std::env::var("IC_NET_DEBUG").is_ok() {
-        // Diagnostic mode: attribute every server-side `Failed` event
-        // to its fleet slice and skip the records. The healthy count
-        // must be 0 — a healthy worker only "fails" when the harness
-        // itself misbehaves (e.g. two requests in flight forfeiting a
-        // freshly granted lease).
-        let trace = sink.into_trace().expect("trace");
-        let mut by_mix = [0usize; 3];
-        for e in &trace.events {
-            if e.kind == ic_sim::EventKind::Failed {
-                let client = e.client;
-                let i = trace
-                    .header
-                    .workers
-                    .iter()
-                    .find(|w| w.client == client)
-                    .and_then(|w| w.id.get(1..))
-                    .and_then(|t| t.parse().ok())
-                    .unwrap_or(0);
-                by_mix[match mix_of(i) {
-                    Mix::Healthy => 0,
-                    Mix::Flaky => 1,
-                    Mix::Severing => 2,
-                }] += 1;
-            }
+    // Attribute every server-side `Failed` event to its fleet slice. A
+    // healthy worker only "fails" when the harness itself misbehaves
+    // (e.g. two requests in flight forfeiting a freshly granted lease).
+    let trace = sink.into_trace().expect("trace");
+    let mut by_mix = [0usize; 3];
+    for e in &trace.events {
+        if e.kind == ic_sim::EventKind::Failed {
+            let i = trace
+                .header
+                .workers
+                .iter()
+                .find(|w| w.client == e.client)
+                .and_then(|w| w.id.get(1..))
+                .and_then(|t| t.parse().ok())
+                .unwrap_or(0);
+            by_mix[match mix_of(i) {
+                Mix::Healthy => 0,
+                Mix::Flaky => 1,
+                Mix::Severing => 2,
+            }] += 1;
         }
-        eprintln!(
-            "IC_NET_DEBUG {workers}w failures by mix: healthy={} flaky={} severing={}",
-            by_mix[0], by_mix[1], by_mix[2]
-        );
-        assert_eq!(by_mix[0], 0, "healthy workers never fail");
-        return;
     }
+    let [healthy, flaky, severing] = by_mix;
+    assert_eq!(healthy, 0, "healthy workers never fail");
     assert_eq!(report.completions, tasks, "fleet completed the dag");
     assert_eq!(report.workers_registered, workers);
     assert!(report.allocations >= tasks);
@@ -342,7 +333,8 @@ fn run_fleet(r: &mut Runner, workers: usize) {
     let alloc_per_s = report.allocations as f64 / total.as_secs_f64();
     println!(
         "net: {workers} workers, {tasks} tasks: {} allocations ({alloc_per_s:.0}/s), \
-         {} failures recovered, {} resumes, total {:.2?}",
+         {} failures recovered (healthy {healthy}, flaky {flaky}, severing {severing}), \
+         {} resumes, total {:.2?}",
         report.allocations, report.failures, report.resumes, total,
     );
     r.record_raw(

@@ -1,14 +1,13 @@
-//! Differential oracle: the indexed [`LeaseMachine`] against the
-//! retained linear-scan [`ReferenceMachine`].
+//! Differential oracle: one lease protocol over two lease tables.
 //!
-//! When the lease table was rewritten as an indexed slab
-//! (`ic-net/src/lease_table.rs`), the contract was that the public
-//! surface `step(Event) -> Vec<Effect>` and every emitted effect and
-//! trace byte stay identical — the indices change complexity, never
-//! behavior. The old `Vec<Lease>` machine was frozen verbatim as
-//! [`crate::reference::ReferenceMachine`], and this module pins the
-//! contract by *dual-driving* both machines with one randomized event
-//! script and demanding, at every step:
+//! [`LeaseMachine`] is generic over where it keeps its leases. Every
+//! driver runs it over the indexed slab (`ic-net/src/lease_table.rs`);
+//! the contract of that slab is that it answers exactly what a `Vec`
+//! scanned linearly would, in the same order — the indices change
+//! complexity, never behavior. [`crate::reference::ScanTable`] *is*
+//! that `Vec`, and this module pins the contract by *dual-driving* the
+//! machine over both tables with one randomized event script and
+//! demanding, at every step:
 //!
 //! * the two `Vec<Effect>` return values are equal (`Effect` compares
 //!   structurally down to every trace field and reply frame);
@@ -17,6 +16,25 @@
 //! * the `expired()` sets agree whenever the clock jumps;
 //! * lease-table views (in table order — the order-fidelity claim),
 //!   fingerprints, and run summaries agree at the end.
+//!
+//! What that cross-checks, byte for byte: every [`Leases`] operation
+//! and the order its results are emitted in (forfeits, revocations, a
+//! resume's held list, expiry sweeps, the straggler scan); the
+//! `stealable` running total and its early-out against a count; the
+//! two-slot holder pair against `any`; and — because the reference
+//! side is built by [`LeaseMachine::with_table`], which leaves the
+//! pool unindexed — the rank heap against the policy's own `choose`.
+//!
+//! What it does *not* check is anything outside the table, because
+//! both sides now run the same code for it. Two lookups used to have a
+//! second, naive implementation in a hand-maintained twin of the whole
+//! machine and no longer do: the resume-token `HashMap` (against a
+//! linear probe of the slots) and the `node_from_raw` bounds check
+//! (against `node_ids().find`). Each has a direct unit test in
+//! `ic-net/src/machine/mod.rs` instead. For everything else the
+//! checks are the model checker, the auditor, and
+//! [`DiffOutcome::digest`], which `tests/differential.rs` pins: any
+//! change to an emitted byte on its fixed scripts moves one constant.
 //!
 //! Scripts are adversarial, not protocol-polite: besides the normal
 //! hello / request / done / heartbeat traffic they sever connections
@@ -30,7 +48,7 @@
 
 use ic_dag::rng::XorShift64;
 use ic_dag::Dag;
-use ic_net::machine::{Effect, Event, LeaseMachine, SeededBugs};
+use ic_net::machine::{Effect, Event, LeaseMachine, Leases, SeededBugs};
 use ic_net::wire::Message;
 use ic_net::ServerConfig;
 use ic_sched::heuristics::Policy;
@@ -38,7 +56,7 @@ use ic_sched::policy::AllocationPolicy;
 use ic_sched::Schedule;
 use ic_sim::trace::FedMeta;
 
-use crate::reference::ReferenceMachine;
+use crate::reference::{ReferenceMachine, ScanTable};
 
 /// Coverage counters from one differential case, so a test suite can
 /// assert that the scripts actually reached the interesting paths
@@ -62,6 +80,32 @@ pub struct DiffOutcome {
     pub remote: usize,
     /// Whether the dag fully executed within the event budget.
     pub complete: bool,
+    /// FNV-1a over every byte the candidate machine emitted, in step
+    /// order: `to_json_line()` of each header and trace event,
+    /// `to_json()` of each reply and registration frame.
+    pub digest: u64,
+}
+
+/// The 64-bit FNV-1a offset basis: the digest of no bytes.
+pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// 64-bit FNV-1a over `bytes`, continuing from `h`.
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Fold one step's effects into `h` as the bytes a driver would write.
+fn fold_effects(h: u64, fx: &[Effect]) -> u64 {
+    fx.iter().fold(h, |h, e| {
+        let line = match e {
+            Effect::Header(x) => x.to_json_line(),
+            Effect::Trace(x) => x.to_json_line(),
+            Effect::Reply(msg) | Effect::Registered { msg, .. } => msg.to_json(),
+        };
+        fnv1a(fnv1a(h, line.as_bytes()), b"\n")
+    })
 }
 
 /// One scripted worker as the driver tracks it (enough state to keep
@@ -109,7 +153,7 @@ fn same_effects(fr: &[Effect], fi: &[Effect]) -> Result<(), String> {
             .position(|(a, b)| a != b)
             .unwrap_or(fr.len().min(fi.len()));
         return Err(format!(
-            "effect vectors diverge at index {at}:\n  reference: {:?}\n  indexed:   {:?}",
+            "effect vectors diverge at index {at}:\n  reference: {:?}\n  candidate: {:?}",
             fr.get(at),
             fi.get(at)
         ));
@@ -122,17 +166,38 @@ fn same_effects(fr: &[Effect], fi: &[Effect]) -> Result<(), String> {
         };
         if ja != jb {
             return Err(format!(
-                "structurally equal effects serialize differently:\n  reference: {ja}\n  indexed:   {jb}"
+                "structurally equal effects serialize differently:\n  reference: {ja}\n  candidate: {jb}"
             ));
         }
     }
     Ok(())
 }
 
-/// Drive both machines through one randomized scripted fleet over
-/// `dag` and return the coverage counters, or a description of the
-/// first divergence. Deterministic in `(dag, seed)`.
-pub fn run_case(dag: &Dag, seed: u64) -> Result<DiffOutcome, String> {
+/// The machine as every driver builds it: indexed lease table, pool
+/// indexed by rank where the policy has one. The candidate of every
+/// case that is not testing the oracle itself.
+pub fn indexed<'a, 'd>(
+    dag: &'d Dag,
+    policy: &'a dyn AllocationPolicy,
+    cfg: ServerConfig,
+) -> LeaseMachine<'a, 'd> {
+    LeaseMachine::new(dag, policy, cfg)
+}
+
+/// Drive the machine `candidate` builds and the reference machine
+/// through one randomized scripted fleet over `dag` and return the
+/// coverage counters, or a description of the first divergence.
+/// Deterministic in `(dag, seed)`. `candidate` is [`indexed`], or a
+/// deliberately wrong table when the test is of the oracle.
+pub fn run_case<L: Leases>(
+    dag: &Dag,
+    seed: u64,
+    candidate: impl for<'a, 'd> Fn(
+        &'d Dag,
+        &'a dyn AllocationPolicy,
+        ServerConfig,
+    ) -> LeaseMachine<'a, 'd, L>,
+) -> Result<DiffOutcome, String> {
     let mut rng = XorShift64::new(seed ^ 0xD1FF_0C75);
     let lease_ms = [0u64, 2, 20][pick(&mut rng, 3)];
     let mut cb = ServerConfig::builder()
@@ -151,8 +216,8 @@ pub fn run_case(dag: &Dag, seed: u64) -> Result<DiffOutcome, String> {
         1 => Box::new(Policy::Random(seed)),
         _ => Box::new(Schedule::in_id_order(dag)),
     };
-    let mut idx = LeaseMachine::new(dag, policy.as_ref(), cfg.clone());
-    let mut refm = ReferenceMachine::new(dag, policy.as_ref(), cfg);
+    let mut idx = candidate(dag, policy.as_ref(), cfg.clone());
+    let mut refm = ReferenceMachine::with_table(dag, policy.as_ref(), cfg, ScanTable::default());
 
     let mut bugs = SeededBugs::default();
     match rng.next_u64() % 8 {
@@ -210,18 +275,23 @@ pub fn run_case(dag: &Dag, seed: u64) -> Result<DiffOutcome, String> {
         }
     }
 
-    let mut out = DiffOutcome::default();
+    let mut out = DiffOutcome {
+        digest: FNV_OFFSET,
+        ..DiffOutcome::default()
+    };
     let mut now: u64 = 1;
     let mut workers: Vec<SimWorker> = Vec::new();
     let max_workers = 2 + pick(&mut rng, 3);
 
-    same_effects(&refm.boot(now), &idx.boot(now)).map_err(|e| format!("boot: {e}"))?;
+    let fi = idx.boot(now);
+    same_effects(&refm.boot(now), &fi).map_err(|e| format!("boot: {e}"))?;
+    out.digest = fold_effects(out.digest, &fi);
 
     let budget = 2_500;
     for step in 0..budget {
         if refm.is_complete() != idx.is_complete() {
             return Err(format!(
-                "completion disagrees at step {step}: reference {} vs indexed {}",
+                "completion disagrees at step {step}: reference {} vs candidate {}",
                 refm.is_complete(),
                 idx.is_complete()
             ));
@@ -349,7 +419,7 @@ pub fn run_case(dag: &Dag, seed: u64) -> Result<DiffOutcome, String> {
                 let ei = idx.expired(now);
                 if er != ei {
                     return Err(format!(
-                        "expired() disagrees at step {step}:\n  reference: {er:?}\n  indexed:   {ei:?}"
+                        "expired() disagrees at step {step}:\n  reference: {er:?}\n  candidate: {ei:?}"
                     ));
                 }
                 for (worker, task) in ei {
@@ -360,8 +430,10 @@ pub fn run_case(dag: &Dag, seed: u64) -> Result<DiffOutcome, String> {
                         now_us: now,
                     };
                     out.events += 1;
-                    same_effects(&refm.step(ev.clone()), &idx.step(ev))
+                    let fi = idx.step(ev.clone());
+                    same_effects(&refm.step(ev), &fi)
                         .map_err(|e| format!("step {step} (expire): {e}"))?;
+                    out.digest = fold_effects(out.digest, &fi);
                 }
                 continue;
             }
@@ -410,8 +482,9 @@ pub fn run_case(dag: &Dag, seed: u64) -> Result<DiffOutcome, String> {
         let fr = refm.step(ev.clone());
         let fi = idx.step(ev.clone());
         same_effects(&fr, &fi).map_err(|e| format!("step {step} ({ev:?}): {e}"))?;
+        out.digest = fold_effects(out.digest, &fi);
 
-        // Absorb the indexed machine's answers into the driver model.
+        // Absorb the candidate machine's answers into the driver model.
         for fx in &fi {
             match fx {
                 Effect::Registered {
@@ -470,7 +543,7 @@ pub fn run_case(dag: &Dag, seed: u64) -> Result<DiffOutcome, String> {
             let li = idx.lease_views();
             if lr != li {
                 return Err(format!(
-                    "lease tables diverge at step {step}:\n  reference: {lr:?}\n  indexed:   {li:?}"
+                    "lease tables diverge at step {step}:\n  reference: {lr:?}\n  candidate: {li:?}"
                 ));
             }
         }
@@ -481,7 +554,7 @@ pub fn run_case(dag: &Dag, seed: u64) -> Result<DiffOutcome, String> {
     }
     if refm.summary(now) != idx.summary(now) {
         return Err(format!(
-            "final summaries disagree:\n  reference: {:?}\n  indexed:   {:?}",
+            "final summaries disagree:\n  reference: {:?}\n  candidate: {:?}",
             refm.summary(now),
             idx.summary(now)
         ));
@@ -526,7 +599,7 @@ mod tests {
             .build();
         let policy = Policy::Fifo;
         let mut idx = LeaseMachine::new(&dag, &policy, cfg.clone());
-        let mut refm = ReferenceMachine::new(&dag, &policy, cfg);
+        let mut refm = ReferenceMachine::with_table(&dag, &policy, cfg, ScanTable::default());
         let meta = FedMeta {
             shard: 0,
             shards: 2,
@@ -573,8 +646,8 @@ mod tests {
             .into_iter()
             .enumerate()
         {
-            let out =
-                run_case(&dag, 0xACE0 + case as u64).unwrap_or_else(|e| panic!("case {case}: {e}"));
+            let out = run_case(&dag, 0xACE0 + case as u64, indexed)
+                .unwrap_or_else(|e| panic!("case {case}: {e}"));
             totals.events += out.events;
             totals.completions += out.completions;
             totals.steals += out.steals;

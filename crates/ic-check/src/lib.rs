@@ -38,6 +38,12 @@
 //! same lease table and frontier (IC0704) — and must itself pass the
 //! full `IC05xx` scan.
 //!
+//! [`differential`] is a separate oracle for the one part of the
+//! machine that has two implementations, its lease table: the same
+//! `LeaseMachine` is driven over the indexed table every driver runs
+//! and over `reference::ScanTable`, a `Vec` scanned linearly, with
+//! identical randomized scripts, and must emit identical bytes.
+//!
 //! ```
 //! use ic_check::{check, CheckConfig, FleetSpec};
 //! use ic_net::machine::SeededBugs;

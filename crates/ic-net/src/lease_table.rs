@@ -1,18 +1,25 @@
-//! The indexed lease table behind [`crate::machine::LeaseMachine`].
+//! The lease table behind [`crate::machine::LeaseMachine`]: the
+//! [`Leases`] operations the machine calls, and [`LeaseTable`], the
+//! indexed implementation every driver runs.
 //!
-//! The original machine kept live leases in a plain `Vec<Lease>` and
-//! linear-scanned it on every hot event: `drop_worker_leases` walked
-//! the whole table on every `request`, `done` did `iter().position`,
-//! and the duplicate-holder / last-holder checks did `iter().any` —
-//! all `O(live leases)` with roughly one lease per connected worker.
-//! This module replaces the `Vec` with a slab plus three indices so
-//! each of those becomes `O(1)` (or `O(held-by-worker)` for a drop):
+//! The table is the one part of the protocol with two implementations.
+//! What each operation means — above all the *order* in which leases
+//! come back out — is written down as a plain `Vec<Lease>` scanned
+//! linearly: the `ScanTable` in `ic-check/src/reference.rs`.
+//! `ic-check`'s differential oracle runs the machine over both tables
+//! on the same event scripts and demands byte-identical effects.
+//!
+//! A scan is `O(live leases)` on every hot event — `request` drops the
+//! worker's leases, `done` looks one up, the duplicate-holder and
+//! last-holder checks ask `any` — with roughly one lease per connected
+//! worker. [`LeaseTable`] is a slab plus three indices so each of
+//! those becomes `O(1)` (or `O(held-by-worker)` for a drop):
 //!
 //! * **slab** — `slots` holds every live lease at a stable id;
 //!   `free` recycles ids so the slab never grows past the historical
 //!   peak of concurrent leases;
 //! * **order vector** — `order` lists live slot ids in exactly the
-//!   sequence the old `Vec<Lease>` would have held them, maintained
+//!   sequence the scan table's `Vec<Lease>` holds them, maintained
 //!   with the same push / `swap_remove` moves (each slot stores its
 //!   position for the O(1) fixup). Every observable iteration —
 //!   expiry sweeps, steal scans, lease views — walks `order`, which
@@ -36,17 +43,15 @@
 //!
 //! ## Removal order
 //!
-//! The old machine removed leases with scan-and-`swap_remove` loops,
-//! and the order in which matches were removed is observable (it fixes
-//! the order of `Failed` / `Revoked` trace events and of backoff
-//! deferrals, which in turn fixes pool arrival order). Repeatedly
-//! extracting the *minimum-position* match reproduces that order
-//! exactly: the old loop's scan pointer never passes an unvisited
-//! match, so it always removes the lowest-positioned match first, and
-//! a `swap_remove` never moves an element below the scan pointer.
-//! [`LeaseTable::remove_worker_next`] and
-//! [`LeaseTable::remove_task_next`] implement exactly that extraction
-//! over the worker list and the holder pair.
+//! The scan table removes a worker's or a task's leases by repeated
+//! `position` + `swap_remove`, and the order in which matches come out
+//! is observable (it fixes the order of `Failed` / `Revoked` trace
+//! events and of backoff deferrals, which in turn fixes pool arrival
+//! order). Repeatedly extracting the *minimum-position* match
+//! reproduces that order exactly, and a `swap_remove` never moves an
+//! element below the match it replaces. `remove_worker_next` and
+//! `remove_task_next` implement that extraction over the worker list
+//! and the holder pair.
 
 use ic_dag::NodeId;
 
@@ -57,7 +62,7 @@ const NIL: usize = usize::MAX;
 /// once: one primary lease plus a speculative duplicate granted at the
 /// drain barrier.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Lease {
+pub struct Lease {
     /// Holding worker's slot index (always a real slot, never
     /// [`crate::machine::FED_CLIENT`]).
     pub worker: usize,
@@ -72,6 +77,51 @@ pub(crate) struct Lease {
     /// A duplicate granted at the drain barrier (loses ties: its
     /// completion only counts if it arrives first).
     pub speculative: bool,
+}
+
+/// The lease-table operations [`crate::machine::LeaseMachine`] calls —
+/// everything the machine knows about where a lease is kept. Slot ids
+/// from [`Leases::find`] are good until the next mutation. "Table
+/// order" is insertion order as `swap_remove` disturbs it; the module
+/// docs name the executable definition.
+#[allow(clippy::len_without_is_empty)] // the machine never asks
+pub trait Leases {
+    /// Number of live leases.
+    fn len(&self) -> usize;
+    /// Does any live lease (primary or speculative) hold `task`?
+    fn has_holder(&self, task: NodeId) -> bool;
+    /// Does a speculative duplicate of `task` exist?
+    fn has_speculative(&self, task: NodeId) -> bool;
+    /// Number of primary leases with no speculative duplicate — zero
+    /// means a steal scan cannot succeed.
+    fn stealable(&self) -> usize;
+    /// Append `lease` at the end of the table order.
+    fn insert(&mut self, lease: Lease);
+    /// The slot id of `worker`'s lease on `task`, if live.
+    fn find(&self, worker: usize, task: NodeId) -> Option<usize>;
+    /// The lease in slot `id` (must be live).
+    fn get(&self, id: usize) -> &Lease;
+    /// Renew `worker`'s lease on `task` to `deadline_us`. Returns
+    /// whether such a lease was live.
+    fn renew(&mut self, worker: usize, task: NodeId, deadline_us: u64) -> bool;
+    /// Renew every lease held by `worker` and return their tasks in
+    /// table order.
+    fn renew_worker(&mut self, worker: usize, deadline_us: u64) -> Vec<NodeId>;
+    /// Remove the live slot `id` — the last lease in table order takes
+    /// its place — and return its lease.
+    fn remove(&mut self, id: usize) -> Lease;
+    /// Remove (as [`Leases::remove`]) and return `worker`'s first lease
+    /// in table order.
+    fn remove_worker_next(&mut self, worker: usize) -> Option<Lease>;
+    /// Remove (as [`Leases::remove`]) and return `task`'s first lease
+    /// in table order.
+    fn remove_task_next(&mut self, task: NodeId) -> Option<Lease>;
+    /// Live leases in table order.
+    fn iter(&self) -> impl Iterator<Item = &Lease> + '_;
+    /// Drop every lease held by `worker` *preserving table order*.
+    /// Only the seeded-bug orphan path uses this; the real drop path is
+    /// [`Leases::remove_worker_next`].
+    fn retain_not_worker(&mut self, worker: usize);
 }
 
 /// A slab slot: the lease plus its position in the order vector and
@@ -127,11 +177,11 @@ impl Holders {
 /// The lease table: a slab of [`Lease`] entries with worker, task and
 /// order indices. See the module docs for the layout and invariants.
 #[derive(Debug, Clone)]
-pub(crate) struct LeaseTable {
+pub struct LeaseTable {
     slots: Vec<Slot>,
     /// Recycled slab ids.
     free: Vec<usize>,
-    /// Live slot ids in old-`Vec<Lease>` table order.
+    /// Live slot ids in table order.
     order: Vec<usize>,
     /// Head of each worker's intrusive lease list ([`NIL`] if none).
     worker_head: Vec<usize>,
@@ -155,11 +205,6 @@ impl LeaseTable {
         }
     }
 
-    /// Number of live leases.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
     /// (primary present, speculative present) for `task`.
     fn kinds(&self, task: NodeId) -> (bool, bool) {
         let mut primary = false;
@@ -174,25 +219,60 @@ impl LeaseTable {
         (primary, spec)
     }
 
-    /// Does any live lease (primary or speculative) hold `task`?
-    pub fn has_holder(&self, task: NodeId) -> bool {
+    fn head_of(&self, worker: usize) -> usize {
+        self.worker_head.get(worker).copied().unwrap_or(NIL)
+    }
+
+    /// Release slot `id` from every index but the order vector (each
+    /// caller has its own move there): worker list, holder pair,
+    /// steal counter, free list.
+    fn unlink(&mut self, id: usize) -> Lease {
+        let Slot {
+            lease, prev, next, ..
+        } = self.slots[id];
+        if prev != NIL {
+            self.slots[prev].next = next;
+        } else {
+            self.worker_head[lease.worker] = next;
+        }
+        if next != NIL {
+            self.slots[next].prev = prev;
+        }
+        self.holders[lease.task.index()].drop_id(id);
+        let (primary, spec) = self.kinds(lease.task);
+        if lease.speculative {
+            if primary {
+                // The surviving primary is a steal candidate again.
+                self.stealable += 1;
+            }
+        } else if !spec {
+            self.stealable = self.stealable.saturating_sub(1);
+        }
+        self.free.push(id);
+        lease
+    }
+}
+
+impl Leases for LeaseTable {
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    fn has_holder(&self, task: NodeId) -> bool {
         self.holders[task.index()].ids[0] != NIL
     }
 
-    /// Does a speculative duplicate of `task` exist?
-    pub fn has_speculative(&self, task: NodeId) -> bool {
+    fn has_speculative(&self, task: NodeId) -> bool {
         let (_, spec) = self.kinds(task);
         spec
     }
 
-    /// Number of primary leases with no speculative duplicate — zero
-    /// means a steal scan cannot succeed.
-    pub fn stealable(&self) -> usize {
+    fn stealable(&self) -> usize {
         self.stealable
     }
 
-    /// Append `lease` (the old `Vec::push`): O(1).
-    pub fn insert(&mut self, lease: Lease) {
+    /// O(1).
+    fn insert(&mut self, lease: Lease) {
         let worker = lease.worker;
         let task = lease.task;
         let (primary, spec) = self.kinds(task);
@@ -233,21 +313,19 @@ impl LeaseTable {
         self.holders[task.index()].add(id);
     }
 
-    /// The slot id of `worker`'s lease on `task`, if live: O(1).
-    pub fn find(&self, worker: usize, task: NodeId) -> Option<usize> {
+    /// O(1).
+    fn find(&self, worker: usize, task: NodeId) -> Option<usize> {
         self.holders[task.index()]
             .iter()
             .find(|&id| self.slots[id].lease.worker == worker)
     }
 
-    /// The lease in slot `id` (must be live).
-    pub fn get(&self, id: usize) -> &Lease {
+    fn get(&self, id: usize) -> &Lease {
         &self.slots[id].lease
     }
 
-    /// Renew `worker`'s lease on `task` to `deadline_us`. Returns
-    /// whether such a lease was live: O(1).
-    pub fn renew(&mut self, worker: usize, task: NodeId, deadline_us: u64) -> bool {
+    /// O(1).
+    fn renew(&mut self, worker: usize, task: NodeId, deadline_us: u64) -> bool {
         match self.find(worker, task) {
             Some(id) => {
                 self.slots[id].lease.deadline_us = deadline_us;
@@ -257,9 +335,8 @@ impl LeaseTable {
         }
     }
 
-    /// Renew every lease held by `worker` and return their tasks in
-    /// table order: O(held-by-worker · log held-by-worker).
-    pub fn renew_worker(&mut self, worker: usize, deadline_us: u64) -> Vec<NodeId> {
+    /// O(held-by-worker · log held-by-worker).
+    fn renew_worker(&mut self, worker: usize, deadline_us: u64) -> Vec<NodeId> {
         let mut held: Vec<(usize, usize)> = Vec::new();
         let mut id = self.head_of(worker);
         while id != NIL {
@@ -275,54 +352,19 @@ impl LeaseTable {
             .collect()
     }
 
-    fn head_of(&self, worker: usize) -> usize {
-        self.worker_head.get(worker).copied().unwrap_or(NIL)
-    }
-
-    /// Remove the live slot `id` with the old table's `swap_remove`
-    /// move and return its lease: O(1).
-    pub fn remove(&mut self, id: usize) -> Lease {
-        let Slot {
-            lease,
-            pos,
-            prev,
-            next,
-            ..
-        } = self.slots[id];
-        // Order vector: same swap_remove the old Vec<Lease> did.
+    /// O(1).
+    fn remove(&mut self, id: usize) -> Lease {
+        let pos = self.slots[id].pos;
         self.order.swap_remove(pos);
         if pos < self.order.len() {
             let moved = self.order[pos];
             self.slots[moved].pos = pos;
         }
-        // Worker list unlink.
-        if prev != NIL {
-            self.slots[prev].next = next;
-        } else {
-            self.worker_head[lease.worker] = next;
-        }
-        if next != NIL {
-            self.slots[next].prev = prev;
-        }
-        // Task holders + steal counter.
-        self.holders[lease.task.index()].drop_id(id);
-        let (primary, spec) = self.kinds(lease.task);
-        if lease.speculative {
-            if primary {
-                // The surviving primary is a steal candidate again.
-                self.stealable += 1;
-            }
-        } else if !spec {
-            self.stealable = self.stealable.saturating_sub(1);
-        }
-        self.free.push(id);
-        lease
+        self.unlink(id)
     }
 
-    /// Remove and return `worker`'s lowest-positioned lease — the next
-    /// one the old scan-and-`swap_remove` loop would have removed:
     /// O(held-by-worker).
-    pub fn remove_worker_next(&mut self, worker: usize) -> Option<Lease> {
+    fn remove_worker_next(&mut self, worker: usize) -> Option<Lease> {
         let mut best = NIL;
         let mut id = self.head_of(worker);
         while id != NIL {
@@ -334,35 +376,26 @@ impl LeaseTable {
         (best != NIL).then(|| self.remove(best))
     }
 
-    /// Remove and return `task`'s lowest-positioned lease (same
-    /// old-loop order as [`LeaseTable::remove_worker_next`]): O(1).
-    pub fn remove_task_next(&mut self, task: NodeId) -> Option<Lease> {
+    /// O(1).
+    fn remove_task_next(&mut self, task: NodeId) -> Option<Lease> {
         let best = self.holders[task.index()]
             .iter()
             .min_by_key(|&id| self.slots[id].pos)?;
         Some(self.remove(best))
     }
 
-    /// Live leases in table order — the exact sequence the old
-    /// `Vec<Lease>` would hold after the same operations.
-    pub fn iter(&self) -> impl Iterator<Item = &Lease> + '_ {
+    fn iter(&self) -> impl Iterator<Item = &Lease> + '_ {
         self.order.iter().map(|&id| &self.slots[id].lease)
     }
 
-    /// Drop every lease held by `worker` *preserving table order* —
-    /// the old `Vec::retain`. Only the seeded-bug orphan path uses
-    /// this (the real drop path is [`LeaseTable::remove_worker_next`],
-    /// which reproduces `swap_remove` order instead): O(live leases).
-    pub fn retain_not_worker(&mut self, worker: usize) {
+    /// O(live leases).
+    fn retain_not_worker(&mut self, worker: usize) {
         let victims: Vec<usize> = self
             .order
             .iter()
             .copied()
             .filter(|&id| self.slots[id].lease.worker == worker)
             .collect();
-        // Rebuild the order vector without the victims, then release
-        // each victim through the index bookkeeping of `remove` (the
-        // order part is already done, so unlink by hand).
         self.order
             .retain(|&id| self.slots[id].lease.worker != worker);
         for pos in 0..self.order.len() {
@@ -370,27 +403,7 @@ impl LeaseTable {
             self.slots[id].pos = pos;
         }
         for id in victims {
-            let Slot {
-                lease, prev, next, ..
-            } = self.slots[id];
-            if prev != NIL {
-                self.slots[prev].next = next;
-            } else {
-                self.worker_head[lease.worker] = next;
-            }
-            if next != NIL {
-                self.slots[next].prev = prev;
-            }
-            self.holders[lease.task.index()].drop_id(id);
-            let (primary, spec) = self.kinds(lease.task);
-            if lease.speculative {
-                if primary {
-                    self.stealable += 1;
-                }
-            } else if !spec {
-                self.stealable = self.stealable.saturating_sub(1);
-            }
-            self.free.push(id);
+            self.unlink(id);
         }
     }
 }

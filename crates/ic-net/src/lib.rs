@@ -33,7 +33,7 @@
 //!   ([`FedConfig`]) live in the private `peers` module, which the
 //!   poll loop enters at six calls.
 //! * [`timer`] — the lazy (never-cancelled) hierarchical timer wheel
-//!   behind lease expiry and steal-deadline wakeups.
+//!   behind lease expiry and peer redials.
 //! * [`server`] — the shared [`server::ServerConfig`] and the
 //!   [`server::ServeReport`] a run ends with: leases with heartbeat
 //!   timeouts, exponential-backoff reallocation of lost tasks,

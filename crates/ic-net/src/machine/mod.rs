@@ -46,7 +46,8 @@ use ic_sched::policy::AllocationPolicy;
 pub use ic_sim::trace::FED_CLIENT;
 use ic_sim::trace::{EventKind, TraceEvent, TraceHeader, WorkerParams};
 
-use crate::lease_table::{Lease, LeaseTable};
+#[doc(hidden)]
+pub use crate::lease_table::{Lease, LeaseTable, Leases};
 use crate::server::ServerConfig;
 use crate::wire::{Message, ERR_BAD_RESUME, ERR_UNSUPPORTED, PROTO_CURRENT};
 
@@ -240,8 +241,13 @@ struct WorkerSlot {
 
 /// The pure lease-protocol coordinator: all scheduling state, no side
 /// effects. See the [module docs](self) for the contract.
+///
+/// `L` is where live leases are kept. Every driver runs the default,
+/// the indexed [`LeaseTable`]; `ic-check`'s differential oracle runs
+/// this same machine over a linear-scan table as well
+/// ([`LeaseMachine::with_table`]).
 #[derive(Clone)]
-pub struct LeaseMachine<'a, 'd> {
+pub struct LeaseMachine<'a, 'd, L = LeaseTable> {
     dag: &'d Dag,
     policy: &'a dyn AllocationPolicy,
     cfg: ServerConfig,
@@ -252,11 +258,11 @@ pub struct LeaseMachine<'a, 'd> {
     /// Failed tasks waiting out their backoff: `(ready_at_us, task)`.
     /// They stay claimed in `state` until promoted back to the pool.
     deferred: Vec<(u64, NodeId)>,
-    /// The lease table: a slab with worker, task, and table-order
-    /// indices, so the hot per-event lookups are O(1) (see
+    /// The lease table. By default a slab with worker, task, and
+    /// table-order indices, so the hot per-event lookups are O(1) (see
     /// [`crate::lease_table`] for the layout and why its order matches
-    /// the linear-scan `reference` machine in `ic-check`).
-    leases: LeaseTable,
+    /// the linear-scan `ScanTable` in `ic-check`).
+    leases: L,
     /// Resume-token → worker slot, kept in lockstep with each slot's
     /// current token (rotated on every resume).
     token_index: HashMap<String, usize>,
@@ -298,8 +304,7 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
     /// Panics if the policy rejects the dag in
     /// [`AllocationPolicy::prepare`].
     pub fn new(dag: &'d Dag, policy: &'a dyn AllocationPolicy, cfg: ServerConfig) -> Self {
-        policy.prepare(dag);
-        let mut state = ExecState::new(dag);
+        let mut m = Self::with_table(dag, policy, cfg, LeaseTable::new(dag.num_nodes()));
         // If the policy is a pure argmin over a total static ranking
         // (a `Schedule`), index the pool by it: allocation then finds
         // the next task in `O(log n)` instead of scanning the pool,
@@ -311,17 +316,34 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
             .map(|v| policy.static_rank(v))
             .collect::<Option<Vec<usize>>>()
         {
-            state.enable_rank_index(ranks);
+            m.state.enable_rank_index(ranks);
         }
+        m
+    }
+}
+
+impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
+    /// [`LeaseMachine::new`] over the (empty) lease table `leases`, and
+    /// with the pool left unindexed: every allocation goes through the
+    /// policy's own `choose` scan. The differential oracle's reference
+    /// side, so that the rank index is one of the things it checks.
+    #[doc(hidden)]
+    pub fn with_table(
+        dag: &'d Dag,
+        policy: &'a dyn AllocationPolicy,
+        cfg: ServerConfig,
+        leases: L,
+    ) -> Self {
+        policy.prepare(dag);
         let failures = vec![0; dag.num_nodes()];
         let rng = XorShift64::new(cfg.seed ^ 0x7EA5_E0CE);
         LeaseMachine {
             dag,
             policy,
             cfg,
-            state,
+            state: ExecState::new(dag),
             deferred: Vec::new(),
-            leases: LeaseTable::new(dag.num_nodes()),
+            leases,
             token_index: HashMap::new(),
             failures,
             workers: Vec::new(),
@@ -1363,6 +1385,78 @@ mod tests {
         assert_eq!((report.resumes, report.failures), (1, 0));
         let errors = audit_errors(sink);
         assert!(errors.is_empty(), "trace must replay clean: {errors:?}");
+    }
+
+    /// The resume-token index against the lookup it stands for: a
+    /// linear probe of the slots' current tokens. Through fresh
+    /// hellos, rotations and refused resumes, every token ever issued
+    /// resolves the same way by both, and nothing else is indexed.
+    #[test]
+    fn the_token_index_agrees_with_a_linear_probe_of_the_slots() {
+        let g = from_arcs(2, &[(0, 1)]).unwrap();
+        let policy = Policy::Fifo;
+        let mut sink = MemorySink::new();
+        let mut m = LeaseMachine::new(&g, &policy, ServerConfig::builder().build());
+        boot(&mut m, &mut sink);
+
+        let mut issued: Vec<String> = vec!["feedfacefeedface".into()];
+        // (id, index into `issued` of the token to resume with)
+        let script: [(&str, Option<usize>); 8] = [
+            ("a", None),
+            ("b", None),
+            ("c", None),
+            ("b", Some(2)), // b's token: rotates
+            ("b", Some(2)), // the spent one: refused
+            ("b", Some(4)), // the rotated one: rotates again
+            ("x", Some(0)), // never issued: refused
+            ("a", Some(1)),
+        ];
+        for (id, resume) in script {
+            let replies = drive(
+                &mut m,
+                &mut sink,
+                Event::Hello {
+                    id: id.into(),
+                    speed: 1.0,
+                    proto: PROTO_V2,
+                    resume: resume.map(|i| issued[i].clone()),
+                    now_us: 0,
+                },
+            );
+            if let Message::Welcome {
+                resume: Some(token),
+                ..
+            } = &replies[0]
+            {
+                issued.push(token.clone());
+            }
+            for token in &issued {
+                let probe = m
+                    .workers
+                    .iter()
+                    .position(|w| w.token.as_deref() == Some(token));
+                assert_eq!(m.token_index.get(token).copied(), probe, "token {token}");
+            }
+            assert_eq!(m.token_index.len(), m.workers.len());
+        }
+        assert_eq!((issued.len(), m.workers.len(), m.resumes), (7, 3, 3));
+    }
+
+    /// `node_from_raw` against the lookup it stands for: a scan of the
+    /// dag's node ids. Ids at and past the node count, and ids that
+    /// only fit a `u32` by truncation, name no node.
+    #[test]
+    fn node_from_raw_agrees_with_a_scan_of_the_node_ids() {
+        let g = from_arcs(5, &[(0, 1)]).unwrap();
+        let policy = Policy::Fifo;
+        let m = LeaseMachine::new(&g, &policy, ServerConfig::builder().build());
+        let wide = u64::from(u32::MAX);
+        for raw in [0, 1, 4, 5, 6, wide, wide + 1, wide + 4, u64::MAX] {
+            let scanned = g.node_ids().find(|v| v.index() as u64 == raw);
+            assert_eq!(m.node_from_raw(raw), scanned, "raw id {raw}");
+        }
+        assert_eq!(m.node_from_raw(4), Some(NodeId(4)));
+        assert_eq!(m.node_from_raw(wide + 4), None, "2^32 + 3 is not node 3");
     }
 
     /// The drain-barrier steal lifecycle: an idle worker gets a

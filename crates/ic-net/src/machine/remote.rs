@@ -8,7 +8,7 @@
 use ic_dag::NodeId;
 use ic_sim::trace::{EventKind, FedMeta, FED_CLIENT};
 
-use super::{Effect, LeaseMachine};
+use super::{Effect, LeaseMachine, Leases};
 
 /// One shard's view of the federation it runs in; all-empty (the
 /// `Default`) on a standalone machine.
@@ -48,7 +48,7 @@ fn mask(n: usize, ids: &[u32]) -> Vec<bool> {
     mask
 }
 
-impl LeaseMachine<'_, '_> {
+impl<L: Leases> LeaseMachine<'_, '_, L> {
     /// Declare this machine one shard of a federated run. Must be
     /// called before [`LeaseMachine::boot`]: the trace header then
     /// carries the metadata, and every stub node is claimed by

@@ -10,7 +10,7 @@ use ic_sched::policy::AllocationPolicy;
 use ic_sim::trace::{EventKind, TraceEvent, TraceHeader, FED_CLIENT};
 
 use super::{LeaseMachine, SeededBugs, WorkerSlot};
-use crate::lease_table::{Lease, LeaseTable};
+use crate::lease_table::{Lease, LeaseTable, Leases};
 use crate::server::ServerConfig;
 
 /// Trace seconds back to driver microseconds — the inverse of the

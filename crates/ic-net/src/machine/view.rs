@@ -8,7 +8,7 @@ use std::hash::{Hash, Hasher};
 use ic_dag::NodeId;
 use ic_sched::eligibility::ExecState;
 
-use super::LeaseMachine;
+use super::{LeaseMachine, Leases};
 use crate::server::ServeReport;
 
 /// A read-only view of one lease-table entry, for drivers, tests, and
@@ -23,7 +23,7 @@ pub struct LeaseView {
     pub speculative: bool,
 }
 
-impl<'d> LeaseMachine<'_, 'd> {
+impl<'d, L: Leases> LeaseMachine<'_, 'd, L> {
     /// Every lease whose heartbeat deadline has passed at `now_us`, as
     /// `(worker, task)` pairs ready to feed back as [`super::Event::Expire`].
     pub fn expired(&self, now_us: u64) -> Vec<(usize, u64)> {
@@ -171,7 +171,7 @@ impl<'d> LeaseMachine<'_, 'd> {
     }
 }
 
-impl std::fmt::Debug for LeaseMachine<'_, '_> {
+impl<L: Leases> std::fmt::Debug for LeaseMachine<'_, '_, L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LeaseMachine")
             .field("executed", &self.state.num_executed())

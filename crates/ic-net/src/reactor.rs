@@ -44,7 +44,9 @@
 //! `deadline_us <= now_us` guard. Stale firings are cheap no-ops;
 //! missed expiries are impossible as long as every grant path
 //! schedules — assigns (primary and speculative), heartbeat renewals,
-//! and resume welcomes all re-arm the wheel.
+//! and resume welcomes all re-arm the wheel. The steal clock has no
+//! timer: the machine reads it inside the next `request`, and a
+//! waiting worker asks again after `wait_ms`.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -261,10 +263,6 @@ pub enum Deadline {
         /// The leased task id.
         task: u64,
     },
-    /// A plain wakeup (steal deadline at the drain barrier): forces a
-    /// loop iteration so time-dependent state is re-examined promptly
-    /// even if no I/O arrives.
-    Wake,
     /// Dial (or redial) a federation peer link this reactor owns (it
     /// dials every peer with a smaller shard index). Lazy like lease
     /// timers: a firing whose link meanwhile came up is a no-op.
@@ -495,7 +493,6 @@ impl<'a> Reactor<'a> {
                         self.perform(fx, now, None, sink);
                     }
                     Deadline::Redial { peer } => self.peers.dial(peer, &mut self.io),
-                    Deadline::Wake => {}
                 }
             }
 
@@ -698,17 +695,6 @@ impl<'a> Reactor<'a> {
                         Message::Assign { tasks } => {
                             for &task in tasks {
                                 self.arm_lease(worker, task, now_us);
-                            }
-                        }
-                        Message::Wait { .. } => {
-                            // At the drain barrier a steal deadline
-                            // may be pending: wake the loop by then
-                            // even if no I/O arrives.
-                            if let Some(steal_ms) = self.cfg.steal_after_ms {
-                                self.io.wheel.schedule(
-                                    now_us.saturating_add(steal_ms.saturating_mul(1000)),
-                                    Deadline::Wake,
-                                );
                             }
                         }
                         Message::Drain => drained = Some(id),
@@ -1217,44 +1203,59 @@ mod tests {
     /// One worker takes all [`TASKS`] tasks in a single batch at time
     /// 0, reports them at half a lease (after heartbeating task 0, if
     /// `heartbeat`), and asks again at 1¼ leases, which drains it.
-    /// Returns the timers still pending when the reactor exits: by
-    /// then every assign timer (due at one lease) has fired, and
-    /// anything armed at half a lease (due at 1½) has not.
-    fn timers_left(heartbeat: bool) -> usize {
+    /// With `steal_after`, stealing is on and a second worker asks at
+    /// time 0 too: every task is out and none is a straggler yet, so
+    /// it is told to `Wait`. Returns the timers still pending when the
+    /// reactor exits: by then every assign timer (due at one lease)
+    /// has fired, and anything armed at half a lease (due at 1½) or
+    /// for the steal clock (due at 10) has not.
+    fn timers_left(heartbeat: bool, steal_after: bool) -> usize {
         let dag = ic_dag::builder::from_arcs(TASKS as usize, &[]).unwrap();
         let policy = ic_sched::Schedule::in_id_order(&dag);
-        let cfg = ServerConfig::builder()
+        let mut cfg = ServerConfig::builder()
             .lease_ms(LEASE_US / 1000)
             .expect_workers(1)
-            .batch(TASKS as usize)
-            .build();
+            .batch(TASKS as usize);
+        if steal_after {
+            cfg = cfg.steal_after(10 * LEASE_US / 1000);
+        }
         let clock = ManualClock::new(0);
         let (poller, handle) = loopback(1);
         let driver = Driver::new(Box::new(clock.clone()), Box::new(poller));
-        let mut reactor = Reactor::new(&dag, &policy, cfg, driver);
+        let mut reactor = Reactor::new(&dag, &policy, cfg.build(), driver);
 
+        fn call(conn: &mut LoopbackConn, msg: Message) -> Message {
+            conn.send(&msg).unwrap();
+            conn.recv_timeout(Duration::from_secs(10))
+                .unwrap()
+                .expect("the reactor answers every frame")
+        }
         std::thread::scope(|s| {
             s.spawn(move || {
-                let mut conn = handle.connect();
-                let mut call = |msg: Message| {
-                    conn.send(&msg).unwrap();
-                    conn.recv_timeout(Duration::from_secs(10))
-                        .unwrap()
-                        .expect("the reactor answers every frame")
-                };
-                let welcome = call(Message::hello("w", 1.0));
+                let conn = &mut handle.connect();
+                let welcome = call(conn, Message::hello("w", 1.0));
                 assert!(matches!(welcome, Message::Welcome { .. }));
-                let Message::Assign { tasks } = call(Message::Request { max: TASKS }) else {
+                let Message::Assign { tasks } = call(conn, Message::Request { max: TASKS }) else {
                     panic!("the whole dag fits one batch");
                 };
+                let mut idle = steal_after.then(|| handle.connect());
+                if let Some(idle) = &mut idle {
+                    let welcome = call(idle, Message::hello("idle", 1.0));
+                    assert!(matches!(welcome, Message::Welcome { .. }));
+                    let wait = call(idle, Message::request());
+                    assert!(matches!(wait, Message::Wait { .. }), "got {wait:?}");
+                }
                 clock.advance(LEASE_US / 2);
                 let beat = heartbeat.then_some(Message::Heartbeat { task: 0 });
                 let dones = tasks.iter().map(|&task| Message::Done { task, ok: true });
                 for msg in beat.into_iter().chain(dones) {
-                    assert!(matches!(call(msg), Message::Ack { accepted: true, .. }));
+                    let ack = call(conn, msg);
+                    assert!(matches!(ack, Message::Ack { accepted: true, .. }));
                 }
                 clock.advance(3 * LEASE_US / 4);
-                assert_eq!(call(Message::request()), Message::Drain);
+                for conn in std::iter::once(conn).chain(&mut idle) {
+                    assert_eq!(call(conn, Message::request()), Message::Drain);
+                }
             });
             reactor.run_until_drain(&mut MemorySink::new()).unwrap();
         });
@@ -1262,10 +1263,13 @@ mod tests {
     }
 
     /// An accepted `done` resolves its lease, so its ack arms nothing;
-    /// an accepted heartbeat renews one, so its ack must.
+    /// an accepted heartbeat renews one, so its ack must. A `Wait`
+    /// arms nothing either: the steal clock is read inside the next
+    /// `request`, and the loop wakes every `poll_timeout_ms` anyway.
     #[test]
     fn a_completed_task_leaves_no_timer_and_a_heartbeat_arms_one() {
-        assert_eq!(timers_left(false), 0, "one dead timer per done ack");
-        assert_eq!(timers_left(true), 1, "the heartbeat's renewal");
+        assert_eq!(timers_left(false, false), 0, "one dead timer per done ack");
+        assert_eq!(timers_left(true, false), 1, "the heartbeat's renewal");
+        assert_eq!(timers_left(false, true), 0, "a dead timer per wait");
     }
 }

@@ -1,4 +1,4 @@
-//! A hierarchical timer wheel for lease expiry and wakeup deadlines.
+//! A hierarchical timer wheel for lease expiry and peer-redial deadlines.
 //!
 //! Checking every lease's deadline on every loop iteration would be
 //! an O(leases) scan per tick; the reactor uses this wheel instead:

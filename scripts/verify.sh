@@ -6,6 +6,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Wait up to 10 s for a server to write its --port-file, or fail.
+wait_for_port() { # <file> <who>
+    for _ in $(seq 1 100); do
+        [ -s "$1" ] && return
+        sleep 0.1
+    done
+    echo "$2 never wrote its port file"
+    exit 1
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -119,7 +129,7 @@ echo "==> bench/run.sh --smoke (real-process end-to-end benchmark on tiny dags)"
 # covers the cold build plus the ~6 s of measurement.
 timeout 900 bash bench/run.sh --smoke > /dev/null
 
-echo "==> differential oracle (indexed machine vs reference, byte-identical effects)"
+echo "==> differential oracle (one lease protocol over the indexed and the scan table: byte-identical effects, pinned digest, wrong tables rejected)"
 IC_DIFF_CASES=96 cargo test --release --offline -q -p ic-check --test differential
 
 echo "==> ic-prio audit --claims"
@@ -152,11 +162,7 @@ timeout 60 ./target/release/ic-prio serve --family mesh:8 --policy optimal \
     --trace "$tmpdir/serve.jsonl" --port-file "$tmpdir/port" --json \
     > "$tmpdir/serve.json" &
 serve_pid=$!
-for _ in $(seq 1 100); do
-    [ -s "$tmpdir/port" ] && break
-    sleep 0.1
-done
-[ -s "$tmpdir/port" ] || { echo "server never wrote its port file"; exit 1; }
+wait_for_port "$tmpdir/port" "server"
 addr="$(tr -d '[:space:]' < "$tmpdir/port")"
 timeout 60 ./target/release/ic-prio work --connect "$addr" --id drone-1 \
     --mean-ms 2 > /dev/null &
@@ -180,11 +186,7 @@ timeout 60 ./target/release/ic-prio serve --family outtree:2:3 --policy optimal 
     --trace "$tmpdir/resume.jsonl" --port-file "$tmpdir/rport" --json \
     > "$tmpdir/resume.json" &
 serve_pid=$!
-for _ in $(seq 1 100); do
-    [ -s "$tmpdir/rport" ] && break
-    sleep 0.1
-done
-[ -s "$tmpdir/rport" ] || { echo "server never wrote its port file"; exit 1; }
+wait_for_port "$tmpdir/rport" "server"
 addr="$(tr -d '[:space:]' < "$tmpdir/rport")"
 timeout 60 ./target/release/ic-prio work --connect "$addr" --id comeback \
     --mean-ms 2 --sever-after 2 --json > "$tmpdir/work.json"
@@ -200,9 +202,10 @@ echo "==> ic-prio serve | kill -9 | recover | serve --resume-from | audit (crash
 # The write-ahead-log round trip over real processes: the server is
 # SIGKILLed mid-run (at least one completion on disk), `recover` dry-runs
 # the reconstruction, and `serve --resume-from` restarts from the same
-# file on a fresh port (the killed server's accepted connection leaves
-# its port in TIME_WAIT, and a dependency-free workspace has no
-# SO_REUSEADDR, so same-port rebind is not portable). A new worker
+# file on a fresh ephemeral port, like every stage here (a same-port
+# rebind would work too — std's `TcpListener::bind` sets SO_REUSEADDR
+# on Unix — but the same-port token-resume stage belongs to ROADMAP
+# direction 3, with the livelock it has to fix first). A new worker
 # joins the recovered run, the dead worker's outstanding lease falls
 # back to expiry -> reallocation, and the concatenated trace must
 # replay audit-clean as one run. The zero-loss token-resume path
@@ -213,11 +216,7 @@ timeout 60 ./target/release/ic-prio serve --family mesh:8 --policy optimal \
     --trace "$tmpdir/wal.jsonl" --port-file "$tmpdir/cport" --json \
     > "$tmpdir/crashed.json" &
 crash_pid=$!
-for _ in $(seq 1 100); do
-    [ -s "$tmpdir/cport" ] && break
-    sleep 0.1
-done
-[ -s "$tmpdir/cport" ] || { echo "server never wrote its port file"; exit 1; }
+wait_for_port "$tmpdir/cport" "server"
 addr="$(tr -d '[:space:]' < "$tmpdir/cport")"
 # The worker dies with the server (its stderr complaint is expected).
 timeout 60 ./target/release/ic-prio work --connect "$addr" --id phoenix \
@@ -244,11 +243,7 @@ timeout 60 ./target/release/ic-prio serve --family mesh:8 --policy optimal \
     --listen 127.0.0.1:0 --expect 1 --lease-ms 1000 \
     --resume-from "$tmpdir/wal.jsonl" --port-file "$tmpdir/cport2" --json \
     > "$tmpdir/recovered.json" &
-for _ in $(seq 1 100); do
-    [ -s "$tmpdir/cport2" ] && break
-    sleep 0.1
-done
-[ -s "$tmpdir/cport2" ] || { echo "recovered server never wrote its port file"; exit 1; }
+wait_for_port "$tmpdir/cport2" "recovered server"
 addr2="$(tr -d '[:space:]' < "$tmpdir/cport2")"
 timeout 60 ./target/release/ic-prio work --connect "$addr2" --id phoenix2 \
     --json > "$tmpdir/cwork2.json"
@@ -271,11 +266,7 @@ timeout 90 ./target/release/ic-prio serve --family mesh:11 --shard 0/2 \
     --trace "$tmpdir/shard0.jsonl" --port-file "$tmpdir/fport0" --json \
     > "$tmpdir/fed0.json" &
 shard0_pid=$!
-for _ in $(seq 1 100); do
-    [ -s "$tmpdir/fport0" ] && break
-    sleep 0.1
-done
-[ -s "$tmpdir/fport0" ] || { echo "shard 0 never wrote its port file"; exit 1; }
+wait_for_port "$tmpdir/fport0" "shard 0"
 addr0="$(tr -d '[:space:]' < "$tmpdir/fport0")"
 timeout 90 ./target/release/ic-prio serve --family mesh:11 --shard 1/2 \
     --peers "0=$addr0" --sever-link-after 2 \
@@ -283,11 +274,7 @@ timeout 90 ./target/release/ic-prio serve --family mesh:11 --shard 1/2 \
     --trace "$tmpdir/shard1.jsonl" --port-file "$tmpdir/fport1" --json \
     > "$tmpdir/fed1.json" &
 shard1_pid=$!
-for _ in $(seq 1 100); do
-    [ -s "$tmpdir/fport1" ] && break
-    sleep 0.1
-done
-[ -s "$tmpdir/fport1" ] || { echo "shard 1 never wrote its port file"; exit 1; }
+wait_for_port "$tmpdir/fport1" "shard 1"
 addr1="$(tr -d '[:space:]' < "$tmpdir/fport1")"
 timeout 90 ./target/release/ic-prio work --connect "$addr0" --id f0-steady \
     --mean-ms 2 > /dev/null &
