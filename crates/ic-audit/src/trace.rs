@@ -464,9 +464,10 @@ mod tests {
     fn sub_envelope_order_is_ic0404_warning() {
         // Two disjoint Vees: completing a sink before the second source
         // dents the envelope. Single client, so completion order ==
-        // allocation order == the (deliberately bad) replayed order.
+        // allocation order == the (deliberately bad) scheduled order.
         let g = ic_dag::builder::from_arcs(6, &[(0, 2), (0, 3), (1, 4), (1, 5)]).unwrap();
-        let bad = ic_sim::ReplayPolicy::new([0usize, 2, 1, 3, 4, 5].map(NodeId::new).to_vec());
+        let order = [0usize, 2, 1, 3, 4, 5].map(NodeId::new).to_vec();
+        let bad = ic_sched::Schedule::new(&g, order).unwrap();
         let cfg = SimConfig {
             clients: ClientProfile {
                 num_clients: 1,

@@ -54,8 +54,6 @@ fn run_shards(r: &mut Runner, levels: usize, shards: u64) {
             .expect_workers(2)
             .seed(0xFED5EED)
             .build(),
-        linger_ms: 2_000,
-        redial_ms: 25,
         sever_link_after: None,
     };
     let workers: Vec<Vec<WorkerConfig>> = (0..plans.len()).map(shard_workers).collect();

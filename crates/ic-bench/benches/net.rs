@@ -253,8 +253,6 @@ fn run_fleet(r: &mut Runner, workers: usize) {
         .wait_ms(2)
         .expect_workers(workers)
         .batch(1)
-        .shards(64)
-        .poll_timeout(1)
         .seed(0x5CA1E)
         .build();
     let clock = MonotonicClock::new();

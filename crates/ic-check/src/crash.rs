@@ -15,7 +15,7 @@
 //! |--------|--------------------------|
 //! | IC0701 | the rebuilt executed set equals the live one — no completed work lost, none invented |
 //! | IC0702 | every rebuilt slot's epoch dominates the live epoch and every resume the log records |
-//! | IC0704 | rebuilt leases and rebuilt pool ∪ deferred equal the live machine's; the restore itself parses |
+//! | IC0704 | rebuilt leases, rebuilt pool ∪ deferred and the rebuilt report's tallies equal the live machine's (resumes: at most); the restore itself parses |
 //!
 //! On top of the live-versus-rebuilt comparison, every rebuilt state
 //! is run through the full `IC05xx` invariant scan
@@ -40,7 +40,7 @@ use ic_audit::diag::{
 };
 use ic_dag::Dag;
 use ic_net::machine::{RestoreError, SeededBugs};
-use ic_net::{Effect, LeaseMachine};
+use ic_net::{Effect, LeaseMachine, ServeReport};
 use ic_sched::policy::AllocationPolicy;
 use ic_sim::trace::{EventKind, TraceEvent, TraceHeader};
 
@@ -204,6 +204,27 @@ impl CrashCtx<'_, '_, '_> {
                     "pool ∪ deferred diverged after restore: live {live_frontier:?}, \
                      rebuilt {rebuilt_frontier:?}"
                 ),
+            ));
+        }
+
+        // … and so must the report, so that the restarted server's
+        // summary spans the crash: every event-derived tally equals
+        // the live one. Resumes are a lower bound — a resume that kept
+        // no lease wrote no event.
+        let (was, now) = (live.machine.summary(0), rebuilt.summary(0));
+        let tallies = |r: &ServeReport| {
+            [
+                r.completions,
+                r.failures,
+                r.allocations,
+                r.steals,
+                r.revokes,
+            ]
+        };
+        if tallies(&was) != tallies(&now) || now.resumes > was.resumes {
+            return Some(Diagnostic::error(
+                RECOVERY_CORRUPT_TRACE,
+                format!("report diverged after restore: live {was:?}, rebuilt {now:?}"),
             ));
         }
 

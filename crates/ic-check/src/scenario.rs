@@ -146,12 +146,6 @@ impl FleetSpec {
         self
     }
 
-    /// Set the server batch ceiling (builder style).
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
-        self
-    }
-
     /// The frozen-clock server configuration this fleet runs against.
     pub fn server_config(&self) -> ServerConfig {
         let mut b = ServerConfig::builder()

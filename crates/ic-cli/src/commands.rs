@@ -699,8 +699,7 @@ pub fn serve(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
     if let Some(pf) = port_file {
         std::fs::write(pf, format!("{addr}\n")).map_err(|e| format!("cannot write {pf}: {e}"))?;
     }
-    let driver =
-        ic_net::Driver::tcp(listener, &net_cfg).map_err(|e| format!("cannot serve: {e}"))?;
+    let driver = ic_net::Driver::tcp(listener).map_err(|e| format!("cannot serve: {e}"))?;
     let mut reactor = match recovery {
         Some(recovery) => recovery.into_reactor(driver),
         None => ic_net::Reactor::new(dag, policy, net_cfg, driver),
@@ -1007,7 +1006,6 @@ pub fn fed(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
             .seed(seed)
             .build(),
         sever_link_after,
-        ..Default::default()
     };
     let workers: Vec<Vec<ic_net::WorkerConfig>> = (0..plans.len())
         .map(|s| {

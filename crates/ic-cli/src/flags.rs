@@ -135,10 +135,6 @@ pub fn server_flag(cfg: &mut ServerConfig, flag: &str, v: Value<'_>) -> Result<b
         "--expect" => cfg.expect_workers = v.int()?,
         "--batch" => cfg.batch = v.positive()?,
         "--steal-after" => cfg.steal_after_ms = Some(v.parse_if("milliseconds", |_| true)?),
-        "--poll-timeout" => {
-            cfg.poll_timeout_ms = v.parse_if("positive milliseconds", |&ms| ms > 0)?;
-        }
-        "--shards" => cfg.shards = v.positive()?,
         "--seed" => cfg.seed = v.int()?,
         _ => return Ok(false),
     }
@@ -188,15 +184,12 @@ mod tests {
     #[test]
     fn shared_flags_land_in_the_library_configs_per_side() {
         let mut cfg = ServerConfig::default();
-        let args =
-            "--lease-ms 250 --batch 4 --steal-after 75 --poll-timeout 2 --shards 32 --seed 9";
+        let args = "--lease-ms 250 --batch 4 --steal-after 75 --seed 9";
         let args: Vec<&str> = args.split(' ').collect();
         read(&mut cfg, &args, server_flag).unwrap();
         assert_eq!(cfg.lease_ms, 250);
         assert_eq!(cfg.batch, 4);
         assert_eq!(cfg.steal_after_ms, Some(75));
-        assert_eq!(cfg.poll_timeout_ms, 2);
-        assert_eq!(cfg.shards, 32);
         assert_eq!(cfg.seed, 9);
 
         let mut w = WorkerConfig::default();
@@ -220,12 +213,7 @@ mod tests {
     #[test]
     fn bad_values_are_usage_errors_naming_the_flag() {
         let mut cfg = ServerConfig::default();
-        for (flag, value) in [
-            ("--lease-ms", "0"),
-            ("--batch", "x"),
-            ("--poll-timeout", "0"),
-            ("--shards", "0"),
-        ] {
+        for (flag, value) in [("--lease-ms", "0"), ("--batch", "x")] {
             let err = read(&mut cfg, &[flag, value], server_flag).unwrap_err();
             assert!(
                 matches!(&err, CliError::Usage(Some(m)) if m.starts_with(flag)),

@@ -16,7 +16,6 @@
 //!          [--listen addr] [--trace out.jsonl | --resume-from trace.jsonl]
 //!          [--lease-ms N] [--expect N]
 //!          [--batch N] [--steal-after MS]
-//!          [--poll-timeout MS] [--shards N]
 //!          [--shard i/N --peers S=addr,... [--cut C] [--replicate-cut]
 //!           [--sever-link-after N]]
 //!          [--port-file p] [--seed S] [--json]
@@ -29,7 +28,7 @@
 //! ic-prio merge <shard.jsonl>... [--out merged.jsonl] [--deny <code-name>]
 //!          [--json]
 //! ic-prio work --connect <addr> [--id s] [--speed f] [--mean-ms N] [--batch N]
-//!          [--no-reconnect] [--retry-ms N]
+//!          [--retry-ms N]
 //!          [--flaky p | --die-after K | --stall-after K | --sever-after K]
 //!          [--seed S] [--json]
 //! ic-prio dot <file>
@@ -63,8 +62,7 @@ fn usage() -> ExitCode {
          ic-prio serve (--dag <file> | --family mesh:11|outtree:2:5|butterfly:3)\n              \
          [--policy optimal|fifo|lifo|random|greedy|maxout|mindepth] [--listen addr]\n              \
          [--trace out.jsonl | --resume-from trace.jsonl] [--lease-ms N] [--expect N]\n              \
-         [--batch N] [--steal-after MS]\n              \
-         [--poll-timeout MS] [--shards N] [--port-file p] [--seed S]\n              \
+         [--batch N] [--steal-after MS] [--port-file p] [--seed S]\n              \
          [--shard i/N --peers S=addr,... [--cut auto|level|mesh|butterfly|tree]\n              \
          [--replicate-cut] [--sever-link-after N]] [--json]\n  \
          ic-prio recover <trace.jsonl> [--json]\n  \
@@ -73,7 +71,7 @@ fn usage() -> ExitCode {
          [--merged out.jsonl] [--lease-ms N] [--seed S] [--json]\n  \
          ic-prio merge <shard.jsonl>... [--out merged.jsonl] [--deny <code-name>] [--json]\n  \
          ic-prio work --connect <addr> [--id s] [--speed f] [--mean-ms N] [--batch N]\n              \
-         [--no-reconnect] [--retry-ms N]\n              \
+         [--retry-ms N]\n              \
          [--flaky p | --die-after K | --stall-after K | --sever-after K] [--seed S] [--json]\n  \
          ic-prio dot <file>\n  ic-prio export <file>"
     );
@@ -223,9 +221,8 @@ fn merge(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
     Ok(commands::merge_run(&texts, out_path, &deny)?)
 }
 
-fn work(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
+fn work(flags: Flags<'_>) -> Result<CmdOutput, CliError> {
     let mut cfg = ic_net::WorkerConfig::default();
-    cfg.reconnect = !flags.switch("--no-reconnect");
     let mut connect = None;
     for pair in flags.pairs() {
         let (flag, v) = pair?;

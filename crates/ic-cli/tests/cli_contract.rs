@@ -1,6 +1,7 @@
 //! The `ic-prio` command-line contract, pinned against the built
 //! binary: which invocations are usage errors, what the first stderr
-//! line says, and which `data` keys each `serve` mode reports.
+//! line says, that every flag `help` lists is exercised by a row, and
+//! which `data` keys each `serve` mode reports.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -13,7 +14,10 @@ fn prio(args: &[&str]) -> Command {
 }
 
 /// `(arguments, exit code, first stderr line)`. Values are validated
-/// before any file or socket is touched, so no fixture files exist.
+/// before any file or socket is touched, so no fixture files exist
+/// (the `cannot read` rows name files that are not there). Flags are
+/// read in argument order, so a typed error about a later flag shows
+/// the earlier ones were accepted.
 const USAGE_CONTRACT: &[(&str, i32, &str)] = &[
     ("", 2, "usage:"),
     ("help", 0, "usage:"),
@@ -22,6 +26,7 @@ const USAGE_CONTRACT: &[(&str, i32, &str)] = &[
     ("order t.dag --bogus x", 2, "usage:"),
     ("order t.dag --policy", 2, "usage:"),
     ("order t.dag --policy turbo", 2, "error: unknown policy \"turbo\""),
+    ("order t.dag --policy turbo --json", 2, "error: unknown policy \"turbo\""),
     ("stats t.dag --bogus", 2, "usage:"),
     ("check t.dag", 2, "usage:"),
     ("check --bogus x", 2, "usage:"),
@@ -30,6 +35,7 @@ const USAGE_CONTRACT: &[(&str, i32, &str)] = &[
     ("check --family mesh:3 --depth x", 2, "error: --depth takes a positive integer"),
     ("check --family mesh:3 --max-states x", 2, "error: --max-states takes a positive integer"),
     ("check --workers 2", 2, "error: check --family <spec> is required in model-checker mode"),
+    ("check --family mesh:3 --steal --crash --workers x", 2, "error: --workers takes a positive integer"),
     ("sim t.dag --bogus x", 2, "usage:"),
     ("sim t.dag --clients", 2, "usage:"),
     ("sim t.dag --clients x", 2, "error: --clients takes a positive integer"),
@@ -38,6 +44,8 @@ const USAGE_CONTRACT: &[(&str, i32, &str)] = &[
     ("audit --bogus", 2, "usage:"),
     ("audit --deny", 2, "usage:"),
     ("audit --claims --deny nope", 2, "error: unknown --deny code \"nope\""),
+    ("audit --schedule t.jsonl", 2, "error: cannot read t.jsonl: No such file or directory (os error 2)"),
+    ("audit --dag t.dag --order o.txt", 2, "error: cannot read t.dag: No such file or directory (os error 2)"),
     ("recover", 2, "error: recover takes a trace file"),
     ("recover x.jsonl --bogus", 2, "usage:"),
     ("merge", 2, "error: merge needs at least one shard trace"),
@@ -53,8 +61,9 @@ const USAGE_CONTRACT: &[(&str, i32, &str)] = &[
     ("serve --family mesh:3 --steal-after x", 2, "error: --steal-after takes milliseconds"),
     ("serve --family mesh:3 --min-proto x", 2, "usage:"),
     ("serve --family mesh:3 --min-proto 2", 2, "usage:"),
-    ("serve --family mesh:3 --poll-timeout x", 2, "error: --poll-timeout takes positive milliseconds"),
-    ("serve --family mesh:3 --shards x", 2, "error: --shards takes a positive integer"),
+    ("serve --family mesh:3 --poll-timeout x", 2, "usage:"),
+    ("serve --family mesh:3 --shards x", 2, "usage:"),
+    ("serve --family mesh:3 --listen 127.0.0.1:0 --port-file p --lease-ms x", 2, "error: --lease-ms takes a positive integer"),
     ("serve --family mesh:3 --seed x", 2, "error: --seed takes an integer"),
     ("serve --family mesh:3 --sever-link-after x", 2, "error: --sever-link-after takes an integer"),
     (
@@ -64,6 +73,8 @@ const USAGE_CONTRACT: &[(&str, i32, &str)] = &[
     ),
     ("serve --family mesh:3 --peers 0=x", 2, "error: --replicate-cut/--peers need --shard i/N"),
     ("serve --family mesh:3 --shard 2/2", 2, "error: --shard takes i/N with i < N"),
+    ("serve --family mesh:3 --shard 0/2 --cut bogus", 2, "error: unknown --cut \"bogus\" (auto|level|mesh|butterfly|tree)"),
+    ("serve --family mesh:3 --replicate-cut", 2, "error: --replicate-cut/--peers need --shard i/N"),
     ("serve --family mesh:3 --shard 0/2 --peers junk", 2, "error: --peers entry \"junk\" is not shard=addr"),
     ("serve --family mesh:3 --policy turbo", 2, "error: unknown serve policy \"turbo\""),
     ("fed", 2, "error: fed needs exactly one of --dag or --family"),
@@ -75,12 +86,14 @@ const USAGE_CONTRACT: &[(&str, i32, &str)] = &[
     ("fed --family mesh:3 --sever-link-after x", 2, "error: --sever-link-after takes an integer"),
     ("fed --family mesh:3 --lease-ms x", 2, "error: --lease-ms takes a positive integer"),
     ("fed --family mesh:3 --seed x", 2, "error: --seed takes an integer"),
+    ("fed --family mesh:3 --trace-dir d --merged m --seed x", 2, "error: --seed takes an integer"),
     ("work", 2, "error: work needs --connect <addr>"),
     ("work --id w", 2, "error: work needs --connect <addr>"),
     ("work --bogus x", 2, "usage:"),
     ("work --connect", 2, "usage:"),
     ("work --connect a --batch x", 2, "error: --batch takes a positive integer"),
     ("work --connect a --proto 2", 2, "usage:"),
+    ("work --connect a --no-reconnect x", 2, "usage:"),
     ("work --connect a --seed x", 2, "error: --seed takes an integer"),
     ("work --connect a --speed x", 2, "error: --speed takes a positive number"),
     ("work --connect a --mean-ms x", 2, "error: --mean-ms takes an integer"),
@@ -100,6 +113,31 @@ fn usage_errors_keep_their_exit_code_and_first_stderr_line() {
         assert_eq!(out.status.code(), Some(code), "ic-prio {args}");
         assert_eq!(stderr.lines().next(), Some(first), "ic-prio {args}");
     }
+}
+
+/// Every `--flag` the usage text lists appears in a contract row, so
+/// a flag cannot exist unexercised.
+#[test]
+fn every_flag_in_help_is_exercised_by_a_contract_row() {
+    let out = prio(&["help"]).output().unwrap();
+    let help = String::from_utf8_lossy(&out.stderr);
+    let flag_char = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-';
+    let listed: BTreeSet<&str> = help
+        .match_indices("--")
+        .map(|(i, _)| &help[i..])
+        .map(|rest| &rest[..rest.find(|c| !flag_char(c)).unwrap_or(rest.len())])
+        .filter(|flag| flag.len() > 2)
+        .collect();
+    assert!(listed.contains("--sever-link-after"), "{listed:?}");
+    let exercised: BTreeSet<&str> = USAGE_CONTRACT
+        .iter()
+        .flat_map(|(args, ..)| args.split_whitespace())
+        .collect();
+    let unexercised: Vec<_> = listed.difference(&exercised).collect();
+    assert!(
+        unexercised.is_empty(),
+        "no contract row for {unexercised:?}"
+    );
 }
 
 /// Run `serve <mode flags>` to completion against one `work` process

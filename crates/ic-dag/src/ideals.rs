@@ -207,15 +207,6 @@ impl IdealEnumerator {
         });
     }
 
-    /// [`IdealEnumerator::for_each_layer`] restricted to growth inside
-    /// `allowed`, like [`IdealEnumerator::for_each_within`].
-    pub fn for_each_layer_within(&self, allowed: u64, mut f: impl FnMut(u32, &[(u64, u64)])) {
-        self.sweep(allowed, &mut |layer, size| {
-            f(size, layer);
-            true
-        });
-    }
-
     /// Total number of down-sets (execution states), including the empty
     /// and the full state. Counts layer lengths directly — no per-state
     /// callback.

@@ -173,11 +173,6 @@ impl ChainBuilder {
         }
     }
 
-    /// Number of stages pushed so far.
-    pub fn num_stages(&self) -> usize {
-        self.maps.len()
-    }
-
     /// The composite built so far.
     pub fn current(&self) -> &Dag {
         &self.dag

@@ -56,8 +56,6 @@ pub struct ShardPlan {
     pub dag: Dag,
     /// Local node id → global node id.
     pub to_global: Vec<u64>,
-    /// Global node id → local node id (present nodes only).
-    pub from_global: HashMap<u64, u64>,
     /// Local ids of stub nodes (gated on remote completions).
     pub stubs: Vec<u32>,
     /// Local ids of replicated boundary tasks (allocatable here even
@@ -81,20 +79,14 @@ impl ShardPlan {
         }
     }
 
-    /// The reactor-side federation config, given every peer's
-    /// `(shard, addr)`. Timing knobs start at the [`FedConfig::new`]
-    /// defaults; adjust on the returned value.
+    /// What the reactor needs beside [`ShardPlan::meta`]: every
+    /// peer's `(shard, addr)` and this shard's notify map.
     pub fn fed_config(&self, peers: Vec<(u64, String)>) -> FedConfig {
-        let mut cfg = FedConfig::new(
-            self.shard,
-            self.shards,
-            u64::try_from(self.global_nodes).unwrap_or(u64::MAX),
-        );
-        cfg.peers = peers;
-        cfg.notify = self.notify.clone();
-        cfg.from_global = self.from_global.clone();
-        cfg.to_global = self.to_global.clone();
-        cfg
+        FedConfig {
+            peers,
+            notify: self.notify.clone(),
+            sever_link_after: None,
+        }
     }
 
     /// Project a *global* schedule order onto this shard: present
@@ -187,13 +179,10 @@ pub fn plan(dag: &Dag, part: &Partition, mode: CutMode) -> Vec<ShardPlan> {
         .map(|s| {
             let sid = u64::try_from(s).unwrap_or(0);
             let present: Vec<usize> = allocatable[s].union(&stubs[s]).copied().collect();
-            let mut from_global: HashMap<u64, u64> = HashMap::with_capacity(present.len());
-            let mut to_global: Vec<u64> = Vec::with_capacity(present.len());
-            for (local, &g) in present.iter().enumerate() {
-                let g64 = u64::try_from(g).unwrap_or(u64::MAX);
-                from_global.insert(g64, u64::try_from(local).unwrap_or(u64::MAX));
-                to_global.push(g64);
-            }
+            let to_global: Vec<u64> = present
+                .iter()
+                .map(|&g| u64::try_from(g).unwrap_or(u64::MAX))
+                .collect();
             let local_of = |g: usize| -> Option<usize> { present.binary_search(&g).ok() };
 
             // Local arcs: every arc into an allocatable node (stub
@@ -259,7 +248,6 @@ pub fn plan(dag: &Dag, part: &Partition, mode: CutMode) -> Vec<ShardPlan> {
                 global_nodes: n,
                 dag: local_dag,
                 to_global,
-                from_global,
                 stubs: stubs_local,
                 replicas: replicas_local,
                 notify,

@@ -21,32 +21,15 @@ use ic_sim::{MemorySink, Trace};
 use crate::plan::ShardPlan;
 
 /// Knobs of a federated launch beyond the per-shard [`ServerConfig`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FedOptions {
     /// Per-shard server config. `expect_workers` is overridden per
     /// shard with that shard's worker count.
     pub server: ServerConfig,
-    /// How long a completed shard keeps serving peers while waiting
-    /// for their `peer-drain` (safety valve; see
-    /// [`ic_net::FedConfig::linger_ms`]).
-    pub linger_ms: u64,
-    /// Reconnect delay for dialer-owned peer links.
-    pub redial_ms: u64,
     /// Test hook: shard 0 severs all its peer links once after this
     /// many `remote-done` sends, exercising reconnect + backlog
     /// replay mid-run.
     pub sever_link_after: Option<usize>,
-}
-
-impl Default for FedOptions {
-    fn default() -> FedOptions {
-        FedOptions {
-            server: ServerConfig::default(),
-            linger_ms: 5_000,
-            redial_ms: 50,
-            sever_link_after: None,
-        }
-    }
 }
 
 /// Outcome of one federated launch: per-shard serve reports and
@@ -101,8 +84,6 @@ pub fn run_federation(
                 .map(|(j, a)| (u64::try_from(j).unwrap_or(0), a.to_string()))
                 .collect();
             let mut fed = plan.fed_config(peers);
-            fed.linger_ms = opts.linger_ms;
-            fed.redial_ms = opts.redial_ms;
             if i == 0 {
                 fed.sever_link_after = opts.sever_link_after;
             }
@@ -110,7 +91,7 @@ pub fn run_federation(
             cfg.expect_workers = workers.get(i).map(Vec::len).unwrap_or(0);
             server_handles.push(scope.spawn(move || {
                 let policy = Policy::Fifo;
-                let driver = Driver::tcp(listener, &cfg)?;
+                let driver = Driver::tcp(listener)?;
                 let mut reactor = Reactor::new(&plan.dag, &policy, cfg, driver);
                 reactor.set_fed(plan.meta(), fed);
                 let mut sink = MemorySink::new();

@@ -71,8 +71,6 @@ fn run_mesh_federation(mode: CutMode, sever: Option<usize>) -> FedRun {
             .expect_workers(3)
             .wait_ms(5)
             .build(),
-        linger_ms: 2_000,
-        redial_ms: 25,
         sever_link_after: sever,
     };
     let workers: Vec<Vec<WorkerConfig>> = (0..plans.len()).map(|s| fed_workers(s, true)).collect();

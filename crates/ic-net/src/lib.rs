@@ -29,9 +29,9 @@
 //!   [`timer::TimerWheel`] for lease expiry, and an injectable
 //!   [`reactor::Clock`]/[`reactor::Poller`] pair
 //!   ([`reactor::Driver`]) so deterministic in-process drivers and the
-//!   live TCP driver run the same code. Federation peer links
-//!   ([`FedConfig`]) live in the private `peers` module, which the
-//!   poll loop enters at six calls.
+//!   live TCP driver run the same code. Federation peer links live
+//!   in the private `peers` module, which the poll loop enters at six
+//!   calls; [`FedConfig`] is what a shard's trace header does not say.
 //! * [`timer`] — the lazy (never-cancelled) hierarchical timer wheel
 //!   behind lease expiry and peer redials.
 //! * [`server`] — the shared [`server::ServerConfig`] and the
@@ -72,7 +72,7 @@ pub use reactor::{
     loopback, Clock, ConnId, Deadline, Driver, IoEvent, LoopbackConn, LoopbackHandle,
     LoopbackPoller, ManualClock, MonotonicClock, Poller, Reactor, ShardedTable, TcpPoller,
 };
-pub use recovery::{RecoverError, RecoverReport, Recovery, RecoveryConfig, RecoveryConfigBuilder};
+pub use recovery::{RecoverError, RecoverReport, Recovery, RecoveryConfig};
 pub use server::{ServeReport, ServerConfig, ServerConfigBuilder};
 pub use timer::TimerWheel;
 pub use wire::{

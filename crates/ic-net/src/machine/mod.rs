@@ -518,6 +518,24 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
             None => TraceEvent::idle(step, time, client),
         }));
         self.step += 1;
+        self.tally(kind, client);
+    }
+
+    /// Count one trace event toward [`LeaseMachine::summary`] — the one
+    /// place its event-derived tallies move, for an event emitted live
+    /// and one replayed by [`LeaseMachine::restore`] alike. The
+    /// federation's events count only as remote completions.
+    fn tally(&mut self, kind: EventKind, client: usize) {
+        let count = match (kind, client == FED_CLIENT) {
+            (EventKind::Completed, true) => &mut self.remote.completions,
+            (_, true) => return,
+            (EventKind::Completed, false) => &mut self.completions,
+            (EventKind::Failed, false) => &mut self.failure_events,
+            (EventKind::Speculated, false) => &mut self.steals,
+            (EventKind::Revoked, false) => &mut self.revokes,
+            (EventKind::Allocated | EventKind::Idle | EventKind::Resumed, false) => return,
+        };
+        *count += 1;
     }
 
     /// Write the trace header recording every worker registered so far
@@ -572,9 +590,16 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
         format!("{:016x}{:016x}", self.rng.next_u64(), self.rng.next_u64())
     }
 
-    /// Lease deadline for a grant or renewal at `now_us`.
-    fn lease_deadline(&self, now_us: u64) -> u64 {
-        now_us.saturating_add(self.cfg.lease_ms.saturating_mul(1_000))
+    /// The lease length in driver microseconds — the one place
+    /// `lease_ms` changes unit.
+    pub(crate) fn lease_us(&self) -> u64 {
+        self.cfg.lease_ms.saturating_mul(1_000)
+    }
+
+    /// Lease deadline for a grant or renewal at `now_us`; the driver
+    /// arms its expiry timer for the same instant.
+    pub(crate) fn lease_deadline(&self, now_us: u64) -> u64 {
+        now_us.saturating_add(self.lease_us())
     }
 
     /// Declare a (removed) lease lost: emit `Failed` and bump the
@@ -594,7 +619,6 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
                 .saturating_mul(1_000);
             self.deferred.push((now_us.saturating_add(backoff_us), v));
         }
-        self.failure_events += 1;
         self.emit(fx, EventKind::Failed, now_us, lease.worker, Some(v));
     }
 
@@ -873,7 +897,6 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
             }
         }
         let (_, v) = straggler?;
-        self.steals += 1;
         self.leases.insert(Lease {
             worker,
             task: v,
@@ -913,7 +936,6 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
                 // re-emits `Completed`.
                 if let Some(v) = node {
                     if self.state.is_executed(v) {
-                        self.completions += 1;
                         self.emit(fx, EventKind::Completed, now_us, worker, Some(v));
                         return true;
                     }
@@ -928,7 +950,6 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
                 self.leases.insert(lease);
                 return false;
             }
-            self.completions += 1;
             // A completion may unlock queued remote notifications
             // (a replica whose other predecessors just became met).
             self.drain_pending_remote(now_us, fx);
@@ -954,7 +975,6 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
         }
         self.emit(fx, EventKind::Completed, now_us, client, Some(v));
         while let Some(dup) = self.leases.remove_task_next(v) {
-            self.revokes += 1;
             self.emit(fx, EventKind::Revoked, now_us, dup.worker, Some(dup.task));
         }
         if self.is_complete() && self.completed_at_us.is_none() {
@@ -1166,7 +1186,7 @@ mod tests {
             panic!("the backoff elapsed; the task must be reallocatable");
         };
         assert_eq!(tasks, vec![0]);
-        assert_eq!(m.failure_count(NodeId(0)), 1);
+        assert_eq!(m.failures[0], 1);
         assert_accounting(&m);
 
         // ...and a request from a worker still holding a lease
@@ -1177,7 +1197,7 @@ mod tests {
             Message::Wait { .. }
         ));
         assert_eq!((m.deferred_tasks().len(), m.lease_views().len()), (1, 0));
-        assert_eq!(m.failure_count(NodeId(0)), 2);
+        assert_eq!(m.failures[0], 2);
         assert_accounting(&m);
 
         // Jump past the doubled backoff and drive the dag to
@@ -1676,7 +1696,7 @@ mod tests {
             },
         );
         assert_eq!(m.lease_views().len(), 0);
-        assert_eq!(m.failure_count(NodeId(0)), 1);
+        assert_eq!(m.failures[0], 1);
         assert_accounting(&m);
     }
 

@@ -145,9 +145,7 @@ impl<L: Leases> LeaseMachine<'_, '_, L> {
             self.emit(fx, EventKind::Speculated, now_us, FED_CLIENT, Some(v));
         }
         // (Otherwise: a stub, claimed by the federation at the header.)
-        if self.complete(v, FED_CLIENT, now_us, fx) {
-            self.remote.completions += 1;
-        }
+        self.complete(v, FED_CLIENT, now_us, fx);
     }
 
     /// Re-attempt queued remote completions until a pass applies none.

@@ -216,10 +216,18 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
             ensure_slot(&mut m.workers, &declared, i, 0)?;
         }
         let deadline = m.lease_deadline(now_us);
+        // The client of the previous event, when that was a `resume`.
+        let mut resuming = None;
         for ev in events {
             let (step, client) = (ev.step, ev.client);
             let corrupt = |reason: String| RestoreError::Corrupt { step, reason };
             ensure_slot(&mut m.workers, &declared, client, step)?;
+            m.tally(ev.kind, client);
+            // One handshake writes a `resume` per lease the worker
+            // kept: an unbroken run of them for one client is one.
+            let resumed = (ev.kind == EventKind::Resumed).then_some(client);
+            m.resumes += usize::from(resumed.is_some() && resumed != resuming);
+            resuming = resumed;
             let Some(v) = ev.task else {
                 m.workers[client].waiting = true;
                 continue;
@@ -238,9 +246,7 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
             match ev.kind {
                 EventKind::Allocated | EventKind::Speculated => {
                     let speculative = ev.kind == EventKind::Speculated;
-                    if speculative {
-                        m.steals += 1;
-                    } else {
+                    if !speculative {
                         // A re-allocation of a backed-off task implies
                         // its backoff elapsed before the crash.
                         if let Some(pos) = m.deferred.iter().position(|&(_, d)| d == v) {
@@ -270,12 +276,10 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
                     m.state
                         .execute_counting(v)
                         .map_err(|_| corrupt(format!("completed task {v} was not ELIGIBLE")))?;
-                    m.completions += 1;
                 }
                 EventKind::Failed => {
                     close(&mut m.leases, "failure")?;
                     m.failures[v.index()] += 1;
-                    m.failure_events += 1;
                     if !m.leases.has_holder(v) {
                         // Ready immediately: the recovered server's
                         // first request promotes it, which is at least
@@ -283,13 +287,10 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
                         m.deferred.push((now_us, v));
                     }
                 }
-                EventKind::Revoked => {
-                    close(&mut m.leases, "revocation")?;
-                    m.revokes += 1;
-                }
-                EventKind::Resumed => m.resumes += 1,
-                // An idle event names no task: handled above.
-                EventKind::Idle => {}
+                EventKind::Revoked => close(&mut m.leases, "revocation")?,
+                // A resume moves no lease; an idle event names no
+                // task and was handled above.
+                EventKind::Resumed | EventKind::Idle => {}
             }
         }
 
@@ -430,6 +431,72 @@ mod tests {
         };
         assert!(done(&mut r, &mut sink2, 0, tasks[0], true, 40));
         assert!(r.is_complete());
+    }
+
+    /// One handshake, one resume — live and after a crash alike. The
+    /// live machine writes a `resume` event per lease the worker kept,
+    /// so a batch-3 worker's single reconnect leaves three of them.
+    #[test]
+    fn restore_counts_a_resume_once_however_many_leases_it_kept() {
+        let g = from_arcs(3, &[]).unwrap();
+        let policy = Policy::Fifo;
+        let cfg = || {
+            ServerConfig::builder()
+                .lease_ms(10_000)
+                .expect_workers(1)
+                .batch(3)
+                .build()
+        };
+        let mut sink = MemorySink::new();
+        let mut m = LeaseMachine::new(&g, &policy, cfg());
+        boot(&mut m, &mut sink);
+        let welcome = drive(
+            &mut m,
+            &mut sink,
+            Event::Hello {
+                id: "batcher".into(),
+                speed: 1.0,
+                proto: PROTO_V2,
+                resume: None,
+                now_us: 0,
+            },
+        );
+        let Message::Welcome { resume: token, .. } = &welcome[0] else {
+            panic!("expected a welcome, got {welcome:?}");
+        };
+        let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 3, 0) else {
+            panic!("the whole dag fits one batch");
+        };
+        assert_eq!(tasks.len(), 3);
+        let (worker, epoch) = (0, 0);
+        m.step(Event::Sever {
+            worker,
+            epoch,
+            now_us: 5,
+        });
+        let back = drive(
+            &mut m,
+            &mut sink,
+            Event::Hello {
+                id: "batcher".into(),
+                speed: 1.0,
+                proto: PROTO_V2,
+                resume: token.clone(),
+                now_us: 10,
+            },
+        );
+        assert!(
+            matches!(&back[0], Message::Welcome { tasks, .. } if tasks.len() == 3),
+            "{back:?}"
+        );
+        assert_eq!(m.summary(10).resumes, 1, "one handshake");
+
+        let trace = sink.into_trace().unwrap();
+        let resumed = |e: &&TraceEvent| e.kind == EventKind::Resumed;
+        assert_eq!(trace.events.iter().filter(resumed).count(), 3);
+        let r =
+            LeaseMachine::restore(&g, &policy, cfg(), &trace.header, &trace.events, 10).unwrap();
+        assert_eq!(r.summary(10).resumes, m.summary(10).resumes);
     }
 
     /// After the resume window closes, an unknown token no longer

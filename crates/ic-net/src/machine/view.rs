@@ -81,12 +81,6 @@ impl<'d, L: Leases> LeaseMachine<'_, 'd, L> {
         self.workers.get(worker).map(|w| w.id.as_str())
     }
 
-    /// Failure count of one task (lease expiries, forfeits, reported
-    /// failures).
-    pub fn failure_count(&self, v: NodeId) -> u32 {
-        self.failures.get(v.index()).copied().unwrap_or(0)
-    }
-
     /// Trace events emitted so far.
     pub fn trace_steps(&self) -> u64 {
         self.step

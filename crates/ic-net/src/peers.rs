@@ -8,9 +8,13 @@
 //! [`Peers::dial`] (a `Redial` timer fired), [`Peers::on_frame`],
 //! [`Peers::link_down`], [`Peers::recorded`] (a local task finished),
 //! [`Peers::drained`] (the dag did) and [`Peers::tally`]. A standalone
-//! server is a federation of one: nobody to dial, notify or wait for,
-//! so the serve path has one shape. The shard with the larger index
-//! dials a link and owns its reconnects.
+//! server is a federation of one ([`Peers::standalone`]): nobody to
+//! dial, notify or wait for, so the serve path has one shape. The
+//! shard with the larger index dials a link and owns its reconnects.
+//!
+//! Which shard this is, of how many, and the local↔global id map come
+//! from the trace header's [`FedMeta`]; [`FedConfig`] adds only what
+//! that does not say. Every launcher redials at the one [`REDIAL_MS`].
 
 use std::collections::{HashMap, HashSet};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -19,23 +23,22 @@ use std::time::Duration;
 use crate::reactor::{ConnId, ConnState, Deadline, Io};
 use crate::server::ServeReport;
 use crate::wire::{Message, PROTO_V3};
-use ic_sim::trace::{EventKind, TraceEvent, FED_CLIENT};
+use ic_sim::trace::{EventKind, FedMeta, TraceEvent, FED_CLIENT};
 
-/// Federation wiring for one shard's reactor: who the peers are, which
-/// local completions they must hear about, and how global task ids map
-/// into this shard's sub-dag. Built by `ic-fed` from a partition plan;
-/// pass to [`Reactor::set_fed`](crate::reactor::Reactor::set_fed)
-/// together with the trace-level
-/// [`FedMeta`](ic_sim::trace::FedMeta).
-#[derive(Debug, Clone)]
+/// Delay between reconnect attempts for dialer-owned links.
+const REDIAL_MS: u64 = 100;
+
+/// After completing, keep serving peers for at most this long while
+/// waiting for every peer's `peer-drain` (safety valve against a
+/// partner that died mid-federation).
+const LINGER_MS: u64 = 5_000;
+
+/// What one shard's reactor must know beyond its [`FedMeta`]: where
+/// the peers listen and which local completions they must hear about.
+/// Built by `ic-fed` from a partition plan; pass both to
+/// [`Reactor::set_fed`](crate::reactor::Reactor::set_fed).
+#[derive(Debug, Clone, Default)]
 pub struct FedConfig {
-    /// This reactor's shard index.
-    pub shard: u64,
-    /// Total shard count in the federation.
-    pub shards: u64,
-    /// Node count of the *global* (pre-partition) dag; peers
-    /// cross-check it in `peer-hello` to refuse mismatched plans.
-    pub global_nodes: u64,
     /// Every other shard's `(shard, addr)`. The reactor dials peers
     /// with a smaller shard index and owns their reconnects; peers
     /// with a larger index dial us.
@@ -43,43 +46,26 @@ pub struct FedConfig {
     /// Local task id → peer shards to notify when a real (non-remote)
     /// completion of that task lands here.
     pub notify: HashMap<u64, Vec<u64>>,
-    /// Global task id → local task id, for incoming `remote-done`.
-    pub from_global: HashMap<u64, u64>,
-    /// Local task id → global task id, for outgoing `remote-done`.
-    pub to_global: Vec<u64>,
-    /// After completing, keep serving peers for at most this long
-    /// while waiting for every peer's `peer-drain` (safety valve
-    /// against a partner that died mid-federation).
-    pub linger_ms: u64,
-    /// Delay between reconnect attempts for dialer-owned links.
-    pub redial_ms: u64,
     /// Test hook: after this many `remote-done` sends, sever every
     /// peer link once (reconnects then replay the backlog).
     pub sever_link_after: Option<usize>,
 }
 
-impl FedConfig {
-    /// A config for `shard` of `shards` over a `global_nodes`-node dag
-    /// with default timing knobs and no sever hook.
-    pub fn new(shard: u64, shards: u64, global_nodes: u64) -> FedConfig {
-        FedConfig {
-            shard,
-            shards,
-            global_nodes,
-            peers: Vec::new(),
-            notify: HashMap::new(),
-            from_global: HashMap::new(),
-            to_global: Vec::new(),
-            linger_ms: 5_000,
-            redial_ms: 100,
-            sever_link_after: None,
-        }
-    }
-}
-
-/// One shard's peer links: a [`FedConfig`] and the live state beside
-/// it.
+/// One shard's peer links: its identity from the [`FedMeta`], its
+/// [`FedConfig`], and the live state beside them.
+#[derive(Default)]
 pub(crate) struct Peers {
+    /// This reactor's shard index.
+    shard: u64,
+    /// Total shard count in the federation.
+    shards: u64,
+    /// Node count of the *global* (pre-partition) dag; peers
+    /// cross-check it in `peer-hello` to refuse mismatched plans.
+    global_nodes: u64,
+    /// Local task id → global task id, for outgoing `remote-done`.
+    to_global: Vec<u64>,
+    /// Its inverse, for incoming `remote-done`.
+    from_global: HashMap<u64, u64>,
     cfg: FedConfig,
     /// Peer shard → live connection, if the link is up.
     links: HashMap<u64, ConnId>,
@@ -106,30 +92,36 @@ pub(crate) struct Peers {
 }
 
 impl Peers {
-    /// The peer state of one shard. The first dial of every link it
-    /// owns rides the wheel, like every redial after it.
-    pub(crate) fn new(cfg: FedConfig, io: &mut Io) -> Peers {
+    /// A federation of one: no peer to dial, notify or wait for.
+    pub(crate) fn standalone() -> Peers {
+        Peers {
+            shards: 1,
+            ..Peers::default()
+        }
+    }
+
+    /// The peer state of shard `meta.shard`. The first dial of every
+    /// link it owns rides the wheel, like every redial after it.
+    pub(crate) fn new(meta: &FedMeta, cfg: FedConfig, io: &mut Io) -> Peers {
         let now = io.clock.now_us();
-        for &(peer, _) in cfg.peers.iter().filter(|&&(p, _)| p < cfg.shard) {
+        for &(peer, _) in cfg.peers.iter().filter(|&&(p, _)| p < meta.shard) {
             io.wheel.schedule(now, Deadline::Redial { peer });
         }
+        let locals = 0..meta.to_global.len() as u64;
         Peers {
+            shard: meta.shard,
+            shards: meta.shards,
+            global_nodes: u64::try_from(meta.global_nodes).unwrap_or(u64::MAX),
+            from_global: meta.to_global.iter().copied().zip(locals).collect(),
+            to_global: meta.to_global.clone(),
             cfg,
-            links: HashMap::new(),
-            linked_once: HashSet::new(),
-            drained: HashSet::new(),
-            sent_log: Vec::new(),
-            tx: 0,
-            rx: 0,
-            reconnects: 0,
-            remote_sends: 0,
-            drain_sent: false,
+            ..Peers::default()
         }
     }
 
     /// A `Redial` timer fired: dial `peer` unless its link came up
     /// meanwhile (timers are lazy); on failure — or a poller that
-    /// cannot adopt sockets — try again in `redial_ms`.
+    /// cannot adopt sockets — try again in [`REDIAL_MS`].
     pub(crate) fn dial(&mut self, peer: u64, io: &mut Io) {
         if self.links.contains_key(&peer) {
             return;
@@ -149,8 +141,7 @@ impl Peers {
     }
 
     fn redial_later(&self, peer: u64, io: &mut Io) {
-        let delay_us = self.cfg.redial_ms.max(1).saturating_mul(1000);
-        let at = io.clock.now_us().saturating_add(delay_us);
+        let at = io.clock.now_us().saturating_add(REDIAL_MS * 1000);
         io.wheel.schedule(at, Deadline::Redial { peer });
     }
 
@@ -178,10 +169,10 @@ impl Peers {
                 // index dialed us): accept only a hello that matches
                 // our own plan exactly.
                 let matches = proto == PROTO_V3
-                    && shards == self.cfg.shards
-                    && nodes == self.cfg.global_nodes
+                    && shards == self.shards
+                    && nodes == self.global_nodes
                     && shard < shards
-                    && shard != self.cfg.shard;
+                    && shard != self.shard;
                 if !matches {
                     io.send(id, &Message::error("peer-hello does not match this shard"));
                     return Err(());
@@ -194,9 +185,9 @@ impl Peers {
             // Map the global id into this shard's sub-dag; a task we
             // neither host nor consume is ignored (replayed backlog
             // can overshoot after a plan-side filter).
-            Message::RemoteDone { task, .. } => Ok(self.cfg.from_global.get(&task).copied()),
+            Message::RemoteDone { task, .. } => Ok(self.from_global.get(&task).copied()),
             Message::PeerDrain { shard } => {
-                if shard < self.cfg.shards && shard != self.cfg.shard {
+                if shard < self.shards && shard != self.shard {
                     self.drained.insert(shard);
                 }
                 Ok(None)
@@ -219,11 +210,11 @@ impl Peers {
             }
         }
         self.reconnects += usize::from(!self.linked_once.insert(peer));
-        let shard = self.cfg.shard;
+        let shard = self.shard;
         let hello = Message::PeerHello {
             shard,
-            shards: self.cfg.shards,
-            nodes: self.cfg.global_nodes,
+            shards: self.shards,
+            nodes: self.global_nodes,
             proto: PROTO_V3,
         };
         let wanted = |v: &u64| self.cfg.notify.get(v).is_some_and(|d| d.contains(&peer));
@@ -243,7 +234,7 @@ impl Peers {
         if self.links.get(&peer) == Some(&id) {
             self.links.remove(&peer);
         }
-        if peer < self.cfg.shard {
+        if peer < self.shard {
             self.redial_later(peer, io);
         }
     }
@@ -252,10 +243,10 @@ impl Peers {
     fn remote_done(&self, local: u64) -> Message {
         let global = usize::try_from(local)
             .ok()
-            .and_then(|i| self.cfg.to_global.get(i).copied());
+            .and_then(|i| self.to_global.get(i).copied());
         Message::RemoteDone {
             task: global.unwrap_or(local),
-            shard: self.cfg.shard,
+            shard: self.shard,
         }
     }
 
@@ -309,15 +300,15 @@ impl Peers {
     pub(crate) fn drained(&mut self, waited_us: u64, io: &mut Io) -> bool {
         if !self.drain_sent {
             self.drain_sent = true;
-            let shard = self.cfg.shard;
+            let shard = self.shard;
             let drain = Message::PeerDrain { shard };
             let targets: Vec<ConnId> = self.links.values().copied().collect();
             for id in targets {
                 self.send(id, &drain, io);
             }
         }
-        let all = self.drained.len() as u64 + 1 >= self.cfg.shards;
-        all || waited_us >= self.cfg.linger_ms.saturating_mul(1000)
+        let all = self.drained.len() as u64 + 1 >= self.shards;
+        all || waited_us >= LINGER_MS * 1000
     }
 
     /// The machine's report with this shard's peer-link tallies.

@@ -38,7 +38,8 @@
 //!
 //! The wheel is never cancelled (see [`crate::timer`]): every lease
 //! grant, resume, and heartbeat renewal schedules a fresh
-//! [`Deadline::Lease`] at its new deadline, and a firing whose lease
+//! [`Deadline::Lease`] at the deadline the machine recorded (the reactor
+//! keeps no `ServerConfig` of its own), and a firing whose lease
 //! was meanwhile completed, forfeited, renewed, or revoked steps an
 //! `Event::Expire` that the machine ignores by its
 //! `deadline_us <= now_us` guard. Stale firings are cheap no-ops;
@@ -102,9 +103,9 @@ impl Clock for MonotonicClock {
 }
 
 /// A hand-cranked [`Clock`] for deterministic drivers: time moves only
-/// through [`advance`](ManualClock::advance) /
-/// [`set`](ManualClock::set). Clones share the same underlying time,
-/// so a test keeps one handle while the reactor owns another.
+/// through [`advance`](ManualClock::advance). Clones share the same
+/// underlying time, so a test keeps one handle while the reactor owns
+/// another.
 #[derive(Debug, Clone, Default)]
 pub struct ManualClock(Arc<AtomicU64>);
 
@@ -117,11 +118,6 @@ impl ManualClock {
     /// Move time forward by `us` microseconds.
     pub fn advance(&self, us: u64) {
         self.0.fetch_add(us, Ordering::SeqCst);
-    }
-
-    /// Jump to an absolute time (ignored if it would move backwards).
-    pub fn set(&self, us: u64) {
-        self.0.fetch_max(us, Ordering::SeqCst);
     }
 }
 
@@ -187,8 +183,8 @@ pub trait Poller {
 /// A sharded hash table keyed by [`ConnId`], used for the reactor's
 /// connection state and the pollers' link tables. Sharding keeps
 /// each underlying map small (cheaper rehashing at 10k-connection
-/// scale) and gives iteration a natural batch structure; the shard
-/// count is a [`ServerConfig::shards`] knob.
+/// scale) and gives iteration a natural batch structure; the server
+/// runs every table at `TABLE_SHARDS`.
 #[derive(Debug)]
 pub struct ShardedTable<V> {
     shards: Vec<HashMap<ConnId, V>>,
@@ -252,6 +248,15 @@ impl<V> ShardedTable<V> {
     }
 }
 
+/// Shard count of the server's connection tables (the reactor's and
+/// the TCP poller's). A constant until ROADMAP 4(d) decides whether
+/// sharding stays at all.
+const TABLE_SHARDS: usize = 8;
+
+/// Longest one poll may park when nothing arrives: the latency cap on
+/// timer processing (lease expiry, redials, the drain check).
+const POLL_TIMEOUT: Duration = Duration::from_millis(5);
+
 /// What a wheel timer means when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Deadline {
@@ -288,10 +293,10 @@ impl Driver {
     }
 
     /// The production driver: wall-clock time over nonblocking TCP.
-    pub fn tcp(listener: TcpListener, cfg: &ServerConfig) -> io::Result<Driver> {
+    pub fn tcp(listener: TcpListener) -> io::Result<Driver> {
         Ok(Driver {
             clock: Box::new(MonotonicClock::new()),
-            poller: Box::new(TcpPoller::new(listener, cfg.shards)?),
+            poller: Box::new(TcpPoller::new(listener, TABLE_SHARDS)?),
         })
     }
 
@@ -370,7 +375,6 @@ impl Io {
 /// drive with [`Reactor::run_until_drain`].
 pub struct Reactor<'a> {
     machine: LeaseMachine<'a, 'a>,
-    cfg: ServerConfig,
     io: Io,
     /// Peer links to the other shards.
     peers: Peers,
@@ -389,8 +393,7 @@ impl<'a> Reactor<'a> {
         cfg: ServerConfig,
         driver: Driver,
     ) -> Reactor<'a> {
-        let machine = LeaseMachine::new(dag, policy, cfg.clone());
-        Reactor::from_machine(machine, cfg, driver)
+        Reactor::from_machine(LeaseMachine::new(dag, policy, cfg), driver)
     }
 
     /// A reactor over an already-built machine. Every outstanding
@@ -401,26 +404,19 @@ impl<'a> Reactor<'a> {
     /// (the crash-recovery entry point, [`crate::recovery`]) holds the
     /// crashed run's, so a worker that never resumes forfeits on the
     /// usual clock and its tasks are reallocated.
-    pub fn from_machine(
-        machine: LeaseMachine<'a, 'a>,
-        cfg: ServerConfig,
-        driver: Driver,
-    ) -> Reactor<'a> {
+    pub fn from_machine(machine: LeaseMachine<'a, 'a>, driver: Driver) -> Reactor<'a> {
         let now = driver.clock.now_us();
-        let mut io = Io {
+        let io = Io {
             clock: driver.clock,
             poller: driver.poller,
             wheel: TimerWheel::new(now),
-            conns: ShardedTable::new(cfg.shards),
+            conns: ShardedTable::new(TABLE_SHARDS),
             out: Vec::new(),
         };
-        // A federation of one until `set_fed` says otherwise.
-        let peers = Peers::new(FedConfig::new(0, 1, 0), &mut io);
         let mut reactor = Reactor {
             machine,
-            cfg,
             io,
-            peers,
+            peers: Peers::standalone(),
         };
         for lease in reactor.machine.lease_views() {
             reactor.arm_lease(lease.worker, lease.task.index() as u64, now);
@@ -428,15 +424,15 @@ impl<'a> Reactor<'a> {
         reactor
     }
 
-    /// Enroll this reactor in a federation: `meta` stamps the shard's
-    /// trace header and tells the machine which nodes are stubs and
-    /// replicas; `fed` tells the reactor who its peers are and which
-    /// completions to forward. Call before
-    /// [`run_until_drain`](Reactor::run_until_drain), whose first
-    /// round dials the links this shard owns.
+    /// Enroll this reactor in a federation: `meta` says which shard
+    /// this is, stamps its trace header and tells the machine which
+    /// nodes are stubs and replicas; `fed` adds what the header does
+    /// not record — where the peers listen and which completions to
+    /// forward. Call before [`run_until_drain`](Reactor::run_until_drain),
+    /// whose first round dials the links this shard owns.
     pub fn set_fed(&mut self, meta: ic_sim::trace::FedMeta, fed: FedConfig) {
+        self.peers = Peers::new(&meta, fed, &mut self.io);
         self.machine.set_fed(meta);
-        self.peers = Peers::new(fed, &mut self.io);
     }
 
     /// Serve until the dag completes and the drain grace expires (or
@@ -451,8 +447,7 @@ impl<'a> Reactor<'a> {
         let fx = self.machine.boot(now);
         self.perform(fx, now, None, sink);
 
-        let poll_timeout = Duration::from_millis(self.cfg.poll_timeout_ms.max(1));
-        let drain_grace_us = self.cfg.lease_ms.max(250).saturating_mul(1000);
+        let drain_grace_us = self.machine.lease_us().max(250_000);
         let mut done_at: Option<u64> = None;
         let mut drained = false;
         let mut events: Vec<IoEvent> = Vec::new();
@@ -468,7 +463,7 @@ impl<'a> Reactor<'a> {
             }
 
             events.clear();
-            self.io.poller.poll(poll_timeout, &mut events)?;
+            self.io.poller.poll(POLL_TIMEOUT, &mut events)?;
             for ev in events.drain(..) {
                 match ev {
                     IoEvent::Open(id) => {
@@ -634,11 +629,10 @@ impl<'a> Reactor<'a> {
     }
 
     /// Schedule the expiry timer for a lease granted or renewed at
-    /// `now_us` — the machine computed `now_us + lease_ms` as its
-    /// deadline, and the wheel rounds up, so the firing can never be
-    /// early.
+    /// `now_us`, at the deadline the machine itself recorded for it;
+    /// the wheel rounds up, so the firing can never be early.
     fn arm_lease(&mut self, worker: usize, task: u64, now_us: u64) {
-        let deadline = now_us.saturating_add(self.cfg.lease_ms.saturating_mul(1000));
+        let deadline = self.machine.lease_deadline(now_us);
         self.io
             .wheel
             .schedule(deadline, Deadline::Lease { worker, task });
@@ -843,7 +837,7 @@ const NAP_MIN: Duration = Duration::from_micros(50);
 /// raw `epoll` to block on; instead each `poll` scans the (sharded)
 /// connection table with nonblocking reads and sleeps an *adaptive*
 /// backoff when nothing is ready — microseconds under load, decaying
-/// to the configured poll timeout when idle. At harness scale
+/// to the caller's poll timeout when idle. At harness scale
 /// (thousands of connections, most with pending frames) the scan is
 /// the same work epoll would have delivered; the backoff only matters
 /// at the quiet tail.
@@ -1026,7 +1020,7 @@ pub struct LoopbackHandle {
 }
 
 /// A paired loopback poller and its connection factory; `shards`
-/// mirrors [`ServerConfig::shards`].
+/// sizes its link table, as it does [`TcpPoller::new`]'s.
 pub fn loopback(shards: usize) -> (LoopbackPoller, LoopbackHandle) {
     let (tx, rx) = channel();
     (
@@ -1108,7 +1102,6 @@ impl LoopbackHandle {
             tx: self.tx.clone(),
             rx,
             dec: Decoder::new(),
-            closed: false,
         }
     }
 }
@@ -1121,15 +1114,9 @@ pub struct LoopbackConn {
     tx: Sender<LoopCmd>,
     rx: Receiver<Vec<u8>>,
     dec: Decoder,
-    closed: bool,
 }
 
 impl LoopbackConn {
-    /// This connection's id on the poller side.
-    pub fn id(&self) -> ConnId {
-        self.id
-    }
-
     /// Send one message to the reactor.
     pub fn send(&self, msg: &Message) -> io::Result<()> {
         let mut frame = Vec::new();
@@ -1185,10 +1172,7 @@ impl LoopbackConn {
 
 impl Drop for LoopbackConn {
     fn drop(&mut self) {
-        if !self.closed {
-            self.closed = true;
-            let _ = self.tx.send(LoopCmd::Close { id: self.id });
-        }
+        let _ = self.tx.send(LoopCmd::Close { id: self.id });
     }
 }
 
@@ -1265,7 +1249,7 @@ mod tests {
     /// An accepted `done` resolves its lease, so its ack arms nothing;
     /// an accepted heartbeat renews one, so its ack must. A `Wait`
     /// arms nothing either: the steal clock is read inside the next
-    /// `request`, and the loop wakes every `poll_timeout_ms` anyway.
+    /// `request`, and the loop wakes every `POLL_TIMEOUT` anyway.
     #[test]
     fn a_completed_task_leaves_no_timer_and_a_heartbeat_arms_one() {
         assert_eq!(timers_left(false, false), 0, "one dead timer per done ack");

@@ -33,17 +33,15 @@
 //! # let dag = ic_dag::builder::from_arcs(1, &[])?;
 //! # let policy = ic_sched::heuristics::Policy::Fifo;
 //! # let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
-//! let cfg = ServerConfig::default();
 //! let recovery = Recovery::replay(
 //!     &dag,
 //!     &policy,
-//!     cfg.clone(),
+//!     ServerConfig::default(),
 //!     RecoveryConfig::default(),
 //!     "run.trace",
 //! )?;
 //! println!("{}", recovery.report().events_replayed);
-//! let driver = Driver::tcp(listener, &cfg)?;
-//! let mut reactor = recovery.into_reactor(driver);
+//! let mut reactor = recovery.into_reactor(Driver::tcp(listener)?);
 //! # let mut sink = ic_sim::trace::NullSink;
 //! reactor.run_until_drain(&mut sink)?;
 //! # Ok(())
@@ -63,9 +61,9 @@ use crate::machine::{micros, LeaseMachine, RestoreError};
 use crate::reactor::{Driver, Reactor};
 use crate::server::ServerConfig;
 
-/// Tunables of a recovery. Construct with [`RecoveryConfig::builder`]
+/// Tunables of a recovery: start from [`RecoveryConfig::default`]
 /// (the struct is `#[non_exhaustive]`: new knobs may appear without a
-/// breaking change), mirroring [`ServerConfig`].
+/// breaking change).
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct RecoveryConfig {
@@ -81,36 +79,6 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             resume_window_ms: 2_000,
         }
-    }
-}
-
-impl RecoveryConfig {
-    /// A builder starting from [`RecoveryConfig::default`].
-    pub fn builder() -> RecoveryConfigBuilder {
-        RecoveryConfigBuilder {
-            cfg: RecoveryConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`RecoveryConfig`]; every knob defaults as in
-/// [`RecoveryConfig::default`].
-#[derive(Debug, Clone)]
-pub struct RecoveryConfigBuilder {
-    cfg: RecoveryConfig,
-}
-
-impl RecoveryConfigBuilder {
-    /// Resume-window length in milliseconds (0 disables id-matched
-    /// resumes entirely — every recovered lease waits out its expiry).
-    pub fn resume_window(mut self, ms: u64) -> Self {
-        self.cfg.resume_window_ms = ms;
-        self
-    }
-
-    /// Finish the build.
-    pub fn build(self) -> RecoveryConfig {
-        self.cfg
     }
 }
 
@@ -211,7 +179,6 @@ impl From<RestoreError> for RecoverError {
 /// [`Driver`] with [`Recovery::into_reactor`] to go live.
 pub struct Recovery<'a> {
     machine: LeaseMachine<'a, 'a>,
-    cfg: ServerConfig,
     rcfg: RecoveryConfig,
     report: RecoverReport,
     /// The synthetic restore instant: the crashed run's last recorded
@@ -261,7 +228,7 @@ impl<'a> Recovery<'a> {
         let machine = LeaseMachine::restore(
             dag,
             policy,
-            cfg.clone(),
+            cfg,
             &trace.header,
             &trace.events,
             resumed_at_us,
@@ -276,7 +243,6 @@ impl<'a> Recovery<'a> {
         };
         Ok(Recovery {
             machine,
-            cfg,
             rcfg,
             report,
             resumed_at_us,
@@ -363,7 +329,7 @@ impl<'a> Recovery<'a> {
         self.machine
             .await_resumes(self.resumed_at_us.saturating_add(window_us));
         let driver = driver.offset(self.resumed_at_us);
-        Reactor::from_machine(self.machine, self.cfg, driver)
+        Reactor::from_machine(self.machine, driver)
     }
 }
 

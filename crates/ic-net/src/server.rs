@@ -107,13 +107,6 @@ pub struct ServerConfig {
     /// speculative duplicate of it. `None` (the default) disables
     /// stealing.
     pub steal_after_ms: Option<u64>,
-    /// Upper bound on how long one reactor iteration may park waiting
-    /// for I/O, in milliseconds. This caps the latency of timer
-    /// processing (lease expiry, drain checks) when no frames arrive.
-    pub poll_timeout_ms: u64,
-    /// Shard count of the reactor's connection tables (rounded up to a
-    /// power of two). Larger fleets benefit from more shards.
-    pub shards: usize,
 }
 
 impl Default for ServerConfig {
@@ -126,8 +119,6 @@ impl Default for ServerConfig {
             seed: 0x1C5EED,
             batch: 1,
             steal_after_ms: None,
-            poll_timeout_ms: 5,
-            shards: 8,
         }
     }
 }
@@ -192,18 +183,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Reactor poll timeout in milliseconds (clamped to at least 1).
-    pub fn poll_timeout(mut self, ms: u64) -> Self {
-        self.cfg.poll_timeout_ms = ms.max(1);
-        self
-    }
-
-    /// Connection-table shard count (clamped to at least 1).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.cfg.shards = shards.max(1);
-        self
-    }
-
     /// Finish the build.
     pub fn build(self) -> ServerConfig {
         self.cfg
@@ -232,7 +211,9 @@ pub struct ServeReport {
     /// incomplete — set `expect_workers` to avoid this.
     pub late_workers: usize,
     /// Successful reconnects: a worker presented a valid resume token
-    /// and kept its slot (and any held leases).
+    /// and kept its slot (and any held leases). After a crash restart
+    /// this is a lower bound: the WAL records a resume by the leases it
+    /// kept, so one that held none left no evidence to recover.
     pub resumes: usize,
     /// Speculative duplicate leases granted at the drain barrier.
     pub steals: usize,

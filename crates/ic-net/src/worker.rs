@@ -43,9 +43,8 @@ pub enum FaultPlan {
     /// exits — the slow-silent failure mode leases exist for.
     StallAfter(usize),
     /// Completes this many tasks, then severs its TCP connection while
-    /// holding an assignment — and (if reconnecting is enabled)
-    /// reconnects with `hello{resume}` to pick its leases back up. The
-    /// sever happens once.
+    /// holding an assignment and reconnects with `hello{resume}` to
+    /// pick its leases back up. The sever happens once.
     SeverAfter(usize),
 }
 
@@ -68,10 +67,6 @@ pub struct WorkerConfig {
     /// Batch appetite: the `max` sent with each `request` (clamped
     /// to at least 1).
     pub batch: u64,
-    /// Whether a severed connection is re-established with the resume
-    /// token. Disabled, [`FaultPlan::SeverAfter`] behaves like
-    /// [`FaultPlan::DieAfter`].
-    pub reconnect: bool,
     /// Crash-restart retry interval, in milliseconds. When non-zero, a
     /// transport failure mid-run (the signature of a server crash)
     /// makes the worker redial every `retry_ms` for up to
@@ -97,7 +92,6 @@ impl Default for WorkerConfig {
             fault: FaultPlan::None,
             seed: 1,
             batch: 1,
-            reconnect: true,
             retry_ms: 0,
         }
     }
@@ -153,12 +147,6 @@ impl WorkerConfigBuilder {
     /// Batch appetite (clamped to at least 1).
     pub fn batch(mut self, batch: u64) -> Self {
         self.cfg.batch = batch.max(1);
-        self
-    }
-
-    /// Whether to resume after a severed connection.
-    pub fn reconnect(mut self, yes: bool) -> Self {
-        self.cfg.reconnect = yes;
         self
     }
 
@@ -355,13 +343,8 @@ fn step_once(
         }
         Action::Sever => {
             st.severed = true;
-            let token = if cfg.reconnect {
-                sess.token.take()
-            } else {
-                None
-            };
-            let Some(token) = token else {
-                // Reconnecting disabled: the sever is just a death.
+            let Some(token) = sess.token.take() else {
+                // Nothing to resume with: the sever is just a death.
                 return Ok(Some(WorkerReport {
                     worker: sess.worker,
                     completed: st.completed,

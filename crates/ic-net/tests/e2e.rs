@@ -29,7 +29,7 @@ fn bind<'a>(
 ) -> (Reactor<'a>, SocketAddr) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let driver = Driver::tcp(listener, &cfg).unwrap();
+    let driver = Driver::tcp(listener).unwrap();
     (Reactor::new(dag, policy, cfg, driver), addr)
 }
 
@@ -625,7 +625,6 @@ fn scale_smoke_256_flaky_workers_complete_audit_clean() {
         .wait_ms(5)
         .seed(77)
         .batch(2)
-        .shards(64)
         .build();
     let (mut server, addr) = bind(&mesh, &sched, cfg);
 
@@ -919,8 +918,7 @@ fn killed_server_recovers_from_its_wal_and_the_worker_resumes_across_restart() {
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr2 = listener.local_addr().unwrap();
-    let restart_cfg = cfg();
-    let driver = ic_net::Driver::tcp(listener, &restart_cfg).unwrap();
+    let driver = ic_net::Driver::tcp(listener).unwrap();
     let mut reactor = recovery.into_reactor(driver);
     // Append to the SAME file: the crash prefix and the recovered
     // suffix must audit as one run.

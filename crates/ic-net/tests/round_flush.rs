@@ -269,7 +269,7 @@ fn a_wal_that_cannot_be_written_stops_the_server_before_any_reply() {
     let cfg = ServerConfig::builder().expect_workers(1).seed(14).build();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let driver = Driver::tcp(listener, &cfg).unwrap();
+    let driver = Driver::tcp(listener).unwrap();
     let mut server = Reactor::new(&dag, &policy, cfg, driver);
     // Opens fine, every write fails with ENOSPC.
     let mut sink = ic_sim::FileSink::create("/dev/full").unwrap();

@@ -32,16 +32,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compare;
 pub mod json;
 pub mod metrics;
 pub mod server;
 pub mod trace;
 
-pub use compare::{compare_policies, summarize_policy, PolicySummary};
 pub use metrics::SimResult;
 pub use server::{simulate, simulate_traced, ClientProfile, SimConfig};
 pub use trace::{
-    EventKind, FedMeta, FileSink, MemorySink, NullSink, ReplayPolicy, Trace, TraceEvent,
-    TraceHeader, TraceSink, WorkerParams,
+    EventKind, FedMeta, FileSink, MemorySink, NullSink, Trace, TraceEvent, TraceHeader, TraceSink,
+    WorkerParams,
 };

@@ -77,41 +77,6 @@ impl Default for SimConfig {
     }
 }
 
-impl SimConfig {
-    /// A configuration reproducing the client population recorded in a
-    /// trace header: same client count, same seed, and the declared
-    /// per-client speed factors when the header carries them
-    /// ([`TraceHeader::workers`]). Combined with
-    /// [`crate::ReplayPolicy`], this re-drives a captured run's timing
-    /// — not just its order — from the trace file alone. Profile knobs
-    /// the header does not record (mean service, jitter, stragglers,
-    /// failures) keep their defaults; set them to the original run's
-    /// values when they differed.
-    pub fn for_replay(header: &TraceHeader) -> SimConfig {
-        let num_clients = header.clients.max(1);
-        let speed_factors = if header.workers.is_empty() {
-            None
-        } else {
-            let mut speeds = vec![1.0; num_clients];
-            for w in &header.workers {
-                if w.client < speeds.len() {
-                    speeds[w.client] = w.speed;
-                }
-            }
-            Some(speeds)
-        };
-        SimConfig {
-            clients: ClientProfile {
-                num_clients,
-                speed_factors,
-                ..ClientProfile::default()
-            },
-            seed: header.seed,
-            ..SimConfig::default()
-        }
-    }
-}
-
 /// Totally-ordered f64 for the event queue.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Time(f64);
@@ -544,21 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_policy_reproduces_a_run() {
-        use crate::trace::{MemorySink, ReplayPolicy};
-        let g = diamond();
-        let s = Schedule::in_id_order(&g);
-        let mut sink = MemorySink::new();
-        let cfg = SimConfig::default();
-        let original = simulate_traced(&g, &s, &cfg, &mut sink);
-        let trace = sink.into_trace().unwrap();
-        let replay = ReplayPolicy::from_trace(&trace);
-        let replayed = simulate(&g, &replay, &cfg);
-        assert_eq!(original.makespan, replayed.makespan);
-        assert_eq!(original.completions, replayed.completions);
-    }
-
-    #[test]
     fn header_records_declared_worker_speeds() {
         use crate::trace::MemorySink;
         let g = diamond();
@@ -571,46 +521,5 @@ mod tests {
         assert_eq!(trace.header.workers.len(), 2);
         assert_eq!(trace.header.workers[1].speed, 2.5);
         assert_eq!(trace.header.workers[0].id, "client-0");
-    }
-
-    #[test]
-    fn for_replay_reproduces_timing_from_the_header_alone() {
-        use crate::trace::{MemorySink, ReplayPolicy};
-        // Deterministic heterogeneous run: jitter off, speeds 1 and 3.
-        let g = from_arcs(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]).unwrap();
-        let s = Schedule::in_id_order(&g);
-        let mut cfg = quiet_cfg(11);
-        cfg.clients.speed_factors = Some(vec![1.0, 3.0]);
-        let mut sink = MemorySink::new();
-        let original = simulate_traced(&g, &s, &cfg, &mut sink);
-        let trace = sink.into_trace().unwrap();
-
-        // Rebuild the client population purely from the header.
-        let mut replay_cfg = SimConfig::for_replay(&trace.header);
-        replay_cfg.clients.jitter = 0.0;
-        replay_cfg.clients.straggler_prob = 0.0;
-        assert_eq!(replay_cfg.clients.speed_factors, Some(vec![1.0, 3.0]));
-        let replayed = simulate(&g, &ReplayPolicy::from_trace(&trace), &replay_cfg);
-        assert_eq!(original.makespan, replayed.makespan);
-    }
-
-    #[test]
-    fn flaky_trace_replays_failure_free_without_divergence() {
-        use crate::trace::{MemorySink, ReplayPolicy};
-        // Record a run that loses tasks (40% failure rate) ...
-        let g = diamond();
-        let s = Schedule::in_id_order(&g);
-        let mut cfg = quiet_cfg(9);
-        cfg.clients.failure_prob = 0.4;
-        let mut sink = MemorySink::new();
-        let flaky = simulate_traced(&g, &s, &cfg, &mut sink);
-        let trace = sink.into_trace().unwrap();
-        assert!(flaky.failures > 0, "seed 9 at 40% should produce failures");
-        // ... then replay its allocation order in a failure-free world:
-        // the recorded re-allocations are skipped, not flagged.
-        let clean_cfg = quiet_cfg(9);
-        let replayed = simulate(&g, &ReplayPolicy::from_trace(&trace), &clean_cfg);
-        assert_eq!(replayed.completions, 4);
-        assert_eq!(replayed.failures, 0);
     }
 }

@@ -12,7 +12,6 @@
 //! verify that the *run* — not just a static order — respected
 //! eligibility and tracked the optimal envelope.
 
-use std::cell::Cell;
 use std::fmt::{self, Write as _};
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -20,7 +19,6 @@ use std::path::Path;
 use ic_dag::builder::from_arcs;
 use ic_dag::error::DagError;
 use ic_dag::{Dag, NodeId};
-use ic_sched::policy::{AllocationPolicy, PolicyContext};
 
 use crate::json::{self, Json};
 
@@ -34,10 +32,8 @@ use crate::json::{self, Json};
 pub const TRACE_VERSION: u32 = 3;
 
 /// Declared service parameters of one client, recorded in the trace
-/// header so a replay can reproduce the run's *timing*, not just its
-/// order: [`crate::SimConfig::for_replay`] rebuilds a client population
-/// from these, and observed per-task service times are recoverable from
-/// the event stream via [`Trace::observed_service_times`].
+/// header: crash recovery gives a rebuilt worker slot its declared id
+/// back, which is how a surviving worker reclaims it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerParams {
     /// The client slot this worker occupies (the `client` of its
@@ -584,42 +580,6 @@ impl Trace {
             .collect()
     }
 
-    /// Per-client *observed* service times: for every client slot, the
-    /// allocation→outcome duration of each task it served (completions
-    /// and failures alike, in event order). Together with the declared
-    /// [`TraceHeader::workers`] parameters this is what a replay needs
-    /// to reproduce the run's timing, not just its order.
-    pub fn observed_service_times(&self) -> Vec<Vec<f64>> {
-        let mut out = vec![Vec::new(); self.header.clients];
-        let mut open: Vec<(usize, NodeId, f64)> = Vec::new();
-        for ev in &self.events {
-            let Some(task) = ev.task else { continue };
-            let client = ev.client;
-            match ev.kind {
-                // A speculative duplicate lease opens a service
-                // interval of its own for the stealing client.
-                EventKind::Allocated | EventKind::Speculated => {
-                    if client >= out.len() {
-                        out.resize(client + 1, Vec::new());
-                    }
-                    open.push((client, task, ev.time));
-                }
-                // A revoked duplicate produced no outcome: its interval
-                // closes without recording a sample.
-                EventKind::Completed | EventKind::Failed | EventKind::Revoked => {
-                    if let Some(i) = open.iter().position(|&(c, t, _)| c == client && t == task) {
-                        let (_, _, start) = open.swap_remove(i);
-                        if ev.kind != EventKind::Revoked {
-                            out[client].push(ev.time - start);
-                        }
-                    }
-                }
-                EventKind::Idle | EventKind::Resumed => {}
-            }
-        }
-        out
-    }
-
     /// Serialize to JSONL: the header line, then one line per event.
     pub fn to_jsonl(&self) -> String {
         let mut out = self.header.to_json_line();
@@ -666,173 +626,74 @@ pub struct TraceRead {
     pub valid_bytes: u64,
 }
 
-/// The one streaming trace parser, shared by the audit replay, the
-/// federated trace merge, and crash recovery.
+/// The trace parser behind crash recovery (`ic-net`'s `Recovery`,
+/// `ic-prio recover`) and, strictly, [`Trace::from_jsonl`].
 ///
-/// Unlike the strict [`Trace::from_jsonl`] (which now delegates here),
-/// the reader tolerates exactly one *torn tail*: a final line that
-/// fails to parse as JSON, the signature of a process killed between
-/// the kernel accepting part of a `write(2)` and the rest. The torn
-/// line is dropped and reported (never silently) via
-/// [`TraceRead::torn`]; a JSON parse failure on any *non*-final line,
-/// and every semantic error (unknown event type, missing field,
-/// duplicate header) anywhere, stays a hard [`TraceParseError`] —
-/// truncation cannot produce a well-formed JSON object of the wrong
-/// shape, so those always mean a genuinely malformed file.
-pub struct TraceReader<'t> {
-    text: &'t str,
-    /// Byte offset of the next unread line.
-    pos: usize,
-    /// Lines handed out so far (1-based numbering for errors).
-    lineno: usize,
-    /// Byte offset just past the last successfully parsed line.
-    consumed: usize,
-    header: Option<TraceHeader>,
-    torn: Option<TornTail>,
-}
+/// It tolerates exactly one *torn tail*: a final line that fails to
+/// parse as JSON, the signature of a process killed between the kernel
+/// accepting part of a `write(2)` and the rest. The torn line is
+/// dropped and reported (never silently) via [`TraceRead::torn`]; a
+/// JSON parse failure on any *non*-final line, and every semantic
+/// error (unknown event type, missing field, duplicate header)
+/// anywhere, stays a hard [`TraceParseError`] — truncation cannot
+/// produce a well-formed JSON object of the wrong shape, so those
+/// always mean a genuinely malformed file.
+pub struct TraceReader;
 
-impl<'t> TraceReader<'t> {
-    /// A reader over the full text of a trace file.
-    pub fn new(text: &'t str) -> TraceReader<'t> {
-        TraceReader {
-            text,
-            pos: 0,
-            lineno: 0,
-            consumed: 0,
-            header: None,
-            torn: None,
-        }
-    }
-
-    /// One-shot convenience: stream the whole text into a
-    /// [`TraceRead`]. Errors exactly as [`Trace::from_jsonl`] does,
-    /// except that a torn tail is reported in the result instead.
-    pub fn read(text: &'t str) -> Result<TraceRead, TraceParseError> {
-        let mut reader = TraceReader::new(text);
+impl TraceReader {
+    /// Parse the full text of a trace file. Blank lines are ignored and
+    /// the first non-blank line must be the header.
+    pub fn read(text: &str) -> Result<TraceRead, TraceParseError> {
+        let mut header = None;
         let mut events = Vec::new();
-        while let Some(ev) = reader.next_event()? {
-            events.push(ev);
+        let mut torn = None;
+        // Byte offsets: the next unread line, and just past the last
+        // line that parsed.
+        let (mut pos, mut valid_bytes) = (0, 0);
+        let mut lineno = 0;
+        while pos < text.len() {
+            let end = text[pos..].find('\n').map_or(text.len(), |i| pos + i + 1);
+            let line = text[pos..end].trim();
+            pos = end;
+            lineno += 1;
+            if line.is_empty() {
+                valid_bytes = end;
+                continue;
+            }
+            let v = match json::parse(line) {
+                Ok(v) => v,
+                // Only the final line can be torn.
+                Err(message) if text[pos..].trim().is_empty() => {
+                    torn = Some(TornTail {
+                        line: lineno,
+                        message,
+                    });
+                    break;
+                }
+                Err(e) => return Err(err(lineno, e)),
+            };
+            valid_bytes = end;
+            let kind = v
+                .get("type")
+                .and_then(Json::as_str)
+                .ok_or_else(|| err(lineno, "missing \"type\" field"))?;
+            match (&header, kind) {
+                (None, "header") => header = Some(parse_header(&v, lineno)?),
+                (None, _) => return Err(err(lineno, "first line must be the trace header")),
+                (Some(_), "header") => return Err(err(lineno, "duplicate header")),
+                (Some(_), _) => events.push(parse_event(kind, &v, lineno)?),
+            }
         }
-        let valid_bytes = reader.consumed as u64;
-        let torn = reader.torn.take();
-        match reader.header.take() {
-            Some(header) => Ok(TraceRead {
+        match (header, torn) {
+            (Some(header), torn) => Ok(TraceRead {
                 trace: Trace { header, events },
                 torn,
-                valid_bytes,
+                valid_bytes: valid_bytes as u64,
             }),
             // No header at all: a torn first line carries the real
             // parse failure; otherwise the file is simply empty.
-            None => match torn {
-                Some(t) => Err(err(t.line, t.message)),
-                None => Err(err(0, "empty trace (no header line)")),
-            },
-        }
-    }
-
-    /// The header, parsing it on first call. Errors if the first
-    /// non-blank line is missing, torn, or not a header.
-    pub fn header(&mut self) -> Result<&TraceHeader, TraceParseError> {
-        if self.header.is_none() {
-            match self.next_json()? {
-                Some((lineno, v)) => {
-                    let kind = v
-                        .get("type")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| err(lineno, "missing \"type\" field"))?;
-                    if kind != "header" {
-                        return Err(err(lineno, "first line must be the trace header"));
-                    }
-                    self.header = Some(parse_header(&v, lineno)?);
-                }
-                None => {
-                    return Err(match self.torn.as_ref() {
-                        Some(t) => err(t.line, t.message.clone()),
-                        None => err(0, "empty trace (no header line)"),
-                    })
-                }
-            }
-        }
-        // The in-place re-borrow keeps the one `Option` authoritative.
-        self.header
-            .as_ref()
-            .ok_or_else(|| err(0, "empty trace (no header line)"))
-    }
-
-    /// The next typed event, or `None` at the end of the intact
-    /// prefix. Parses the header transparently on the first call; a
-    /// torn final line ends the stream (recorded in
-    /// [`TraceReader::torn`]) rather than erroring.
-    pub fn next_event(&mut self) -> Result<Option<TraceEvent>, TraceParseError> {
-        if self.header.is_none() {
-            self.header()?;
-        }
-        let Some((lineno, v)) = self.next_json()? else {
-            return Ok(None);
-        };
-        let kind = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| err(lineno, "missing \"type\" field"))?
-            .to_string();
-        if kind == "header" {
-            return Err(err(lineno, "duplicate header"));
-        }
-        parse_event(&kind, &v, lineno).map(Some)
-    }
-
-    /// The torn final line, once the stream has ended on one.
-    pub fn torn(&self) -> Option<&TornTail> {
-        self.torn.as_ref()
-    }
-
-    /// Byte length of the intact prefix parsed so far (see
-    /// [`TraceRead::valid_bytes`]).
-    pub fn valid_bytes(&self) -> u64 {
-        self.consumed as u64
-    }
-
-    /// The next non-blank line as parsed JSON; `None` at end of input
-    /// or on a torn tail (which is recorded, not returned). A line
-    /// that fails JSON parsing with further non-blank lines after it
-    /// is a hard error — only the final line can be torn.
-    fn next_json(&mut self) -> Result<Option<(usize, Json)>, TraceParseError> {
-        if self.torn.is_some() {
-            return Ok(None);
-        }
-        loop {
-            let rest = &self.text[self.pos..];
-            if rest.is_empty() {
-                return Ok(None);
-            }
-            let (raw, line_end) = match rest.find('\n') {
-                Some(i) => (&rest[..i], self.pos + i + 1),
-                None => (rest, self.text.len()),
-            };
-            self.pos = line_end;
-            self.lineno += 1;
-            let line = raw.trim();
-            if line.is_empty() {
-                self.consumed = line_end;
-                continue;
-            }
-            match json::parse(line) {
-                Ok(v) => {
-                    self.consumed = line_end;
-                    return Ok(Some((self.lineno, v)));
-                }
-                Err(e) => {
-                    let has_more = self.text[self.pos..].lines().any(|l| !l.trim().is_empty());
-                    if has_more {
-                        return Err(err(self.lineno, e));
-                    }
-                    self.torn = Some(TornTail {
-                        line: self.lineno,
-                        message: e,
-                    });
-                    return Ok(None);
-                }
-            }
+            (None, Some(t)) => Err(err(t.line, t.message)),
+            (None, None) => Err(err(0, "empty trace (no header line)")),
         }
     }
 }
@@ -973,75 +834,9 @@ fn parse_event(kind: &str, v: &Json, lineno: usize) -> Result<TraceEvent, TraceP
     Ok(TraceEvent::on_task(kind, step, time, client, task, pool))
 }
 
-/// Replays a fixed allocation order as a dynamic [`AllocationPolicy`]:
-/// the k-th choice is the k-th task of the order. Built from a captured
-/// [`Trace`], this re-drives the simulator along the same allocation
-/// sequence — the canonical example of a policy the closed `Policy`
-/// enum could not express.
-#[derive(Debug)]
-pub struct ReplayPolicy {
-    order: Vec<NodeId>,
-    cursor: Cell<usize>,
-}
-
-impl ReplayPolicy {
-    /// Replay an explicit allocation order.
-    pub fn new(order: Vec<NodeId>) -> ReplayPolicy {
-        ReplayPolicy {
-            order,
-            cursor: Cell::new(0),
-        }
-    }
-
-    /// Replay the allocation order of a captured trace.
-    pub fn from_trace(trace: &Trace) -> ReplayPolicy {
-        ReplayPolicy::new(trace.allocation_order())
-    }
-}
-
-impl AllocationPolicy for ReplayPolicy {
-    fn name(&self) -> String {
-        "REPLAY".into()
-    }
-
-    fn prepare(&self, _dag: &Dag) {
-        self.cursor.set(0);
-    }
-
-    /// # Panics
-    /// Panics if the replayed order is exhausted or its next task is
-    /// not in the pool *and was never executed* — i.e. the run being
-    /// driven genuinely diverged from the run that produced the order
-    /// (different dag, config, or seed). Entries whose task this run
-    /// already executed are skipped instead: a recorded run that lost
-    /// tasks to client failures legally re-allocates them later, and a
-    /// replay that does not fail the same way must not be flagged for
-    /// that divergence.
-    fn choose(&self, ctx: &PolicyContext<'_, '_>, pool: &[NodeId]) -> usize {
-        loop {
-            let k = self.cursor.get();
-            assert!(
-                k < self.order.len(),
-                "replayed allocation order exhausted after {k} steps"
-            );
-            self.cursor.set(k + 1);
-            let target = self.order[k];
-            if let Some(i) = pool.iter().position(|&v| v == target) {
-                return i;
-            }
-            assert!(
-                ctx.state.is_executed(target),
-                "replayed allocation #{k} ({target:?}) is not in the ELIGIBLE pool; \
-                 the run diverged from the recorded one"
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ic_dag::builder::from_arcs as build;
 
     fn sample_trace() -> Trace {
         Trace {
@@ -1122,25 +917,6 @@ mod tests {
         // Lease-lifecycle events are not allocations or completions.
         assert_eq!(t.allocation_order(), vec![NodeId(0)]);
         assert_eq!(t.completion_order(), vec![NodeId(0)]);
-    }
-
-    #[test]
-    fn revoked_speculation_records_no_service_time() {
-        let mut t = sample_trace();
-        t.events.extend([
-            TraceEvent::on_task(EventKind::Speculated, 4, 3.0, 1, NodeId(1), Some(0)),
-            TraceEvent::on_task(EventKind::Revoked, 5, 4.0, 1, NodeId(1), None),
-        ]);
-        let obs = t.observed_service_times();
-        assert!(obs[1].is_empty(), "revoked work yields no sample");
-
-        // An accepted speculative completion does yield one.
-        let mut t2 = sample_trace();
-        t2.events.extend([
-            TraceEvent::on_task(EventKind::Speculated, 4, 3.0, 1, NodeId(1), Some(0)),
-            TraceEvent::on_task(EventKind::Completed, 5, 4.5, 1, NodeId(1), Some(0)),
-        ]);
-        assert_eq!(t2.observed_service_times()[1], vec![1.5]);
     }
 
     #[test]
@@ -1238,16 +1014,6 @@ mod tests {
     }
 
     #[test]
-    fn observed_service_times_measure_alloc_to_outcome() {
-        let t = sample_trace();
-        let obs = t.observed_service_times();
-        // Client 0: allocated task 0 at t=0, completed at t=1.25.
-        assert_eq!(obs[0], vec![1.25]);
-        // Client 1: only a dangling failure (no matching allocation).
-        assert!(obs[1].is_empty());
-    }
-
-    #[test]
     fn dag_rebuilds_from_header() {
         let t = sample_trace();
         let g = t.dag().unwrap();
@@ -1272,32 +1038,5 @@ mod tests {
         let bad = format!("{good}{{\"type\":\"warp\",\"step\":9,\"t\":0,\"client\":0}}\n");
         let e = Trace::from_jsonl(&bad).unwrap_err();
         assert!(e.message.contains("unknown event type"), "{e}");
-    }
-
-    #[test]
-    fn replay_policy_follows_order() {
-        let g = build(3, &[(0, 1), (0, 2)]).unwrap();
-        let p = ReplayPolicy::new(vec![NodeId(0), NodeId(2), NodeId(1)]);
-        let s = ic_sched::heuristics::schedule_with(&g, &p);
-        assert_eq!(s.order(), &[NodeId(0), NodeId(2), NodeId(1)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not in the ELIGIBLE pool")]
-    fn replay_policy_detects_divergence() {
-        let g = build(3, &[(0, 1), (0, 2)]).unwrap();
-        let p = ReplayPolicy::new(vec![NodeId(1), NodeId(0), NodeId(2)]);
-        let _ = ic_sched::heuristics::schedule_with(&g, &p);
-    }
-
-    #[test]
-    fn replay_policy_skips_recorded_reallocations() {
-        // The recorded run lost task 0 once: its allocation order holds
-        // a duplicate. A failure-free replay executes 0 on first sight
-        // and must skip the stale re-allocation entry, not panic.
-        let g = build(3, &[(0, 1), (0, 2)]).unwrap();
-        let p = ReplayPolicy::new(vec![NodeId(0), NodeId(0), NodeId(2), NodeId(1)]);
-        let s = ic_sched::heuristics::schedule_with(&g, &p);
-        assert_eq!(s.order(), &[NodeId(0), NodeId(2), NodeId(1)]);
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The knob table CHANGES.md quotes, counted instead of by hand: every
 # independently settable value is a configuration the tests and the
-# benchmarks have to cover. Public fields of the four config structs,
+# benchmarks have to cover. Public fields of the five config structs,
 # distinct flags in `ic-prio help`, `env::var` reads in the workspace's
 # Rust sources, and cargo `[features]` entries. verify.sh prints it
 # beside scripts/loc.sh.
@@ -28,6 +28,7 @@ struct_row ServerConfig crates/ic-net/src/server.rs
 struct_row WorkerConfig crates/ic-net/src/worker.rs
 struct_row RecoveryConfig crates/ic-net/src/recovery.rs
 struct_row FedConfig crates/ic-net/src/peers.rs
+struct_row FedOptions crates/ic-fed/src/runtime.rs
 row "ic-prio flags" "$(cargo run -q --offline --release -p ic-cli -- help 2>&1 \
     | grep -o -- '--[a-z][a-z0-9-]*' | sort -u | wc -l)"
 row "env::var reads" "$(grep -rn 'env::var' --include='*.rs' crates src tests examples | wc -l)"
