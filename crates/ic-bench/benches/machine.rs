@@ -9,31 +9,31 @@
 //! should be flat from 1k to 10k workers now that the table is an
 //! indexed slab.
 //!
-//! Per fleet size `W` (from `IC_MACHINE_FLEETS`, comma-separated,
-//! default `1000,4000,10000`), over a dag of `2·W` independent tasks
-//! (the `net` harness's shape):
+//! Per fleet size `W` of [`FLEETS`], over a dag of `2·W` independent
+//! tasks (the `net` harness's shape), each iteration on a machine of
+//! its own, built inside the timed call:
 //!
 //! * `hello_{W}w` — registering the whole fleet (`W` hello events,
-//!   header written at the barrier);
-//! * `mix_{W}w` — a full run to drain with the e2e fault mix:
-//!   requests and completions from healthy workers, voluntary
-//!   failures (1 in 16 workers fails its first task), mid-lease
-//!   severs with token resumes (1 in 16), heartbeats, and a forced
-//!   lease-expiry sweep each pass. `states` counts every event
-//!   stepped.
-//!
-//! These are macro-benchmarks recorded once via
-//! [`Runner::record_raw`], like the other scale groups.
-
-use std::time::Instant;
+//!   header written at the barrier); `states` = `W`;
+//! * `mix_{W}w` — a full run to drain with the e2e fault mix: the
+//!   fleet's registration, then requests and completions from healthy
+//!   workers, voluntary failures (1 in 16 workers fails its first
+//!   task), mid-lease severs with token resumes (1 in 16), heartbeats,
+//!   and a forced lease-expiry sweep each pass. `states` counts every
+//!   event stepped, the `W` hellos included. The run is deterministic,
+//!   so the count is taken once up front, as `benches/check.rs` does.
 
 use ic_bench::harness::Runner;
 use ic_dag::builder::from_arcs;
+use ic_dag::Dag;
 use ic_net::machine::{Effect, Event, LeaseMachine};
-use ic_net::{Message, ServerConfig};
+use ic_net::{Message, ServerConfig, PROTO_CURRENT};
 use ic_sched::Schedule;
 
 const LEASE_MS: u64 = 10;
+
+/// 1k → 10k is the span over which the per-event cost must stay flat.
+const FLEETS: [usize; 3] = [1000, 4000, 10000];
 
 /// Same misbehavior slices as the `net` fleet harness.
 fn is_flaky(i: usize) -> bool {
@@ -56,36 +56,26 @@ impl Fleet {
     }
 }
 
-fn run_fleet(r: &mut Runner, workers: usize) {
-    let tasks = workers * 2;
-    let dag = from_arcs(tasks, &[]).expect("trivial dag");
-    let policy = Schedule::in_id_order(&dag);
-    let cfg = ServerConfig::builder()
-        .lease_ms(LEASE_MS)
-        .backoff_base_ms(0)
-        .wait_ms(1)
-        .expect_workers(workers)
-        .seed(0x5CA1E)
-        .build();
-
-    // --- hello_{W}w: register the fleet through the barrier. -------
-    let mut m = LeaseMachine::new(&dag, &policy, cfg.clone());
-    let t0 = Instant::now();
+/// `hello_{W}w`: register the fleet through the barrier.
+fn run_hello(dag: &Dag, policy: &Schedule, cfg: &ServerConfig, workers: usize) {
+    let mut m = LeaseMachine::new(dag, policy, cfg.clone());
     for i in 0..workers {
         let fx = m.step(Event::Hello {
             id: format!("w{i}"),
             speed: 1.0,
-            proto: 2,
+            proto: PROTO_CURRENT,
             resume: None,
             now_us: i as u64,
         });
         std::hint::black_box(&fx);
     }
-    let hello_t = t0.elapsed();
     assert_eq!(m.num_workers(), workers);
+}
 
-    // --- mix_{W}w: full run to drain with the e2e fault mix. -------
-    let mut m = LeaseMachine::new(&dag, &policy, cfg);
+/// `mix_{W}w`: full run to drain with the e2e fault mix; returns the
+/// events stepped.
+fn run_mix(dag: &Dag, policy: &Schedule, cfg: &ServerConfig, workers: usize) -> u64 {
+    let mut m = LeaseMachine::new(dag, policy, cfg.clone());
     let mut fleet = Fleet {
         machine_events: 0,
         now: 1,
@@ -94,7 +84,6 @@ fn run_fleet(r: &mut Runner, workers: usize) {
     let mut tokens: Vec<Option<String>> = vec![None; workers];
     let mut severed = vec![false; workers];
     let mut failed_once = vec![false; workers];
-    let t0 = Instant::now();
     for i in 0..workers {
         let now_us = fleet.now;
         let fx = fleet.step(
@@ -102,7 +91,7 @@ fn run_fleet(r: &mut Runner, workers: usize) {
             Event::Hello {
                 id: format!("w{i}"),
                 speed: 1.0,
-                proto: 2,
+                proto: PROTO_CURRENT,
                 resume: None,
                 now_us,
             },
@@ -214,7 +203,7 @@ fn run_fleet(r: &mut Runner, workers: usize) {
                 Event::Hello {
                     id: format!("w{i}+"),
                     speed: 1.0,
-                    proto: 2,
+                    proto: PROTO_CURRENT,
                     resume: Some(token),
                     now_us,
                 },
@@ -233,45 +222,33 @@ fn run_fleet(r: &mut Runner, workers: usize) {
             severed[i] = false;
         }
     }
-    let mix_t = t0.elapsed();
-    let events = fleet.machine_events;
-    let steps_per_s = events as f64 / mix_t.as_secs_f64();
-    println!(
-        "machine: {workers} workers, {tasks} tasks: hello {hello_t:.2?}, \
-         mix {events} events in {mix_t:.2?} ({steps_per_s:.0} steps/s, {passes} passes)"
-    );
-    r.record_raw(
-        "machine",
-        &format!("hello_{workers}w"),
-        Some(tasks),
-        Some(workers as u64),
-        hello_t,
-        hello_t,
-        1,
-    );
-    r.record_raw(
-        "machine",
-        &format!("mix_{workers}w"),
-        Some(tasks),
-        Some(events),
-        mix_t,
-        mix_t,
-        1,
-    );
+    fleet.machine_events
 }
 
 fn main() {
     let mut r = Runner::from_env();
-    let fleets = std::env::var("IC_MACHINE_FLEETS").unwrap_or_else(|_| "1000,4000,10000".into());
-    for spec in fleets.split(',') {
-        let spec = spec.trim();
-        if spec.is_empty() {
-            continue;
-        }
-        let workers: usize = spec
-            .parse()
-            .unwrap_or_else(|_| panic!("IC_MACHINE_FLEETS: bad fleet size {spec:?}"));
-        run_fleet(&mut r, workers.max(16));
+    for workers in FLEETS {
+        let tasks = workers * 2;
+        let dag = from_arcs(tasks, &[]).expect("trivial dag");
+        let policy = Schedule::in_id_order(&dag);
+        let cfg = ServerConfig::builder()
+            .lease_ms(LEASE_MS)
+            .backoff_base_ms(0)
+            .wait_ms(1)
+            .expect_workers(workers)
+            .seed(0x5CA1E)
+            .build();
+        r.bench_states(
+            "machine",
+            &format!("hello_{workers}w"),
+            tasks,
+            workers as u64,
+            || run_hello(&dag, &policy, &cfg, workers),
+        );
+        let events = run_mix(&dag, &policy, &cfg, workers);
+        r.bench_states("machine", &format!("mix_{workers}w"), tasks, events, || {
+            run_mix(&dag, &policy, &cfg, workers)
+        });
     }
     r.finish();
 }

@@ -11,27 +11,27 @@
 //! completion and come straight back with the resume token, as
 //! `ic-prio work --sever-after` does (→ a resume, leases intact).
 //!
-//! Per fleet size `W` (from `IC_NET_FLEETS`, comma-separated, default
-//! `1000,10000`), three raw records go into the `net` group:
-//!
-//! * `alloc_rate_{W}w` — whole-run wall time with
-//!   `states = allocations`, so `bench-check` reports allocations/sec;
-//! * `assign_p99_{W}w` — `best_ns` is the p99 request→assign latency,
-//!   `mean_ns` the mean, `iters` the sample count;
-//! * `drain_{W}w` — time from the last accepted completion to
-//!   `run_until_drain` returning (the drain barrier's cost).
-//!
-//! These are macro-benchmarks: each configuration runs once and is
-//! reported through [`Runner::record_raw`], not iterated.
+//! Per fleet size `W` of [`FLEETS`] one record goes into the `net`
+//! group, `alloc_rate_{W}w`: one iteration is one whole fleet run —
+//! reactor and driver threads built, `W` workers registered through
+//! the barrier, `2·W` independent tasks served to drain, the run's
+//! own assertions checked — and `states` is those `2·W` tasks, so
+//! `bench-check` reports completed tasks per second of wall time. A
+//! run's other counts (allocations, recovered failures, resumes) go to
+//! stdout, from the last iteration.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use ic_bench::harness::Runner;
 use ic_net::{
-    loopback, Driver, LoopbackConn, LoopbackHandle, Message, MonotonicClock, Reactor, PROTO_CURRENT,
+    loopback, Driver, LoopbackConn, LoopbackHandle, Message, MonotonicClock, Reactor, ServeReport,
+    PROTO_CURRENT,
 };
 use ic_sim::MemorySink;
+
+/// The two ends of the scale claim: `bench-check --max-regress net=…`
+/// compares both rows.
+const FLEETS: [usize; 2] = [1000, 10000];
 
 /// Behavioral slice of the fleet a worker belongs to.
 #[derive(Clone, Copy, PartialEq)]
@@ -68,8 +68,9 @@ struct Client {
     /// put two requests in flight, and a request arriving while the
     /// previous one's assign is still in transit forfeits that lease.
     welcomed: bool,
-    /// When the outstanding `request` went out (latency sample start).
-    req_at: Option<Instant>,
+    /// A `request` is outstanding: its `assign` or `wait` is still
+    /// to come, so no second one may go out.
+    requested: bool,
     /// Earliest instant the next `request` may go out (wait backoff).
     not_before: Instant,
 }
@@ -105,22 +106,15 @@ fn send(c: &Client, msg: &Message) {
     }
 }
 
-/// What one driver thread measured across its slice of the fleet.
-struct DriverStats {
-    /// Request→assign latencies, nanoseconds.
-    assign_ns: Vec<u64>,
+/// Send a `request` and mark it outstanding.
+fn request(c: &mut Client) {
+    send(c, &Message::request());
+    c.requested = true;
 }
 
 /// Drive workers `offset, offset+stride, ...` (up to `total`) against
 /// the reactor until each is drained or severed.
-fn drive(
-    handle: &LoopbackHandle,
-    offset: usize,
-    stride: usize,
-    total: usize,
-    t0: Instant,
-    last_ack_ns: &AtomicU64,
-) -> DriverStats {
+fn drive(handle: &LoopbackHandle, offset: usize, stride: usize, total: usize) {
     let mut clients: Vec<Client> = (offset..total)
         .step_by(stride)
         .map(|i| {
@@ -136,14 +130,11 @@ fn drive(
                 acks_pending: 0,
                 completions: 0,
                 welcomed: false,
-                req_at: None,
-                not_before: t0,
+                requested: false,
+                not_before: Instant::now(),
             }
         })
         .collect();
-    let mut stats = DriverStats {
-        assign_ns: Vec::new(),
-    };
     let mut live = clients.len();
     while live > 0 {
         let mut progressed = false;
@@ -167,18 +158,14 @@ fn drive(
                         c.welcomed = true;
                         c.token = resume;
                         if tasks.is_empty() {
-                            send(c, &Message::request());
-                            c.req_at = Some(Instant::now());
+                            request(c);
                         } else {
                             // Resumed: the leases came back with us.
                             c.report(tasks);
                         }
                     }
                     Message::Assign { tasks } => {
-                        if let Some(at) = c.req_at.take() {
-                            let ns = u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                            stats.assign_ns.push(ns);
-                        }
+                        c.requested = false;
                         if c.mix == Mix::Severing && c.completions >= 1 {
                             // Sever mid-lease, once: drop the connection
                             // without a word and resume on a new one;
@@ -202,17 +189,14 @@ fn drive(
                     Message::Ack { accepted, .. } => {
                         if accepted {
                             c.completions += 1;
-                            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                            last_ack_ns.fetch_max(ns, Ordering::Relaxed);
                         }
                         c.acks_pending -= 1;
                         if c.acks_pending == 0 {
-                            send(c, &Message::request());
-                            c.req_at = Some(Instant::now());
+                            request(c);
                         }
                     }
                     Message::Wait { ms } => {
-                        c.req_at = None;
+                        c.requested = false;
                         c.not_before = Instant::now() + Duration::from_millis(ms.clamp(1, 20));
                     }
                     // Drain — or, with no steals configured, any other
@@ -226,12 +210,11 @@ fn drive(
             // Waited-out backoff elapsed: ask again.
             if c.conn.is_some()
                 && c.welcomed
-                && c.req_at.is_none()
+                && !c.requested
                 && c.acks_pending == 0
                 && Instant::now() >= c.not_before
             {
-                send(c, &Message::request());
-                c.req_at = Some(Instant::now());
+                request(c);
                 progressed = true;
             }
         }
@@ -239,11 +222,10 @@ fn drive(
             std::thread::sleep(Duration::from_micros(200));
         }
     }
-    stats
 }
 
-/// Run one fleet configuration and push its three records.
-fn run_fleet(r: &mut Runner, workers: usize) {
+/// Run one fleet configuration to drain and check what it must show.
+fn run_fleet(workers: usize) -> ServeReport {
     let tasks = workers * 2;
     let dag = ic_dag::builder::from_arcs(tasks, &[]).expect("independent tasks");
     let policy = ic_sched::Schedule::in_id_order(&dag);
@@ -271,111 +253,56 @@ fn run_fleet(r: &mut Runner, workers: usize) {
         .unwrap_or(1)
         .max(1);
     let drivers = spare.min(8).min(workers);
-    let t0 = Instant::now();
-    let last_ack_ns = AtomicU64::new(0);
-    let (report, mut assign_ns) = std::thread::scope(|s| {
-        let joins: Vec<_> = (0..drivers)
-            .map(|d| {
-                let handle = handle.clone();
-                let last_ack_ns = &last_ack_ns;
-                s.spawn(move || drive(&handle, d, drivers, workers, t0, last_ack_ns))
-            })
-            .collect();
-        drop(handle);
-        let report = reactor.run_until_drain(&mut sink).expect("reactor run");
-        let mut assign_ns: Vec<u64> = Vec::new();
-        for j in joins {
-            assign_ns.extend(j.join().expect("driver thread").assign_ns);
+    let report = std::thread::scope(|s| {
+        for d in 0..drivers {
+            let handle = handle.clone();
+            s.spawn(move || drive(&handle, d, drivers, workers));
         }
-        (report, assign_ns)
+        drop(handle);
+        reactor.run_until_drain(&mut sink).expect("reactor run")
     });
-    let total = t0.elapsed();
 
     // Attribute every server-side `Failed` event to its fleet slice. A
     // healthy worker only "fails" when the harness itself misbehaves
     // (e.g. two requests in flight forfeiting a freshly granted lease).
     let trace = sink.into_trace().expect("trace");
-    let mut by_mix = [0usize; 3];
-    for e in &trace.events {
-        if e.kind == ic_sim::EventKind::Failed {
-            let i = trace
-                .header
-                .workers
-                .iter()
-                .find(|w| w.client == e.client)
-                .and_then(|w| w.id.get(1..))
-                .and_then(|t| t.parse().ok())
-                .unwrap_or(0);
-            by_mix[match mix_of(i) {
-                Mix::Healthy => 0,
-                Mix::Flaky => 1,
-                Mix::Severing => 2,
-            }] += 1;
-        }
-    }
-    let [healthy, flaky, severing] = by_mix;
-    assert_eq!(healthy, 0, "healthy workers never fail");
+    let slice_of = |client| {
+        let worker = trace.header.workers.iter().find(|w| w.client == client);
+        let i = worker.and_then(|w| w.id.get(1..)?.parse().ok());
+        mix_of(i.unwrap_or(0))
+    };
+    let healthy_failures = trace
+        .events
+        .iter()
+        .filter(|e| e.kind == ic_sim::EventKind::Failed && slice_of(e.client) == Mix::Healthy)
+        .count();
+    assert_eq!(healthy_failures, 0, "healthy workers never fail");
     assert_eq!(report.completions, tasks, "fleet completed the dag");
     assert_eq!(report.workers_registered, workers);
     assert!(report.allocations >= tasks);
     assert!(report.resumes > 0, "the severing slice resumed");
-    assert!(!assign_ns.is_empty());
-
-    assign_ns.sort_unstable();
-    let p99 = assign_ns[(assign_ns.len() * 99 / 100).min(assign_ns.len() - 1)];
-    let mean = assign_ns.iter().sum::<u64>() / assign_ns.len() as u64;
-    let drain_ns = u64::try_from(total.as_nanos())
-        .unwrap_or(u64::MAX)
-        .saturating_sub(last_ack_ns.load(Ordering::Relaxed));
-
-    let alloc_per_s = report.allocations as f64 / total.as_secs_f64();
-    println!(
-        "net: {workers} workers, {tasks} tasks: {} allocations ({alloc_per_s:.0}/s), \
-         {} failures recovered (healthy {healthy}, flaky {flaky}, severing {severing}), \
-         {} resumes, total {:.2?}",
-        report.allocations, report.failures, report.resumes, total,
-    );
-    r.record_raw(
-        "net",
-        &format!("alloc_rate_{workers}w"),
-        Some(tasks),
-        Some(u64::try_from(report.allocations).unwrap_or(u64::MAX)),
-        total,
-        total,
-        1,
-    );
-    r.record_raw(
-        "net",
-        &format!("assign_p99_{workers}w"),
-        Some(tasks),
-        None,
-        Duration::from_nanos(p99),
-        Duration::from_nanos(mean),
-        assign_ns.len() as u64,
-    );
-    r.record_raw(
-        "net",
-        &format!("drain_{workers}w"),
-        Some(tasks),
-        None,
-        Duration::from_nanos(drain_ns),
-        Duration::from_nanos(drain_ns),
-        1,
-    );
+    report
 }
 
 fn main() {
     let mut r = Runner::from_env();
-    let fleets = std::env::var("IC_NET_FLEETS").unwrap_or_else(|_| "1000,10000".to_string());
-    for spec in fleets.split(',') {
-        let spec = spec.trim();
-        if spec.is_empty() {
-            continue;
+    for workers in FLEETS {
+        let tasks = workers * 2;
+        let mut last = None;
+        r.bench_states(
+            "net",
+            &format!("alloc_rate_{workers}w"),
+            tasks,
+            tasks as u64,
+            || last = Some(run_fleet(workers)),
+        );
+        if let Some(report) = last {
+            println!(
+                "net: {workers} workers, {tasks} tasks: {} allocations, \
+                 {} failures recovered, {} resumes",
+                report.allocations, report.failures, report.resumes,
+            );
         }
-        let workers: usize = spec
-            .parse()
-            .unwrap_or_else(|_| panic!("IC_NET_FLEETS: bad fleet size {spec:?}"));
-        run_fleet(&mut r, workers.max(16));
     }
     r.finish();
 }

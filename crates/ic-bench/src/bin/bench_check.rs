@@ -1,9 +1,11 @@
 //! `bench-check` — validator for the machine-readable bench report.
 //!
 //! Reads a `BENCH.json` written by the harness (`IC_BENCH_JSON`),
-//! verifies it structurally — correct schema tag, well-formed records,
-//! every required bench group present. Exits nonzero on any
-//! violation, so `scripts/verify.sh` can gate on it.
+//! verifies it structurally — correct schema tag, well-formed records
+//! ([`Record::from_json`], the harness's own reader), every row a
+//! repeated measurement (`iters >= 5`), every required bench group
+//! present. Exits nonzero on any violation, so `scripts/verify.sh` can
+//! gate on it.
 //!
 //! Usage:
 //!
@@ -12,8 +14,7 @@
 //!             [--baseline <path>] [--max-regress <key>=<ratio> ...]
 //! ```
 //!
-//! (path defaults to `$IC_BENCH_JSON`; groups default to
-//! `envelope exec-state`).
+//! (groups default to `envelope exec-state`).
 //!
 //! # Regression gate
 //!
@@ -25,26 +26,18 @@
 //! most a 1.2× rate drop (~17%) before failing. A key is either a
 //! whole group (`net`) or one record (`net/alloc_rate_10000w`).
 //! Records present on only one side are skipped with a note — a
-//! shorter smoke run gates only what it measured.
+//! shorter smoke run gates only what it measured — but a key that
+//! compared nothing at all fails: a renamed row must not turn the
+//! gate into a silent pass.
 
 use std::process::ExitCode;
 
+use ic_bench::harness::{Record, MIN_ITERS};
 use ic_sim::json::{parse, Json};
 
-/// One validated record of the report.
-struct Row {
-    group: String,
-    id: String,
-    states: Option<u64>,
-    best: u64,
-}
-
-impl Row {
-    /// Work units per second, for throughput records.
-    fn rate(&self) -> Option<f64> {
-        self.states
-            .map(|s| s as f64 * 1e9 / self.best.max(1) as f64)
-    }
+/// Work units per second, for throughput records.
+fn rate(r: &Record) -> Option<f64> {
+    r.states.map(|s| s as f64 * 1e9 / r.best_ns.max(1) as f64)
 }
 
 fn fail(msg: &str) -> ExitCode {
@@ -52,10 +45,9 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Read, parse, and structurally validate one report file.
-fn load_rows(path: &str) -> Result<Vec<Row>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))?;
+/// Parse and structurally validate one report; `path` labels errors.
+fn parse_rows(path: &str, text: &str) -> Result<Vec<Record>, String> {
+    let doc = parse(text).map_err(|e| format!("{path} is not valid JSON: {e}"))?;
 
     if doc.get("schema").and_then(Json::as_str) != Some("ic-bench/1") {
         return Err(format!("{path}: missing or wrong \"schema\" tag"));
@@ -69,59 +61,35 @@ fn load_rows(path: &str) -> Result<Vec<Row>, String> {
     if results.is_empty() {
         return Err(format!("{path}: empty \"results\" array"));
     }
+    results
+        .iter()
+        .enumerate()
+        .map(|(i, rec)| Record::from_json(rec).map_err(|e| format!("{path}: results[{i}] {e}")))
+        .collect()
+}
 
-    let mut rows: Vec<Row> = Vec::new();
-    for (i, rec) in results.iter().enumerate() {
-        let Some(group) = rec.get("group").and_then(Json::as_str) else {
-            return Err(format!("{path}: results[{i}] has no string \"group\""));
-        };
-        let Some(id) = rec.get("id").and_then(Json::as_str) else {
-            return Err(format!("{path}: results[{i}] has no string \"id\""));
-        };
-        match rec.get("nodes") {
-            Some(Json::Null) => {}
-            Some(v) if v.as_u64().is_some() => {}
-            Some(_) => {
-                return Err(format!("{path}: results[{i}] has malformed \"nodes\""));
-            }
-            None => return Err(format!("{path}: results[{i}] has no \"nodes\" field")),
-        }
-        // Optional (older reports predate it): per-run work-unit count
-        // for throughput benchmarks. Present but mistyped is an error.
-        let states = match rec.get("states") {
-            None | Some(Json::Null) => None,
-            Some(v) => match v.as_u64() {
-                Some(s) => Some(s),
-                None => {
-                    return Err(format!("{path}: results[{i}] has malformed \"states\""));
-                }
-            },
-        };
-        let Some(best) = rec.get("best_ns").and_then(Json::as_u64) else {
-            return Err(format!("{path}: results[{i}] has no numeric \"best_ns\""));
-        };
-        if rec.get("mean_ns").and_then(Json::as_u64).is_none() {
-            return Err(format!("{path}: results[{i}] has no numeric \"mean_ns\""));
-        }
-        match rec.get("iters").and_then(Json::as_u64) {
-            Some(it) if it >= 1 => {}
-            _ => return Err(format!("{path}: results[{i}] has no positive \"iters\"")),
-        }
-        rows.push(Row {
-            group: group.to_string(),
-            id: id.to_string(),
-            states,
-            best,
-        });
+fn load_rows(path: &str) -> Result<Vec<Record>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse_rows(path, &text)
+}
+
+/// The sampling rule of the report under check (a baseline may
+/// predate it): no row is a single shot.
+fn check_sampling(path: &str, rows: &[Record]) -> Result<(), String> {
+    match rows.iter().find(|r| r.iters < MIN_ITERS) {
+        Some(r) => Err(format!(
+            "{path}: {}/{} has \"iters\": {}, below the {MIN_ITERS} repetitions every row needs",
+            r.group, r.id, r.iters
+        )),
+        None => Ok(()),
     }
-    Ok(rows)
 }
 
 /// Compare throughput records named by `key` ("group" or "group/id")
 /// in `rows` against `base`; returns the failures and prints one line
-/// per comparison.
-fn gate_regressions(rows: &[Row], base: &[Row], key: &str, ratio: f64) -> usize {
-    let matches = |r: &Row| {
+/// per comparison. A key that compared nothing is one failure.
+fn gate_regressions(rows: &[Record], base: &[Record], key: &str, ratio: f64) -> usize {
+    let matches = |r: &Record| {
         r.group == key
             || key
                 .split_once('/')
@@ -130,11 +98,11 @@ fn gate_regressions(rows: &[Row], base: &[Row], key: &str, ratio: f64) -> usize 
     let mut compared = 0usize;
     let mut failures = 0usize;
     for row in rows.iter().filter(|r| matches(r)) {
-        let Some(new_rate) = row.rate() else { continue };
+        let Some(new_rate) = rate(row) else { continue };
         let old_rate = base
             .iter()
             .find(|b| b.group == row.group && b.id == row.id)
-            .and_then(Row::rate);
+            .and_then(rate);
         let Some(old_rate) = old_rate else {
             println!(
                 "regress {}/{:<24} skipped (no baseline record)",
@@ -154,7 +122,8 @@ fn gate_regressions(rows: &[Row], base: &[Row], key: &str, ratio: f64) -> usize 
         );
     }
     if compared == 0 {
-        println!("regress {key}: nothing to compare (no shared throughput records)");
+        println!("regress {key}: nothing to compare (no shared throughput records) FAIL");
+        failures += 1;
     }
     failures
 }
@@ -194,12 +163,8 @@ fn main() -> ExitCode {
     }
 
     let mut positional = positional.into_iter();
-    let path = match positional
-        .next()
-        .or_else(|| std::env::var("IC_BENCH_JSON").ok())
-    {
-        Some(p) => p,
-        None => return fail("no report path (pass one or set IC_BENCH_JSON)"),
+    let Some(path) = positional.next() else {
+        return fail("no report path");
     };
     let required: Vec<String> = {
         let rest: Vec<String> = positional.collect();
@@ -214,6 +179,9 @@ fn main() -> ExitCode {
         Ok(rows) => rows,
         Err(e) => return fail(&e),
     };
+    if let Err(e) = check_sampling(&path, &rows) {
+        return fail(&e);
+    }
 
     for group in &required {
         if !rows.iter().any(|r| &r.group == group) {
@@ -224,8 +192,7 @@ fn main() -> ExitCode {
     // Informational throughput table: any record carrying a work-unit
     // count reports its rate (e.g. model-checker states per second).
     for row in &rows {
-        if let Some(s) = row.states {
-            let rate = s as f64 * 1e9 / row.best.max(1) as f64;
+        if let (Some(s), Some(rate)) = (row.states, rate(row)) {
             println!(
                 "{}/{:<24} {s:>8} states, {rate:>12.0} states/s",
                 row.group, row.id
@@ -245,7 +212,8 @@ fn main() -> ExitCode {
         }
         if failures > 0 {
             return fail(&format!(
-                "{failures} throughput record(s) regressed beyond the allowed ratio vs {bpath}"
+                "{failures} --max-regress gate(s) failed vs {bpath}: a throughput record \
+                 beyond its allowed ratio, or a key with nothing to compare"
             ));
         }
     }
@@ -256,4 +224,43 @@ fn main() -> ExitCode {
         required.join(", ")
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report(rows: &[(&str, &str, u64)]) -> String {
+        let body: Vec<String> = rows
+            .iter()
+            .map(|(group, id, iters)| {
+                format!(
+                    "{{\"group\": \"{group}\", \"id\": \"{id}\", \"nodes\": 2000, \
+                     \"states\": 2000, \"best_ns\": 100, \"mean_ns\": 120, \"iters\": {iters}}}"
+                )
+            })
+            .collect();
+        format!(
+            "{{\"schema\": \"ic-bench/1\", \"budget_ms\": 40, \"results\": [{}]}}",
+            body.join(", ")
+        )
+    }
+
+    #[test]
+    fn a_gate_key_that_compares_nothing_is_a_failure() {
+        let base = parse_rows("base", &report(&[("net", "alloc_rate_1000w", 5)])).unwrap();
+        let renamed = parse_rows("new", &report(&[("net", "tasks_rate_1000w", 5)])).unwrap();
+        assert_eq!(gate_regressions(&base, &base, "net", 2.0), 0);
+        assert_eq!(gate_regressions(&renamed, &base, "net", 2.0), 1);
+        assert_eq!(gate_regressions(&base, &base, "net/gone", 2.0), 1);
+    }
+
+    #[test]
+    fn a_single_shot_row_fails_the_report_but_not_a_baseline() {
+        let text = report(&[("net", "alloc_rate_1000w", 5), ("fed", "drain_1s", 1)]);
+        let rows = parse_rows("r", &text).expect("a well-formed baseline loads");
+        let err = check_sampling("r", &rows).unwrap_err();
+        assert!(err.contains("fed/drain_1s"), "{err}");
+        assert!(check_sampling("r", &rows[..1]).is_ok());
+    }
 }

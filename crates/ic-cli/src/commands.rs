@@ -588,20 +588,39 @@ fn parse_shard_spec(spec: &str) -> Option<(u64, u64)> {
     (i < n).then_some((i, n))
 }
 
-/// Parse `--peers 0=host:port,2=host:port` into `(shard, addr)` pairs.
-fn parse_peers(spec: &str) -> Result<Vec<(u64, String)>, String> {
-    spec.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|entry| {
-            let (shard, addr) = entry
-                .split_once('=')
-                .ok_or_else(|| format!("--peers entry {entry:?} is not shard=addr"))?;
-            let shard: u64 = shard
-                .parse()
-                .map_err(|_| format!("--peers shard {shard:?} is not an integer"))?;
-            Ok((shard, addr.to_string()))
-        })
-        .collect()
+/// Parse `--peers 0=host:port,2=host:port` into `(shard, addr)` pairs
+/// for shard `i` of `n`: each id another shard's, none twice, and every
+/// lower shard present — those are the links this shard dials, and one
+/// without an address would never come up. Higher shards dial us, so
+/// their entries are optional.
+fn parse_peers(spec: &str, i: u64, n: u64) -> Result<Vec<(u64, String)>, String> {
+    let mut peers: Vec<(u64, String)> = Vec::new();
+    for entry in spec.split(',').filter(|s| !s.is_empty()) {
+        let (shard, addr) = entry
+            .split_once('=')
+            .ok_or_else(|| format!("--peers entry {entry:?} is not shard=addr"))?;
+        let shard: u64 = shard
+            .parse()
+            .map_err(|_| format!("--peers shard {shard:?} is not an integer"))?;
+        if shard >= n {
+            return Err(format!(
+                "--peers shard {shard} is not one of the {n} shards"
+            ));
+        }
+        if shard == i {
+            return Err(format!("--peers names this shard ({i}) itself"));
+        }
+        if peers.iter().any(|(s, _)| *s == shard) {
+            return Err(format!("--peers names shard {shard} twice"));
+        }
+        peers.push((shard, addr.to_string()));
+    }
+    match (0..i).find(|j| !peers.iter().any(|(s, _)| s == j)) {
+        Some(j) => Err(format!(
+            "--shard {i}/{n} dials every lower shard and --peers lacks shard {j}"
+        )),
+        None => Ok(peers),
+    }
 }
 
 /// `serve`: run the live TCP task server until the dag drains, in one
@@ -659,7 +678,7 @@ pub fn serve(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
         Some(spec) => {
             let (i, n) = parse_shard_spec(spec)
                 .ok_or_else(|| CliError::usage("--shard takes i/N with i < N"))?;
-            let peers = parse_peers(peers_spec.unwrap_or("")).map_err(CliError::usage)?;
+            let peers = parse_peers(peers_spec.unwrap_or(""), i, n).map_err(CliError::usage)?;
             let (part, mut plans) = fed_plans(&dag, cut, n, replicate)?;
             let idx = usize::try_from(i)
                 .ok()

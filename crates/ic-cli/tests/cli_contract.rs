@@ -76,6 +76,10 @@ const USAGE_CONTRACT: &[(&str, i32, &str)] = &[
     ("serve --family mesh:3 --shard 0/2 --cut bogus", 2, "error: unknown --cut \"bogus\" (auto|level|mesh|butterfly|tree)"),
     ("serve --family mesh:3 --replicate-cut", 2, "error: --replicate-cut/--peers need --shard i/N"),
     ("serve --family mesh:3 --shard 0/2 --peers junk", 2, "error: --peers entry \"junk\" is not shard=addr"),
+    ("serve --family mesh:3 --shard 0/2 --peers 7=127.0.0.1:1", 2, "error: --peers shard 7 is not one of the 2 shards"),
+    ("serve --family mesh:3 --shard 0/2 --peers 0=127.0.0.1:1", 2, "error: --peers names this shard (0) itself"),
+    ("serve --family mesh:3 --shard 0/3 --peers 1=127.0.0.1:1,1=127.0.0.1:2", 2, "error: --peers names shard 1 twice"),
+    ("serve --family mesh:3 --shard 1/2", 2, "error: --shard 1/2 dials every lower shard and --peers lacks shard 0"),
     ("serve --family mesh:3 --policy turbo", 2, "error: unknown serve policy \"turbo\""),
     ("fed", 2, "error: fed needs exactly one of --dag or --family"),
     ("fed --bogus x", 2, "usage:"),
