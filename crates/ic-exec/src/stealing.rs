@@ -23,41 +23,11 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use ic_dag::{Dag, NodeId};
 use ic_sched::Schedule;
-use ic_sim::trace::{EventKind, TraceEvent, TraceHeader, TraceSink};
 
 use crate::ExecReport;
-
-/// A shared, mutex-serialized event log. The lock is the sequencing
-/// point: a completion is logged *before* the child counters are
-/// decremented, so in log order every allocation of a task appears
-/// after the completions of all its parents — exactly the invariant
-/// the trace auditor replays.
-struct EventLog {
-    events: Mutex<Vec<TraceEvent>>,
-    start: Instant,
-}
-
-impl EventLog {
-    fn new() -> Self {
-        EventLog {
-            events: Mutex::new(Vec::new()),
-            start: Instant::now(),
-        }
-    }
-
-    /// Log a `kind` event about `task`; the executor's pool is sharded
-    /// across the worker deques, so no pool sample is recorded.
-    fn record(&self, kind: EventKind, client: usize, task: NodeId) {
-        let time = self.start.elapsed().as_secs_f64();
-        let mut ev = self.events.lock().expect("event log lock");
-        let step = ev.len() as u64;
-        ev.push(TraceEvent::on_task(kind, step, time, client, task, None));
-    }
-}
 
 /// A stack of pending tasks owned by one worker: the owner pushes and
 /// pops at the back (LIFO, for locality); thieves steal from the front.
@@ -94,59 +64,6 @@ impl Deque {
 /// # Panics
 /// Panics if `workers == 0` or the schedule does not cover the dag.
 pub fn execute_stealing<F>(dag: &Dag, schedule: &Schedule, workers: usize, task: F) -> ExecReport
-where
-    F: Fn(NodeId) + Sync,
-{
-    match run_stealing(dag, schedule, workers, task, None) {
-        Ok(report) => report,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
-}
-
-/// [`execute_stealing`], additionally streaming the run's execution
-/// trace into `sink` in the `ic_sim::trace` event model: one
-/// `Allocated` when a worker takes a task, one `Completed` when the
-/// task body returns. Workers play the role of clients; timestamps are
-/// elapsed wall-clock seconds; the pool field is absent (the ELIGIBLE
-/// pool is sharded across worker deques). The resulting trace replays
-/// cleanly under `ic-prio audit --schedule` — eligibility is enforced
-/// by the counter protocol, and the log ordering makes that visible.
-///
-/// If a task panics, the partial trace captured so far is flushed to
-/// `sink` before the panic is propagated (the auditor then reports the
-/// truncation).
-///
-/// # Panics
-/// Panics if `workers == 0` or the schedule does not cover the dag.
-pub fn execute_stealing_traced<F>(
-    dag: &Dag,
-    schedule: &Schedule,
-    workers: usize,
-    task: F,
-    sink: &mut dyn TraceSink,
-) -> ExecReport
-where
-    F: Fn(NodeId) + Sync,
-{
-    sink.header(&TraceHeader::for_run(dag, workers, 0, "WORK-STEALING"));
-    let log = EventLog::new();
-    let result = run_stealing(dag, schedule, workers, task, Some(&log));
-    for ev in log.events.into_inner().expect("event log lock") {
-        sink.record(&ev);
-    }
-    match result {
-        Ok(report) => report,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
-}
-
-fn run_stealing<F>(
-    dag: &Dag,
-    schedule: &Schedule,
-    workers: usize,
-    task: F,
-    log: Option<&EventLog>,
-) -> Result<ExecReport, Box<dyn std::any::Any + Send>>
 where
     F: Fn(NodeId) + Sync,
 {
@@ -212,9 +129,6 @@ where
                         continue;
                     };
                     backoff = 0;
-                    if let Some(log) = log {
-                        log.record(EventKind::Allocated, me, v);
-                    }
                     let now_running = running.fetch_add(1, Ordering::Relaxed) + 1;
                     peak.fetch_max(now_running, Ordering::Relaxed);
 
@@ -230,12 +144,6 @@ where
                         return;
                     }
 
-                    // Log the completion before any child counter drops:
-                    // the log mutex then orders it ahead of every
-                    // allocation it enables.
-                    if let Some(log) = log {
-                        log.record(EventKind::Completed, me, v);
-                    }
                     for &c in dag.children(v) {
                         // AcqRel: the last decrement synchronizes all
                         // parents' task effects into the child's runner.
@@ -252,14 +160,14 @@ where
     let wall_time = start.elapsed();
 
     if let Some(payload) = panic_payload.lock().expect("payload lock").take() {
-        return Err(payload);
+        std::panic::resume_unwind(payload);
     }
     debug_assert_eq!(remaining.load(Ordering::Relaxed), 0);
-    Ok(ExecReport {
+    ExecReport {
         tasks_run: n,
         peak_parallelism: peak.load(Ordering::Relaxed),
         wall_time,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -358,39 +266,6 @@ mod tests {
         let s = Schedule::in_id_order(&g);
         let r = execute_stealing(&g, &s, 4, |_| {});
         assert_eq!(r.tasks_run, 1);
-    }
-
-    #[test]
-    fn traced_run_replays_cleanly() {
-        use ic_sim::trace::MemorySink;
-        let g = from_arcs(7, &[(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5), (5, 6)]).unwrap();
-        let s = Schedule::in_id_order(&g);
-        let mut sink = MemorySink::new();
-        let r = execute_stealing_traced(&g, &s, 4, |_| {}, &mut sink);
-        assert_eq!(r.tasks_run, 7);
-        let trace = sink.into_trace().expect("header recorded");
-        assert_eq!(trace.header.policy, "WORK-STEALING");
-        assert_eq!(trace.header.clients, 4);
-        assert_eq!(trace.allocation_order().len(), 7);
-        assert_eq!(trace.completion_order().len(), 7);
-        // Log order respects eligibility: every completion precedes the
-        // allocations it enables, so replaying the completion counters
-        // never goes negative.
-        let mut missing: Vec<usize> = g.node_ids().map(|v| g.in_degree(v)).collect();
-        for ev in &trace.events {
-            let task = ev.task.expect("the executor logs no idle events");
-            match ev.kind {
-                EventKind::Allocated => {
-                    assert_eq!(missing[task.index()], 0, "allocated before ELIGIBLE");
-                }
-                EventKind::Completed => {
-                    for &c in g.children(task) {
-                        missing[c.index()] -= 1;
-                    }
-                }
-                _ => {}
-            }
-        }
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //!   read-only views are its private `restore`, `remote` and `view`
 //!   submodules.
 //! * [`reactor`] — the server itself ([`Reactor`] over a [`Driver`],
-//!   the one way a dag gets served): one thread, a nonblocking
-//!   [`reactor::Poller`], per-connection frame buffers, a hierarchical
-//!   [`timer::TimerWheel`] for lease expiry, and an injectable
-//!   [`reactor::Clock`]/[`reactor::Poller`] pair
+//!   the one way a dag gets served): one thread that naps between polls
+//!   unless the protocol owes it a frame at once, per-connection frame
+//!   buffers, a hierarchical [`timer::TimerWheel`] for lease expiry, and
+//!   an injectable [`reactor::Clock`]/[`reactor::Poller`] pair
 //!   ([`reactor::Driver`]) so deterministic in-process drivers and the
 //!   live TCP driver run the same code. Federation peer links live
 //!   in the private `peers` module, which the poll loop enters at six

@@ -24,8 +24,8 @@
 //!
 //! * the live TCP server uses [`MonotonicClock`] + [`TcpPoller`]
 //!   (std-only nonblocking sockets — the workspace has no `libc`, no
-//!   `unsafe`, and therefore no raw `epoll`; the poller compensates
-//!   with an adaptive idle backoff);
+//!   `unsafe`, and therefore no raw `epoll`; the poller naps between
+//!   scans instead, see below);
 //! * deterministic drivers — the in-process load harness and the
 //!   ic-check-style lockstep tests — use [`ManualClock`] +
 //!   [`LoopbackPoller`], where time only moves when the test says so
@@ -33,6 +33,16 @@
 //!
 //! Both paths execute the *same* reactor code, so what the
 //! deterministic tests exercise is exactly what production runs.
+//!
+//! # Who decides to wait
+//!
+//! A frame that lands in [`TcpPoller`]'s nap waits it out, so the
+//! reactor decides whether to wait, from what the protocol owes it: a
+//! worker's next frame comes at once after a `welcome`, after the `ack`
+//! that leaves it holding no task, and after an `assign` if it answered
+//! its previous one within `SLOW_US`. While one is owed, for at most
+//! `SPIN_US` after the flush of the round that owed it, the loop polls
+//! with a zero timeout; otherwise (nothing else owes) `POLL_TIMEOUT`.
 //!
 //! # Timers are lazy
 //!
@@ -147,9 +157,9 @@ pub enum IoEvent {
 /// sockets (or channels) and all write buffering; the reactor never
 /// blocks on I/O — `poll` is its only wait point.
 pub trait Poller {
-    /// Gather readiness events, waiting at most `timeout` when idle.
-    /// Events are appended to `out` (which the reactor hands back
-    /// empty).
+    /// Gather readiness events, waiting at most `timeout` when idle
+    /// (`Duration::ZERO`: not at all). Events are appended to `out`
+    /// (which the reactor hands back empty).
     fn poll(&mut self, timeout: Duration, out: &mut Vec<IoEvent>) -> io::Result<()>;
 
     /// Queue `bytes` on a connection; nothing is transmitted until
@@ -257,6 +267,70 @@ const TABLE_SHARDS: usize = 8;
 /// timer processing (lease expiry, redials, the drain check).
 const POLL_TIMEOUT: Duration = Duration::from_millis(5);
 
+/// How long the loop spins for an owed frame after the flush of the
+/// round that owed it (a closed-loop `request` comes within ~35 µs).
+const SPIN_US: u64 = 100;
+
+/// A worker whose first `done` came this soon after its `assign` is
+/// owed after the next one: above a fast answer seen *through* the nap
+/// ladder's first rungs (~110, ~310 µs), lest the measure fulfil itself.
+const SLOW_US: u64 = 400;
+
+/// The wait rule (module docs): a flag per connection, a count, a deadline.
+#[derive(Debug, Default)]
+struct Owed {
+    /// Connections whose [`ConnState::owed`] flag is set.
+    conns: usize,
+    /// Clock time at which the current spin ends; `None` after a round
+    /// that owed a frame, until the flush that starts the window.
+    until_us: Option<u64>,
+}
+
+impl Owed {
+    /// Set or clear (frame arrived, connection gone) `st`'s flag.
+    fn mark(&mut self, st: &mut ConnState, owed: bool) {
+        match (std::mem::replace(&mut st.owed, owed), owed) {
+            (false, true) => (self.conns, self.until_us) = (self.conns + 1, None),
+            (true, false) => self.conns -= 1,
+            _ => {}
+        }
+    }
+
+    /// Book the `reply` to a worker's frame (`beat`: a heartbeat).
+    fn book(&mut self, st: &mut ConnState, reply: &Message, beat: bool, now_us: u64) {
+        let owed = match reply {
+            Message::Assign { tasks } => {
+                st.held = tasks.len();
+                st.assigned_us = Some(now_us);
+                st.fast
+            }
+            Message::Ack { .. } if !beat => {
+                if let Some(at) = st.assigned_us.take() {
+                    st.fast = now_us.saturating_sub(at) < SLOW_US;
+                }
+                st.held = st.held.saturating_sub(1);
+                st.held == 0
+            }
+            Message::Revoke { .. } => {
+                st.held = st.held.saturating_sub(1);
+                false
+            }
+            _ => false,
+        };
+        self.mark(st, owed);
+    }
+
+    /// The next poll's timeout, at `now_us` just after the flush.
+    fn timeout(&mut self, now_us: u64) -> Duration {
+        let until_us = *self.until_us.get_or_insert(now_us.saturating_add(SPIN_US));
+        if self.conns > 0 && now_us < until_us {
+            Duration::ZERO
+        } else {
+            POLL_TIMEOUT
+        }
+    }
+}
+
 /// What a wheel timer means when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Deadline {
@@ -340,6 +414,14 @@ pub(crate) struct ConnState {
     /// `Some(shard)` once the connection identified as a federation
     /// peer link (v3 `peer-hello`), either dialed by us or accepted.
     pub(crate) peer: Option<u64>,
+    /// The worker's next frame is owed at once.
+    owed: bool,
+    /// Tasks of its last `assign` or `welcome` not reported or revoked.
+    held: usize,
+    /// When its latest `assign` was stepped, until the first `done`.
+    assigned_us: Option<u64>,
+    /// It answered its previous `assign` within [`SLOW_US`].
+    fast: bool,
 }
 
 /// The transport half of a [`Reactor`] — clock, poller, timer wheel,
@@ -378,6 +460,7 @@ pub struct Reactor<'a> {
     io: Io,
     /// Peer links to the other shards.
     peers: Peers,
+    owed: Owed,
 }
 
 impl<'a> Reactor<'a> {
@@ -417,6 +500,7 @@ impl<'a> Reactor<'a> {
             machine,
             io,
             peers: Peers::standalone(),
+            owed: Owed::default(),
         };
         for lease in reactor.machine.lease_views() {
             reactor.arm_lease(lease.worker, lease.task.index() as u64, now);
@@ -463,7 +547,12 @@ impl<'a> Reactor<'a> {
             }
 
             events.clear();
-            self.io.poller.poll(POLL_TIMEOUT, &mut events)?;
+            let timeout = self.owed.timeout(self.io.clock.now_us());
+            self.io.poller.poll(timeout, &mut events)?;
+            if timeout.is_zero() && events.is_empty() {
+                // Spinning for an owed frame: let its sender run.
+                std::thread::yield_now();
+            }
             for ev in events.drain(..) {
                 match ev {
                     IoEvent::Open(id) => {
@@ -509,6 +598,7 @@ impl<'a> Reactor<'a> {
     fn on_data(&mut self, id: ConnId, bytes: &[u8], sink: &mut dyn TraceSink) {
         if let Some(st) = self.io.conns.get_mut(id) {
             st.dec.feed(bytes);
+            self.owed.mark(st, false);
         }
         loop {
             // Decode with the short-lived borrow, dispatch without it:
@@ -625,6 +715,9 @@ impl<'a> Reactor<'a> {
                 self.arm_lease(worker, *task, now_us);
             }
         }
+        if let (Some(Effect::Reply(reply)), Some(st)) = (fx.last(), self.io.conns.get_mut(id)) {
+            self.owed.book(st, reply, beat, now_us);
+        }
         self.perform(fx, now_us, Some((id, Some(reg))), sink);
     }
 
@@ -643,7 +736,8 @@ impl<'a> Reactor<'a> {
     /// worker, schedule the redial if it was a peer link, and close
     /// the transport once any farewell frame has flushed.
     fn drop_conn(&mut self, id: ConnId, sink: &mut dyn TraceSink) {
-        if let Some(st) = self.io.conns.remove(id) {
+        if let Some(mut st) = self.io.conns.remove(id) {
+            self.owed.mark(&mut st, false);
             if let Some((worker, epoch)) = st.reg {
                 let now_us = self.io.clock.now_us();
                 let fx = self.machine.step(Event::Sever {
@@ -701,11 +795,13 @@ impl<'a> Reactor<'a> {
                     if let Message::Welcome { tasks, .. } = msg {
                         // A resume's welcome restores held leases with
                         // renewed clocks: re-arm each one.
-                        for task in tasks {
+                        for &task in &tasks {
                             self.arm_lease(worker, task, now_us);
                         }
                         if let Some(st) = self.io.conns.get_mut(id) {
                             st.reg = Some((worker, epoch));
+                            st.held = tasks.len();
+                            self.owed.mark(st, true);
                         }
                     } else {
                         // Refused (unsupported proto, bad resume): the
@@ -824,9 +920,8 @@ impl<T> Link<T> {
 /// Read-buffer size per scan pass.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Idle backoff bounds for the scan poller: after activity the scan
-/// re-runs almost immediately; a quiet server decays toward the poll
-/// timeout so it costs ~no CPU.
+/// The nap ladder's first rung. Shorter buys nothing under 50 µs of
+/// timer slack, where any `thread::sleep` lasts 56 µs or more.
 const NAP_MIN: Duration = Duration::from_micros(50);
 
 /// The production [`Poller`]: a nonblocking `TcpListener` plus a
@@ -834,18 +929,18 @@ const NAP_MIN: Duration = Duration::from_micros(50);
 /// buffers.
 ///
 /// The workspace forbids `unsafe` and external crates, so there is no
-/// raw `epoll` to block on; instead each `poll` scans the (sharded)
-/// connection table with nonblocking reads and sleeps an *adaptive*
-/// backoff when nothing is ready — microseconds under load, decaying
-/// to the caller's poll timeout when idle. At harness scale
-/// (thousands of connections, most with pending frames) the scan is
-/// the same work epoll would have delivered; the backoff only matters
-/// at the quiet tail.
+/// raw `epoll` to block on. Each `poll` is one accept+scan pass with
+/// nonblocking reads, preceded by a nap only when the last poll came
+/// back empty, nothing was flushed since, and the timeout is not zero:
+/// `NAP_MIN`, doubling per empty poll up to the timeout, so a quiet
+/// server costs ~no CPU.
 pub struct TcpPoller {
     listener: TcpListener,
     links: Links<TcpStream>,
     next_id: ConnId,
     nap: Duration,
+    /// The last poll found nothing and nothing was flushed since.
+    idle: bool,
     /// Scratch id list reused across polls.
     scan: Vec<ConnId>,
     /// Scratch read buffer.
@@ -861,52 +956,10 @@ impl TcpPoller {
             links: Links::new(shards),
             next_id: 0,
             nap: NAP_MIN,
+            idle: false,
             scan: Vec::new(),
             rbuf: vec![0u8; READ_CHUNK],
         })
-    }
-
-    /// One accept+scan pass; returns having appended any events.
-    fn pass(&mut self, out: &mut Vec<IoEvent>) -> io::Result<()> {
-        out.append(&mut self.links.pending);
-
-        // Admit new connections.
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(true);
-                    let _ = stream.set_nodelay(true);
-                    let id = self.next_id;
-                    self.next_id += 1;
-                    self.links.open(id, stream);
-                    out.push(IoEvent::Open(id));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-
-        // Scan every connection: drain flush residue, then read.
-        self.scan.clear();
-        self.links.table.collect_ids(&mut self.scan);
-        let ids = std::mem::take(&mut self.scan);
-        for &id in &ids {
-            let mut gathered: Vec<u8> = Vec::new();
-            let Some(link) = self.links.table.get_mut(id) else {
-                continue;
-            };
-            let alive = Self::service(link, &mut self.rbuf, &mut gathered);
-            let spent = link.spent(alive);
-            if !gathered.is_empty() {
-                out.push(IoEvent::Data(id, gathered));
-            }
-            if spent {
-                Links::evict(&mut self.links.table, id, out);
-            }
-        }
-        self.scan = ids;
-        Ok(())
     }
 
     /// The one socket write loop, shared by `flush` and the scan.
@@ -954,16 +1007,53 @@ impl TcpPoller {
 
 impl Poller for TcpPoller {
     fn poll(&mut self, timeout: Duration, out: &mut Vec<IoEvent>) -> io::Result<()> {
-        let before = out.len();
-        self.pass(out)?;
-        if out.len() == before && !timeout.is_zero() {
+        let nap = self.idle && !timeout.is_zero();
+        if nap {
             std::thread::sleep(self.nap.min(timeout));
-            self.pass(out)?;
         }
-        if out.len() == before {
-            self.nap = (self.nap * 2).min(timeout.max(NAP_MIN));
-        } else {
+        let before = out.len();
+        out.append(&mut self.links.pending);
+        // Admit new connections.
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    let _ = stream.set_nonblocking(true);
+                    let _ = stream.set_nodelay(true);
+                    let id = self.next_id;
+                    self.next_id += 1;
+                    self.links.open(id, stream);
+                    out.push(IoEvent::Open(id));
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+
+        // Scan every connection: drain flush residue, then read.
+        self.scan.clear();
+        self.links.table.collect_ids(&mut self.scan);
+        let ids = std::mem::take(&mut self.scan);
+        for &id in &ids {
+            let mut gathered: Vec<u8> = Vec::new();
+            let Some(link) = self.links.table.get_mut(id) else {
+                continue;
+            };
+            let alive = Self::service(link, &mut self.rbuf, &mut gathered);
+            let spent = link.spent(alive);
+            if !gathered.is_empty() {
+                out.push(IoEvent::Data(id, gathered));
+            }
+            if spent {
+                Links::evict(&mut self.links.table, id, out);
+            }
+        }
+        self.scan = ids;
+        self.idle = out.len() == before;
+        if !self.idle {
             self.nap = NAP_MIN;
+        } else if nap {
+            self.nap = (self.nap * 2).min(timeout.max(NAP_MIN));
         }
         Ok(())
     }
@@ -973,6 +1063,8 @@ impl Poller for TcpPoller {
     }
 
     fn flush(&mut self) {
+        // Output predicts input: scan before the next nap.
+        self.idle &= self.links.dirty.is_empty();
         self.links.flush(Self::write);
     }
 
@@ -1255,5 +1347,147 @@ mod tests {
         assert_eq!(timers_left(false, false), 0, "one dead timer per done ack");
         assert_eq!(timers_left(true, false), 1, "the heartbeat's renewal");
         assert_eq!(timers_left(false, true), 0, "a dead timer per wait");
+    }
+
+    /// A [`Poller`] that logs the timeout of every `poll`, then moves
+    /// the clock by the script step's microseconds and delivers its
+    /// frame (from connection 0, opened by the first step). The run
+    /// ends with an error when the script does.
+    struct TimeoutLog {
+        clock: ManualClock,
+        script: std::collections::VecDeque<(u64, Option<Message>)>,
+        log: std::rc::Rc<std::cell::RefCell<Vec<Duration>>>,
+        opened: bool,
+    }
+
+    impl Poller for TimeoutLog {
+        fn poll(&mut self, timeout: Duration, out: &mut Vec<IoEvent>) -> io::Result<()> {
+            self.log.borrow_mut().push(timeout);
+            let (us, msg) = self
+                .script
+                .pop_front()
+                .ok_or_else(|| io::Error::other("end of script"))?;
+            self.clock.advance(us);
+            if !std::mem::replace(&mut self.opened, true) {
+                out.push(IoEvent::Open(0));
+            }
+            if let Some(msg) = msg {
+                let mut bytes = Vec::new();
+                Frame::encode_into(&msg, &mut bytes);
+                out.push(IoEvent::Data(0, bytes));
+            }
+            Ok(())
+        }
+        fn send(&mut self, _conn: ConnId, _bytes: &[u8]) {}
+        fn flush(&mut self) {}
+        fn close(&mut self, _conn: ConnId) {}
+    }
+
+    /// The timeout of the poll after each step of `script`, run by one
+    /// worker on 4 independent tasks in id order, `batch` per assign;
+    /// `expect` workers hold the registration barrier.
+    fn waits(batch: usize, expect: usize, script: Vec<(u64, Option<Message>)>) -> Vec<Duration> {
+        let dag = ic_dag::builder::from_arcs(4, &[]).unwrap();
+        let policy = ic_sched::Schedule::in_id_order(&dag);
+        let cfg = ServerConfig::builder()
+            .lease_ms(60_000)
+            .expect_workers(expect)
+            .batch(batch)
+            .build();
+        let clock = ManualClock::new(0);
+        let log = std::rc::Rc::default();
+        let poller = TimeoutLog {
+            clock: clock.clone(),
+            script: script.into(),
+            log: std::rc::Rc::clone(&log),
+            opened: false,
+        };
+        let driver = Driver::new(Box::new(clock), Box::new(poller));
+        let mut reactor = Reactor::new(&dag, &policy, cfg, driver);
+        let end = reactor.run_until_drain(&mut MemorySink::new());
+        assert!(end.is_err(), "the script ends the run: {end:?}");
+        let mut log = log.take();
+        assert_eq!(
+            log.remove(0),
+            POLL_TIMEOUT,
+            "nothing is owed before a hello"
+        );
+        log
+    }
+
+    const SPINS: Duration = Duration::ZERO;
+    const NAPS: Duration = POLL_TIMEOUT;
+
+    fn done(task: u64) -> Option<Message> {
+        Some(Message::Done { task, ok: true })
+    }
+
+    #[test]
+    fn a_fast_closed_loop_worker_is_spun_for_and_a_slow_one_napped_on() {
+        let script = vec![
+            (0, Some(Message::hello("w", 1.0))),
+            // The owed request arrived; the first assign finds the
+            // worker's speed unknown.
+            (0, Some(Message::request())),
+            // Answered at once: the ack leaves it holding nothing.
+            (10, done(0)),
+            (0, Some(Message::request())),
+            // Answered `SLOW_US` late: the ack still owes the request,
+            // but the next assign owes nothing.
+            (SLOW_US, done(1)),
+            (0, Some(Message::request())),
+        ];
+        assert_eq!(
+            waits(1, 1, script),
+            [SPINS, NAPS, SPINS, SPINS, SPINS, NAPS]
+        );
+    }
+
+    #[test]
+    fn a_heartbeat_ack_and_the_early_acks_of_a_batch_owe_nothing() {
+        let script = vec![
+            (0, Some(Message::hello("w", 1.0))),
+            (0, Some(Message::Request { max: 2 })),
+            (10, Some(Message::Heartbeat { task: 0 })),
+            (0, done(0)),
+            (0, done(1)),
+        ];
+        assert_eq!(waits(2, 1, script), [SPINS, NAPS, NAPS, NAPS, SPINS]);
+    }
+
+    #[test]
+    fn a_wait_owes_nothing_and_an_owed_frame_is_spun_for_only_spin_us() {
+        let script = vec![
+            (0, Some(Message::hello("w", 1.0))),
+            (SPIN_US - 1, None),
+            (1, None),
+            // The barrier wants a second worker.
+            (0, Some(Message::request())),
+        ];
+        assert_eq!(waits(1, 2, script), [SPINS, SPINS, NAPS, NAPS]);
+    }
+
+    /// Nobody owes the real poller anything here: after one byte and
+    /// 100 ms of silence its naps have climbed the ladder to the 5 ms
+    /// cap (~27 polls), where a spin would have returned thousands of
+    /// times.
+    #[test]
+    fn a_silent_tcp_poller_naps_up_to_its_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut far = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut poller = TcpPoller::new(listener, 1).unwrap();
+        far.write_all(&[0]).unwrap();
+        let mut events = Vec::new();
+        while !events.iter().any(|e| matches!(e, IoEvent::Data(..))) {
+            poller.poll(Duration::from_millis(5), &mut events).unwrap();
+        }
+        let (start, mut polls) = (Instant::now(), 0);
+        while start.elapsed() < Duration::from_millis(100) {
+            events.clear();
+            poller.poll(Duration::from_millis(5), &mut events).unwrap();
+            assert!(events.is_empty(), "{events:?}");
+            polls += 1;
+        }
+        assert!(polls <= 40, "{polls} polls in 100 ms of silence");
     }
 }

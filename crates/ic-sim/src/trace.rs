@@ -1,7 +1,7 @@
 //! The shared execution-trace model.
 //!
 //! Every run of the discrete-event simulator ([`crate::simulate_traced`])
-//! and of the `ic-exec` work-stealing executor can emit its event
+//! and of the live server (`ic-net`, as its write-ahead log) emits its event
 //! history through a [`TraceSink`]: one [`TraceHeader`] carrying the
 //! dag (so a trace file is self-contained), then a stream of
 //! [`TraceEvent`]s — task allocated, task completed, allocation failed,
@@ -81,9 +81,9 @@ pub struct TraceHeader {
     pub nodes: usize,
     /// The dag's arcs as `(parent, child)` id pairs.
     pub arcs: Vec<(u32, u32)>,
-    /// Number of simulated clients (workers, for executor traces).
+    /// Number of simulated clients (workers, for live-server traces).
     pub clients: usize,
-    /// RNG seed of the run (0 for the real executor).
+    /// RNG seed of the run.
     pub seed: u64,
     /// Name of the allocation policy that drove the run.
     pub policy: String,
@@ -267,7 +267,7 @@ pub struct TraceEvent {
     /// Global event index (0-based, monotone).
     pub step: u64,
     /// The run's clock — simulated time units for `ic-sim`, elapsed
-    /// seconds for `ic-exec` and `ic-net`.
+    /// seconds for `ic-net`.
     pub time: f64,
     /// The client (worker slot) the event concerns.
     pub client: usize,
@@ -276,8 +276,8 @@ pub struct TraceEvent {
     /// The task concerned; `None` exactly for [`EventKind::Idle`].
     pub task: Option<NodeId>,
     /// Size of the ELIGIBLE-and-unallocated pool *after* the event
-    /// applied, when the emitter tracks it (`None` for the real
-    /// executor, whose pool is sharded across worker deques).
+    /// applied, when the emitter tracks it (`None` on the kinds that
+    /// carry no pool sample).
     pub pool: Option<usize>,
 }
 

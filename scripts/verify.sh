@@ -170,6 +170,37 @@ grep -q '"completions": 36' "$tmpdir/serve.json"
 ./target/release/ic-prio audit --schedule "$tmpdir/serve.jsonl" --json \
     | grep -q '"ok": true'
 
+echo "==> ic-prio serve | 2 x work --mean-ms 3000 (a quiet server stays quiet)"
+# The paper's regime: workers compute for seconds and the server waits.
+# Over about 2 s of their service the server may spend at most 5 % of
+# one core (it reads ~1.5 %, one idle worker asking every 25 ms
+# included); a reactor that spins while nothing is owed fails here.
+# The server is one thread, so the first field of its
+# /proc/<pid>/schedstat is its time on CPU in ns; `$!` is the `timeout`
+# wrapper, so the server is that process's child.
+timeout 60 ./target/release/ic-prio serve --family mesh:2 --listen 127.0.0.1:0 \
+    --expect 2 --lease-ms 60000 --port-file "$tmpdir/qport" --json \
+    > "$tmpdir/quiet.json" &
+quiet_pid=$!
+wait_for_port "$tmpdir/qport" "server"
+addr="$(tr -d '[:space:]' < "$tmpdir/qport")"
+timeout 60 ./target/release/ic-prio work --connect "$addr" --id calm-1 \
+    --mean-ms 3000 > /dev/null &
+timeout 60 ./target/release/ic-prio work --connect "$addr" --id calm-2 \
+    --mean-ms 3000 > /dev/null &
+server_pid="$(pgrep -P "$quiet_pid")"
+sleep 0.5
+cpu0="$(cut -d' ' -f1 "/proc/$server_pid/schedstat")"
+wall0="$(date +%s%N)"
+sleep 2
+cpu1="$(cut -d' ' -f1 "/proc/$server_pid/schedstat")"
+wall1="$(date +%s%N)"
+quiet_pct="$(( (cpu1 - cpu0) * 1000 / (wall1 - wall0) ))"
+echo "quiet server: $(( (cpu1 - cpu0) / 1000 )) us on CPU in $(( (wall1 - wall0) / 1000 )) us (${quiet_pct} per mille of a core)"
+[ "$quiet_pct" -le 50 ] || { echo "a quiet server must stay under 5 % of a core"; exit 1; }
+wait
+grep -q '"completions": 3' "$tmpdir/quiet.json"
+
 echo "==> ic-prio serve | work --sever-after | audit --schedule (reconnect round trip)"
 # Resumable leases over real processes: the lone worker severs its TCP
 # socket mid-lease (the process stays up) and reconnects with its
