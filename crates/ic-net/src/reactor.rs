@@ -46,17 +46,17 @@
 //!
 //! # Timers are lazy
 //!
-//! The wheel is never cancelled (see [`crate::timer`]): every lease
-//! grant, resume, and heartbeat renewal schedules a fresh
-//! [`Deadline::Lease`] at the deadline the machine recorded (the reactor
-//! keeps no `ServerConfig` of its own), and a firing whose lease
-//! was meanwhile completed, forfeited, renewed, or revoked steps an
-//! `Event::Expire` that the machine ignores by its
-//! `deadline_us <= now_us` guard. Stale firings are cheap no-ops;
-//! missed expiries are impossible as long as every grant path
-//! schedules — assigns (primary and speculative), heartbeat renewals,
-//! and resume welcomes all re-arm the wheel. The steal clock has no
-//! timer: the machine reads it inside the next `request`, and a
+//! The wheel is never cancelled (see [`crate::timer`]): every `assign`
+//! and resume `welcome` schedules one [`Deadline::Leases`] for all its
+//! tasks, and every heartbeat renewal one [`Deadline::Lease`], at the
+//! deadline the machine recorded, so the wheel grows with grants, not
+//! tasks. A firing steps `Event::Expire` per task, which the machine
+//! ignores by its `deadline_us <= now_us` guard if the lease was
+//! meanwhile completed, forfeited, renewed, or revoked. Stale firings
+//! are cheap no-ops; missed expiries are impossible as long as every
+//! grant path schedules — assigns (primary and speculative), heartbeat
+//! renewals, and resume welcomes all re-arm the wheel. The steal clock
+//! has no timer: the machine reads it inside the next `request`, and a
 //! waiting worker asks again after `wait_ms`.
 
 use std::collections::HashMap;
@@ -332,7 +332,7 @@ impl Owed {
 }
 
 /// What a wheel timer means when it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Deadline {
     /// A lease's heartbeat deadline: step `Event::Expire` (a no-op if
     /// the lease was renewed or resolved — timers are lazy).
@@ -341,6 +341,14 @@ pub enum Deadline {
         worker: usize,
         /// The leased task id.
         task: u64,
+    },
+    /// The deadline of one grant's leases (an `assign` or a resume's
+    /// `welcome`): step `Event::Expire` for each task, in list order.
+    Leases {
+        /// The lease holder's slot index.
+        worker: usize,
+        /// The granted task ids (the frame's own list).
+        tasks: Vec<u64>,
     },
     /// Dial (or redial) a federation peer link this reactor owns (it
     /// dials every peer with a smaller shard index). Lazy like lease
@@ -503,7 +511,8 @@ impl<'a> Reactor<'a> {
             owed: Owed::default(),
         };
         for lease in reactor.machine.lease_views() {
-            reactor.arm_lease(lease.worker, lease.task.index() as u64, now);
+            let (worker, task) = (lease.worker, lease.task.index() as u64);
+            reactor.arm(Deadline::Lease { worker, task }, now);
         }
         reactor
     }
@@ -568,13 +577,11 @@ impl<'a> Reactor<'a> {
             self.io.wheel.advance(now, &mut fired);
             for d in fired.drain(..) {
                 match d {
-                    Deadline::Lease { worker, task } => {
-                        let fx = self.machine.step(Event::Expire {
-                            worker,
-                            task,
-                            now_us: now,
-                        });
-                        self.perform(fx, now, None, sink);
+                    Deadline::Lease { worker, task } => self.expire(worker, task, now, sink),
+                    Deadline::Leases { worker, tasks } => {
+                        for task in tasks {
+                            self.expire(worker, task, now, sink);
+                        }
                     }
                     Deadline::Redial { peer } => self.peers.dial(peer, &mut self.io),
                 }
@@ -712,7 +719,8 @@ impl<'a> Reactor<'a> {
                 accepted: true,
             })) = fx.last()
             {
-                self.arm_lease(worker, *task, now_us);
+                let task = *task;
+                self.arm(Deadline::Lease { worker, task }, now_us);
             }
         }
         if let (Some(Effect::Reply(reply)), Some(st)) = (fx.last(), self.io.conns.get_mut(id)) {
@@ -721,14 +729,22 @@ impl<'a> Reactor<'a> {
         self.perform(fx, now_us, Some((id, Some(reg))), sink);
     }
 
-    /// Schedule the expiry timer for a lease granted or renewed at
-    /// `now_us`, at the deadline the machine itself recorded for it;
+    /// Schedule the expiry timer for leases granted or renewed at
+    /// `now_us`, at the deadline the machine itself recorded for them;
     /// the wheel rounds up, so the firing can never be early.
-    fn arm_lease(&mut self, worker: usize, task: u64, now_us: u64) {
+    fn arm(&mut self, leases: Deadline, now_us: u64) {
         let deadline = self.machine.lease_deadline(now_us);
-        self.io
-            .wheel
-            .schedule(deadline, Deadline::Lease { worker, task });
+        self.io.wheel.schedule(deadline, leases);
+    }
+
+    /// A lease timer fired: step its expiry at `now_us`.
+    fn expire(&mut self, worker: usize, task: u64, now_us: u64, sink: &mut dyn TraceSink) {
+        let fx = self.machine.step(Event::Expire {
+            worker,
+            task,
+            now_us,
+        });
+        self.perform(fx, now_us, None, sink);
     }
 
     /// Forget a connection, whoever ended it (EOF, decode error, bye,
@@ -775,33 +791,32 @@ impl<'a> Reactor<'a> {
                     self.peers.recorded(&ev, &mut self.io);
                 }
                 (Effect::Reply(msg), Some((id, Some((worker, _))))) => {
-                    match &msg {
+                    self.io.send(id, &msg);
+                    match msg {
                         // Every grant path re-arms the wheel: primary
-                        // and speculative assigns here, heartbeat
-                        // renewals where the heartbeat is dispatched,
-                        // resumes at registration.
+                        // and speculative assigns here (one timer per
+                        // batch), heartbeat renewals where the
+                        // heartbeat is dispatched, resumes at
+                        // registration.
                         Message::Assign { tasks } => {
-                            for &task in tasks {
-                                self.arm_lease(worker, task, now_us);
-                            }
+                            self.arm(Deadline::Leases { worker, tasks }, now_us);
                         }
                         Message::Drain => drained = Some(id),
                         _ => {}
                     }
-                    self.io.send(id, &msg);
                 }
                 (Effect::Registered { msg, worker, epoch }, Some((id, _))) => {
                     self.io.send(id, &msg);
                     if let Message::Welcome { tasks, .. } = msg {
-                        // A resume's welcome restores held leases with
-                        // renewed clocks: re-arm each one.
-                        for &task in &tasks {
-                            self.arm_lease(worker, task, now_us);
-                        }
                         if let Some(st) = self.io.conns.get_mut(id) {
                             st.reg = Some((worker, epoch));
                             st.held = tasks.len();
                             self.owed.mark(st, true);
+                        }
+                        // A resume's welcome restores held leases with
+                        // renewed clocks: re-arm them, as one grant.
+                        if !tasks.is_empty() {
+                            self.arm(Deadline::Leases { worker, tasks }, now_us);
                         }
                     } else {
                         // Refused (unsupported proto, bad resume): the
@@ -1271,6 +1286,7 @@ impl Drop for LoopbackConn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ic_sim::trace::EventKind;
     use ic_sim::MemorySink;
 
     const TASKS: u64 = 8;
@@ -1383,6 +1399,30 @@ mod tests {
         fn close(&mut self, _conn: ConnId) {}
     }
 
+    /// Run `script` through a [`TimeoutLog`] poller until it ends: the
+    /// reactor afterwards, its trace, and the timeout of every poll.
+    fn scripted<'a>(
+        dag: &'a Dag,
+        policy: &'a dyn AllocationPolicy,
+        cfg: ServerConfig,
+        script: Vec<(u64, Option<Message>)>,
+    ) -> (Reactor<'a>, MemorySink, Vec<Duration>) {
+        let clock = ManualClock::new(0);
+        let log = std::rc::Rc::default();
+        let poller = TimeoutLog {
+            clock: clock.clone(),
+            script: script.into(),
+            log: std::rc::Rc::clone(&log),
+            opened: false,
+        };
+        let driver = Driver::new(Box::new(clock), Box::new(poller));
+        let mut reactor = Reactor::new(dag, policy, cfg, driver);
+        let mut sink = MemorySink::new();
+        let end = reactor.run_until_drain(&mut sink);
+        assert!(end.is_err(), "the script ends the run: {end:?}");
+        (reactor, sink, log.take())
+    }
+
     /// The timeout of the poll after each step of `script`, run by one
     /// worker on 4 independent tasks in id order, `batch` per assign;
     /// `expect` workers hold the registration barrier.
@@ -1394,25 +1434,50 @@ mod tests {
             .expect_workers(expect)
             .batch(batch)
             .build();
-        let clock = ManualClock::new(0);
-        let log = std::rc::Rc::default();
-        let poller = TimeoutLog {
-            clock: clock.clone(),
-            script: script.into(),
-            log: std::rc::Rc::clone(&log),
-            opened: false,
-        };
-        let driver = Driver::new(Box::new(clock), Box::new(poller));
-        let mut reactor = Reactor::new(&dag, &policy, cfg, driver);
-        let end = reactor.run_until_drain(&mut MemorySink::new());
-        assert!(end.is_err(), "the script ends the run: {end:?}");
-        let mut log = log.take();
+        let (_, _, mut log) = scripted(&dag, &policy, cfg, script);
         assert_eq!(
             log.remove(0),
             POLL_TIMEOUT,
             "nothing is owed before a hello"
         );
         log
+    }
+
+    /// A [`TASKS`]-task `assign` arms one timer, not one per task; when
+    /// its lease runs out the tasks fail in the `assign`'s order, as
+    /// per-task timers due at the same tick fired.
+    #[test]
+    fn a_batch_assign_arms_one_timer_and_expires_in_its_order() {
+        let dag = ic_dag::builder::from_arcs(TASKS as usize, &[]).unwrap();
+        let order = [5, 2, 7, 0, 3, 6, 1, 4].map(ic_dag::NodeId).to_vec();
+        let policy = ic_sched::Schedule::new(&dag, order.clone()).unwrap();
+        let cfg = || {
+            ServerConfig::builder()
+                .lease_ms(LEASE_US / 1000)
+                .expect_workers(1)
+                .batch(TASKS as usize)
+                .build()
+        };
+        let grant = vec![
+            (0, Some(Message::hello("w", 1.0))),
+            (0, Some(Message::Request { max: TASKS })),
+        ];
+        let (reactor, _, _) = scripted(&dag, &policy, cfg(), grant.clone());
+        assert_eq!(reactor.io.wheel.len(), 1, "one timer for the batch");
+
+        let expiry = [grant, vec![(2 * LEASE_US, None)]].concat();
+        let (reactor, sink, _) = scripted(&dag, &policy, cfg(), expiry);
+        assert!(reactor.io.wheel.is_empty());
+        let events = sink.into_trace().unwrap().events;
+        let tasks = |kind| -> Vec<ic_dag::NodeId> {
+            events
+                .iter()
+                .filter(|e| e.kind == kind)
+                .filter_map(|e| e.task)
+                .collect()
+        };
+        assert_eq!(tasks(EventKind::Allocated), order, "the schedule's order");
+        assert_eq!(tasks(EventKind::Failed), order, "the assign's order");
     }
 
     const SPINS: Duration = Duration::ZERO;

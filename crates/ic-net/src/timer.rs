@@ -12,10 +12,11 @@
 //! no-op unless a matching lease exists with `deadline_us <= now_us`
 //! (see `machine.rs`), so a stale timer — one whose lease was since
 //! completed, forfeited, revoked, or renewed — fires harmlessly. The
-//! reactor's obligation is only ever to *add* timers: one per lease
-//! grant and one per renewal, each at the new deadline. That keeps the
-//! wheel a bag of `(deadline, item)` pairs with no back-pointers into
-//! the lease table, which is what lets `LeaseMachine` stay untouched.
+//! reactor's obligation is only ever to *add* timers: one per grant (a
+//! whole `assign` batch) and one per renewal, each at the new
+//! deadline. That keeps the wheel a bag of `(deadline, item)` pairs
+//! with no back-pointers into the lease table, which is what lets
+//! `LeaseMachine` stay untouched.
 //!
 //! # Shape
 //!

@@ -7,15 +7,16 @@
 //! memory; every decoding failure is a typed [`WireError`], never a
 //! panic — a server must survive garbage from the network.
 //!
-//! The JSON layer is the workspace's own parser ([`ic_sim::json`]): the
-//! protocol adds no external dependencies, and traces, frames, and CLI
-//! output all share one encoder. Each message is an object whose
-//! `"type"` field selects the variant, e.g.
-//!
-//! ```text
-//! {"type":"hello","id":"worker-3","speed":2.0,"proto":2}
-//! {"type":"assign","tasks":[17]}
-//! ```
+//! Each message is an object whose `"type"` field selects the variant,
+//! e.g. `{"type":"assign","tasks":[17]}`. [`Message::write_json`]
+//! writes bodies straight into the output buffer. On the way in, the
+//! per-task frames (`request`, `done`, `ack`, `assign`) are matched
+//! byte for byte in the exact shape `write_json` emits, with no tree
+//! built. Every other body, a legal variant of those four included
+//! (whitespace, reordered keys, a leading zero), takes the workspace's
+//! own JSON parser ([`ic_sim::json`], no external dependency) and
+//! [`Message::from_json`], which alone decides what is accepted and
+//! which [`WireError`] a rejected frame gets.
 //!
 //! # Protocol versions
 //!
@@ -259,8 +260,19 @@ impl Message {
         }
     }
 
-    /// Encode as the JSON object body of a frame.
+    /// The JSON object body of a frame ([`Message::write_json`]).
     pub fn to_json(&self) -> String {
+        let mut out = Vec::new();
+        self.write_json(&mut out);
+        String::from_utf8(out).unwrap_or_default()
+    }
+
+    /// Append the JSON object body of a frame onto `out`: the one body
+    /// writer. Keys come in a fixed order with no whitespace, numbers
+    /// in plain decimal, and optional fields only when set — the bytes
+    /// the decoder's fast path matches.
+    pub fn write_json(&self, out: &mut Vec<u8>) {
+        let flag = |b: bool| if b { "true" } else { "false" };
         match self {
             Message::Hello {
                 id,
@@ -268,31 +280,25 @@ impl Message {
                 proto,
                 resume,
             } => {
-                let mut s = format!(
-                    "{{\"type\":\"hello\",\"id\":{},\"speed\":{},\"proto\":{proto}",
-                    json_string(id),
-                    fmt_f64(*speed)
-                );
+                field(out, "{\"type\":\"hello\",\"id\":", &json_string(id));
+                field(out, ",\"speed\":", &fmt_f64(*speed));
+                num(out, ",\"proto\":", u64::from(*proto));
                 if let Some(tok) = resume {
-                    s.push_str(&format!(",\"resume\":{}", json_string(tok)));
+                    field(out, ",\"resume\":", &json_string(tok));
                 }
-                s.push('}');
-                s
             }
             Message::Request { max } => {
-                if *max <= 1 {
-                    "{\"type\":\"request\"}".into()
-                } else {
-                    format!("{{\"type\":\"request\",\"max\":{max}}}")
+                field(out, "{\"type\":\"request\"", "");
+                if *max > 1 {
+                    num(out, ",\"max\":", *max);
                 }
             }
             Message::Done { task, ok } => {
-                format!("{{\"type\":\"done\",\"task\":{task},\"ok\":{ok}}}")
+                num(out, "{\"type\":\"done\",\"task\":", *task);
+                field(out, ",\"ok\":", flag(*ok));
             }
-            Message::Heartbeat { task } => {
-                format!("{{\"type\":\"heartbeat\",\"task\":{task}}}")
-            }
-            Message::Bye => "{\"type\":\"bye\"}".into(),
+            Message::Heartbeat { task } => num(out, "{\"type\":\"heartbeat\",\"task\":", *task),
+            Message::Bye => field(out, "{\"type\":\"bye\"", ""),
             Message::Welcome {
                 worker,
                 lease_ms,
@@ -300,56 +306,52 @@ impl Message {
                 resume,
                 tasks,
             } => {
-                let mut s = format!(
-                    "{{\"type\":\"welcome\",\"worker\":{worker},\"lease_ms\":{lease_ms},\
-                     \"proto\":{proto}"
-                );
+                num(out, "{\"type\":\"welcome\",\"worker\":", *worker);
+                num(out, ",\"lease_ms\":", *lease_ms);
+                num(out, ",\"proto\":", u64::from(*proto));
                 if let Some(tok) = resume {
-                    s.push_str(&format!(",\"resume\":{}", json_string(tok)));
+                    field(out, ",\"resume\":", &json_string(tok));
                 }
                 if !tasks.is_empty() {
-                    s.push_str(&format!(",\"tasks\":[{}]", id_list(tasks)));
+                    list(out, ",\"tasks\":", tasks);
                 }
-                s.push('}');
-                s
             }
             Message::Assign { tasks } => {
                 debug_assert!(!tasks.is_empty(), "assign carries at least one task");
-                format!("{{\"type\":\"assign\",\"tasks\":[{}]}}", id_list(tasks))
+                list(out, "{\"type\":\"assign\",\"tasks\":", tasks);
             }
-            Message::Wait { ms } => format!("{{\"type\":\"wait\",\"ms\":{ms}}}"),
-            Message::Drain => "{\"type\":\"drain\"}".into(),
+            Message::Wait { ms } => num(out, "{\"type\":\"wait\",\"ms\":", *ms),
+            Message::Drain => field(out, "{\"type\":\"drain\"", ""),
             Message::Ack { task, accepted } => {
-                format!("{{\"type\":\"ack\",\"task\":{task},\"accepted\":{accepted}}}")
+                num(out, "{\"type\":\"ack\",\"task\":", *task);
+                field(out, ",\"accepted\":", flag(*accepted));
             }
-            Message::Revoke { task } => format!("{{\"type\":\"revoke\",\"task\":{task}}}"),
+            Message::Revoke { task } => num(out, "{\"type\":\"revoke\",\"task\":", *task),
             Message::Error { code, msg } => {
-                if code.is_empty() {
-                    format!("{{\"type\":\"error\",\"msg\":{}}}", json_string(msg))
-                } else {
-                    format!(
-                        "{{\"type\":\"error\",\"code\":{},\"msg\":{}}}",
-                        json_string(code),
-                        json_string(msg)
-                    )
+                field(out, "{\"type\":\"error\"", "");
+                if !code.is_empty() {
+                    field(out, ",\"code\":", &json_string(code));
                 }
+                field(out, ",\"msg\":", &json_string(msg));
             }
             Message::PeerHello {
                 shard,
                 shards,
                 nodes,
                 proto,
-            } => format!(
-                "{{\"type\":\"peer-hello\",\"shard\":{shard},\"shards\":{shards},\
-                 \"nodes\":{nodes},\"proto\":{proto}}}"
-            ),
+            } => {
+                num(out, "{\"type\":\"peer-hello\",\"shard\":", *shard);
+                num(out, ",\"shards\":", *shards);
+                num(out, ",\"nodes\":", *nodes);
+                num(out, ",\"proto\":", u64::from(*proto));
+            }
             Message::RemoteDone { task, shard } => {
-                format!("{{\"type\":\"remote-done\",\"task\":{task},\"shard\":{shard}}}")
+                num(out, "{\"type\":\"remote-done\",\"task\":", *task);
+                num(out, ",\"shard\":", *shard);
             }
-            Message::PeerDrain { shard } => {
-                format!("{{\"type\":\"peer-drain\",\"shard\":{shard}}}")
-            }
+            Message::PeerDrain { shard } => num(out, "{\"type\":\"peer-drain\",\"shard\":", *shard),
         }
+        out.push(b'}');
     }
 
     /// Decode a frame body. Any structural problem — not an object, an
@@ -361,16 +363,13 @@ impl Message {
             .get("type")
             .and_then(Json::as_str)
             .ok_or_else(|| malformed("message has no \"type\" field"))?;
-        let task = || {
-            v.get("task")
+        let uint = |key: &str, why: &str| {
+            v.get(key)
                 .and_then(Json::as_u64)
-                .ok_or_else(|| malformed("missing numeric \"task\""))
+                .ok_or_else(|| malformed(why))
         };
-        let shard = || {
-            v.get("shard")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| malformed("missing numeric \"shard\""))
-        };
+        let task = || uint("task", "missing numeric \"task\"");
+        let shard = || uint("shard", "missing numeric \"shard\"");
         // Optional `proto`: absent means 1, so a peer that predates the
         // field is refused by version, not by syntax; present but
         // mistyped is malformed.
@@ -421,14 +420,8 @@ impl Message {
             "heartbeat" => Ok(Message::Heartbeat { task: task()? }),
             "bye" => Ok(Message::Bye),
             "welcome" => Ok(Message::Welcome {
-                worker: v
-                    .get("worker")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| malformed("welcome without numeric \"worker\""))?,
-                lease_ms: v
-                    .get("lease_ms")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| malformed("welcome without numeric \"lease_ms\""))?,
+                worker: uint("worker", "welcome without numeric \"worker\"")?,
+                lease_ms: uint("lease_ms", "welcome without numeric \"lease_ms\"")?,
                 proto: proto()?,
                 resume: resume()?,
                 tasks: match v.get("tasks") {
@@ -447,10 +440,7 @@ impl Message {
                 Ok(Message::Assign { tasks })
             }
             "wait" => Ok(Message::Wait {
-                ms: v
-                    .get("ms")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| malformed("wait without numeric \"ms\""))?,
+                ms: uint("ms", "wait without numeric \"ms\"")?,
             }),
             "drain" => Ok(Message::Drain),
             "ack" => Ok(Message::Ack {
@@ -475,14 +465,8 @@ impl Message {
             }),
             "peer-hello" => Ok(Message::PeerHello {
                 shard: shard()?,
-                shards: v
-                    .get("shards")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| malformed("peer-hello without numeric \"shards\""))?,
-                nodes: v
-                    .get("nodes")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| malformed("peer-hello without numeric \"nodes\""))?,
+                shards: uint("shards", "peer-hello without numeric \"shards\"")?,
+                nodes: uint("nodes", "peer-hello without numeric \"nodes\"")?,
                 proto: proto()?,
             }),
             "remote-done" => Ok(Message::RemoteDone {
@@ -495,10 +479,104 @@ impl Message {
     }
 }
 
-/// Task ids as the inside of a JSON list: `1,2,3`.
-fn id_list(tasks: &[u64]) -> String {
-    let ids: Vec<String> = tasks.iter().map(u64::to_string).collect();
-    ids.join(",")
+/// Append `key` (the literal up to and including its colon) and a
+/// value already in JSON form.
+fn field(out: &mut Vec<u8>, key: &str, value: &str) {
+    out.extend_from_slice(key.as_bytes());
+    out.extend_from_slice(value.as_bytes());
+}
+
+/// Append `key` and `n` in plain decimal.
+fn num(out: &mut Vec<u8>, key: &str, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b"0123456789"[(n % 10) as usize];
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(key.as_bytes());
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Append `key` and task ids as a JSON list: `[1,2,3]`.
+fn list(out: &mut Vec<u8>, key: &str, tasks: &[u64]) {
+    field(out, key, "[");
+    for (i, &task) in tasks.iter().enumerate() {
+        num(out, if i == 0 { "" } else { "," }, task);
+    }
+    out.push(b']');
+}
+
+/// The four per-task frames exactly as [`Message::write_json`] writes
+/// them, without a [`Json`] tree; `None` sends any other body down the
+/// tree path, which accepts each of these as the same message.
+fn decode_per_task(body: &[u8]) -> Option<Message> {
+    let mut at = Cursor(body.strip_prefix(b"{\"type\":\"")?);
+    let msg = if at.eat(b"done\",\"task\":") {
+        let (task, ok) = at.num_flag(b",\"ok\":")?;
+        Message::Done { task, ok }
+    } else if at.eat(b"ack\",\"task\":") {
+        let (task, accepted) = at.num_flag(b",\"accepted\":")?;
+        Message::Ack { task, accepted }
+    } else if at.eat(b"assign\",\"tasks\":[") {
+        let mut tasks = vec![at.num()?];
+        while at.eat(b",") {
+            tasks.push(at.num()?);
+        }
+        at.eat(b"]").then_some(Message::Assign { tasks })?
+    } else if at.eat(b"request\"") {
+        let max = match at.eat(b",\"max\":") {
+            true => at.num().filter(|&m| m >= 1)?,
+            false => 1,
+        };
+        Message::Request { max }
+    } else {
+        return None;
+    };
+    (at.0 == b"}").then_some(msg)
+}
+
+/// The unread rest of a body, for [`decode_per_task`].
+struct Cursor<'a>(&'a [u8]);
+
+impl Cursor<'_> {
+    /// Consume `lit` if the rest starts with it.
+    fn eat(&mut self, lit: &[u8]) -> bool {
+        let rest = self.0.strip_prefix(lit);
+        self.0 = rest.unwrap_or(self.0);
+        rest.is_some()
+    }
+
+    /// A canonical `u64`: no sign, no leading zero, no overflow.
+    fn num(&mut self) -> Option<u64> {
+        let len = self.0.iter().take_while(|b| b.is_ascii_digit()).count();
+        let (digits, rest) = self.0.split_at(len);
+        if digits.is_empty() || (digits[0] == b'0' && len > 1) {
+            return None;
+        }
+        let n = digits.iter().try_fold(0u64, |n, &d| {
+            n.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+        })?;
+        self.0 = rest;
+        Some(n)
+    }
+
+    /// A number, then `key`, then `true` or `false`.
+    fn num_flag(&mut self, key: &[u8]) -> Option<(u64, bool)> {
+        let n = self.num()?;
+        let flag = if !self.eat(key) {
+            None
+        } else if self.eat(b"true") {
+            Some(true)
+        } else {
+            self.eat(b"false").then_some(false)
+        };
+        Some((n, flag?))
+    }
 }
 
 fn task_list(list: &Json) -> Result<Vec<u64>, WireError> {
@@ -581,15 +659,17 @@ impl Frame {
     /// callers keep bodies within [`MAX_FRAME`], which is
     /// debug-asserted here.
     pub fn encode_into(msg: &Message, out: &mut Vec<u8>) -> usize {
-        let body = msg.to_json();
-        debug_assert!(body.len() <= MAX_FRAME, "outgoing frame within bounds");
-        let Ok(len) = u32::try_from(body.len()) else {
+        let start = out.len();
+        out.extend_from_slice(&[0; 4]);
+        msg.write_json(out);
+        let body = out.len() - start - 4;
+        debug_assert!(body <= MAX_FRAME, "outgoing frame within bounds");
+        let Ok(len) = u32::try_from(body) else {
+            out.truncate(start);
             return 0;
         };
-        out.reserve(4 + body.len());
-        out.extend_from_slice(&len.to_be_bytes());
-        out.extend_from_slice(body.as_bytes());
-        4 + body.len()
+        out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+        4 + body
     }
 }
 
@@ -650,10 +730,13 @@ impl Decoder {
         let Some(body) = avail.get(4..4 + len) else {
             return Ok(None);
         };
-        let parsed = std::str::from_utf8(body)
-            .map_err(|e| WireError::Garbage(e.to_string()))
-            .and_then(|text| json::parse(text).map_err(WireError::Garbage))
-            .and_then(|v| Message::from_json(&v));
+        let parsed = match decode_per_task(body) {
+            Some(msg) => Ok(msg),
+            None => std::str::from_utf8(body)
+                .map_err(|e| WireError::Garbage(e.to_string()))
+                .and_then(|text| json::parse(text).map_err(WireError::Garbage))
+                .and_then(|v| Message::from_json(&v)),
+        };
         self.start += 4 + len;
         parsed.map(Some)
     }

@@ -7,6 +7,7 @@
 use ic_dag::rng::XorShift64;
 use ic_dag::testgen::random_i64s;
 use ic_net::{Decoder, Frame, Message, WireError, MAX_FRAME, PROTO_V3};
+use ic_sim::json;
 
 /// `msg` as one encoded frame.
 fn encode(msg: &Message) -> Vec<u8> {
@@ -203,6 +204,108 @@ fn mangled_peer_frames_error_cleanly_and_never_panic() {
         let _ = decode(&framed); // must not panic, case {i}
         let _ = i;
     }
+}
+
+/// What the tree path — `json::parse` + `Message::from_json`, the
+/// reference for the decoder's per-task byte matcher — makes of `body`.
+fn tree(body: &[u8]) -> Result<Message, WireError> {
+    std::str::from_utf8(body)
+        .map_err(|e| WireError::Garbage(e.to_string()))
+        .and_then(|text| json::parse(text).map_err(WireError::Garbage))
+        .and_then(|v| Message::from_json(&v))
+}
+
+/// Mutants of one body: a flipped byte, splices with `other`, a
+/// truncation, duplicated keys, a space after each `:` and `,`, each
+/// value and each later key dropped, and every number given a leading
+/// zero or replaced by a non-canonical or out-of-range value.
+fn mutants(body: &[u8], other: &[u8], rng: &mut XorShift64) -> Vec<Vec<u8>> {
+    let edit = |at: usize, cut: usize, with: &[u8]| -> Vec<u8> {
+        [&body[..at], with, &body[at + cut..]].concat()
+    };
+    let mut out = Vec::new();
+    let at = rng.gen_range(body.len());
+    let flip = [body[at] ^ (1 + rng.gen_range(255) as u8)];
+    out.push(edit(at, 1, &flip));
+    let cut = rng.gen_range(other.len());
+    out.push([&body[..at], &other[cut..]].concat());
+    out.push([body, other].concat());
+    out.push(body[..at].to_vec());
+    // `{X}` → `{X,X}`: every key twice, the tree reads the first.
+    let inner = &body[1..body.len() - 1];
+    out.push([b"{", inner, b",", inner, b"}"].concat());
+    out.push([b"{\"type\":\"bye\",", inner, b"}"].concat());
+    for (i, &b) in body.iter().enumerate() {
+        if b == b':' || b == b',' {
+            out.push(edit(i + 1, 0, b" "));
+        }
+        if b == b':' {
+            let value = body[i + 1..].iter().take_while(|c| !b",}".contains(c));
+            out.push(edit(i + 1, value.count(), b""));
+        }
+        if b == b',' {
+            let key = body[i..].iter().position(|&c| c == b':');
+            out.push(edit(i, key.map_or(1, |k| k + 1), b""));
+        }
+        let starts_number =
+            matches!(b, b':' | b'[' | b',') && body.get(i + 1).is_some_and(u8::is_ascii_digit);
+        if starts_number {
+            let len = body[i + 1..]
+                .iter()
+                .take_while(|d| d.is_ascii_digit())
+                .count();
+            out.push(edit(i + 1, 0, b"0"));
+            for with in [
+                "0",
+                "1",
+                "18446744073709551615",
+                "18446744073709551616",
+                "1.0",
+                "\"17\"",
+                "-1",
+                "1e2",
+                "null",
+            ] {
+                out.push(edit(i + 1, len, with.as_bytes()));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn the_per_task_byte_matcher_agrees_with_the_tree_parser() {
+    // Every fixture line and 2 000 random bodies, and their mutants:
+    // the decoder must give what the tree path gives, the same message
+    // or the same `WireError` variant.
+    let mut rng = XorShift64::new(0x3E5A);
+    let mut bodies: Vec<Vec<u8>> = include_str!("fixtures/worker_frames.jsonl")
+        .lines()
+        .map(|line| line.as_bytes().to_vec())
+        .collect();
+    bodies.extend((0..2_000).map(|_| encode(&random_message(&mut rng)).split_off(4)));
+    bodies.push(br#"{"type":"request","max":1}"#.to_vec());
+    let mut cases = 0;
+    for i in 0..bodies.len() {
+        let other = &bodies[(i * 7 + 3) % bodies.len()];
+        let seed = std::iter::once(bodies[i].clone());
+        for body in seed.chain(mutants(&bodies[i], other, &mut rng)) {
+            let got = decode(&[&(body.len() as u32).to_be_bytes()[..], &body].concat());
+            let want = tree(&body);
+            let text = String::from_utf8_lossy(&body);
+            match (got, want) {
+                (Ok(Some(got)), Ok(want)) => assert_eq!(got, want, "{text}"),
+                (Err(got), Err(want)) => assert_eq!(
+                    std::mem::discriminant(&got),
+                    std::mem::discriminant(&want),
+                    "{text}: {got} / {want}"
+                ),
+                (got, want) => panic!("{text}: decoder {got:?}, tree {want:?}"),
+            }
+            cases += 1;
+        }
+    }
+    assert!(cases > 50_000, "{cases} bodies");
 }
 
 #[test]
