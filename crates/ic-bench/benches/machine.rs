@@ -1,7 +1,7 @@
 //! `machine` group: pure `LeaseMachine` stepping, no I/O.
 //!
 //! Where the `net` group measures the whole reactor stack (loopback
-//! sockets, timer wheel, driver threads), this group isolates the
+//! sockets, timer queue, driver threads), this group isolates the
 //! coordinator itself: events go straight into
 //! [`LeaseMachine::step`] and the effects are dropped. The point is
 //! the lease-table complexity claim — per-event cost must not grow

@@ -2,7 +2,7 @@
 //! [`ManualClock`] and the in-process loopback poller is a
 //! *deterministic* server — the same scripted client against the same
 //! frozen clock produces byte-identical traces, with lease expiry
-//! driven through the timer wheel by explicit clock advances rather
+//! driven through the timer queue by explicit clock advances rather
 //! than wall time. This is the property that lets `ic-bench` and the
 //! model checker share the production reactor code path.
 
@@ -21,7 +21,7 @@ fn recv(conn: &mut LoopbackConn) -> Message {
 
 /// One scripted run: a single worker completes a 3-task independent
 /// dag, but sits out its first lease — the clock is advanced past the
-/// deadline, so the wheel (not a scan, not wall time) expires it.
+/// deadline, so the timer queue (not a scan, not wall time) expires it.
 /// Returns the run's trace as JSONL plus the serve report.
 fn scripted_run(seed: u64) -> (String, ic_net::ServeReport) {
     let dag = ic_dag::builder::from_arcs(3, &[]).expect("independent tasks");
@@ -53,8 +53,8 @@ fn scripted_run(seed: u64) -> (String, ic_net::ServeReport) {
             };
             let abandoned = tasks[0];
             // Abandon the lease: advance the frozen clock past the
-            // deadline and let the reactor's next poll tick fire the
-            // wheel. (If our next request races ahead of the timer,
+            // deadline and let the reactor's next poll round fire the
+            // timer. (If our next request races ahead of the timer,
             // the machine forfeits the lease instead — both paths
             // stamp the same `Failed` event at the same manual time,
             // so the trace is identical either way.)

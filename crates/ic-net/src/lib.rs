@@ -26,14 +26,14 @@
 //! * [`reactor`] — the server itself ([`Reactor`] over a [`Driver`],
 //!   the one way a dag gets served): one thread that naps between polls
 //!   unless the protocol owes it a frame at once, per-connection frame
-//!   buffers, a hierarchical [`timer::TimerWheel`] for lease expiry, and
+//!   buffers, a deadline-ordered [`timer::TimerWheel`] for lease expiry, and
 //!   an injectable [`reactor::Clock`]/[`reactor::Poller`] pair
 //!   ([`reactor::Driver`]) so deterministic in-process drivers and the
 //!   live TCP driver run the same code. Federation peer links live
 //!   in the private `peers` module, which the poll loop enters at six
 //!   calls; [`FedConfig`] is what a shard's trace header does not say.
-//! * [`timer`] — the lazy (never-cancelled) hierarchical timer wheel
-//!   behind lease expiry and peer redials.
+//! * [`timer`] — the lazy (never-cancelled) deadline queue behind lease
+//!   expiry and peer redials.
 //! * [`server`] — the shared [`server::ServerConfig`] and the
 //!   [`server::ServeReport`] a run ends with: leases with heartbeat
 //!   timeouts, exponential-backoff reallocation of lost tasks,

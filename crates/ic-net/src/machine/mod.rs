@@ -290,11 +290,20 @@ pub struct LeaseMachine<'a, 'd, L = LeaseTable> {
     /// machines that were never restored.
     recovery_resume_until_us: u64,
     /// Resume-token source, seeded from the config (keeps the machine
-    /// deterministic given its inputs).
+    /// deterministic given its inputs); see [`token_rng`].
     rng: XorShift64,
     bugs: SeededBugs,
     /// The federation's side; all empty on a standalone machine.
     remote: Remote,
+}
+
+/// The resume-token source of a machine whose trace already holds
+/// `prior` events: 0 for a fresh machine, the replayed prefix + 1 for a
+/// restored one. Tokens never reach the trace, so a restored machine
+/// seeded like the crashed one would re-issue its tokens, and a worker
+/// presenting its own would land on whichever slot got it this time.
+fn token_rng(seed: u64, prior: u64) -> XorShift64 {
+    XorShift64::new(seed ^ 0x7EA5_E0CE ^ prior.rotate_left(32))
 }
 
 impl<'a, 'd> LeaseMachine<'a, 'd> {
@@ -336,7 +345,7 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
     ) -> Self {
         policy.prepare(dag);
         let failures = vec![0; dag.num_nodes()];
-        let rng = XorShift64::new(cfg.seed ^ 0x7EA5_E0CE);
+        let rng = token_rng(cfg.seed, 0);
         LeaseMachine {
             dag,
             policy,

@@ -9,7 +9,7 @@ use ic_dag::{Dag, NodeId};
 use ic_sched::policy::AllocationPolicy;
 use ic_sim::trace::{EventKind, TraceEvent, TraceHeader, FED_CLIENT};
 
-use super::{LeaseMachine, SeededBugs, WorkerSlot};
+use super::{token_rng, LeaseMachine, SeededBugs, WorkerSlot};
 use crate::lease_table::{Lease, LeaseTable, Leases};
 use crate::server::ServerConfig;
 
@@ -98,7 +98,8 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
     /// that never return); every rebuilt slot is marked
     /// awaiting-recovery with its epoch bumped past anything the
     /// pre-crash run could have issued (`events + 1` — each epoch bump
-    /// that left evidence emitted at least one event); the trace
+    /// that left evidence emitted at least one event) and its resume
+    /// tokens drawn from a stream keyed by the same bound; the trace
     /// cursor (`step`, timestamp origin) continues where the prefix
     /// ends, so appended events extend the same audit-clean run.
     ///
@@ -315,6 +316,9 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
         for w in &mut m.workers {
             w.epoch = epoch;
         }
+        // Tokens by the same bound, not by `epoch`, which the seeded
+        // bug zeroes: the crashed run's token sequence is not replayed.
+        m.rng = token_rng(m.cfg.seed, events.len() as u64 + 1);
         if m.is_complete() {
             m.completed_at_us = Some(now_us);
         }
@@ -497,6 +501,85 @@ mod tests {
         let r =
             LeaseMachine::restore(&g, &policy, cfg(), &trace.header, &trace.events, 10).unwrap();
         assert_eq!(r.summary(10).resumes, m.summary(10).resumes);
+    }
+
+    /// A restored machine must not hand out the crashed run's tokens.
+    /// Tokens never reach the trace, so a machine seeded like the
+    /// crashed one would re-issue `a`'s pre-crash token to `b` when `b`
+    /// resumes first, and `a`'s own resume would then land on `b`'s
+    /// slot: two connections driving one worker, each `request`
+    /// forfeiting the other's leases (the same-port `alloc` → `fail`
+    /// ping-pong).
+    #[test]
+    fn a_restored_machine_never_reissues_a_pre_crash_token() {
+        let g = from_arcs(4, &[]).unwrap();
+        let policy = Policy::Fifo;
+        let cfg = || {
+            ServerConfig::builder()
+                .lease_ms(10_000)
+                .expect_workers(2)
+                .build()
+        };
+        let mut sink = MemorySink::new();
+        let mut m = LeaseMachine::new(&g, &policy, cfg());
+        boot(&mut m, &mut sink);
+        let mut tokens = Vec::new();
+        for id in ["a", "b"] {
+            let hello = Event::Hello {
+                id: id.into(),
+                speed: 1.0,
+                proto: PROTO_V2,
+                resume: None,
+                now_us: 0,
+            };
+            let Message::Welcome {
+                resume: Some(token),
+                ..
+            } = drive(&mut m, &mut sink, hello).remove(0)
+            else {
+                panic!("{id} registers with a token");
+            };
+            tokens.push(token);
+        }
+        for worker in 0..2 {
+            let Message::Assign { .. } = request(&mut m, &mut sink, worker, 1, 0) else {
+                panic!("worker {worker} takes a lease");
+            };
+        }
+        let trace = sink.into_trace().unwrap();
+
+        let mut r =
+            LeaseMachine::restore(&g, &policy, cfg(), &trace.header, &trace.events, 0).unwrap();
+        r.await_resumes(1_000_000);
+        let mut sink2 = MemorySink::new();
+        let mut reissued = Vec::new();
+        // `b` redials first.
+        for (id, token) in [("b", &tokens[1]), ("a", &tokens[0])] {
+            let hello = Event::Hello {
+                id: id.into(),
+                speed: 1.0,
+                proto: PROTO_V2,
+                resume: Some(token.clone()),
+                now_us: 10,
+            };
+            let Message::Welcome {
+                worker,
+                resume: Some(fresh),
+                tasks,
+                ..
+            } = drive(&mut r, &mut sink2, hello).remove(0)
+            else {
+                panic!("{id} resumes");
+            };
+            assert_eq!(tasks.len(), 1, "{id} gets its lease back");
+            reissued.push((id, worker, fresh));
+        }
+        assert_eq!(reissued[0].1, 1, "b lands on its own slot");
+        assert_eq!(reissued[1].1, 0, "a lands on its own slot, not b's");
+        for (id, _, fresh) in &reissued {
+            assert!(!tokens.contains(fresh), "{id} was handed a pre-crash token");
+        }
+        assert_eq!(r.summary(10).resumes, 2);
     }
 
     /// After the resume window closes, an unknown token no longer

@@ -101,7 +101,7 @@ impl Peers {
     }
 
     /// The peer state of shard `meta.shard`. The first dial of every
-    /// link it owns rides the wheel, like every redial after it.
+    /// link it owns is a timer, like every redial after it.
     pub(crate) fn new(meta: &FedMeta, cfg: FedConfig, io: &mut Io) -> Peers {
         let now = io.clock.now_us();
         for &(peer, _) in cfg.peers.iter().filter(|&&(p, _)| p < meta.shard) {

@@ -3,9 +3,9 @@
 //! [`Reactor`] *is* the server: one thread owns every connection, a
 //! nonblocking [`Poller`] surfaces transport readiness as
 //! [`IoEvent`]s, per-connection frame state lives in an incremental
-//! [`crate::wire::Decoder`], and lease expiry rides a hierarchical
-//! [`TimerWheel`] instead of a per-lease scan. All protocol semantics
-//! stay in the *pure* [`LeaseMachine`] — the reactor only stamps
+//! [`crate::wire::Decoder`], and lease expiry rides one deadline-ordered
+//! queue ([`TimerWheel`]) instead of a per-lease scan. All protocol
+//! semantics stay in the *pure* [`LeaseMachine`] — the reactor only stamps
 //! events with clock microseconds and performs the returned effects
 //! (in one place, `Reactor::perform`), so everything `ic-check` proves
 //! about the machine (invariants IC0501–IC0507) holds for the running
@@ -46,18 +46,18 @@
 //!
 //! # Timers are lazy
 //!
-//! The wheel is never cancelled (see [`crate::timer`]): every `assign`
+//! Timers are never cancelled (see [`crate::timer`]): every `assign`
 //! and resume `welcome` schedules one [`Deadline::Leases`] for all its
 //! tasks, and every heartbeat renewal one [`Deadline::Lease`], at the
-//! deadline the machine recorded, so the wheel grows with grants, not
-//! tasks. A firing steps `Event::Expire` per task, which the machine
-//! ignores by its `deadline_us <= now_us` guard if the lease was
-//! meanwhile completed, forfeited, renewed, or revoked. Stale firings
-//! are cheap no-ops; missed expiries are impossible as long as every
-//! grant path schedules — assigns (primary and speculative), heartbeat
-//! renewals, and resume welcomes all re-arm the wheel. The steal clock
-//! has no timer: the machine reads it inside the next `request`, and a
-//! waiting worker asks again after `wait_ms`.
+//! deadline the machine recorded, so the queue grows with grants, not
+//! tasks, and each appends at its back. A firing steps `Event::Expire`
+//! per task, which the machine ignores by its `deadline_us <= now_us`
+//! guard if the lease was meanwhile completed, forfeited, renewed, or
+//! revoked. Stale firings are cheap no-ops; missed expiries are
+//! impossible as long as every grant path schedules — assigns (primary
+//! and speculative), heartbeat renewals, and resume welcomes all re-arm
+//! a timer. The steal clock has no timer: the machine reads it inside
+//! the next `request`, and a waiting worker asks again after `wait_ms`.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -331,7 +331,7 @@ impl Owed {
     }
 }
 
-/// What a wheel timer means when it fires.
+/// What a timer means when it fires.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Deadline {
     /// A lease's heartbeat deadline: step `Event::Expire` (a no-op if
@@ -432,7 +432,7 @@ pub(crate) struct ConnState {
     fast: bool,
 }
 
-/// The transport half of a [`Reactor`] — clock, poller, timer wheel,
+/// The transport half of a [`Reactor`] — clock, poller, timer queue,
 /// connection table (peer links are connections like any other) and
 /// the scratch encode buffer — apart from its machine and its
 /// [`Peers`], so a call into the peer links can borrow it whole.
@@ -730,8 +730,8 @@ impl<'a> Reactor<'a> {
     }
 
     /// Schedule the expiry timer for leases granted or renewed at
-    /// `now_us`, at the deadline the machine itself recorded for them;
-    /// the wheel rounds up, so the firing can never be early.
+    /// `now_us`, at the deadline the machine itself recorded for them,
+    /// so the firing is never early.
     fn arm(&mut self, leases: Deadline, now_us: u64) {
         let deadline = self.machine.lease_deadline(now_us);
         self.io.wheel.schedule(deadline, leases);
@@ -793,7 +793,7 @@ impl<'a> Reactor<'a> {
                 (Effect::Reply(msg), Some((id, Some((worker, _))))) => {
                     self.io.send(id, &msg);
                     match msg {
-                        // Every grant path re-arms the wheel: primary
+                        // Every grant path arms a timer: primary
                         // and speculative assigns here (one timer per
                         // batch), heartbeat renewals where the
                         // heartbeat is dispatched, resumes at

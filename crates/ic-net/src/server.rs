@@ -70,8 +70,8 @@
 //! One thread owns every connection — there are no per-connection
 //! threads, no channels, and the trace sink needs neither `Send` nor
 //! `'static`. Per-connection framing state lives in incremental
-//! decoders, lease expiry rides a hierarchical timer wheel instead of
-//! a per-lease scan, and each connection remembers the *epoch* of its
+//! decoders, lease expiry rides one deadline-ordered timer queue instead
+//! of a per-lease scan, and each connection remembers the *epoch* of its
 //! registration so a sever from a superseded connection (the worker
 //! already resumed on a new socket) is ignored.
 

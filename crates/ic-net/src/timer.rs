@@ -1,195 +1,75 @@
-//! A hierarchical timer wheel for lease expiry and peer-redial deadlines.
+//! The deadline queue behind lease expiry and peer-redial deadlines.
 //!
-//! Checking every lease's deadline on every loop iteration would be
-//! an O(leases) scan per tick; the reactor uses this wheel instead:
-//! O(1) amortized `schedule`, O(1) amortized `advance` per elapsed
-//! tick, independent of how many timers are pending.
+//! Every deadline the reactor schedules is `now + lease_ms` (a grant, a
+//! resume, a heartbeat renewal, a restored lease) or a peer redial at
+//! `now` or `now + REDIAL_MS`. Time only moves forward, so lease timers
+//! append to the back of one queue and `advance` pops from the front;
+//! only a redial, after a lost peer link, can land earlier and is
+//! inserted by binary search. The type keeps the name `TimerWheel`
+//! because the end-to-end benchmark's layer probes import it.
 //!
 //! # Lazy (non-cancelable) timers
 //!
-//! The wheel deliberately has **no cancel operation**. The lease
-//! machine's `Event::Expire { worker, task, now_us }` is a guarded
-//! no-op unless a matching lease exists with `deadline_us <= now_us`
-//! (see `machine.rs`), so a stale timer — one whose lease was since
-//! completed, forfeited, revoked, or renewed — fires harmlessly. The
-//! reactor's obligation is only ever to *add* timers: one per grant (a
-//! whole `assign` batch) and one per renewal, each at the new
-//! deadline. That keeps the wheel a bag of `(deadline, item)` pairs
-//! with no back-pointers into the lease table, which is what lets
-//! `LeaseMachine` stay untouched.
-//!
-//! # Shape
-//!
-//! Deadlines are bucketed at [`TICK_US`] (~1 ms) granularity into
-//! [`LEVELS`] levels of [`SLOTS`] slots each. Level 0 holds timers due
-//! within the next `SLOTS` ticks at exact-tick resolution; each higher
-//! level covers `SLOTS` times the span of the one below at
-//! correspondingly coarser resolution, with entries *cascading* down a
-//! level when time crosses their slot boundary. Timers past the
-//! highest level land in an overflow list that is re-filed on the rare
-//! level-3 boundary. Four levels at 64 slots and ~1 ms ticks cover
-//! ~4.8 hours before overflow.
+//! There is **no cancel operation**. The machine's `Event::Expire` is a
+//! guarded no-op unless a matching lease exists with `deadline_us <=
+//! now_us`, so a stale timer — its lease since completed, forfeited,
+//! revoked, or renewed — fires harmlessly. The reactor only ever *adds*
+//! timers: one per grant (a whole `assign` batch) and one per renewal,
+//! so the queue holds no back-pointers into the lease table.
 
-/// Microseconds per wheel tick: a power of two (~1.024 ms) so the
-/// tick-of-deadline computation is a shift, not a division.
-pub const TICK_US: u64 = 1 << 10;
+use std::collections::VecDeque;
 
-/// Slots per level (a power of two, indexed by 6-bit fields of the
-/// tick number).
-pub const SLOTS: usize = 64;
-
-/// Number of hierarchical levels.
-pub const LEVELS: usize = 4;
-
-const SLOT_BITS: u32 = SLOTS.trailing_zeros();
-
-/// One pending timer: the absolute tick it is due, and its payload.
-#[derive(Debug)]
-struct Entry<T> {
-    tick: u64,
-    item: T,
-}
-
-/// A hierarchical timer wheel holding `(deadline_us, T)` pairs. See
-/// the module docs for the lazy-timer contract.
+/// `(deadline_us, T)` pairs in deadline order, equal deadlines in the
+/// order they were scheduled. See the module docs for the lazy-timer
+/// contract.
 #[derive(Debug)]
 pub struct TimerWheel<T> {
-    /// The last tick fully processed by [`advance`](TimerWheel::advance).
-    now_tick: u64,
-    /// The last microsecond time observed (construction or `advance`);
-    /// finer-grained than `now_tick`, it decides whether a freshly
-    /// scheduled deadline is already due.
+    /// The latest time observed (construction or `advance`).
     now_us: u64,
-    /// `levels[l][slot]`: timers due when time reaches their tick.
-    levels: Vec<Vec<Vec<Entry<T>>>>,
-    /// Timers beyond the top level's horizon.
-    overflow: Vec<Entry<T>>,
-    /// Timers scheduled at or before `now_tick`: fire on next advance.
-    due: Vec<T>,
-    len: usize,
+    queue: VecDeque<(u64, T)>,
 }
 
 impl<T> TimerWheel<T> {
-    /// An empty wheel whose "now" is `now_us`.
+    /// An empty queue whose "now" is `now_us`.
     pub fn new(now_us: u64) -> TimerWheel<T> {
-        let levels = (0..LEVELS)
-            .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-            .collect();
         TimerWheel {
-            now_tick: now_us >> TICK_US.trailing_zeros(),
             now_us,
-            levels,
-            overflow: Vec::new(),
-            due: Vec::new(),
-            len: 0,
+            queue: VecDeque::new(),
         }
     }
 
     /// Number of pending timers (stale ones included — they leave the
-    /// wheel only by firing).
+    /// queue only by firing).
     pub fn len(&self) -> usize {
-        self.len
+        self.queue.len()
     }
 
     /// True when no timers are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.queue.is_empty()
     }
 
-    /// Schedule `item` to fire once time reaches `deadline_us`.
-    ///
-    /// The deadline is rounded **up** to the next tick boundary, so
-    /// when the timer fires the clock reads at least `deadline_us` —
-    /// the lease machine must observe a real expiry, never an early
-    /// one it would ignore (and that nobody would ever re-arm).
+    /// Schedule `item` to fire once time reaches `deadline_us`: never
+    /// earlier, so the lease machine observes a real expiry and not an
+    /// early one it would ignore (and that nobody would ever re-arm).
+    /// A deadline already past fires on the next advance, even if the
+    /// clock never moves again (a frozen deterministic driver).
     pub fn schedule(&mut self, deadline_us: u64, item: T) {
-        self.len += 1;
-        // A deadline at or before the last observed time is already
-        // due — it must fire on the next advance even if the clock
-        // never moves again (a frozen deterministic driver).
-        if deadline_us <= self.now_us {
-            self.due.push(item);
-            return;
+        if self.queue.back().is_none_or(|&(d, _)| d <= deadline_us) {
+            self.queue.push_back((deadline_us, item));
+        } else {
+            let at = self.queue.partition_point(|&(d, _)| d <= deadline_us);
+            self.queue.insert(at, (deadline_us, item));
         }
-        let shift = TICK_US.trailing_zeros();
-        // Ceiling division by the tick size, saturating at the top.
-        // `deadline_us > now_us` guarantees the resulting tick is
-        // strictly beyond `now_tick`.
-        let tick = match deadline_us.checked_add(TICK_US - 1) {
-            Some(v) => v >> shift,
-            None => u64::MAX >> shift,
-        };
-        self.place(Entry { tick, item });
     }
 
-    /// File an entry (strictly in the future) into the correct level.
-    fn place(&mut self, e: Entry<T>) {
-        debug_assert!(e.tick > self.now_tick);
-        let delta = e.tick - self.now_tick;
-        for level in 0..LEVELS {
-            let span_bits = SLOT_BITS * (u32::try_from(level).unwrap_or(0) + 1);
-            if span_bits < 64 && delta >> span_bits != 0 {
-                continue;
-            }
-            let slot_bits = SLOT_BITS * u32::try_from(level).unwrap_or(0);
-            let slot = usize::try_from((e.tick >> slot_bits) & (SLOTS as u64 - 1)).unwrap_or(0);
-            self.levels[level][slot].push(e);
-            return;
-        }
-        self.overflow.push(e);
-    }
-
-    /// Advance the wheel to `now_us`, appending every fired payload to
-    /// `fired` in firing order (entries due at the same tick fire in
-    /// insertion order). Clock regressions are ignored: the wheel only
-    /// moves forward.
+    /// Advance to `now_us`, appending every payload due by then to
+    /// `fired` in deadline order. Clock regressions are ignored: the
+    /// queue's time only moves forward.
     pub fn advance(&mut self, now_us: u64, fired: &mut Vec<T>) {
-        self.len -= self.due.len();
-        fired.append(&mut self.due);
-
         self.now_us = self.now_us.max(now_us);
-        let target = now_us >> TICK_US.trailing_zeros();
-        while self.now_tick < target {
-            let t = self.now_tick + 1;
-            self.now_tick = t;
-            // Everything in the level-0 slot for `t` is due exactly
-            // now: level-0 entries are placed within SLOTS ticks, so
-            // slot index collisions across wraps cannot occur.
-            let slot = usize::try_from(t & (SLOTS as u64 - 1)).unwrap_or(0);
-            for e in self.levels[0][slot].drain(..) {
-                debug_assert!(e.tick == t);
-                self.len -= 1;
-                fired.push(e.item);
-            }
-            // Cascade a higher level's slot each time `t` crosses that
-            // level's boundary: its entries are now within the span of
-            // a lower level (or due immediately).
-            for level in 1..LEVELS {
-                let boundary_bits = SLOT_BITS * u32::try_from(level).unwrap_or(0);
-                if t & ((1u64 << boundary_bits) - 1) != 0 {
-                    break;
-                }
-                let slot = usize::try_from((t >> boundary_bits) & (SLOTS as u64 - 1)).unwrap_or(0);
-                let moved: Vec<Entry<T>> = self.levels[level][slot].drain(..).collect();
-                self.refile(moved, fired);
-            }
-            // The overflow list is re-filed on the top-level boundary.
-            let top_bits = SLOT_BITS * u32::try_from(LEVELS).unwrap_or(0);
-            if top_bits < 64 && t & ((1u64 << top_bits) - 1) == 0 {
-                let moved: Vec<Entry<T>> = std::mem::take(&mut self.overflow);
-                self.refile(moved, fired);
-            }
-        }
-    }
-
-    fn refile(&mut self, entries: Vec<Entry<T>>, fired: &mut Vec<T>) {
-        for e in entries {
-            if e.tick <= self.now_tick {
-                self.len -= 1;
-                fired.push(e.item);
-            } else {
-                self.place(e);
-            }
+        while self.queue.front().is_some_and(|&(d, _)| d <= self.now_us) {
+            fired.extend(self.queue.pop_front().map(|(_, item)| item));
         }
     }
 }
@@ -197,6 +77,10 @@ impl<T> TimerWheel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The tick of the 4-level wheel these tests were written for: they
+    /// still probe its slot and level boundaries.
+    const TICK_US: u64 = 1 << 10;
 
     fn drain(wheel: &mut TimerWheel<u32>, now_us: u64) -> Vec<u32> {
         let mut fired = Vec::new();
@@ -333,5 +217,21 @@ mod tests {
         assert_eq!(drain(&mut w, d1), vec![1]); // stale fire: no-op upstream
         assert_eq!(drain(&mut w, d2), vec![1]); // real expiry
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn an_earlier_deadline_is_inserted_ahead_and_ties_keep_their_order() {
+        // Lease timers append; a redial after a lost peer link can
+        // land before them, and equal deadlines fire as scheduled.
+        let mut w = TimerWheel::new(0);
+        w.schedule(500, 1);
+        w.schedule(500, 2);
+        w.schedule(900, 3);
+        w.schedule(100, 4); // the redial
+        w.schedule(500, 5);
+        assert_eq!(drain(&mut w, 99), Vec::<u32>::new());
+        assert_eq!(drain(&mut w, 500), vec![4, 1, 2, 5]);
+        assert_eq!(drain(&mut w, 10), Vec::<u32>::new(), "time never runs back");
+        assert_eq!(drain(&mut w, 900), vec![3]);
     }
 }

@@ -228,15 +228,11 @@ echo "==> ic-prio serve | kill -9 | recover | serve --resume-from | audit (crash
 # The write-ahead-log round trip over real processes: the server is
 # SIGKILLed mid-run (at least one completion on disk), `recover` dry-runs
 # the reconstruction, and `serve --resume-from` restarts from the same
-# file on a fresh ephemeral port, like every stage here (a same-port
-# rebind would work too — std's `TcpListener::bind` sets SO_REUSEADDR
-# on Unix — but the same-port token-resume stage belongs to ROADMAP
-# direction 3, with the livelock it has to fix first). A new worker
-# joins the recovered run, the dead worker's outstanding lease falls
-# back to expiry -> reallocation, and the concatenated trace must
-# replay audit-clean as one run. The zero-loss token-resume path
-# across a restart is pinned in-process by ic-net's e2e test
-# `killed_server_recovers_from_its_wal_and_the_worker_resumes_across_restart`.
+# file on a fresh ephemeral port. A new worker joins the recovered run,
+# the dead worker's outstanding lease falls back to expiry ->
+# reallocation, and the concatenated trace must replay audit-clean as
+# one run. Survivors that resume with their tokens on the same port are
+# the next stage.
 timeout 60 ./target/release/ic-prio serve --family mesh:8 --policy optimal \
     --listen 127.0.0.1:0 --expect 1 --lease-ms 1000 \
     --trace "$tmpdir/wal.jsonl" --port-file "$tmpdir/cport" --json \
@@ -278,6 +274,48 @@ grep -q '"resumed_from"' "$tmpdir/recovered.json"
 grep -q '"completions": 36' "$tmpdir/recovered.json"
 # Crash prefix + recovered suffix: one file, one run, audit-clean.
 ./target/release/ic-prio audit --schedule "$tmpdir/wal.jsonl" --json \
+    | grep -q '"ok": true'
+
+echo "==> ic-prio serve | kill -9 | serve --resume-from on the same port (token resume)"
+# What recovery is for: two workers keep running through a server
+# SIGKILL, redial the same address with their resume tokens, and
+# reclaim their slots and leases from the restarted server. `a`
+# registers first and `b` redials first (5 ms vs 150 ms): the order in
+# which a restored server that re-issued the crashed run's tokens handed
+# `b` the token `a` still held, and the two then forfeited each other's
+# leases forever. The run must finish with no lost lease and both
+# workers resumed.
+timeout 60 ./target/release/ic-prio serve --family mesh:400 --listen 127.0.0.1:0 \
+    --expect 2 --batch 64 --lease-ms 500 \
+    --trace "$tmpdir/same.jsonl" --port-file "$tmpdir/sport" --json > /dev/null &
+same_pid=$!
+wait_for_port "$tmpdir/sport" "server"
+addr="$(tr -d '[:space:]' < "$tmpdir/sport")"
+# Their stderr complaints about the lost connection are expected.
+timeout 90 ./target/release/ic-prio work --connect "$addr" --id a --batch 64 \
+    --mean-ms 0 --retry-ms 150 > /dev/null 2>&1 &
+sleep 0.2 # --expect 2 holds allocation until `b` registers too
+timeout 90 ./target/release/ic-prio work --connect "$addr" --id b --batch 64 \
+    --mean-ms 0 --retry-ms 5 > /dev/null 2>&1 &
+# Kill -9 once a few thousand of the 80 200 completions are on disk.
+for _ in $(seq 1 1000); do
+    done_n="$(grep -c '"type":"complete"' "$tmpdir/same.jsonl" 2> /dev/null)" || done_n=0
+    [ "$done_n" -ge 3000 ] && break
+    sleep 0.01
+done
+pkill -KILL -P "$same_pid" 2> /dev/null || kill -9 "$same_pid" 2> /dev/null || true
+wait "$same_pid" 2> /dev/null || true
+killed_at="$(grep -c '"type":"complete"' "$tmpdir/same.jsonl")" || killed_at=0
+echo "killed with $killed_at of 80200 completions in the WAL"
+[ "$killed_at" -lt 80200 ] || { echo "the run finished before the kill"; exit 1; }
+timeout 60 ./target/release/ic-prio serve --family mesh:400 --listen "$addr" \
+    --expect 2 --batch 64 --lease-ms 500 \
+    --resume-from "$tmpdir/same.jsonl" --json > "$tmpdir/same.json"
+wait
+grep -q '"completions": 80200' "$tmpdir/same.json"
+grep -q '"failures": 0' "$tmpdir/same.json"
+grep -q '"resumes": 2' "$tmpdir/same.json"
+./target/release/ic-prio audit --schedule "$tmpdir/same.jsonl" --json \
     | grep -q '"ok": true'
 
 echo "==> ic-prio serve --shard | work | merge | audit (two-shard federation round trip)"
