@@ -356,60 +356,64 @@ fn audit_trace_envelope(dag: &Dag, trace: &Trace) -> Vec<Diagnostic> {
 mod tests {
     use super::*;
     use ic_dag::NodeId;
-    use ic_sched::heuristics::Policy;
-    use ic_sim::trace::{MemorySink, TraceEvent};
-    use ic_sim::{simulate_traced, ClientProfile, SimConfig};
+    use ic_sched::eligibility::ExecState;
+    use ic_sched::heuristics::{schedule_with, Policy};
+    use ic_sched::Schedule;
+    use ic_sim::trace::TraceEvent;
 
-    fn clean_trace(dag: &Dag, clients: usize, seed: u64) -> Trace {
-        let cfg = SimConfig {
-            clients: ClientProfile {
-                num_clients: clients,
-                ..ClientProfile::default()
-            },
-            seed,
-            ..SimConfig::default()
-        };
-        let mut sink = MemorySink::new();
-        simulate_traced(dag, &Policy::Fifo, &cfg, &mut sink);
-        sink.into_trace().expect("header recorded")
+    /// The trace a one-client run of `sched` writes: an `alloc` and a
+    /// `complete` per task, in schedule order, each with the pool after.
+    fn serial_trace(dag: &Dag, sched: &Schedule) -> Trace {
+        let mut st = ExecState::new(dag);
+        let mut events = Vec::new();
+        for (i, &v) in sched.order().iter().enumerate() {
+            st.claim(v).unwrap();
+            let (t, pool) = (2 * i as u64, Some(st.pool_len()));
+            events.push(TraceEvent::on_task(
+                EventKind::Allocated,
+                t,
+                t as f64,
+                0,
+                v,
+                pool,
+            ));
+            st.execute_counting(v).unwrap();
+            let (t, pool) = (t + 1, Some(st.pool_len()));
+            events.push(TraceEvent::on_task(
+                EventKind::Completed,
+                t,
+                t as f64,
+                0,
+                v,
+                pool,
+            ));
+        }
+        let header = ic_sim::TraceHeader::for_run(dag, 1, 1, "SCHEDULE");
+        Trace { header, events }
     }
 
     fn vee() -> Dag {
         ic_dag::builder::from_arcs(3, &[(0, 1), (0, 2)]).unwrap()
     }
 
+    fn vee_trace() -> Trace {
+        let g = vee();
+        serial_trace(&g, &Schedule::in_id_order(&g))
+    }
+
     #[test]
-    fn clean_simulator_trace_audits_clean() {
-        // Multi-client stochastic runs may realize sub-envelope orders
-        // (IC0404 is a warning for exactly this reason) but must never
-        // violate a replay invariant.
-        let g = ic_families::mesh::out_mesh(5);
-        let trace = clean_trace(&g, 3, 7);
-        let diags = audit_trace(&trace);
-        assert!(
-            diags.iter().all(|d| d.severity != Severity::Error),
-            "{diags:?}"
-        );
+    fn clean_one_client_trace_audits_clean() {
         // A single client replaying the IC-optimal schedule realizes
         // the envelope exactly: fully clean.
+        let g = ic_families::mesh::out_mesh(5);
         let s = ic_families::mesh::out_mesh_schedule(&g);
-        let cfg = SimConfig {
-            clients: ClientProfile {
-                num_clients: 1,
-                ..ClientProfile::default()
-            },
-            ..SimConfig::default()
-        };
-        let mut sink = MemorySink::new();
-        simulate_traced(&g, &s, &cfg, &mut sink);
-        let diags = audit_trace(&sink.into_trace().unwrap());
+        let diags = audit_trace(&serial_trace(&g, &s));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn non_eligible_allocation_is_ic0401() {
-        let g = vee();
-        let mut trace = clean_trace(&g, 1, 1);
+        let mut trace = vee_trace();
         // Retarget the first allocation at a non-source.
         assert_eq!(trace.events[0].kind, EventKind::Allocated);
         trace.events[0].task = Some(NodeId::new(1));
@@ -419,8 +423,7 @@ mod tests {
 
     #[test]
     fn completion_before_allocation_is_ic0402() {
-        let g = vee();
-        let mut trace = clean_trace(&g, 1, 1);
+        let mut trace = vee_trace();
         // Drop the first allocation; its completion now dangles.
         trace.events.remove(0);
         let diags = audit_trace(&trace);
@@ -428,26 +431,8 @@ mod tests {
     }
 
     #[test]
-    fn pool_mismatch_is_ic0403_and_reported_once() {
-        let g = ic_families::mesh::out_mesh(4);
-        let mut trace = clean_trace(&g, 2, 3);
-        for ev in &mut trace.events {
-            if ev.kind == EventKind::Completed {
-                ev.pool = ev.pool.map(|p| p + 1);
-            }
-        }
-        let diags = audit_trace(&trace);
-        let hits: Vec<_> = diags
-            .iter()
-            .filter(|d| d.code == POOL_SIZE_MISMATCH)
-            .collect();
-        assert_eq!(hits.len(), 1, "pool checking stops after divergence");
-    }
-
-    #[test]
     fn truncated_trace_is_ic0405() {
-        let g = vee();
-        let mut trace = clean_trace(&g, 1, 1);
+        let mut trace = vee_trace();
         // Cut the trace just before its last completion (trailing idle
         // requests may follow it).
         let last = trace
@@ -467,46 +452,12 @@ mod tests {
         // allocation order == the (deliberately bad) scheduled order.
         let g = ic_dag::builder::from_arcs(6, &[(0, 2), (0, 3), (1, 4), (1, 5)]).unwrap();
         let order = [0usize, 2, 1, 3, 4, 5].map(NodeId::new).to_vec();
-        let bad = ic_sched::Schedule::new(&g, order).unwrap();
-        let cfg = SimConfig {
-            clients: ClientProfile {
-                num_clients: 1,
-                ..ClientProfile::default()
-            },
-            ..SimConfig::default()
-        };
-        let mut sink = MemorySink::new();
-        simulate_traced(&g, &bad, &cfg, &mut sink);
-        let trace = sink.into_trace().unwrap();
+        let bad = Schedule::new(&g, order).unwrap();
+        let trace = serial_trace(&g, &bad);
         let diags = audit_trace(&trace);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, ENVELOPE_DEPARTURE);
         assert_eq!(diags[0].severity, Severity::Warning);
-    }
-
-    #[test]
-    fn flaky_run_reallocations_are_tolerated_not_flagged() {
-        // 40% task failure: the trace is full of Failed → re-Allocated
-        // sequences, which are legal server behaviour, not violations.
-        let g = ic_families::mesh::out_mesh(6);
-        let cfg = SimConfig {
-            clients: ClientProfile {
-                num_clients: 3,
-                failure_prob: 0.4,
-                ..ClientProfile::default()
-            },
-            seed: 11,
-            ..SimConfig::default()
-        };
-        let mut sink = MemorySink::new();
-        let r = simulate_traced(&g, &Policy::Fifo, &cfg, &mut sink);
-        assert!(r.failures > 0, "seed 11 at 40% should produce failures");
-        let trace = sink.into_trace().unwrap();
-        let errors: Vec<_> = audit_trace(&trace)
-            .into_iter()
-            .filter(|d| d.severity == Severity::Error)
-            .collect();
-        assert!(errors.is_empty(), "{errors:?}");
     }
 
     #[test]
@@ -681,8 +632,7 @@ mod tests {
     fn reallocation_tolerance_does_not_mask_double_allocation() {
         // Two Allocated events for the same task with no intervening
         // Failed is still IC0401: tolerance is for failures only.
-        let g = vee();
-        let mut trace = clean_trace(&g, 1, 1);
+        let mut trace = vee_trace();
         let first = trace.events[0];
         trace.events.insert(1, first);
         let diags = audit_trace(&trace);
@@ -697,35 +647,13 @@ mod tests {
         // 55 nodes: past EXHAUSTIVE_LIMIT, but a canonical out-mesh.
         let g = ic_families::mesh::out_mesh(10);
         let s = ic_families::mesh::out_mesh_schedule(&g);
-        let cfg = SimConfig {
-            clients: ClientProfile {
-                num_clients: 1,
-                ..ClientProfile::default()
-            },
-            ..SimConfig::default()
-        };
-        let mut sink = MemorySink::new();
-        simulate_traced(&g, &s, &cfg, &mut sink);
-        let trace = sink.into_trace().unwrap();
         // The IC-optimal schedule under one client realizes the
         // envelope exactly: clean.
-        assert!(audit_trace(&trace).is_empty());
+        assert!(audit_trace(&serial_trace(&g, &s)).is_empty());
 
         // LIFO under one client departs from it — and the departure is
         // only detectable because the mesh is certified symbolically.
-        let lifo = {
-            let cfg = SimConfig {
-                clients: ClientProfile {
-                    num_clients: 1,
-                    ..ClientProfile::default()
-                },
-                seed: 2,
-                ..SimConfig::default()
-            };
-            let mut sink = MemorySink::new();
-            simulate_traced(&g, &Policy::Lifo, &cfg, &mut sink);
-            sink.into_trace().unwrap()
-        };
+        let lifo = serial_trace(&g, &schedule_with(&g, &Policy::Lifo));
         let diags = audit_trace(&lifo);
         assert!(
             diags.iter().any(|d| d.code == ENVELOPE_DEPARTURE),

@@ -1,12 +1,13 @@
-//! Benches for the IC server simulator: per-policy simulation cost
-//! across workload families and client populations.
+//! Benches for the IC server simulation (a client fleet stepping the
+//! lease machine): per-policy simulation cost across workload families
+//! and client populations.
 
 use ic_bench::harness::Runner;
+use ic_check::sim::{simulate, ClientProfile, SimConfig};
 use ic_families::butterfly::{butterfly, butterfly_schedule};
 use ic_families::mesh::{out_mesh, out_mesh_schedule};
 use ic_families::prefix::{parallel_prefix, prefix_schedule};
 use ic_sched::heuristics::{schedule_with, Policy};
-use ic_sim::{simulate, ClientProfile, SimConfig};
 
 fn cfg(clients: usize) -> SimConfig {
     SimConfig {

@@ -1,6 +1,7 @@
 //! Ablation experiments: the design-choice studies DESIGN.md calls for,
 //! beyond the paper's own artifacts.
 
+use ic_check::sim::{simulate, ClientProfile, SimConfig};
 use ic_dag::traversal::height;
 use ic_families::diamond::diamond_from_out_tree;
 use ic_families::mesh::{cluster_stats, coarsen_mesh, out_mesh, out_mesh_schedule};
@@ -15,7 +16,6 @@ use ic_sched::batched::{greedy_batches, min_rounds, optimal_batches};
 use ic_sched::heuristics::{schedule_with, Policy};
 use ic_sched::optimal::admits_ic_optimal;
 use ic_sched::Schedule;
-use ic_sim::{simulate, ClientProfile, SimConfig};
 
 use crate::report::{table_row, Section};
 
@@ -187,12 +187,12 @@ pub fn ab3_almost_optimal(_ctx: &Ctx) -> Section {
 }
 
 /// AB4 — communication-aware granularity (§8, future-work thrust 3 +
-/// the multi-granularity theme): on the simulated server, as per-arc
+/// the multi-granularity theme): on the simulated fleet, as per-arc
 /// communication cost rises, the coarsened mesh overtakes the fine one.
 pub fn ab4_comm_granularity(_ctx: &Ctx) -> Section {
     let mut s = Section::new(
         "AB4",
-        "Ablation: communication cost vs task granularity (simulated server)",
+        "Ablation: communication cost vs task granularity (simulated clients)",
     );
     let levels = 12usize;
     let fine = out_mesh(levels);

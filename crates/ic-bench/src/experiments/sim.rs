@@ -1,5 +1,6 @@
 //! Experiment SIM: the server simulation — what IC-optimality buys.
 
+use ic_check::sim::{simulate, ClientProfile, SimConfig};
 use ic_dag::Dag;
 use ic_families::butterfly::{butterfly, butterfly_schedule};
 use ic_families::diamond::diamond_from_out_tree;
@@ -8,7 +9,6 @@ use ic_families::mesh::{out_mesh, out_mesh_schedule};
 use ic_families::trees::complete_out_tree;
 use ic_sched::heuristics::{schedule_with, Policy};
 use ic_sched::Schedule;
-use ic_sim::{simulate, ClientProfile, SimConfig};
 
 use crate::report::{table_row, Section};
 
@@ -38,9 +38,9 @@ fn workloads() -> Vec<(&'static str, Dag, Schedule)> {
 
 /// §2.2 scenarios, measured: for each workload dag, compare the
 /// IC-optimal schedule against the heuristic baselines as *allocation
-/// policies* on a simulated IC server — gridlock events, batch
-/// satisfaction, mean ELIGIBLE pool, makespan, utilization. Averages
-/// over several seeds.
+/// policies* on the lease machine under a simulated client fleet —
+/// gridlock events, batch satisfaction, mean ELIGIBLE pool, makespan,
+/// utilization. Averages over several seeds.
 pub fn sim_comparison(_ctx: &Ctx) -> Section {
     let mut s = Section::new(
         "SIM",

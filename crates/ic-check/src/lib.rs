@@ -44,6 +44,13 @@
 //! and over `reference::ScanTable`, a `Vec` scanned linearly, with
 //! identical randomized scripts, and must emit identical bytes.
 //!
+//! [`sim`] drives the same machine forward in virtual time instead of
+//! exploring it: a seeded fleet of clients with stochastic service
+//! times, stragglers, failures and heterogeneous speeds, whose trace
+//! yields the paper's §2.2 metrics (gridlock, batch shortfall,
+//! ELIGIBLE-pool size). It is the simulation behind EXPERIMENTS §SIM
+//! and `ic-prio sim`.
+//!
 //! ```
 //! use ic_check::{check, CheckConfig, FleetSpec};
 //! use ic_net::machine::SeededBugs;
@@ -69,6 +76,7 @@ pub mod invariants;
 #[doc(hidden)]
 pub mod reference;
 pub mod scenario;
+pub mod sim;
 
 pub use crash::check_crash;
 pub use explore::{check, CheckConfig, CheckOutcome, CheckStats, Violation};

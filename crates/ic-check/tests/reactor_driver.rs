@@ -121,6 +121,93 @@ fn manual_clock_runs_are_byte_identical() {
     );
 }
 
+/// A worker resumes on connection B while its old connection A is
+/// still open. A's next frame must not drive the slot (a `request`
+/// would forfeit the leases B just resumed): A gets an error and is
+/// closed, nothing fails, and B's `done` is accepted.
+#[test]
+fn a_connection_superseded_by_a_resume_no_longer_drives_its_slot() {
+    let dag = ic_dag::builder::from_arcs(1, &[]).expect("one task");
+    let policy = ic_sched::Schedule::in_id_order(&dag);
+    let cfg = ServerConfig::builder()
+        .lease_ms(60_000)
+        .backoff_base_ms(0)
+        .expect_workers(1)
+        .build();
+    let (poller, handle) = loopback(1);
+    let driver = Driver::new(Box::new(ManualClock::new(0)), Box::new(poller));
+    let mut reactor = Reactor::new(&dag, &policy, cfg, driver);
+
+    let mut sink = MemorySink::new();
+    let (a_reply, a_after, b_ack) = std::thread::scope(|s| {
+        let client = s.spawn(move || {
+            let call = |conn: &mut LoopbackConn, msg: Message| {
+                conn.send(&msg).unwrap();
+                recv(conn)
+            };
+            let mut a = handle.connect();
+            let Message::Welcome { resume, .. } = call(&mut a, Message::hello("w", 1.0)) else {
+                panic!("expected welcome");
+            };
+            assert_eq!(call(&mut a, Message::request()), Message::assign(0));
+            let mut b = handle.connect();
+            let hello = Message::Hello {
+                id: "w".into(),
+                speed: 1.0,
+                proto: ic_net::PROTO_CURRENT,
+                resume,
+            };
+            let Message::Welcome { tasks, .. } = call(&mut b, hello) else {
+                panic!("expected the resume to be welcomed");
+            };
+            assert_eq!(tasks, vec![0], "the resumed slot holds the lease");
+            let a_reply = call(&mut a, Message::request());
+            let a_after = a
+                .recv_timeout(Duration::from_secs(10))
+                .map_err(|e| e.kind());
+            let b_ack = call(&mut b, Message::Done { task: 0, ok: true });
+            // Finish the run whichever connection holds the task now.
+            if let Message::Assign { tasks } = &a_reply {
+                call(
+                    &mut a,
+                    Message::Done {
+                        task: tasks[0],
+                        ok: true,
+                    },
+                );
+                call(&mut a, Message::request());
+            }
+            assert_eq!(call(&mut b, Message::request()), Message::Drain);
+            (a_reply, a_after, b_ack)
+        });
+        reactor.run_until_drain(&mut sink).unwrap();
+        client.join().unwrap()
+    });
+
+    assert!(
+        matches!(&a_reply, Message::Error { msg, .. } if msg.contains("superseded")),
+        "the old connection is told it was superseded: {a_reply:?}"
+    );
+    assert_eq!(
+        a_after,
+        Err(std::io::ErrorKind::UnexpectedEof),
+        "and closed"
+    );
+    assert_eq!(
+        b_ack,
+        Message::Ack {
+            task: 0,
+            accepted: true
+        }
+    );
+    let trace = sink.into_trace().expect("header recorded");
+    assert!(
+        trace.events.iter().all(|e| e.kind != EventKind::Failed),
+        "no lease was forfeited: {:?}",
+        trace.events
+    );
+}
+
 /// The reactor exits via `connected() == 0` after draining its last
 /// worker — under a frozen clock the drain *grace* can never elapse,
 /// so prompt exit here proves the sever-on-drain path.

@@ -11,12 +11,13 @@
 use std::fmt::Write as _;
 
 use ic_audit::report::json_string;
+use ic_check::sim::{simulate_traced, ClientProfile, SimConfig};
 use ic_dag::dot::{to_dot, DotOptions};
 use ic_dag::stats::stats;
 use ic_sched::heuristics::{schedule_with, Policy};
 use ic_sched::quality::{area_under, summarize};
 use ic_sim::trace::MemorySink;
-use ic_sim::{simulate_traced, ClientProfile, SimConfig, Trace};
+use ic_sim::Trace;
 
 use crate::flags::{server_flag, CliError, Flags};
 use crate::output::{json_num_array, json_str_array, CmdOutput};
@@ -330,9 +331,10 @@ pub fn dot(nd: &NamedDag) -> String {
     )
 }
 
-/// `sim`: run the discrete-event server simulation and report its
-/// trace-derived metrics. Returns the envelope and the full execution
-/// trace (the binary writes it out under `--trace`).
+/// `sim`: run a simulated client fleet against the lease machine
+/// (`ic_check::sim`) and report its trace-derived metrics. Returns the
+/// envelope and the full execution trace (the binary writes it out
+/// under `--trace`).
 pub fn sim_run(nd: &NamedDag, policy: &Policy, clients: usize, seed: u64) -> (CmdOutput, Trace) {
     let cfg = SimConfig {
         clients: ClientProfile {

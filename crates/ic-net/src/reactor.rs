@@ -673,7 +673,9 @@ impl<'a> Reactor<'a> {
         }
     }
 
-    /// A frame from a registered worker.
+    /// A frame from a registered worker. A connection whose slot has
+    /// since been resumed elsewhere no longer speaks for it: it is told
+    /// so and closed (its `Sever` carries the stale epoch, a no-op).
     fn dispatch_registered(
         &mut self,
         id: ConnId,
@@ -681,8 +683,13 @@ impl<'a> Reactor<'a> {
         msg: Message,
         sink: &mut dyn TraceSink,
     ) {
+        let (worker, epoch) = reg;
+        if self.machine.worker_epoch(worker) != Some(epoch) {
+            self.io
+                .send(id, &Message::error("connection superseded by a resume"));
+            return self.drop_conn(id, sink);
+        }
         let now_us = self.io.clock.now_us();
-        let worker = reg.0;
         let event = match msg {
             Message::Request { max } => Event::Request {
                 worker,

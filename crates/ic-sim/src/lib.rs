@@ -1,4 +1,4 @@
-//! # `ic-sim` — a discrete-event Internet-computing server simulator
+//! # `ic-sim` — execution traces of an IC server and their metrics
 //!
 //! IC-Scheduling Theory targets a server that doles out ELIGIBLE tasks
 //! of a computation-dag to remote clients whose speeds and reliability
@@ -12,33 +12,25 @@
 //! 2. when a *batch* of requests arrives at once, a richer pool
 //!    satisfies more of them, increasing effective parallelism.
 //!
-//! This crate simulates exactly that setting (we have no Grid/Condor
-//! testbed; the paper's companion evaluations [15, 19] are simulations
-//! of the same kind): heterogeneous clients with stochastic service
-//! times and optional stragglers repeatedly request tasks; the server
-//! allocates the ELIGIBLE task chosen by any
-//! [`ic_sched::AllocationPolicy`] — a precomputed
-//! [`ic_sched::Schedule`] acts as a static priority list. Reported
-//! metrics: makespan, gridlock events, client idle time, utilization,
-//! and the ELIGIBLE-pool trace.
-//!
-//! Every run can stream its full event history — allocations,
-//! completions, failures, idle requests — through a
-//! [`trace::TraceSink`]; the [`trace`] module defines the JSONL trace
-//! format that `ic-prio audit --schedule` replays, and every metric in
-//! [`SimResult`] is derived from that same event stream (one source of
-//! truth; see [`SimResult::from_trace`]).
+//! This crate is the record of such a server's run, not the server:
+//! the [`trace`] module defines the JSONL trace format — allocations,
+//! completions, failures, idle requests — that the `ic-net` lease
+//! machine writes through a [`trace::TraceSink`] and `ic-prio audit
+//! --schedule` replays, [`json`] is the zero-dependency JSON layer it
+//! is written in, and [`SimResult::from_trace`] folds a trace into the
+//! §2.2 metrics: makespan, gridlock events, batch shortfall, client
+//! idle time, utilization, and the ELIGIBLE-pool trajectory. The
+//! simulation that drives the real machine on a virtual clock is
+//! `ic_check::sim`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;
 pub mod metrics;
-pub mod server;
 pub mod trace;
 
 pub use metrics::SimResult;
-pub use server::{simulate, simulate_traced, ClientProfile, SimConfig};
 pub use trace::{
     EventKind, FedMeta, FileSink, MemorySink, NullSink, Trace, TraceEvent, TraceHeader, TraceSink,
     WorkerParams,

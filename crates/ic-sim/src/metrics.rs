@@ -1,14 +1,14 @@
-//! Simulation metrics — derived from the execution trace.
+//! Run metrics — derived from the execution trace.
 //!
-//! Every metric in [`SimResult`] is a fold over the run's
-//! [`TraceEvent`] stream ([`MetricsFold`]): the simulator feeds events
-//! through the fold as it emits them, and [`SimResult::from_trace`]
-//! recomputes the same numbers from a captured [`Trace`]. One source of
-//! truth: what the auditor replays is exactly what the reports count.
+//! Every metric in [`SimResult`] is a fold over a run's
+//! [`crate::TraceEvent`] stream, and [`SimResult::from_trace`] is that
+//! fold: the simulation computes its result from the trace it emitted,
+//! and a captured trace yields the same numbers. One source of truth:
+//! what the auditor replays is exactly what the reports count.
 
-use crate::trace::{EventKind, Trace, TraceEvent};
+use crate::trace::{EventKind, Trace};
 
-/// The outcome of one simulated execution.
+/// The §2.2 metrics of one traced execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Wall-clock time at which the last task completed.
@@ -26,7 +26,7 @@ pub struct SimResult {
     pub allocations: usize,
     /// Number of completed tasks.
     pub completions: usize,
-    /// Number of failed allocations (lost work that was re-queued).
+    /// Number of failed allocations (lost work that was reallocated).
     pub failures: usize,
     /// Aggregate client busy fraction: busy-time / (clients × makespan).
     pub utilization: f64,
@@ -94,26 +94,81 @@ impl SimResult {
         }
     }
 
-    /// Recompute the metrics of a captured trace — the same fold the
-    /// simulator applies while emitting events, so this agrees exactly
-    /// with the `SimResult` the original run returned.
+    /// The metrics of a trace — exactly the `SimResult` the run that
+    /// wrote it returned, which is computed by this same call:
+    ///
+    /// * `eligible_trace` starts at `(0, #sources)` and gains one sample
+    ///   per completion/failure (the recorded pool after the event);
+    /// * an [`EventKind::Idle`] among the first `clients` events is an
+    ///   initial-batch shortfall;
+    /// * an idle request while allocated work is outstanding (and the
+    ///   computation unfinished) is a gridlock event;
+    /// * `idle_time` accrues per client from its previous
+    ///   completion/failure (or time 0) to its next allocation, which
+    ///   excludes the tail after the computation ends.
     ///
     /// Executor traces (which do not track the pool) yield a degenerate
     /// `eligible_trace` of the initial sample only.
     pub fn from_trace(trace: &Trace) -> SimResult {
-        let n = trace.header.nodes;
+        let (n, clients) = (trace.header.nodes, trace.header.clients);
         let mut has_parent = vec![false; n];
         for &(_, v) in &trace.header.arcs {
             if (v as usize) < n {
                 has_parent[v as usize] = true;
             }
         }
-        let num_sources = has_parent.iter().filter(|&&p| !p).count();
-        let mut fold = MetricsFold::new(n, num_sources, trace.header.clients);
-        for ev in &trace.events {
-            fold.apply(ev);
+        let mut res = SimResult::new(clients);
+        res.record_pool(0.0, has_parent.iter().filter(|&&p| !p).count());
+        // Per client: the time of its most recent work request.
+        let mut request_time = vec![0.0; clients];
+        for (i, ev) in trace.events.iter().enumerate() {
+            let (time, client) = (ev.time, ev.client);
+            res.makespan = res.makespan.max(time);
+            let tracked = client < clients;
+            match ev.kind {
+                // A v3 speculative duplicate lease occupies its client
+                // like an allocation, without being one.
+                EventKind::Allocated | EventKind::Speculated => {
+                    if ev.kind == EventKind::Allocated {
+                        res.allocations += 1;
+                    }
+                    if tracked {
+                        res.idle_time += time - request_time[client];
+                    }
+                }
+                // A v3 revoke frees its client without being a
+                // completion or a failure (and carries no pool sample).
+                EventKind::Completed | EventKind::Failed | EventKind::Revoked => {
+                    match ev.kind {
+                        EventKind::Completed => res.completions += 1,
+                        EventKind::Failed => res.failures += 1,
+                        _ => {}
+                    }
+                    if tracked {
+                        request_time[client] = time;
+                    }
+                    if let Some(p) = ev.pool {
+                        res.record_pool(time, p);
+                    }
+                }
+                EventKind::Idle => {
+                    let outstanding = res
+                        .allocations
+                        .saturating_sub(res.completions + res.failures);
+                    if outstanding > 0 && res.completions < n {
+                        res.gridlock_events += 1;
+                    }
+                    if i < clients {
+                        res.unsatisfied_at_batch += 1;
+                    }
+                }
+                // A v3 resume changes no metric: the original
+                // allocation is still open.
+                EventKind::Resumed => {}
+            }
         }
-        fold.finish()
+        res.finalize(clients, n);
+        res
     }
 
     /// Mean ELIGIBLE-pool size over the recorded trace (time-weighted).
@@ -136,100 +191,6 @@ impl SimResult {
         } else {
             0.0
         }
-    }
-}
-
-/// The incremental fold from trace events to a [`SimResult`].
-///
-/// The fold reproduces the pre-trace metric definitions exactly:
-///
-/// * `eligible_trace` starts at `(0, #sources)` and gains one sample
-///   per completion/failure (the pool after newly enabled tasks joined
-///   or the lost task re-entered, before re-allocation);
-/// * an [`EventKind::Idle`] among the first `clients` events is an
-///   initial-batch shortfall;
-/// * an idle request while allocated work is outstanding (and the
-///   computation unfinished) is a gridlock event;
-/// * `idle_time` accrues per client from its previous
-///   completion/failure (or time 0) to its next allocation, which
-///   excludes the tail after the computation ends.
-pub(crate) struct MetricsFold {
-    res: SimResult,
-    n: usize,
-    clients: usize,
-    /// Per client: the time of its most recent work request.
-    request_time: Vec<f64>,
-    events_seen: usize,
-    last_time: f64,
-}
-
-impl MetricsFold {
-    pub(crate) fn new(n: usize, num_sources: usize, clients: usize) -> MetricsFold {
-        let mut res = SimResult::new(clients);
-        res.record_pool(0.0, num_sources);
-        MetricsFold {
-            res,
-            n,
-            clients,
-            request_time: vec![0.0; clients],
-            events_seen: 0,
-            last_time: 0.0,
-        }
-    }
-
-    pub(crate) fn apply(&mut self, ev: &TraceEvent) {
-        let (time, client) = (ev.time, ev.client);
-        self.last_time = self.last_time.max(time);
-        let tracked = client < self.clients;
-        match ev.kind {
-            // A v3 speculative duplicate lease occupies its client like
-            // an allocation, without being one.
-            EventKind::Allocated | EventKind::Speculated => {
-                if ev.kind == EventKind::Allocated {
-                    self.res.allocations += 1;
-                }
-                if tracked {
-                    self.res.idle_time += time - self.request_time[client];
-                }
-            }
-            // A v3 revoke frees its client without being a completion
-            // or a failure (and carries no pool sample).
-            EventKind::Completed | EventKind::Failed | EventKind::Revoked => {
-                match ev.kind {
-                    EventKind::Completed => self.res.completions += 1,
-                    EventKind::Failed => self.res.failures += 1,
-                    _ => {}
-                }
-                if tracked {
-                    self.request_time[client] = time;
-                }
-                if let Some(p) = ev.pool {
-                    self.res.record_pool(time, p);
-                }
-            }
-            EventKind::Idle => {
-                let outstanding = self
-                    .res
-                    .allocations
-                    .saturating_sub(self.res.completions + self.res.failures);
-                if outstanding > 0 && self.res.completions < self.n {
-                    self.res.gridlock_events += 1;
-                }
-                if self.events_seen < self.clients {
-                    self.res.unsatisfied_at_batch += 1;
-                }
-            }
-            // A v3 resume changes no metric: the original allocation is
-            // still open.
-            EventKind::Resumed => {}
-        }
-        self.events_seen += 1;
-    }
-
-    pub(crate) fn finish(mut self) -> SimResult {
-        self.res.makespan = self.last_time;
-        self.res.finalize(self.clients, self.n);
-        self.res
     }
 }
 

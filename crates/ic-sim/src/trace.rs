@@ -1,8 +1,8 @@
 //! The shared execution-trace model.
 //!
-//! Every run of the discrete-event simulator ([`crate::simulate_traced`])
-//! and of the live server (`ic-net`, as its write-ahead log) emits its event
-//! history through a [`TraceSink`]: one [`TraceHeader`] carrying the
+//! Every run of the lease machine (`ic-net`'s live server, as its
+//! write-ahead log, and `ic_check::sim`'s virtual-time fleet) emits its
+//! event history through a [`TraceSink`]: one [`TraceHeader`] carrying the
 //! dag (so a trace file is self-contained), then a stream of
 //! [`TraceEvent`]s — task allocated, task completed, allocation failed,
 //! client idle — in the order the server processed them. Traces
@@ -81,7 +81,8 @@ pub struct TraceHeader {
     pub nodes: usize,
     /// The dag's arcs as `(parent, child)` id pairs.
     pub arcs: Vec<(u32, u32)>,
-    /// Number of simulated clients (workers, for live-server traces).
+    /// Number of clients: the worker slots registered or expected when
+    /// the header was written.
     pub clients: usize,
     /// RNG seed of the run.
     pub seed: u64,
@@ -266,8 +267,8 @@ impl EventKind {
 pub struct TraceEvent {
     /// Global event index (0-based, monotone).
     pub step: u64,
-    /// The run's clock — simulated time units for `ic-sim`, elapsed
-    /// seconds for `ic-net`.
+    /// The run's clock in seconds since the header (service units, one
+    /// per 10⁶ virtual µs, in a simulation).
     pub time: f64,
     /// The client (worker slot) the event concerns.
     pub client: usize,

@@ -1,14 +1,14 @@
 //! The IC server scenario of §2.2, simulated: heterogeneous remote
-//! clients pull tasks from a server that allocates by a schedule's
-//! priorities. IC-optimal allocation vs the heuristics.
+//! clients pull tasks from the deployed lease machine, which allocates
+//! by a schedule's priorities. IC-optimal allocation vs the heuristics.
 //!
 //! ```text
 //! cargo run --example server_simulation
 //! ```
 
+use ic_scheduling::check::sim::{simulate, ClientProfile, SimConfig};
 use ic_scheduling::families::dlt::dlt_prefix;
 use ic_scheduling::sched::heuristics::{schedule_with, Policy};
-use ic_scheduling::sim::{simulate, ClientProfile, SimConfig};
 
 fn main() {
     // Workload: the 16-input DLT dag (95 tasks).

@@ -131,9 +131,11 @@ echo "==> ic-prio audit --claims"
 ./target/release/ic-prio audit --claims
 
 echo "==> ic-prio sim | audit --schedule (trace round trip)"
-# End-to-end through the trace pipeline: simulate a freshly written dag,
-# record the execution trace, and replay-audit it. The audit must exit 0
-# (warnings such as IC0404 are advisory; any IC04xx error fails here).
+# End-to-end through the trace pipeline: simulate a freshly written dag
+# (a virtual-time client fleet stepping the lease machine, so the trace
+# is the machine's own), record it, and replay-audit it. The audit must
+# exit 0 (warnings such as IC0404 are advisory; any IC04xx error fails
+# here).
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 cat > "$tmpdir/tasks.dag" <<'DAG'

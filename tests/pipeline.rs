@@ -6,6 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use ic_scheduling::apps::integration::{integrate_adaptive, Rule};
 use ic_scheduling::apps::matmul::{multiply_via_dag, Matrix};
 use ic_scheduling::apps::scan::scan_parallel;
+use ic_scheduling::check::sim::{simulate, ClientProfile, SimConfig};
 use ic_scheduling::families::butterfly::{butterfly, butterfly_schedule};
 use ic_scheduling::families::diamond::diamond_from_out_tree;
 use ic_scheduling::families::dlt::dlt_prefix;
@@ -13,7 +14,6 @@ use ic_scheduling::families::mesh::{out_mesh, out_mesh_schedule};
 use ic_scheduling::families::trees::complete_out_tree;
 use ic_scheduling::sched::heuristics::{schedule_with, Policy};
 use ic_scheduling::sched::quality::area_under;
-use ic_scheduling::sim::{simulate, ClientProfile, SimConfig};
 
 fn cfg(clients: usize, seed: u64) -> SimConfig {
     SimConfig {

@@ -1,5 +1,6 @@
-//! Trace-pipeline property tests: for randomly generated dags, a
-//! simulated run's trace must (1) round-trip through the JSONL format
+//! Trace-pipeline property tests: for randomly generated dags, the
+//! lease machine's trace under a simulated client fleet (flaky and
+//! mixed-speed in part) must (1) round-trip through the JSONL format
 //! byte-exactly at the event level, (2) reproduce the run's metrics
 //! from the parsed trace alone (`SimResult::from_trace` is the single
 //! source of truth), and (3) replay clean under the IC04xx audit. The
@@ -8,20 +9,31 @@
 
 use ic_scheduling::audit::audit_trace;
 use ic_scheduling::audit::Severity;
+use ic_scheduling::check::sim::{simulate_traced, ClientProfile, SimConfig};
 use ic_scheduling::dag::testgen::random_dags;
 use ic_scheduling::dag::Dag;
 use ic_scheduling::families::mesh;
 use ic_scheduling::sched::heuristics::Policy;
 use ic_scheduling::sched::AllocationPolicy;
 use ic_scheduling::sim::trace::MemorySink;
-use ic_scheduling::sim::{simulate_traced, ClientProfile, SimConfig, SimResult, Trace};
+use ic_scheduling::sim::{SimResult, Trace};
 
 fn run(dag: &Dag, policy: &dyn AllocationPolicy, clients: usize, seed: u64) -> (SimResult, Trace) {
+    let profile = ClientProfile {
+        num_clients: clients,
+        ..ClientProfile::default()
+    };
+    run_with(dag, policy, profile, seed)
+}
+
+fn run_with(
+    dag: &Dag,
+    policy: &dyn AllocationPolicy,
+    clients: ClientProfile,
+    seed: u64,
+) -> (SimResult, Trace) {
     let cfg = SimConfig {
-        clients: ClientProfile {
-            num_clients: clients,
-            ..ClientProfile::default()
-        },
+        clients,
         seed,
         ..SimConfig::default()
     };
@@ -72,32 +84,35 @@ fn random_runs_replay_clean_under_the_trace_audit() {
     }
 }
 
+/// Flaky clients on mixed hardware: every lost task takes the lease
+/// machine's backoff path, and each such trace still replays clean and
+/// refolds, after a JSONL round trip, to the run's own result.
 #[test]
 fn failures_reallocate_and_still_replay_clean() {
-    let mut cfg = SimConfig {
-        clients: ClientProfile {
-            num_clients: 3,
-            failure_prob: 0.25,
+    let mut failures = 0;
+    for (i, dag) in random_dags(0xFA17, 16, 10, 40).iter().enumerate() {
+        let clients = 1 + i % 4;
+        let speeds = (0..clients).map(|c| 0.5 + ((c + i) % 3) as f64 * 0.75);
+        let profile = ClientProfile {
+            num_clients: clients,
+            failure_prob: [0.1, 0.25, 0.4][i % 3],
+            speed_factors: Some(speeds.collect()),
             ..ClientProfile::default()
-        },
-        ..SimConfig::default()
-    };
-    for (i, dag) in random_dags(0xFA17, 10, 10, 40).iter().enumerate() {
-        cfg.seed = i as u64;
-        let mut sink = MemorySink::new();
-        simulate_traced(dag, &Policy::Fifo, &cfg, &mut sink);
-        let trace = sink.into_trace().unwrap();
-        let has_failure = trace
-            .events
-            .iter()
-            .any(|e| e.kind == ic_scheduling::sim::EventKind::Failed);
+        };
+        let policies: [&dyn AllocationPolicy; 3] =
+            [&Policy::Fifo, &Policy::Lifo, &Policy::GreedyEligibility];
+        let (r, trace) = run_with(dag, policies[i % 3], profile, i as u64);
+        failures += r.failures;
         let parsed = Trace::from_jsonl(&trace.to_jsonl()).unwrap();
+        assert_eq!(SimResult::from_trace(&parsed), r, "case {i}");
         let diags = audit_trace(&parsed);
         assert!(
             diags.iter().all(|d| d.severity != Severity::Error),
-            "case {i} (failures: {has_failure}): {diags:?}"
+            "case {i} ({} failures): {diags:?}",
+            r.failures
         );
     }
+    assert!(failures > 0, "the generated runs must fail some tasks");
 }
 
 #[test]
