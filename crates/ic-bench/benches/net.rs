@@ -1,15 +1,11 @@
 //! `net` group: the reactor scale harness.
 //!
-//! One [`Reactor`] over the in-process loopback poller serves a fleet
-//! of 1 000–10 000 worker connections, multiplexed onto a handful of
-//! client driver threads (the client side is event-driven too — one
-//! thread per worker would cap the harness far below 10k). The fleet
-//! carries the same fault mix as the e2e scale smoke: mostly healthy
-//! workers, a slice of *flaky* ones that voluntarily fail ~10% of
-//! their tasks (`done ok:false` → reallocation), and a slice of
-//! *severing* ones that drop their connection mid-lease after one
-//! completion and come straight back with the resume token, as
-//! `ic-prio work --sever-after` does (→ a resume, leases intact).
+//! One [`Reactor`] over the in-process loopback poller serves 1 000 to
+//! 10 000 workers, each the [`WorkerMachine`] `ic-prio work` runs, on
+//! loopback connections multiplexed onto a few driver threads. The
+//! fault mix is the e2e scale smoke's: mostly healthy workers, a slice
+//! failing ~10% of its tasks (`done ok:false` → reallocation), and a
+//! slice severing mid-lease once and resuming with its token.
 //!
 //! Per fleet size `W` of [`FLEETS`] one record goes into the `net`
 //! group, `alloc_rate_{W}w`: one iteration is one whole fleet run —
@@ -24,8 +20,8 @@ use std::time::{Duration, Instant};
 
 use ic_bench::harness::Runner;
 use ic_net::{
-    loopback, Driver, LoopbackConn, LoopbackHandle, Message, MonotonicClock, Reactor, ServeReport,
-    PROTO_CURRENT,
+    loopback, Driver, FaultPlan, LoopbackConn, LoopbackHandle, MonotonicClock, Reactor,
+    ServeReport, WorkerConfig, WorkerInput, WorkerMachine, WorkerStep,
 };
 use ic_sim::MemorySink;
 
@@ -33,191 +29,98 @@ use ic_sim::MemorySink;
 /// compares both rows.
 const FLEETS: [usize; 2] = [1000, 10000];
 
-/// Behavioral slice of the fleet a worker belongs to.
-#[derive(Clone, Copy, PartialEq)]
-enum Mix {
-    Healthy,
-    Flaky,
-    Severing,
-}
-
 /// Same mix rule as the e2e scale smoke: 2 of every 16 workers
-/// misbehave, one by failing tasks and one by severing mid-lease
-/// (once) and resuming.
-fn mix_of(i: usize) -> Mix {
+/// misbehave, one by failing ~10% of its tasks and one by severing
+/// mid-lease (once) and resuming.
+fn plan_of(i: usize) -> FaultPlan {
     match i % 16 {
-        7 => Mix::Flaky,
-        11 => Mix::Severing,
-        _ => Mix::Healthy,
+        7 => FaultPlan::Fail(0.1),
+        11 => FaultPlan::SeverAfter(1),
+        _ => FaultPlan::None,
     }
 }
 
-/// One multiplexed worker connection and its protocol state.
-struct Client {
+/// One worker of the fleet: its machine, its connection, and when its
+/// sleep ends (`None` while a reply is due).
+struct Slot {
+    machine: WorkerMachine,
     conn: Option<LoopbackConn>,
-    id: String,
-    mix: Mix,
-    /// Resume token from the latest `welcome`; a severing worker spends
-    /// it on its one reconnect.
-    token: Option<String>,
-    rng: u64,
-    acks_pending: usize,
-    completions: u32,
-    /// Registration acknowledged. Until then the client sends
-    /// *nothing* beyond its hello: a request racing the welcome would
-    /// put two requests in flight, and a request arriving while the
-    /// previous one's assign is still in transit forfeits that lease.
-    welcomed: bool,
-    /// A `request` is outstanding: its `assign` or `wait` is still
-    /// to come, so no second one may go out.
-    requested: bool,
-    /// Earliest instant the next `request` may go out (wait backoff).
-    not_before: Instant,
+    wake_us: Option<u64>,
 }
 
-impl Client {
-    /// Report every task of an `assign` (or of a resume's `welcome`).
-    fn report(&mut self, tasks: Vec<u64>) {
-        for task in tasks {
-            let ok = self.task_succeeds();
-            send(self, &Message::Done { task, ok });
-            self.acks_pending += 1;
+impl Slot {
+    /// What to feed the machine now, if anything: a sleep's end, a reply.
+    fn input(&mut self, now_us: u64) -> Option<WorkerInput> {
+        if let Some(t) = self.wake_us {
+            return (t <= now_us).then_some(WorkerInput::Next);
+        }
+        match self.conn.as_mut()?.try_recv() {
+            Ok(reply) => reply.map(WorkerInput::Reply),
+            Err(e) => Some(WorkerInput::Lost(e)),
         }
     }
 
-    /// Roll the flaky die: ~10% of reports come back `ok: false`.
-    fn task_succeeds(&mut self) -> bool {
-        if self.mix != Mix::Flaky {
-            return true;
-        }
-        self.rng ^= self.rng << 13;
-        self.rng ^= self.rng >> 7;
-        self.rng ^= self.rng << 17;
-        !(self.rng >> 33).is_multiple_of(10)
+    /// Feed `input` to the machine and carry out the step it answers
+    /// with; `false` once the worker's run is over.
+    fn advance(&mut self, handle: &LoopbackHandle, input: WorkerInput, now_us: u64) -> bool {
+        let frame = match self.machine.step(input, now_us) {
+            WorkerStep::Dial(hello) => {
+                self.conn = Some(handle.connect());
+                hello
+            }
+            WorkerStep::Send(msg) => msg,
+            WorkerStep::SleepUntil(t) => {
+                self.wake_us = Some(t);
+                return true;
+            }
+            WorkerStep::HangUp => {
+                self.conn = None;
+                self.wake_us = Some(now_us);
+                return true;
+            }
+            // This fleet only finishes by `drain`, after which the
+            // reactor closes the connection: no one is left for a `bye`.
+            WorkerStep::Finish(_) | WorkerStep::Fail(_) => return false,
+        };
+        self.wake_us = None;
+        // The loopback channel fails only once the poller is gone.
+        let conn = self.conn.as_ref();
+        conn.is_some_and(|conn| conn.send(&frame).is_ok())
     }
 }
 
-/// Send on a client's connection if it still has one; the loopback
-/// channel is unbounded, so a send only fails once the poller itself
-/// is gone — at which point the run is over anyway.
-fn send(c: &Client, msg: &Message) {
-    if let Some(conn) = c.conn.as_ref() {
-        conn.send(msg).expect("loopback send");
-    }
-}
-
-/// Send a `request` and mark it outstanding.
-fn request(c: &mut Client) {
-    send(c, &Message::request());
-    c.requested = true;
-}
-
-/// Drive workers `offset, offset+stride, ...` (up to `total`) against
-/// the reactor until each is drained or severed.
+/// Drive workers `offset, offset+stride, ...` of `total` until drained.
 fn drive(handle: &LoopbackHandle, offset: usize, stride: usize, total: usize) {
-    let mut clients: Vec<Client> = (offset..total)
+    let start = Instant::now();
+    let mut fleet: Vec<Slot> = (offset..total)
         .step_by(stride)
         .map(|i| {
-            let conn = handle.connect();
-            let id = format!("w{i}");
-            conn.send(&Message::hello(id.as_str(), 1.0)).expect("hello");
-            Client {
-                conn: Some(conn),
-                id,
-                mix: mix_of(i),
-                token: None,
-                rng: 0x9E37_79B9_7F4A_7C15 ^ (i as u64 + 1),
-                acks_pending: 0,
-                completions: 0,
-                welcomed: false,
-                requested: false,
-                not_before: Instant::now(),
+            let cfg = WorkerConfig::builder()
+                .id(format!("w{i}"))
+                .mean_ms(0)
+                .fault(plan_of(i))
+                .seed(i as u64 + 1)
+                .build();
+            Slot {
+                machine: WorkerMachine::new(&cfg),
+                conn: None,
+                wake_us: Some(0),
             }
         })
         .collect();
-    let mut live = clients.len();
-    while live > 0 {
+    while !fleet.is_empty() {
         let mut progressed = false;
-        for c in &mut clients {
-            // Pull the message with a scoped borrow so the handlers
-            // below are free to mutate (or drop) the connection.
-            while c.conn.is_some() {
-                let msg = match c.conn.as_mut().map(LoopbackConn::try_recv) {
-                    Some(Ok(Some(msg))) => msg,
-                    Some(Ok(None)) => break,
-                    // The reactor closed the connection (post-drain).
-                    _ => {
-                        c.conn = None;
-                        live -= 1;
-                        break;
-                    }
-                };
+        // One clock read per pass over the slots, not one per slot.
+        let now = start.elapsed().as_micros() as u64;
+        fleet.retain_mut(|slot| {
+            while let Some(input) = slot.input(now) {
                 progressed = true;
-                match msg {
-                    Message::Welcome { resume, tasks, .. } => {
-                        c.welcomed = true;
-                        c.token = resume;
-                        if tasks.is_empty() {
-                            request(c);
-                        } else {
-                            // Resumed: the leases came back with us.
-                            c.report(tasks);
-                        }
-                    }
-                    Message::Assign { tasks } => {
-                        c.requested = false;
-                        if c.mix == Mix::Severing && c.completions >= 1 {
-                            // Sever mid-lease, once: drop the connection
-                            // without a word and resume on a new one;
-                            // the `welcome` hands the leases back.
-                            c.mix = Mix::Healthy;
-                            c.conn = None;
-                            let conn = handle.connect();
-                            conn.send(&Message::Hello {
-                                id: c.id.clone(),
-                                speed: 1.0,
-                                proto: PROTO_CURRENT,
-                                resume: c.token.take(),
-                            })
-                            .expect("resume hello");
-                            c.conn = Some(conn);
-                            c.welcomed = false;
-                        } else {
-                            c.report(tasks);
-                        }
-                    }
-                    Message::Ack { accepted, .. } => {
-                        if accepted {
-                            c.completions += 1;
-                        }
-                        c.acks_pending -= 1;
-                        if c.acks_pending == 0 {
-                            request(c);
-                        }
-                    }
-                    Message::Wait { ms } => {
-                        c.requested = false;
-                        c.not_before = Instant::now() + Duration::from_millis(ms.clamp(1, 20));
-                    }
-                    // Drain — or, with no steals configured, any other
-                    // frame (an error) — ends this worker.
-                    _ => {
-                        c.conn = None;
-                        live -= 1;
-                    }
+                if !slot.advance(handle, input, now) {
+                    return false;
                 }
             }
-            // Waited-out backoff elapsed: ask again.
-            if c.conn.is_some()
-                && c.welcomed
-                && !c.requested
-                && c.acks_pending == 0
-                && Instant::now() >= c.not_before
-            {
-                request(c);
-                progressed = true;
-            }
-        }
+            true
+        });
         if !progressed {
             std::thread::sleep(Duration::from_micros(200));
         }
@@ -243,11 +146,9 @@ fn run_fleet(workers: usize) -> ServeReport {
     let mut reactor = Reactor::new(&dag, &policy, cfg, driver);
     let mut sink = MemorySink::new();
 
-    // One driver thread per spare core, capped at 8: the drivers poll
-    // their client slices in a busy loop, so oversubscribing the CPU
-    // makes the fleet measure its own scheduler thrash instead of the
-    // reactor (on a 1-core box, 8 spinning drivers triple the apparent
-    // 10k-worker per-allocation cost).
+    // One driver thread per spare core, capped at 8: spinning drivers
+    // oversubscribing the CPU measure their own scheduler thrash, not
+    // the reactor (8 of them on 1 core triple the 10k-worker cost).
     let spare = std::thread::available_parallelism()
         .map(|p| p.get().saturating_sub(1))
         .unwrap_or(1)
@@ -262,19 +163,18 @@ fn run_fleet(workers: usize) -> ServeReport {
         reactor.run_until_drain(&mut sink).expect("reactor run")
     });
 
-    // Attribute every server-side `Failed` event to its fleet slice. A
-    // healthy worker only "fails" when the harness itself misbehaves
-    // (e.g. two requests in flight forfeiting a freshly granted lease).
+    // Attribute every server-side `Failed` event to its fleet slice: a
+    // healthy worker only "fails" when the harness itself misbehaves.
     let trace = sink.into_trace().expect("trace");
     let slice_of = |client| {
         let worker = trace.header.workers.iter().find(|w| w.client == client);
         let i = worker.and_then(|w| w.id.get(1..)?.parse().ok());
-        mix_of(i.unwrap_or(0))
+        plan_of(i.unwrap_or(0))
     };
     let healthy_failures = trace
         .events
         .iter()
-        .filter(|e| e.kind == ic_sim::EventKind::Failed && slice_of(e.client) == Mix::Healthy)
+        .filter(|e| e.kind == ic_sim::EventKind::Failed && slice_of(e.client) == FaultPlan::None)
         .count();
     assert_eq!(healthy_failures, 0, "healthy workers never fail");
     assert_eq!(report.completions, tasks, "fleet completed the dag");

@@ -65,6 +65,28 @@ pub fn sim_policy_from_flag(s: &str, seed: u64) -> Option<Policy> {
 /// Exhaustive machinery is engaged up to this many tasks.
 pub const EXACT_LIMIT: usize = 22;
 
+/// The best priority order this build can find for `dag`, and how it
+/// was found: the exact IC-optimal schedule up to [`EXACT_LIMIT`]
+/// tasks, else (none existing) the exact minimum-regret one; greedy
+/// lookahead above the limit.
+fn best_order(dag: &ic_dag::Dag) -> (ic_sched::Schedule, String) {
+    let n = dag.num_nodes();
+    if n > EXACT_LIMIT {
+        let how = format!("greedy lookahead ({n} tasks > exact limit {EXACT_LIMIT})");
+        return (schedule_with(dag, &Policy::GreedyEligibility), how);
+    }
+    // Both exact searches fail only above 64 nodes.
+    match ic_sched::optimal::find_ic_optimal(dag).expect("within the exact limit") {
+        Some(s) => (s, "exact IC-optimal".to_string()),
+        None => {
+            let (r, s) =
+                ic_sched::almost::min_regret_schedule(dag).expect("within the exact limit");
+            let how = format!("exact minimum-regret (regret {r}; no IC-optimal schedule exists)");
+            (s, how)
+        }
+    }
+}
+
 /// `order`: compute and report a priority order.
 pub fn order(nd: &NamedDag, policy: OrderPolicy) -> CmdOutput {
     let dag = &nd.dag;
@@ -75,32 +97,7 @@ pub fn order(nd: &NamedDag, policy: OrderPolicy) -> CmdOutput {
             schedule_with(dag, &Policy::GreedyEligibility),
             "greedy lookahead".to_string(),
         ),
-        OrderPolicy::Auto => {
-            if n <= EXACT_LIMIT {
-                match ic_sched::optimal::find_ic_optimal(dag) {
-                    Ok(Some(s)) => (s, "exact IC-optimal".to_string()),
-                    Ok(None) => {
-                        let (r, s) = ic_sched::almost::min_regret_schedule(dag)
-                            .expect("within the exact limit");
-                        (
-                            s,
-                            format!(
-                                "exact minimum-regret (regret {r}; no IC-optimal schedule exists)"
-                            ),
-                        )
-                    }
-                    Err(_) => (
-                        schedule_with(dag, &Policy::GreedyEligibility),
-                        "greedy lookahead (dag too large for exact)".to_string(),
-                    ),
-                }
-            } else {
-                (
-                    schedule_with(dag, &Policy::GreedyEligibility),
-                    format!("greedy lookahead ({n} tasks > exact limit {EXACT_LIMIT})"),
-                )
-            }
-        }
+        OrderPolicy::Auto => best_order(dag),
     };
 
     let profile = schedule.profile(dag);
@@ -524,8 +521,7 @@ pub fn audit_family(spec: &str, deny: &[&'static str]) -> Result<CmdOutput, Stri
 
 /// Resolve a `serve --policy` flag into an allocation policy. The sim
 /// heuristics all work; `optimal` uses the family's closed-form
-/// schedule when one is known, the exact machinery on small dags, and
-/// greedy lookahead otherwise.
+/// schedule when one is known, and `best_order` otherwise.
 pub fn serve_policy(
     dag: &ic_dag::Dag,
     flag: &str,
@@ -533,22 +529,9 @@ pub fn serve_policy(
     family_schedule: Option<ic_sched::Schedule>,
 ) -> Result<Box<dyn ic_sched::policy::AllocationPolicy>, String> {
     if flag == "optimal" {
-        if let Some(s) = family_schedule {
-            return Ok(Box::new(s));
-        }
-        let s = if dag.num_nodes() <= EXACT_LIMIT {
-            match ic_sched::optimal::find_ic_optimal(dag).map_err(|e| e.to_string())? {
-                Some(s) => s,
-                None => {
-                    ic_sched::almost::min_regret_schedule(dag)
-                        .map_err(|e| e.to_string())?
-                        .1
-                }
-            }
-        } else {
-            schedule_with(dag, &Policy::GreedyEligibility)
-        };
-        return Ok(Box::new(s));
+        return Ok(Box::new(
+            family_schedule.unwrap_or_else(|| best_order(dag).0),
+        ));
     }
     sim_policy_from_flag(flag, seed)
         .map(|p| Box::new(p) as Box<dyn ic_sched::policy::AllocationPolicy>)

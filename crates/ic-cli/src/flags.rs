@@ -146,7 +146,13 @@ pub fn server_flag(cfg: &mut ServerConfig, flag: &str, v: Value<'_>) -> Result<b
 pub fn worker_flag(cfg: &mut WorkerConfig, flag: &str, v: Value<'_>) -> Result<bool, CliError> {
     match flag {
         "--id" => cfg.id = v.str().to_string(),
-        "--speed" => cfg.speed = v.parse_if("a positive number", |&f| f > 0.0)?,
+        // The server's own rule for `hello.speed`; the wire cannot
+        // carry an infinite one.
+        "--speed" => {
+            cfg.speed = v.parse_if("a positive finite number", |f: &f64| {
+                f.is_finite() && *f > 0.0
+            })?;
+        }
         "--mean-ms" => cfg.mean_ms = v.int()?,
         "--batch" => cfg.batch = v.positive()?,
         "--retry-ms" => cfg.retry_ms = v.parse_if("positive milliseconds", |&ms| ms > 0)?,
@@ -222,6 +228,7 @@ mod tests {
         }
         let mut w = WorkerConfig::default();
         assert!(read(&mut w, &["--retry-ms", "0"], worker_flag).is_err());
+        assert!(read(&mut w, &["--speed", "inf"], worker_flag).is_err());
         assert!(read(&mut w, &["--seed", "many"], worker_flag).is_err());
         // A flag that lost its value is a bare usage error.
         assert_eq!(

@@ -99,7 +99,8 @@ const USAGE_CONTRACT: &[(&str, i32, &str)] = &[
     ("work --connect a --proto 2", 2, "usage:"),
     ("work --connect a --no-reconnect x", 2, "usage:"),
     ("work --connect a --seed x", 2, "error: --seed takes an integer"),
-    ("work --connect a --speed x", 2, "error: --speed takes a positive number"),
+    ("work --connect a --speed x", 2, "error: --speed takes a positive finite number"),
+    ("work --connect a --speed inf", 2, "error: --speed takes a positive finite number"),
     ("work --connect a --mean-ms x", 2, "error: --mean-ms takes an integer"),
     ("work --connect a --retry-ms x", 2, "error: --retry-ms takes positive milliseconds"),
     ("work --connect a --flaky x", 2, "error: --flaky takes a probability in [0, 1]"),

@@ -2,11 +2,11 @@
 //!
 //! The paper's entire setting is a server that allocates ELIGIBLE tasks
 //! of a computation-dag to remote clients it does not control: they
-//! may be slow, may die, and may never return results. `ic-sim`
-//! studies that server in a discrete-event vacuum; this crate *is* the
-//! server — a single-threaded event-driven TCP service (plus the
+//! may be slow, may die, and may never return results. This crate *is*
+//! that server — a single-threaded event-driven TCP service (plus the
 //! matching worker client) built entirely on `std::net`, keeping the
-//! workspace's zero-external-dependency rule.
+//! workspace's zero-external-dependency rule. The simulator
+//! (`ic_check::sim`) steps the same lease machine on a virtual clock.
 //!
 //! * [`wire`] — the length-prefixed JSON frame protocol, encoded with
 //!   the in-repo parser ([`ic_sim::json`]); every decoding failure is
@@ -14,7 +14,7 @@
 //!   (resume tokens, batched assignment, lease revocation), its
 //!   version checked once at `hello`. The buffer-oriented
 //!   [`wire::Frame`] / [`wire::Decoder`] pair is the one framing path
-//!   shared by the reactor and the worker client.
+//!   shared by the reactor and the worker drivers.
 //! * [`machine`] — the *pure* lease-protocol state machine:
 //!   `LeaseMachine::step(Event) -> Vec<Effect>` with no clock, socket,
 //!   or sink of its own, so the `ic-check` model checker can
@@ -43,10 +43,13 @@
 //!   through any [`ic_sched::AllocationPolicy`] — an IC-optimal
 //!   [`ic_sched::Schedule`] and the FIFO/greedy heuristics plug in
 //!   interchangeably.
-//! * [`worker`] — the volatile client, with fault-injection plans
-//!   (random death, death after `k` tasks, silent stalls, severed
-//!   connections that resume) for exercising the server's reallocation
-//!   and resumption machinery.
+//! * [`worker`] — the volatile client: the pure [`WorkerMachine`]
+//!   (every decision of a worker run, time passed in as `now_us`) and
+//!   its drivers — [`run_worker`] over TCP, and the `net` bench's
+//!   loopback fleet. Its fault-injection plans (random death, death
+//!   after `k` tasks, silent stalls, random failure reports, severed
+//!   connections that resume) exercise the server's reallocation and
+//!   resumption machinery.
 //!
 //! Every server decision streams through the [`ic_sim::trace`] event
 //! model, so a finished run's JSONL trace replays clean under
@@ -80,5 +83,6 @@ pub use wire::{
     PROTO_CURRENT, PROTO_V2, PROTO_V3,
 };
 pub use worker::{
-    run_worker, FaultPlan, WorkerConfig, WorkerConfigBuilder, WorkerReport, RETRY_TOTAL_MS,
+    run_worker, FaultPlan, WorkerConfig, WorkerConfigBuilder, WorkerInput, WorkerMachine,
+    WorkerReport, WorkerStep,
 };

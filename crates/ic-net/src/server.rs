@@ -1,9 +1,8 @@
 //! The networked IC task server's tunables ([`ServerConfig`]) and
 //! end-of-run tally ([`ServeReport`]).
 //!
-//! The server is the live counterpart of the `ic-sim` event loop: it
-//! listens on TCP, registers volatile workers, and allocates ELIGIBLE
-//! tasks of one dag through any
+//! The server listens on TCP, registers volatile workers, and
+//! allocates ELIGIBLE tasks of one dag through any
 //! [`AllocationPolicy`](ic_sched::policy::AllocationPolicy) until the
 //! dag completes. The volatile-client reality the paper's server faces
 //! (§1: clients "may be slow, may die") is handled with five

@@ -7,8 +7,9 @@
 //!
 //! Each heuristic is a variant of [`Policy`], which implements
 //! [`AllocationPolicy`]; [`schedule_with`] drives any policy to a
-//! complete static [`Schedule`], and `ic-sim` drives the same policies
-//! dynamically against a stochastic client population.
+//! complete static [`Schedule`], and the lease machine (`ic-net`) asks
+//! the same policies task by task, live or against the simulator's
+//! virtual-time client fleet (`ic-check`).
 
 use ic_dag::rng::XorShift64;
 use ic_dag::traversal::levels;

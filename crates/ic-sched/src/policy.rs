@@ -3,10 +3,10 @@
 //! An [`AllocationPolicy`] answers the one question the IC server asks
 //! (§2.2 of the paper): *given the current ELIGIBLE-and-unallocated
 //! pool, which task goes to the next client?* The baseline heuristics
-//! ([`crate::heuristics::Policy`]), any precomputed [`Schedule`], and
-//! dynamic policies (e.g. trace replay in `ic-sim`) all implement this
-//! trait, so the simulator, the schedulers, and the comparison harness
-//! accept them interchangeably as `&dyn AllocationPolicy`.
+//! ([`crate::heuristics::Policy`]) and any precomputed [`Schedule`]
+//! implement this trait, so the lease machine behind the live server
+//! and the simulator, the schedulers, and the comparison harness accept
+//! them interchangeably as `&dyn AllocationPolicy`.
 
 use ic_dag::{Dag, NodeId};
 

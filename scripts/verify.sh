@@ -278,6 +278,36 @@ grep -q '"completions": 36' "$tmpdir/recovered.json"
 ./target/release/ic-prio audit --schedule "$tmpdir/wal.jsonl" --json \
     | grep -q '"ok": true'
 
+echo "==> ic-prio serve | kill -9 | fresh serve on the same port (bad-resume -> fresh hello)"
+# The worker's other way back: the server is SIGKILLed and restarted
+# *fresh* (no --resume-from) on the same address. The surviving
+# `--retry-ms` worker redials with its resume token, which the new run
+# never issued: the server answers `error{bad-resume}`, and the worker
+# registers afresh and serves the whole new run.
+timeout 60 ./target/release/ic-prio serve --family mesh:8 --listen 127.0.0.1:0 \
+    --expect 1 --lease-ms 1000 --trace "$tmpdir/lost.jsonl" \
+    --port-file "$tmpdir/fport" --json > /dev/null &
+lost_pid=$!
+wait_for_port "$tmpdir/fport" "server"
+addr="$(tr -d '[:space:]' < "$tmpdir/fport")"
+# Its stderr complaint about the lost connection is expected.
+timeout 60 ./target/release/ic-prio work --connect "$addr" --id stray \
+    --mean-ms 30 --retry-ms 20 --json > "$tmpdir/fwork.json" 2> /dev/null &
+stray_pid=$!
+for _ in $(seq 1 300); do
+    grep -q '"type":"complete"' "$tmpdir/lost.jsonl" 2> /dev/null && break
+    sleep 0.02
+done
+grep -q '"type":"complete"' "$tmpdir/lost.jsonl" \
+    || { echo "no completion reached the trace before the kill"; exit 1; }
+pkill -KILL -P "$lost_pid" 2> /dev/null || kill -9 "$lost_pid" 2> /dev/null || true
+wait "$lost_pid" 2> /dev/null || true
+timeout 60 ./target/release/ic-prio serve --family mesh:8 --listen "$addr" \
+    --expect 1 --lease-ms 1000 --json > "$tmpdir/fresh.json"
+wait "$stray_pid"
+grep -q '"completions": 36' "$tmpdir/fresh.json"
+grep -q '"resumes": 0' "$tmpdir/fwork.json"
+
 echo "==> ic-prio serve | kill -9 | serve --resume-from on the same port (token resume)"
 # What recovery is for: two workers keep running through a server
 # SIGKILL, redial the same address with their resume tokens, and
