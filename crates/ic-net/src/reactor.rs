@@ -259,7 +259,7 @@ impl<V> ShardedTable<V> {
 }
 
 /// Shard count of the server's connection tables (the reactor's and
-/// the TCP poller's). A constant until ROADMAP 4(d) decides whether
+/// the TCP poller's). A constant until ROADMAP 4(b) decides whether
 /// sharding stays at all.
 const TABLE_SHARDS: usize = 8;
 

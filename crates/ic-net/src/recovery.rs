@@ -24,7 +24,8 @@
 //! file replays clean under `ic-prio audit --schedule` — one run, one
 //! audit, across the crash. A torn final line (the kernel accepted
 //! part of a `write(2)` when the process died) is dropped, reported as
-//! IC0700, and physically truncated away before appending.
+//! IC0700, and physically truncated away before appending; a final line
+//! torn only of its newline is kept and given one.
 //!
 //! ```no_run
 //! use ic_net::recovery::{Recovery, RecoveryConfig};
@@ -50,7 +51,7 @@
 
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::Path;
 
 use ic_dag::Dag;
@@ -191,8 +192,8 @@ impl<'a> Recovery<'a> {
     /// Replay `path` and rebuild the machine. The header must match
     /// the given dag, policy, and config seed (IC0703 otherwise); a
     /// torn final line is dropped, reported in the report, and
-    /// truncated off the file so the recovered server can append to
-    /// it.
+    /// truncated off the file, and an intact final line that lacks its
+    /// newline gets one, so the recovered server appends whole lines.
     pub fn replay(
         dag: &'a Dag,
         policy: &'a dyn AllocationPolicy,
@@ -206,6 +207,12 @@ impl<'a> Recovery<'a> {
         if recovery.report.torn_tail.is_some() {
             let file = fs::OpenOptions::new().write(true).open(path)?;
             file.set_len(recovery.report.valid_bytes)?;
+        } else if !text.ends_with('\n') {
+            // Torn just before the newline: appends start a fresh line.
+            fs::OpenOptions::new()
+                .append(true)
+                .open(path)?
+                .write_all(b"\n")?;
         }
         Ok(recovery)
     }
@@ -463,6 +470,41 @@ mod tests {
         );
         assert_eq!(recovery.report().valid_bytes, whole.len() as u64);
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A tear between the last line's `}` and its `\n` leaves an intact
+    /// but newline-less file. The recovered server's first appended
+    /// line must still start a line of its own, or the resumed WAL no
+    /// longer parses.
+    #[test]
+    fn appends_after_a_newline_less_tail_start_on_a_fresh_line() {
+        let dag = from_arcs(3, &[]).unwrap();
+        let policy = Policy::Fifo;
+        let whole = crashed_trace_text(&dag);
+        let dir = std::env::temp_dir().join(format!("ic-net-eol-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let wal = dir.join("wal.jsonl");
+        fs::write(&wal, whole.trim_end_matches('\n')).unwrap();
+
+        let recovery =
+            Recovery::replay(&dag, &policy, cfg(), RecoveryConfig::default(), &wal).unwrap();
+        assert!(recovery.report().torn_tail.is_none(), "nothing is torn");
+        let mut sink = ic_sim::FileSink::append(&wal).unwrap();
+        let next = ic_sim::TraceEvent::on_task(
+            ic_sim::trace::EventKind::Completed,
+            3,
+            0.0,
+            0,
+            ic_dag::NodeId(1),
+            Some(1),
+        );
+        sink.record(&next);
+        sink.finish().unwrap();
+        let text = fs::read_to_string(&wal).unwrap();
+        fs::remove_dir_all(&dir).ok();
+        let trace = ic_sim::Trace::from_jsonl(&text).expect("the resumed WAL parses");
+        assert_eq!(text, format!("{whole}{}", next.to_json_line()));
+        assert_eq!(trace.events.len(), 4);
     }
 
     /// The dry-run payload reflects the rebuilt state exactly.

@@ -51,7 +51,7 @@
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use ic_sim::json::{self, json_string, Json};
+use ic_sim::json::{self, json_string, num, Cursor, Json};
 
 /// Upper bound on a frame's JSON payload, in bytes (1 MiB). A length
 /// prefix above this is rejected before any allocation.
@@ -486,22 +486,6 @@ fn field(out: &mut Vec<u8>, key: &str, value: &str) {
     out.extend_from_slice(value.as_bytes());
 }
 
-/// Append `key` and `n` in plain decimal.
-fn num(out: &mut Vec<u8>, key: &str, mut n: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b"0123456789"[(n % 10) as usize];
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.extend_from_slice(key.as_bytes());
-    out.extend_from_slice(&digits[at..]);
-}
-
 /// Append `key` and task ids as a JSON list: `[1,2,3]`.
 fn list(out: &mut Vec<u8>, key: &str, tasks: &[u64]) {
     field(out, key, "[");
@@ -517,10 +501,10 @@ fn list(out: &mut Vec<u8>, key: &str, tasks: &[u64]) {
 fn decode_per_task(body: &[u8]) -> Option<Message> {
     let mut at = Cursor(body.strip_prefix(b"{\"type\":\"")?);
     let msg = if at.eat(b"done\",\"task\":") {
-        let (task, ok) = at.num_flag(b",\"ok\":")?;
+        let (task, ok) = num_flag(&mut at, b",\"ok\":")?;
         Message::Done { task, ok }
     } else if at.eat(b"ack\",\"task\":") {
-        let (task, accepted) = at.num_flag(b",\"accepted\":")?;
+        let (task, accepted) = num_flag(&mut at, b",\"accepted\":")?;
         Message::Ack { task, accepted }
     } else if at.eat(b"assign\",\"tasks\":[") {
         let mut tasks = vec![at.num()?];
@@ -540,43 +524,17 @@ fn decode_per_task(body: &[u8]) -> Option<Message> {
     (at.0 == b"}").then_some(msg)
 }
 
-/// The unread rest of a body, for [`decode_per_task`].
-struct Cursor<'a>(&'a [u8]);
-
-impl Cursor<'_> {
-    /// Consume `lit` if the rest starts with it.
-    fn eat(&mut self, lit: &[u8]) -> bool {
-        let rest = self.0.strip_prefix(lit);
-        self.0 = rest.unwrap_or(self.0);
-        rest.is_some()
-    }
-
-    /// A canonical `u64`: no sign, no leading zero, no overflow.
-    fn num(&mut self) -> Option<u64> {
-        let len = self.0.iter().take_while(|b| b.is_ascii_digit()).count();
-        let (digits, rest) = self.0.split_at(len);
-        if digits.is_empty() || (digits[0] == b'0' && len > 1) {
-            return None;
-        }
-        let n = digits.iter().try_fold(0u64, |n, &d| {
-            n.checked_mul(10)?.checked_add(u64::from(d - b'0'))
-        })?;
-        self.0 = rest;
-        Some(n)
-    }
-
-    /// A number, then `key`, then `true` or `false`.
-    fn num_flag(&mut self, key: &[u8]) -> Option<(u64, bool)> {
-        let n = self.num()?;
-        let flag = if !self.eat(key) {
-            None
-        } else if self.eat(b"true") {
-            Some(true)
-        } else {
-            self.eat(b"false").then_some(false)
-        };
-        Some((n, flag?))
-    }
+/// A number, then `key`, then `true` or `false`.
+fn num_flag(at: &mut Cursor<'_>, key: &[u8]) -> Option<(u64, bool)> {
+    let n = at.num()?;
+    let flag = if !at.eat(key) {
+        None
+    } else if at.eat(b"true") {
+        Some(true)
+    } else {
+        at.eat(b"false").then_some(false)
+    };
+    Some((n, flag?))
 }
 
 fn task_list(list: &Json) -> Result<Vec<u64>, WireError> {

@@ -6,6 +6,10 @@
 //! are parsed with a small recursive-descent parser. Numbers keep
 //! their raw text so `u64` seeds and `f64` timestamps both round-trip
 //! exactly through the shortest `Display` form Rust emits.
+//!
+//! Both codecs write integers with [`itoa`] and match their writers'
+//! exact bytes with [`Cursor`]; anything a matcher declines goes to
+//! [`parse`], the parser of record.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,6 +96,59 @@ pub fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
+}
+
+/// `n` in plain decimal in the tail of `buf`: both codecs' stack itoa.
+#[inline]
+pub fn itoa(buf: &mut [u8; 20], mut n: u64) -> &[u8] {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b"0123456789"[(n % 10) as usize];
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    &buf[at..]
+}
+
+/// Append `key` (a literal up to and including its colon) and `n` in
+/// plain decimal.
+#[inline]
+pub fn num(out: &mut Vec<u8>, key: &str, n: u64) {
+    let mut buf = [0; 20];
+    let digits = itoa(&mut buf, n);
+    out.extend_from_slice(key.as_bytes());
+    out.extend_from_slice(digits);
+}
+
+/// The unread rest of a line or frame, for the byte matchers of both codecs.
+pub struct Cursor<'a>(pub &'a [u8]);
+
+impl Cursor<'_> {
+    /// Consume `lit` if the rest starts with it.
+    #[inline]
+    pub fn eat(&mut self, lit: &[u8]) -> bool {
+        let rest = self.0.strip_prefix(lit);
+        self.0 = rest.unwrap_or(self.0);
+        rest.is_some()
+    }
+
+    /// A canonical `u64`: no sign, no leading zero, no overflow.
+    #[inline]
+    pub fn num(&mut self) -> Option<u64> {
+        let len = self.0.iter().take_while(|b| b.is_ascii_digit()).count();
+        let (digits, rest) = self.0.split_at(len);
+        if digits.is_empty() || (digits[0] == b'0' && len > 1) {
+            return None;
+        }
+        let n = digits.iter().try_fold(0u64, |n, &d| {
+            n.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+        })?;
+        self.0 = rest;
+        Some(n)
+    }
 }
 
 /// Parse a complete JSON document; trailing non-whitespace is an error.

@@ -20,7 +20,7 @@ use ic_dag::builder::from_arcs;
 use ic_dag::error::DagError;
 use ic_dag::{Dag, NodeId};
 
-use crate::json::{self, Json};
+use crate::json::{self, Cursor, Json};
 
 /// Current trace-format version, written into every header. Version 2
 /// added the optional per-client `workers` service parameters; version
@@ -126,58 +126,70 @@ impl TraceHeader {
 
     /// Serialize as the JSONL header line (newline included).
     pub fn to_json_line(&self) -> String {
-        let arcs = self
-            .arcs
-            .iter()
-            .map(|&(u, v)| format!("[{u},{v}]"))
-            .collect::<Vec<_>>()
-            .join(",");
-        let mut line = format!(
-            "{{\"type\":\"header\",\"version\":{},\"nodes\":{},\"clients\":{},\"seed\":\"{}\",\"policy\":{},\"arcs\":[{}]",
-            self.version,
-            self.nodes,
-            self.clients,
-            self.seed,
-            json::json_string(&self.policy),
-            arcs
-        );
-        if !self.workers.is_empty() {
-            line.push_str(",\"workers\":[");
-            for (i, w) in self.workers.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                line.push_str(&format!(
-                    "{{\"client\":{},\"id\":{},\"speed\":{}}}",
-                    w.client,
-                    json::json_string(&w.id),
-                    w.speed
-                ));
-            }
-            line.push(']');
-        }
-        if let Some(fed) = &self.fed {
-            let ints = |xs: &[u32]| xs.iter().map(u32::to_string).collect::<Vec<_>>().join(",");
-            let to_global = fed
-                .to_global
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(",");
-            line.push_str(&format!(
-                ",\"fed\":{{\"shard\":{},\"shards\":{},\"global_nodes\":{},\
-                 \"to_global\":[{}],\"stubs\":[{}],\"replicas\":[{}]}}",
-                fed.shard,
-                fed.shards,
-                fed.global_nodes,
-                to_global,
-                ints(&fed.stubs),
-                ints(&fed.replicas)
-            ));
-        }
-        line.push_str("}\n");
+        let mut line = String::new();
+        self.write_json_line(&mut line);
         line
     }
+
+    /// Append the JSONL header line (newline included) to `out`, in
+    /// place: every integer goes through [`json::itoa`], and nothing is
+    /// built per arc.
+    pub fn write_json_line(&self, out: &mut String) {
+        out.push_str("{\"type\":\"header\"");
+        num(out, ",\"version\":", self.version.into());
+        num(out, ",\"nodes\":", self.nodes as u64);
+        num(out, ",\"clients\":", self.clients as u64);
+        num(out, ",\"seed\":\"", self.seed);
+        out.push_str("\",\"policy\":");
+        out.push_str(&json::json_string(&self.policy));
+        // A small dag's arcs take under 8 bytes each; a large one's
+        // line grows once more (mesh:500 averages 14).
+        out.reserve(self.arcs.len() * 8);
+        out.push_str(",\"arcs\":[");
+        for (i, &(u, v)) in self.arcs.iter().enumerate() {
+            num(out, if i == 0 { "[" } else { ",[" }, u.into());
+            num(out, ",", v.into());
+            out.push(']');
+        }
+        out.push(']');
+        if !self.workers.is_empty() {
+            out.push_str(",\"workers\":[");
+            for (i, w) in self.workers.iter().enumerate() {
+                out.push_str(if i == 0 { "{" } else { ",{" });
+                num(out, "\"client\":", w.client as u64);
+                out.push_str(",\"id\":");
+                out.push_str(&json::json_string(&w.id));
+                let _ = write!(out, ",\"speed\":{}}}", w.speed);
+            }
+            out.push(']');
+        }
+        if let Some(fed) = &self.fed {
+            num(out, ",\"fed\":{\"shard\":", fed.shard);
+            num(out, ",\"shards\":", fed.shards);
+            num(out, ",\"global_nodes\":", fed.global_nodes as u64);
+            list(out, ",\"to_global\":[", &fed.to_global);
+            list(out, ",\"stubs\":[", &fed.stubs);
+            list(out, ",\"replicas\":[", &fed.replicas);
+            out.push('}');
+        }
+        out.push_str("}\n");
+    }
+}
+
+/// Append `key` (a literal up to and including its colon) and `n` in
+/// plain decimal.
+fn num(out: &mut String, key: &str, n: u64) {
+    out.push_str(key);
+    out.extend(json::itoa(&mut [0; 20], n).iter().map(|&d| char::from(d)));
+}
+
+/// Append `key` (up to and including its `[`), then `xs` and a `]`.
+fn list<T: Copy + Into<u64>>(out: &mut String, key: &str, xs: &[T]) {
+    out.push_str(key);
+    for (i, &x) in xs.iter().enumerate() {
+        num(out, if i == 0 { "" } else { "," }, x.into());
+    }
+    out.push(']');
 }
 
 /// The pseudo-client id recorded on trace events caused by the
@@ -327,20 +339,17 @@ impl TraceEvent {
     /// in-place form of [`to_json_line`](TraceEvent::to_json_line),
     /// with no intermediate `String`.
     pub fn write_json_line(&self, out: &mut String) {
+        out.push_str("{\"type\":\"");
+        out.push_str(self.kind.name());
+        num(out, "\",\"step\":", self.step);
         // Writing into a `String` cannot fail.
-        let _ = write!(
-            out,
-            "{{\"type\":\"{}\",\"step\":{},\"t\":{},\"client\":{}",
-            self.kind.name(),
-            self.step,
-            self.time,
-            self.client
-        );
+        let _ = write!(out, ",\"t\":{}", self.time);
+        num(out, ",\"client\":", self.client as u64);
         if let Some(task) = self.task {
-            let _ = write!(out, ",\"task\":{}", task.0);
+            num(out, ",\"task\":", task.0.into());
         }
         if let Some(p) = self.pool {
-            let _ = write!(out, ",\"pool\":{p}");
+            num(out, ",\"pool\":", p as u64);
         }
         out.push_str("}\n");
     }
@@ -493,7 +502,7 @@ impl Drop for FileSink {
 
 impl TraceSink for FileSink {
     fn header(&mut self, header: &TraceHeader) {
-        self.buf.push_str(&header.to_json_line());
+        header.write_json_line(&mut self.buf);
         self.spill_if_full();
     }
 
@@ -645,58 +654,146 @@ impl TraceReader {
     /// Parse the full text of a trace file. Blank lines are ignored and
     /// the first non-blank line must be the header.
     pub fn read(text: &str) -> Result<TraceRead, TraceParseError> {
-        let mut header = None;
-        let mut events = Vec::new();
-        let mut torn = None;
-        // Byte offsets: the next unread line, and just past the last
-        // line that parsed.
-        let (mut pos, mut valid_bytes) = (0, 0);
-        let mut lineno = 0;
-        while pos < text.len() {
-            let end = text[pos..].find('\n').map_or(text.len(), |i| pos + i + 1);
-            let line = text[pos..end].trim();
-            pos = end;
-            lineno += 1;
-            if line.is_empty() {
-                valid_bytes = end;
-                continue;
-            }
-            let v = match json::parse(line) {
-                Ok(v) => v,
-                // Only the final line can be torn.
-                Err(message) if text[pos..].trim().is_empty() => {
-                    torn = Some(TornTail {
-                        line: lineno,
-                        message,
-                    });
-                    break;
-                }
-                Err(e) => return Err(err(lineno, e)),
-            };
+        read_lines(text, true)
+    }
+}
+
+/// [`TraceReader::read`], its byte matchers on, or off for the tests
+/// that hold them to the tree.
+fn read_lines(text: &str, match_bytes: bool) -> Result<TraceRead, TraceParseError> {
+    let mut header = None;
+    // An event line takes 50 to 70 bytes.
+    let mut events = Vec::with_capacity(text.len() / 64);
+    let mut torn = None;
+    // Byte offsets: the next unread line, and just past the last
+    // line that parsed.
+    let (mut pos, mut valid_bytes) = (0, 0);
+    let mut lineno = 0;
+    while pos < text.len() {
+        let end = text[pos..].find('\n').map_or(text.len(), |i| pos + i + 1);
+        let line = text[pos..end].trim();
+        pos = end;
+        lineno += 1;
+        if line.is_empty() {
             valid_bytes = end;
-            let kind = v
-                .get("type")
-                .and_then(Json::as_str)
-                .ok_or_else(|| err(lineno, "missing \"type\" field"))?;
-            match (&header, kind) {
-                (None, "header") => header = Some(parse_header(&v, lineno)?),
-                (None, _) => return Err(err(lineno, "first line must be the trace header")),
-                (Some(_), "header") => return Err(err(lineno, "duplicate header")),
-                (Some(_), _) => events.push(parse_event(kind, &v, lineno)?),
-            }
+            continue;
         }
-        match (header, torn) {
-            (Some(header), torn) => Ok(TraceRead {
-                trace: Trace { header, events },
-                torn,
-                valid_bytes: valid_bytes as u64,
-            }),
-            // No header at all: a torn first line carries the real
-            // parse failure; otherwise the file is simply empty.
-            (None, Some(t)) => Err(err(t.line, t.message)),
-            (None, None) => Err(err(0, "empty trace (no header line)")),
+        // The writer's own lines skip the tree; the tree below
+        // decides every other line, and every error.
+        let matched = match (match_bytes, &header) {
+            (false, _) => None,
+            (true, Some(_)) => match_event(line.as_bytes()).map(|ev| events.push(ev)),
+            (true, None) => match_header(line, lineno).map(|h| header = Some(h)),
+        };
+        if matched.is_some() {
+            valid_bytes = end;
+            continue;
+        }
+        let v = match json::parse(line) {
+            Ok(v) => v,
+            // Only the final line can be torn.
+            Err(message) if text[pos..].trim().is_empty() => {
+                torn = Some(TornTail {
+                    line: lineno,
+                    message,
+                });
+                break;
+            }
+            Err(e) => return Err(err(lineno, e)),
+        };
+        valid_bytes = end;
+        let kind = v
+            .get("type")
+            .and_then(Json::as_str)
+            .ok_or_else(|| err(lineno, "missing \"type\" field"))?;
+        match (&header, kind) {
+            (None, "header") => header = Some(parse_header(&v, lineno)?),
+            (None, _) => return Err(err(lineno, "first line must be the trace header")),
+            (Some(_), "header") => return Err(err(lineno, "duplicate header")),
+            (Some(_), _) => events.push(parse_event(kind, &v, lineno)?),
         }
     }
+    match (header, torn) {
+        (Some(header), torn) => Ok(TraceRead {
+            trace: Trace { header, events },
+            torn,
+            valid_bytes: valid_bytes as u64,
+        }),
+        // No header at all: a torn first line carries the real
+        // parse failure; otherwise the file is simply empty.
+        (None, Some(t)) => Err(err(t.line, t.message)),
+        (None, None) => Err(err(0, "empty trace (no header line)")),
+    }
+}
+
+/// An event line exactly as [`TraceEvent::write_json_line`] writes it,
+/// without a [`Json`] tree. `None` sends the line down the tree path,
+/// which accepts every line this accepts, as the same event.
+fn match_event(line: &[u8]) -> Option<TraceEvent> {
+    let rest = line.strip_prefix(b"{\"type\":\"")?;
+    let (name, rest) = rest.split_at(rest.iter().position(|&b| b == b'"')?);
+    let kind = EventKind::from_name(std::str::from_utf8(name).ok()?)?;
+    let mut at = Cursor(rest);
+    let step = keyed(&mut at, b"\",\"step\":")?;
+    let time = at.eat(b",\"t\":").then(|| float(&mut at))??;
+    let client = usize::try_from(keyed(&mut at, b",\"client\":")?).ok()?;
+    let task = match at.eat(b",\"task\":") {
+        true => Some(NodeId(u32::try_from(at.num()?).ok()?)),
+        false => None,
+    };
+    let pool = match at.eat(b",\"pool\":") {
+        true => Some(usize::try_from(at.num()?).ok()?),
+        false => None,
+    };
+    (at.0 == b"}").then_some(())?;
+    match (kind, task) {
+        (EventKind::Idle, _) => Some(TraceEvent::idle(step, time, client)),
+        (_, task) => Some(TraceEvent::on_task(kind, step, time, client, task?, pool)),
+    }
+}
+
+/// The header's canonical prefix and `arcs`, as [`TraceHeader::write_json_line`]
+/// writes them. The tree parses the rest with the arcs spliced out as `[]`;
+/// if it fails, `None` leaves the whole line, and its error, to the tree.
+fn match_header(line: &str, lineno: usize) -> Option<TraceHeader> {
+    let mut at = Cursor(line.as_bytes());
+    keyed(&mut at, b"{\"type\":\"header\",\"version\":")?;
+    keyed(&mut at, b",\"nodes\":")?;
+    keyed(&mut at, b",\"clients\":")?;
+    keyed(&mut at, b",\"seed\":\"")?;
+    // A policy name with no escape in it.
+    at.eat(b"\",\"policy\":\"").then_some(())?;
+    at.0 = &at.0[at.0.iter().position(|&b| b == b'"' || b == b'\\')?..];
+    at.eat(b"\",\"arcs\":[").then_some(())?;
+    let start = line.len() - at.0.len() - 1;
+    let mut arcs = Vec::new();
+    while !at.eat(b"]") {
+        let sep: &[u8] = if arcs.is_empty() { b"[" } else { b",[" };
+        let u = u32::try_from(keyed(&mut at, sep)?).ok()?;
+        let v = u32::try_from(keyed(&mut at, b",")?).ok()?;
+        at.eat(b"]").then_some(())?;
+        arcs.push((u, v));
+    }
+    let end = line.len() - at.0.len();
+    let rest = format!("{}[]{}", &line[..start], &line[end..]);
+    let mut header = parse_header(&json::parse(&rest).ok()?, lineno).ok()?;
+    header.arcs = arcs;
+    Some(header)
+}
+
+/// `key`, then a canonical number.
+fn keyed(at: &mut Cursor<'_>, key: &[u8]) -> Option<u64> {
+    at.eat(key).then(|| at.num())?
+}
+
+/// A number scanned as the tree scans one (a `-` or a digit first, then
+/// digits, `.`, `e`, `E`, `+`, `-`) and read as [`Json::as_f64`] reads it.
+fn float(at: &mut Cursor<'_>) -> Option<f64> {
+    let set = |b: &&u8| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-');
+    let (raw, rest) = at.0.split_at(at.0.iter().take_while(set).count());
+    matches!(raw.first(), Some(b'-' | b'0'..=b'9')).then_some(())?;
+    at.0 = rest;
+    std::str::from_utf8(raw).ok()?.parse().ok()
 }
 
 fn field<'a>(v: &'a Json, key: &str, lineno: usize) -> Result<&'a Json, TraceParseError> {
@@ -868,6 +965,273 @@ mod tests {
                 TraceEvent::on_task(EventKind::Completed, 2, 1.25, 0, NodeId(0), Some(2)),
                 TraceEvent::on_task(EventKind::Failed, 3, 2.5, 1, NodeId(2), None),
             ],
+        }
+    }
+
+    /// 64-bit FNV-1a: pins writer bytes without checking them in.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
+    }
+
+    /// A header over `mesh:n`'s shape: node `(i, j)`, `i + j < n`, has
+    /// arcs to `(i + 1, j)` and `(i, j + 1)`.
+    fn mesh_header(n: u32) -> TraceHeader {
+        let mut ids = std::collections::HashMap::new();
+        for i in 0..n {
+            for j in 0..n - i {
+                let next = ids.len() as u32;
+                ids.insert((i, j), next);
+            }
+        }
+        let mut arcs = Vec::new();
+        for i in 0..n {
+            for j in 0..n - i {
+                for child in [(i + 1, j), (i, j + 1)] {
+                    if let Some(&v) = ids.get(&child) {
+                        arcs.push((ids[&(i, j)], v));
+                    }
+                }
+            }
+        }
+        arcs.sort_unstable();
+        TraceHeader {
+            nodes: ids.len(),
+            arcs,
+            ..sample_trace().header
+        }
+    }
+
+    /// `count` events drawn from `seed`: every kind, `pool` present and
+    /// absent, edge-case times and the federation's client id.
+    fn seeded_events(seed: u64, count: usize) -> Vec<TraceEvent> {
+        let mut rng = ic_dag::rng::XorShift64::new(seed);
+        (0..count as u64)
+            .map(|step| {
+                let kind = EventKind::ALL[rng.gen_range(EventKind::ALL.len())];
+                let time = match rng.gen_range(5) {
+                    0 => 0.0,
+                    1 => 1e-7,
+                    2 => 1.062745,
+                    3 => rng.gen_range(1 << 20) as f64,
+                    _ => rng.gen_f64() * 1e3,
+                };
+                let client = match rng.gen_bool(0.1) {
+                    true => FED_CLIENT,
+                    false => rng.gen_range(64),
+                };
+                let task = NodeId(match rng.gen_bool(0.05) {
+                    true => u32::MAX,
+                    false => rng.gen_range(1 << 20) as u32,
+                });
+                let pool = rng.gen_bool(0.5).then(|| rng.gen_range(1 << 20));
+                match kind {
+                    EventKind::Idle => TraceEvent::idle(step, time, client),
+                    _ => TraceEvent::on_task(kind, step, time, client, task, pool),
+                }
+            })
+            .collect()
+    }
+
+    /// The writer's bytes for a mesh header with workers, a federated
+    /// header and 10 k seeded events, pinned by digest: a writer change
+    /// that moves one byte fails here.
+    #[test]
+    fn writer_bytes_are_pinned() {
+        let mesh = Trace {
+            header: mesh_header(40),
+            events: Vec::new(),
+        };
+        let fed = Trace {
+            header: sample_trace().header.with_fed(FedMeta {
+                shard: 1,
+                shards: 3,
+                global_nodes: 1 << 20,
+                to_global: vec![0, 7, u64::MAX, 1 << 40],
+                stubs: vec![0, u32::MAX],
+                replicas: Vec::new(),
+            }),
+            events: Vec::new(),
+        };
+        let events = Trace {
+            header: sample_trace().header,
+            events: seeded_events(31, 10_000),
+        };
+        assert_eq!(mesh.header.arcs.len(), 40 * 39);
+        let digests = [&mesh, &fed, &events].map(|t| fnv1a(t.to_jsonl().as_bytes()));
+        assert_eq!(
+            digests,
+            [
+                0xA07E_4446_436D_B66C,
+                0x7BF5_0921_B67B_99BD,
+                0x787A_0376_B882_7D21
+            ],
+            "{digests:#018X?}"
+        );
+    }
+
+    /// The tree path's event line.
+    fn tree_event(line: &str) -> Option<TraceEvent> {
+        let v = json::parse(line).ok()?;
+        let kind = v.get("type")?.as_str()?;
+        (kind != "header").then(|| parse_event(kind, &v, 1).ok())?
+    }
+
+    /// The tree path's header line.
+    fn tree_header(line: &str) -> Option<TraceHeader> {
+        let v = json::parse(line).ok()?;
+        (v.get("type")?.as_str()? == "header").then(|| parse_header(&v, 1).ok())?
+    }
+
+    /// Whatever a matcher takes, the tree takes as the same value; so
+    /// whatever the tree rejects, the matchers decline.
+    fn assert_matchers_agree(line: &str) {
+        if let Some(ev) = match_event(line.as_bytes()) {
+            assert_eq!(tree_event(line), Some(ev), "{line}");
+        }
+        if let Some(h) = match_header(line, 1) {
+            assert_eq!(tree_header(line), Some(h), "{line}");
+        }
+    }
+
+    /// `read` with the matchers must give what the tree alone gives:
+    /// the trace, `torn`, `valid_bytes` or the error.
+    fn assert_read_agrees(text: &str) {
+        assert_eq!(read_lines(text, true), read_lines(text, false), "{text}");
+    }
+
+    /// Every fixture line but a header whose policy name holds an escape
+    /// is taken by a matcher.
+    #[test]
+    fn the_matchers_take_the_fixture_lines_as_the_tree_does() {
+        let fixture = include_str!("../tests/fixtures/trace_v3.jsonl");
+        let mut trace = String::new();
+        for line in fixture.lines() {
+            let header = line.starts_with("{\"type\":\"header\"");
+            let matched = match header {
+                true => {
+                    match_header(line, 1).is_some() || line.contains("\"policy\":\"SCHEDULE \\\"")
+                }
+                false => match_event(line.as_bytes()).is_some(),
+            };
+            assert!(matched, "the writer's own line is declined: {line}");
+            assert_matchers_agree(line);
+            // One trace per header version.
+            if header && !trace.is_empty() {
+                assert_read_agrees(&std::mem::take(&mut trace));
+            }
+            trace.push_str(line);
+            trace.push('\n');
+        }
+        assert_read_agrees(&trace);
+    }
+
+    #[test]
+    fn the_event_matcher_takes_seeded_events_as_the_tree_does() {
+        let events = seeded_events(7, 5_000);
+        for ev in &events {
+            let line = ev.to_json_line();
+            assert_eq!(match_event(line.trim_end().as_bytes()), Some(*ev), "{line}");
+            assert_matchers_agree(line.trim_end());
+        }
+        let trace = Trace {
+            header: sample_trace().header,
+            events,
+        };
+        assert_read_agrees(&trace.to_jsonl());
+        // Legal lines the writer never emits take the tree path.
+        for line in [
+            "{\"type\":\"alloc\",\"step\":07,\"t\":0,\"client\":0,\"task\":1}",
+            "{\"type\":\"alloc\", \"step\":7,\"t\":0,\"client\":0,\"task\":1}",
+            "{\"type\":\"alloc\",\"t\":0,\"step\":7,\"client\":0,\"task\":1}",
+            "{\"type\":\"al\\u006coc\",\"step\":7,\"t\":0,\"client\":0,\"task\":1}",
+            "{\"type\":\"idle\",\"step\":7,\"t\":-0.5e-3,\"client\":0,\"task\":99999999999}",
+            "{\"type\":\"alloc\",\"step\":7,\"t\":1.,\"client\":0,\"task\":1}",
+            "{\"type\":\"alloc\",\"step\":7,\"t\":1,\"client\":0,\"task\":4294967296}",
+            "{\"type\":\"failresume\",\"step\":7,\"t\":1,\"client\":0,\"task\":1}",
+            "{\"type\":\"fail\",\"step\":7,\"t\":1,\"client\":0,\"pool\":1}",
+        ] {
+            assert_matchers_agree(line);
+        }
+    }
+
+    #[test]
+    fn the_header_matcher_leaves_what_it_does_not_take_to_the_tree() {
+        let h = |policy: &str, arcs: &str, rest: &str| {
+            format!(
+                "{{\"type\":\"header\",\"version\":3,\"nodes\":3,\"clients\":1,\"seed\":\"7\",\
+                 \"policy\":{policy},\"arcs\":{arcs}{rest}}}"
+            )
+        };
+        let take = [
+            h("\"FIFO\"", "[]", ""),
+            h("\"ic-optimal\"", "[[0,1],[4294967295,2]]", ""),
+            h("\"FIFO\"", "[[0,1]]", ",\"arcs\":7,\"workers\":[]"),
+        ];
+        for line in &take {
+            assert!(match_header(line, 1).is_some(), "{line}");
+            assert_matchers_agree(line);
+        }
+        let decline = [
+            h("\"FIFO\"", "[[4294967296,1]]", ""),
+            h("\"FIFO\"", "[[0,01]]", ""),
+            h("\"FIFO\"", "[[0,1] ]", ""),
+            h("\"FIFO\"", "[[0,1],]", ""),
+            h("\"FIFO\"", "[[0,1,2]]", ""),
+            h("\"\\q\"", "[[0,1]]", ""),
+            h("\"a \\\"q\\\" \\\\\"", "[[0,1]]", ""),
+            h("\"\\u0041\"", "[[0,1]]", ""),
+            h("\"FIFO\"", "[[0,1]]", ",\"workers\":7"),
+        ];
+        for line in &decline {
+            assert!(match_header(line, 1).is_none(), "{line}");
+        }
+    }
+
+    /// Every tear, flipped byte, dropped byte and spliced pair of lines
+    /// of a header-and-events trace reads the same with the matchers as
+    /// with the tree alone.
+    #[test]
+    fn mutants_read_as_the_tree_reads_them() {
+        let mut t = sample_trace();
+        t.header.arcs = mesh_header(4).arcs;
+        t.header.nodes = 10;
+        t.header.policy = "ic-optimal".into();
+        t.header.fed = Some(FedMeta {
+            shard: 0,
+            shards: 2,
+            global_nodes: 20,
+            to_global: (0..10).collect(),
+            stubs: vec![3],
+            replicas: vec![4, 5],
+        });
+        t.events = seeded_events(3, 6);
+        let text = t.to_jsonl();
+        assert!(text.is_ascii());
+        let mutate = |i: usize, with: &[u8]| {
+            let mut bytes = text.as_bytes().to_vec();
+            bytes.splice(i..i + 1, with.iter().copied());
+            String::from_utf8(bytes).unwrap()
+        };
+        for i in 0..text.len() {
+            assert_read_agrees(&text[..i]);
+            assert_read_agrees(&mutate(i, b""));
+            for b in b"\"\\,[]{}:-0 9e.\nx" {
+                let m = mutate(i, &[*b]);
+                assert_read_agrees(&m);
+                m.lines().for_each(assert_matchers_agree);
+            }
+        }
+        let lines: Vec<&str> = text.lines().collect();
+        for a in &lines {
+            for b in &lines {
+                for cut in [a.len() / 3, a.len() / 2, a.len() - 1] {
+                    let spliced = format!("{}{}", &a[..cut], &b[b.len().min(cut)..]);
+                    assert_matchers_agree(&spliced);
+                    assert_read_agrees(&format!("{}\n{spliced}\n", lines[0]));
+                }
+            }
         }
     }
 

@@ -259,6 +259,10 @@ pkill -KILL -P "$crash_pid" 2> /dev/null || kill -9 "$crash_pid" 2> /dev/null ||
 wait "$crash_pid" 2> /dev/null || true
 kill "$work_pid" 2> /dev/null || true
 wait "$work_pid" 2> /dev/null || true
+# The same crash torn between the last `}` and its `\n`: the WAL's
+# intact lines without the final newline, resumed from below.
+printf '%s' "$(head -n "$(wc -l < "$tmpdir/wal.jsonl")" "$tmpdir/wal.jsonl")" \
+    > "$tmpdir/eol.jsonl"
 # Dry run: the trace alone carries enough to rebuild the state.
 ./target/release/ic-prio recover "$tmpdir/wal.jsonl" --json \
     | grep -q '"ok": true'
@@ -276,6 +280,20 @@ grep -q '"resumed_from"' "$tmpdir/recovered.json"
 grep -q '"completions": 36' "$tmpdir/recovered.json"
 # Crash prefix + recovered suffix: one file, one run, audit-clean.
 ./target/release/ic-prio audit --schedule "$tmpdir/wal.jsonl" --json \
+    | grep -q '"ok": true'
+# The newline-less copy: the first appended event must start a line of
+# its own, or the stitched WAL no longer audits.
+timeout 60 ./target/release/ic-prio serve --family mesh:8 --policy optimal \
+    --listen 127.0.0.1:0 --expect 1 --lease-ms 1000 \
+    --resume-from "$tmpdir/eol.jsonl" --port-file "$tmpdir/cport3" --json \
+    > "$tmpdir/eol.json" &
+wait_for_port "$tmpdir/cport3" "server resumed from a newline-less WAL"
+timeout 60 ./target/release/ic-prio work \
+    --connect "$(tr -d '[:space:]' < "$tmpdir/cport3")" --id phoenix3 \
+    --json > "$tmpdir/cwork3.json"
+wait
+grep -q '"completions": 36' "$tmpdir/eol.json"
+./target/release/ic-prio audit --schedule "$tmpdir/eol.jsonl" --json \
     | grep -q '"ok": true'
 
 echo "==> ic-prio serve | kill -9 | fresh serve on the same port (bad-resume -> fresh hello)"
