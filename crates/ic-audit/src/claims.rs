@@ -3,7 +3,7 @@
 //!
 //! [`audit_claim`] machine-checks one [`Claim`] from
 //! [`ic_families::claims`]; [`run_all_claims`] walks the whole registry
-//! and produces an [`AuditReport`](crate::report::AuditReport). Small
+//! and produces an [`AuditReport`]. Small
 //! instances are certified *exhaustively* (down-set lattice sweep);
 //! instances above [`EXHAUSTIVE_LIMIT`] nodes get structural checks
 //! only — which is exactly what their `Guarantee::ValidOrder`

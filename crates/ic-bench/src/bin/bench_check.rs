@@ -128,6 +128,15 @@ fn gate_regressions(rows: &[Record], base: &[Record], key: &str, ratio: f64) -> 
     failures
 }
 
+/// One `--max-regress` spec, `<group[/id]>=<ratio>`. The ratio must be
+/// finite and at least 1.0: `inf` would pass every comparison and so
+/// turn the gate off.
+fn parse_gate(spec: &str) -> Option<(String, f64)> {
+    let (key, ratio) = spec.split_once('=')?;
+    let ratio = ratio.parse::<f64>().ok()?;
+    (ratio.is_finite() && ratio >= 1.0).then(|| (key.to_string(), ratio))
+}
+
 fn main() -> ExitCode {
     let mut positional: Vec<String> = Vec::new();
     let mut baseline: Option<String> = None;
@@ -143,14 +152,12 @@ fn main() -> ExitCode {
                 let Some(spec) = args.next() else {
                     return fail("--max-regress needs <group[/id]>=<ratio>");
                 };
-                let parsed = spec
-                    .split_once('=')
-                    .and_then(|(k, v)| v.parse::<f64>().ok().map(|r| (k.to_string(), r)));
-                match parsed {
-                    Some((k, r)) if r >= 1.0 => gates.push((k, r)),
-                    _ => {
+                match parse_gate(&spec) {
+                    Some(gate) => gates.push(gate),
+                    None => {
                         return fail(&format!(
-                            "bad --max-regress {spec:?}: want <group[/id]>=<ratio>, ratio >= 1.0"
+                            "bad --max-regress {spec:?}: want <group[/id]>=<ratio>, \
+                             a finite ratio >= 1.0"
                         ));
                     }
                 }
@@ -253,6 +260,15 @@ mod tests {
         assert_eq!(gate_regressions(&base, &base, "net", 2.0), 0);
         assert_eq!(gate_regressions(&renamed, &base, "net", 2.0), 1);
         assert_eq!(gate_regressions(&base, &base, "net/gone", 2.0), 1);
+    }
+
+    #[test]
+    fn a_gate_ratio_is_finite_and_at_least_one() {
+        assert_eq!(parse_gate("net=2.0"), Some(("net".to_string(), 2.0)));
+        assert_eq!(parse_gate("net/a=1"), Some(("net/a".to_string(), 1.0)));
+        for bad in ["net=inf", "net=infinity", "net=NaN", "net=0.5", "net"] {
+            assert_eq!(parse_gate(bad), None, "{bad}");
+        }
     }
 
     #[test]

@@ -34,10 +34,10 @@
 //!   ```
 //!
 //!   `nodes` is the benchmarked dag's node count and `states` the
-//!   per-run work-unit count of a throughput benchmark (both `null`
-//!   for benchmarks without one). Times are per-iteration
-//!   nanoseconds (`best_ns <= mean_ns`) and `iters` is the total
-//!   number of timed calls, never below [`MIN_ITERS`].
+//!   per-run work-unit count of a throughput benchmark (`null` for a
+//!   benchmark without one). Times are per-iteration nanoseconds
+//!   (`best_ns <= mean_ns`) and `iters` is the total number of timed
+//!   calls, never below [`MIN_ITERS`].
 //! * `IC_BENCH_APPEND` — when set (and not `0`), merge into an
 //!   existing `IC_BENCH_JSON` report instead of overwriting it, so
 //!   several bench binaries can share one file.
@@ -157,17 +157,12 @@ impl Runner {
         }
     }
 
-    /// Measure `f`, reporting under `group/id`. The closure's result is
-    /// passed through [`black_box`] so the work cannot be optimized
-    /// away.
-    pub fn bench<R>(&mut self, group: &str, id: &str, f: impl FnMut() -> R) {
-        self.bench_impl(group, id, None, None, f);
-    }
-
-    /// [`Runner::bench`] with the benchmarked dag's node count attached
-    /// to the JSON record (for per-node cost comparisons downstream).
+    /// Measure `f`, reporting under `group/id` with the benchmarked
+    /// dag's node count attached to the JSON record (for per-node cost
+    /// comparisons downstream). The closure's result is passed through
+    /// [`black_box`] so the work cannot be optimized away.
     pub fn bench_n<R>(&mut self, group: &str, id: &str, nodes: usize, f: impl FnMut() -> R) {
-        self.bench_impl(group, id, Some(nodes), None, f);
+        self.bench_impl(group, id, nodes, None, f);
     }
 
     /// [`Runner::bench_n`] with a per-run work-unit count attached (for
@@ -181,14 +176,14 @@ impl Runner {
         states: u64,
         f: impl FnMut() -> R,
     ) {
-        self.bench_impl(group, id, Some(nodes), Some(states), f);
+        self.bench_impl(group, id, nodes, Some(states), f);
     }
 
     fn bench_impl<R>(
         &mut self,
         group: &str,
         id: &str,
-        nodes: Option<usize>,
+        nodes: usize,
         states: Option<u64>,
         mut f: impl FnMut() -> R,
     ) {
@@ -231,7 +226,7 @@ impl Runner {
         self.records.push(Record {
             group: group.to_string(),
             id: id.to_string(),
-            nodes,
+            nodes: Some(nodes),
             states,
             best_ns: best.as_nanos(),
             mean_ns: mean.as_nanos(),
@@ -332,8 +327,8 @@ mod tests {
     #[test]
     fn runner_counts_and_filters() {
         let mut r = runner(1, Some("match"));
-        r.bench("group", "matching", || 1 + 1);
-        r.bench("group", "skipped", || 1 + 1);
+        r.bench_n("group", "matching", 2, || 1 + 1);
+        r.bench_states("group", "skipped", 2, 2, || 1 + 1);
         assert_eq!(r.records.len(), 1);
     }
 
@@ -341,7 +336,7 @@ mod tests {
     fn a_closure_that_outlasts_the_budget_is_still_timed_five_times() {
         let mut r = runner(1, None);
         let mut calls = 0u64;
-        r.bench("g", "slow", || {
+        r.bench_n("g", "slow", 1, || {
             calls += 1;
             std::thread::sleep(Duration::from_millis(3));
         });
@@ -379,7 +374,7 @@ mod tests {
     fn records_round_trip_through_the_json_parser() {
         let mut r = runner(1, None);
         r.bench_n("g", "with \"quotes\"", 42, || 1 + 1);
-        r.bench("g", "no_nodes", || 1 + 1);
+        r.bench_states("g", "throughput", 7, 900, || 1 + 1);
         let body: Vec<String> = r.records.iter().map(Record::to_json).collect();
         let doc = format!(
             "{{\"schema\": \"ic-bench/1\", \"budget_ms\": 1, \"results\": [{}]}}",
@@ -397,7 +392,8 @@ mod tests {
             Some("with \"quotes\"")
         );
         assert_eq!(results[0].get("nodes").and_then(|n| n.as_usize()), Some(42));
-        assert_eq!(results[1].get("nodes"), Some(&ic_sim::json::Json::Null));
+        assert_eq!(results[0].get("states"), Some(&ic_sim::json::Json::Null));
+        assert_eq!(results[1].get("states").and_then(|n| n.as_u64()), Some(900));
         assert!(results[0].get("iters").and_then(|n| n.as_u64()).unwrap() >= 1);
     }
 }

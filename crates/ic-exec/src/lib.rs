@@ -27,8 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod stealing;
-
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
@@ -287,21 +285,38 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "task 3 exploded")]
     fn task_panic_propagates_without_deadlock() {
-        // A wide dag: many workers are active/waiting when one task
-        // panics; the pool must drain and re-raise, not hang.
-        let mut arcs = Vec::new();
-        for i in 1..=8u32 {
-            arcs.push((0, i));
+        // A star 0 -> 1..8: with several workers, some are running or
+        // waiting when task 5 panics; the pool must drain and re-raise
+        // on the caller's thread, not hang. The run happens on its own
+        // thread so a hang fails the test instead of wedging it.
+        for workers in [1usize, 4] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let arcs: Vec<(u32, u32)> = (1..=8).map(|i| (0, i)).collect();
+                let g = from_arcs(9, &arcs).unwrap();
+                let s = Schedule::in_id_order(&g);
+                let outcome = std::panic::catch_unwind(|| {
+                    execute(&g, &s, workers, |v| {
+                        if v.index() == 5 {
+                            panic!("task 5 exploded");
+                        }
+                        std::thread::sleep(Duration::from_millis(1));
+                    })
+                });
+                let message = outcome
+                    .err()
+                    .and_then(|p| p.downcast_ref::<&str>().map(|m| m.to_string()));
+                tx.send(message).ok();
+            });
+            let message = rx
+                .recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("{workers} worker(s): execute hung after a task panic"));
+            assert_eq!(
+                message.as_deref(),
+                Some("task 5 exploded"),
+                "{workers} worker(s)"
+            );
         }
-        let g = from_arcs(9, &arcs).unwrap();
-        let s = Schedule::in_id_order(&g);
-        execute(&g, &s, 4, |v| {
-            if v.index() == 3 {
-                panic!("task 3 exploded");
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        });
     }
 }

@@ -9,7 +9,7 @@
 //!    (mesh row bands, butterfly column halves, whole tree subtrees;
 //!    generic topological-depth bands otherwise), recording the cut
 //!    edges;
-//! 2. [`plan`] turns the partition into per-shard [`ShardPlan`]s:
+//! 2. [`plan()`] turns the partition into per-shard [`ShardPlan`]s:
 //!    each shard's sub-dag embeds a *stub* source for every remote
 //!    predecessor, so the unmodified
 //!    [`LeaseMachine`](ic_net::LeaseMachine) + reactor runs each

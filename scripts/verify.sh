@@ -22,6 +22,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings (rustdoc: no broken or ambiguous intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "==> cargo build --release"
 # Plain `cargo build` would build only the umbrella package; the
 # workspace flag pulls in ic-cli (the `ic-prio` binary) and friends.
@@ -56,6 +59,21 @@ echo "==> ic-prio check (model-check the lease protocol)"
 # agree with the live one (IC07xx) and pass the IC05xx scan itself.
 ./target/release/ic-prio check --family mesh:3 --workers 2 --depth 48 --crash --json \
     | grep -q '"clean": true'
+
+echo "==> every ic-bench [[bench]] target has a bench smoke line"
+# A bench target earns its place by writing rows that bench-check gates,
+# so each one needs a `cargo bench ... --bench <name>` line in the smoke
+# below. Only `[[bench]]` sections count: `[package]` and `[[bin]]`
+# carry `name =` lines too.
+bench_targets="$(awk '/^\[/ { in_bench = ($0 == "[[bench]]") }
+    in_bench && /^name *=/ { gsub(/^name *= *"|"$/, ""); print }' crates/ic-bench/Cargo.toml)"
+[ -n "$bench_targets" ] || { echo "no [[bench]] target in crates/ic-bench/Cargo.toml"; exit 1; }
+for target in $bench_targets; do
+    grep -Eq "^[^#]*cargo bench .*--bench $target( |\$)" scripts/verify.sh || {
+        echo "bench target '$target' is not run by scripts/verify.sh (no 'cargo bench ... --bench $target' line)"
+        exit 1
+    }
+done
 
 echo "==> bench smoke (eligibility + check groups, machine-readable report)"
 # A tiny-budget run of the eligibility and model-checker benches proves
