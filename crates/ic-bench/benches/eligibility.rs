@@ -6,14 +6,16 @@
 //! * `exec-state` — full-run allocation through the dense eligible
 //!   pool: pop + execute every node of large out-meshes, so the
 //!   per-allocation cost (and its independence from dag size) is
-//!   visible in the per-node numbers.
+//!   visible in the per-node numbers;
+//! * `build` — what `ic-prio serve --family mesh:500` runs before it
+//!   listens: `out_mesh(500)` and its diagonal schedule.
 
 use ic_bench::harness::Runner;
 use ic_dag::testgen::random_dags;
 use ic_dag::Dag;
 use ic_families::butterfly::butterfly;
 use ic_families::diamond::diamond_from_out_tree;
-use ic_families::mesh::out_mesh;
+use ic_families::mesh::{out_mesh, out_mesh_schedule};
 use ic_families::trees::complete_out_tree;
 use ic_sched::heuristics::{schedule_with, Policy};
 use ic_sched::optimal::optimal_envelope;
@@ -60,9 +62,17 @@ fn bench_exec_state(r: &mut Runner) {
     });
 }
 
+fn bench_build(r: &mut Runner) {
+    let n = 500 * 501 / 2;
+    r.bench_n("build", &format!("mesh_{n}"), n, || {
+        out_mesh_schedule(&out_mesh(500))
+    });
+}
+
 fn main() {
     let mut r = Runner::from_env();
     bench_envelope(&mut r);
     bench_exec_state(&mut r);
+    bench_build(&mut r);
     r.finish();
 }

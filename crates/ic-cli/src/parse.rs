@@ -405,4 +405,26 @@ test_b -> package
         let nd = parse_dag("a -> b\na -> b\n").unwrap();
         assert_eq!(nd.dag.num_arcs(), 1);
     }
+
+    /// A generated `.N` suffix must not reuse a name another node
+    /// already has, whether that name came from a label or a suffix.
+    #[test]
+    fn edge_list_names_round_trip_when_a_suffix_collides_with_a_label() {
+        for labels in [["a", "a", "a.1"], ["a.1", "a", "a"]] {
+            let mut b = DagBuilder::new();
+            let ids = labels.map(|l| b.add_node(l));
+            b.add_arc(ids[0], ids[1]).unwrap();
+            b.add_arc(ids[1], ids[2]).unwrap();
+            let g = b.build().unwrap();
+            let text = ic_dag::serialize::to_edge_list(&g);
+            let nd = parse_dag(&text).unwrap_or_else(|e| panic!("{labels:?}: {e}\n{text}"));
+            assert_eq!(
+                nd.dag.arcs().collect::<Vec<_>>(),
+                g.arcs().collect::<Vec<_>>()
+            );
+            assert_eq!(ic_dag::serialize::to_edge_list(&nd.dag), text);
+            let named = NamedDag::from_dag(g);
+            assert_eq!(named.by_name.len(), 3, "{labels:?}: a node lost its name");
+        }
+    }
 }

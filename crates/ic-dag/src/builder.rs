@@ -1,8 +1,6 @@
 //! Incremental dag construction with validation.
 
-use std::collections::BTreeSet;
-
-use crate::dag::{Dag, NodeId};
+use crate::dag::{Dag, Labels, NodeId};
 use crate::error::DagError;
 
 /// Builds a [`Dag`] incrementally; [`DagBuilder::build`] validates
@@ -22,8 +20,9 @@ use crate::error::DagError;
 /// ```
 #[derive(Default, Clone)]
 pub struct DagBuilder {
-    labels: Vec<String>,
-    arcs: BTreeSet<(NodeId, NodeId)>,
+    labels: Labels,
+    /// Arcs in insertion order, duplicates included; `build` sorts.
+    arcs: Vec<(NodeId, NodeId)>,
 }
 
 impl DagBuilder {
@@ -35,21 +34,21 @@ impl DagBuilder {
     /// Builder pre-sized for `n` nodes.
     pub fn with_capacity(n: usize) -> Self {
         DagBuilder {
-            labels: Vec::with_capacity(n),
-            arcs: BTreeSet::new(),
+            labels: Labels::with_capacity(n),
+            arcs: Vec::new(),
         }
     }
 
     /// Add a node with a human-readable label; returns its id.
-    pub fn add_node(&mut self, label: impl Into<String>) -> NodeId {
+    pub fn add_node(&mut self, label: impl AsRef<str>) -> NodeId {
         let id = NodeId::new(self.labels.len());
-        self.labels.push(label.into());
+        self.labels.push(label.as_ref());
         id
     }
 
     /// Add `n` unlabeled nodes; returns their ids in order.
     pub fn add_nodes(&mut self, n: usize) -> Vec<NodeId> {
-        (0..n).map(|_| self.add_node(String::new())).collect()
+        (0..n).map(|_| self.add_node("")).collect()
     }
 
     /// Number of nodes added so far.
@@ -68,50 +67,68 @@ impl DagBuilder {
         if u == v {
             return Err(DagError::SelfLoop(u));
         }
-        self.arcs.insert((u, v));
-        Ok(())
-    }
-
-    /// Overwrite the label of an existing node.
-    pub fn set_label(&mut self, v: NodeId, label: impl Into<String>) -> Result<(), DagError> {
-        let slot = self
-            .labels
-            .get_mut(v.index())
-            .ok_or(DagError::InvalidNode(v))?;
-        *slot = label.into();
+        self.arcs.push((u, v));
         Ok(())
     }
 
     /// Validate acyclicity and freeze into an immutable [`Dag`].
+    ///
+    /// `O(n + m)` plus a sort of each node's child slice: the children
+    /// are laid out by a counting sort on the tail, and Kahn's cycle
+    /// check runs only when some arc points backward in id order.
     pub fn build(self) -> Result<Dag, DagError> {
         let n = self.labels.len();
 
-        // CSR for children: arcs are already sorted by (u, v) in the BTreeSet.
+        // CSR for children: bucket the arcs by tail, then sort and
+        // dedup each bucket in place, compacting as we go.
         let mut children_off = vec![0u32; n + 1];
-        let mut parents_count = vec![0u32; n];
-        for &(u, v) in &self.arcs {
+        for &(u, _) in &self.arcs {
             children_off[u.index() + 1] += 1;
-            parents_count[v.index()] += 1;
         }
         for i in 0..n {
             children_off[i + 1] += children_off[i];
         }
-        let mut children_flat = Vec::with_capacity(self.arcs.len());
-        for &(_, v) in &self.arcs {
-            children_flat.push(v);
+        let mut cursor: Vec<u32> = children_off[..n].to_vec();
+        let mut children_flat = vec![NodeId(0); self.arcs.len()];
+        for &(u, v) in &self.arcs {
+            children_flat[cursor[u.index()] as usize] = v;
+            cursor[u.index()] += 1;
         }
+        drop(self.arcs);
+        let mut len = 0usize;
+        for u in 0..n {
+            let (lo, hi) = (children_off[u] as usize, children_off[u + 1] as usize);
+            children_flat[lo..hi].sort_unstable();
+            let start = len;
+            for i in lo..hi {
+                let v = children_flat[i];
+                if len == start || children_flat[len - 1] != v {
+                    children_flat[len] = v;
+                    len += 1;
+                }
+            }
+            children_off[u] = u32::try_from(start).expect("arc count fits the u32 offsets");
+        }
+        children_off[n] = u32::try_from(len).expect("arc count fits the u32 offsets");
+        children_flat.truncate(len);
+        children_flat.shrink_to_fit();
 
-        // CSR for parents, filled per-target then each slice sorted by
-        // construction (we fill in (u, v) order, so parents arrive sorted).
+        // CSR for parents, filled in tail order, so each slice arrives sorted.
         let mut parents_off = vec![0u32; n + 1];
+        for &v in &children_flat {
+            parents_off[v.index() + 1] += 1;
+        }
         for i in 0..n {
-            parents_off[i + 1] = parents_off[i] + parents_count[i];
+            parents_off[i + 1] += parents_off[i];
         }
         let mut cursor: Vec<u32> = parents_off[..n].to_vec();
-        let mut parents_flat = vec![NodeId(0); self.arcs.len()];
-        for &(u, v) in &self.arcs {
-            parents_flat[cursor[v.index()] as usize] = u;
-            cursor[v.index()] += 1;
+        let mut parents_flat = vec![NodeId(0); len];
+        for u in 0..n {
+            let (lo, hi) = (children_off[u] as usize, children_off[u + 1] as usize);
+            for &v in &children_flat[lo..hi] {
+                parents_flat[cursor[v.index()] as usize] = NodeId::new(u);
+                cursor[v.index()] += 1;
+            }
         }
 
         let dag = Dag::from_csr(
@@ -121,6 +138,9 @@ impl DagBuilder {
             parents_flat,
             self.labels,
         );
+        if dag.ids_are_topological() {
+            return Ok(dag);
+        }
 
         // Kahn's algorithm to detect cycles.
         let mut indeg: Vec<u32> = (0..n)
@@ -162,7 +182,148 @@ pub fn from_arcs(n: usize, arcs: &[(u32, u32)]) -> Result<Dag, DagError> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeSet, BinaryHeap};
+
     use super::*;
+    use crate::rng::XorShift64;
+    use crate::testgen::{random_dags, random_permutation};
+    use crate::traversal::topological_order;
+
+    /// The `BTreeSet` build the linear one replaced, kept as its oracle:
+    /// arcs sorted and deduplicated by a `BTreeSet`, Kahn's pass always.
+    fn reference_build(labels: &[String], arcs: &[(NodeId, NodeId)]) -> Result<Dag, DagError> {
+        let n = labels.len();
+        let mut set = BTreeSet::new();
+        for &(u, v) in arcs {
+            for end in [u, v] {
+                if end.index() >= n {
+                    return Err(DagError::InvalidNode(end));
+                }
+            }
+            if u == v {
+                return Err(DagError::SelfLoop(u));
+            }
+            set.insert((u, v));
+        }
+        let mut children_off = vec![0u32; n + 1];
+        let mut parents_off = vec![0u32; n + 1];
+        for &(u, v) in &set {
+            children_off[u.index() + 1] += 1;
+            parents_off[v.index() + 1] += 1;
+        }
+        for i in 0..n {
+            children_off[i + 1] += children_off[i];
+            parents_off[i + 1] += parents_off[i];
+        }
+        let children_flat: Vec<NodeId> = set.iter().map(|&(_, v)| v).collect();
+        let mut cursor: Vec<u32> = parents_off[..n].to_vec();
+        let mut parents_flat = vec![NodeId(0); set.len()];
+        for &(u, v) in &set {
+            parents_flat[cursor[v.index()] as usize] = u;
+            cursor[v.index()] += 1;
+        }
+        let mut arena = Labels::default();
+        for l in labels {
+            arena.push(l);
+        }
+        let dag = Dag::from_csr(
+            children_off,
+            children_flat,
+            parents_off,
+            parents_flat,
+            arena,
+        );
+        let mut indeg: Vec<usize> = dag.node_ids().map(|v| dag.in_degree(v)).collect();
+        let mut queue: Vec<NodeId> = dag.sources().collect();
+        let mut seen = 0;
+        while let Some(u) = queue.pop() {
+            seen += 1;
+            for &v in dag.children(u) {
+                indeg[v.index()] -= 1;
+                if indeg[v.index()] == 0 {
+                    queue.push(v);
+                }
+            }
+        }
+        if seen != n {
+            return Err(DagError::Cycle);
+        }
+        Ok(dag)
+    }
+
+    /// `topological_order` without its forward-arc shortcut: the
+    /// smallest-id-first Kahn walk over a heap.
+    fn reference_topological_order(dag: &Dag) -> Vec<NodeId> {
+        let mut indeg: Vec<usize> = dag.node_ids().map(|v| dag.in_degree(v)).collect();
+        let mut heap: BinaryHeap<_> = dag.sources().map(std::cmp::Reverse).collect();
+        let mut order = Vec::new();
+        while let Some(std::cmp::Reverse(u)) = heap.pop() {
+            order.push(u);
+            for &v in dag.children(u) {
+                indeg[v.index()] -= 1;
+                if indeg[v.index()] == 0 {
+                    heap.push(std::cmp::Reverse(v));
+                }
+            }
+        }
+        order
+    }
+
+    fn linear_build(labels: &[String], arcs: &[(NodeId, NodeId)]) -> Result<Dag, DagError> {
+        let mut b = DagBuilder::new();
+        for l in labels {
+            b.add_node(l);
+        }
+        for &(u, v) in arcs {
+            b.add_arc(u, v)?;
+        }
+        b.build()
+    }
+
+    /// `testgen` dags as they come and with node ids permuted (so arcs
+    /// run backward), arcs shuffled and a quarter duplicated; then the
+    /// same lists with up to three random arcs more, which close
+    /// cycles, loop, or name a node past the last. Both builds must
+    /// give the same `Dag` or the same error, and the walk's order
+    /// must match the heap's.
+    #[test]
+    fn linear_build_matches_the_btreeset_reference() {
+        let mut rng = XorShift64::new(0xB17D);
+        let (mut built, mut cycles, mut shortcuts) = (0, 0, 0);
+        for (i, g) in random_dags(0xD1FF, 150, 24, 25).iter().enumerate() {
+            let n = g.num_nodes();
+            for perm in [(0..n).collect(), random_permutation(i as u64, n)] {
+                let labels: Vec<String> = perm
+                    .iter()
+                    .map(|&p| ["", "a", "b", "a.1"][p % 4].to_string())
+                    .collect();
+                let map = |v: NodeId| NodeId::new(perm[v.index()]);
+                let mut arcs: Vec<_> = g.arcs().map(|(u, v)| (map(u), map(v))).collect();
+                for _ in 0..arcs.len() / 4 {
+                    arcs.push(arcs[rng.gen_range(arcs.len())]);
+                }
+                rng.shuffle(&mut arcs);
+                for extra in 0..4 {
+                    let got = linear_build(&labels, &arcs);
+                    assert_eq!(got, reference_build(&labels, &arcs), "dag {i}, +{extra}");
+                    match got {
+                        Ok(dag) => {
+                            let order = topological_order(&dag);
+                            assert_eq!(order, reference_topological_order(&dag), "dag {i}");
+                            built += 1;
+                            shortcuts += usize::from(dag.ids_are_topological());
+                        }
+                        Err(e) => cycles += usize::from(e == DagError::Cycle),
+                    }
+                    let end = |rng: &mut XorShift64| NodeId::new(rng.gen_range(n + 1));
+                    arcs.push((end(&mut rng), end(&mut rng)));
+                }
+            }
+        }
+        // Every path is taken: the shortcut, Kahn on an acyclic
+        // permuted dag, and Kahn finding a cycle.
+        assert!(shortcuts > 100 && built - shortcuts > 100 && cycles > 50);
+    }
 
     #[test]
     fn rejects_self_loop() {
@@ -214,15 +375,6 @@ mod tests {
         let g = from_arcs(4, &[(0, 3), (0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
         assert_eq!(g.children(NodeId(0)), &[NodeId(1), NodeId(2), NodeId(3)]);
         assert_eq!(g.parents(NodeId(3)), &[NodeId(0), NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
-    fn set_label_works() {
-        let mut b = DagBuilder::new();
-        let v = b.add_node("old");
-        b.set_label(v, "new").unwrap();
-        let g = b.build().unwrap();
-        assert_eq!(g.label(v), "new");
     }
 
     #[test]

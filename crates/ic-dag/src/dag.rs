@@ -62,11 +62,51 @@ pub struct Dag {
     pub(crate) parents_off: Vec<u32>,
     pub(crate) parents_flat: Vec<NodeId>,
     /// Human-readable labels; empty string when unnamed.
-    pub(crate) labels: Vec<String>,
+    pub(crate) labels: Labels,
     /// Node-role summary (source/sink counts and bitmasks), computed once
     /// at construction. A pure function of the CSR arrays, so the derived
     /// `PartialEq` stays structural.
     pub(crate) roles: RoleCache,
+}
+
+/// Node labels in one arena: label `i` is
+/// `text[ends[i - 1]..ends[i]]` (from 0 for the first). One heap block
+/// for all the text instead of a `String` per node; offsets are
+/// `usize`, so no input can overflow them.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub(crate) struct Labels {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl Labels {
+    pub(crate) fn with_capacity(n: usize) -> Labels {
+        Labels {
+            text: String::new(),
+            ends: Vec::with_capacity(n),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    pub(crate) fn push(&mut self, label: &str) {
+        self.text.push_str(label);
+        self.ends.push(self.text.len());
+    }
+
+    pub(crate) fn get(&self, i: usize) -> &str {
+        let lo = i.checked_sub(1).map_or(0, |p| self.ends[p]);
+        &self.text[lo..self.ends[i]]
+    }
+
+    /// Append every label of `other`, after this arena's own.
+    pub(crate) fn extend(&mut self, other: &Labels) {
+        let base = self.text.len();
+        self.text.push_str(&other.text);
+        self.ends.extend(other.ends.iter().map(|&e| base + e));
+    }
 }
 
 /// Cached node-role summary of a [`Dag`].
@@ -118,7 +158,7 @@ impl Dag {
         children_flat: Vec<NodeId>,
         parents_off: Vec<u32>,
         parents_flat: Vec<NodeId>,
-        labels: Vec<String>,
+        labels: Labels,
     ) -> Dag {
         let n = labels.len();
         let roles = RoleCache::compute(
@@ -291,12 +331,15 @@ impl Dag {
     /// The label of `v` (empty string when unnamed).
     #[inline]
     pub fn label(&self, v: NodeId) -> &str {
-        &self.labels[v.index()]
+        self.labels.get(v.index())
     }
 
-    /// All labels, indexed by node id.
-    pub fn labels(&self) -> &[String] {
-        &self.labels
+    /// Is every arc `(u -> v)` forward in id order (`u < v`)? Then
+    /// `0..n` is a topological order. `O(n)`: child slices are sorted,
+    /// so each node's first child decides.
+    pub(crate) fn ids_are_topological(&self) -> bool {
+        self.node_ids()
+            .all(|u| self.children(u).first().is_none_or(|&v| u < v))
     }
 }
 
@@ -382,8 +425,8 @@ mod tests {
     fn labels_are_preserved() {
         let g = path3();
         assert_eq!(g.label(NodeId(0)), "a");
+        assert_eq!(g.label(NodeId(1)), "b");
         assert_eq!(g.label(NodeId(2)), "c");
-        assert_eq!(g.labels().len(), 3);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! Because the merged nodes carry arcs *into* them from `G1` and arcs
 //! *out of* them into `G2`, composition can never create a cycle.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::builder::DagBuilder;
@@ -29,18 +30,13 @@ pub struct Composition {
     pub right_map: Vec<NodeId>,
 }
 
-fn merged_label(l: &str, r: &str) -> String {
-    match (l.is_empty(), r.is_empty()) {
-        (true, true) => String::new(),
-        (false, true) => l.to_string(),
-        (true, false) => r.to_string(),
-        (false, false) => {
-            if l == r {
-                l.to_string()
-            } else {
-                format!("{l}={r}")
-            }
-        }
+fn merged_label<'a>(l: &'a str, r: &'a str) -> Cow<'a, str> {
+    if r.is_empty() || l == r {
+        Cow::Borrowed(l)
+    } else if l.is_empty() {
+        Cow::Borrowed(r)
+    } else {
+        Cow::Owned(format!("{l}={r}"))
     }
 }
 
@@ -67,7 +63,8 @@ pub fn compose(g1: &Dag, g2: &Dag, pairing: &[(NodeId, NodeId)]) -> Result<Compo
 
     // Validate the pairing.
     let mut merged_with: HashMap<NodeId, NodeId> = HashMap::with_capacity(pairing.len());
-    let mut left_seen: HashMap<NodeId, ()> = HashMap::with_capacity(pairing.len());
+    // partner[s] = the g2 source merged into g1's sink s.
+    let mut partner: Vec<Option<NodeId>> = vec![None; n1];
     for &(s, t) in pairing {
         if s.index() >= n1 {
             return Err(DagError::InvalidNode(s));
@@ -81,7 +78,7 @@ pub fn compose(g1: &Dag, g2: &Dag, pairing: &[(NodeId, NodeId)]) -> Result<Compo
         if !g2.is_source(t) {
             return Err(DagError::NotASource(t));
         }
-        if left_seen.insert(s, ()).is_some() {
+        if partner[s.index()].replace(t).is_some() {
             return Err(DagError::DuplicateInPairing(s));
         }
         if merged_with.insert(t, s).is_some() {
@@ -103,20 +100,16 @@ pub fn compose(g1: &Dag, g2: &Dag, pairing: &[(NodeId, NodeId)]) -> Result<Compo
         }
     }
 
-    let total = n1 + n2 - pairing.len();
-    let mut b = DagBuilder::with_capacity(total);
-    b.add_nodes(total);
-    // Labels: left labels, then merged labels override, then fresh right labels.
-    for v in 0..n1 {
-        b.set_label(NodeId::new(v), g1.label(NodeId::new(v)))?;
+    // Nodes in id order: g1's, each merged with its partner's label,
+    // then g2's fresh nodes.
+    let mut b = DagBuilder::with_capacity(n1 + n2 - pairing.len());
+    for (v, t) in left_map.iter().zip(&partner) {
+        let l = g1.label(*v);
+        b.add_node(t.map_or(Cow::Borrowed(l), |t| merged_label(l, g2.label(t))));
     }
     for (i, &cid) in right_map.iter().enumerate() {
-        let v = NodeId::new(i);
-        if cid.index() < n1 {
-            let lbl = merged_label(g1.label(cid), g2.label(v));
-            b.set_label(cid, lbl)?;
-        } else {
-            b.set_label(cid, g2.label(v))?;
+        if cid.index() >= n1 {
+            b.add_node(g2.label(NodeId::new(i)));
         }
     }
     for (u, v) in g1.arcs() {
@@ -317,6 +310,45 @@ mod tests {
             let root = map[0];
             assert_eq!(dag.out_degree(root), 2);
         }
+    }
+
+    /// 64-bit FNV-1a: pins the serialized composite without checking it in.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
+    }
+
+    /// Every label rule of a composite (left only, right only, equal,
+    /// joined with `=`, both empty, fresh right nodes) and its arcs,
+    /// pinned through the edge list.
+    #[test]
+    fn composite_edge_list_is_pinned() {
+        let mut b1 = DagBuilder::new();
+        let root = b1.add_node("root");
+        let sinks = ["a", "x", "", "keep", ""].map(|l| b1.add_node(l));
+        for v in sinks {
+            b1.add_arc(root, v).unwrap();
+        }
+        let g1 = b1.build().unwrap();
+
+        // Sources `a y named "" "" lone`, then `sink` and an unnamed tail.
+        let mut b2 = DagBuilder::new();
+        let sources = ["a", "y", "named", "", "", "lone"].map(|l| b2.add_node(l));
+        let sink = b2.add_node("sink");
+        let tail = b2.add_node("");
+        for u in sources {
+            b2.add_arc(u, sink).unwrap();
+        }
+        b2.add_arc(sources[2], tail).unwrap();
+        b2.add_arc(sink, tail).unwrap();
+        let g2 = b2.build().unwrap();
+
+        // Equal, joined, right only, left only, both empty; `lone` stays fresh.
+        let pairing: Vec<_> = sinks.into_iter().zip(sources).collect();
+        let c = compose(&g1, &g2, &pairing).unwrap();
+        let text = crate::serialize::to_edge_list(&c.dag);
+        assert_eq!(fnv1a(text.as_bytes()), 0x6CDA_3B4E_22D7_8575, "{text}");
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub fn sum(g1: &Dag, g2: &Dag) -> Sum {
         &g2.parents_flat,
     );
     let mut labels = g1.labels.clone();
-    labels.extend(g2.labels.iter().cloned());
+    labels.extend(&g2.labels);
 
     Sum {
         dag: Dag::from_csr(

@@ -5,15 +5,19 @@
 //! Deterministic output (nodes and arcs in id order), suitable for
 //! diffing and for round-tripping through the `ic-prio` tool.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use crate::dag::Dag;
 
 /// The display name used for node `v` in the edge-list format: its
 /// label with whitespace/`#` replaced by `_`, or `tN` when unlabeled.
-/// Names are deduplicated with an `.N` suffix when labels collide.
+/// Names are deduplicated with an `.N` suffix when labels collide,
+/// skipping any suffixed name another node already has.
 fn names(dag: &Dag) -> Vec<String> {
-    let mut seen = std::collections::HashMap::new();
+    let mut taken = HashSet::new();
+    // Per base name, the last suffix tried.
+    let mut suffix = HashMap::new();
     dag.node_ids()
         .map(|v| {
             let base = {
@@ -32,13 +36,14 @@ fn names(dag: &Dag) -> Vec<String> {
                         .collect()
                 }
             };
-            let n = seen.entry(base.clone()).or_insert(0usize);
-            *n += 1;
-            if *n == 1 {
-                base
-            } else {
-                format!("{base}.{}", *n - 1)
+            let mut name = base.clone();
+            while taken.contains(&name) {
+                let k = suffix.entry(base.clone()).or_insert(0usize);
+                *k += 1;
+                name = format!("{base}.{k}");
             }
+            taken.insert(name.clone());
+            name
         })
         .collect()
 }
@@ -105,6 +110,20 @@ mod tests {
         let g = b.build().unwrap();
         let n = edge_list_names(&g);
         assert_eq!(n, vec!["x".to_string(), "x.1".to_string()]);
+    }
+
+    #[test]
+    fn suffixes_skip_names_already_taken() {
+        for (labels, want) in [
+            (["a", "a", "a.1"], ["a", "a.1", "a.1.1"]),
+            (["a.1", "a", "a"], ["a.1", "a", "a.2"]),
+        ] {
+            let mut b = DagBuilder::new();
+            for l in labels {
+                b.add_node(l);
+            }
+            assert_eq!(edge_list_names(&b.build().unwrap()), want);
+        }
     }
 
     #[test]

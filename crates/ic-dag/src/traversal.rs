@@ -8,7 +8,13 @@ use crate::dag::{Dag, NodeId};
 /// A topological order of the dag: every arc `(u -> v)` has `u` before
 /// `v`. Deterministic: among simultaneously-available nodes, smaller ids
 /// come first (Kahn's algorithm over a sorted frontier).
+///
+/// When every arc is forward in id order that walk pops exactly
+/// `0, 1, 2, ...`, so it is skipped: `O(n)` instead of `O(m log n)`.
 pub fn topological_order(dag: &Dag) -> Vec<NodeId> {
+    if dag.ids_are_topological() {
+        return dag.node_ids().collect();
+    }
     let n = dag.num_nodes();
     let mut indeg: Vec<u32> = (0..n)
         .map(|i| dag.in_degree(NodeId::new(i)) as u32)

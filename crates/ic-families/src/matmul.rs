@@ -146,7 +146,7 @@ fn build_level(b: &mut DagBuilder, inputs: &[NodeId], depth: usize, tag: &str) -
 
 fn build_product(b: &mut DagBuilder, x: NodeId, y: NodeId, depth: usize, tag: &str) -> NodeId {
     if depth == 0 {
-        let p = b.add_node(tag.to_string());
+        let p = b.add_node(tag);
         b.add_arc(x, p).expect("valid");
         b.add_arc(y, p).expect("valid");
         return p;

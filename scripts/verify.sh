@@ -118,7 +118,7 @@ IC_BENCH_JSON="$PWD/target/verify/BENCH.json" IC_BENCH_APPEND=1 \
 # regenerations also gate the 10k id, at the stricter 1.2x, below). A
 # key that finds no shared record to compare fails too.
 ./target/release/bench-check target/verify/BENCH.json \
-    envelope exec-state check machine net fed \
+    envelope exec-state build check machine net fed \
     --baseline BENCH.json --max-regress net=2.0
 # When the committed BENCH.json itself changed, gate its net group
 # against the last committed version: a regeneration that loses more
@@ -126,7 +126,7 @@ IC_BENCH_JSON="$PWD/target/verify/BENCH.json" IC_BENCH_APPEND=1 \
 if ! git diff --quiet HEAD -- BENCH.json 2> /dev/null; then
     git show HEAD:BENCH.json > target/verify/BENCH.baseline.json
     ./target/release/bench-check BENCH.json \
-        envelope exec-state check machine net fed \
+        envelope exec-state build check machine net fed \
         --baseline target/verify/BENCH.baseline.json --max-regress net=1.2
 fi
 
