@@ -4,12 +4,11 @@
 //! is a complete write-ahead log: rebuilding a [`LeaseMachine`] from
 //! any prefix of it reconstructs the crashed machine's scheduling
 //! state exactly. [`check_crash`] turns that claim into a checked
-//! invariant. It explores the same interleaving space as
-//! [`crate::check`], but **after every transition** it simulates a
-//! server crash: the trace effects accumulated along the path become
-//! the surviving log, [`LeaseMachine::restore_with`] rebuilds a
-//! machine from them, and the rebuilt machine is compared against the
-//! live one:
+//! invariant. It runs [`crate::check`]'s search, with the log written
+//! along the path as part of the state, and **after every transition**
+//! it simulates a server crash: that log is what survives,
+//! [`LeaseMachine::restore_with`] rebuilds a machine from it, and the
+//! rebuilt machine is compared against the live one:
 //!
 //! | code   | crash-recovery invariant |
 //! |--------|--------------------------|
@@ -33,7 +32,7 @@
 //! that (rebuilt slots keep epoch 0) and is pinned to IC0702 by the
 //! negative suite.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 use ic_audit::diag::{
     Diagnostic, RECOVERY_CORRUPT_TRACE, RECOVERY_DUPLICATE_COMPLETION, RECOVERY_EPOCH_REGRESSION,
@@ -44,9 +43,9 @@ use ic_net::{Effect, LeaseMachine, ServeReport};
 use ic_sched::policy::AllocationPolicy;
 use ic_sim::trace::{EventKind, TraceEvent, TraceHeader};
 
-use crate::explore::{collect_trace, CheckConfig, CheckOutcome, CheckStats, Minimizer};
+use crate::explore::{explore, CheckConfig, CheckOutcome};
 use crate::invariants;
-use crate::scenario::{Action, Fleet, FleetSpec, Phase, WorkerModel, WorkerSpec};
+use crate::scenario::{Fleet, FleetSpec, Phase, WorkerModel, WorkerSpec};
 
 /// Model-check crash recovery: explore every fleet interleaving and,
 /// at every reached state, rebuild a machine from the trace prefix
@@ -61,38 +60,18 @@ pub fn check_crash(
     cfg: &CheckConfig,
     bugs: SeededBugs,
 ) -> CheckOutcome {
-    let header = probe_header(dag, policy, fleet);
-    let mut ctx = CrashCtx {
+    let crash = CrashCtx {
         dag,
         policy,
         spec: fleet,
-        cfg,
         bugs,
-        header,
-        visited: HashSet::new(),
-        stats: CheckStats::default(),
-        path: Vec::new(),
+        header: probe_header(dag, policy, fleet),
     };
     let root = Fleet::new(dag, policy, fleet, SeededBugs::default());
-    ctx.visited.insert(root.fingerprint());
-    ctx.stats.states = 1;
-    let found = match ctx.crash_violation(&root, &[]) {
-        Some(diag) => Some((diag, Vec::new())),
-        None => dfs(&mut ctx, &root, Vec::new(), 0).map(|diag| (diag, ctx.path.clone())),
-    };
-    let Some((diag, dfs_path)) = found else {
-        return CheckOutcome::Clean(ctx.stats);
-    };
-    let stats = std::mem::take(&mut ctx.stats);
-    Minimizer {
-        spec: fleet,
-        cfg,
-        check: |child: &Fleet<'_, '_>, _: &[Effect], log: &[TraceEvent]| {
-            ctx.crash_violation(child, log)
-        },
-        key: fingerprint_with_log,
-    }
-    .into_violation(root, stats, diag, dfs_path)
+    // What a crash leaves is the log, so the log is part of the state.
+    let check =
+        |live: &Fleet<'_, '_>, _: &[Effect], log: &[TraceEvent]| crash.crash_violation(live, log);
+    explore(root, fleet, cfg, true, check)
 }
 
 /// The header the live fleet's boot writes (no registration barrier:
@@ -107,16 +86,13 @@ fn probe_header(dag: &Dag, policy: &dyn AllocationPolicy, fleet: &FleetSpec) -> 
     TraceHeader::for_run(dag, 1, fleet.server_config().seed, &policy.name())
 }
 
+/// The rebuild's inputs.
 struct CrashCtx<'s, 'a, 'd> {
     dag: &'d Dag,
     policy: &'a dyn AllocationPolicy,
     spec: &'s FleetSpec,
-    cfg: &'s CheckConfig,
     bugs: SeededBugs,
     header: TraceHeader,
-    visited: HashSet<u64>,
-    stats: CheckStats,
-    path: Vec<Action>,
 }
 
 impl CrashCtx<'_, '_, '_> {
@@ -300,60 +276,4 @@ fn restore_code(e: &RestoreError) -> &'static str {
         RestoreError::HeaderMismatch { .. } => ic_audit::diag::RECOVERY_HEADER_MISMATCH,
         RestoreError::Corrupt { .. } | RestoreError::Federated => RECOVERY_CORRUPT_TRACE,
     }
-}
-
-fn dfs(
-    ctx: &mut CrashCtx<'_, '_, '_>,
-    fleet: &Fleet<'_, '_>,
-    events: Vec<TraceEvent>,
-    depth: usize,
-) -> Option<Diagnostic> {
-    if ctx.stats.states >= ctx.cfg.max_states {
-        ctx.stats.state_capped = true;
-        return None;
-    }
-    if depth >= ctx.cfg.max_depth {
-        ctx.stats.depth_capped = true;
-        return None;
-    }
-    ctx.stats.deepest = ctx.stats.deepest.max(depth);
-    for a in fleet.enabled(ctx.spec) {
-        let mut child = fleet.clone();
-        let fx = child.apply(ctx.spec, a);
-        let mut child_events = events.clone();
-        collect_trace(&mut child_events, &fx);
-        ctx.stats.transitions += 1;
-        ctx.path.push(a);
-        if let Some(d) = ctx.crash_violation(&child, &child_events) {
-            return Some(d);
-        }
-        // The visited set merges on (state, log) — two paths reaching
-        // the same semantic state with different surviving logs crash
-        // differently, so the log hashes in.
-        let fp = fingerprint_with_log(&child, &child_events);
-        if !ctx.visited.insert(fp) {
-            ctx.stats.visited_pruned += 1;
-            ctx.path.pop();
-            continue;
-        }
-        ctx.stats.states += 1;
-        if child.terminal() {
-            ctx.stats.complete_runs += 1;
-        }
-        if let Some(d) = dfs(ctx, &child, child_events, depth + 1) {
-            return Some(d);
-        }
-        ctx.path.pop();
-    }
-    None
-}
-
-fn fingerprint_with_log(fleet: &Fleet<'_, '_>, events: &[TraceEvent]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    fleet.fingerprint().hash(&mut h);
-    for e in events {
-        e.to_json_line().hash(&mut h);
-    }
-    h.finish()
 }
