@@ -1,9 +1,10 @@
 //! Benches for the lease-protocol model checker.
 //!
 //! * `check` — full exhaustive explorations of small fleet × family
-//!   configurations through `ic_check::check`, with the explored
-//!   state count attached to each record so `bench-check` can report
-//!   states/second alongside the raw times.
+//!   configurations through `ic_check::check` (and one through
+//!   `ic_check::check_crash`), with the explored state count attached
+//!   to each record so `bench-check` can report states/second
+//!   alongside the raw times.
 //!
 //! The checker is deterministic, so the state count is a property of
 //! the configuration, not the run: it is measured once up front and
@@ -11,28 +12,37 @@
 //! same fleet, same bounds).
 
 use ic_bench::harness::Runner;
-use ic_check::{check, CheckConfig, FleetSpec, WorkerSpec};
+use ic_check::{check, check_crash, CheckConfig, CheckOutcome, FleetSpec, WorkerSpec};
 use ic_dag::Dag;
 use ic_net::machine::SeededBugs;
 use ic_sched::heuristics::Policy;
+use ic_sched::policy::AllocationPolicy;
 
-/// One benched configuration: a family instance and a fleet.
-fn subjects() -> Vec<(String, Dag, FleetSpec)> {
+/// `ic_check::check` or `ic_check::check_crash`.
+type Checker =
+    fn(&Dag, &dyn AllocationPolicy, &FleetSpec, &CheckConfig, SeededBugs) -> CheckOutcome;
+
+/// One benched configuration: a family instance, a fleet, and the
+/// checker that explores it.
+fn subjects() -> Vec<(String, Dag, FleetSpec, Checker)> {
     vec![
         (
             "mesh3_2w".to_string(),
             ic_families::mesh::out_mesh(3),
             FleetSpec::of(2),
+            check,
         ),
         (
             "mesh3_2w_steal".to_string(),
             ic_families::mesh::out_mesh(3),
             FleetSpec::of(2).with_steal(),
+            check,
         ),
         (
             "mesh4_3w".to_string(),
             ic_families::mesh::out_mesh(4),
             FleetSpec::of(3),
+            check,
         ),
         // An adversarial fleet: severs, failures, and forced expiries
         // all in play — the configuration the negative suite stresses.
@@ -47,18 +57,27 @@ fn subjects() -> Vec<(String, Dag, FleetSpec)> {
                 steal: false,
                 batch: 1,
             },
+            check,
+        ),
+        // The crash checker: a rebuild from the log at every state,
+        // with the log part of the state (42 717 states).
+        (
+            "mesh3_2w_crash".to_string(),
+            ic_families::mesh::out_mesh(3),
+            FleetSpec::of(2),
+            check_crash,
         ),
     ]
 }
 
 fn bench_check(r: &mut Runner) {
     let cfg = CheckConfig::default();
-    for (id, dag, fleet) in subjects() {
-        let outcome = check(&dag, &Policy::Fifo, &fleet, &cfg, SeededBugs::default());
+    for (id, dag, fleet, checker) in subjects() {
+        let outcome = checker(&dag, &Policy::Fifo, &fleet, &cfg, SeededBugs::default());
         assert!(outcome.is_clean(), "{id}: the clean machine must pass");
         let states = outcome.stats().states as u64;
         r.bench_states("check", &id, dag.num_nodes(), states, || {
-            check(&dag, &Policy::Fifo, &fleet, &cfg, SeededBugs::default())
+            checker(&dag, &Policy::Fifo, &fleet, &cfg, SeededBugs::default())
         });
     }
 }
