@@ -30,6 +30,14 @@ echo "==> cargo build --release"
 # workspace flag pulls in ic-cli (the `ic-prio` binary) and friends.
 cargo build --offline --workspace --release
 
+echo "==> experiments (regenerate the 25 paper artifacts and run their checks)"
+# The harness exits 1 on any failed check. Its last line must also
+# count every artifact, so a run that drops one fails here too.
+experiments_out="$(./target/release/experiments)" || { echo "$experiments_out"; exit 1; }
+experiments_last="$(tail -n 1 <<< "$experiments_out")"
+[ "$experiments_last" = "summary: 25/25 artifacts reproduced" ] \
+    || { echo "experiments: expected 'summary: 25/25 artifacts reproduced', got '$experiments_last'"; exit 1; }
+
 echo "==> cargo test"
 cargo test --offline --workspace --quiet
 
