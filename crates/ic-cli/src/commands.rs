@@ -619,7 +619,8 @@ fn parse_peers(spec: &str, i: u64, n: u64) -> Result<Vec<(u64, String)>, String>
 ///   concatenated trace audits clean as one run;
 /// * `--shard i/N` — serve ONE shard of a federated computation: the
 ///   global dag is partitioned exactly as every peer partitions it
-///   (same cutter, same shard count), this server takes sub-dag `i`
+///   (the cutter [`ic_fed::Partition::auto`] picks for the dag, same
+///   shard count), this server takes sub-dag `i`
 ///   and exchanges v3 `remote-done` notifications with its peers for
 ///   the cut edges.
 ///
@@ -630,7 +631,7 @@ fn parse_peers(spec: &str, i: u64, n: u64) -> Result<Vec<(u64, String)>, String>
 pub fn serve(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
     let replicate = flags.switch("--replicate-cut");
     let (mut dag_path, mut family, mut trace, mut resume_from) = (None, None, None, None);
-    let (mut policy, mut listen, mut cut) = ("optimal", "127.0.0.1:0", "auto");
+    let (mut policy, mut listen) = ("optimal", "127.0.0.1:0");
     let (mut port_file, mut shard_spec, mut peers_spec) = (None, None, None);
     let mut sever_link_after = None;
     let mut net_cfg = ic_net::ServerConfig::default();
@@ -647,7 +648,6 @@ pub fn serve(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
             "--port-file" => port_file = Some(v.str()),
             "--shard" => shard_spec = Some(v.str()),
             "--peers" => peers_spec = Some(v.str()),
-            "--cut" => cut = v.str(),
             "--sever-link-after" => sever_link_after = Some(v.int()?),
             _ => return Err(CliError::Usage(None)),
         }
@@ -664,7 +664,7 @@ pub fn serve(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
             let (i, n) = parse_shard_spec(spec)
                 .ok_or_else(|| CliError::usage("--shard takes i/N with i < N"))?;
             let peers = parse_peers(peers_spec.unwrap_or(""), i, n).map_err(CliError::usage)?;
-            let (part, mut plans) = fed_plans(&dag, cut, n, replicate)?;
+            let (part, mut plans) = fed_plans(&dag, n, replicate);
             let idx = usize::try_from(i)
                 .ok()
                 .filter(|&idx| idx < plans.len())
@@ -933,40 +933,22 @@ pub fn work_run(connect: &str, cfg: &ic_net::WorkerConfig) -> Result<CmdOutput, 
     Ok(CmdOutput::success("work", out).with_data(data))
 }
 
-/// Resolve a `--cut` flag into a partition of `dag` across `shards`.
-pub fn cut_partition(
-    dag: &ic_dag::Dag,
-    cut: &str,
-    shards: u64,
-) -> Result<ic_fed::Partition, String> {
-    match cut {
-        "auto" => Ok(ic_fed::Partition::auto(dag, shards)),
-        "level" => Ok(ic_fed::Partition::level_cut(dag, shards)),
-        "mesh" => Ok(ic_fed::Partition::mesh_bands(dag, shards)),
-        "butterfly" => Ok(ic_fed::Partition::butterfly_halves(dag, shards)),
-        "tree" => Ok(ic_fed::Partition::tree_subtrees(dag, shards)),
-        other => Err(format!(
-            "unknown --cut {other:?} (auto|level|mesh|butterfly|tree)"
-        )),
-    }
-}
-
-/// Partition `dag` with cutter `cut` and plan every shard's sub-dag —
-/// the computation every member of a federation repeats identically.
+/// Partition `dag` with the cutter [`ic_fed::Partition::auto`] picks
+/// for it and plan every shard's sub-dag — the computation every
+/// member of a federation repeats identically.
 fn fed_plans(
     dag: &ic_dag::Dag,
-    cut: &str,
     shards: u64,
     replicate: bool,
-) -> Result<(ic_fed::Partition, Vec<ic_fed::ShardPlan>), String> {
-    let part = cut_partition(dag, cut, shards)?;
+) -> (ic_fed::Partition, Vec<ic_fed::ShardPlan>) {
+    let part = ic_fed::Partition::auto(dag, shards);
     let mode = if replicate {
         ic_fed::CutMode::Replicate
     } else {
         ic_fed::CutMode::Notify
     };
     let plans = ic_fed::plan(dag, &part, mode);
-    Ok((part, plans))
+    (part, plans)
 }
 
 /// `fed`: launch a whole federation in this process — one shard server
@@ -979,7 +961,7 @@ fn fed_plans(
 /// traces.
 pub fn fed(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
     let (replicate, flaky) = (flags.switch("--replicate-cut"), flags.switch("--flaky"));
-    let (mut dag_path, mut family, mut cut) = (None, None, "auto");
+    let (mut dag_path, mut family) = (None, None);
     let (mut trace_dir, mut merged_out, mut sever_link_after) = (None, None, None);
     let (mut shards, mut workers_per_shard, mut mean_ms) = (2u64, 3usize, 1u64);
     let (mut lease_ms, mut seed) = (400u64, 0x1C5EEDu64);
@@ -988,7 +970,6 @@ pub fn fed(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
         match flag {
             "--dag" => dag_path = Some(v.str()),
             "--family" => family = Some(v.str()),
-            "--cut" => cut = v.str(),
             "--trace-dir" => trace_dir = Some(v.str()),
             "--merged" => merged_out = Some(v.str()),
             "--shards" => shards = v.positive()?,
@@ -1001,7 +982,7 @@ pub fn fed(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
         }
     }
     let (dag_label, dag, _) = dag_source("fed", dag_path, family)?;
-    let (part, plans) = fed_plans(&dag, cut, shards, replicate)?;
+    let (part, plans) = fed_plans(&dag, shards, replicate);
     let fed_opts = ic_fed::FedOptions {
         server: ic_net::ServerConfig::builder()
             .lease_ms(lease_ms)

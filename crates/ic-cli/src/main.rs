@@ -16,12 +16,11 @@
 //!          [--listen addr] [--trace out.jsonl | --resume-from trace.jsonl]
 //!          [--lease-ms N] [--expect N]
 //!          [--batch N] [--steal-after MS]
-//!          [--shard i/N --peers S=addr,... [--cut C] [--replicate-cut]
+//!          [--shard i/N --peers S=addr,... [--replicate-cut]
 //!           [--sever-link-after N]]
 //!          [--port-file p] [--seed S] [--json]
 //! ic-prio recover <trace.jsonl> [--json]
-//! ic-prio fed (--dag <file> | --family <spec>) [--shards N]
-//!          [--cut auto|level|mesh|butterfly|tree] [--replicate-cut]
+//! ic-prio fed (--dag <file> | --family <spec>) [--shards N] [--replicate-cut]
 //!          [--workers K] [--mean-ms N] [--flaky] [--sever-link-after N]
 //!          [--trace-dir DIR] [--merged out.jsonl] [--lease-ms N] [--seed S]
 //!          [--json]
@@ -63,10 +62,10 @@ fn usage() -> ExitCode {
          [--policy optimal|fifo|lifo|random|greedy|maxout|mindepth] [--listen addr]\n              \
          [--trace out.jsonl | --resume-from trace.jsonl] [--lease-ms N] [--expect N]\n              \
          [--batch N] [--steal-after MS] [--port-file p] [--seed S]\n              \
-         [--shard i/N --peers S=addr,... [--cut auto|level|mesh|butterfly|tree]\n              \
-         [--replicate-cut] [--sever-link-after N]] [--json]\n  \
+         [--shard i/N --peers S=addr,... [--replicate-cut] [--sever-link-after N]]\n              \
+         [--json]\n  \
          ic-prio recover <trace.jsonl> [--json]\n  \
-         ic-prio fed (--dag <file> | --family <spec>) [--shards N] [--cut C] [--replicate-cut]\n              \
+         ic-prio fed (--dag <file> | --family <spec>) [--shards N] [--replicate-cut]\n              \
          [--workers K] [--mean-ms N] [--flaky] [--sever-link-after N] [--trace-dir DIR]\n              \
          [--merged out.jsonl] [--lease-ms N] [--seed S] [--json]\n  \
          ic-prio merge <shard.jsonl>... [--out merged.jsonl] [--deny <code-name>] [--json]\n  \
