@@ -29,7 +29,8 @@
 //! reported with a stable `IC05xx` code and a breadth-first-minimized
 //! event trace.
 //!
-//! [`check_crash`] extends the exploration with a crash/restart
+//! [`check_crash`] runs the same search, with the trace log as part of
+//! the state and sleep sets off, and adds a crash/restart
 //! transition: at every reachable state the server is "killed", a new
 //! machine is rebuilt from the trace prefix written so far (the
 //! write-ahead-log reading of the JSONL trace, see
