@@ -1,7 +1,7 @@
 //! Benches for the lease-protocol model checker.
 //!
 //! * `check` — full exhaustive explorations of small fleet × family
-//!   configurations through `ic_check::check` (and one through
+//!   configurations through `ic_check::check` (and two through
 //!   `ic_check::check_crash`), with the explored state count attached
 //!   to each record so `bench-check` can report states/second
 //!   alongside the raw times.
@@ -59,12 +59,21 @@ fn subjects() -> Vec<(String, Dag, FleetSpec, Checker)> {
             },
             check,
         ),
-        // The crash checker: a rebuild from the log at every state,
-        // with the log part of the state (42 717 states).
+        // The crash checker: the restore fold carried along every
+        // path and keyed beside the fleet (320 states; 42 717 when
+        // the log itself was keyed).
         (
             "mesh3_2w_crash".to_string(),
             ic_families::mesh::out_mesh(3),
             FleetSpec::of(2),
+            check_crash,
+        ),
+        // The crash search at the size CI checks exhaustively (14 292
+        // states).
+        (
+            "mesh4_3w_crash".to_string(),
+            ic_families::mesh::out_mesh(4),
+            FleetSpec::of(3),
             check_crash,
         ),
     ]

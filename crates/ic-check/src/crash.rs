@@ -4,17 +4,24 @@
 //! is a complete write-ahead log: rebuilding a [`LeaseMachine`] from
 //! any prefix of it reconstructs the crashed machine's scheduling
 //! state exactly. [`check_crash`] turns that claim into a checked
-//! invariant. It runs [`crate::check`]'s search, with the log written
-//! along the path as part of the state, and **after every transition**
-//! it simulates a server crash: that log is what survives,
-//! [`LeaseMachine::restore_with`] rebuilds a machine from it, and the
-//! rebuilt machine is compared against the live one:
+//! invariant. It runs [`crate::check`]'s search carrying, along every
+//! path, the [`Restorer`] fold of the trace that path wrote (each
+//! transition pushes its new events), and **after every transition**
+//! it simulates a server crash: a clone of the fold is finished into
+//! a rebuilt machine, which is compared against the live one:
 //!
 //! | code   | crash-recovery invariant |
 //! |--------|--------------------------|
 //! | IC0701 | the rebuilt executed set equals the live one — no completed work lost, none invented |
 //! | IC0702 | every rebuilt slot's epoch dominates the live epoch and every resume the log records |
 //! | IC0704 | rebuilt leases, rebuilt pool ∪ deferred and the rebuilt report's tallies equal the live machine's (resumes: at most); the restore itself parses |
+//!
+//! The visited key is the fleet's fingerprint plus the fold's state,
+//! not the trace: two paths that wrote the same events in different
+//! orders but reached equal fleets and equal folds are one state,
+//! because they append the same future events and rebuild equal
+//! machines (DESIGN §4e). The log-keyed search this replaced stays as
+//! a test oracle in this module's unit tests.
 //!
 //! On top of the live-versus-rebuilt comparison, every rebuilt state
 //! is run through the full `IC05xx` invariant scan
@@ -32,20 +39,22 @@
 //! that (rebuilt slots keep epoch 0) and is pinned to IC0702 by the
 //! negative suite.
 
-use std::collections::BTreeSet;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, BTreeSet};
+use std::hash::Hash;
 
 use ic_audit::diag::{
     Diagnostic, RECOVERY_CORRUPT_TRACE, RECOVERY_DUPLICATE_COMPLETION, RECOVERY_EPOCH_REGRESSION,
 };
-use ic_dag::Dag;
-use ic_net::machine::{RestoreError, SeededBugs};
+use ic_dag::{Dag, NodeId};
+use ic_net::machine::{RestoreError, Restorer, SeededBugs};
 use ic_net::{Effect, LeaseMachine, ServeReport};
 use ic_sched::policy::AllocationPolicy;
-use ic_sim::trace::{EventKind, TraceEvent, TraceHeader};
+use ic_sim::trace::{EventKind, TraceHeader};
 
-use crate::explore::{explore, CheckConfig, CheckOutcome};
+use crate::explore::{explore, CheckConfig, CheckOutcome, PathState};
 use crate::invariants;
-use crate::scenario::{Fleet, FleetSpec, Phase, WorkerModel, WorkerSpec};
+use crate::scenario::{Fleet, FleetSpec, Phase, WorkerModel};
 
 /// Model-check crash recovery: explore every fleet interleaving and,
 /// at every reached state, rebuild a machine from the trace prefix
@@ -60,96 +69,82 @@ pub fn check_crash(
     cfg: &CheckConfig,
     bugs: SeededBugs,
 ) -> CheckOutcome {
-    let crash = CrashCtx {
-        dag,
-        policy,
-        spec: fleet,
-        bugs,
-        header: probe_header(dag, policy, fleet),
-    };
     let root = Fleet::new(dag, policy, fleet, SeededBugs::default());
-    // What a crash leaves is the log, so the log is part of the state.
-    let check =
-        |live: &Fleet<'_, '_>, _: &[Effect], log: &[TraceEvent]| crash.crash_violation(live, log);
-    explore(root, fleet, cfg, true, check)
+    let fold = CrashFold::new(dag, policy, fleet, bugs);
+    let check = |live: &Fleet<'_, '_>, _: &[Effect], fold: &CrashFold<'_, '_>| {
+        fold.crash_violation(dag, fleet, live)
+    };
+    explore(root, fold, fleet, cfg, check)
 }
 
-/// The header the live fleet's boot writes (no registration barrier:
-/// empty worker declarations, one anonymous client).
-fn probe_header(dag: &Dag, policy: &dyn AllocationPolicy, fleet: &FleetSpec) -> TraceHeader {
-    let mut probe = LeaseMachine::new(dag, policy, fleet.server_config());
-    for e in probe.boot(0) {
-        if let Effect::Header(h) = e {
-            return h;
+/// What the crash search carries along a path: the restore fold of the
+/// trace written so far, and the checker's own tallies of that trace.
+#[derive(Clone)]
+pub(crate) struct CrashFold<'a, 'd> {
+    /// The fold, or why it failed.
+    restorer: Result<Restorer<'a, 'd>, RestoreError>,
+    /// Every client the trace names, with its `Resumed` events (the
+    /// IC0702 floor).
+    resumes: BTreeMap<usize, u64>,
+    /// `Completed` events per task (the IC0502 scan).
+    completions: Vec<u32>,
+}
+
+impl<'a, 'd> CrashFold<'a, 'd> {
+    /// The fold of the empty trace behind the live fleet's header.
+    pub(crate) fn new(
+        dag: &'d Dag,
+        policy: &'a dyn AllocationPolicy,
+        fleet: &FleetSpec,
+        bugs: SeededBugs,
+    ) -> Self {
+        // The header the live fleet's boot writes: no registration
+        // barrier, so no worker declarations and one client.
+        let seed = fleet.server_config().seed;
+        let header = TraceHeader::for_run(dag, 1, seed, &policy.name());
+        CrashFold {
+            restorer: Restorer::new(dag, policy, fleet.server_config(), &header, bugs),
+            resumes: BTreeMap::new(),
+            completions: vec![0; dag.num_nodes()],
         }
     }
-    TraceHeader::for_run(dag, 1, fleet.server_config().seed, &policy.name())
-}
 
-/// The rebuild's inputs.
-struct CrashCtx<'s, 'a, 'd> {
-    dag: &'d Dag,
-    policy: &'a dyn AllocationPolicy,
-    spec: &'s FleetSpec,
-    bugs: SeededBugs,
-    header: TraceHeader,
-}
-
-impl CrashCtx<'_, '_, '_> {
-    /// Simulate the crash at this state: restore from the accumulated
-    /// log and compare against the live machine.
-    fn crash_violation(&self, live: &Fleet<'_, '_>, events: &[TraceEvent]) -> Option<Diagnostic> {
-        let rebuilt = match LeaseMachine::restore_with(
-            self.dag,
-            self.policy,
-            self.spec.server_config(),
-            &self.header,
-            events,
-            0,
-            self.bugs,
-        ) {
-            Ok(m) => m,
-            Err(e) => {
-                return Some(Diagnostic::error(
-                    restore_code(&e),
-                    format!("restore from a {}-event log failed: {e}", events.len()),
-                ));
-            }
+    /// Simulate the crash at this state: finish the fold and compare
+    /// the rebuilt machine against the live one.
+    pub(crate) fn crash_violation(
+        &self,
+        dag: &Dag,
+        spec: &FleetSpec,
+        live: &Fleet<'_, '_>,
+    ) -> Option<Diagnostic> {
+        let rebuilt = match &self.restorer {
+            Ok(fold) => fold.clone().finish(0),
+            Err(e) => return Some(Diagnostic::error(e.code(), format!("restore failed: {e}"))),
         };
 
         // IC0701: the executed sets must be identical — a completion
         // the log lost would re-run its task; one it invented would
         // skip real work.
-        for v in self.dag.node_ids() {
-            let live_done = live.machine.exec().is_executed(v);
-            let rebuilt_done = rebuilt.exec().is_executed(v);
-            if live_done != rebuilt_done {
-                return Some(Diagnostic::error(
-                    RECOVERY_DUPLICATE_COMPLETION,
-                    format!(
-                        "task t{} is {} live but {} after restore from {} events",
-                        v.index(),
-                        if live_done { "executed" } else { "pending" },
-                        if rebuilt_done { "executed" } else { "pending" },
-                        events.len()
-                    ),
-                ));
-            }
+        let executed = |m: &LeaseMachine<'_, '_>| -> BTreeSet<NodeId> {
+            dag.node_ids()
+                .filter(|&v| m.exec().is_executed(v))
+                .collect()
+        };
+        let (was, now) = (executed(&live.machine), executed(&rebuilt));
+        if was != now {
+            let why = format!("executed set diverged after restore: live {was:?}, rebuilt {now:?}");
+            return Some(Diagnostic::error(RECOVERY_DUPLICATE_COMPLETION, why));
         }
 
         // IC0704: the lease table must survive the crash verbatim
         // (worker, task, speculative-bit triples) …
-        let live_leases: BTreeSet<(usize, u64, bool)> = live
-            .machine
-            .lease_views()
-            .into_iter()
-            .map(|l| (l.worker, l.task.index() as u64, l.speculative))
-            .collect();
-        let rebuilt_leases: BTreeSet<(usize, u64, bool)> = rebuilt
-            .lease_views()
-            .into_iter()
-            .map(|l| (l.worker, l.task.index() as u64, l.speculative))
-            .collect();
+        let leases = |m: &LeaseMachine<'_, '_>| -> BTreeSet<(usize, NodeId, bool)> {
+            m.lease_views()
+                .iter()
+                .map(|l| (l.worker, l.task, l.speculative))
+                .collect()
+        };
+        let (live_leases, rebuilt_leases) = (leases(&live.machine), leases(&rebuilt));
         if live_leases != rebuilt_leases {
             return Some(Diagnostic::error(
                 RECOVERY_CORRUPT_TRACE,
@@ -163,16 +158,15 @@ impl CrashCtx<'_, '_, '_> {
         // … and so must the unallocated frontier. Pool and deferred
         // are compared as one set: the split between them is backoff
         // timing, which the crash legitimately resets.
-        let frontier = |m: &LeaseMachine<'_, '_>| -> BTreeSet<u64> {
+        let frontier = |m: &LeaseMachine<'_, '_>| -> BTreeSet<NodeId> {
             m.exec()
                 .pool()
                 .iter()
-                .map(|v| v.index() as u64)
-                .chain(m.deferred_tasks().into_iter().map(|v| v.index() as u64))
+                .copied()
+                .chain(m.deferred_tasks())
                 .collect()
         };
-        let live_frontier = frontier(&live.machine);
-        let rebuilt_frontier = frontier(&rebuilt);
+        let (live_frontier, rebuilt_frontier) = (frontier(&live.machine), frontier(&rebuilt));
         if live_frontier != rebuilt_frontier {
             return Some(Diagnostic::error(
                 RECOVERY_CORRUPT_TRACE,
@@ -208,12 +202,7 @@ impl CrashCtx<'_, '_, '_> {
         // epoch the live machine holds for that slot and (b) one bump
         // per resume the log records for it — otherwise a stale Gone
         // from a pre-crash connection could kill a recovered slot.
-        let clients: BTreeSet<usize> = events.iter().map(|e| e.client).collect();
-        for &c in &clients {
-            let resumes = events
-                .iter()
-                .filter(|e| e.kind == EventKind::Resumed && e.client == c)
-                .count() as u64;
+        for (&c, &resumes) in &self.resumes {
             let floor = (resumes + 1).max(live.machine.worker_epoch(c).unwrap_or(0));
             match rebuilt.worker_epoch(c) {
                 Some(epoch) if epoch >= floor => {}
@@ -237,43 +226,222 @@ impl CrashCtx<'_, '_, '_> {
         // live-slot agreement check (IC0504) is vacuous here.
         let synthetic = Fleet {
             machine: rebuilt,
-            workers: clients
-                .iter()
-                .map(|&c| severed_model(&self.spec.workers[0], c))
+            // Placeholder models: severed, holding nothing to act on.
+            workers: self
+                .resumes
+                .keys()
+                .map(|&slot| WorkerModel {
+                    phase: Phase::Severed,
+                    slot,
+                    ..WorkerModel::new(&spec.workers[0])
+                })
                 .collect(),
-            completions: completion_counts(self.dag, events),
+            completions: self.completions.clone(),
         };
-        invariants::violation(self.dag, &synthetic)
+        invariants::violation(dag, &synthetic)
     }
 }
 
-/// A placeholder worker model for the synthetic post-crash fleet:
-/// severed (awaiting recovery), holding nothing it can act on.
-fn severed_model(spec: &WorkerSpec, slot: usize) -> WorkerModel {
-    let mut w = WorkerModel::new(spec);
-    w.phase = Phase::Severed;
-    w.slot = slot;
-    w
+/// The crash search keys on the fold, not on the trace: two paths with
+/// equal fleets and equal folds append the same events and rebuild
+/// equal machines (DESIGN §4e).
+impl PathState for CrashFold<'_, '_> {
+    const SLEEP_SETS: bool = false;
+
+    fn after(&self, fx: &[Effect]) -> Self {
+        let mut next = self.clone();
+        for e in fx {
+            let Effect::Trace(ev) = e else { continue };
+            *next.resumes.entry(ev.client).or_default() += u64::from(ev.kind == EventKind::Resumed);
+            let task = ev.task.filter(|_| ev.kind == EventKind::Completed);
+            if let Some(c) = task.and_then(|t| next.completions.get_mut(t.index())) {
+                *c += 1;
+            }
+            if let Ok(fold) = &mut next.restorer {
+                if let Err(e) = fold.push(ev) {
+                    next.restorer = Err(e);
+                }
+            }
+        }
+        next
+    }
+
+    fn fingerprint_into(&self, h: &mut DefaultHasher) {
+        if let Ok(fold) = &self.restorer {
+            fold.fingerprint_into(h);
+        }
+        self.resumes.hash(h);
+        self.completions.hash(h);
+    }
 }
 
-/// `Completed` events per task along the log (feeds the IC0502 scan).
-fn completion_counts(dag: &Dag, events: &[TraceEvent]) -> Vec<u32> {
-    let mut counts = vec![0u32; dag.num_nodes()];
-    for e in events.iter().filter(|e| e.kind == EventKind::Completed) {
-        if let Some(c) = e.task.and_then(|task| counts.get_mut(task.index())) {
-            *c += 1;
+#[cfg(test)]
+mod tests {
+    //! The crash search as it was keyed before the fold key: every
+    //! trace line written along the path hashed into the visited key,
+    //! so every order of one log is its own state. It stays as the
+    //! fold key's oracle: its counts are pinned, and the two keys must
+    //! reach the same verdict with the same code.
+
+    use super::*;
+    use crate::scenario::WorkerSpec;
+    use ic_sched::heuristics::Policy;
+    use ic_sim::trace::TraceEvent;
+
+    /// The crash fold plus the log it folded, keyed on the log.
+    #[derive(Clone)]
+    struct LogKeyed<'a, 'd>(CrashFold<'a, 'd>, Vec<TraceEvent>);
+
+    impl PathState for LogKeyed<'_, '_> {
+        const SLEEP_SETS: bool = false;
+
+        fn after(&self, fx: &[Effect]) -> Self {
+            let mut log = self.1.clone();
+            log.extend(fx.iter().filter_map(|e| match e {
+                Effect::Trace(ev) => Some(*ev),
+                _ => None,
+            }));
+            LogKeyed(self.0.after(fx), log)
+        }
+
+        fn fingerprint_into(&self, h: &mut DefaultHasher) {
+            for e in &self.1 {
+                e.to_json_line().hash(h);
+            }
         }
     }
-    counts
-}
 
-/// Map a [`RestoreError`] onto its stable diagnostic code constant.
-fn restore_code(e: &RestoreError) -> &'static str {
-    // `RestoreError::code` returns the same strings; going through the
-    // named constants keeps the coupling visible to the code table.
-    match e {
-        RestoreError::DuplicateCompletion { .. } => RECOVERY_DUPLICATE_COMPLETION,
-        RestoreError::HeaderMismatch { .. } => ic_audit::diag::RECOVERY_HEADER_MISMATCH,
-        RestoreError::Corrupt { .. } | RestoreError::Federated => RECOVERY_CORRUPT_TRACE,
+    /// [`check_crash`] keyed on the log.
+    fn check_crash_log_keyed(
+        dag: &Dag,
+        fleet: &FleetSpec,
+        cfg: &CheckConfig,
+        bugs: SeededBugs,
+    ) -> CheckOutcome {
+        let policy = Policy::Fifo;
+        let root = Fleet::new(dag, &policy, fleet, SeededBugs::default());
+        let state = LogKeyed(CrashFold::new(dag, &policy, fleet, bugs), Vec::new());
+        let check = |live: &Fleet<'_, '_>, _: &[Effect], s: &LogKeyed<'_, '_>| {
+            s.0.crash_violation(dag, fleet, live)
+        };
+        explore(root, state, fleet, cfg, check)
+    }
+
+    /// (states, transitions, visited-pruned, slept, complete runs,
+    /// deepest, exhaustive) of a clean run, as `tests/counts.rs` pins
+    /// them.
+    fn counts(outcome: CheckOutcome) -> (usize, usize, usize, usize, usize, usize, bool) {
+        assert!(outcome.is_clean(), "the clean machine must pass");
+        let s = outcome.stats();
+        let exhaustive = s.exhaustive();
+        let (states, transitions, pruned) = (s.states, s.transitions, s.visited_pruned);
+        (
+            states,
+            transitions,
+            pruned,
+            s.sleep_pruned,
+            s.complete_runs,
+            s.deepest,
+            exhaustive,
+        )
+    }
+
+    /// The crash checker's counts before the fold key, unchanged.
+    #[test]
+    fn the_log_keyed_crash_counts_are_pinned() {
+        let mesh = ic_families::mesh::out_mesh(3);
+        let run = |fleet: &FleetSpec, max_depth| {
+            let cfg = CheckConfig {
+                max_depth,
+                ..CheckConfig::default()
+            };
+            counts(check_crash_log_keyed(
+                &mesh,
+                fleet,
+                &cfg,
+                SeededBugs::default(),
+            ))
+        };
+        let fleet = FleetSpec::of(2);
+        assert_eq!(
+            run(&fleet, 48),
+            (42_717, 61_060, 18_344, 0, 4_062, 21, true)
+        );
+        assert_eq!(
+            run(&fleet, 21),
+            (42_717, 61_060, 18_344, 0, 4_062, 21, true)
+        );
+        let steal = run(&fleet.with_steal(), 48);
+        assert_eq!(steal, (125_155, 181_088, 55_934, 0, 10_368, 24, true));
+    }
+
+    /// The two keys agree on every seeded bug of `tests/negative.rs`,
+    /// alone and all at once, and on the same fleets run clean (the
+    /// clean mesh:3 x 2 runs are the counts above and in `counts.rs`).
+    /// A greedy worker's request loop never ends, and the log key
+    /// walks its every order: both searches stop at 20 000 states.
+    #[test]
+    fn the_fold_key_and_the_log_key_agree_on_every_verdict() {
+        let chain2 = ic_families::trees::complete_out_tree(1, 1);
+        let fleet = |workers: Vec<WorkerSpec>, steal| FleetSpec {
+            workers,
+            steal,
+            batch: 1,
+        };
+        let bug = |set: fn(&mut SeededBugs)| {
+            let mut bugs = SeededBugs::default();
+            set(&mut bugs);
+            bugs
+        };
+        let cases = [
+            (
+                fleet(vec![WorkerSpec::v2().greedy()], false),
+                bug(|b| b.orphan_on_request = true),
+            ),
+            (
+                fleet(vec![WorkerSpec::v2(), WorkerSpec::v2()], true),
+                bug(|b| b.double_completion_event = true),
+            ),
+            (
+                fleet(vec![WorkerSpec::v2().severs(1)], false),
+                bug(|b| b.honor_stale_gone = true),
+            ),
+            (
+                fleet(vec![WorkerSpec::v2()], false),
+                bug(|b| b.skip_recovery_epoch_bump = true),
+            ),
+            (
+                fleet(
+                    vec![WorkerSpec::v2().greedy().severs(1), WorkerSpec::v2()],
+                    true,
+                ),
+                SeededBugs {
+                    orphan_on_request: true,
+                    double_completion_event: true,
+                    honor_stale_gone: true,
+                    skip_recovery_epoch_bump: true,
+                },
+            ),
+        ];
+        let verdict = |outcome: CheckOutcome| match outcome {
+            CheckOutcome::Clean(_) => None,
+            CheckOutcome::Violation(v) => Some(v.diag.code),
+        };
+        let cfg = CheckConfig {
+            max_states: 20_000,
+            ..CheckConfig::default()
+        };
+        let mut found = Vec::new();
+        for (fleet, bugs) in &cases {
+            for bugs in [*bugs, SeededBugs::default()] {
+                let fold = check_crash(&chain2, &Policy::Fifo, fleet, &cfg, bugs);
+                let log = check_crash_log_keyed(&chain2, fleet, &cfg, bugs);
+                let fold = verdict(fold);
+                assert_eq!(fold, verdict(log), "{bugs:?}");
+                found.extend(fold);
+            }
+        }
+        // The restore bug, alone and among the others.
+        assert_eq!(found, ["IC0702", "IC0702"]);
     }
 }

@@ -20,13 +20,13 @@
 //!   qualify. Every slept order is a pure transposition of an
 //!   explored one, so no state — and no violation — is lost.
 //!
-//! The two checkers differ only in the per-state check and in whether
-//! the trace log written along the path is part of the state. `check`
-//! scans the `IC05xx` invariants and leaves the log out. `check_crash`
-//! rebuilds a machine from the log at every state, so two paths to one
-//! fleet state with different logs are different states: the log is
-//! hashed into the visited key, and sleep sets are off, because their
-//! argument (both orders reach one state) is made for fleet states.
+//! The two checkers differ only in the per-state check and in what the
+//! search carries along a path besides the fleet (a `PathState`).
+//! `check` scans the `IC05xx` invariants and carries nothing.
+//! `check_crash` carries the restore fold of the trace written along
+//! the path, hashes that fold's state into the visited key, and turns
+//! sleep sets off, because their argument (both orders reach one
+//! state) is made for fleet states (DESIGN §4e).
 //!
 //! Invariants are checked on the destination of **every transition**
 //! (before the visited-set cut), so a violation is detected the first
@@ -34,15 +34,16 @@
 //! breadth-first mode chasing the same diagnostic code, which yields
 //! a minimum-length counterexample trace.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
+use std::marker::PhantomData;
 
 use ic_audit::diag::Diagnostic;
 use ic_dag::Dag;
 use ic_net::machine::SeededBugs;
 use ic_net::Effect;
 use ic_sched::policy::AllocationPolicy;
-use ic_sim::trace::TraceEvent;
 
 use crate::invariants;
 use crate::scenario::{Action, Fleet, FleetSpec};
@@ -147,43 +148,64 @@ pub fn check(
     bugs: SeededBugs,
 ) -> CheckOutcome {
     let root = Fleet::new(dag, policy, fleet, bugs);
-    let invariants = |child: &Fleet<'_, '_>, fx: &[Effect], _: &[TraceEvent]| {
+    let invariants = |child: &Fleet<'_, '_>, fx: &[Effect], _: &()| {
         invariants::drain_violation(child, fx).or_else(|| invariants::violation(dag, child))
     };
-    explore(root, fleet, cfg, false, invariants)
+    explore(root, (), fleet, cfg, invariants)
 }
 
-/// Run the search from `root` with the per-state `check` (given a
-/// state, the effects of the transition into it, and the log, which
-/// is empty unless `log_in_state`) and package what it finds.
-pub(crate) fn explore<C>(
+/// What the search carries along a path besides the fleet, and hashes
+/// into the visited key beside the fleet's fingerprint.
+pub(crate) trait PathState: Clone {
+    /// Whether sleep sets may prune (see the module docs).
+    const SLEEP_SETS: bool;
+    /// The state after a transition with effects `fx`.
+    fn after(&self, fx: &[Effect]) -> Self;
+    /// Hash what tells two states apart.
+    fn fingerprint_into(&self, h: &mut DefaultHasher);
+}
+
+/// `check` carries nothing: the fleet is the state.
+impl PathState for () {
+    const SLEEP_SETS: bool = true;
+    fn after(&self, _: &[Effect]) {}
+    fn fingerprint_into(&self, _: &mut DefaultHasher) {}
+}
+
+/// Run the search from `root` and `state` with the per-state `check`
+/// (given a fleet, the effects of the transition into it, and the
+/// path state) and package what it finds.
+pub(crate) fn explore<S, C>(
     root: Fleet<'_, '_>,
+    state: S,
     spec: &FleetSpec,
     cfg: &CheckConfig,
-    log_in_state: bool,
     check: C,
 ) -> CheckOutcome
 where
-    C: Fn(&Fleet<'_, '_>, &[Effect], &[TraceEvent]) -> Option<Diagnostic>,
+    S: PathState,
+    C: Fn(&Fleet<'_, '_>, &[Effect], &S) -> Option<Diagnostic>,
 {
     let mut search = Search {
         spec,
         cfg,
         check,
-        log_in_state,
+        state: PhantomData,
         visited: HashSet::new(),
         stats: CheckStats::default(),
         path: Vec::new(),
     };
-    search.visited.insert(search.key(&root, &[]));
+    search.visited.insert(key(&root, &state));
     search.stats.states = 1;
-    let found = (search.check)(&root, &[], &[]).or_else(|| search.dfs(&root, &[], 0, &[]));
+    let found = (search.check)(&root, &[], &state).or_else(|| search.dfs(&root, &state, 0, &[]));
     let Some(diag) = found else {
         return CheckOutcome::Clean(search.stats);
     };
     // Minimize breadth-first when configured; fall back to the DFS
     // path if the BFS re-run hits its bounds first.
-    let shortest = cfg.minimize.then(|| search.bfs_shortest(root, diag.code));
+    let shortest = cfg
+        .minimize
+        .then(|| search.bfs_shortest(root, state, diag.code));
     let path = shortest.flatten().unwrap_or(search.path);
     CheckOutcome::Violation(Box::new(Violation {
         diag,
@@ -192,13 +214,21 @@ where
     }))
 }
 
+/// The visited-set key: the fleet's fingerprint and the path state's.
+fn key<S: PathState>(fleet: &Fleet<'_, '_>, state: &S) -> u64 {
+    let mut h = DefaultHasher::new();
+    fleet.fingerprint().hash(&mut h);
+    state.fingerprint_into(&mut h);
+    h.finish()
+}
+
 /// One run of the search: its inputs, and the visited set, counters
 /// and current path it builds.
-struct Search<'s, C> {
+struct Search<'s, S, C> {
     spec: &'s FleetSpec,
     cfg: &'s CheckConfig,
     check: C,
-    log_in_state: bool,
+    state: PhantomData<S>,
     visited: HashSet<u64>,
     stats: CheckStats,
     path: Vec<Action>,
@@ -227,43 +257,15 @@ fn independent(a: Action, b: Action) -> bool {
     }
 }
 
-impl<C> Search<'_, C>
+impl<S, C> Search<'_, S, C>
 where
-    C: Fn(&Fleet<'_, '_>, &[Effect], &[TraceEvent]) -> Option<Diagnostic>,
+    S: PathState,
+    C: Fn(&Fleet<'_, '_>, &[Effect], &S) -> Option<Diagnostic>,
 {
-    /// The visited-set key: the fleet's fingerprint, with every log
-    /// line hashed in when the log is part of the state.
-    fn key(&self, fleet: &Fleet<'_, '_>, log: &[TraceEvent]) -> u64 {
-        if !self.log_in_state {
-            return fleet.fingerprint();
-        }
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        fleet.fingerprint().hash(&mut h);
-        for e in log {
-            e.to_json_line().hash(&mut h);
-        }
-        h.finish()
-    }
-
-    /// The log after a transition: `log` plus the trace events among
-    /// its effects `fx`, or nothing when the log is not part of the
-    /// state.
-    fn extend(&self, log: &[TraceEvent], fx: &[Effect]) -> Vec<TraceEvent> {
-        if !self.log_in_state {
-            return Vec::new();
-        }
-        let mut out = log.to_vec();
-        out.extend(fx.iter().filter_map(|e| match e {
-            Effect::Trace(ev) => Some(*ev),
-            _ => None,
-        }));
-        out
-    }
-
     fn dfs(
         &mut self,
         fleet: &Fleet<'_, '_>,
-        log: &[TraceEvent],
+        state: &S,
         depth: usize,
         sleep: &[Action],
     ) -> Option<Diagnostic> {
@@ -285,13 +287,13 @@ where
             }
             let mut child = fleet.clone();
             let fx = child.apply(self.spec, a);
-            let child_log = self.extend(log, &fx);
+            let child_state = state.after(&fx);
             self.stats.transitions += 1;
             self.path.push(a);
-            if let Some(d) = (self.check)(&child, &fx, &child_log) {
+            if let Some(d) = (self.check)(&child, &fx, &child_state) {
                 return Some(d);
             }
-            if !self.visited.insert(self.key(&child, &child_log)) {
+            if !self.visited.insert(key(&child, &child_state)) {
                 self.stats.visited_pruned += 1;
                 self.path.pop();
                 explored.push(a);
@@ -301,16 +303,13 @@ where
             if child.terminal() {
                 self.stats.complete_runs += 1;
             }
-            // Sleep sets rest on both orders of an independent pair
-            // landing on one state; with the log in the state that
-            // argument has not been made, so they stay off there.
             let child_sleep: Vec<Action> = sleep
                 .iter()
                 .chain(explored.iter())
                 .copied()
-                .filter(|&b| !self.log_in_state && independent(b, a))
+                .filter(|&b| S::SLEEP_SETS && independent(b, a))
                 .collect();
-            if let Some(d) = self.dfs(&child, &child_log, depth + 1, &child_sleep) {
+            if let Some(d) = self.dfs(&child, &child_state, depth + 1, &child_sleep) {
                 return Some(d);
             }
             self.path.pop();
@@ -323,34 +322,34 @@ where
     /// Shares the same action space as the DFS (minus sleep sets,
     /// which only skip redundant orders), so the first hit is a
     /// minimum-length counterexample.
-    fn bfs_shortest(&self, root: Fleet<'_, '_>, code: &str) -> Option<Vec<Action>> {
+    fn bfs_shortest(&self, root: Fleet<'_, '_>, state: S, code: &str) -> Option<Vec<Action>> {
         let mut visited = HashSet::new();
-        visited.insert(self.key(&root, &[]));
+        visited.insert(key(&root, &state));
         let mut queue = VecDeque::new();
-        queue.push_back((root, Vec::<TraceEvent>::new(), Vec::<Action>::new()));
+        queue.push_back((root, state, Vec::<Action>::new()));
         let mut states = 1usize;
-        while let Some((fleet, log, path)) = queue.pop_front() {
+        while let Some((fleet, state, path)) = queue.pop_front() {
             if path.len() >= self.cfg.max_depth {
                 continue;
             }
             for a in fleet.enabled(self.spec) {
                 let mut child = fleet.clone();
                 let fx = child.apply(self.spec, a);
-                let child_log = self.extend(&log, &fx);
+                let child_state = state.after(&fx);
                 let mut step_path = path.clone();
                 step_path.push(a);
-                if let Some(d) = (self.check)(&child, &fx, &child_log) {
+                if let Some(d) = (self.check)(&child, &fx, &child_state) {
                     if d.code == code {
                         return Some(step_path);
                     }
                     continue; // a different violation: don't expand past it
                 }
-                if visited.insert(self.key(&child, &child_log)) {
+                if visited.insert(key(&child, &child_state)) {
                     states += 1;
                     if states >= self.cfg.max_states {
                         return None;
                     }
-                    queue.push_back((child, child_log, step_path));
+                    queue.push_back((child, child_state, step_path));
                 }
             }
         }

@@ -9,8 +9,10 @@
 //! too, and should then say why the counts moved.
 //!
 //! The `check` rows are EXPERIMENTS §MC's table, the steal run, and
-//! the `check` bench's `chain4_faulty`; the crash row is the crash
-//! checker's CI configuration (about 4 s in a debug build).
+//! the `check` bench's `chain4_faulty`. The crash rows are
+//! `check_crash`, which keys its visited set on the restore fold's
+//! state; the log-keyed search it replaced keeps its own counts pinned
+//! beside its oracle, in `ic-check/src/crash.rs`'s unit tests.
 
 use ic_check::{check, check_crash, CheckConfig, CheckOutcome, CheckStats, FleetSpec, WorkerSpec};
 use ic_dag::Dag;
@@ -100,13 +102,15 @@ fn the_faulty_chain_counts_are_pinned() {
 #[test]
 fn the_crash_counts_are_pinned() {
     let got = run(check_crash, &mesh(3), &FleetSpec::of(2), 48);
-    assert_eq!(got, (42_717, 61_060, 18_344, 0, 4_062, 21, true));
+    assert_eq!(got, (320, 572, 253, 0, 11, 21, true));
+    let steal = run(check_crash, &mesh(3), &FleetSpec::of(2).with_steal(), 48);
+    assert_eq!(steal, (378, 690, 313, 0, 6, 24, true));
 }
 
 /// A depth bound truncates a run only where a state at the bound could
 /// go on, and `deepest` counts the events of the paths it checked. The
 /// longest plain interleaving of mesh:3 x 2 is 19 events, the longest
-/// crash-checked one 21.
+/// crash-checked one 21 (under the log key too: `crash.rs`).
 #[test]
 fn a_depth_bound_truncates_only_paths_that_could_go_on() {
     let fleet = FleetSpec::of(2);
@@ -115,5 +119,7 @@ fn a_depth_bound_truncates_only_paths_that_could_go_on() {
     assert_eq!(plain(18), (132, 243, 112, 1, 1, 18, false));
     assert_eq!(plain(3).5, 3, "3-event paths were checked");
     let crash = run(check_crash, &mesh(3), &fleet, 21);
-    assert_eq!(crash, (42_717, 61_060, 18_344, 0, 4_062, 21, true));
+    assert_eq!(crash, (320, 572, 253, 0, 11, 21, true));
+    let crash = run(check_crash, &mesh(3), &fleet, 20);
+    assert_eq!(crash, (318, 568, 251, 0, 9, 20, false));
 }

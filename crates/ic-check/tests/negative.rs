@@ -142,9 +142,9 @@ fn the_stale_gone_bug_is_caught_as_ic0504() {
 /// crash kept epoch 0 instead of being bumped past everything the
 /// pre-crash run issued, so a stale `Gone` (or stale resume) from
 /// before the crash could act on the recovered slot. The crash
-/// checker kills the server at every prefix, rebuilds through
-/// `LeaseMachine::restore_with` with the bug seeded, and catches the
-/// regression as IC0702.
+/// checker kills the server at every prefix, rebuilds through a
+/// `Restorer` built with the bug seeded, and catches the regression as
+/// IC0702.
 #[test]
 fn the_skipped_recovery_epoch_bump_is_caught_as_ic0702() {
     let dag = chain2();

@@ -857,19 +857,22 @@ impl ic_sched::policy::AllocationPolicy for HeaderPolicy {
 
 /// `recover`: dry-run a crash recovery. Everything needed is in the
 /// trace itself — the header carries the dag, policy name, and seed —
-/// so the verb parses the file, rebuilds the machine, and prints the
-/// reconstructed state as JSON without binding a socket or modifying
-/// the file (a torn tail is reported, not truncated).
-pub fn recover_run(path: &str, text: &str) -> Result<CmdOutput, String> {
-    let read =
-        ic_sim::trace::TraceReader::read(text).map_err(|e| format!("{path}: [IC0704] {e}"))?;
-    let header = &read.trace.header;
+/// so the verb reads the header, builds the dag, streams the events
+/// into the rebuild, and prints the reconstructed state as JSON
+/// without binding a socket or modifying the file (a torn tail is
+/// reported, not truncated). The file is read once, a line at a time.
+pub fn recover_run(path: &str) -> Result<CmdOutput, String> {
+    let unreadable = |e: std::io::Error| format!("cannot read {path}: {e}");
+    let file = std::fs::File::open(path).map_err(unreadable)?;
+    let (header, mut lines) = ic_sim::trace::TraceStream::open(std::io::BufReader::new(file))
+        .map_err(unreadable)?
+        .map_err(|e| format!("{path}: [IC0704] {e}"))?;
     let dag = ic_dag::builder::from_arcs(header.nodes, &header.arcs)
         .map_err(|e| format!("{path}: header dag does not build: {e}"))?;
     let policy = HeaderPolicy(header.policy.clone());
     let cfg = ic_net::ServerConfig::builder().seed(header.seed).build();
     let rcfg = ic_net::RecoveryConfig::default();
-    let recovery = ic_net::Recovery::replay_str(&dag, &policy, cfg, rcfg, text)
+    let recovery = ic_net::Recovery::replay_stream(&dag, &policy, cfg, rcfg, &header, &mut lines)
         .map_err(|e| format!("{path}: {e}"))?;
     let report = recovery.report();
 

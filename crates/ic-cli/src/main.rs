@@ -199,7 +199,7 @@ fn recover(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
     if !flags.rest().is_empty() {
         return Err(BARE);
     }
-    Ok(commands::recover_run(path, &read(path)?)?)
+    Ok(commands::recover_run(path)?)
 }
 
 fn merge(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {

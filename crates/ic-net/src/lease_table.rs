@@ -205,6 +205,15 @@ impl LeaseTable {
         }
     }
 
+    /// Stamp every live lease as granted at `granted_us` and expiring
+    /// at `deadline_us` — a restored machine's restart instant.
+    pub(crate) fn rearm(&mut self, granted_us: u64, deadline_us: u64) {
+        for &id in &self.order {
+            let lease = &mut self.slots[id].lease;
+            (lease.granted_us, lease.deadline_us) = (granted_us, deadline_us);
+        }
+    }
+
     /// (primary present, speculative present) for `task`.
     fn kinds(&self, task: NodeId) -> (bool, bool) {
         let mut primary = false;

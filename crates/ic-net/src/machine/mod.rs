@@ -32,7 +32,7 @@
 //!
 //! This file is the live protocol — [`LeaseMachine::step`] and what it
 //! calls. The rest of the `impl` sits in three private submodules:
-//! `restore` ([`LeaseMachine::restore`], [`RestoreError`]), `remote`
+//! `restore` ([`Restorer`], [`LeaseMachine::restore`], [`RestoreError`]), `remote`
 //! (the federation: [`LeaseMachine::set_fed`] and the
 //! [`Event::RemoteDone`] path) and `view` (everything read-only).
 
@@ -57,7 +57,7 @@ mod view;
 
 use remote::Remote;
 pub(crate) use restore::micros;
-pub use restore::RestoreError;
+pub use restore::{RestoreError, Restorer};
 pub use view::LeaseView;
 
 /// One input to the machine. Times are microseconds on the driver's

@@ -4,6 +4,7 @@
 //! machine could not have emitted is a typed [`RestoreError`].
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use ic_dag::{Dag, NodeId};
 use ic_sched::policy::AllocationPolicy;
@@ -85,53 +86,58 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-impl<'a, 'd> LeaseMachine<'a, 'd> {
-    /// Rebuild a machine from the replayed prefix of its own trace —
-    /// the crash-recovery core behind [`crate::recovery`].
-    ///
-    /// The trace is the server's write-ahead log: replaying its
-    /// `alloc`/`complete`/`fail`/`spec`/`revoke` events against a
-    /// fresh machine reconstructs the executed set, the eligible pool,
-    /// the backoff queue, and the lease table exactly as the crashed
-    /// machine held them. Outstanding leases are re-armed to expire at
-    /// `now_us + lease_ms` (reallocation is the fallback for workers
-    /// that never return); every rebuilt slot is marked
-    /// awaiting-recovery with its epoch bumped past anything the
-    /// pre-crash run could have issued (`events + 1` — each epoch bump
-    /// that left evidence emitted at least one event) and its resume
-    /// tokens drawn from a stream keyed by the same bound; the trace
-    /// cursor (`step`, timestamp origin) continues where the prefix
-    /// ends, so appended events extend the same audit-clean run.
-    ///
-    /// The header must match the launch configuration (same dag, same
-    /// policy, same seed) — recovery refuses to graft a trace onto a
-    /// different run. Pool/backoff *membership* is recovered exactly;
-    /// FIFO arrival order within the pool is not observable from the
-    /// trace and may differ, which is the same reordering any crash
-    /// already inflicts on in-flight work.
-    pub fn restore(
-        dag: &'d Dag,
-        policy: &'a dyn AllocationPolicy,
-        cfg: ServerConfig,
-        header: &TraceHeader,
-        events: &[TraceEvent],
-        now_us: u64,
-    ) -> Result<Self, RestoreError> {
-        let bugs = SeededBugs::default();
-        Self::restore_with(dag, policy, cfg, header, events, now_us, bugs)
-    }
+/// The crash-recovery core behind [`LeaseMachine::restore`],
+/// [`crate::recovery`] and `ic-check`'s crash checker: a left fold of
+/// the server's own trace back into a [`LeaseMachine`], one event at a
+/// time.
+///
+/// The trace is the server's write-ahead log: replaying its
+/// `alloc`/`complete`/`fail`/`spec`/`revoke` events against a fresh
+/// machine ([`Restorer::push`]) reconstructs the executed set, the
+/// eligible pool, the backoff queue, and the lease table exactly as
+/// the crashed machine held them. The fold reads no clock; the
+/// restart instant is known only when the log ends, and
+/// [`Restorer::finish`] stamps it: outstanding leases are re-armed to
+/// expire at `now_us + lease_ms` (reallocation is the fallback for
+/// workers that never return); every rebuilt slot is marked
+/// awaiting-recovery with its epoch bumped past anything the
+/// pre-crash run could have issued (`events + 1` — each epoch bump
+/// that left evidence emitted at least one event) and its resume
+/// tokens drawn from a stream keyed by the same bound; the trace
+/// cursor (`step`, timestamp origin) continues where the prefix
+/// ends, so appended events extend the same audit-clean run.
+///
+/// The header must match the launch configuration (same dag, same
+/// policy, same seed) — recovery refuses to graft a trace onto a
+/// different run. Pool/backoff *membership* is recovered exactly;
+/// FIFO arrival order within the pool is not observable from the
+/// trace and may differ, which is the same reordering any crash
+/// already inflicts on in-flight work.
+#[derive(Clone)]
+pub struct Restorer<'a, 'd> {
+    m: LeaseMachine<'a, 'd>,
+    /// Slots the header declares: client → (id, speed).
+    declared: HashMap<usize, (String, f64)>,
+    /// Worker declarations in the header; later slots are late workers.
+    header_workers: usize,
+    /// The client of the previous event, when that was a `resume`.
+    resuming: Option<usize>,
+    /// Events folded so far.
+    events: u64,
+    /// The last event's step and trace time: the cursor to continue.
+    last: Option<(u64, f64)>,
+}
 
-    /// [`LeaseMachine::restore`] with seeded bugs active during the
-    /// rebuild (the `ic-check` negative suite re-introduces the
-    /// skipped epoch bump through this).
-    #[doc(hidden)]
-    pub fn restore_with(
+impl<'a, 'd> Restorer<'a, 'd> {
+    /// Start the fold of a trace with this `header` against the launch
+    /// configuration. `bugs` are active during the rebuild (the
+    /// `ic-check` negative suite re-introduces the skipped epoch bump
+    /// through this); production callers pass the default.
+    pub fn new(
         dag: &'d Dag,
         policy: &'a dyn AllocationPolicy,
         cfg: ServerConfig,
         header: &TraceHeader,
-        events: &[TraceEvent],
-        now_us: u64,
         bugs: SeededBugs,
     ) -> Result<Self, RestoreError> {
         if header.fed.is_some() {
@@ -145,12 +151,12 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
                 dag.num_nodes()
             )));
         }
-        let arcs: Vec<(u32, u32)> = dag.arcs().map(|(u, v)| (u.0, v.0)).collect();
-        if header.arcs != arcs {
+        let arcs = dag.arcs().map(|(u, v)| (u.0, v.0));
+        if !header.arcs.iter().copied().eq(arcs) {
             return Err(mismatch(format!(
                 "trace dag has {} arcs that differ from the launch dag's {}",
                 header.arcs.len(),
-                arcs.len()
+                dag.num_arcs()
             )));
         }
         if header.policy != policy.name() {
@@ -170,139 +176,175 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
         let mut m = LeaseMachine::new(dag, policy, cfg);
         m.bugs = bugs;
         m.header_written = true;
+        let mut fold = Restorer {
+            m,
+            declared: header
+                .workers
+                .iter()
+                .map(|w| (w.client, (w.id.clone(), w.speed)))
+                .collect(),
+            header_workers: header.workers.len(),
+            resuming: None,
+            events: 0,
+            last: None,
+        };
+        for i in 0..fold.declared.len() {
+            fold.ensure_slot(i, 0)?;
+        }
+        Ok(fold)
+    }
 
-        // Slots named by the header carry their declared id and speed;
-        // clients that only appear in events (late workers) get
-        // synthesized ids — their real ids never reached the trace, so
-        // they cannot id-match a resume and fall back to lease expiry.
-        let declared: HashMap<usize, (String, f64)> = header
-            .workers
-            .iter()
-            .map(|w| (w.client, (w.id.clone(), w.speed)))
-            .collect();
-        fn ensure_slot(
-            workers: &mut Vec<WorkerSlot>,
-            declared: &HashMap<usize, (String, f64)>,
-            client: usize,
-            step: u64,
-        ) -> Result<(), RestoreError> {
-            if client >= FED_CLIENT {
-                return Err(RestoreError::Federated);
-            }
-            if client > 1 << 20 {
-                return Err(RestoreError::Corrupt {
-                    step,
-                    reason: format!("implausible client index {client}"),
-                });
-            }
-            while workers.len() <= client {
-                let i = workers.len();
-                let (id, speed) = declared
-                    .get(&i)
-                    .cloned()
-                    .unwrap_or_else(|| (format!("recovered-{i}"), 1.0));
-                workers.push(WorkerSlot {
-                    id,
-                    speed,
-                    waiting: false,
-                    token: None,
-                    epoch: 0,
-                    connected: false,
-                    awaiting_recovery: true,
-                });
-            }
-            Ok(())
+    /// Create every slot up to `client`. Slots named by the header
+    /// carry their declared id and speed; clients that only appear in
+    /// events (late workers) get synthesized ids — their real ids never
+    /// reached the trace, so they cannot id-match a resume and fall
+    /// back to lease expiry.
+    fn ensure_slot(&mut self, client: usize, step: u64) -> Result<(), RestoreError> {
+        if client >= FED_CLIENT {
+            return Err(RestoreError::Federated);
         }
-        for i in 0..declared.len() {
-            ensure_slot(&mut m.workers, &declared, i, 0)?;
+        if client > 1 << 20 {
+            return Err(RestoreError::Corrupt {
+                step,
+                reason: format!("implausible client index {client}"),
+            });
         }
-        let deadline = m.lease_deadline(now_us);
-        // The client of the previous event, when that was a `resume`.
-        let mut resuming = None;
-        for ev in events {
-            let (step, client) = (ev.step, ev.client);
-            let corrupt = |reason: String| RestoreError::Corrupt { step, reason };
-            ensure_slot(&mut m.workers, &declared, client, step)?;
-            m.tally(ev.kind, client);
-            // One handshake writes a `resume` per lease the worker
-            // kept: an unbroken run of them for one client is one.
-            let resumed = (ev.kind == EventKind::Resumed).then_some(client);
-            m.resumes += usize::from(resumed.is_some() && resumed != resuming);
-            resuming = resumed;
-            let Some(v) = ev.task else {
-                m.workers[client].waiting = true;
-                continue;
-            };
-            if v.index() >= dag.num_nodes() {
-                return Err(corrupt(format!("unknown task t{v}")));
-            }
-            // Every outcome closes the lease it names.
-            let close = |leases: &mut LeaseTable, what: &str| {
-                let id = leases
-                    .find(client, v)
-                    .ok_or_else(|| corrupt(format!("{what} of {v} without a lease")))?;
-                leases.remove(id);
-                Ok::<(), RestoreError>(())
-            };
-            match ev.kind {
-                EventKind::Allocated | EventKind::Speculated => {
-                    let speculative = ev.kind == EventKind::Speculated;
-                    if !speculative {
-                        // A re-allocation of a backed-off task implies
-                        // its backoff elapsed before the crash.
-                        if let Some(pos) = m.deferred.iter().position(|&(_, d)| d == v) {
-                            m.deferred.swap_remove(pos);
-                            let unclaimed = m.state.unclaim(v).is_ok();
-                            debug_assert!(unclaimed, "deferred tasks are claimed");
-                        }
-                        m.state.claim(v).map_err(|_| {
-                            corrupt(format!("allocated task {v} was not in the pool"))
-                        })?;
-                        m.allocation_steps += 1;
+        let workers = &mut self.m.workers;
+        while workers.len() <= client {
+            let i = workers.len();
+            let (id, speed) = self
+                .declared
+                .get(&i)
+                .cloned()
+                .unwrap_or_else(|| (format!("recovered-{i}"), 1.0));
+            workers.push(WorkerSlot {
+                id,
+                speed,
+                waiting: false,
+                token: None,
+                epoch: 0,
+                connected: false,
+                awaiting_recovery: true,
+            });
+        }
+        Ok(())
+    }
+
+    /// Fold one event into the machine. An event the live machine
+    /// could not have emitted at this point is a [`RestoreError`].
+    pub fn push(&mut self, ev: &TraceEvent) -> Result<(), RestoreError> {
+        let (step, client) = (ev.step, ev.client);
+        let corrupt = |reason: String| RestoreError::Corrupt { step, reason };
+        self.ensure_slot(client, step)?;
+        self.events += 1;
+        self.last = Some((step, ev.time));
+        let m = &mut self.m;
+        m.tally(ev.kind, client);
+        // One handshake writes a `resume` per lease the worker kept:
+        // an unbroken run of them for one client is one.
+        let resumed = (ev.kind == EventKind::Resumed).then_some(client);
+        m.resumes += usize::from(resumed.is_some() && resumed != self.resuming);
+        self.resuming = resumed;
+        let Some(v) = ev.task else {
+            m.workers[client].waiting = true;
+            return Ok(());
+        };
+        if v.index() >= m.dag.num_nodes() {
+            return Err(corrupt(format!("unknown task t{v}")));
+        }
+        // Every outcome closes the lease it names.
+        let close = |leases: &mut LeaseTable, what: &str| {
+            let id = leases
+                .find(client, v)
+                .ok_or_else(|| corrupt(format!("{what} of {v} without a lease")))?;
+            leases.remove(id);
+            Ok::<(), RestoreError>(())
+        };
+        match ev.kind {
+            EventKind::Allocated | EventKind::Speculated => {
+                let speculative = ev.kind == EventKind::Speculated;
+                if speculative {
+                    // `try_steal` duplicates another worker's primary
+                    // lease, and only while the task has no duplicate.
+                    let primary = m.leases.has_holder(v) && m.leases.find(client, v).is_none();
+                    if !primary || m.leases.has_speculative(v) {
+                        return Err(corrupt(format!(
+                            "speculative lease on {v} beside no other worker's \
+                             primary lease, or beside a duplicate"
+                        )));
                     }
-                    m.leases.insert(Lease {
-                        worker: client,
-                        task: v,
-                        deadline_us: deadline,
-                        granted_us: now_us,
-                        speculative,
-                    });
-                    m.workers[client].waiting = false;
-                }
-                EventKind::Completed => {
-                    if m.state.is_executed(v) {
-                        return Err(RestoreError::DuplicateCompletion { task: v, step });
+                } else {
+                    // A re-allocation of a backed-off task implies
+                    // its backoff elapsed before the crash.
+                    if let Some(pos) = m.deferred.iter().position(|&(_, d)| d == v) {
+                        m.deferred.swap_remove(pos);
+                        let unclaimed = m.state.unclaim(v).is_ok();
+                        debug_assert!(unclaimed, "deferred tasks are claimed");
                     }
-                    close(&mut m.leases, "completion")?;
                     m.state
-                        .execute_counting(v)
-                        .map_err(|_| corrupt(format!("completed task {v} was not ELIGIBLE")))?;
+                        .claim(v)
+                        .map_err(|_| corrupt(format!("allocated task {v} was not in the pool")))?;
+                    m.allocation_steps += 1;
                 }
-                EventKind::Failed => {
-                    close(&mut m.leases, "failure")?;
-                    m.failures[v.index()] += 1;
-                    if !m.leases.has_holder(v) {
-                        // Ready immediately: the recovered server's
-                        // first request promotes it, which is at least
-                        // as late as the original backoff would allow.
-                        m.deferred.push((now_us, v));
-                    }
-                }
-                EventKind::Revoked => close(&mut m.leases, "revocation")?,
-                // A resume moves no lease; an idle event names no
-                // task and was handled above.
-                EventKind::Resumed | EventKind::Idle => {}
+                // Deadline and grant time are the restart's, which
+                // `finish` stamps.
+                m.leases.insert(Lease {
+                    worker: client,
+                    task: v,
+                    deadline_us: 0,
+                    granted_us: 0,
+                    speculative,
+                });
+                m.workers[client].waiting = false;
             }
+            EventKind::Completed => {
+                if m.state.is_executed(v) {
+                    return Err(RestoreError::DuplicateCompletion { task: v, step });
+                }
+                close(&mut m.leases, "completion")?;
+                m.state
+                    .execute_counting(v)
+                    .map_err(|_| corrupt(format!("completed task {v} was not ELIGIBLE")))?;
+            }
+            EventKind::Failed => {
+                close(&mut m.leases, "failure")?;
+                m.failures[v.index()] += 1;
+                if !m.leases.has_holder(v) {
+                    // Ready at the restart: the recovered server's
+                    // first request promotes it, which is at least as
+                    // late as the original backoff would allow.
+                    m.deferred.push((0, v));
+                }
+            }
+            EventKind::Revoked => close(&mut m.leases, "revocation")?,
+            // A resume moves no lease; an idle event names no task and
+            // was handled above.
+            EventKind::Resumed | EventKind::Idle => {}
         }
+        Ok(())
+    }
 
+    /// The rebuilt machine, restarted at driver time `now_us`.
+    pub fn finish(self, now_us: u64) -> LeaseMachine<'a, 'd> {
+        let Restorer {
+            mut m,
+            header_workers,
+            events,
+            last,
+            ..
+        } = self;
+        let deadline = m.lease_deadline(now_us);
+        m.leases.rearm(now_us, deadline);
+        for entry in &mut m.deferred {
+            entry.0 = now_us;
+        }
         // Continue the crashed run's trace cursor: appended events get
         // monotone steps, and timestamps that resume where the prefix
         // stopped (`origin` backdated so `now_us` maps to the last
         // recorded time).
-        m.step = events.last().map_or(0, |e| e.step + 1);
-        let elapsed_us = events.last().map_or(0, |e| micros(e.time));
-        m.origin_us = now_us.saturating_sub(elapsed_us);
-        m.late_workers = m.workers.len().saturating_sub(header.workers.len());
+        m.step = last.map_or(0, |(step, _)| step + 1);
+        m.origin_us = now_us.saturating_sub(last.map_or(0, |(_, t)| micros(t)));
+        m.late_workers = m.workers.len().saturating_sub(header_workers);
         // Epochs restart strictly above anything the crashed machine
         // could have issued: every pre-crash epoch bump either emitted
         // a `resume` event or rode a connection that is now dead, and
@@ -311,18 +353,53 @@ impl<'a, 'd> LeaseMachine<'a, 'd> {
         let epoch = if m.bugs.skip_recovery_epoch_bump {
             0
         } else {
-            events.len() as u64 + 1
+            events + 1
         };
         for w in &mut m.workers {
             w.epoch = epoch;
         }
         // Tokens by the same bound, not by `epoch`, which the seeded
         // bug zeroes: the crashed run's token sequence is not replayed.
-        m.rng = token_rng(m.cfg.seed, events.len() as u64 + 1);
+        m.rng = token_rng(m.cfg.seed, events + 1);
         if m.is_complete() {
             m.completed_at_us = Some(now_us);
         }
-        Ok(m)
+        m
+    }
+
+    /// Hash the machine's [`LeaseMachine::fingerprint_into`], the
+    /// report tallies, the pending `resume` run and the event count:
+    /// what [`Restorer::finish`] reads but the trace cursor (DESIGN §4e).
+    pub fn fingerprint_into(&self, h: &mut impl Hasher) {
+        let m = &self.m;
+        m.fingerprint_into(h);
+        (
+            m.completions,
+            m.failure_events,
+            m.allocation_steps,
+            m.steals,
+        )
+            .hash(h);
+        (m.revokes, m.resumes, self.resuming, self.events).hash(h);
+    }
+}
+
+impl<'a, 'd> LeaseMachine<'a, 'd> {
+    /// Rebuild a machine from the replayed prefix of its own trace —
+    /// a [`Restorer`] fed every event, then finished at `now_us`.
+    pub fn restore(
+        dag: &'d Dag,
+        policy: &'a dyn AllocationPolicy,
+        cfg: ServerConfig,
+        header: &TraceHeader,
+        events: &[TraceEvent],
+        now_us: u64,
+    ) -> Result<Self, RestoreError> {
+        let mut fold = Restorer::new(dag, policy, cfg, header, SeededBugs::default())?;
+        for ev in events {
+            fold.push(ev)?;
+        }
+        Ok(fold.finish(now_us))
     }
 
     /// Open the post-restore resume window: until `until_us` (driver
@@ -675,5 +752,44 @@ mod tests {
         let err = LeaseMachine::restore(&bigger, &policy, cfg(), &trace.header, &trace.events, 0)
             .expect_err("node-count disagreement");
         assert_eq!(err.code(), "IC0703");
+    }
+
+    /// The live machine writes `spec` only for a task another worker
+    /// holds a primary lease on, and only while it has no duplicate:
+    /// a `spec` with no primary under it, or a second one beside a
+    /// duplicate, is not the history of a legal run.
+    #[test]
+    fn restore_refuses_a_spec_the_live_machine_cannot_emit() {
+        let g = from_arcs(2, &[]).unwrap();
+        let policy = Policy::Fifo;
+        let cfg = || ServerConfig::builder().seed(3).build();
+        let header = TraceHeader::for_run(&g, 2, 3, policy.name());
+        let ev = |kind, step, client| TraceEvent::on_task(kind, step, 0.0, client, NodeId(0), None);
+        let cases = [
+            vec![ev(EventKind::Speculated, 0, 0)],
+            vec![
+                ev(EventKind::Allocated, 0, 0),
+                ev(EventKind::Speculated, 1, 1),
+                ev(EventKind::Speculated, 2, 1),
+            ],
+            vec![
+                ev(EventKind::Allocated, 0, 0),
+                ev(EventKind::Speculated, 1, 0),
+            ],
+        ];
+        for events in cases {
+            let err = LeaseMachine::restore(&g, &policy, cfg(), &header, &events, 0)
+                .expect_err("an impossible spec");
+            assert!(matches!(err, RestoreError::Corrupt { .. }), "{err}");
+            assert_eq!(err.code(), "IC0704");
+        }
+        // The legal steal still restores: one duplicate beside another
+        // worker's primary lease.
+        let legal = [
+            ev(EventKind::Allocated, 0, 0),
+            ev(EventKind::Speculated, 1, 1),
+        ];
+        let m = LeaseMachine::restore(&g, &policy, cfg(), &header, &legal, 0).unwrap();
+        assert_eq!(m.lease_views().len(), 2);
     }
 }

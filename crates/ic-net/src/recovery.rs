@@ -3,8 +3,9 @@
 //! The streamed JSONL trace is the server's write-ahead log — every
 //! allocation, completion, failure, speculative grant, and revocation
 //! reaches the OS before any peer hears of it ([`ic_sim::trace::FileSink`],
-//! flushed by [`Reactor::run_until_drain`]). [`Recovery`] replays that log to
-//! rebuild the crashed [`LeaseMachine`]: the executed set, the
+//! flushed by [`Reactor::run_until_drain`]). [`Recovery`] streams that log,
+//! a line at a time, through a [`Restorer`] to rebuild the crashed
+//! [`LeaseMachine`]: the executed set, the
 //! eligible pool, the backoff queue, and the lease table come back
 //! exactly; worker epochs restart strictly above anything the crashed
 //! run could have issued; outstanding leases are re-armed to expire
@@ -51,14 +52,14 @@
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io::{self, BufRead, BufReader, Write as _};
 use std::path::Path;
 
 use ic_dag::Dag;
 use ic_sched::policy::AllocationPolicy;
-use ic_sim::trace::{TornTail, TraceParseError, TraceReader};
+use ic_sim::trace::{TornTail, TraceHeader, TraceParseError, TraceStream};
 
-use crate::machine::{micros, LeaseMachine, RestoreError};
+use crate::machine::{micros, LeaseMachine, RestoreError, Restorer, SeededBugs};
 use crate::reactor::{Driver, Reactor};
 use crate::server::ServerConfig;
 
@@ -202,12 +203,12 @@ impl<'a> Recovery<'a> {
         path: impl AsRef<Path>,
     ) -> Result<Recovery<'a>, RecoverError> {
         let path = path.as_ref();
-        let text = fs::read_to_string(path)?;
-        let recovery = Recovery::replay_str(dag, policy, cfg, rcfg, &text)?;
+        let (header, mut lines) = TraceStream::open(BufReader::new(fs::File::open(path)?))??;
+        let recovery = Recovery::replay_stream(dag, policy, cfg, rcfg, &header, &mut lines)?;
         if recovery.report.torn_tail.is_some() {
             let file = fs::OpenOptions::new().write(true).open(path)?;
             file.set_len(recovery.report.valid_bytes)?;
-        } else if !text.ends_with('\n') {
+        } else if !lines.newline {
             // Torn just before the newline: appends start a fresh line.
             fs::OpenOptions::new()
                 .append(true)
@@ -226,27 +227,52 @@ impl<'a> Recovery<'a> {
         rcfg: RecoveryConfig,
         text: &str,
     ) -> Result<Recovery<'a>, RecoverError> {
-        let read = TraceReader::read(text)?;
-        let trace = read.trace;
+        let (header, mut lines) = TraceStream::open(text.as_bytes())??;
+        Recovery::replay_stream(dag, policy, cfg, rcfg, &header, &mut lines)
+    }
+
+    /// The rebuild behind [`Recovery::replay`] and
+    /// [`Recovery::replay_str`]: fold the events that follow `header`
+    /// in `lines` into a [`Restorer`] as they are read, holding no
+    /// more than one line and the machine. No filesystem side effects.
+    /// A caller that needs the header first (`ic-prio recover` builds
+    /// its dag from it) opens the stream itself.
+    pub fn replay_stream<R: BufRead>(
+        dag: &'a Dag,
+        policy: &'a dyn AllocationPolicy,
+        cfg: ServerConfig,
+        rcfg: RecoveryConfig,
+        header: &TraceHeader,
+        lines: &mut TraceStream<R>,
+    ) -> Result<Recovery<'a>, RecoverError> {
+        let mut fold = Restorer::new(dag, policy, cfg, header, SeededBugs::default())?;
+        // Read a bounded batch, then fold it: parsing and folding each
+        // run hot, rather than alternating event by event.
+        let (mut batch, mut events_replayed, mut resumed_at_us) = (Vec::with_capacity(1024), 0, 0);
+        loop {
+            batch.clear();
+            while batch.len() < batch.capacity() {
+                let Some(ev) = lines.next_event()?? else {
+                    break;
+                };
+                batch.push(ev);
+            }
+            let Some(last) = batch.last() else { break };
+            resumed_at_us = micros(last.time);
+            events_replayed += batch.len();
+            batch.iter().try_for_each(|ev| fold.push(ev))?;
+        }
         // Restore "at" the crashed run's last recorded instant, so the
         // machine's clock origin lands at zero and a reactor driven by
         // an offset clock continues the trace's timestamps seamlessly.
-        let resumed_at_us = trace.events.last().map_or(0, |e| micros(e.time));
-        let machine = LeaseMachine::restore(
-            dag,
-            policy,
-            cfg,
-            &trace.header,
-            &trace.events,
-            resumed_at_us,
-        )?;
+        let machine = fold.finish(resumed_at_us);
         let report = RecoverReport {
-            events_replayed: trace.events.len(),
+            events_replayed,
             completions: machine.exec().num_executed(),
             tasks_rearmed: machine.lease_views().len(),
             workers_awaited: machine.awaiting_resume(),
-            torn_tail: read.torn,
-            valid_bytes: read.valid_bytes,
+            torn_tail: lines.torn.clone(),
+            valid_bytes: lines.valid_bytes,
         };
         Ok(Recovery {
             machine,

@@ -65,8 +65,15 @@ echo "==> ic-prio check (model-check the lease protocol)"
 # The crash/restart transition: kill the server at every reachable
 # state, rebuild from the trace prefix, and demand the rebuilt machine
 # agree with the live one (IC07xx) and pass the IC05xx scan itself.
-./target/release/ic-prio check --family mesh:3 --workers 2 --depth 48 --crash --json \
-    | grep -q '"clean": true'
+# Keyed on the restore fold, the crash search is exhaustive at three
+# workers over a 10-node mesh (~0.2 s), and with the steal path at
+# mesh:3 x 2; both must say so.
+crash_out="$(./target/release/ic-prio check --family mesh:4 --workers 3 --depth 48 --crash --json)"
+grep -q '"clean": true' <<< "$crash_out"
+grep -q '"exhaustive": true' <<< "$crash_out"
+crash_out="$(./target/release/ic-prio check --family mesh:3 --workers 2 --depth 48 --crash --steal --json)"
+grep -q '"clean": true' <<< "$crash_out"
+grep -q '"exhaustive": true' <<< "$crash_out"
 
 echo "==> every ic-bench [[bench]] target has a bench smoke line"
 # A bench target earns its place by writing rows that bench-check gates,
