@@ -4,19 +4,52 @@
 //! frozen clock produces byte-identical traces, with lease expiry
 //! driven through the timer queue by explicit clock advances rather
 //! than wall time. This is the property that lets `ic-bench` and the
-//! model checker share the production reactor code path.
+//! model checker share the production reactor code path. Client and
+//! reactor run in lockstep on the test's one thread: a frame goes in,
+//! one poll round answers it.
 
 use std::time::Duration;
 
-use ic_net::{loopback, Driver, LoopbackConn, ManualClock, Message, Reactor, ServerConfig};
+use ic_net::{
+    loopback, Driver, LoopbackConn, ManualClock, Message, Reactor, Round, ServeReport, ServerConfig,
+};
 use ic_sim::{EventKind, MemorySink};
 
-/// Receive with a generous real-time bound (the *content* is
-/// deterministic; only scheduling latency is not).
-fn recv(conn: &mut LoopbackConn) -> Message {
-    conn.recv_timeout(Duration::from_secs(10))
-        .expect("loopback receive")
-        .expect("reactor replied within the bound")
+/// A reactor driven from the test's thread, and its trace.
+struct Lockstep<'a> {
+    reactor: Reactor<'a>,
+    sink: MemorySink,
+    /// The report of the round that drained, once one has.
+    report: Option<ServeReport>,
+}
+
+impl<'a> Lockstep<'a> {
+    /// Drive `reactor`, after the round that boots it.
+    fn new(reactor: Reactor<'a>) -> Lockstep<'a> {
+        let (sink, report) = (MemorySink::new(), None);
+        let mut world = Lockstep {
+            reactor,
+            sink,
+            report,
+        };
+        world.round();
+        world
+    }
+
+    /// One poll round that waits for nothing.
+    fn round(&mut self) {
+        let round = self.reactor.poll_round(Duration::ZERO, &mut self.sink);
+        if let Round::Drained(report) = round.expect("poll round") {
+            self.report = Some(report);
+        }
+    }
+
+    /// Send `msg`, run the round that answers it, and take the answer.
+    fn call(&mut self, conn: &mut LoopbackConn, msg: Message) -> Message {
+        conn.send(&msg).unwrap();
+        self.round();
+        conn.try_recv().unwrap().expect("the round answered")
+    }
 }
 
 /// One scripted run: a single worker completes a 3-task independent
@@ -36,52 +69,39 @@ fn scripted_run(seed: u64) -> (String, ic_net::ServeReport) {
     let clock = ManualClock::new(1_000_000);
     let (poller, handle) = loopback(4);
     let driver = Driver::new(Box::new(clock.clone()), Box::new(poller));
-    let mut reactor = Reactor::new(&dag, &policy, cfg, driver);
+    let mut world = Lockstep::new(Reactor::new(&dag, &policy, cfg, driver));
 
-    let mut sink = MemorySink::new();
-    let report = std::thread::scope(|s| {
-        let clock = &clock;
-        s.spawn(move || {
-            let mut conn = handle.connect();
-            conn.send(&Message::hello("deterministic", 1.0)).unwrap();
-            let Message::Welcome { .. } = recv(&mut conn) else {
-                panic!("expected welcome");
-            };
-            conn.send(&Message::request()).unwrap();
-            let Message::Assign { tasks } = recv(&mut conn) else {
-                panic!("expected the first assignment");
-            };
-            let abandoned = tasks[0];
-            // Abandon the lease: advance the frozen clock past the
-            // deadline and let the reactor's next poll round fire the
-            // timer. (If our next request races ahead of the timer,
-            // the machine forfeits the lease instead — both paths
-            // stamp the same `Failed` event at the same manual time,
-            // so the trace is identical either way.)
-            clock.advance(150_000);
-            std::thread::sleep(Duration::from_millis(40));
-            loop {
-                conn.send(&Message::request()).unwrap();
-                match recv(&mut conn) {
-                    Message::Assign { tasks } => {
-                        for t in tasks {
-                            conn.send(&Message::Done { task: t, ok: true }).unwrap();
-                            let Message::Ack { accepted: true, .. } = recv(&mut conn) else {
-                                panic!("fresh completion must be accepted");
-                            };
-                        }
-                    }
-                    Message::Wait { .. } => std::thread::sleep(Duration::from_millis(1)),
-                    Message::Drain => break,
-                    other => panic!("unexpected reply {other:?}"),
+    let mut conn = handle.connect();
+    let Message::Welcome { .. } = world.call(&mut conn, Message::hello("deterministic", 1.0))
+    else {
+        panic!("expected welcome");
+    };
+    let Message::Assign { .. } = world.call(&mut conn, Message::request()) else {
+        panic!("expected the first assignment");
+    };
+    // Abandon the lease: advance the frozen clock past the deadline
+    // and let the reactor's next poll round fire the timer.
+    clock.advance(150_000);
+    world.round();
+    loop {
+        match world.call(&mut conn, Message::request()) {
+            Message::Assign { tasks } => {
+                for t in tasks {
+                    let Message::Ack { accepted: true, .. } =
+                        world.call(&mut conn, Message::Done { task: t, ok: true })
+                    else {
+                        panic!("fresh completion must be accepted");
+                    };
                 }
             }
-            let _ = abandoned;
-        });
-        reactor.run_until_drain(&mut sink).unwrap()
-    });
+            Message::Wait { .. } => {}
+            Message::Drain => break,
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
 
-    let trace = sink.into_trace().expect("header recorded");
+    let report = world.report.expect("the drain ended the run");
+    let trace = world.sink.into_trace().expect("header recorded");
     (trace.to_jsonl(), report)
 }
 
@@ -136,53 +156,40 @@ fn a_connection_superseded_by_a_resume_no_longer_drives_its_slot() {
         .build();
     let (poller, handle) = loopback(1);
     let driver = Driver::new(Box::new(ManualClock::new(0)), Box::new(poller));
-    let mut reactor = Reactor::new(&dag, &policy, cfg, driver);
+    let mut world = Lockstep::new(Reactor::new(&dag, &policy, cfg, driver));
 
-    let mut sink = MemorySink::new();
-    let (a_reply, a_after, b_ack) = std::thread::scope(|s| {
-        let client = s.spawn(move || {
-            let call = |conn: &mut LoopbackConn, msg: Message| {
-                conn.send(&msg).unwrap();
-                recv(conn)
-            };
-            let mut a = handle.connect();
-            let Message::Welcome { resume, .. } = call(&mut a, Message::hello("w", 1.0)) else {
-                panic!("expected welcome");
-            };
-            assert_eq!(call(&mut a, Message::request()), Message::assign(0));
-            let mut b = handle.connect();
-            let hello = Message::Hello {
-                id: "w".into(),
-                speed: 1.0,
-                proto: ic_net::PROTO_CURRENT,
-                resume,
-            };
-            let Message::Welcome { tasks, .. } = call(&mut b, hello) else {
-                panic!("expected the resume to be welcomed");
-            };
-            assert_eq!(tasks, vec![0], "the resumed slot holds the lease");
-            let a_reply = call(&mut a, Message::request());
-            let a_after = a
-                .recv_timeout(Duration::from_secs(10))
-                .map_err(|e| e.kind());
-            let b_ack = call(&mut b, Message::Done { task: 0, ok: true });
-            // Finish the run whichever connection holds the task now.
-            if let Message::Assign { tasks } = &a_reply {
-                call(
-                    &mut a,
-                    Message::Done {
-                        task: tasks[0],
-                        ok: true,
-                    },
-                );
-                call(&mut a, Message::request());
-            }
-            assert_eq!(call(&mut b, Message::request()), Message::Drain);
-            (a_reply, a_after, b_ack)
-        });
-        reactor.run_until_drain(&mut sink).unwrap();
-        client.join().unwrap()
-    });
+    let mut a = handle.connect();
+    let Message::Welcome { resume, .. } = world.call(&mut a, Message::hello("w", 1.0)) else {
+        panic!("expected welcome");
+    };
+    assert_eq!(world.call(&mut a, Message::request()), Message::assign(0));
+    let mut b = handle.connect();
+    let hello = Message::Hello {
+        id: "w".into(),
+        speed: 1.0,
+        proto: ic_net::PROTO_CURRENT,
+        resume,
+    };
+    let Message::Welcome { tasks, .. } = world.call(&mut b, hello) else {
+        panic!("expected the resume to be welcomed");
+    };
+    assert_eq!(tasks, vec![0], "the resumed slot holds the lease");
+    let a_reply = world.call(&mut a, Message::request());
+    let a_after = a.try_recv().map_err(|e| e.kind());
+    let b_ack = world.call(&mut b, Message::Done { task: 0, ok: true });
+    // Finish the run whichever connection holds the task now.
+    if let Message::Assign { tasks } = &a_reply {
+        world.call(
+            &mut a,
+            Message::Done {
+                task: tasks[0],
+                ok: true,
+            },
+        );
+        world.call(&mut a, Message::request());
+    }
+    assert_eq!(world.call(&mut b, Message::request()), Message::Drain);
+    assert!(world.report.is_some(), "the drain ended the run");
 
     assert!(
         matches!(&a_reply, Message::Error { msg, .. } if msg.contains("superseded")),
@@ -200,7 +207,7 @@ fn a_connection_superseded_by_a_resume_no_longer_drives_its_slot() {
             accepted: true
         }
     );
-    let trace = sink.into_trace().expect("header recorded");
+    let trace = world.sink.into_trace().expect("header recorded");
     assert!(
         trace.events.iter().all(|e| e.kind != EventKind::Failed),
         "no lease was forfeited: {:?}",
@@ -223,35 +230,26 @@ fn drain_exits_promptly_under_a_frozen_clock() {
     let clock = ManualClock::new(0);
     let (poller, handle) = loopback(1);
     let driver = Driver::new(Box::new(clock), Box::new(poller));
-    let mut reactor = Reactor::new(&dag, &policy, cfg, driver);
+    let mut world = Lockstep::new(Reactor::new(&dag, &policy, cfg, driver));
 
-    let mut sink = MemorySink::new();
-    let report = std::thread::scope(|s| {
-        s.spawn(move || {
-            let mut conn = handle.connect();
-            conn.send(&Message::hello("prompt", 1.0)).unwrap();
-            let Message::Welcome { .. } = recv(&mut conn) else {
-                panic!("expected welcome");
-            };
-            conn.send(&Message::request()).unwrap();
-            let Message::Assign { tasks } = recv(&mut conn) else {
-                panic!("expected the assignment");
-            };
-            conn.send(&Message::Done {
-                task: tasks[0],
-                ok: true,
-            })
-            .unwrap();
-            let Message::Ack { accepted: true, .. } = recv(&mut conn) else {
-                panic!("completion accepted");
-            };
-            conn.send(&Message::request()).unwrap();
-            let Message::Drain = recv(&mut conn) else {
-                panic!("expected drain");
-            };
-        });
-        reactor.run_until_drain(&mut sink).unwrap()
-    });
+    let mut conn = handle.connect();
+    let Message::Welcome { .. } = world.call(&mut conn, Message::hello("prompt", 1.0)) else {
+        panic!("expected welcome");
+    };
+    let Message::Assign { tasks } = world.call(&mut conn, Message::request()) else {
+        panic!("expected the assignment");
+    };
+    let done = Message::Done {
+        task: tasks[0],
+        ok: true,
+    };
+    let Message::Ack { accepted: true, .. } = world.call(&mut conn, done) else {
+        panic!("completion accepted");
+    };
+    let Message::Drain = world.call(&mut conn, Message::request()) else {
+        panic!("expected drain");
+    };
+    let report = world.report.expect("the drain ended the run");
     assert_eq!(report.completions, 1);
     assert_eq!(report.makespan, 0.0, "no manual time elapsed: {report:?}");
 }

@@ -45,11 +45,12 @@
 //!   interchangeably.
 //! * [`worker`] — the volatile client: the pure [`WorkerMachine`]
 //!   (every decision of a worker run, time passed in as `now_us`) and
-//!   its drivers — [`run_worker`] over TCP, and the `net` bench's
-//!   loopback fleet. Its fault-injection plans (random death, death
-//!   after `k` tasks, silent stalls, random failure reports, severed
-//!   connections that resume) exercise the server's reallocation and
-//!   resumption machinery.
+//!   its drivers — [`run_worker`] over TCP, and loopback fleets in the
+//!   `net` bench and `ic-fed`'s in-process federation. Its
+//!   fault-injection plans (random death, death after `k` tasks,
+//!   silent stalls, random failure reports, severed connections that
+//!   resume) exercise the server's reallocation and resumption
+//!   machinery.
 //!
 //! Every server decision streams through the [`ic_sim::trace`] event
 //! model, so a finished run's JSONL trace replays clean under
@@ -73,7 +74,7 @@ pub use machine::{Effect, Event, LeaseMachine, LeaseView, RestoreError, FED_CLIE
 pub use peers::FedConfig;
 pub use reactor::{
     loopback, Clock, ConnId, Deadline, Driver, IoEvent, LoopbackConn, LoopbackHandle,
-    LoopbackPoller, ManualClock, MonotonicClock, Poller, Reactor, ShardedTable, TcpPoller,
+    LoopbackPoller, ManualClock, MonotonicClock, Poller, Reactor, Round, ShardedTable, TcpPoller,
 };
 pub use recovery::{RecoverError, RecoverReport, Recovery, RecoveryConfig};
 pub use server::{ServeReport, ServerConfig, ServerConfigBuilder};

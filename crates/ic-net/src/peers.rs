@@ -17,8 +17,6 @@
 //! that does not say. Every launcher redials at the one [`REDIAL_MS`].
 
 use std::collections::{HashMap, HashSet};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 use crate::reactor::{ConnId, ConnState, Deadline, Io};
 use crate::server::ServeReport;
@@ -119,19 +117,15 @@ impl Peers {
         }
     }
 
-    /// A `Redial` timer fired: dial `peer` unless its link came up
-    /// meanwhile (timers are lazy); on failure — or a poller that
-    /// cannot adopt sockets — try again in [`REDIAL_MS`].
+    /// A `Redial` timer fired: dial `peer` through the poller unless
+    /// its link came up meanwhile (timers are lazy); on failure — or a
+    /// poller that cannot dial — try again in [`REDIAL_MS`].
     pub(crate) fn dial(&mut self, peer: u64, io: &mut Io) {
         if self.links.contains_key(&peer) {
             return;
         }
         let addr = self.cfg.peers.iter().find(|&&(p, _)| p == peer);
-        let stream = addr.and_then(|(_, a)| {
-            let sa = a.to_socket_addrs().ok()?.next()?;
-            TcpStream::connect_timeout(&sa, Duration::from_millis(250)).ok()
-        });
-        match stream.and_then(|s| io.poller.adopt(s).ok()) {
+        match addr.and_then(|(_, a)| io.poller.dial(a).ok()) {
             Some(id) => {
                 io.conns.insert(id, ConnState::default());
                 self.link_up(id, peer, io);

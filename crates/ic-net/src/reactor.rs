@@ -15,7 +15,9 @@
 //! ([`Driver::tcp`] over a bound listener in production), build the
 //! reactor ([`Reactor::new`], or [`crate::Recovery::into_reactor`]
 //! after a crash), and call [`Reactor::run_until_drain`] with the
-//! [`TraceSink`] that receives the write-ahead trace.
+//! [`TraceSink`] that receives the write-ahead trace. A driver that
+//! interleaves several reactors calls its loop body,
+//! [`Reactor::poll_round`], itself.
 //!
 //! # Injectable clock and poller
 //!
@@ -26,10 +28,10 @@
 //!   (std-only nonblocking sockets — the workspace has no `libc`, no
 //!   `unsafe`, and therefore no raw `epoll`; the poller naps between
 //!   scans instead, see below);
-//! * deterministic drivers — the in-process load harness and the
-//!   ic-check-style lockstep tests — use [`ManualClock`] +
-//!   [`LoopbackPoller`], where time only moves when the test says so
-//!   and "sockets" are in-process channels.
+//! * deterministic drivers — the lockstep tests and `ic-fed`'s
+//!   in-process federation — use [`ManualClock`] + [`LoopbackPoller`],
+//!   where time only moves when the driver says so and "sockets" are
+//!   in-process channels.
 //!
 //! Both paths execute the *same* reactor code, so what the
 //! deterministic tests exercise is exactly what production runs.
@@ -61,9 +63,9 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -177,15 +179,14 @@ pub trait Poller {
     /// [`IoEvent::Closed`] is reported for it.
     fn close(&mut self, conn: ConnId);
 
-    /// Take ownership of an outbound `TcpStream` the reactor dialed
-    /// itself (a federation peer link), returning its connection id.
-    /// No [`IoEvent::Open`] is reported — the caller already knows.
-    /// Pollers without real sockets keep the default, which refuses.
-    fn adopt(&mut self, stream: TcpStream) -> io::Result<ConnId> {
-        drop(stream);
+    /// Open an outbound connection to `addr` (a federation peer link
+    /// the reactor dials itself), returning its connection id. No
+    /// [`IoEvent::Open`] is reported — the caller already knows.
+    /// Pollers that cannot dial keep the default, which refuses.
+    fn dial(&mut self, addr: &str) -> io::Result<ConnId> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
-            "this poller cannot adopt outbound TCP streams",
+            format!("this poller cannot dial {addr}"),
         ))
     }
 }
@@ -461,14 +462,33 @@ impl Io {
     }
 }
 
+/// What one [`Reactor::poll_round`] came to.
+#[derive(Debug)]
+pub enum Round {
+    /// Nothing arrived and no timer fired: waiting on input or a wake.
+    Idle,
+    /// The machine booted, something arrived, or a timer fired.
+    Busy,
+    /// The dag is complete and the drain is over: the run's report.
+    Drained(ServeReport),
+}
+
 /// The event-driven IC task server. Construct with [`Reactor::new`],
-/// drive with [`Reactor::run_until_drain`].
+/// drive with [`Reactor::run_until_drain`] or, round by round, with
+/// [`Reactor::poll_round`].
 pub struct Reactor<'a> {
     machine: LeaseMachine<'a, 'a>,
     io: Io,
     /// Peer links to the other shards.
     peers: Peers,
     owed: Owed,
+    /// The first round booted the machine.
+    booted: bool,
+    /// When a round first found the dag complete.
+    done_at: Option<u64>,
+    /// Scratch lists reused across rounds.
+    events: Vec<IoEvent>,
+    fired: Vec<Deadline>,
 }
 
 impl<'a> Reactor<'a> {
@@ -509,6 +529,10 @@ impl<'a> Reactor<'a> {
             io,
             peers: Peers::standalone(),
             owed: Owed::default(),
+            booted: false,
+            done_at: None,
+            events: Vec::new(),
+            fired: Vec::new(),
         };
         for lease in reactor.machine.lease_views() {
             let (worker, task) = (lease.worker, lease.task.index() as u64);
@@ -521,8 +545,8 @@ impl<'a> Reactor<'a> {
     /// this is, stamps its trace header and tells the machine which
     /// nodes are stubs and replicas; `fed` adds what the header does
     /// not record — where the peers listen and which completions to
-    /// forward. Call before [`run_until_drain`](Reactor::run_until_drain),
-    /// whose first round dials the links this shard owns.
+    /// forward. Call before the first [`poll_round`](Reactor::poll_round),
+    /// which dials the links this shard owns.
     pub fn set_fed(&mut self, meta: ic_sim::trace::FedMeta, fed: FedConfig) {
         self.peers = Peers::new(&meta, fed, &mut self.io);
         self.machine.set_fed(meta);
@@ -530,73 +554,103 @@ impl<'a> Reactor<'a> {
 
     /// Serve until the dag completes and the drain grace expires (or
     /// every connection is gone), streaming every decision into
-    /// `sink` (header first, then events in server order).
-    ///
-    /// The poll round is the unit of I/O: while its frames are stepped
-    /// trace lines are buffered and replies queued, then `sink.flush()`
-    /// and only then `poller.flush()`; a sink error ends the run first.
+    /// `sink` (header first, then events in server order): a loop over
+    /// [`poll_round`](Reactor::poll_round) whose timeout the wait rule
+    /// (module docs) sets just after each round's flush.
     pub fn run_until_drain(&mut self, sink: &mut dyn TraceSink) -> io::Result<ServeReport> {
-        let now = self.io.clock.now_us();
-        let fx = self.machine.boot(now);
-        self.perform(fx, now, None, sink);
-
-        let drain_grace_us = self.machine.lease_us().max(250_000);
-        let mut done_at: Option<u64> = None;
-        let mut drained = false;
-        let mut events: Vec<IoEvent> = Vec::new();
-        let mut fired: Vec<Deadline> = Vec::new();
-
+        let mut timeout = self.owed.timeout(self.io.clock.now_us());
         loop {
-            // The one commit point, WAL before wire: a kill inside a
-            // round loses only events no peer heard of (DESIGN §4h).
-            sink.flush()?;
-            self.io.poller.flush();
-            if drained {
-                break;
-            }
-
-            events.clear();
-            let timeout = self.owed.timeout(self.io.clock.now_us());
-            self.io.poller.poll(timeout, &mut events)?;
-            if timeout.is_zero() && events.is_empty() {
+            match self.poll_round(timeout, sink)? {
+                Round::Drained(report) => return Ok(report),
                 // Spinning for an owed frame: let its sender run.
-                std::thread::yield_now();
+                Round::Idle if timeout.is_zero() => std::thread::yield_now(),
+                Round::Idle | Round::Busy => {}
             }
-            for ev in events.drain(..) {
-                match ev {
-                    IoEvent::Open(id) => {
-                        self.io.conns.insert(id, ConnState::default());
-                    }
-                    IoEvent::Data(id, bytes) => self.on_data(id, &bytes, sink),
-                    IoEvent::Closed(id) => self.drop_conn(id, sink),
-                }
-            }
+            timeout = self.owed.timeout(self.io.clock.now_us());
+        }
+    }
 
-            fired.clear();
+    /// One poll round, the unit of I/O: poll (waiting at most
+    /// `timeout`), dispatch what arrived, fire due timers, check the
+    /// drain, then `sink.flush()` and only then `poller.flush()`, so a
+    /// sink error ends the run before any reply of the round is out.
+    /// The first round only boots the machine and commits that.
+    pub fn poll_round(&mut self, timeout: Duration, sink: &mut dyn TraceSink) -> io::Result<Round> {
+        let round = if std::mem::replace(&mut self.booted, true) {
+            self.step_round(timeout, sink)?
+        } else {
             let now = self.io.clock.now_us();
-            self.io.wheel.advance(now, &mut fired);
-            for d in fired.drain(..) {
-                match d {
-                    Deadline::Lease { worker, task } => self.expire(worker, task, now, sink),
-                    Deadline::Leases { worker, tasks } => {
-                        for task in tasks {
-                            self.expire(worker, task, now, sink);
-                        }
-                    }
-                    Deadline::Redial { peer } => self.peers.dial(peer, &mut self.io),
-                }
-            }
+            let fx = self.machine.boot(now);
+            self.perform(fx, now, None, sink);
+            Round::Busy
+        };
+        // The one commit point, WAL before wire: a kill inside a
+        // round loses only events no peer heard of (DESIGN §4h).
+        sink.flush()?;
+        self.io.poller.flush();
+        Ok(round)
+    }
 
-            if self.machine.is_complete() {
-                let now = self.io.clock.now_us();
-                let waited = now.saturating_sub(*done_at.get_or_insert(now));
-                let peers_done = self.peers.drained(waited, &mut self.io);
-                let workers_done = self.machine.connected() == 0 || waited >= drain_grace_us;
-                drained = peers_done && workers_done;
+    /// A round up to its commit: poll, dispatch, due timers, drain check.
+    fn step_round(&mut self, timeout: Duration, sink: &mut dyn TraceSink) -> io::Result<Round> {
+        let mut events = std::mem::take(&mut self.events);
+        self.io.poller.poll(timeout, &mut events)?;
+        let mut busy = !events.is_empty();
+        for ev in events.drain(..) {
+            match ev {
+                IoEvent::Open(id) => {
+                    self.io.conns.insert(id, ConnState::default());
+                }
+                IoEvent::Data(id, bytes) => self.on_data(id, &bytes, sink),
+                IoEvent::Closed(id) => self.drop_conn(id, sink),
             }
         }
-        let report = self.machine.summary(self.io.clock.now_us());
-        Ok(self.peers.tally(report))
+        self.events = events;
+
+        let mut fired = std::mem::take(&mut self.fired);
+        let now = self.io.clock.now_us();
+        self.io.wheel.advance(now, &mut fired);
+        busy |= !fired.is_empty();
+        for d in fired.drain(..) {
+            match d {
+                Deadline::Lease { worker, task } => self.expire(worker, task, now, sink),
+                Deadline::Leases { worker, tasks } => {
+                    for task in tasks {
+                        self.expire(worker, task, now, sink);
+                    }
+                }
+                Deadline::Redial { peer } => self.peers.dial(peer, &mut self.io),
+            }
+        }
+        self.fired = fired;
+
+        if self.machine.is_complete() {
+            let now = self.io.clock.now_us();
+            let waited = now.saturating_sub(*self.done_at.get_or_insert(now));
+            let peers_done = self.peers.drained(waited, &mut self.io);
+            if peers_done && (self.machine.connected() == 0 || waited >= self.drain_grace_us()) {
+                let report = self.machine.summary(now);
+                return Ok(Round::Drained(self.peers.tally(report)));
+            }
+        }
+        Ok(if busy { Round::Busy } else { Round::Idle })
+    }
+
+    /// The earliest clock time at which this reactor has work that no
+    /// input brings: its next timer, or the end of the drain grace once
+    /// the dag is complete. `None`: only input can move it.
+    pub fn next_wake_us(&self) -> Option<u64> {
+        let now = self.io.clock.now_us();
+        let grace = self
+            .done_at
+            .map(|at| at.saturating_add(self.drain_grace_us()));
+        let grace = grace.filter(|&t| t > now);
+        self.io.wheel.next_due().into_iter().chain(grace).min()
+    }
+
+    /// How long a completed dag waits for connected workers.
+    fn drain_grace_us(&self) -> u64 {
+        self.machine.lease_us().max(250_000)
     }
 
     /// Feed arrived bytes to the connection's decoder and dispatch
@@ -942,6 +996,9 @@ impl<T> Link<T> {
 /// Read-buffer size per scan pass.
 const READ_CHUNK: usize = 64 * 1024;
 
+/// How long [`TcpPoller`]'s dial waits for a peer to accept.
+const DIAL_TIMEOUT: Duration = Duration::from_millis(250);
+
 /// The nap ladder's first rung. Shorter buys nothing under 50 µs of
 /// timer slack, where any `thread::sleep` lasts 56 µs or more.
 const NAP_MIN: Duration = Duration::from_micros(50);
@@ -982,6 +1039,18 @@ impl TcpPoller {
             scan: Vec::new(),
             rbuf: vec![0u8; READ_CHUNK],
         })
+    }
+
+    /// Take ownership of a connected stream, returning its connection
+    /// id: [`Poller::dial`]'s second half. No [`IoEvent::Open`] is
+    /// reported — the caller already knows.
+    pub fn adopt(&mut self, stream: TcpStream) -> io::Result<ConnId> {
+        stream.set_nonblocking(true)?;
+        let _ = stream.set_nodelay(true);
+        let id = self.next_id;
+        self.next_id += 1;
+        self.links.open(id, stream);
+        Ok(id)
     }
 
     /// The one socket write loop, shared by `flush` and the scan.
@@ -1094,13 +1163,10 @@ impl Poller for TcpPoller {
         self.links.close(conn);
     }
 
-    fn adopt(&mut self, stream: TcpStream) -> io::Result<ConnId> {
-        stream.set_nonblocking(true)?;
-        let _ = stream.set_nodelay(true);
-        let id = self.next_id;
-        self.next_id += 1;
-        self.links.open(id, stream);
-        Ok(id)
+    fn dial(&mut self, addr: &str) -> io::Result<ConnId> {
+        let none = io::ErrorKind::InvalidInput;
+        let sa = addr.to_socket_addrs()?.next().ok_or(none)?;
+        self.adopt(TcpStream::connect_timeout(&sa, DIAL_TIMEOUT)?)
     }
 }
 
@@ -1108,21 +1174,49 @@ impl Poller for TcpPoller {
 // Loopback poller (deterministic / in-process driver)
 // ---------------------------------------------------------------------
 
-/// Commands a [`LoopbackConn`] sends to its poller.
+/// What travels on a loopback channel: a link opening (with the end
+/// its receiver answers through), a link's bytes, a link's end.
 enum LoopCmd {
-    Connect { id: ConnId, peer: Sender<Vec<u8>> },
+    Connect { id: ConnId, peer: End },
     Data { id: ConnId, bytes: Vec<u8> },
     Close { id: ConnId },
 }
 
+/// One end of a loopback link: the channel of whoever holds the other
+/// end, and the link's id there. Dropping it closes the link.
+struct End {
+    tx: Sender<LoopCmd>,
+    id: ConnId,
+}
+
+impl End {
+    /// Hand `bytes` to the other end; `false` once it is gone.
+    fn send(&self, bytes: Vec<u8>) -> bool {
+        self.tx.send(LoopCmd::Data { id: self.id, bytes }).is_ok()
+    }
+}
+
+impl Drop for End {
+    fn drop(&mut self) {
+        let _ = self.tx.send(LoopCmd::Close { id: self.id });
+    }
+}
+
 /// An in-process [`Poller`] over channels: the deterministic driver
-/// used by the load harness and the lockstep reactor tests. Clients
-/// obtain [`LoopbackConn`]s from the paired [`LoopbackHandle`]; bytes
-/// flow through `mpsc` channels instead of sockets, so a single-client
-/// script observes a fully deterministic event order.
+/// used by the load harness, the lockstep reactor tests and the
+/// in-process federation. Clients obtain [`LoopbackConn`]s from the
+/// paired [`LoopbackHandle`], and [`Poller::dial`] links to another
+/// loopback poller named by [`route`](LoopbackPoller::route); bytes
+/// flow through `mpsc` channels instead of sockets, so a
+/// single-threaded driver observes a fully deterministic event order.
 pub struct LoopbackPoller {
     rx: Receiver<LoopCmd>,
-    links: Links<Sender<Vec<u8>>>,
+    links: Links<End>,
+    /// Its own handle: the id counter, and the channel a dialed poller
+    /// answers through (so `rx` never disconnects).
+    me: LoopbackHandle,
+    /// The pollers [`Poller::dial`] reaches, by address.
+    routes: HashMap<String, LoopbackHandle>,
 }
 
 /// Connection factory for a [`LoopbackPoller`]; clone one per client
@@ -1137,19 +1231,25 @@ pub struct LoopbackHandle {
 /// sizes its link table, as it does [`TcpPoller::new`]'s.
 pub fn loopback(shards: usize) -> (LoopbackPoller, LoopbackHandle) {
     let (tx, rx) = channel();
-    (
-        LoopbackPoller {
-            rx,
-            links: Links::new(shards),
-        },
-        LoopbackHandle {
-            tx,
-            next: Arc::new(AtomicU64::new(0)),
-        },
-    )
+    let me = LoopbackHandle {
+        tx,
+        next: Arc::new(AtomicU64::new(0)),
+    };
+    let poller = LoopbackPoller {
+        rx,
+        links: Links::new(shards),
+        me: me.clone(),
+        routes: HashMap::new(),
+    };
+    (poller, me)
 }
 
 impl LoopbackPoller {
+    /// Let [`Poller::dial`] reach the poller behind `handle` as `addr`.
+    pub fn route(&mut self, addr: impl Into<String>, handle: LoopbackHandle) {
+        self.routes.insert(addr.into(), handle);
+    }
+
     fn apply(&mut self, cmd: LoopCmd, out: &mut Vec<IoEvent>) {
         match cmd {
             LoopCmd::Connect { id, peer } => {
@@ -1161,11 +1261,7 @@ impl LoopbackPoller {
                     out.push(IoEvent::Data(id, bytes));
                 }
             }
-            LoopCmd::Close { id } => {
-                if self.links.table.remove(id).is_some() {
-                    out.push(IoEvent::Closed(id));
-                }
-            }
+            LoopCmd::Close { id } => Links::evict(&mut self.links.table, id, out),
         }
     }
 }
@@ -1173,15 +1269,9 @@ impl LoopbackPoller {
 impl Poller for LoopbackPoller {
     fn poll(&mut self, timeout: Duration, out: &mut Vec<IoEvent>) -> io::Result<()> {
         out.append(&mut self.links.pending);
-        if out.is_empty() {
-            match self.rx.recv_timeout(timeout) {
-                Ok(cmd) => self.apply(cmd, out),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Every handle and client is gone; the reactor's
-                    // completion check will end the run.
-                    std::thread::sleep(timeout.min(Duration::from_millis(1)));
-                }
+        if out.is_empty() && !timeout.is_zero() {
+            if let Ok(cmd) = self.rx.recv_timeout(timeout) {
+                self.apply(cmd, out);
             }
         }
         while let Ok(cmd) = self.rx.try_recv() {
@@ -1195,38 +1285,57 @@ impl Poller for LoopbackPoller {
     }
 
     fn flush(&mut self) {
-        // One message per round; a dropped sender EOFs the client.
-        self.links
-            .flush(|peer, wbuf| peer.send(std::mem::take(wbuf)).is_ok());
+        // One message per round; a far end that is gone refuses it.
+        self.links.flush(|end, wbuf| end.send(std::mem::take(wbuf)));
     }
 
     fn close(&mut self, conn: ConnId) {
         self.links.close(conn);
     }
+
+    fn dial(&mut self, addr: &str) -> io::Result<ConnId> {
+        let refused = io::ErrorKind::ConnectionRefused;
+        let far = self.routes.get(addr).ok_or(refused)?;
+        let (id, far_id) = (self.me.next_id(), far.next_id());
+        let peer = self.me.end(id);
+        let connect = LoopCmd::Connect { id: far_id, peer };
+        far.tx.send(connect).map_err(|_| refused)?;
+        self.links.open(id, far.end(far_id));
+        Ok(id)
+    }
 }
 
 impl LoopbackHandle {
+    fn next_id(&self) -> ConnId {
+        self.next.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// The end of link `id` that writes to this handle's poller.
+    fn end(&self, id: ConnId) -> End {
+        let tx = self.tx.clone();
+        End { tx, id }
+    }
+
     /// Open a new in-process connection to the poller.
     pub fn connect(&self) -> LoopbackConn {
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        let (peer, rx) = channel();
-        let _ = self.tx.send(LoopCmd::Connect { id, peer });
-        LoopbackConn {
+        let id = self.next_id();
+        let (tx, rx) = channel();
+        let _ = self.tx.send(LoopCmd::Connect {
             id,
-            tx: self.tx.clone(),
-            rx,
-            dec: Decoder::new(),
-        }
+            peer: End { tx, id },
+        });
+        let (end, dec) = (self.end(id), Decoder::new());
+        LoopbackConn { end, rx, dec }
     }
 }
 
 /// The client end of one loopback connection: send [`Message`]s to the
 /// reactor, receive its frames through an incremental decoder —
 /// exactly the shape of a TCP worker session, minus the sockets.
+/// Dropping it closes the connection.
 pub struct LoopbackConn {
-    id: ConnId,
-    tx: Sender<LoopCmd>,
-    rx: Receiver<Vec<u8>>,
+    end: End,
+    rx: Receiver<LoopCmd>,
     dec: Decoder,
 }
 
@@ -1235,33 +1344,10 @@ impl LoopbackConn {
     pub fn send(&self, msg: &Message) -> io::Result<()> {
         let mut frame = Vec::new();
         Frame::encode_into(msg, &mut frame);
-        self.tx
-            .send(LoopCmd::Data {
-                id: self.id,
-                bytes: frame,
-            })
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "poller is gone"))
-    }
-
-    /// Receive the next message, waiting up to `timeout`. `Ok(None)`
-    /// means the timeout passed with no complete frame.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<Message>> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(msg) = self.dec.next_msg()? {
-                return Ok(Some(msg));
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Ok(None);
-            }
-            match self.rx.recv_timeout(left) {
-                Ok(bytes) => self.dec.feed(&bytes),
-                Err(RecvTimeoutError::Timeout) => return Ok(None),
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(io::ErrorKind::UnexpectedEof.into());
-                }
-            }
+        if self.end.send(frame) {
+            Ok(())
+        } else {
+            Err(io::Error::new(io::ErrorKind::BrokenPipe, "poller is gone"))
         }
     }
 
@@ -1274,19 +1360,14 @@ impl LoopbackConn {
                 return Ok(Some(msg));
             }
             match self.rx.try_recv() {
-                Ok(bytes) => self.dec.feed(&bytes),
+                Ok(LoopCmd::Data { bytes, .. }) => self.dec.feed(&bytes),
                 Err(TryRecvError::Empty) => return Ok(None),
-                Err(TryRecvError::Disconnected) => {
+                Ok(LoopCmd::Connect { .. } | LoopCmd::Close { .. })
+                | Err(TryRecvError::Disconnected) => {
                     return Err(io::ErrorKind::UnexpectedEof.into());
                 }
             }
         }
-    }
-}
-
-impl Drop for LoopbackConn {
-    fn drop(&mut self) {
-        let _ = self.tx.send(LoopCmd::Close { id: self.id });
     }
 }
 
@@ -1322,42 +1403,43 @@ mod tests {
         let (poller, handle) = loopback(1);
         let driver = Driver::new(Box::new(clock.clone()), Box::new(poller));
         let mut reactor = Reactor::new(&dag, &policy, cfg.build(), driver);
+        let mut sink = MemorySink::new();
+        reactor.poll_round(Duration::ZERO, &mut sink).unwrap(); // boot
 
-        fn call(conn: &mut LoopbackConn, msg: Message) -> Message {
+        // Lockstep: the frame goes in, one round answers it.
+        let mut call = |conn: &mut LoopbackConn, msg: Message| {
             conn.send(&msg).unwrap();
-            conn.recv_timeout(Duration::from_secs(10))
+            reactor.poll_round(Duration::ZERO, &mut sink).unwrap();
+            conn.try_recv()
                 .unwrap()
                 .expect("the reactor answers every frame")
+        };
+        let conn = &mut handle.connect();
+        let welcome = call(conn, Message::hello("w", 1.0));
+        assert!(matches!(welcome, Message::Welcome { .. }));
+        let Message::Assign { tasks } = call(conn, Message::Request { max: TASKS }) else {
+            panic!("the whole dag fits one batch");
+        };
+        let mut idle = steal_after.then(|| handle.connect());
+        if let Some(idle) = &mut idle {
+            let welcome = call(idle, Message::hello("idle", 1.0));
+            assert!(matches!(welcome, Message::Welcome { .. }));
+            let wait = call(idle, Message::request());
+            assert!(matches!(wait, Message::Wait { .. }), "got {wait:?}");
         }
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let conn = &mut handle.connect();
-                let welcome = call(conn, Message::hello("w", 1.0));
-                assert!(matches!(welcome, Message::Welcome { .. }));
-                let Message::Assign { tasks } = call(conn, Message::Request { max: TASKS }) else {
-                    panic!("the whole dag fits one batch");
-                };
-                let mut idle = steal_after.then(|| handle.connect());
-                if let Some(idle) = &mut idle {
-                    let welcome = call(idle, Message::hello("idle", 1.0));
-                    assert!(matches!(welcome, Message::Welcome { .. }));
-                    let wait = call(idle, Message::request());
-                    assert!(matches!(wait, Message::Wait { .. }), "got {wait:?}");
-                }
-                clock.advance(LEASE_US / 2);
-                let beat = heartbeat.then_some(Message::Heartbeat { task: 0 });
-                let dones = tasks.iter().map(|&task| Message::Done { task, ok: true });
-                for msg in beat.into_iter().chain(dones) {
-                    let ack = call(conn, msg);
-                    assert!(matches!(ack, Message::Ack { accepted: true, .. }));
-                }
-                clock.advance(3 * LEASE_US / 4);
-                for conn in std::iter::once(conn).chain(&mut idle) {
-                    assert_eq!(call(conn, Message::request()), Message::Drain);
-                }
-            });
-            reactor.run_until_drain(&mut MemorySink::new()).unwrap();
-        });
+        clock.advance(LEASE_US / 2);
+        let beat = heartbeat.then_some(Message::Heartbeat { task: 0 });
+        let dones = tasks.iter().map(|&task| Message::Done { task, ok: true });
+        for msg in beat.into_iter().chain(dones) {
+            let ack = call(conn, msg);
+            assert!(matches!(ack, Message::Ack { accepted: true, .. }));
+        }
+        clock.advance(3 * LEASE_US / 4);
+        for conn in std::iter::once(conn).chain(&mut idle) {
+            assert_eq!(call(conn, Message::request()), Message::Drain);
+        }
+        let end = reactor.poll_round(Duration::ZERO, &mut sink).unwrap();
+        assert!(matches!(end, Round::Drained(_)), "{end:?}");
         reactor.io.wheel.len()
     }
 

@@ -49,6 +49,11 @@ impl<T> TimerWheel<T> {
         self.queue.is_empty()
     }
 
+    /// The earliest pending deadline, if any (a stale timer's included).
+    pub fn next_due(&self) -> Option<u64> {
+        self.queue.front().map(|&(d, _)| d)
+    }
+
     /// Schedule `item` to fire once time reaches `deadline_us`: never
     /// earlier, so the lease machine observes a real expiry and not an
     /// early one it would ignore (and that nobody would ever re-arm).
@@ -230,7 +235,9 @@ mod tests {
         w.schedule(100, 4); // the redial
         w.schedule(500, 5);
         assert_eq!(drain(&mut w, 99), Vec::<u32>::new());
+        assert_eq!(w.next_due(), Some(100));
         assert_eq!(drain(&mut w, 500), vec![4, 1, 2, 5]);
+        assert_eq!(w.next_due(), Some(900));
         assert_eq!(drain(&mut w, 10), Vec::<u32>::new(), "time never runs back");
         assert_eq!(drain(&mut w, 900), vec![3]);
     }

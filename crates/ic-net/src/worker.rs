@@ -6,7 +6,8 @@
 //! [`WorkerReport`] — and owns no clock, socket or sleep: time arrives
 //! as `now_us`, and each [`WorkerInput`] is answered with one
 //! [`WorkerStep`]. [`run_worker`] drives it over TCP; the `net` bench
-//! drives thousands over loopback connections on a few threads.
+//! drives thousands over loopback connections on a few threads, and
+//! `ic-fed`'s in-process federation drives its fleet on virtual time.
 //!
 //! Compute is a sleep of the jittered mean over the declared speed; up
 //! to [`WorkerConfig::batch`] tasks per `request` are computed in
