@@ -1,13 +1,14 @@
-//! `fed` group: the sharded federation over live localhost TCP.
+//! `fed` group: the sharded federation, every shard and worker in one
+//! loop on one virtual clock (`ic_fed::run_federation`).
 //!
 //! One out-mesh of [`LEVELS`] levels (300 nodes, 1-ms tasks) is
 //! partitioned into row bands and run as a 1-, 2- and 4-shard
 //! federation with two healthy workers per shard. Per shard count `S`
 //! one record goes into the `fed` group, `drain_{S}s`: one iteration
-//! is one whole federation run (bind → every shard drained and
-//! merged-trace-ready) and `states` is the mesh's nodes, so
-//! `bench-check` reports completed tasks per second of wall time. The
-//! peer frames sent and the cut size — frames ÷ cut edges is the
+//! is one whole federation run (shards built → every shard drained and
+//! merged-trace-ready) and `states` is the mesh's nodes. No iteration
+//! waits out a task or a nap: the row is the federation protocol's CPU.
+//! The peer frames sent and the cut size — frames ÷ cut edges is the
 //! notification protocol's per-cut-edge overhead — are counts, not
 //! times: they go to stdout, from the last iteration.
 
@@ -16,8 +17,8 @@ use ic_families::mesh::out_mesh;
 use ic_fed::{plan, run_federation, CutMode, FedOptions, Partition};
 use ic_net::{ServerConfig, WorkerConfig};
 
-/// 300 nodes: large enough that drain time moves with the shard count
-/// (at the 66-node acceptance mesh it is ~47 ms at every count).
+/// 300 nodes: a cut of 34 edges at 2 shards and 100 at 4, enough for
+/// peer traffic to show in the rows.
 const LEVELS: usize = 24;
 
 /// Two healthy workers for one shard of the fleet.

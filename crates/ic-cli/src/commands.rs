@@ -954,10 +954,11 @@ fn fed_plans(
     (part, plans)
 }
 
-/// `fed`: launch a whole federation in this process — one shard server
-/// plus its worker population per shard — then merge the per-shard
-/// traces and audit the merged global trace. The exit code reflects
-/// the audit verdict, so this is also the CI round-trip driver.
+/// `fed`: run a whole federation in this process on one virtual clock
+/// — one shard server plus its worker population per shard — then
+/// merge the per-shard traces and audit the merged global trace. The
+/// exit code reflects the audit verdict, so this is also the CI
+/// round-trip driver.
 /// `--flaky` makes one worker per shard die after 3 tasks;
 /// `--sever-link-after N` severs shard 0's peer links once after N
 /// sends; `--trace-dir` and `--merged` keep the per-shard and merged

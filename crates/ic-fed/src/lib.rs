@@ -19,9 +19,9 @@
 //!    (`peer-hello` / `remote-done` / `peer-drain` — workers keep
 //!    speaking v2 unchanged) over a full peer mesh with dialer-owned
 //!    reconnect and idempotent backlog replay;
-//! 4. [`run_federation`] launches the whole federation in one
-//!    process; `ic_audit`'s merge pass interleaves the per-shard
-//!    traces back into one audit-clean global trace.
+//! 4. [`run_federation`] runs the whole federation in one process on
+//!    one virtual clock; `ic_audit`'s merge pass interleaves the
+//!    per-shard traces back into one audit-clean global trace.
 //!
 //! [`CutMode::Replicate`] (`--replicate-cut`) additionally duplicates
 //! boundary tasks onto their consumer shards — first completion wins,

@@ -1,10 +1,11 @@
-//! End-to-end federation runs over live localhost TCP.
+//! End-to-end federation runs, every shard and worker on one virtual
+//! clock ([`run_federation`]).
 //!
 //! The acceptance-criteria scenario: a ≥66-node out-mesh split across
 //! two shard servers, one flaky worker per shard, the shard link
 //! severed once mid-run — and the federation still drains with every
 //! node completed and the merged trace audit-clean, under both cut
-//! modes.
+//! modes, in the same bytes every run. A dead fleet is an error.
 
 use ic_audit::{audit_trace, merge_traces, Severity};
 use ic_families::mesh::out_mesh;
@@ -75,6 +76,9 @@ fn run_mesh_federation(mode: CutMode, sever: Option<usize>) -> FedRun {
     };
     let workers: Vec<Vec<WorkerConfig>> = (0..plans.len()).map(|s| fed_workers(s, true)).collect();
     let run = run_federation(&plans, &opts, &workers).expect("federation must drain");
+    let again = run_federation(&plans, &opts, &workers).expect("federation must drain");
+    let jsonl = |run: &FedRun| run.traces.iter().map(Trace::to_jsonl).collect::<Vec<_>>();
+    assert_eq!(jsonl(&run), jsonl(&again), "same inputs, same bytes");
 
     // Every shard completed its whole sub-dag (stubs and replicas
     // included), and cross-shard notifications actually flowed.
@@ -131,4 +135,18 @@ fn two_shard_mesh_completes_under_replicate_cut() {
     // Replication means at-least-once completion of boundary tasks.
     let local: usize = run.reports.iter().map(|r| r.completions).sum();
     assert!(local >= 66, "replicated run lost completions: {local}");
+}
+
+/// One shard, one worker, and the worker dies after 3 tasks: nothing
+/// is left that could finish the dag, and nothing is due. The run says
+/// so instead of waiting forever.
+#[test]
+fn a_dead_fleet_is_an_error_not_a_hang() {
+    let mesh = out_mesh(11);
+    let plans = plan(&mesh, &Partition::mesh_bands(&mesh, 1), CutMode::Notify);
+    let mortal = WorkerConfig::builder()
+        .fault(FaultPlan::DieAfter(3))
+        .build();
+    let err = run_federation(&plans, &FedOptions::default(), &[vec![mortal]]).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock, "{err}");
 }

@@ -117,8 +117,9 @@ IC_BENCH_JSON="$PWD/target/verify/BENCH.json" IC_BENCH_APPEND=1 \
 IC_BENCH_JSON="$PWD/target/verify/BENCH.json" IC_BENCH_APPEND=1 \
     timeout 120 cargo bench --offline -p ic-bench --bench net -- 1000w > /dev/null
 # Federation smoke: the 300-node mesh as a 1-, 2- and 4-shard
-# federation over real sockets, recording whole-run wall time (about
-# 4 s for the three rows together).
+# federation, every shard and worker in one loop on one virtual clock,
+# recording the protocol's CPU per whole run (about 1 ms a run; the
+# three rows together take well under a second).
 IC_BENCH_JSON="$PWD/target/verify/BENCH.json" IC_BENCH_APPEND=1 \
     timeout 120 cargo bench --offline -p ic-bench --bench fed > /dev/null
 # Recovery replay and the WAL's flush discipline are not measured
@@ -437,6 +438,17 @@ wait "$shard1_pid"
     --out "$tmpdir/merged.jsonl" --json | grep -q '"ok": true'
 ./target/release/ic-prio audit --schedule "$tmpdir/merged.jsonl" --json \
     | grep -q '"ok": true'
+
+echo "==> ic-prio fed, twice (the in-process federation is deterministic)"
+# The whole federation in one process on one virtual clock: four
+# shards, a worker per shard dying mid-run and shard 0's links severed
+# once. Two runs with the same flags must write the same merged trace,
+# byte for byte. Federation over TCP is the round trip above.
+for run in a b; do
+    timeout 60 ./target/release/ic-prio fed --family mesh:11 --shards 4 --flaky \
+        --sever-link-after 3 --seed 5 --merged "$tmpdir/fed-$run.jsonl" > /dev/null
+done
+cmp "$tmpdir/fed-a.jsonl" "$tmpdir/fed-b.jsonl"
 
 # Keep the audited traces where CI can pick them up as artifacts.
 cp "$tmpdir/serve.jsonl" target/verify/serve-trace.jsonl
