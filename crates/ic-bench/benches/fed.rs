@@ -2,11 +2,12 @@
 //! loop on one virtual clock (`ic_fed::run_federation`).
 //!
 //! One out-mesh of [`LEVELS`] levels (300 nodes, 1-ms tasks) is
-//! partitioned into row bands and run as a 1-, 2- and 4-shard
-//! federation with two healthy workers per shard. Per shard count `S`
-//! one record goes into the `fed` group, `drain_{S}s`: one iteration
-//! is one whole federation run (shards built → every shard drained and
-//! merged-trace-ready) and `states` is the mesh's nodes. No iteration
+//! partitioned into depth bands (runs of whole diagonals) and run as
+//! a 1-, 2- and 4-shard federation with two healthy workers per
+//! shard. Per shard count `S` one record goes into the `fed` group,
+//! `drain_{S}s`: one iteration is one whole federation run (shards
+//! built → every shard drained and merged-trace-ready) and `states` is
+//! the mesh's nodes. No iteration
 //! waits out a task or a nap: the row is the federation protocol's CPU.
 //! The peer frames sent and the cut size — frames ÷ cut edges is the
 //! notification protocol's per-cut-edge overhead — are counts, not
@@ -50,7 +51,7 @@ fn main() {
         sever_link_after: None,
     };
     for shards in [1u64, 2, 4] {
-        let part = Partition::mesh_bands(&mesh, shards);
+        let part = Partition::level_cut(&mesh, shards);
         let cut = part.cut_size();
         assert!(shards == 1 || cut > 0, "a banded mesh must have a cut");
         let plans = plan(&mesh, &part, CutMode::Notify);

@@ -1,11 +1,12 @@
 //! `net` group: the reactor scale harness.
 //!
 //! One [`Reactor`] over the in-process loopback poller serves 1 000 to
-//! 10 000 workers, each the [`WorkerMachine`] `ic-prio work` runs, on
-//! loopback connections multiplexed onto a few driver threads. The
-//! fault mix is the e2e scale smoke's: mostly healthy workers, a slice
-//! failing ~10% of its tasks (`done ok:false` → reallocation), and a
-//! slice severing mid-lease once and resuming with its token.
+//! 10 000 workers, each a [`LoopbackWorker`] (the worker `ic-prio work`
+//! runs, on loopback connections), multiplexed onto a few driver
+//! threads. The fault mix is the e2e scale smoke's: mostly healthy
+//! workers, a slice failing ~10% of its tasks (`done ok:false` →
+//! reallocation), and a slice severing mid-lease once and resuming
+//! with its token.
 //!
 //! Per fleet size `W` of [`FLEETS`] one record goes into the `net`
 //! group, `alloc_rate_{W}w`: one iteration is one whole fleet run —
@@ -20,8 +21,8 @@ use std::time::{Duration, Instant};
 
 use ic_bench::harness::Runner;
 use ic_net::{
-    loopback, Driver, FaultPlan, LoopbackConn, LoopbackHandle, MonotonicClock, Reactor,
-    ServeReport, WorkerConfig, WorkerInput, WorkerMachine, WorkerStep,
+    loopback, Driver, FaultPlan, LoopbackHandle, LoopbackWorker, MonotonicClock, Reactor,
+    ServeReport, WorkerConfig,
 };
 use ic_sim::MemorySink;
 
@@ -40,59 +41,10 @@ fn plan_of(i: usize) -> FaultPlan {
     }
 }
 
-/// One worker of the fleet: its machine, its connection, and when its
-/// sleep ends (`None` while a reply is due).
-struct Slot {
-    machine: WorkerMachine,
-    conn: Option<LoopbackConn>,
-    wake_us: Option<u64>,
-}
-
-impl Slot {
-    /// What to feed the machine now, if anything: a sleep's end, a reply.
-    fn input(&mut self, now_us: u64) -> Option<WorkerInput> {
-        if let Some(t) = self.wake_us {
-            return (t <= now_us).then_some(WorkerInput::Next);
-        }
-        match self.conn.as_mut()?.try_recv() {
-            Ok(reply) => reply.map(WorkerInput::Reply),
-            Err(e) => Some(WorkerInput::Lost(e)),
-        }
-    }
-
-    /// Feed `input` to the machine and carry out the step it answers
-    /// with; `false` once the worker's run is over.
-    fn advance(&mut self, handle: &LoopbackHandle, input: WorkerInput, now_us: u64) -> bool {
-        let frame = match self.machine.step(input, now_us) {
-            WorkerStep::Dial(hello) => {
-                self.conn = Some(handle.connect());
-                hello
-            }
-            WorkerStep::Send(msg) => msg,
-            WorkerStep::SleepUntil(t) => {
-                self.wake_us = Some(t);
-                return true;
-            }
-            WorkerStep::HangUp => {
-                self.conn = None;
-                self.wake_us = Some(now_us);
-                return true;
-            }
-            // This fleet only finishes by `drain`, after which the
-            // reactor closes the connection: no one is left for a `bye`.
-            WorkerStep::Finish(_) | WorkerStep::Fail(_) => return false,
-        };
-        self.wake_us = None;
-        // The loopback channel fails only once the poller is gone.
-        let conn = self.conn.as_ref();
-        conn.is_some_and(|conn| conn.send(&frame).is_ok())
-    }
-}
-
 /// Drive workers `offset, offset+stride, ...` of `total` until drained.
 fn drive(handle: &LoopbackHandle, offset: usize, stride: usize, total: usize) {
     let start = Instant::now();
-    let mut fleet: Vec<Slot> = (offset..total)
+    let mut fleet: Vec<LoopbackWorker> = (offset..total)
         .step_by(stride)
         .map(|i| {
             let cfg = WorkerConfig::builder()
@@ -101,25 +53,17 @@ fn drive(handle: &LoopbackHandle, offset: usize, stride: usize, total: usize) {
                 .fault(plan_of(i))
                 .seed(i as u64 + 1)
                 .build();
-            Slot {
-                machine: WorkerMachine::new(&cfg),
-                conn: None,
-                wake_us: Some(0),
-            }
+            LoopbackWorker::new(&cfg, handle.clone())
         })
         .collect();
     while !fleet.is_empty() {
         let mut progressed = false;
-        // One clock read per pass over the slots, not one per slot.
+        // One clock read per pass over the fleet, not one per worker.
         let now = start.elapsed().as_micros() as u64;
-        fleet.retain_mut(|slot| {
-            while let Some(input) = slot.input(now) {
-                progressed = true;
-                if !slot.advance(handle, input, now) {
-                    return false;
-                }
-            }
-            true
+        fleet.retain_mut(|worker| {
+            let (moved, live) = worker.advance(now);
+            progressed |= moved;
+            live
         });
         if !progressed {
             std::thread::sleep(Duration::from_micros(200));

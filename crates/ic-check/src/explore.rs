@@ -55,9 +55,6 @@ pub struct CheckConfig {
     pub max_depth: usize,
     /// Maximum distinct states to visit before giving up.
     pub max_states: usize,
-    /// Re-run breadth-first after a violation to minimize the
-    /// counterexample (otherwise the DFS path is reported as-is).
-    pub minimize: bool,
 }
 
 impl Default for CheckConfig {
@@ -65,7 +62,6 @@ impl Default for CheckConfig {
         CheckConfig {
             max_depth: 48,
             max_states: 200_000,
-            minimize: true,
         }
     }
 }
@@ -100,7 +96,7 @@ impl CheckStats {
     }
 }
 
-/// A violated invariant with its (minimized) event trace.
+/// A violated invariant with its (shortest found) event trace.
 #[derive(Debug, Clone)]
 pub struct Violation {
     /// The invariant that failed, with a stable `IC05xx` code.
@@ -201,12 +197,10 @@ where
     let Some(diag) = found else {
         return CheckOutcome::Clean(search.stats);
     };
-    // Minimize breadth-first when configured; fall back to the DFS
-    // path if the BFS re-run hits its bounds first.
-    let shortest = cfg
-        .minimize
-        .then(|| search.bfs_shortest(root, state, diag.code));
-    let path = shortest.flatten().unwrap_or(search.path);
+    // Shorten breadth-first; fall back to the DFS path if the BFS
+    // re-run hits its bounds first.
+    let shortest = search.bfs_shortest(root, state, diag.code);
+    let path = shortest.unwrap_or(search.path);
     CheckOutcome::Violation(Box::new(Violation {
         diag,
         trace: path.iter().map(|a| a.to_string()).collect(),

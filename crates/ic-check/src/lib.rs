@@ -26,7 +26,7 @@
 //! State explosion is held down by stamp (visited-set) pruning over a
 //! semantic fingerprint and by sleep sets over provably-commuting
 //! action pairs; see [`explore`] for the argument. Violations are
-//! reported with a stable `IC05xx` code and a breadth-first-minimized
+//! reported with a stable `IC05xx` code and the shortest (breadth-first)
 //! event trace.
 //!
 //! [`check_crash`] runs the same search, with the trace log as part of

@@ -206,7 +206,7 @@ pub fn check(nd: &NamedDag, order_text: &str) -> Result<CmdOutput, String> {
 /// `check --family ...`: model-check the lease protocol by exhaustive
 /// interleaving exploration (see the `ic-check` crate). A violation
 /// surfaces as an error-severity diagnostic with its `IC05xx` code and
-/// the minimized counterexample in the text body, flipping the exit
+/// the shortest counterexample in the text body, flipping the exit
 /// code to `1`. With `crash` the crash/restart transition is checked
 /// instead: the server is killed at every reachable prefix, rebuilt
 /// from its trace, and the rebuilt machine must agree with the live
@@ -237,7 +237,6 @@ pub fn model_check(
     let cfg = ic_check::CheckConfig {
         max_depth: depth,
         max_states,
-        minimize: true,
     };
     let checker = if crash {
         ic_check::check_crash

@@ -6,9 +6,9 @@
 //! splits one computation-dag across a *federation* of shard servers:
 //!
 //! 1. [`Partition`] assigns nodes to shards along family structure
-//!    (mesh row bands, butterfly column halves, whole tree subtrees;
-//!    generic topological-depth bands otherwise), recording the cut
-//!    edges;
+//!    (butterfly column halves, whole tree subtrees; topological-depth
+//!    bands otherwise, which on a mesh are runs of whole diagonals),
+//!    recording the cut edges;
 //! 2. [`plan()`] turns the partition into per-shard [`ShardPlan`]s:
 //!    each shard's sub-dag embeds a *stub* source for every remote
 //!    predecessor, so the unmodified
@@ -36,6 +36,6 @@ pub mod partition;
 pub mod plan;
 pub mod runtime;
 
-pub use partition::{Partition, PartitionError, ShardId};
+pub use partition::{Partition, ShardId};
 pub use plan::{plan, CutMode, ShardPlan};
 pub use runtime::{run_federation, FedOptions, FedRun};

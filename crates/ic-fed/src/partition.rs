@@ -6,15 +6,17 @@
 //! between shard servers. The cutters exploit the paper's family
 //! structure to keep the cut small:
 //!
-//! * [`Partition::mesh_bands`] — contiguous row bands of a triangular
-//!   (out-/in-)mesh, so only the one inter-band diagonal is cut;
+//! * [`Partition::level_cut`] — contiguous topological-depth bands
+//!   balanced by node count. A triangular (out-/in-)mesh's depth
+//!   levels are its diagonals, the steps the paper schedules it by, so
+//!   this is also the mesh cutter: only the arcs out of each band's
+//!   last diagonal are cut. On any other dag it is the generic
+//!   fallback;
 //! * [`Partition::butterfly_halves`] — column-halves of a butterfly
 //!   `B_d`: after the first `log2(shards)` levels the halves are
 //!   independent sub-butterflies, so only those early levels are cut;
 //! * [`Partition::tree_subtrees`] — whole depth-1 subtrees of a tree,
 //!   balanced greedily by subtree size, so only the root arcs are cut;
-//! * [`Partition::level_cut`] — the generic fallback: contiguous
-//!   topological-depth bands balanced by node count;
 //! * [`Partition::auto`] — recognize the family via
 //!   [`ic_families::symbolic::certify`] and pick the matching cutter.
 //!
@@ -25,53 +27,12 @@
 
 use std::collections::VecDeque;
 
+use ic_dag::traversal::levels;
 use ic_dag::{Dag, NodeId};
 use ic_families::symbolic::certify;
 
 /// A shard index (`0..shards`), sized to match the v3 wire frames.
 pub type ShardId = u64;
-
-/// Why an explicit assignment was rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PartitionError {
-    /// The assignment vector's length differs from the dag's node
-    /// count.
-    WrongLength {
-        /// Nodes in the dag.
-        nodes: usize,
-        /// Entries in the assignment.
-        entries: usize,
-    },
-    /// An assignment entry names a shard `>= shards`.
-    ShardOutOfRange {
-        /// The offending node.
-        node: usize,
-        /// Its assigned shard.
-        shard: ShardId,
-        /// The declared shard count.
-        shards: u64,
-    },
-    /// `shards` was zero.
-    NoShards,
-}
-
-impl std::fmt::Display for PartitionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PartitionError::WrongLength { nodes, entries } => {
-                write!(f, "assignment has {entries} entries for a {nodes}-node dag")
-            }
-            PartitionError::ShardOutOfRange {
-                node,
-                shard,
-                shards,
-            } => write!(f, "node {node} assigned to shard {shard} of {shards}"),
-            PartitionError::NoShards => write!(f, "a partition needs at least one shard"),
-        }
-    }
-}
-
-impl std::error::Error for PartitionError {}
 
 /// A total node→shard assignment plus the derived cut-edge list.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,33 +43,7 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// Wrap an explicit assignment after validating it, deriving the
-    /// cut edges.
-    pub fn from_assignment(
-        dag: &Dag,
-        shard_of: Vec<ShardId>,
-        shards: u64,
-    ) -> Result<Partition, PartitionError> {
-        if shards == 0 {
-            return Err(PartitionError::NoShards);
-        }
-        if shard_of.len() != dag.num_nodes() {
-            return Err(PartitionError::WrongLength {
-                nodes: dag.num_nodes(),
-                entries: shard_of.len(),
-            });
-        }
-        if let Some((node, &shard)) = shard_of.iter().enumerate().find(|&(_, &s)| s >= shards) {
-            return Err(PartitionError::ShardOutOfRange {
-                node,
-                shard,
-                shards,
-            });
-        }
-        Ok(Partition::assemble(dag, shard_of, shards))
-    }
-
-    /// Build from an assignment already known to be in range.
+    /// Build from an in-range assignment, deriving the cut edges.
     fn assemble(dag: &Dag, shard_of: Vec<ShardId>, shards: u64) -> Partition {
         let cut_edges = dag
             .arcs()
@@ -141,12 +76,12 @@ impl Partition {
         self.cut_edges.len()
     }
 
-    /// Generic fallback: contiguous topological-depth bands balanced
-    /// by node count. Works for any dag; a band's only remote
-    /// predecessors are in earlier bands.
+    /// Contiguous topological-depth bands balanced by node count.
+    /// Works for any dag; a band's only remote predecessors are in
+    /// earlier bands. On a mesh each band is a run of whole diagonals.
     pub fn level_cut(dag: &Dag, shards: u64) -> Partition {
         let shards = shards.max(1);
-        let depth = depths(dag);
+        let depth = levels(dag);
         let max_depth = depth.iter().copied().max().unwrap_or(0);
         // Node count per depth level, then greedy contiguous banding.
         let mut per_level = vec![0usize; max_depth + 1];
@@ -155,31 +90,6 @@ impl Partition {
         }
         let band_of_level = band_levels(&per_level, shards, dag.num_nodes());
         let shard_of = depth.iter().map(|&d| band_of_level[d]).collect();
-        Partition::assemble(dag, shard_of, shards)
-    }
-
-    /// Mesh cutter: contiguous *row* bands of an L-level triangular
-    /// mesh (row `r` holds nodes `r(r+1)/2 .. (r+1)(r+2)/2` under the
-    /// canonical numbering), so only one inter-band diagonal is cut
-    /// per boundary. Falls back to [`Partition::level_cut`] when the
-    /// node count is not triangular.
-    pub fn mesh_bands(dag: &Dag, shards: u64) -> Partition {
-        let shards = shards.max(1);
-        let n = dag.num_nodes();
-        let Some(levels) = (1..=(1usize << 20)).find(|&l| l * (l + 1) / 2 >= n) else {
-            return Partition::level_cut(dag, shards);
-        };
-        if levels * (levels + 1) / 2 != n {
-            return Partition::level_cut(dag, shards);
-        }
-        let per_row: Vec<usize> = (0..levels).map(|r| r + 1).collect();
-        let band_of_row = band_levels(&per_row, shards, n);
-        let mut shard_of = Vec::with_capacity(n);
-        for (r, &count) in per_row.iter().enumerate() {
-            for _ in 0..count {
-                shard_of.push(band_of_row[r]);
-            }
-        }
         Partition::assemble(dag, shard_of, shards)
     }
 
@@ -292,15 +202,11 @@ impl Partition {
 
     /// Recognize the dag as a canonical family instance (via
     /// [`ic_families::symbolic::certify`]) and pick the family's
-    /// cutter; unrecognized dags get the generic
+    /// cutter: butterflies and trees get their own, meshes (whose
+    /// diagonals are their depth levels) and unrecognized dags get
     /// [`Partition::level_cut`].
     pub fn auto(dag: &Dag, shards: u64) -> Partition {
         match certify(dag) {
-            Some(cert)
-                if cert.family.starts_with("out-mesh") || cert.family.starts_with("in-mesh") =>
-            {
-                Partition::mesh_bands(dag, shards)
-            }
             Some(cert) if cert.family.starts_with("butterfly") => {
                 Partition::butterfly_halves(dag, shards)
             }
@@ -312,27 +218,6 @@ impl Partition {
             _ => Partition::level_cut(dag, shards),
         }
     }
-}
-
-/// Topological depth (longest path from any source) per node.
-fn depths(dag: &Dag) -> Vec<usize> {
-    let n = dag.num_nodes();
-    let mut indeg: Vec<usize> = (0..n).map(|i| dag.in_degree(NodeId::new(i))).collect();
-    let mut depth = vec![0usize; n];
-    let mut q: VecDeque<NodeId> = dag.sources().collect();
-    while let Some(v) = q.pop_front() {
-        for &c in dag.children(v) {
-            let d = depth[v.index()] + 1;
-            if d > depth[c.index()] {
-                depth[c.index()] = d;
-            }
-            indeg[c.index()] -= 1;
-            if indeg[c.index()] == 0 {
-                q.push_back(c);
-            }
-        }
-    }
-    depth
 }
 
 /// Greedy contiguous banding: walk the levels in order, moving to the
@@ -365,7 +250,7 @@ mod tests {
     use super::*;
     use ic_dag::builder::from_arcs;
     use ic_families::butterfly::butterfly;
-    use ic_families::mesh::out_mesh;
+    use ic_families::mesh::{in_mesh, mesh_coords, out_mesh};
     use ic_families::trees::complete_out_tree;
 
     fn reconstructs(dag: &Dag, p: &Partition) {
@@ -382,9 +267,9 @@ mod tests {
     }
 
     #[test]
-    fn mesh_bands_cut_one_diagonal_per_boundary() {
+    fn level_cut_cuts_one_diagonal_per_mesh_boundary() {
         let mesh = out_mesh(11); // 66 nodes, rows 1..=11
-        let p = Partition::mesh_bands(&mesh, 2);
+        let p = Partition::level_cut(&mesh, 2);
         reconstructs(&mesh, &p);
         // A row-band boundary of an out-mesh cuts the two arcs out of
         // each node on the boundary row: at most 2·(row length).
@@ -392,6 +277,28 @@ mod tests {
         // Both shards are populated and roughly balanced.
         let on0 = p.shard_of().iter().filter(|&&s| s == 0).count();
         assert!((20..=46).contains(&on0), "unbalanced: {on0}/66");
+    }
+
+    /// The in-mesh's diagonals are its depth levels too, longest
+    /// first: each band is a run of whole diagonals, and one band
+    /// boundary cuts at most two arcs per node of a diagonal.
+    #[test]
+    fn level_cut_bands_an_in_mesh_by_whole_diagonals() {
+        let mesh = in_mesh(11);
+        let p = Partition::level_cut(&mesh, 2);
+        reconstructs(&mesh, &p);
+        assert!(p.cut_size() <= 2 * 11, "cut {} too large", p.cut_size());
+        // Diagonals numbered from the sources: the longest is step 0.
+        let coords = mesh_coords(11);
+        let step = |v: usize| 10 - (coords[v].0 + coords[v].1);
+        let mut shard_of_step = std::collections::BTreeMap::new();
+        for (v, &s) in p.shard_of().iter().enumerate() {
+            let first = *shard_of_step.entry(step(v)).or_insert(s);
+            assert_eq!(first, s, "diagonal {} is split", step(v));
+        }
+        let bands: Vec<_> = shard_of_step.values().copied().collect();
+        assert!(bands.windows(2).all(|w| w[0] <= w[1]), "bands {bands:?}");
+        assert_eq!(bands.first().zip(bands.last()), Some((&0, &1)));
     }
 
     #[test]
@@ -434,40 +341,16 @@ mod tests {
         let mesh = out_mesh(11);
         assert_eq!(
             Partition::auto(&mesh, 2),
-            Partition::mesh_bands(&mesh, 2),
-            "canonical mesh routes to the band cutter"
+            Partition::level_cut(&mesh, 2),
+            "canonical mesh routes to the depth-band cutter"
         );
+        let mesh = in_mesh(11);
+        assert_eq!(Partition::auto(&mesh, 3), Partition::level_cut(&mesh, 3));
         let t = complete_out_tree(2, 4);
         assert_eq!(Partition::auto(&t, 2), Partition::tree_subtrees(&t, 2));
         let b = butterfly(3);
         assert_eq!(Partition::auto(&b, 2), Partition::butterfly_halves(&b, 2));
         let odd = from_arcs(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]).unwrap();
         assert_eq!(Partition::auto(&odd, 2), Partition::level_cut(&odd, 2));
-    }
-
-    #[test]
-    fn from_assignment_validates() {
-        let dag = from_arcs(3, &[(0, 1), (1, 2)]).unwrap();
-        assert_eq!(
-            Partition::from_assignment(&dag, vec![0, 1], 2),
-            Err(PartitionError::WrongLength {
-                nodes: 3,
-                entries: 2
-            })
-        );
-        assert_eq!(
-            Partition::from_assignment(&dag, vec![0, 2, 1], 2),
-            Err(PartitionError::ShardOutOfRange {
-                node: 1,
-                shard: 2,
-                shards: 2
-            })
-        );
-        assert_eq!(
-            Partition::from_assignment(&dag, vec![0, 0, 0], 0),
-            Err(PartitionError::NoShards)
-        );
-        let p = Partition::from_assignment(&dag, vec![0, 0, 1], 2).unwrap();
-        assert_eq!(p.cut_edges(), &[(NodeId::new(1), NodeId::new(2))]);
     }
 }

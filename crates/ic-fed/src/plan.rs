@@ -265,7 +265,8 @@ mod tests {
     fn chain3() -> (Dag, Partition) {
         // 0 -> 1 -> 2 across three shards.
         let dag = from_arcs(3, &[(0, 1), (1, 2)]).unwrap();
-        let part = Partition::from_assignment(&dag, vec![0, 1, 2], 3).unwrap();
+        let part = Partition::level_cut(&dag, 3);
+        assert_eq!(part.shard_of(), &[0, 1, 2]);
         (dag, part)
     }
 
@@ -325,7 +326,7 @@ mod tests {
     #[test]
     fn union_of_plans_covers_the_global_dag() {
         let mesh = out_mesh(8); // 36 nodes
-        let part = Partition::mesh_bands(&mesh, 3);
+        let part = Partition::level_cut(&mesh, 3);
         for mode in [CutMode::Notify, CutMode::Replicate] {
             let plans = plan(&mesh, &part, mode);
             // Every global node is allocatable on at least one shard;
@@ -374,7 +375,7 @@ mod tests {
     fn global_schedule_projects_onto_every_shard() {
         let mesh = out_mesh(8);
         let sched = out_mesh_schedule(&mesh);
-        let part = Partition::mesh_bands(&mesh, 3);
+        let part = Partition::level_cut(&mesh, 3);
         for p in plan(&mesh, &part, CutMode::Notify) {
             let local = p
                 .schedule_from_global(sched.order())

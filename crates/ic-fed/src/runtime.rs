@@ -4,13 +4,14 @@
 //! (the code `ic-prio serve --shard` runs over TCP) on an in-process
 //! loopback poller, wires the shards into a full peer mesh
 //! ([`ic_net::FedConfig`]) by loopback dialing, and runs each requested
-//! worker as the [`WorkerMachine`] `ic-prio work` runs, on a loopback
-//! connection — all on one [`ManualClock`]. The loop takes a poll round
-//! of every shard and steps every worker until nothing moves, then
-//! jumps the clock to the earliest pending wake (a worker's sleep, a
-//! shard's timer), so a run is a pure function of its inputs: no
-//! socket, no OS scheduler, no real sleep. Each shard's trace (with its
-//! federation header metadata) comes back for `ic-audit`'s merge pass.
+//! worker as a [`LoopbackWorker`] (the worker `ic-prio work` runs, on
+//! loopback connections), all on one [`ManualClock`]. The loop takes a
+//! poll round of every shard and advances every worker until nothing
+//! moves, then jumps the clock to the earliest pending wake (a worker's
+//! sleep, a shard's timer), so a run is a pure function of its inputs:
+//! no socket, no OS scheduler, no real sleep. Each shard's trace (with
+//! its federation header metadata) comes back for `ic-audit`'s merge
+//! pass.
 //! This is both the `ic-prio fed` launcher and the harness the
 //! federation bench and end-to-end tests drive.
 
@@ -18,8 +19,8 @@ use std::io;
 use std::time::Duration;
 
 use ic_net::{
-    loopback, Clock, Driver, LoopbackConn, LoopbackHandle, ManualClock, Reactor, Round,
-    ServeReport, ServerConfig, WorkerConfig, WorkerInput, WorkerMachine, WorkerStep,
+    loopback, Clock, Driver, LoopbackWorker, ManualClock, Reactor, Round, ServeReport,
+    ServerConfig, WorkerConfig,
 };
 use ic_sched::heuristics::Policy;
 use ic_sim::{MemorySink, Trace};
@@ -48,55 +49,6 @@ pub struct FedRun {
     /// Each shard's trace, federation metadata in the header — feed
     /// these to `ic_audit::merge_traces`.
     pub traces: Vec<Trace>,
-}
-
-/// One worker: its machine, its shard's connection factory, its
-/// connection, and when its sleep ends (`None` while a reply is due).
-struct Worker<'h> {
-    machine: WorkerMachine,
-    shard: &'h LoopbackHandle,
-    conn: Option<LoopbackConn>,
-    wake_us: Option<u64>,
-}
-
-impl Worker<'_> {
-    /// What to feed the machine at `now_us`, if anything: a sleep's
-    /// end, a reply, or the loss of its connection.
-    fn input(&mut self, now_us: u64) -> Option<WorkerInput> {
-        if let Some(t) = self.wake_us {
-            return (t <= now_us).then_some(WorkerInput::Next);
-        }
-        match self.conn.as_mut()?.try_recv() {
-            Ok(reply) => reply.map(WorkerInput::Reply),
-            Err(e) => Some(WorkerInput::Lost(e)),
-        }
-    }
-
-    /// Feed `input` to the machine and carry out the step it answers
-    /// with; `false` once the worker's run is over. Its errors are part
-    /// of the model, not the run's, and dropping its connection closes
-    /// it as a `bye` would.
-    fn step(&mut self, input: WorkerInput, now_us: u64) -> bool {
-        self.wake_us = None;
-        let frame = match self.machine.step(input, now_us) {
-            WorkerStep::Dial(hello) => {
-                self.conn = Some(self.shard.connect());
-                hello
-            }
-            WorkerStep::Send(msg) => msg,
-            WorkerStep::SleepUntil(t) => {
-                self.wake_us = Some(t);
-                return true;
-            }
-            WorkerStep::HangUp => {
-                (self.conn, self.wake_us) = (None, Some(now_us));
-                return true;
-            }
-            WorkerStep::Finish(_) | WorkerStep::Fail(_) => return false,
-        };
-        // A loopback send fails only once the shard's poller is gone.
-        self.conn.as_ref().is_some_and(|c| c.send(&frame).is_ok())
-    }
 }
 
 /// Run every shard of `plans` in this process, with `workers[s]`
@@ -142,12 +94,8 @@ pub fn run_federation(
     }
     let mut fleet = Vec::new();
     for (population, shard) in workers.iter().zip(&handles) {
-        fleet.extend(population.iter().map(|cfg| Worker {
-            machine: WorkerMachine::new(cfg),
-            shard,
-            conn: None,
-            wake_us: Some(0),
-        }));
+        let worker = |cfg| LoopbackWorker::new(cfg, shard.clone());
+        fleet.extend(population.iter().map(worker));
     }
 
     // Each shard's report once it drained, after which it is not polled.
@@ -167,20 +115,16 @@ pub fn run_federation(
             }
         }
         fleet.retain_mut(|worker| {
-            while let Some(input) = worker.input(now) {
-                moved = true;
-                if !worker.step(input, now) {
-                    return false;
-                }
-            }
-            true
+            let (stepped, live) = worker.advance(now);
+            moved |= stepped;
+            live
         });
         if moved {
             continue;
         }
         let live = shards.iter().zip(&reports).filter(|(_, r)| r.is_none());
         let reactors = live.filter_map(|((reactor, _), _)| reactor.next_wake_us());
-        let sleepers = fleet.iter().filter_map(|w| w.wake_us);
+        let sleepers = fleet.iter().filter_map(LoopbackWorker::wake_us);
         let Some(wake) = reactors.chain(sleepers).min() else {
             return Err(io::Error::new(
                 io::ErrorKind::WouldBlock,

@@ -61,7 +61,7 @@ fn fed_workers(shard: usize, flaky: bool) -> Vec<WorkerConfig> {
 fn run_mesh_federation(mode: CutMode, sever: Option<usize>) -> FedRun {
     let mesh = out_mesh(11); // 66 nodes
     assert!(mesh.num_nodes() >= 66);
-    let part = Partition::mesh_bands(&mesh, 2);
+    let part = Partition::level_cut(&mesh, 2);
     assert!(part.cut_size() > 0, "a banded mesh must have a cut");
     let plans = plan(&mesh, &part, mode);
 
@@ -143,10 +143,35 @@ fn two_shard_mesh_completes_under_replicate_cut() {
 #[test]
 fn a_dead_fleet_is_an_error_not_a_hang() {
     let mesh = out_mesh(11);
-    let plans = plan(&mesh, &Partition::mesh_bands(&mesh, 1), CutMode::Notify);
+    let plans = plan(&mesh, &Partition::level_cut(&mesh, 1), CutMode::Notify);
     let mortal = WorkerConfig::builder()
         .fault(FaultPlan::DieAfter(3))
         .build();
     let err = run_federation(&plans, &FedOptions::default(), &[vec![mortal]]).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock, "{err}");
+}
+
+/// `ic-prio fed --family mesh:11 --lease-ms 1 --mean-ms 5`: every
+/// compute outlasts the lease many times over, so each worker must
+/// heartbeat inside a millisecond to keep its tasks. The run drains,
+/// every node once, and the merged trace audits clean.
+#[test]
+fn a_1_ms_lease_drains_and_audits_clean() {
+    let mesh = out_mesh(11);
+    let plans = plan(&mesh, &Partition::auto(&mesh, 2), CutMode::Notify);
+    let opts = FedOptions {
+        server: ServerConfig::builder()
+            .lease_ms(1)
+            .backoff_base_ms(5)
+            .wait_ms(5)
+            .build(),
+        sever_link_after: None,
+    };
+    let mut workers: Vec<Vec<WorkerConfig>> =
+        (0..plans.len()).map(|s| fed_workers(s, false)).collect();
+    workers.iter_mut().flatten().for_each(|w| w.mean_ms = 5);
+    let run = run_federation(&plans, &opts, &workers).expect("federation must drain");
+    let local: usize = run.reports.iter().map(|r| r.completions).sum();
+    assert_eq!(local, 66);
+    assert_merged_audit_clean(&run.traces);
 }

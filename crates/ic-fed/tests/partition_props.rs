@@ -25,7 +25,6 @@ type Cutter = fn(&Dag, u64) -> Partition;
 
 const CUTTERS: &[(&str, Cutter)] = &[
     ("level", Partition::level_cut),
-    ("mesh", Partition::mesh_bands),
     ("butterfly", Partition::butterfly_halves),
     ("tree", Partition::tree_subtrees),
     ("auto", Partition::auto),

@@ -43,10 +43,11 @@
 //!   through any [`ic_sched::AllocationPolicy`] — an IC-optimal
 //!   [`ic_sched::Schedule`] and the FIFO/greedy heuristics plug in
 //!   interchangeably.
-//! * [`worker`] — the volatile client: the pure [`WorkerMachine`]
+//! * [`worker`] — the volatile client: one private sans-IO machine
 //!   (every decision of a worker run, time passed in as `now_us`) and
-//!   its drivers — [`run_worker`] over TCP, and loopback fleets in the
-//!   `net` bench and `ic-fed`'s in-process federation. Its
+//!   its two drivers — [`run_worker`] over TCP, and [`LoopbackWorker`]
+//!   on loopback connections, which the `net` bench's fleet and
+//!   `ic-fed`'s in-process federation both run. Its
 //!   fault-injection plans (random death, death after `k` tasks,
 //!   silent stalls, random failure reports, severed connections that
 //!   resume) exercise the server's reallocation and resumption
@@ -84,6 +85,5 @@ pub use wire::{
     PROTO_CURRENT, PROTO_V2, PROTO_V3,
 };
 pub use worker::{
-    run_worker, FaultPlan, WorkerConfig, WorkerConfigBuilder, WorkerInput, WorkerMachine,
-    WorkerReport, WorkerStep,
+    run_worker, FaultPlan, LoopbackWorker, WorkerConfig, WorkerConfigBuilder, WorkerReport,
 };

@@ -1,13 +1,14 @@
 //! The worker client: the volatile remote "client" of the paper.
 //!
-//! A worker is a [`WorkerMachine`] plus a driver. The machine makes
-//! every decision — register, request when idle, compute, heartbeat,
-//! follow the [`FaultPlan`], redial a crashed server, tally the
-//! [`WorkerReport`] — and owns no clock, socket or sleep: time arrives
-//! as `now_us`, and each [`WorkerInput`] is answered with one
-//! [`WorkerStep`]. [`run_worker`] drives it over TCP; the `net` bench
-//! drives thousands over loopback connections on a few threads, and
-//! `ic-fed`'s in-process federation drives its fleet on virtual time.
+//! A worker is a private `WorkerMachine` plus a driver. The machine
+//! makes every decision — register, request when idle, compute,
+//! heartbeat, follow the [`FaultPlan`], redial a crashed server, tally
+//! the [`WorkerReport`] — and owns no clock, socket or sleep: time
+//! arrives as `now_us`, and each `WorkerInput` is answered with one
+//! `WorkerStep`. It has two drivers: [`run_worker`] over TCP, and
+//! [`LoopbackWorker`] on in-process loopback connections, which the
+//! `net` bench runs by the thousand on a few threads and `ic-fed`'s
+//! in-process federation runs on virtual time.
 //!
 //! Compute is a sleep of the jittered mean over the declared speed; up
 //! to [`WorkerConfig::batch`] tasks per `request` are computed in
@@ -23,6 +24,7 @@ use std::time::{Duration, Instant};
 
 use ic_dag::rng::XorShift64;
 
+use crate::reactor::{LoopbackConn, LoopbackHandle};
 use crate::wire::{Conn, Message, ERR_BAD_RESUME, PROTO_CURRENT};
 
 /// How (whether) a worker misbehaves — the `--flaky` fault-injection
@@ -179,7 +181,7 @@ pub struct WorkerReport {
 /// What a driver does next for its [`WorkerMachine`]; the first four
 /// end with an input fed back to [`WorkerMachine::step`].
 #[derive(Debug)]
-pub enum WorkerStep {
+pub(crate) enum WorkerStep {
     /// Open a new connection, send this `hello` on it, and feed back
     /// the reply. An open connection closes once the new one is up.
     Dial(Message),
@@ -198,7 +200,7 @@ pub enum WorkerStep {
 
 /// What a driver feeds back into [`WorkerMachine::step`].
 #[derive(Debug)]
-pub enum WorkerInput {
+pub(crate) enum WorkerInput {
     /// Nothing to report: the run starts, or a sleep or hang-up is done.
     Next,
     /// The reply to the last `Dial` or `Send`.
@@ -207,7 +209,7 @@ pub enum WorkerInput {
     Lost(io::Error),
 }
 
-/// The front task's compute: its id, the ms left after this sleep, and
+/// The front task's compute: its id, the µs left after this sleep, and
 /// whether its `done` will say `ok`.
 #[derive(Debug, Clone, Copy)]
 struct Job {
@@ -238,7 +240,7 @@ enum Phase {
 /// its own. Feed [`WorkerInput::Next`] first, then what each
 /// [`WorkerStep`] came to, with the time it came to it.
 #[derive(Debug)]
-pub struct WorkerMachine {
+pub(crate) struct WorkerMachine {
     cfg: WorkerConfig,
     rng: XorShift64,
     phase: Phase,
@@ -253,7 +255,7 @@ pub struct WorkerMachine {
 
 impl WorkerMachine {
     /// A worker that registers on its first step.
-    pub fn new(cfg: &WorkerConfig) -> WorkerMachine {
+    pub(crate) fn new(cfg: &WorkerConfig) -> WorkerMachine {
         WorkerMachine {
             cfg: cfg.clone(),
             rng: XorShift64::new(cfg.seed),
@@ -271,7 +273,7 @@ impl WorkerMachine {
     }
 
     /// Take what the driver saw at `now_us`; answer with the next step.
-    pub fn step(&mut self, input: WorkerInput, now_us: u64) -> WorkerStep {
+    pub(crate) fn step(&mut self, input: WorkerInput, now_us: u64) -> WorkerStep {
         use {Message as M, WorkerInput::Next, WorkerInput::Reply};
         match (std::mem::replace(&mut self.phase, Phase::Dead), input) {
             (Phase::Hello(token, deadline), Next) => self.dial(token, deadline),
@@ -382,17 +384,20 @@ impl WorkerMachine {
             _ => true,
         };
         let jitter = 0.5 + self.rng.gen_f64(); // U[0.5, 1.5)
-        let left = ((self.cfg.mean_ms as f64) * jitter / self.cfg.speed).round() as u64;
+        let ms = ((self.cfg.mean_ms as f64) * jitter / self.cfg.speed).round() as u64;
+        let left = ms.saturating_mul(1000);
         self.work(Job { task, left, ok }, now_us)
     }
 
     /// Compute on: sleep to the next heartbeat round (every third of
-    /// the lease) if it comes first, else to the end of the compute.
+    /// the lease, in µs so a 1 ms lease still beats before its
+    /// deadline) if it comes first, else to the end of the compute.
     fn work(&mut self, job: Job, now_us: u64) -> WorkerStep {
-        let nap = job.left.min((self.lease_ms / 3).max(1));
+        let beat_us = (self.lease_ms.saturating_mul(1000) / 3).max(1);
+        let nap = job.left.min(beat_us);
         let left = job.left - nap;
         self.phase = Phase::Compute(Job { left, ..job });
-        WorkerStep::SleepUntil(after(now_us, nap))
+        WorkerStep::SleepUntil(now_us.saturating_add(nap))
     }
 
     /// Heartbeat `held[i..]`, then compute on — unless a `revoke` took
@@ -451,7 +456,7 @@ fn refusal(wants: &str, input: WorkerInput) -> io::Error {
 }
 
 /// Connect to `addr`, register, and work until drained or until the
-/// fault plan kills the worker: the TCP driver of a [`WorkerMachine`].
+/// fault plan kills the worker: the TCP driver of the worker machine.
 /// A worker that dies *by plan* returns `Ok` with `died = true`; only
 /// transport and protocol errors are `Err` (with
 /// [`WorkerConfig::retry_ms`] set, a lost connection is a server crash
@@ -494,6 +499,87 @@ fn exchange(conn: &mut Conn, msg: &Message) -> WorkerInput {
     match conn.send(msg).and_then(|()| conn.recv()) {
         Ok(reply) => WorkerInput::Reply(reply),
         Err(e) => WorkerInput::Lost(e),
+    }
+}
+
+/// One worker on in-process [`LoopbackConn`]s: the loopback driver of
+/// the machine [`run_worker`] drives over TCP. It never blocks and
+/// reads no clock: the caller passes the time in and sleeps (or jumps
+/// a virtual clock) to [`wake_us`](LoopbackWorker::wake_us) itself, so
+/// one thread can drive a whole fleet beside the reactors it talks to.
+pub struct LoopbackWorker {
+    machine: WorkerMachine,
+    /// The poller every `hello` dials.
+    handle: LoopbackHandle,
+    conn: Option<LoopbackConn>,
+    /// When its sleep ends (`None` while a reply is due).
+    wake_us: Option<u64>,
+}
+
+impl LoopbackWorker {
+    /// A worker that dials `handle`'s poller on its first advance.
+    pub fn new(cfg: &WorkerConfig, handle: LoopbackHandle) -> LoopbackWorker {
+        LoopbackWorker {
+            machine: WorkerMachine::new(cfg),
+            handle,
+            conn: None,
+            wake_us: Some(0),
+        }
+    }
+
+    /// When the worker's sleep ends, in µs; `None` while a reply is due.
+    pub fn wake_us(&self) -> Option<u64> {
+        self.wake_us
+    }
+
+    /// Feed the machine everything it can take at `now_us` — a due
+    /// wake, every arrived reply, the loss of its connection — and carry
+    /// out each step it answers with. Returns whether anything moved and
+    /// whether the run goes on. A run's end, and its errors, are part of
+    /// the worker's fault model, not the caller's: its connection is
+    /// dropped, which closes it as a `bye` would.
+    pub fn advance(&mut self, now_us: u64) -> (bool, bool) {
+        let mut moved = false;
+        loop {
+            let Some(input) = self.input(now_us) else {
+                return (moved, true);
+            };
+            (moved, self.wake_us) = (true, None);
+            let frame = match self.machine.step(input, now_us) {
+                WorkerStep::Dial(hello) => {
+                    self.conn = Some(self.handle.connect());
+                    hello
+                }
+                WorkerStep::Send(msg) => msg,
+                WorkerStep::SleepUntil(t) => {
+                    self.wake_us = Some(t);
+                    continue;
+                }
+                WorkerStep::HangUp => {
+                    (self.conn, self.wake_us) = (None, Some(now_us));
+                    continue;
+                }
+                WorkerStep::Finish(_) | WorkerStep::Fail(_) => break,
+            };
+            // A loopback send fails only once the poller is gone.
+            if self.conn.as_ref().is_none_or(|c| c.send(&frame).is_err()) {
+                break;
+            }
+        }
+        self.conn = None;
+        (true, false)
+    }
+
+    /// What to feed the machine at `now_us`, if anything: a sleep's
+    /// end, a reply, or the loss of its connection.
+    fn input(&mut self, now_us: u64) -> Option<WorkerInput> {
+        if let Some(t) = self.wake_us {
+            return (t <= now_us).then_some(WorkerInput::Next);
+        }
+        match self.conn.as_mut()?.try_recv() {
+            Ok(reply) => reply.map(WorkerInput::Reply),
+            Err(e) => Some(WorkerInput::Lost(e)),
+        }
     }
 }
 
@@ -672,6 +758,30 @@ mod tests {
         }
         assert_eq!(now, compute_ms * 1000);
         assert_eq!(rounds, (compute_ms - 1) / 10);
+    }
+
+    /// A 1 ms lease still gets a heartbeat (or the `done`) before its
+    /// deadline: every nap is shorter than the lease, not a whole
+    /// millisecond that lands on the expiry.
+    #[test]
+    fn every_nap_at_a_1_ms_lease_is_shorter_than_the_lease() {
+        let cfg = WorkerConfig::builder().mean_ms(5).seed(7).build();
+        let mut m = WorkerMachine::new(&cfg);
+        next(&mut m, 0);
+        reply(&mut m, welcome(0, 1, "t0", &[]), 0);
+        let mut step = reply(&mut m, Message::assign(0), 0);
+        let mut now = 0;
+        loop {
+            let t = sleep(step);
+            assert!(t - now < 1000, "a {} µs nap outlasts the lease", t - now);
+            now = t;
+            match sent(next(&mut m, now)) {
+                Message::Heartbeat { task: 0 } => step = reply(&mut m, ack(0), now),
+                Message::Done { task: 0, ok: true } => break,
+                other => panic!("expected a heartbeat or done, got {other:?}"),
+            }
+        }
+        assert!(now >= 2500, "the compute still lasts its jittered mean");
     }
 
     /// A `revoke` of a task behind the front drops it and computing goes

@@ -450,6 +450,13 @@ for run in a b; do
 done
 cmp "$tmpdir/fed-a.jsonl" "$tmpdir/fed-b.jsonl"
 
+echo "==> ic-prio fed --lease-ms 1 (a worker heartbeats inside a 1 ms lease)"
+# Every 5 ms compute outlasts the lease, so the run drains only if each
+# worker's heartbeat lands before the lease's deadline.
+timeout 20 ./target/release/ic-prio fed --family mesh:11 --lease-ms 1 --mean-ms 5 \
+    > "$tmpdir/fed-1ms.txt"
+grep -q 'audit passed' "$tmpdir/fed-1ms.txt"
+
 # Keep the audited traces where CI can pick them up as artifacts.
 cp "$tmpdir/serve.jsonl" target/verify/serve-trace.jsonl
 cp "$tmpdir/resume.jsonl" target/verify/resume-trace.jsonl
