@@ -158,6 +158,50 @@ pub enum Event {
     },
 }
 
+impl Event {
+    /// The event a worker's frame steps at `now_us`: a `hello` (with a
+    /// positive finite speed) on a connection not yet registered
+    /// (`worker` is `None`), or a `request`, `done` or `heartbeat` from
+    /// the worker in slot `worker`. `None`: a frame no event answers,
+    /// which the connection's driver refuses.
+    pub fn from_frame(worker: Option<usize>, msg: Message, now_us: u64) -> Option<Event> {
+        Some(match (worker, msg) {
+            (
+                None,
+                Message::Hello {
+                    id,
+                    speed,
+                    proto,
+                    resume,
+                },
+            ) if speed.is_finite() && speed > 0.0 => Event::Hello {
+                id,
+                speed,
+                proto,
+                resume,
+                now_us,
+            },
+            (Some(worker), Message::Request { max }) => Event::Request {
+                worker,
+                max,
+                now_us,
+            },
+            (Some(worker), Message::Done { task, ok }) => Event::Done {
+                worker,
+                task,
+                ok,
+                now_us,
+            },
+            (Some(worker), Message::Heartbeat { task }) => Event::Heartbeat {
+                worker,
+                task,
+                now_us,
+            },
+            _ => return None,
+        })
+    }
+}
+
 /// One output of [`LeaseMachine::step`]: something the driver must do,
 /// in order.
 #[derive(Debug, Clone, PartialEq)]

@@ -685,25 +685,16 @@ impl<'a> Reactor<'a> {
     /// or resume); anything else is a protocol error.
     fn dispatch_unregistered(&mut self, id: ConnId, msg: Message, sink: &mut dyn TraceSink) {
         let now_us = self.io.clock.now_us();
-        match msg {
-            Message::Hello {
-                id: wid,
-                speed,
-                proto,
-                resume,
-            } if speed.is_finite() && speed > 0.0 => {
-                let fx = self.machine.step(Event::Hello {
-                    id: wid,
-                    speed,
-                    proto,
-                    resume,
-                    now_us,
-                });
+        if let Message::PeerHello { .. } = msg {
+            // A peer shard dialed us.
+            return self.dispatch_peer(id, msg, sink);
+        }
+        match Event::from_frame(None, msg, now_us) {
+            Some(hello) => {
+                let fx = self.machine.step(hello);
                 self.perform(fx, now_us, Some((id, None)), sink);
             }
-            // A peer shard dialed us.
-            msg @ Message::PeerHello { .. } => self.dispatch_peer(id, msg, sink),
-            _ => {
+            None => {
                 self.io.send(
                     id,
                     &Message::error("expected hello with a positive finite speed"),
@@ -743,32 +734,16 @@ impl<'a> Reactor<'a> {
                 .send(id, &Message::error("connection superseded by a resume"));
             return self.drop_conn(id, sink);
         }
+        if let Message::Bye = msg {
+            return self.drop_conn(id, sink);
+        }
         let now_us = self.io.clock.now_us();
-        let event = match msg {
-            Message::Request { max } => Event::Request {
-                worker,
-                max,
-                now_us,
-            },
-            Message::Done { task, ok } => Event::Done {
-                worker,
-                task,
-                ok,
-                now_us,
-            },
-            Message::Heartbeat { task } => Event::Heartbeat {
-                worker,
-                task,
-                now_us,
-            },
-            Message::Bye => return self.drop_conn(id, sink),
-            _ => {
-                self.io.send(
-                    id,
-                    &Message::error("unexpected server-side message from a worker"),
-                );
-                return self.drop_conn(id, sink);
-            }
+        let Some(event) = Event::from_frame(Some(worker), msg, now_us) else {
+            self.io.send(
+                id,
+                &Message::error("unexpected server-side message from a worker"),
+            );
+            return self.drop_conn(id, sink);
         };
         let beat = matches!(event, Event::Heartbeat { .. });
         let fx = self.machine.step(event);
