@@ -54,7 +54,7 @@ use ic_sim::trace::{EventKind, TraceHeader};
 
 use crate::explore::{explore, CheckConfig, CheckOutcome, PathState};
 use crate::invariants;
-use crate::scenario::{Fleet, FleetSpec, Phase, WorkerModel};
+use crate::scenario::{Fleet, FleetSpec};
 
 /// Model-check crash recovery: explore every fleet interleaving and,
 /// at every reached state, rebuild a machine from the trace prefix
@@ -72,22 +72,19 @@ pub fn check_crash(
     let root = Fleet::new(dag, policy, fleet, SeededBugs::default());
     let fold = CrashFold::new(dag, policy, fleet, bugs);
     let check = |live: &Fleet<'_, '_>, _: &[Effect], fold: &CrashFold<'_, '_>| {
-        fold.crash_violation(dag, fleet, live)
+        fold.crash_violation(dag, live)
     };
     explore(root, fold, fleet, cfg, check)
 }
 
 /// What the crash search carries along a path: the restore fold of the
-/// trace written so far, and the checker's own tallies of that trace.
+/// trace written so far, and every client that trace names with its
+/// `Resumed` events (the IC0702 floor).
 #[derive(Clone)]
 pub(crate) struct CrashFold<'a, 'd> {
     /// The fold, or why it failed.
     restorer: Result<Restorer<'a, 'd>, RestoreError>,
-    /// Every client the trace names, with its `Resumed` events (the
-    /// IC0702 floor).
     resumes: BTreeMap<usize, u64>,
-    /// `Completed` events per task (the IC0502 scan).
-    completions: Vec<u32>,
 }
 
 impl<'a, 'd> CrashFold<'a, 'd> {
@@ -105,18 +102,12 @@ impl<'a, 'd> CrashFold<'a, 'd> {
         CrashFold {
             restorer: Restorer::new(dag, policy, fleet.server_config(), &header, bugs),
             resumes: BTreeMap::new(),
-            completions: vec![0; dag.num_nodes()],
         }
     }
 
     /// Simulate the crash at this state: finish the fold and compare
     /// the rebuilt machine against the live one.
-    pub(crate) fn crash_violation(
-        &self,
-        dag: &Dag,
-        spec: &FleetSpec,
-        live: &Fleet<'_, '_>,
-    ) -> Option<Diagnostic> {
+    pub(crate) fn crash_violation(&self, dag: &Dag, live: &Fleet<'_, '_>) -> Option<Diagnostic> {
         let rebuilt = match &self.restorer {
             Ok(fold) => fold.clone().finish(0),
             Err(e) => return Some(Diagnostic::error(e.code(), format!("restore failed: {e}"))),
@@ -222,23 +213,9 @@ impl<'a, 'd> CrashFold<'a, 'd> {
         // Finally the rebuilt state must satisfy the full IC05xx scan
         // on its own terms: pool ⊎ deferred ⊎ leased must partition
         // the ELIGIBLE oracle, multiplicities must hold, and so on.
-        // All rebuilt workers await recovery (non-Live), so the
-        // live-slot agreement check (IC0504) is vacuous here.
-        let synthetic = Fleet {
-            machine: rebuilt,
-            // Placeholder models: severed, holding nothing to act on.
-            workers: self
-                .resumes
-                .keys()
-                .map(|&slot| WorkerModel {
-                    phase: Phase::Severed,
-                    slot,
-                    ..WorkerModel::new(&spec.workers[0])
-                })
-                .collect(),
-            completions: self.completions.clone(),
-        };
-        invariants::violation(dag, &synthetic)
+        // No connection survives the crash, so the live-slot agreement
+        // check (IC0504) has no worker to hold to it.
+        invariants::violation(dag, &rebuilt, &live.completions, &[])
     }
 }
 
@@ -253,10 +230,6 @@ impl PathState for CrashFold<'_, '_> {
         for e in fx {
             let Effect::Trace(ev) = e else { continue };
             *next.resumes.entry(ev.client).or_default() += u64::from(ev.kind == EventKind::Resumed);
-            let task = ev.task.filter(|_| ev.kind == EventKind::Completed);
-            if let Some(c) = task.and_then(|t| next.completions.get_mut(t.index())) {
-                *c += 1;
-            }
             if let Ok(fold) = &mut next.restorer {
                 if let Err(e) = fold.push(ev) {
                     next.restorer = Err(e);
@@ -271,7 +244,6 @@ impl PathState for CrashFold<'_, '_> {
             fold.fingerprint_into(h);
         }
         self.resumes.hash(h);
-        self.completions.hash(h);
     }
 }
 
@@ -322,7 +294,7 @@ mod tests {
         let root = Fleet::new(dag, &policy, fleet, SeededBugs::default());
         let state = LogKeyed(CrashFold::new(dag, &policy, fleet, bugs), Vec::new());
         let check = |live: &Fleet<'_, '_>, _: &[Effect], s: &LogKeyed<'_, '_>| {
-            s.0.crash_violation(dag, fleet, live)
+            s.0.crash_violation(dag, live)
         };
         explore(root, state, fleet, cfg, check)
     }

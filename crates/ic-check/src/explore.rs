@@ -5,20 +5,22 @@
 //! interleaving from the initial state, with two prunings:
 //!
 //! * **Stamps** — a visited set keyed on the full semantic
-//!   fingerprint (machine + every worker model). Two paths that
-//!   converge on the same state share one future; the second arrival
-//!   is cut. Timestamps, token bytes, rng position, and step counters
-//!   are excluded from the fingerprint, so states that differ only in
+//!   fingerprint (the machine's, and every worker session's plus what
+//!   the checker knows of its connection). Two paths that converge on
+//!   the same state share one future; the second arrival is cut.
+//!   Timestamps, token bytes, report tallies and step counters are
+//!   excluded from the fingerprint, so states that differ only in
 //!   bookkeeping merge.
 //! * **Sleep sets** — after exploring action `a` from a state, `a` is
 //!   put to sleep in the subtrees of its sibling actions it provably
 //!   commutes with, so only one order of an independent pair is
 //!   walked. The independence relation is deliberately conservative:
-//!   only heartbeats (machine no-ops at the frozen clock) and
-//!   `deliver-gone` (which touches nothing but its own slot's
-//!   connected flag) on *distinct workers and distinct tasks*
-//!   qualify. Every slept order is a pure transposition of an
-//!   explored one, so no state — and no violation — is lost.
+//!   only heartbeat rounds and `deliver-gone`s of *distinct workers*
+//!   qualify. A round's heartbeats are machine no-ops at the frozen
+//!   clock (a renewed deadline is still 0) and its replies reach only
+//!   its own worker; a `deliver-gone` touches nothing but its own
+//!   slot's connected flag. Every slept order is a pure transposition
+//!   of an explored one, so no state — and no violation — is lost.
 //!
 //! The two checkers differ only in the per-state check and in what the
 //! search carries along a path besides the fleet (a `PathState`).
@@ -145,7 +147,9 @@ pub fn check(
 ) -> CheckOutcome {
     let root = Fleet::new(dag, policy, fleet, bugs);
     let invariants = |child: &Fleet<'_, '_>, fx: &[Effect], _: &()| {
-        invariants::drain_violation(child, fx).or_else(|| invariants::violation(dag, child))
+        let m = &child.machine;
+        invariants::drain_violation(m, fx)
+            .or_else(|| invariants::violation(dag, m, &child.completions, &child.live()))
     };
     explore(root, (), fleet, cfg, invariants)
 }
@@ -228,26 +232,14 @@ struct Search<'s, S, C> {
     path: Vec<Action>,
 }
 
-/// Whether `a` only touches its own worker's lease-local state — the
-/// precondition for commuting with another worker's lease-local
-/// action. Heartbeats never change machine scheduling state at the
-/// frozen clock; a `deliver-gone` only flips its own slot's connected
-/// flag (workers keep their leases across a sever).
-fn lease_local(a: Action) -> bool {
-    matches!(a, Action::Beat(..) | Action::DeliverGone(_))
-}
-
-/// Conservative independence: both actions lease-local, on distinct
-/// workers, touching distinct tasks (if any). Independent pairs fully
-/// commute — both orders land on the same state with the same worker
-/// views — so exploring one order suffices.
+/// Conservative independence (see the module docs): heartbeat rounds
+/// and `deliver-gone`s of distinct workers. Both orders of such a pair
+/// land on the same state, so exploring one suffices.
 fn independent(a: Action, b: Action) -> bool {
-    if a.worker() == b.worker() || !lease_local(a) || !lease_local(b) {
-        return false;
-    }
-    match (a.task(), b.task()) {
-        (Some(x), Some(y)) => x != y,
-        _ => true,
+    use Action::{Beat, DeliverGone};
+    match (a, b) {
+        (Beat(i) | DeliverGone(i), Beat(j) | DeliverGone(j)) => i != j,
+        _ => false,
     }
 }
 

@@ -26,15 +26,19 @@ use ic_audit::diag::{
     MODEL_PREMATURE_DRAIN, MODEL_RECORDED_POOL_MISMATCH,
 };
 use ic_dag::Dag;
-use ic_net::{Effect, Message};
+use ic_net::{Effect, LeaseMachine, Message};
 use ic_sched::eligibility::eligible_from_executed;
 
-use crate::scenario::{Fleet, Phase};
-
 /// Scan the state reached after a transition and return the first
-/// violated invariant, if any.
-pub fn violation(dag: &Dag, fleet: &Fleet<'_, '_>) -> Option<Diagnostic> {
-    let m = &fleet.machine;
+/// violated invariant, if any: the machine `m`, the `Completed` events
+/// written per task along the path, and the `(fleet index, slot,
+/// epoch)` of every worker whose connection is up.
+pub fn violation(
+    dag: &Dag,
+    m: &LeaseMachine<'_, '_>,
+    completions: &[u32],
+    live: &[(usize, usize, u64)],
+) -> Option<Diagnostic> {
     let executed: Vec<bool> = dag.node_ids().map(|v| m.exec().is_executed(v)).collect();
     let eligible: BTreeSet<u64> = eligible_from_executed(dag, &executed)
         .into_iter()
@@ -59,7 +63,7 @@ pub fn violation(dag: &Dag, fleet: &Fleet<'_, '_>) -> Option<Diagnostic> {
     }
 
     // IC0502: no task completes twice (counted off the trace stream).
-    for (t, &n) in fleet.completions.iter().enumerate() {
+    for (t, &n) in completions.iter().enumerate() {
         if n > 1 {
             return Some(Diagnostic::error(
                 MODEL_DUPLICATE_COMPLETION,
@@ -97,32 +101,26 @@ pub fn violation(dag: &Dag, fleet: &Fleet<'_, '_>) -> Option<Diagnostic> {
         }
     }
 
-    // IC0504: a worker that believes it is live must agree with the
+    // IC0504: a worker whose connection is up must agree with the
     // machine — slot connected, epochs equal. A stale `Gone` honored
     // against a resumed slot breaks exactly this.
-    for (i, w) in fleet.workers.iter().enumerate() {
-        if w.phase != Phase::Live {
-            continue;
-        }
-        if !m.worker_connected(w.slot) {
+    for &(i, slot, epoch) in live {
+        if !m.worker_connected(slot) {
             return Some(Diagnostic::error(
                 MODEL_EPOCH_REGRESSION,
                 format!(
-                    "worker w{i} (slot {}) is live at epoch {} but the machine \
-                     marked the slot disconnected — a stale Gone was honored",
-                    w.slot, w.epoch
+                    "worker w{i} (slot {slot}) is live at epoch {epoch} but the \
+                     machine marked the slot disconnected — a stale Gone was honored"
                 ),
             ));
         }
-        if m.worker_epoch(w.slot) != Some(w.epoch) {
+        if m.worker_epoch(slot) != Some(epoch) {
             return Some(Diagnostic::error(
                 MODEL_EPOCH_REGRESSION,
                 format!(
-                    "worker w{i} (slot {}) is live at epoch {} but the machine \
-                     records epoch {:?}",
-                    w.slot,
-                    w.epoch,
-                    m.worker_epoch(w.slot)
+                    "worker w{i} (slot {slot}) is live at epoch {epoch} but the \
+                     machine records epoch {:?}",
+                    m.worker_epoch(slot)
                 ),
             ));
         }
@@ -179,15 +177,15 @@ pub fn violation(dag: &Dag, fleet: &Fleet<'_, '_>) -> Option<Diagnostic> {
 
 /// Check the effects of the transition that just ran: a `Drain` reply
 /// is only legal once every task has executed (IC0507).
-pub fn drain_violation(fleet: &Fleet<'_, '_>, fx: &[Effect]) -> Option<Diagnostic> {
+pub fn drain_violation(m: &LeaseMachine<'_, '_>, fx: &[Effect]) -> Option<Diagnostic> {
     for e in fx {
         if let Effect::Reply(Message::Drain) = e {
-            if !fleet.machine.is_complete() {
+            if !m.is_complete() {
                 return Some(Diagnostic::error(
                     MODEL_PREMATURE_DRAIN,
                     format!(
                         "Drain replied with only {} tasks executed",
-                        fleet.machine.exec().num_executed()
+                        m.exec().num_executed()
                     ),
                 ));
             }

@@ -96,7 +96,7 @@ fn the_faulty_chain_counts_are_pinned() {
         &fleet,
         48,
     );
-    assert_eq!(got, (5_261, 11_850, 6_590, 373, 138, 23, true));
+    assert_eq!(got, (6_857, 15_868, 9_012, 455, 141, 24, true));
 }
 
 #[test]
