@@ -54,14 +54,17 @@ expected="$(find crates/ic-net/src crates/ic-sim/src crates/ic-fed/src crates/ic
     || { echo "ic-lint scanned ${scanned:-no} files, find sees $expected"; exit 1; }
 
 echo "==> ic-prio check (model-check the lease protocol)"
-# Exhaustive interleaving exploration of the pure LeaseMachine: two
-# workers over a 6-node mesh, every IC05xx invariant checked at every
-# reachable state, bounded depth so CI stays fast. Run once plain and
-# once with the speculative-steal path enabled.
-./target/release/ic-prio check --family mesh:3 --workers 2 --depth 48 --json \
-    | grep -q '"clean": true'
-./target/release/ic-prio check --family mesh:3 --workers 2 --depth 48 --steal --json \
-    | grep -q '"clean": true'
+# Exhaustive interleaving exploration of the pure LeaseMachine against
+# two deployed worker sessions over a 6-node mesh, every IC05xx
+# invariant checked at every reachable state. Run once plain and once
+# with the speculative-steal path enabled; both must be clean and must
+# say the depth bound cut no path short.
+check_out="$(./target/release/ic-prio check --family mesh:3 --workers 2 --depth 48 --json)"
+grep -q '"clean": true' <<< "$check_out"
+grep -q '"exhaustive": true' <<< "$check_out"
+check_out="$(./target/release/ic-prio check --family mesh:3 --workers 2 --depth 48 --steal --json)"
+grep -q '"clean": true' <<< "$check_out"
+grep -q '"exhaustive": true' <<< "$check_out"
 # The crash/restart transition: kill the server at every reachable
 # state, rebuild from the trace prefix, and demand the rebuilt machine
 # agree with the live one (IC07xx) and pass the IC05xx scan itself.
