@@ -60,12 +60,12 @@ fn mesh(n: usize) -> Dag {
 #[test]
 fn the_mc_table_counts_are_pinned() {
     let rows: [(usize, usize, Counts); 6] = [
-        (3, 1, (16, 15, 0, 0, 1, 15, true)),
-        (3, 2, (134, 245, 112, 3, 3, 19, true)),
-        (3, 3, (647, 1_667, 1_021, 49, 7, 23, true)),
-        (4, 2, (361, 699, 339, 3, 3, 27, true)),
-        (4, 3, (1_893, 5_397, 3_505, 49, 7, 31, true)),
-        (4, 4, (7_894, 28_852, 20_959, 510, 15, 35, true)),
+        (3, 1, (15, 14, 0, 0, 1, 14, true)),
+        (3, 2, (118, 222, 105, 0, 3, 17, true)),
+        (3, 3, (498, 1_381, 884, 0, 7, 20, true)),
+        (4, 2, (345, 676, 332, 0, 3, 25, true)),
+        (4, 3, (1_744, 5_111, 3_368, 0, 7, 28, true)),
+        (4, 4, (6_770, 26_134, 19_365, 0, 15, 31, true)),
     ];
     for (n, workers, want) in rows {
         let got = run(check, &mesh(n), &FleetSpec::of(workers), 48);
@@ -77,7 +77,7 @@ fn the_mc_table_counts_are_pinned() {
 fn the_steal_counts_are_pinned() {
     let fleet = FleetSpec::of(2).with_steal();
     let got = run(check, &mesh(3), &fleet, 48);
-    assert_eq!(got, (164, 307, 144, 1, 1, 18, true));
+    assert_eq!(got, (146, 274, 129, 0, 1, 16, true));
 }
 
 #[test]
@@ -96,30 +96,30 @@ fn the_faulty_chain_counts_are_pinned() {
         &fleet,
         48,
     );
-    assert_eq!(got, (6_857, 15_868, 9_012, 455, 141, 24, true));
+    assert_eq!(got, (5_607, 13_760, 8_154, 0, 141, 22, true));
 }
 
 #[test]
 fn the_crash_counts_are_pinned() {
     let got = run(check_crash, &mesh(3), &FleetSpec::of(2), 48);
-    assert_eq!(got, (320, 572, 253, 0, 11, 21, true));
+    assert_eq!(got, (264, 482, 219, 0, 11, 19, true));
     let steal = run(check_crash, &mesh(3), &FleetSpec::of(2).with_steal(), 48);
-    assert_eq!(steal, (378, 690, 313, 0, 6, 24, true));
+    assert_eq!(steal, (319, 584, 266, 0, 6, 22, true));
 }
 
 /// A depth bound truncates a run only where a state at the bound could
 /// go on, and `deepest` counts the events of the paths it checked. The
-/// longest plain interleaving of mesh:3 x 2 is 19 events, the longest
-/// crash-checked one 21 (under the log key too: `crash.rs`).
+/// longest plain interleaving of mesh:3 x 2 is 17 events, the longest
+/// crash-checked one 19 (under the log key too: `crash.rs`).
 #[test]
 fn a_depth_bound_truncates_only_paths_that_could_go_on() {
     let fleet = FleetSpec::of(2);
     let plain = |depth| run(check, &mesh(3), &fleet, depth);
-    assert_eq!(plain(19), (134, 245, 112, 3, 3, 19, true));
-    assert_eq!(plain(18), (132, 243, 112, 1, 1, 18, false));
+    assert_eq!(plain(17), (118, 222, 105, 0, 3, 17, true));
+    assert_eq!(plain(16), (116, 218, 103, 0, 1, 16, false));
     assert_eq!(plain(3).5, 3, "3-event paths were checked");
-    let crash = run(check_crash, &mesh(3), &fleet, 21);
-    assert_eq!(crash, (320, 572, 253, 0, 11, 21, true));
-    let crash = run(check_crash, &mesh(3), &fleet, 20);
-    assert_eq!(crash, (318, 568, 251, 0, 9, 20, false));
+    let crash = run(check_crash, &mesh(3), &fleet, 19);
+    assert_eq!(crash, (264, 482, 219, 0, 11, 19, true));
+    let crash = run(check_crash, &mesh(3), &fleet, 18);
+    assert_eq!(crash, (262, 478, 217, 0, 9, 18, false));
 }

@@ -640,7 +640,7 @@ impl Frame {
 ///
 /// [`feed`]: Decoder::feed
 /// [`next_msg`]: Decoder::next_msg
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Decoder {
     buf: Vec<u8>,
     start: usize,
