@@ -29,15 +29,9 @@
 //!   task) is acknowledged with `accepted = false` and changes nothing.
 //!
 //! All of these semantics live in the *pure* transition function
-//! [`crate::machine::LeaseMachine`]: the
-//! [`Reactor`](crate::reactor::Reactor) is a thin driver that accepts
-//! connections, stamps each request with clock microseconds, feeds it
-//! to the machine as an [`crate::machine::Event`], and performs the
-//! returned [`crate::machine::Effect`]s — trace records into the
-//! [`TraceSink`](ic_sim::trace::TraceSink), wire frames back to the
-//! requesting connection. The same machine is exhaustively
-//! model-checked by `ic-check`, so what the checker verifies is
-//! exactly what this server runs.
+//! [`crate::machine::LeaseMachine`], which the sans-IO
+//! [`ServerCore`](crate::reactor::ServerCore) steps with each decoded
+//! frame, and `ic-check` model-checks that same core.
 //!
 //! Every decision is emitted through the `TraceSink` event model in
 //! server order, so a finished run's JSONL trace replays clean under
@@ -61,18 +55,13 @@
 //!
 //! # Architecture
 //!
-//! There is one serve path: bind a `TcpListener`, wrap it with
-//! [`Driver::tcp`](crate::reactor::Driver::tcp) (wall clock +
-//! nonblocking TCP poller), build a
-//! [`Reactor`](crate::reactor::Reactor), and call
+//! There is one serve path: [`Driver::tcp`](crate::reactor::Driver::tcp)
+//! over a bound listener, a [`Reactor`](crate::reactor::Reactor), and
 //! [`Reactor::run_until_drain`](crate::reactor::Reactor::run_until_drain).
-//! One thread owns every connection — there are no per-connection
-//! threads, no channels, and the trace sink needs neither `Send` nor
-//! `'static`. Per-connection framing state lives in incremental
-//! decoders, lease expiry rides one deadline-ordered timer queue instead
-//! of a per-lease scan, and each connection remembers the *epoch* of its
-//! registration so a sever from a superseded connection (the worker
-//! already resumed on a new socket) is ignored.
+//! One thread owns every connection, and each connection remembers the
+//! *epoch* of its registration, so a sever or a frame from a
+//! superseded connection (the worker already resumed on a new socket)
+//! changes nothing.
 
 /// Tunables of a serving run. Construct with [`ServerConfig::builder`]
 /// (the struct is `#[non_exhaustive]`: new knobs may appear without a
