@@ -53,16 +53,22 @@ expected="$(find crates/ic-net/src crates/ic-sim/src crates/ic-fed/src crates/ic
 [ "$scanned" = "$expected" ] \
     || { echo "ic-lint scanned ${scanned:-no} files, find sees $expected"; exit 1; }
 
-echo "==> ic-prio check (model-check the lease protocol)"
-# Exhaustive interleaving exploration of the pure LeaseMachine against
-# two deployed worker sessions over a 6-node mesh, every IC05xx
-# invariant checked at every reachable state. Run once plain and once
-# with the speculative-steal path enabled; both must be clean and must
-# say the depth bound cut no path short.
+echo "==> ic-prio check (model-check the server core)"
+# Exhaustive interleaving exploration of the shipped server core (lease
+# machine, connection table and codec, fed encoded frames) against
+# deployed worker sessions, every IC05xx invariant checked at every
+# reachable state: two workers over a 6-node mesh, once plain and once
+# with the speculative-steal path enabled, then three workers over a
+# 10-node mesh, so the connection table is walked at three
+# connections. Each must be clean and must say the depth bound cut no
+# path short.
 check_out="$(./target/release/ic-prio check --family mesh:3 --workers 2 --depth 48 --json)"
 grep -q '"clean": true' <<< "$check_out"
 grep -q '"exhaustive": true' <<< "$check_out"
 check_out="$(./target/release/ic-prio check --family mesh:3 --workers 2 --depth 48 --steal --json)"
+grep -q '"clean": true' <<< "$check_out"
+grep -q '"exhaustive": true' <<< "$check_out"
+check_out="$(./target/release/ic-prio check --family mesh:4 --workers 3 --depth 48 --json)"
 grep -q '"clean": true' <<< "$check_out"
 grep -q '"exhaustive": true' <<< "$check_out"
 # The crash/restart transition: kill the server at every reachable
