@@ -9,10 +9,10 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::rc::Rc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ic_net::{
     ConnId, Decoder, Driver, Frame, IoEvent, ManualClock, Message, Poller, Reactor, ServerConfig,
@@ -256,6 +256,108 @@ fn tcp_poller_transmits_only_on_flush_and_closes_after_the_farewell() {
     let mut expected = frames(&acks);
     expected.extend(frames(&[Message::Drain]));
     assert_eq!(bytes, expected);
+}
+
+/// Poll `poller` (short naps) until `done` holds of everything it
+/// reported so far, then a few rounds more; returns the whole report.
+fn poll_until(poller: &mut TcpPoller, done: impl Fn(&[IoEvent]) -> bool) -> Vec<IoEvent> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut events = Vec::new();
+    while !done(&events) {
+        assert!(Instant::now() < deadline, "poller stalled: {events:?}");
+        poller.poll(Duration::from_millis(1), &mut events).unwrap();
+    }
+    for _ in 0..20 {
+        poller.poll(Duration::from_millis(1), &mut events).unwrap();
+    }
+    events
+}
+
+/// The scan's report for a far end that writes a frame and hangs up:
+/// every byte as `Data` on its id, then exactly one `Closed`, and
+/// nothing after it; for several connections at once.
+#[test]
+fn tcp_poller_reports_each_hang_up_once_after_its_data() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let mut poller = TcpPoller::new(listener, 1).unwrap();
+    let fars: Vec<TcpStream> = (0..3).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    let opened = poll_until(&mut poller, |evs| evs.len() == fars.len());
+    assert!(
+        opened.iter().all(|ev| matches!(ev, IoEvent::Open(_))),
+        "{opened:?}"
+    );
+
+    let mut sent: Vec<Vec<u8>> = Vec::new();
+    for (i, mut far) in fars.into_iter().enumerate() {
+        let frame = frames(&[Message::hello(format!("w{i}"), 1.0)]);
+        far.write_all(&frame).unwrap();
+        sent.push(frame);
+        // Dropping the stream is the hang-up.
+    }
+    let n = sent.len();
+    let closed = |evs: &[IoEvent]| {
+        evs.iter()
+            .filter(|ev| matches!(ev, IoEvent::Closed(_)))
+            .count()
+            >= n
+    };
+    let events = poll_until(&mut poller, closed);
+
+    let mut heard: BTreeMap<ConnId, (Vec<u8>, usize)> = BTreeMap::new();
+    for ev in &events {
+        match ev {
+            IoEvent::Data(id, bytes) => {
+                let (data, closes) = heard.entry(*id).or_default();
+                assert_eq!(*closes, 0, "Data on {id} after its Closed: {events:?}");
+                data.extend_from_slice(bytes);
+            }
+            IoEvent::Closed(id) => heard.entry(*id).or_default().1 += 1,
+            IoEvent::Open(id) => panic!("no connection was opened: {id}"),
+        }
+    }
+    assert_eq!(heard.len(), n, "{events:?}");
+    assert!(heard.values().all(|&(_, closes)| closes == 1), "{events:?}");
+    let mut got: Vec<Vec<u8>> = heard.into_values().map(|(data, _)| data).collect();
+    got.sort();
+    sent.sort();
+    assert_eq!(got, sent);
+}
+
+/// A link the reactor closed is forgotten by it: the scan drains the
+/// queued farewell and drops the link without a `Closed`, also when the
+/// far end reads the farewell and then hangs up.
+#[test]
+fn tcp_poller_never_reports_a_link_it_was_told_to_close() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let mut poller = TcpPoller::new(listener, 1).unwrap();
+    let mut far = TcpStream::connect(addr).unwrap();
+    let opened = poll_until(&mut poller, |evs| !evs.is_empty());
+    let [IoEvent::Open(id)] = opened[..] else {
+        panic!("expected the accept: {opened:?}");
+    };
+
+    // More than the socket buffers hold while the far end is not
+    // reading, so the scan, not the flush, writes the tail.
+    let farewell = vec![b'x'; 16 << 20];
+    poller.send(id, &farewell);
+    poller.close(id);
+    poller.flush();
+
+    let events = std::thread::scope(|s| {
+        let reader = s.spawn(move || {
+            far.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let mut bytes = Vec::new();
+            far.read_to_end(&mut bytes).unwrap();
+            bytes.len()
+            // Dropping the stream is the hang-up.
+        });
+        let events = poll_until(&mut poller, |_| reader.is_finished());
+        assert_eq!(reader.join().unwrap(), farewell.len());
+        events
+    });
+    assert!(events.is_empty(), "a closed link reported {events:?}");
 }
 
 /// Fail-stop on a WAL that cannot be written: the round's sink flush
