@@ -85,7 +85,7 @@ fn run_fleet(workers: usize) -> ServeReport {
         .seed(0x5CA1E)
         .build();
     let clock = MonotonicClock::new();
-    let (poller, handle) = loopback(64);
+    let (poller, handle) = loopback(1);
     let driver = Driver::new(Box::new(clock), Box::new(poller));
     let mut reactor = Reactor::new(&dag, &policy, cfg, driver);
     let mut sink = MemorySink::new();

@@ -67,7 +67,7 @@ fn scripted_run(seed: u64) -> (String, ic_net::ServeReport) {
         .seed(seed)
         .build();
     let clock = ManualClock::new(1_000_000);
-    let (poller, handle) = loopback(4);
+    let (poller, handle) = loopback(1);
     let driver = Driver::new(Box::new(clock.clone()), Box::new(poller));
     let mut world = Lockstep::new(Reactor::new(&dag, &policy, cfg, driver));
 

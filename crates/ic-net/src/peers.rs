@@ -171,7 +171,7 @@ impl ServerCore<'_, '_> {
     /// protocol error (worker traffic on a peer link, a hello that does
     /// not match our plan) drops the connection.
     pub(crate) fn peer_frame(&mut self, id: ConnId, msg: Message, now_us: u64) {
-        let linked = self.conns.get(id).is_some_and(|st| st.peer.is_some());
+        let linked = self.conns.get(&id).is_some_and(|st| st.peer.is_some());
         let peers = &mut self.peers;
         peers.rx += usize::from(linked);
         match msg {
@@ -220,7 +220,7 @@ impl ServerCore<'_, '_> {
     /// backlog (the receiver ignores duplicates), and re-announce the
     /// drain if this shard already finished.
     fn link_up(&mut self, id: ConnId, peer: u64, now_us: u64) {
-        if let Some(st) = self.conns.get_mut(id) {
+        if let Some(st) = self.conns.get_mut(&id) {
             st.peer = Some(peer);
         }
         if let Some(old) = self.peers.links.insert(peer, id) {

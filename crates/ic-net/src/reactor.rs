@@ -167,67 +167,6 @@ pub trait Poller {
     }
 }
 
-/// A hash table keyed by [`ConnId`] in `TABLE_SHARDS` maps (the core's
-/// connections, the pollers' links): each map stays small at
-/// 10k-connection scale.
-#[derive(Debug, Clone)]
-pub(crate) struct ShardedTable<V> {
-    shards: Vec<HashMap<ConnId, V>>,
-    mask: u64,
-}
-
-impl<V> ShardedTable<V> {
-    /// A table with `shards` shards (rounded up to a power of two,
-    /// minimum 1).
-    pub(crate) fn new(shards: usize) -> ShardedTable<V> {
-        let n = shards.max(1).next_power_of_two();
-        ShardedTable {
-            shards: (0..n).map(|_| HashMap::new()).collect(),
-            mask: (n as u64) - 1,
-        }
-    }
-
-    fn shard(&self, id: ConnId) -> usize {
-        usize::try_from(id & self.mask).unwrap_or(0)
-    }
-
-    /// Insert (or replace) the value for `id`.
-    pub(crate) fn insert(&mut self, id: ConnId, v: V) -> Option<V> {
-        let s = self.shard(id);
-        self.shards[s].insert(id, v)
-    }
-
-    /// Shared access to the value for `id`.
-    pub(crate) fn get(&self, id: ConnId) -> Option<&V> {
-        self.shards[self.shard(id)].get(&id)
-    }
-
-    /// Mutable access to the value for `id`.
-    pub(crate) fn get_mut(&mut self, id: ConnId) -> Option<&mut V> {
-        let s = self.shard(id);
-        self.shards[s].get_mut(&id)
-    }
-
-    /// Remove and return the value for `id`.
-    pub(crate) fn remove(&mut self, id: ConnId) -> Option<V> {
-        let s = self.shard(id);
-        self.shards[s].remove(&id)
-    }
-
-    /// Append every live id to `out` (callers reuse the scratch vec
-    /// across polls to avoid per-iteration allocation).
-    pub(crate) fn collect_ids(&self, out: &mut Vec<ConnId>) {
-        for shard in &self.shards {
-            out.extend(shard.keys().copied());
-        }
-    }
-}
-
-/// Shard count of the server's connection tables (the core's and
-/// the TCP poller's). A constant until ROADMAP 4(b) decides whether
-/// sharding stays at all.
-const TABLE_SHARDS: usize = 8;
-
 /// Longest one poll may park when nothing arrives: the latency cap on
 /// timer processing (lease expiry, redials, the drain check).
 const POLL_TIMEOUT: Duration = Duration::from_millis(5);
@@ -334,7 +273,7 @@ impl Driver {
     pub fn tcp(listener: TcpListener) -> io::Result<Driver> {
         Ok(Driver {
             clock: Box::new(MonotonicClock::new()),
-            poller: Box::new(TcpPoller::new(listener, TABLE_SHARDS)?),
+            poller: Box::new(TcpPoller::new(listener, 1)?),
         })
     }
 
@@ -409,7 +348,7 @@ pub struct Output {
 #[derive(Clone)]
 pub struct ServerCore<'a, 'd> {
     pub(crate) machine: LeaseMachine<'a, 'd>,
-    pub(crate) conns: ShardedTable<ConnState>,
+    pub(crate) conns: HashMap<ConnId, ConnState>,
     /// Peer links to the other shards.
     pub(crate) peers: Peers,
     owed: Owed,
@@ -421,15 +360,15 @@ impl<'a, 'd> ServerCore<'a, 'd> {
     /// A core over an already-built machine at `now_us`. Every
     /// outstanding lease the machine carries is armed to expire
     /// `lease_ms` from now: a fresh machine has none, while one rebuilt
-    /// from a replayed trace prefix by
-    /// [`LeaseMachine::restore`](crate::machine::LeaseMachine::restore)
-    /// (the crash-recovery entry point, [`crate::recovery`]) holds the
+    /// from a replayed trace prefix by a
+    /// [`Restorer`](crate::machine::Restorer) (the crash-recovery fold
+    /// behind [`crate::recovery`]) holds the
     /// crashed run's, so a worker that never resumes forfeits on the
     /// usual clock and its tasks are reallocated.
     pub fn new(machine: LeaseMachine<'a, 'd>, now_us: u64) -> Self {
         let mut core = ServerCore {
             machine,
-            conns: ShardedTable::new(TABLE_SHARDS),
+            conns: HashMap::new(),
             peers: Peers::standalone(),
             owed: Owed::default(),
             out: Output::default(),
@@ -459,7 +398,7 @@ impl<'a, 'd> ServerCore<'a, 'd> {
     /// The `(slot, epoch)` connection `id` registered as, while the
     /// core holds it (neither closed it nor saw it close).
     pub fn registration(&self, id: ConnId) -> Option<(usize, u64)> {
-        self.conns.get(id).and_then(|st| st.reg)
+        self.conns.get(&id).and_then(|st| st.reg)
     }
 
     /// Start the run (the machine's boot: the trace header, unless a
@@ -500,7 +439,7 @@ impl<'a, 'd> ServerCore<'a, 'd> {
     /// every complete frame. A decode error (oversized prefix, garbage
     /// payload, foreign JSON) drops the connection.
     fn on_data(&mut self, id: ConnId, bytes: &[u8], now_us: u64) {
-        if let Some(st) = self.conns.get_mut(id) {
+        if let Some(st) = self.conns.get_mut(&id) {
             st.dec.feed(bytes);
             self.owed.mark(st, false);
         }
@@ -508,7 +447,7 @@ impl<'a, 'd> ServerCore<'a, 'd> {
             // Decode with the short-lived borrow, dispatch without it:
             // dispatch may remove the connection (drain, bye, error),
             // at which point `get_mut` misses and the loop ends.
-            let msg = match self.conns.get_mut(id).map(|st| st.dec.next_msg()) {
+            let msg = match self.conns.get_mut(&id).map(|st| st.dec.next_msg()) {
                 None | Some(Ok(None)) => break,
                 Some(Ok(Some(msg))) => msg,
                 Some(Err(_)) => {
@@ -516,7 +455,7 @@ impl<'a, 'd> ServerCore<'a, 'd> {
                     break;
                 }
             };
-            match self.conns.get(id).map(|st| (st.peer, st.reg)) {
+            match self.conns.get(&id).map(|st| (st.peer, st.reg)) {
                 Some((Some(_), _)) => self.peer_frame(id, msg, now_us),
                 Some((None, Some(reg))) => self.dispatch_registered(id, reg, msg, now_us),
                 Some((None, None)) | None => self.dispatch_unregistered(id, msg, now_us),
@@ -591,7 +530,7 @@ impl<'a, 'd> ServerCore<'a, 'd> {
                 self.arm(Deadline::Lease { worker, task }, now_us);
             }
         }
-        if let (Some(Effect::Reply(reply)), Some(st)) = (fx.last(), self.conns.get_mut(id)) {
+        if let (Some(Effect::Reply(reply)), Some(st)) = (fx.last(), self.conns.get_mut(&id)) {
             self.owed.book(st, reply, beat, now_us);
         }
         self.perform(fx, now_us, Some((id, Some(reg))));
@@ -613,7 +552,7 @@ impl<'a, 'd> ServerCore<'a, 'd> {
 
     /// Forget a connection ourselves: no `Closed` event will follow.
     pub(crate) fn cut(&mut self, id: ConnId) {
-        self.conns.remove(id);
+        self.conns.remove(&id);
         self.out.transmit.push(Transmit::Close(id));
     }
 
@@ -640,7 +579,7 @@ impl<'a, 'd> ServerCore<'a, 'd> {
     /// worker, schedule the redial if it was a peer link, and close
     /// the transport once any farewell frame has flushed.
     pub(crate) fn drop_conn(&mut self, id: ConnId, now_us: u64) {
-        if let Some(mut st) = self.conns.remove(id) {
+        if let Some(mut st) = self.conns.remove(&id) {
             self.owed.mark(&mut st, false);
             if let Some((worker, epoch)) = st.reg {
                 let fx = self.machine.step(Event::Sever {
@@ -694,7 +633,7 @@ impl<'a, 'd> ServerCore<'a, 'd> {
                 (Effect::Registered { msg, worker, epoch }, Some((id, _))) => {
                     self.send(id, &msg);
                     if let Message::Welcome { tasks, .. } = msg {
-                        if let Some(st) = self.conns.get_mut(id) {
+                        if let Some(st) = self.conns.get_mut(&id) {
                             st.reg = Some((worker, epoch));
                             st.held = tasks.len();
                             self.owed.mark(st, true);
@@ -956,7 +895,7 @@ struct Link<T> {
 /// A poller's connections and the queue-then-flush half of the
 /// [`Poller`] contract, written once for sockets and channels alike.
 struct Links<T> {
-    table: ShardedTable<Link<T>>,
+    table: HashMap<ConnId, Link<T>>,
     /// Connections that queued output since the last flush.
     dirty: Vec<ConnId>,
     /// `Closed` events found outside `poll` (failed flushes).
@@ -964,9 +903,9 @@ struct Links<T> {
 }
 
 impl<T> Links<T> {
-    fn new(shards: usize) -> Links<T> {
+    fn new() -> Links<T> {
         Links {
-            table: ShardedTable::new(shards),
+            table: HashMap::new(),
             dirty: Vec::new(),
             pending: Vec::new(),
         }
@@ -979,7 +918,7 @@ impl<T> Links<T> {
 
     /// [`Poller::send`]: queue only.
     fn send(&mut self, id: ConnId, bytes: &[u8]) {
-        if let Some(link) = self.table.get_mut(id) {
+        if let Some(link) = self.table.get_mut(&id) {
             // An empty buffer is a connection not yet on the dirty
             // list; residue of an earlier flush is the scan's to drain.
             if link.wbuf.is_empty() {
@@ -993,7 +932,7 @@ impl<T> Links<T> {
     /// the transport takes now and returns `false` for a dead peer.
     fn flush(&mut self, write: fn(&mut T, &mut Vec<u8>) -> bool) {
         for id in self.dirty.drain(..) {
-            if let Some(link) = self.table.get_mut(id) {
+            if let Some(link) = self.table.get_mut(&id) {
                 let alive = write(&mut link.io, &mut link.wbuf);
                 if link.spent(alive) {
                     Self::evict(&mut self.table, id, &mut self.pending);
@@ -1004,17 +943,17 @@ impl<T> Links<T> {
 
     /// [`Poller::close`]: a flush or scan drops it once the farewell is out.
     fn close(&mut self, id: ConnId) {
-        if let Some(link) = self.table.get_mut(id) {
+        if let Some(link) = self.table.get_mut(&id) {
             link.closing = true;
             if link.spent(true) {
-                self.table.remove(id);
+                self.table.remove(&id);
             }
         }
     }
 
     /// Drop a spent link, reporting a drop the reactor did not ask for.
-    fn evict(table: &mut ShardedTable<Link<T>>, id: ConnId, out: &mut Vec<IoEvent>) {
-        if table.remove(id).is_some_and(|link| !link.closing) {
+    fn evict(table: &mut HashMap<ConnId, Link<T>>, id: ConnId, out: &mut Vec<IoEvent>) {
+        if table.remove(&id).is_some_and(|link| !link.closing) {
             out.push(IoEvent::Closed(id));
         }
     }
@@ -1041,9 +980,8 @@ const DIAL_TIMEOUT: Duration = Duration::from_millis(250);
 /// timer slack, where any `thread::sleep` lasts 56 µs or more.
 const NAP_MIN: Duration = Duration::from_micros(50);
 
-/// The production [`Poller`]: a nonblocking `TcpListener` plus a
-/// sharded table of nonblocking streams with per-connection write
-/// buffers.
+/// The production [`Poller`]: a nonblocking `TcpListener` plus one
+/// map of nonblocking streams with per-connection write buffers.
 ///
 /// The workspace forbids `unsafe` and external crates, so there is no
 /// raw `epoll` to block on. Each `poll` is one accept+scan pass with
@@ -1058,23 +996,22 @@ pub struct TcpPoller {
     nap: Duration,
     /// The last poll found nothing and nothing was flushed since.
     idle: bool,
-    /// Scratch id list reused across polls.
-    scan: Vec<ConnId>,
     /// Scratch read buffer.
     rbuf: Vec<u8>,
 }
 
 impl TcpPoller {
-    /// Wrap a bound listener; `shards` sizes the connection table.
-    pub fn new(listener: TcpListener, shards: usize) -> io::Result<TcpPoller> {
+    /// Wrap a bound listener. `_shards` is ignored: the connection
+    /// table is one map, and the argument stays only while the
+    /// end-to-end benchmark's `layers.rs` passes it.
+    pub fn new(listener: TcpListener, _shards: usize) -> io::Result<TcpPoller> {
         listener.set_nonblocking(true)?;
         Ok(TcpPoller {
             listener,
-            links: Links::new(shards),
+            links: Links::new(),
             next_id: 0,
             nap: NAP_MIN,
             idle: false,
-            scan: Vec::new(),
             rbuf: vec![0u8; READ_CHUNK],
         })
     }
@@ -1159,25 +1096,21 @@ impl Poller for TcpPoller {
             }
         }
 
-        // Scan every connection: drain flush residue, then read.
-        self.scan.clear();
-        self.links.table.collect_ids(&mut self.scan);
-        let ids = std::mem::take(&mut self.scan);
-        for &id in &ids {
+        // Scan every connection: drain flush residue, then read; a
+        // spent link goes, reported unless the reactor closed it.
+        let rbuf = &mut self.rbuf;
+        self.links.table.retain(|&id, link| {
             let mut gathered: Vec<u8> = Vec::new();
-            let Some(link) = self.links.table.get_mut(id) else {
-                continue;
-            };
-            let alive = Self::service(link, &mut self.rbuf, &mut gathered);
+            let alive = Self::service(link, rbuf, &mut gathered);
             let spent = link.spent(alive);
             if !gathered.is_empty() {
                 out.push(IoEvent::Data(id, gathered));
             }
-            if spent {
-                Links::evict(&mut self.links.table, id, out);
+            if spent && !link.closing {
+                out.push(IoEvent::Closed(id));
             }
-        }
-        self.scan = ids;
+            !spent
+        });
         self.idle = out.len() == before;
         if !self.idle {
             self.nap = NAP_MIN;
@@ -1265,9 +1198,9 @@ pub struct LoopbackHandle {
     next: Arc<AtomicU64>,
 }
 
-/// A paired loopback poller and its connection factory; `shards`
-/// sizes its link table, as it does [`TcpPoller::new`]'s.
-pub fn loopback(shards: usize) -> (LoopbackPoller, LoopbackHandle) {
+/// A paired loopback poller and its connection factory. `_shards` is
+/// ignored, as [`TcpPoller::new`]'s is.
+pub fn loopback(_shards: usize) -> (LoopbackPoller, LoopbackHandle) {
     let (tx, rx) = channel();
     let me = LoopbackHandle {
         tx,
@@ -1275,7 +1208,7 @@ pub fn loopback(shards: usize) -> (LoopbackPoller, LoopbackHandle) {
     };
     let poller = LoopbackPoller {
         rx,
-        links: Links::new(shards),
+        links: Links::new(),
         me: me.clone(),
         routes: HashMap::new(),
     };
@@ -1295,7 +1228,7 @@ impl LoopbackPoller {
                 out.push(IoEvent::Open(id));
             }
             LoopCmd::Data { id, bytes } => {
-                if self.links.table.get(id).is_some() {
+                if self.links.table.contains_key(&id) {
                     out.push(IoEvent::Data(id, bytes));
                 }
             }
