@@ -32,9 +32,9 @@
 //!
 //! This file is the live protocol — [`LeaseMachine::step`] and what it
 //! calls. The rest of the `impl` sits in three private submodules:
-//! `restore` ([`Restorer`], [`LeaseMachine::restore`], [`RestoreError`]), `remote`
-//! (the federation: [`LeaseMachine::set_fed`] and the
-//! [`Event::RemoteDone`] path) and `view` (everything read-only).
+//! `restore` ([`Restorer`], [`RestoreError`]), `remote` (the
+//! federation: [`LeaseMachine::set_fed`] and the [`Event::RemoteDone`]
+//! path) and `view` (everything read-only).
 
 use std::collections::HashMap;
 
@@ -69,10 +69,12 @@ pub use view::LeaseView;
 /// is complete — drain is an *output*, not an input); `done` is
 /// [`Event::Done`]; `heartbeat` is [`Event::Heartbeat`]; a dropped
 /// connection is [`Event::Sever`]. Lease expiry and the steal timer
-/// are not messages at all — the driver turns the passage of time into
-/// [`Event::Expire`] events (see [`LeaseMachine::expired`]), and the
-/// steal timer is evaluated inside [`Event::Request`] against the
-/// event's own `now_us`.
+/// are not messages at all. The server core arms one deadline per
+/// grant and steps [`Event::Expire`] for its tasks when it fires
+/// ([`crate::Deadline`]); [`LeaseMachine::expired`] is the scan that
+/// the bare-machine drivers (the `machine` bench, the differential
+/// oracle) use instead. The steal timer is evaluated inside
+/// [`Event::Request`] against the event's own `now_us`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A worker registers — fresh, or resuming a slot with a token.
@@ -205,7 +207,7 @@ pub struct SeededBugs {
     /// as IC0504.
     pub honor_stale_gone: bool,
     /// Skip the epoch bump when rebuilding worker slots from a
-    /// replayed trace ([`LeaseMachine::restore`]), so a recovered slot
+    /// replayed trace ([`Restorer`]), so a recovered slot
     /// restarts at epoch 0 — at or below epochs that provably existed
     /// before the crash. Caught as IC0702 (epoch regression on
     /// recovery).
@@ -532,7 +534,7 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
 
     /// Count one trace event toward [`LeaseMachine::summary`] — the one
     /// place its event-derived tallies move, for an event emitted live
-    /// and one replayed by [`LeaseMachine::restore`] alike. The
+    /// and one replayed by a [`Restorer`] alike. The
     /// federation's events count only as remote completions.
     fn tally(&mut self, kind: EventKind, client: usize) {
         let count = match (kind, client == FED_CLIENT) {
@@ -1648,7 +1650,7 @@ mod tests {
 
     /// Targeted expiry: an `Expire` whose deadline has not passed is a
     /// no-op; one whose deadline has passed forfeits exactly that
-    /// lease. The driver's `expired()` scan and the event agree.
+    /// lease. The bare-machine `expired()` scan and the event agree.
     #[test]
     fn targeted_expiry_honors_the_deadline() {
         let g = from_arcs(2, &[(0, 1)]).unwrap();

@@ -22,7 +22,7 @@ pub(crate) fn micros(t: f64) -> u64 {
 }
 
 /// Why a trace prefix cannot rebuild a [`LeaseMachine`]
-/// ([`LeaseMachine::restore`]). Each variant maps onto one of the
+/// ([`Restorer`]). Each variant maps onto one of the
 /// IC07xx recovery diagnostics registered in `ic-audit`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RestoreError {
@@ -86,10 +86,9 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// The crash-recovery core behind [`LeaseMachine::restore`],
-/// [`crate::recovery`] and `ic-check`'s crash checker: a left fold of
-/// the server's own trace back into a [`LeaseMachine`], one event at a
-/// time.
+/// The crash-recovery core behind [`crate::recovery`] and `ic-check`'s
+/// crash checker: a left fold of the server's own trace back into a
+/// [`LeaseMachine`], one event at a time.
 ///
 /// The trace is the server's write-ahead log: replaying its
 /// `alloc`/`complete`/`fail`/`spec`/`revoke` events against a fresh
@@ -384,24 +383,7 @@ impl<'a, 'd> Restorer<'a, 'd> {
     }
 }
 
-impl<'a, 'd> LeaseMachine<'a, 'd> {
-    /// Rebuild a machine from the replayed prefix of its own trace —
-    /// a [`Restorer`] fed every event, then finished at `now_us`.
-    pub fn restore(
-        dag: &'d Dag,
-        policy: &'a dyn AllocationPolicy,
-        cfg: ServerConfig,
-        header: &TraceHeader,
-        events: &[TraceEvent],
-        now_us: u64,
-    ) -> Result<Self, RestoreError> {
-        let mut fold = Restorer::new(dag, policy, cfg, header, SeededBugs::default())?;
-        for ev in events {
-            fold.push(ev)?;
-        }
-        Ok(fold.finish(now_us))
-    }
-
+impl LeaseMachine<'_, '_> {
     /// Open the post-restore resume window: until `until_us` (driver
     /// time), a resume `hello` whose token is unknown may reclaim an
     /// awaiting-recovery slot whose worker id matches. After the
@@ -426,8 +408,25 @@ mod tests {
     use ic_sched::heuristics::Policy;
     use ic_sim::MemorySink;
 
+    /// Rebuild a machine from the replayed prefix of its own trace: a
+    /// [`Restorer`] fed every event, then finished at `now_us`.
+    fn restore<'a, 'd>(
+        dag: &'d Dag,
+        policy: &'a dyn AllocationPolicy,
+        cfg: ServerConfig,
+        header: &TraceHeader,
+        events: &[TraceEvent],
+        now_us: u64,
+    ) -> Result<LeaseMachine<'a, 'd>, RestoreError> {
+        let mut fold = Restorer::new(dag, policy, cfg, header, SeededBugs::default())?;
+        for ev in events {
+            fold.push(ev)?;
+        }
+        Ok(fold.finish(now_us))
+    }
+
     /// Crash a run after one completion and one outstanding lease,
-    /// then [`LeaseMachine::restore`] from the recorded prefix: the
+    /// then `restore` from the recorded prefix: the
     /// rebuilt machine carries the same executed set, the same lease,
     /// the same pool, a continued trace cursor, and dominating epochs
     /// — and the resume window hands the lease back to a worker whose
@@ -460,8 +459,7 @@ mod tests {
         let trace = sink.into_trace().expect("barrier met, header written");
         assert_eq!(trace.events.len(), 3, "alloc, complete, alloc");
 
-        let mut r =
-            LeaseMachine::restore(&g, &policy, cfg(), &trace.header, &trace.events, 0).unwrap();
+        let mut r = restore(&g, &policy, cfg(), &trace.header, &trace.events, 0).unwrap();
         assert_eq!(r.exec().num_executed(), 1, "the completion survives");
         assert_eq!(r.exec().pool_len(), 1, "the never-allocated task");
         let leases = r.lease_views();
@@ -575,8 +573,7 @@ mod tests {
         let trace = sink.into_trace().unwrap();
         let resumed = |e: &&TraceEvent| e.kind == EventKind::Resumed;
         assert_eq!(trace.events.iter().filter(resumed).count(), 3);
-        let r =
-            LeaseMachine::restore(&g, &policy, cfg(), &trace.header, &trace.events, 10).unwrap();
+        let r = restore(&g, &policy, cfg(), &trace.header, &trace.events, 10).unwrap();
         assert_eq!(r.summary(10).resumes, m.summary(10).resumes);
     }
 
@@ -625,8 +622,7 @@ mod tests {
         }
         let trace = sink.into_trace().unwrap();
 
-        let mut r =
-            LeaseMachine::restore(&g, &policy, cfg(), &trace.header, &trace.events, 0).unwrap();
+        let mut r = restore(&g, &policy, cfg(), &trace.header, &trace.events, 0).unwrap();
         r.await_resumes(1_000_000);
         let mut sink2 = MemorySink::new();
         let mut reissued = Vec::new();
@@ -679,8 +675,7 @@ mod tests {
         };
         let trace = sink.into_trace().unwrap();
 
-        let mut r =
-            LeaseMachine::restore(&g, &policy, cfg, &trace.header, &trace.events, 0).unwrap();
+        let mut r = restore(&g, &policy, cfg, &trace.header, &trace.events, 0).unwrap();
         r.await_resumes(500); // window closes at t=500µs
         let mut sink2 = MemorySink::new();
         let replies = drive(
@@ -728,28 +723,28 @@ mod tests {
         // Duplicate completion: replay the `Completed` event twice.
         let mut doubled = trace.events.clone();
         doubled.push(trace.events[1]);
-        let err = LeaseMachine::restore(&g, &policy, cfg(), &trace.header, &doubled, 0)
+        let err = restore(&g, &policy, cfg(), &trace.header, &doubled, 0)
             .expect_err("a task cannot complete twice");
         assert!(matches!(err, RestoreError::DuplicateCompletion { .. }));
         assert_eq!(err.code(), "IC0701");
 
         // Custody corruption: a completion whose lease never existed.
         let headless = vec![trace.events[1]];
-        let err = LeaseMachine::restore(&g, &policy, cfg(), &trace.header, &headless, 0)
+        let err = restore(&g, &policy, cfg(), &trace.header, &headless, 0)
             .expect_err("completion without a lease");
         assert!(matches!(err, RestoreError::Corrupt { .. }));
         assert_eq!(err.code(), "IC0704");
 
         // Header mismatch: same trace, different launch seed.
         let other = ServerConfig::builder().expect_workers(1).seed(99).build();
-        let err = LeaseMachine::restore(&g, &policy, other, &trace.header, &trace.events, 0)
+        let err = restore(&g, &policy, other, &trace.header, &trace.events, 0)
             .expect_err("seed disagreement");
         assert!(matches!(err, RestoreError::HeaderMismatch { .. }));
         assert_eq!(err.code(), "IC0703");
 
         // Dag mismatch: one node too many.
         let bigger = from_arcs(3, &[]).unwrap();
-        let err = LeaseMachine::restore(&bigger, &policy, cfg(), &trace.header, &trace.events, 0)
+        let err = restore(&bigger, &policy, cfg(), &trace.header, &trace.events, 0)
             .expect_err("node-count disagreement");
         assert_eq!(err.code(), "IC0703");
     }
@@ -778,8 +773,8 @@ mod tests {
             ],
         ];
         for events in cases {
-            let err = LeaseMachine::restore(&g, &policy, cfg(), &header, &events, 0)
-                .expect_err("an impossible spec");
+            let err =
+                restore(&g, &policy, cfg(), &header, &events, 0).expect_err("an impossible spec");
             assert!(matches!(err, RestoreError::Corrupt { .. }), "{err}");
             assert_eq!(err.code(), "IC0704");
         }
@@ -789,7 +784,7 @@ mod tests {
             ev(EventKind::Allocated, 0, 0),
             ev(EventKind::Speculated, 1, 1),
         ];
-        let m = LeaseMachine::restore(&g, &policy, cfg(), &header, &legal, 0).unwrap();
+        let m = restore(&g, &policy, cfg(), &header, &legal, 0).unwrap();
         assert_eq!(m.lease_views().len(), 2);
     }
 }
