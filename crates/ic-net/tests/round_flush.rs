@@ -288,9 +288,16 @@ fn tcp_poller_reports_each_hang_up_once_after_its_data() {
         "{opened:?}"
     );
 
+    // A short frame, and frames of one and two 64 KiB read chunks: a
+    // chunk-filling read reads on and meets the hang-up in the same
+    // scan, so its `Data` and `Closed` come in one poll.
     let mut sent: Vec<Vec<u8>> = Vec::new();
     for (i, mut far) in fars.into_iter().enumerate() {
-        let frame = frames(&[Message::hello(format!("w{i}"), 1.0)]);
+        let short = frames(&[Message::hello(format!("w{i}"), 1.0)]);
+        let pad = (i << 16).saturating_sub(short.len());
+        let name = format!("w{i}{}", "x".repeat(pad));
+        let frame = frames(&[Message::hello(name, 1.0)]);
+        assert_eq!(frame.len(), short.len() + pad);
         far.write_all(&frame).unwrap();
         sent.push(frame);
         // Dropping the stream is the hang-up.
