@@ -5,7 +5,7 @@
 //! not seen") at round granularity. Pinned here as counts and an order
 //! on a scripted poller and a recording sink that share one log, not as
 //! timings; and, on the real [`TcpPoller`], as "nothing reaches the
-//! socket before `flush`".
+//! socket before `flush`", with what its scan reports of a hang-up.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};

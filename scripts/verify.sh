@@ -59,9 +59,9 @@ echo "==> ic-prio check (model-check the server core)"
 # deployed worker sessions, every IC05xx invariant checked at every
 # reachable state: two workers over a 6-node mesh, once plain and once
 # with the speculative-steal path enabled, then three workers over a
-# 10-node mesh, so the connection table is walked at three
-# connections. Each must be clean and must say the depth bound cut no
-# path short.
+# 10-node mesh and four over a 15-node one (30 736 states, ~1.3 s), so
+# the connection table is walked at three and at four connections.
+# Each must be clean and must say the depth bound cut no path short.
 check_out="$(./target/release/ic-prio check --family mesh:3 --workers 2 --depth 48 --json)"
 grep -q '"clean": true' <<< "$check_out"
 grep -q '"exhaustive": true' <<< "$check_out"
@@ -69,6 +69,9 @@ check_out="$(./target/release/ic-prio check --family mesh:3 --workers 2 --depth 
 grep -q '"clean": true' <<< "$check_out"
 grep -q '"exhaustive": true' <<< "$check_out"
 check_out="$(./target/release/ic-prio check --family mesh:4 --workers 3 --depth 48 --json)"
+grep -q '"clean": true' <<< "$check_out"
+grep -q '"exhaustive": true' <<< "$check_out"
+check_out="$(./target/release/ic-prio check --family mesh:5 --workers 4 --depth 48 --json)"
 grep -q '"clean": true' <<< "$check_out"
 grep -q '"exhaustive": true' <<< "$check_out"
 # The crash/restart transition: kill the server at every reachable
