@@ -97,13 +97,8 @@ fn run_mix(dag: &Dag, policy: &Schedule, cfg: &ServerConfig, workers: usize) -> 
             },
         );
         for f in fx {
-            if let Effect::Registered {
-                msg: Message::Welcome { resume, .. },
-                epoch,
-                ..
-            } = f
-            {
-                epochs[i] = epoch;
+            if let Effect::Reply(Message::Welcome { worker, resume, .. }) = f {
+                epochs[i] = m.worker_epoch(worker as usize).unwrap_or_default();
                 tokens[i] = resume;
             }
         }
@@ -209,13 +204,8 @@ fn run_mix(dag: &Dag, policy: &Schedule, cfg: &ServerConfig, workers: usize) -> 
                 },
             );
             for f in fx {
-                if let Effect::Registered {
-                    msg: Message::Welcome { resume, .. },
-                    epoch,
-                    ..
-                } = f
-                {
-                    epochs[i] = epoch;
+                if let Effect::Reply(Message::Welcome { worker, resume, .. }) = f {
+                    epochs[i] = m.worker_epoch(worker as usize).unwrap_or_default();
                     tokens[i] = resume;
                 }
             }

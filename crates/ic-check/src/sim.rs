@@ -189,7 +189,7 @@ impl Run<'_, '_, '_> {
             match e {
                 Effect::Header(h) => self.trace.header = h,
                 Effect::Trace(ev) => self.trace.events.push(ev),
-                Effect::Reply(msg) | Effect::Registered { msg, .. } => reply = Some(msg),
+                Effect::Reply(msg) => reply = Some(msg),
             }
         }
         reply

@@ -50,7 +50,7 @@ pub mod timer;
 pub mod wire;
 pub mod worker;
 
-pub use machine::{Effect, Event, LeaseMachine, LeaseView, RestoreError, FED_CLIENT};
+pub use machine::{Effect, Event, LeaseMachine, RestoreError, FED_CLIENT};
 pub use peers::FedConfig;
 pub use reactor::{
     loopback, Clock, ConnId, Deadline, Driver, IoEvent, LoopbackConn, LoopbackHandle,
@@ -62,7 +62,7 @@ pub use server::{ServeReport, ServerConfig, ServerConfigBuilder};
 pub use timer::TimerWheel;
 pub use wire::{
     Conn, Decoder, Frame, Message, WireError, ERR_BAD_RESUME, ERR_UNSUPPORTED, MAX_FRAME,
-    PROTO_CURRENT, PROTO_V2, PROTO_V3,
+    PROTO_CURRENT, PROTO_V3,
 };
 pub use worker::{
     run_worker, FaultPlan, LoopbackWorker, WorkerConfig, WorkerConfigBuilder, WorkerInput,

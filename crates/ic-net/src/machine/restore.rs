@@ -388,12 +388,12 @@ impl LeaseMachine<'_, '_> {
     /// time), a resume `hello` whose token is unknown may reclaim an
     /// awaiting-recovery slot whose worker id matches. After the
     /// window, unresumed slots are served by lease expiry alone.
-    pub fn await_resumes(&mut self, until_us: u64) {
+    pub(crate) fn await_resumes(&mut self, until_us: u64) {
         self.recovery_resume_until_us = until_us;
     }
 
     /// Crash-recovered slots still waiting for their worker to resume.
-    pub fn awaiting_resume(&self) -> usize {
+    pub(crate) fn awaiting_resume(&self) -> usize {
         self.workers.iter().filter(|w| w.awaiting_recovery).count()
     }
 }
@@ -403,7 +403,7 @@ mod tests {
     use super::super::tests::{assert_accounting, boot, done, drive, hello, request};
     use super::*;
     use crate::machine::Event;
-    use crate::wire::{Message, PROTO_V2};
+    use crate::wire::{Message, PROTO_CURRENT};
     use ic_dag::builder::from_arcs;
     use ic_sched::heuristics::Policy;
     use ic_sim::MemorySink;
@@ -491,7 +491,7 @@ mod tests {
             Event::Hello {
                 id: "phoenix".into(),
                 speed: 1.0,
-                proto: PROTO_V2,
+                proto: PROTO_CURRENT,
                 resume: Some("stale-pre-crash-token".into()),
                 now_us: 10,
             },
@@ -535,7 +535,7 @@ mod tests {
             Event::Hello {
                 id: "batcher".into(),
                 speed: 1.0,
-                proto: PROTO_V2,
+                proto: PROTO_CURRENT,
                 resume: None,
                 now_us: 0,
             },
@@ -559,7 +559,7 @@ mod tests {
             Event::Hello {
                 id: "batcher".into(),
                 speed: 1.0,
-                proto: PROTO_V2,
+                proto: PROTO_CURRENT,
                 resume: token.clone(),
                 now_us: 10,
             },
@@ -602,7 +602,7 @@ mod tests {
             let hello = Event::Hello {
                 id: id.into(),
                 speed: 1.0,
-                proto: PROTO_V2,
+                proto: PROTO_CURRENT,
                 resume: None,
                 now_us: 0,
             };
@@ -631,7 +631,7 @@ mod tests {
             let hello = Event::Hello {
                 id: id.into(),
                 speed: 1.0,
-                proto: PROTO_V2,
+                proto: PROTO_CURRENT,
                 resume: Some(token.clone()),
                 now_us: 10,
             };
@@ -684,7 +684,7 @@ mod tests {
             Event::Hello {
                 id: "tardy".into(),
                 speed: 1.0,
-                proto: PROTO_V2,
+                proto: PROTO_CURRENT,
                 resume: Some("stale".into()),
                 now_us: 1_000,
             },

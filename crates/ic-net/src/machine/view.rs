@@ -8,20 +8,8 @@ use std::hash::{Hash, Hasher};
 use ic_dag::NodeId;
 use ic_sched::eligibility::ExecState;
 
-use super::{LeaseMachine, Leases};
+use super::{Lease, LeaseMachine, Leases};
 use crate::server::ServeReport;
-
-/// A read-only view of one lease-table entry, for drivers, tests, and
-/// the model checker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeaseView {
-    /// The holding worker's slot index.
-    pub worker: usize,
-    /// The leased task.
-    pub task: NodeId,
-    /// Whether this is a speculative drain-barrier duplicate.
-    pub speculative: bool,
-}
 
 impl<'d, L: Leases> LeaseMachine<'_, 'd, L> {
     /// Every lease whose heartbeat deadline has passed at `now_us`, as
@@ -44,16 +32,9 @@ impl<'d, L: Leases> LeaseMachine<'_, 'd, L> {
         &self.state
     }
 
-    /// The lease table (read-only views, in table order).
-    pub fn lease_views(&self) -> Vec<LeaseView> {
-        self.leases
-            .iter()
-            .map(|l| LeaseView {
-                worker: l.worker,
-                task: l.task,
-                speculative: l.speculative,
-            })
-            .collect()
+    /// A copy of every live lease, in table order.
+    pub fn lease_views(&self) -> Vec<Lease> {
+        self.leases.iter().copied().collect()
     }
 
     /// Tasks parked in the backoff queue (unordered).
@@ -82,7 +63,7 @@ impl<'d, L: Leases> LeaseMachine<'_, 'd, L> {
     }
 
     /// Trace events emitted so far.
-    pub fn trace_steps(&self) -> u64 {
+    pub(crate) fn trace_steps(&self) -> u64 {
         self.step
     }
 
@@ -104,12 +85,6 @@ impl<'d, L: Leases> LeaseMachine<'_, 'd, L> {
             remote_completions: self.remote.completions,
             ..ServeReport::default()
         }
-    }
-
-    /// Remote completions applied so far (stub or replica executions
-    /// driven by peers' `remote-done` notifications).
-    pub fn remote_completions(&self) -> usize {
-        self.remote.completions
     }
 
     /// Remote completions queued, waiting for their own predecessors.

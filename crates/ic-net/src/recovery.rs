@@ -370,7 +370,7 @@ impl<'a> Recovery<'a> {
 mod tests {
     use super::*;
     use crate::machine::{Effect, Event};
-    use crate::wire::PROTO_V2;
+    use crate::wire::PROTO_CURRENT;
     use ic_dag::builder::from_arcs;
     use ic_sched::heuristics::Policy;
     use ic_sim::trace::TraceSink;
@@ -394,7 +394,7 @@ mod tests {
                 match e {
                     Effect::Header(h) => sink.header(&h),
                     Effect::Trace(t) => sink.record(&t),
-                    Effect::Reply(_) | Effect::Registered { .. } => {}
+                    Effect::Reply(_) => {}
                 }
             }
         };
@@ -405,7 +405,7 @@ mod tests {
             Event::Hello {
                 id: "w0".into(),
                 speed: 1.0,
-                proto: PROTO_V2,
+                proto: PROTO_CURRENT,
                 resume: None,
                 now_us: 0,
             },

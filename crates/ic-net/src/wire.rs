@@ -57,21 +57,18 @@ use ic_sim::json::{self, json_string, num, Cursor, Json};
 /// prefix above this is rejected before any allocation.
 pub const MAX_FRAME: usize = 1 << 20;
 
-/// The worker protocol: resume tokens, batched `assign`, `revoke`,
-/// typed error codes.
-pub const PROTO_V2: u32 = 2;
-
 /// Protocol 3: the *inter-server* federation frames (`peer-hello`,
 /// `remote-done`, `peer-drain`) exchanged between shards of a
 /// federated run. Workers never see them — [`PROTO_CURRENT`] stays at
-/// [`PROTO_V2`], so every existing worker keeps working unchanged; the
-/// v3 frames are additive message types on the same framing layer.
+/// 2, so every existing worker keeps working unchanged; the v3 frames
+/// are additive message types on the same framing layer.
 pub const PROTO_V3: u32 = 3;
 
-/// The protocol version this build speaks *to workers*, and the lowest
-/// a `hello` may offer. Peer (shard-to-shard) links speak [`PROTO_V3`]
+/// The protocol version this build speaks *to workers* (resume tokens,
+/// batched `assign`, `revoke`, typed error codes), and the lowest a
+/// `hello` may offer. Peer (shard-to-shard) links speak [`PROTO_V3`]
 /// on top of the same frames.
-pub const PROTO_CURRENT: u32 = PROTO_V2;
+pub const PROTO_CURRENT: u32 = 2;
 
 /// The machine-readable [`Message::Error`] code sent when a `hello`
 /// offers a protocol below [`PROTO_CURRENT`].
@@ -846,7 +843,7 @@ mod tests {
             Message::Hello {
                 id: "worker \"zero\"".into(),
                 speed: 2.5,
-                proto: PROTO_V2,
+                proto: PROTO_CURRENT,
                 resume: Some("tok-42".into()),
             },
             Message::hello("plain", 1.0),
@@ -859,14 +856,14 @@ mod tests {
             Message::Welcome {
                 worker: 4,
                 lease_ms: 500,
-                proto: PROTO_V2,
+                proto: PROTO_CURRENT,
                 resume: Some("tok \"x\"".into()),
                 tasks: vec![7, 9],
             },
             Message::Welcome {
                 worker: 0,
                 lease_ms: 250,
-                proto: PROTO_V2,
+                proto: PROTO_CURRENT,
                 resume: None,
                 tasks: Vec::new(),
             },

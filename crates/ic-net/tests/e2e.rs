@@ -15,7 +15,7 @@ use ic_dag::builder::from_arcs;
 use ic_families::mesh::{out_mesh, out_mesh_schedule};
 use ic_net::{
     run_worker, Conn, Decoder, Driver, FaultPlan, Message, Reactor, ServeReport, ServerConfig,
-    WorkerConfig, ERR_UNSUPPORTED, PROTO_V2,
+    WorkerConfig, ERR_UNSUPPORTED, PROTO_CURRENT,
 };
 use ic_sched::policy::AllocationPolicy;
 use ic_sim::{MemorySink, Trace};
@@ -196,7 +196,7 @@ fn drain_barrier_steal_first_completion_wins_and_loser_is_revoked() {
                 assert!(matches!(
                     c.recv().unwrap(),
                     Message::Welcome {
-                        proto: PROTO_V2,
+                        proto: PROTO_CURRENT,
                         ..
                     }
                 ));
@@ -932,7 +932,7 @@ fn killed_server_recovers_from_its_wal_and_the_worker_resumes_across_restart() {
             c.send(&Message::Hello {
                 id: "phoenix".into(),
                 speed: 1.0,
-                proto: PROTO_V2,
+                proto: PROTO_CURRENT,
                 resume: Some(token),
             })
             .unwrap();
