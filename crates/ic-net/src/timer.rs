@@ -83,9 +83,9 @@ impl<T> TimerWheel<T> {
 mod tests {
     use super::*;
 
-    /// The tick of the 4-level wheel these tests were written for: they
-    /// still probe its slot and level boundaries.
-    const TICK_US: u64 = 1 << 10;
+    /// A spacing for the deadlines below. The queue compares raw
+    /// microseconds, so the value only has to keep them apart.
+    const STEP_US: u64 = 1 << 10;
 
     fn drain(wheel: &mut TimerWheel<u32>, now_us: u64) -> Vec<u32> {
         let mut fired = Vec::new();
@@ -108,57 +108,62 @@ mod tests {
     #[test]
     fn fires_at_or_after_the_deadline_never_before() {
         let mut w = TimerWheel::new(0);
-        let deadline = 3 * TICK_US + 17; // mid-tick
+        let deadline = 3 * STEP_US + 17; // between two steps
         w.schedule(deadline, 7);
         // One microsecond before the deadline: nothing.
         assert_eq!(drain(&mut w, deadline - 1), Vec::<u32>::new());
-        // At the deadline's rounded-up tick: fires, and the observed
-        // clock is >= the requested deadline.
-        assert_eq!(drain(&mut w, 4 * TICK_US), vec![7]);
+        // Any advance past the deadline fires it.
+        assert_eq!(drain(&mut w, 4 * STEP_US), vec![7]);
     }
 
+    /// Deadlines scheduled in ascending order append to the back; one
+    /// advance past them all fires them front to back.
     #[test]
-    fn level0_slots_fire_in_tick_order() {
+    fn appended_deadlines_fire_in_deadline_order() {
         let mut w = TimerWheel::new(0);
         for i in 1..=32u64 {
-            w.schedule(i * TICK_US, u32::try_from(i).unwrap());
+            w.schedule(i * STEP_US, u32::try_from(i).unwrap());
         }
-        let fired = drain(&mut w, 32 * TICK_US);
+        let fired = drain(&mut w, 32 * STEP_US);
         assert_eq!(fired, (1..=32).collect::<Vec<u32>>());
     }
 
+    /// Deadlines one step apart: each advance fires exactly the timer
+    /// due by then, none of the later ones.
     #[test]
-    fn cascade_at_the_level1_boundary() {
+    fn each_advance_fires_only_what_is_due() {
         let mut w = TimerWheel::new(0);
-        // Just inside level 0, exactly on the boundary, just beyond.
-        w.schedule(63 * TICK_US, 63);
-        w.schedule(64 * TICK_US, 64);
-        w.schedule(65 * TICK_US, 65);
-        assert_eq!(drain(&mut w, 62 * TICK_US), Vec::<u32>::new());
-        assert_eq!(drain(&mut w, 63 * TICK_US), vec![63]);
-        assert_eq!(drain(&mut w, 64 * TICK_US), vec![64]);
-        assert_eq!(drain(&mut w, 65 * TICK_US), vec![65]);
+        w.schedule(63 * STEP_US, 63);
+        w.schedule(64 * STEP_US, 64);
+        w.schedule(65 * STEP_US, 65);
+        assert_eq!(drain(&mut w, 62 * STEP_US), Vec::<u32>::new());
+        assert_eq!(drain(&mut w, 63 * STEP_US), vec![63]);
+        assert_eq!(drain(&mut w, 64 * STEP_US), vec![64]);
+        assert_eq!(drain(&mut w, 65 * STEP_US), vec![65]);
     }
 
+    /// Three adjacent deadlines far from the start.
     #[test]
-    fn cascade_at_the_level2_boundary() {
-        let span = 64 * 64; // ticks covered by levels 0+1
+    fn one_jump_past_several_deadlines_fires_them_in_order() {
+        let span = 64 * 64;
         let mut w = TimerWheel::new(0);
-        w.schedule((span - 1) * TICK_US, 1);
-        w.schedule(span * TICK_US, 2);
-        w.schedule((span + 1) * TICK_US, 3);
+        w.schedule((span - 1) * STEP_US, 1);
+        w.schedule(span * STEP_US, 2);
+        w.schedule((span + 1) * STEP_US, 3);
         // A single big jump straight past all three.
-        assert_eq!(drain(&mut w, (span + 1) * TICK_US), vec![1, 2, 3]);
+        assert_eq!(drain(&mut w, (span + 1) * STEP_US), vec![1, 2, 3]);
     }
 
+    /// A deadline hours away (2^34 µs) stays pending until it is
+    /// reached, however far that is.
     #[test]
-    fn overflow_beyond_the_top_level_still_fires() {
-        let horizon = 64u64 * 64 * 64 * 64; // ticks beyond LEVELS
+    fn a_distant_deadline_waits_and_then_fires() {
+        let horizon = 64u64 * 64 * 64 * 64;
         let mut w = TimerWheel::new(0);
-        w.schedule((horizon + 5) * TICK_US, 9);
+        w.schedule((horizon + 5) * STEP_US, 9);
         assert_eq!(w.len(), 1);
-        assert_eq!(drain(&mut w, horizon * TICK_US), Vec::<u32>::new());
-        assert_eq!(drain(&mut w, (horizon + 5) * TICK_US), vec![9]);
+        assert_eq!(drain(&mut w, horizon * STEP_US), Vec::<u32>::new());
+        assert_eq!(drain(&mut w, (horizon + 5) * STEP_US), vec![9]);
         assert!(w.is_empty());
     }
 
@@ -178,17 +183,17 @@ mod tests {
         let mut scheduled: Vec<(u64, u32)> = Vec::new();
         let mut fired_at: Vec<(u64, u32)> = Vec::new();
         for i in 0..2_000u32 {
-            let delay = rng() % (200 * TICK_US);
+            let delay = rng() % (200 * STEP_US);
             let deadline = now + delay;
             w.schedule(deadline, i);
             scheduled.push((deadline, i));
-            now += rng() % (8 * TICK_US);
+            now += rng() % (8 * STEP_US);
             let mut fired = Vec::new();
             w.advance(now, &mut fired);
             fired_at.extend(fired.into_iter().map(|id| (now, id)));
         }
         let mut tail = Vec::new();
-        now += 300 * TICK_US;
+        now += 300 * STEP_US;
         w.advance(now, &mut tail);
         fired_at.extend(tail.into_iter().map(|id| (now, id)));
         assert!(w.is_empty());
@@ -200,9 +205,8 @@ mod tests {
                 .copied()
                 .unwrap_or((0, 0));
             assert!(at >= deadline, "timer {id} fired at {at} < {deadline}");
-            // Never more than one tick late relative to when time
-            // actually reached it (lateness from advance() being
-            // called sparsely is the caller's poll granularity).
+            // How late it fired is the caller's: `advance` runs only
+            // as often as the caller polls.
         }
     }
 
@@ -210,13 +214,13 @@ mod tests {
     fn renewal_races_are_resolved_by_laziness_not_cancellation() {
         // Model the expiry-vs-renewal race: a lease granted at t=0
         // with deadline d1 is renewed to d2 > d1. Both timers stay in
-        // the wheel; the d1 firing is the stale one. The wheel's only
+        // the queue; the d1 firing is the stale one. The queue's only
         // job is to deliver both, in order, at-or-after their
         // deadlines — the machine's `deadline_us <= now_us` guard does
         // the rest.
         let mut w = TimerWheel::new(0);
-        let d1 = 10 * TICK_US;
-        let d2 = 30 * TICK_US;
+        let d1 = 10 * STEP_US;
+        let d2 = 30 * STEP_US;
         w.schedule(d1, 1);
         w.schedule(d2, 1); // same payload: (worker, task) pair
         assert_eq!(drain(&mut w, d1), vec![1]); // stale fire: no-op upstream
