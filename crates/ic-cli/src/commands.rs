@@ -816,10 +816,17 @@ fn serve_report(
     let _ = writeln!(text, "revokes:      {}", report.revokes);
     let _ = writeln!(text, "workers:      {}", report.workers_registered);
     let _ = writeln!(text, "makespan:     {:.3}s", report.makespan);
+    let fields = report.registry.fields();
+    let pairs = |sep: &str, quote: &str| {
+        let pair = |(k, v): &(&str, u64)| format!("{quote}{k}{quote}{sep}{v}");
+        fields.iter().map(pair).collect::<Vec<_>>().join(", ")
+    };
+    let _ = writeln!(text, "registry:     {}", pairs(" ", ""));
     format!(
         "\"addr\": {}, \"policy\": {}, \"completions\": {}, \"failures\": {}, \
          \"reallocations\": {}, \"allocations\": {}, \"resumes\": {}, \"steals\": {}, \
-         \"revokes\": {}, \"workers\": {}, \"late_workers\": {}, \"makespan\": {}",
+         \"revokes\": {}, \"workers\": {}, \"late_workers\": {}, \"makespan\": {}, \
+         \"registry\": {{{}}}",
         json_string(addr),
         json_string(policy),
         report.completions,
@@ -832,6 +839,7 @@ fn serve_report(
         report.workers_registered,
         report.late_workers,
         report.makespan,
+        pairs(": ", "\""),
     )
 }
 

@@ -184,8 +184,8 @@ fn serve_modes_report_a_pinned_data_key_set() {
     std::fs::create_dir_all(&dir).unwrap();
     let trace = dir.join("trace.jsonl");
     let trace = trace.to_str().unwrap();
-    let common =
-        "addr policy completions failures allocations resumes steals revokes workers makespan";
+    let common = "addr policy completions failures allocations resumes steals revokes workers \
+                  makespan registry";
     let check = |mode: &[&str], before: &str, added: &str| {
         let set = |s: &str| {
             s.split_whitespace()
@@ -218,7 +218,7 @@ fn serve_modes_report_a_pinned_data_key_set() {
     check(
         &["--shard", "0/1"],
         "addr shard shards local_nodes cut_edges completions remote_completions failures \
-         peer_tx peer_rx peer_reconnects workers makespan",
+         peer_tx peer_rx peer_reconnects workers makespan registry",
         "policy reallocations allocations resumes steals revokes late_workers",
     );
     std::fs::remove_dir_all(&dir).ok();

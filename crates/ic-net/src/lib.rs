@@ -22,6 +22,9 @@
 //!   ([`timer::TimerWheel`]) and the wait rule — the one way a dag gets
 //!   served. Peer links are the private `peers` module; [`FedConfig`]
 //!   is what a shard's trace header does not say.
+//! * [`registry`] — the [`Registry`] of a run's poll rounds: rounds,
+//!   syscalls, frames and phase times, always on, in every
+//!   [`ServeReport`].
 //! * [`server`] — [`server::ServerConfig`] and the [`server::ServeReport`]
 //!   a run ends with: leases, backoff reallocation, resumable leases,
 //!   straggler re-lease at the drain barrier, batched allocation,
@@ -45,6 +48,7 @@ pub mod machine;
 mod peers;
 pub mod reactor;
 pub mod recovery;
+pub mod registry;
 pub mod server;
 pub mod timer;
 pub mod wire;
@@ -58,6 +62,7 @@ pub use reactor::{
     TcpPoller, Transmit,
 };
 pub use recovery::{RecoverError, RecoverReport, Recovery, RecoveryConfig};
+pub use registry::Registry;
 pub use server::{ServeReport, ServerConfig, ServerConfigBuilder};
 pub use timer::TimerWheel;
 pub use wire::{

@@ -63,6 +63,8 @@
 //! superseded connection (the worker already resumed on a new socket)
 //! changes nothing.
 
+use crate::registry::Registry;
+
 /// Tunables of a serving run. Construct with [`ServerConfig::builder`]
 /// (the struct is `#[non_exhaustive]`: new knobs may appear without a
 /// breaking change).
@@ -213,12 +215,34 @@ pub struct ServeReport {
     /// `remote-done` notifications (stub and losing-replica
     /// executions). Zero for a standalone server.
     pub remote_completions: usize,
-    /// Federated runs only: peer frames sent to other shards.
+    /// Federated runs only: peer frames sent to other shards
+    /// ([`Registry::peer_tx`]).
     pub peer_tx: usize,
-    /// Federated runs only: peer frames received from other shards.
+    /// Federated runs only: peer frames received from other shards
+    /// ([`Registry::peer_rx`]).
     pub peer_rx: usize,
     /// Federated runs only: peer links re-established after the first
     /// — redials by this shard and re-accepted links dialed by a peer
-    /// alike; a shard's first link to each peer is not counted.
+    /// alike; a shard's first link to each peer is not counted
+    /// ([`Registry::peer_reconnects`]).
     pub peer_reconnects: usize,
+    /// What the run's poll rounds did: rounds, syscalls, frames and
+    /// phase times ([`crate::registry`]). Boxed, to keep a drained
+    /// [`Round`](crate::Round) small.
+    pub registry: Box<Registry>,
+}
+
+impl ServeReport {
+    /// The report with the run's registry, whose peer counts are the
+    /// `peer_*` fields.
+    pub(crate) fn with_registry(self, registry: Registry) -> ServeReport {
+        let n = |v: u64| usize::try_from(v).unwrap_or(usize::MAX);
+        ServeReport {
+            peer_tx: n(registry.peer_tx),
+            peer_rx: n(registry.peer_rx),
+            peer_reconnects: n(registry.peer_reconnects),
+            registry: Box::new(registry),
+            ..self
+        }
+    }
 }
