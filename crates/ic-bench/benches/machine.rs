@@ -22,12 +22,21 @@
 //!   and a forced lease-expiry sweep each pass. `states` counts every
 //!   event stepped, the `W` hellos included. The run is deterministic,
 //!   so the count is taken once up front, as `benches/check.rs` does.
+//!
+//! And one row a layer up, the server's step phase without a poller:
+//!
+//! * `core_b64` — a [`ServerCore`] serving [`CORE_TASKS`] independent
+//!   tasks to one connection at batch 64, fed the bytes a pipelining
+//!   worker sends: per batch, one read holding its 64 encoded `done`s
+//!   and the next `request`. Each read goes through
+//!   [`ServerCore::on_io`] and the output is cleared, as the reactor's
+//!   shell would after performing it; `states` = tasks.
 
 use ic_bench::harness::Runner;
 use ic_dag::builder::from_arcs;
 use ic_dag::Dag;
 use ic_net::machine::{Effect, Event, LeaseMachine};
-use ic_net::{Message, ServerConfig, PROTO_CURRENT};
+use ic_net::{Frame, IoEvent, Message, Output, ServerConfig, ServerCore, PROTO_CURRENT};
 use ic_sched::Schedule;
 
 const LEASE_MS: u64 = 10;
@@ -215,8 +224,62 @@ fn run_mix(dag: &Dag, policy: &Schedule, cfg: &ServerConfig, workers: usize) -> 
     fleet.machine_events
 }
 
+/// Tasks of the `core_b64` row: 64 batches of 64.
+const CORE_TASKS: usize = 64 * 64;
+
+/// The reads of a `core_b64` run, encoded up front: the `hello`, the
+/// first `request`, then per batch its `done`s and the next `request`.
+/// The dag is independent and served in id order, so batch `b` is
+/// tasks `64b..64b+64`.
+fn core_reads() -> Vec<Vec<u8>> {
+    let encode = |msgs: &mut dyn Iterator<Item = Message>| {
+        let mut bytes = Vec::new();
+        for m in msgs {
+            Frame::encode_into(&m, &mut bytes);
+        }
+        bytes
+    };
+    let request = Message::Request { max: 64 };
+    let mut reads = vec![
+        encode(&mut std::iter::once(Message::hello("w", 1.0))),
+        encode(&mut std::iter::once(request.clone())),
+    ];
+    for batch in (0..CORE_TASKS as u64).step_by(64) {
+        let dones = (batch..batch + 64).map(|task| Message::Done { task, ok: true });
+        reads.push(encode(&mut dones.chain([request.clone()])));
+    }
+    reads
+}
+
+/// `core_b64`: one run to completion; the bytes the core sent.
+fn run_core(dag: &Dag, policy: &Schedule, cfg: &ServerConfig, reads: &[Vec<u8>]) -> usize {
+    let mut core = ServerCore::new(LeaseMachine::new(dag, policy, cfg.clone()), 0);
+    core.boot(0);
+    core.on_io(0, IoEvent::Open(0));
+    let mut sent = 0;
+    for (now_us, read) in (1..).zip(reads) {
+        core.on_io(now_us, IoEvent::Data(0, read.clone()));
+        let out: &mut Output = &mut core.out;
+        sent += out.bytes.len();
+        out.bytes.clear();
+        out.transmit.clear();
+        out.timers.clear();
+        out.trace.clear();
+        out.header = None;
+    }
+    assert!(core.machine().is_complete(), "core_b64 drained");
+    sent
+}
+
 fn main() {
     let mut r = Runner::from_env();
+    let dag = from_arcs(CORE_TASKS, &[]).expect("trivial dag");
+    let policy = Schedule::in_id_order(&dag);
+    let cfg = ServerConfig::builder().batch(64).seed(0x5CA1E).build();
+    let reads = core_reads();
+    r.bench_states("machine", "core_b64", CORE_TASKS, CORE_TASKS as u64, || {
+        run_core(&dag, &policy, &cfg, &reads)
+    });
     for workers in FLEETS {
         let tasks = workers * 2;
         let dag = from_arcs(tasks, &[]).expect("trivial dag");

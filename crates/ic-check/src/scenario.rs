@@ -488,7 +488,8 @@ impl<'a, 'd> Fleet<'a, 'd> {
 
     /// Take what the core's last call produced: its trace into `fx`,
     /// counting the `Completed` events, and every frame decoded into
-    /// `fx` as a reply, the first one sent on `conn` returned. A
+    /// `fx` as a reply (a send's range may hold several frames), the
+    /// first one sent on `conn` returned. A
     /// connection the core closed leaves its worker's list (and, if it
     /// was up, the worker learns so on its next frame).
     fn collect(&mut self, conn: Option<ConnId>, fx: &mut Vec<Effect>) -> Option<Message> {
@@ -497,19 +498,21 @@ impl<'a, 'd> Fleet<'a, 'd> {
         for t in &out.transmit {
             if let Transmit::Send(id, range) = t {
                 dec.feed(&out.bytes[range.clone()]);
-                let msg = dec.next_msg().ok().flatten();
-                reply = reply.or(msg.clone().filter(|_| Some(*id) == conn));
-                fx.extend(msg.map(Effect::Reply));
-            }
-        }
-        for e in out.effects {
-            if let Effect::Trace(ev) = &e {
-                let done = ev.task.filter(|_| ev.kind == EventKind::Completed);
-                if let Some(n) = done.and_then(|t| self.completions.get_mut(t.index())) {
-                    *n += 1;
+                while let Some(msg) = dec.next_msg().ok().flatten() {
+                    if reply.is_none() && Some(*id) == conn {
+                        reply = Some(msg.clone());
+                    }
+                    fx.push(Effect::Reply(msg));
                 }
             }
-            fx.push(e);
+        }
+        fx.extend(out.header.map(Effect::Header));
+        for ev in out.trace {
+            let done = ev.task.filter(|_| ev.kind == EventKind::Completed);
+            if let Some(n) = done.and_then(|t| self.completions.get_mut(t.index())) {
+                *n += 1;
+            }
+            fx.push(Effect::Trace(ev));
         }
         let core = &self.core;
         for w in &mut self.workers {

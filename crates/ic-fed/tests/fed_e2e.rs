@@ -175,3 +175,45 @@ fn a_1_ms_lease_drains_and_audits_clean() {
     assert_eq!(local, 66);
     assert_merged_audit_clean(&run.traces);
 }
+
+/// The work of `ic-prio fed --family mesh:11` at 1 and at 2 shards, as
+/// exact counts from each shard's registry: poll rounds, frames in and
+/// out, and rounds that flushed output. The virtual clock makes them
+/// the same every run; a change that moves the work a run does moves
+/// this pin and says why. The phase times are wall-clock and not
+/// pinned.
+#[test]
+fn registry_counts_on_the_virtual_clock_are_pinned() {
+    let mesh = out_mesh(11);
+    let opts = FedOptions {
+        server: ServerConfig::builder()
+            .lease_ms(400)
+            .backoff_base_ms(5)
+            .wait_ms(5)
+            .build(),
+        sever_link_after: None,
+    };
+    // Per shard: [polls, frames_in, frames_out, flushes].
+    let pins: [&[[u64; 4]]; 2] = [
+        &[[109, 142, 142, 55]],
+        &[[102, 84, 92, 35], [102, 85, 77, 25]],
+    ];
+    for (shards, pin) in (1..=2).zip(pins) {
+        let plans = plan(&mesh, &Partition::level_cut(&mesh, shards), CutMode::Notify);
+        let workers: Vec<Vec<WorkerConfig>> =
+            (0..plans.len()).map(|s| fed_workers(s, false)).collect();
+        let counts = || -> Vec<[u64; 4]> {
+            let run = run_federation(&plans, &opts, &workers).expect("federation must drain");
+            let reg = run.reports.iter().map(|r| &r.registry);
+            reg.map(|r| [r.polls, r.frames_in, r.frames_out, r.flushes])
+                .collect()
+        };
+        let first = counts();
+        assert_eq!(
+            first,
+            counts(),
+            "{shards} shard(s): counts repeat run to run"
+        );
+        assert_eq!(first, pin, "{shards} shard(s)");
+    }
+}

@@ -395,9 +395,17 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
     }
 
     /// Apply one event, returning the effects in the order the driver
-    /// must perform them.
+    /// must perform them: [`LeaseMachine::step_into`] a fresh list.
     pub fn step(&mut self, ev: Event) -> Vec<Effect> {
         let mut fx = Vec::new();
+        self.step_into(ev, &mut fx);
+        fx
+    }
+
+    /// Apply one event, appending its effects to `fx` in the order the
+    /// driver must perform them: the server core reuses one buffer
+    /// across steps instead of allocating a list per step.
+    pub fn step_into(&mut self, ev: Event, fx: &mut Vec<Effect>) {
         match ev {
             Event::Hello {
                 id,
@@ -405,13 +413,13 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
                 proto,
                 resume,
                 now_us,
-            } => self.register(id, speed, proto, resume, now_us, &mut fx),
+            } => self.register(id, speed, proto, resume, now_us, fx),
             Event::Request {
                 worker,
                 max,
                 now_us,
             } => {
-                let msg = self.allocate_for(worker, max, now_us, &mut fx);
+                let msg = self.allocate_for(worker, max, now_us, fx);
                 fx.push(Effect::Reply(msg));
             }
             Event::Done {
@@ -420,7 +428,7 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
                 ok,
                 now_us,
             } => {
-                let accepted = self.report(worker, task, ok, now_us, &mut fx);
+                let accepted = self.report(worker, task, ok, now_us, fx);
                 fx.push(Effect::Reply(Message::Ack { task, accepted }));
             }
             Event::Heartbeat {
@@ -457,14 +465,13 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
                     .filter(|&id| self.leases.get(id).deadline_us <= now_us);
                 if let Some(id) = live {
                     let lease = self.leases.remove(id);
-                    self.lose_lease(lease, now_us, &mut fx);
+                    self.lose_lease(lease, now_us, fx);
                 }
             }
             Event::RemoteDone { task, now_us } => {
-                self.remote_done(task, now_us, &mut fx);
+                self.remote_done(task, now_us, fx);
             }
         }
-        fx
     }
 
     /// Whether every task of the dag has executed.

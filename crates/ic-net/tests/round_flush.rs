@@ -28,8 +28,9 @@ enum Step {
     Header,
     Record,
     SinkFlush,
-    /// `Poller::send`: a frame was queued (nothing transmitted).
-    Queue(ConnId),
+    /// `Poller::send`: frames were queued (nothing transmitted); the
+    /// frames its bytes decode to.
+    Queue(ConnId, Vec<Message>),
     /// `Poller::flush` put a connection's queued frames on the wire.
     Transmit(ConnId, Vec<Message>),
 }
@@ -56,7 +57,7 @@ impl Poller for ScriptPoller {
     }
 
     fn send(&mut self, conn: ConnId, bytes: &[u8]) {
-        self.log.borrow_mut().push(Step::Queue(conn));
+        self.log.borrow_mut().push(Step::Queue(conn, decode(bytes)));
         self.queued
             .entry(conn)
             .or_default()
@@ -65,13 +66,9 @@ impl Poller for ScriptPoller {
 
     fn flush(&mut self) {
         for (conn, bytes) in std::mem::take(&mut self.queued) {
-            let mut dec = Decoder::new();
-            dec.feed(&bytes);
-            let mut frames = Vec::new();
-            while let Some(msg) = dec.next_msg().expect("the reactor's own frames") {
-                frames.push(msg);
-            }
-            self.log.borrow_mut().push(Step::Transmit(conn, frames));
+            self.log
+                .borrow_mut()
+                .push(Step::Transmit(conn, decode(&bytes)));
         }
     }
 
@@ -93,6 +90,17 @@ impl TraceSink for LogSink {
         self.0.borrow_mut().push(Step::SinkFlush);
         Ok(())
     }
+}
+
+/// The whole frames in `bytes`.
+fn decode(bytes: &[u8]) -> Vec<Message> {
+    let mut dec = Decoder::new();
+    dec.feed(bytes);
+    let mut frames = Vec::new();
+    while let Some(msg) = dec.next_msg().expect("the reactor's own frames") {
+        frames.push(msg);
+    }
+    frames
 }
 
 fn frames(msgs: &[Message]) -> Vec<u8> {
@@ -155,7 +163,7 @@ fn a_round_of_64_pipelined_dones_costs_one_wal_flush_then_one_transmit() {
         assert!(
             before
                 .iter()
-                .all(|s| matches!(s, Step::Header | Step::Record | Step::Queue(_))),
+                .all(|s| matches!(s, Step::Header | Step::Record | Step::Queue(..))),
             "nothing is transmitted before the WAL flush: {round:?}"
         );
         assert!(
@@ -172,11 +180,20 @@ fn a_round_of_64_pipelined_dones_costs_one_wal_flush_then_one_transmit() {
         N as usize,
         "one complete per done"
     );
+    let queued: Vec<&[Message]> = round
+        .iter()
+        .filter_map(|s| match s {
+            Step::Queue(0, frames) => Some(&frames[..]),
+            _ => None,
+        })
+        .collect();
+    let acks = queued.concat().into_iter();
     assert_eq!(
-        count(|s| matches!(s, Step::Queue(0))),
+        acks.filter(|m| matches!(m, Message::Ack { .. })).count(),
         N as usize,
         "one ack per done"
     );
+    assert_eq!(queued.len(), 1, "the round's acks leave as one queued send");
     assert_eq!(count(|s| *s == Step::SinkFlush), 1);
     let transmits: Vec<&Step> = round
         .iter()
