@@ -122,6 +122,10 @@ IC_BENCH_MS=5 IC_BENCH_JSON="$PWD/target/verify/BENCH.json" IC_BENCH_APPEND=1 \
 # table sustains its step rate.
 IC_BENCH_JSON="$PWD/target/verify/BENCH.json" IC_BENCH_APPEND=1 \
     timeout 120 cargo bench --offline -p ic-bench --bench machine -- 1000w > /dev/null
+# The server's step phase without a poller: a ServerCore fed a
+# pipelining worker's reads (64 dones and a request per batch).
+IC_BENCH_JSON="$PWD/target/verify/BENCH.json" IC_BENCH_APPEND=1 \
+    timeout 120 cargo bench --offline -p ic-bench --bench machine -- core_b64 > /dev/null
 # Reactor scale smoke: the 1000-worker loopback fleet (healthy + flaky
 # + severing mix) through the event-driven server, recording completed
 # tasks per second of whole-run wall time. `timeout` bounds a reactor
@@ -143,11 +147,12 @@ IC_BENCH_JSON="$PWD/target/verify/BENCH.json" IC_BENCH_APPEND=1 \
 # the committed baseline: a fresh smoke run whose tasks/sec fall more
 # than 2x below BENCH.json fails (the smoke only measures the
 # 1000-worker fleet, so only that id is compared; full-report
-# regenerations also gate the 10k id, at the stricter 1.2x, below). A
-# key that finds no shared record to compare fails too.
+# regenerations also gate the 10k id, at the stricter 1.2x, below),
+# and so is the step-phase row `machine/core_b64`. A key that finds no
+# shared record to compare fails too.
 ./target/release/bench-check target/verify/BENCH.json \
     envelope exec-state build check machine net fed \
-    --baseline BENCH.json --max-regress net=2.0
+    --baseline BENCH.json --max-regress net=2.0 --max-regress machine/core_b64=2.0
 # When the committed BENCH.json itself changed, gate its net group
 # against the last committed version: a regeneration that loses more
 # than 20% of its rate on any shared net record is rejected.
@@ -217,6 +222,15 @@ wait "$serve_pid"
 grep -q '"completions": 36' "$tmpdir/serve.json"
 ./target/release/ic-prio audit --schedule "$tmpdir/serve.jsonl" --json \
     | grep -q '"ok": true'
+# The report carries the round registry, and it adds up: every
+# completion arrived as a frame, a read with data is a read, and every
+# worker that registered was accepted.
+grep -q '"registry": {' "$tmpdir/serve.json"
+served() { grep -o "\"$1\": [0-9]*" "$tmpdir/serve.json" | grep -o '[0-9]*$'; }
+[ "$(served frames_in)" -ge "$(served completions)" ] \
+    && [ "$(served data_reads)" -le "$(served reads)" ] \
+    && [ "$(served accepts)" -ge "$(served workers)" ] \
+    || { echo "the serve report's registry does not add up"; exit 1; }
 
 echo "==> ic-prio serve | 2 x work --mean-ms 3000 (a quiet server stays quiet)"
 # The paper's regime: workers compute for seconds and the server waits.
