@@ -30,7 +30,13 @@
 //!   worker sends: per batch, one read holding its 64 encoded `done`s
 //!   and the next `request`. Each read goes through
 //!   [`ServerCore::on_io`] and the output is cleared, as the reactor's
-//!   shell would after performing it; `states` = tasks.
+//!   shell would after performing it, its trace handed to a
+//!   [`NullSink`] as `serve` without `--trace` does; `states` = tasks.
+//! * `core_b64_wal` — the same reads with the trace written through a
+//!   [`FileSink`] on `/dev/null` and flushed once per read, as the
+//!   shell's round flushes its write-ahead log. Each read's events
+//!   share its clock reading, as a live round's do, so the row prices
+//!   the trace writer as `serve --trace` runs it.
 
 use ic_bench::harness::Runner;
 use ic_dag::builder::from_arcs;
@@ -38,6 +44,7 @@ use ic_dag::Dag;
 use ic_net::machine::{Effect, Event, LeaseMachine};
 use ic_net::{Frame, IoEvent, Message, Output, ServerConfig, ServerCore, PROTO_CURRENT};
 use ic_sched::Schedule;
+use ic_sim::trace::{FileSink, NullSink, TraceSink};
 
 const LEASE_MS: u64 = 10;
 
@@ -251,8 +258,15 @@ fn core_reads() -> Vec<Vec<u8>> {
     reads
 }
 
-/// `core_b64`: one run to completion; the bytes the core sent.
-fn run_core(dag: &Dag, policy: &Schedule, cfg: &ServerConfig, reads: &[Vec<u8>]) -> usize {
+/// `core_b64` and `core_b64_wal`: one run to completion, its trace
+/// handed to `sink` and flushed once per read; the bytes the core sent.
+fn run_core(
+    dag: &Dag,
+    policy: &Schedule,
+    cfg: &ServerConfig,
+    reads: &[Vec<u8>],
+    sink: &mut dyn TraceSink,
+) -> usize {
     let mut core = ServerCore::new(LeaseMachine::new(dag, policy, cfg.clone()), 0);
     core.boot(0);
     core.on_io(0, IoEvent::Open(0));
@@ -264,8 +278,13 @@ fn run_core(dag: &Dag, policy: &Schedule, cfg: &ServerConfig, reads: &[Vec<u8>])
         out.bytes.clear();
         out.transmit.clear();
         out.timers.clear();
-        out.trace.clear();
-        out.header = None;
+        if let Some(h) = out.header.take() {
+            sink.header(&h);
+        }
+        for ev in out.trace.drain(..) {
+            sink.record(&ev);
+        }
+        sink.flush().expect("the sink takes every write");
     }
     assert!(core.machine().is_complete(), "core_b64 drained");
     sent
@@ -278,8 +297,16 @@ fn main() {
     let cfg = ServerConfig::builder().batch(64).seed(0x5CA1E).build();
     let reads = core_reads();
     r.bench_states("machine", "core_b64", CORE_TASKS, CORE_TASKS as u64, || {
-        run_core(&dag, &policy, &cfg, &reads)
+        run_core(&dag, &policy, &cfg, &reads, &mut NullSink)
     });
+    let wal = || FileSink::create("/dev/null").expect("/dev/null opens for writing");
+    r.bench_states(
+        "machine",
+        "core_b64_wal",
+        CORE_TASKS,
+        CORE_TASKS as u64,
+        || run_core(&dag, &policy, &cfg, &reads, &mut wal()),
+    );
     for workers in FLEETS {
         let tasks = workers * 2;
         let dag = from_arcs(tasks, &[]).expect("trivial dag");

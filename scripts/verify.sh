@@ -123,7 +123,9 @@ IC_BENCH_MS=5 IC_BENCH_JSON="$PWD/target/verify/BENCH.json" IC_BENCH_APPEND=1 \
 IC_BENCH_JSON="$PWD/target/verify/BENCH.json" IC_BENCH_APPEND=1 \
     timeout 120 cargo bench --offline -p ic-bench --bench machine -- 1000w > /dev/null
 # The server's step phase without a poller: a ServerCore fed a
-# pipelining worker's reads (64 dones and a request per batch).
+# pipelining worker's reads (64 dones and a request per batch); the
+# filter matches `core_b64_wal` too, the same reads with the trace
+# written through a FileSink on /dev/null and flushed once per read.
 IC_BENCH_JSON="$PWD/target/verify/BENCH.json" IC_BENCH_APPEND=1 \
     timeout 120 cargo bench --offline -p ic-bench --bench machine -- core_b64 > /dev/null
 # Reactor scale smoke: the 1000-worker loopback fleet (healthy + flaky
@@ -148,11 +150,13 @@ IC_BENCH_JSON="$PWD/target/verify/BENCH.json" IC_BENCH_APPEND=1 \
 # than 2x below BENCH.json fails (the smoke only measures the
 # 1000-worker fleet, so only that id is compared; full-report
 # regenerations also gate the 10k id, at the stricter 1.2x, below),
-# and so is the step-phase row `machine/core_b64`. A key that finds no
-# shared record to compare fails too.
+# and so are the step-phase rows `machine/core_b64` and
+# `machine/core_b64_wal`. A key that finds no shared record to compare
+# fails too.
 ./target/release/bench-check target/verify/BENCH.json \
     envelope exec-state build check machine net fed \
-    --baseline BENCH.json --max-regress net=2.0 --max-regress machine/core_b64=2.0
+    --baseline BENCH.json --max-regress net=2.0 --max-regress machine/core_b64=2.0 \
+    --max-regress machine/core_b64_wal=2.0
 # When the committed BENCH.json itself changed, gate its net group
 # against the last committed version: a regeneration that loses more
 # than 20% of its rate on any shared net record is rejected.
