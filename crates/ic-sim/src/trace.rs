@@ -337,16 +337,20 @@ impl TraceEvent {
     /// in-place form of [`to_json_line`](TraceEvent::to_json_line),
     /// with no intermediate `String`.
     pub fn write_json_line(&self, out: &mut Vec<u8>) {
-        self.write_line(out, &mut TimeText::default());
+        self.write_line(out, None);
     }
 
     /// [`write_json_line`](TraceEvent::write_json_line), its `t` taken
-    /// from `t` when the last line written through it had the same one.
-    fn write_line(&self, out: &mut Vec<u8>, t: &mut TimeText) {
+    /// from `memo` when the last line written through it had the same
+    /// one, and rendered straight into `out` when there is no memo.
+    fn write_line(&self, out: &mut Vec<u8>, memo: Option<&mut TimeText>) {
         out.extend_from_slice(b"{\"type\":\"");
         out.extend_from_slice(self.kind.name().as_bytes());
         num(out, "\",\"step\":", self.step);
-        out.extend_from_slice(t.render(self.time));
+        match memo {
+            Some(t) => out.extend_from_slice(t.render(self.time)),
+            None => time_text(out, self.time),
+        }
         num(out, ",\"client\":", self.client as u64);
         if let Some(task) = self.task {
             num(out, ",\"task\":", task.0.into());
@@ -373,11 +377,16 @@ impl TimeText {
         if self.bits != Some(time.to_bits()) {
             self.bits = Some(time.to_bits());
             self.text.clear();
-            // Writing into a `Vec` cannot fail.
-            let _ = write!(self.text, ",\"t\":{time}");
+            time_text(&mut self.text, time);
         }
         &self.text
     }
+}
+
+/// Append the `,"t":…` text of `time` to `out`.
+fn time_text(out: &mut Vec<u8>, time: f64) {
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(out, ",\"t\":{time}");
 }
 
 /// Receives the event stream of one run.
@@ -535,7 +544,7 @@ impl TraceSink for FileSink {
     }
 
     fn record(&mut self, event: &TraceEvent) {
-        event.write_line(&mut self.buf, &mut self.t);
+        event.write_line(&mut self.buf, Some(&mut self.t));
         self.spill_if_full();
     }
 
@@ -624,7 +633,7 @@ impl Trace {
         self.header.write_json_line(&mut out);
         let mut t = TimeText::default();
         for ev in &self.events {
-            ev.write_line(&mut out, &mut t);
+            ev.write_line(&mut out, Some(&mut t));
         }
         String::from_utf8(out).unwrap_or_default()
     }
