@@ -27,7 +27,12 @@
 //! answered its previous one within `SLOW_US`. The core keeps that flag
 //! per connection; while one is owed, for at most `SPIN_US` after the
 //! flush of the round that owed it, the shell polls with a zero
-//! timeout, otherwise with `POLL_TIMEOUT`.
+//! timeout, otherwise with `POLL_TIMEOUT`, and [`TcpPoller`] naps for a
+//! quarter of the silence so far (at least `NAP_MIN`, at most the
+//! timeout), so an unowed frame waits about a quarter of the time it
+//! took to arrive. The timeout is not cut to the next [`Deadline`]:
+//! timers are lazy, every grant leaves a stale one behind, and waking
+//! for them would wake the server once per grant.
 //!
 //! **Timers are lazy** ([`crate::timer`]): every grant — an `assign`, a
 //! resume's `welcome`, a heartbeat renewal — arms one [`Deadline`] at
@@ -183,7 +188,8 @@ const SPIN_US: u64 = 100;
 
 /// A worker whose first `done` came this soon after its `assign` is
 /// owed after the next one: above a fast answer seen *through* the nap
-/// ladder's first rungs (~110, ~310 µs), lest the measure fulfil itself.
+/// ladder's first wakes (~115, ~230, ~350 µs), lest the measure fulfil
+/// itself.
 const SLOW_US: u64 = 400;
 
 /// The core's half of the wait rule (module docs): how many
@@ -1057,9 +1063,18 @@ const READ_CHUNK: usize = 64 * 1024;
 /// How long [`TcpPoller`]'s dial waits for a peer to accept.
 const DIAL_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// The nap ladder's first rung. Shorter buys nothing under 50 µs of
-/// timer slack, where any `thread::sleep` lasts 56 µs or more.
+/// The shortest nap. Shorter buys nothing under 50 µs of timer slack,
+/// where any `thread::sleep` lasts 56 µs or more.
 const NAP_MIN: Duration = Duration::from_micros(50);
+
+/// A nap lasts one `NAP_SHARE`-th of the silence so far ([`nap_rung`]).
+const NAP_SHARE: u32 = 4;
+
+/// The nap after `silence` without input or output: a quarter of it,
+/// at least `NAP_MIN`, at most `timeout`.
+fn nap_rung(silence: Duration, timeout: Duration) -> Duration {
+    (silence / NAP_SHARE).max(NAP_MIN).min(timeout)
+}
 
 /// A busy [`TcpPoller`] calls `accept` on every this-many-th poll; one
 /// after an empty poll always does. Workers connect once, and a busy
@@ -1072,16 +1087,21 @@ const ACCEPT_EVERY: u64 = 64;
 /// The workspace forbids `unsafe` and external crates, so there is no
 /// raw `epoll` to block on. Each `poll` is one scan pass with
 /// nonblocking reads, preceded by a nap only when the last poll came
-/// back empty, nothing was flushed since, and the timeout is not zero:
-/// `NAP_MIN`, doubling per empty poll up to the timeout, so a quiet
-/// server costs ~no CPU. New connections are accepted first on the
-/// first poll, on one that follows such an empty poll, and on every
-/// `ACCEPT_EVERY`-th otherwise.
+/// back empty, nothing was flushed since, and the timeout is not zero.
+/// The nap is a quarter of the silence so far, between `NAP_MIN` and
+/// the timeout, so a frame waits at most about a quarter of the time
+/// it took to arrive, and a quiet server reaches the timeout after a
+/// logarithmic number of wakes and costs ~no CPU. New connections are
+/// accepted first on the first poll, on one that follows such an empty
+/// poll, and on every `ACCEPT_EVERY`-th otherwise.
 pub struct TcpPoller {
     listener: TcpListener,
     links: Links<TcpStream>,
     next_id: ConnId,
-    nap: Duration,
+    /// When the silence began: the end of the first empty poll after
+    /// the first poll, a poll that found input or a flush that sent
+    /// output.
+    quiet_since: Instant,
     /// The last poll found nothing and nothing was flushed since.
     idle: bool,
     /// Scratch read buffer.
@@ -1100,7 +1120,7 @@ impl TcpPoller {
             listener,
             links: Links::new(),
             next_id: 0,
-            nap: NAP_MIN,
+            quiet_since: Instant::now(),
             idle: false,
             rbuf: vec![0u8; READ_CHUNK],
             reg: Registry::default(),
@@ -1172,10 +1192,9 @@ impl TcpPoller {
 
 impl Poller for TcpPoller {
     fn poll(&mut self, timeout: Duration, out: &mut Vec<IoEvent>) -> io::Result<()> {
-        let nap = self.idle && !timeout.is_zero();
-        if nap {
+        if self.idle && !timeout.is_zero() {
             let mut mark = Instant::now();
-            std::thread::sleep(self.nap.min(timeout));
+            std::thread::sleep(nap_rung(mark - self.quiet_since, timeout));
             self.reg.naps += 1;
             self.reg.nap_ns += lap(&mut mark);
         }
@@ -1211,11 +1230,10 @@ impl Poller for TcpPoller {
             }
             !spent
         });
-        self.idle = out.len() == before;
-        if !self.idle {
-            self.nap = NAP_MIN;
-        } else if nap {
-            self.nap = (self.nap * 2).min(timeout.max(NAP_MIN));
+        if !std::mem::replace(&mut self.idle, out.len() == before) && self.idle {
+            // The first empty poll since the first poll, input or
+            // output: the silence starts here.
+            self.quiet_since = Instant::now();
         }
         Ok(())
     }
@@ -1903,9 +1921,35 @@ mod tests {
         assert_eq!(waits(1, 2, script), [SPINS, SPINS, NAPS, NAPS]);
     }
 
+    /// The nap grows with the silence, never past a quarter of it above
+    /// the floor, and reaches the timeout at four timeouts of silence:
+    /// neither a ladder that doubles per empty poll (its next rung is
+    /// the silence plus the first) nor a fixed cap passes.
+    #[test]
+    fn a_nap_is_a_quarter_of_the_silence_between_the_floor_and_the_timeout() {
+        let us = Duration::from_micros;
+        for timeout in [NAP_MIN, us(200), POLL_TIMEOUT] {
+            let mut last = Duration::ZERO;
+            let end = 4 * u64::try_from(timeout.as_micros()).unwrap() + 1000;
+            for silence in (0..=end).step_by(7).map(us) {
+                let rung = nap_rung(silence, timeout);
+                assert!(rung >= NAP_MIN, "{rung:?} after {silence:?}");
+                assert!(rung <= NAP_MIN + silence / 4, "{rung:?} after {silence:?}");
+                if silence >= 4 * timeout {
+                    assert_eq!(rung, timeout, "after {silence:?}");
+                }
+                assert!(
+                    rung >= last,
+                    "{rung:?} after {silence:?} fell from {last:?}"
+                );
+                last = rung;
+            }
+        }
+    }
+
     /// Nobody owes the real poller anything here: after one byte and
     /// 100 ms of silence its naps have climbed the ladder to the 5 ms
-    /// cap (~27 polls), where a spin would have returned thousands of
+    /// cap (~35 polls), where a spin would have returned thousands of
     /// times.
     #[test]
     fn a_silent_tcp_poller_naps_up_to_its_timeout() {
