@@ -239,7 +239,7 @@ served() { grep -o "\"$1\": [0-9]*" "$tmpdir/serve.json" | grep -o '[0-9]*$'; }
 echo "==> ic-prio serve | 2 x work --mean-ms 3000 (a quiet server stays quiet)"
 # The paper's regime: workers compute for seconds and the server waits.
 # Over about 2 s of their service the server may spend at most 5 % of
-# one core (it reads ~1.5 %, one idle worker asking every 25 ms
+# one core (it reads 1.3–1.9 %, one idle worker asking every 25 ms
 # included); a reactor that spins while nothing is owed fails here.
 # The server is one thread, so the first field of its
 # /proc/<pid>/schedstat is its time on CPU in ns; `$!` is the `timeout`
@@ -266,6 +266,13 @@ echo "quiet server: $(( (cpu1 - cpu0) / 1000 )) us on CPU in $(( (wall1 - wall0)
 [ "$quiet_pct" -le 50 ] || { echo "a quiet server must stay under 5 % of a core"; exit 1; }
 wait
 grep -q '"completions": 3' "$tmpdir/quiet.json"
+# The same stage seen from inside: the drained report's registry counts
+# per second of makespan, beside the outside CPU reading.
+quiet() { grep -o "\"$1\": [0-9.e+-]*" "$tmpdir/quiet.json" | head -n 1 | grep -o '[0-9.e+-]*$'; }
+awk -v m="$(quiet makespan)" -v n="$(quiet naps)" -v a="$(quiet accepts)" \
+    -v r="$(quiet reads)" 'BEGIN {
+    printf "quiet server registry: %.0f naps/s, %.0f accepts/s, %.0f reads/s over a %.2f s makespan\n",
+        n / m, a / m, r / m, m }'
 
 echo "==> ic-prio serve | work --sever-after | audit --schedule (reconnect round trip)"
 # Resumable leases over real processes: the lone worker severs its TCP
