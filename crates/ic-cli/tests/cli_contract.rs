@@ -223,3 +223,32 @@ fn serve_modes_report_a_pinned_data_key_set() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A WAL torn inside its header — a server killed between the header's
+/// batch-size writes — is refused with a `cannot resume` error line,
+/// not a panic, whether the cut falls at `BATCH_BYTES` or inside a
+/// number.
+#[test]
+fn serve_refuses_to_resume_from_a_torn_header() {
+    let dag = ic_families::mesh::out_mesh(100);
+    let line = ic_sim::trace::TraceHeader::for_run(&dag, 2, 0, "ic-optimal").to_json_line();
+    let line = line.as_bytes();
+    let batch = ic_sim::FileSink::BATCH_BYTES;
+    let digits = |i: usize| line[i - 1].is_ascii_digit() && line[i].is_ascii_digit();
+    let mid_number = (batch + 1..line.len()).find(|&i| digits(i)).unwrap();
+    let dir = std::env::temp_dir().join(format!("ic-cli-torn-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let wal = dir.join("wal.jsonl");
+    let wal = wal.to_str().unwrap();
+    for cut in [batch, mid_number] {
+        std::fs::write(wal, &line[..cut]).unwrap();
+        let out = prio(&["serve", "--family", "mesh:100", "--resume-from", wal])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "cut at {cut}: {stderr}");
+        assert!(stderr.starts_with("error: cannot resume from "), "{stderr}");
+        assert!(stderr.contains("line 1"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

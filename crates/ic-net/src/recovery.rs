@@ -533,6 +533,48 @@ mod tests {
         assert_eq!(trace.events.len(), 4);
     }
 
+    /// A WAL cut inside its header, as a kill between the header's
+    /// batch-size writes leaves it, is refused as a parse error on line
+    /// 1 and left as it was: at a piece's end, at exactly
+    /// `BATCH_BYTES`, and inside a number.
+    #[test]
+    fn a_torn_header_is_refused_with_a_parse_error() {
+        let dag = ic_families::mesh::out_mesh(100);
+        let policy = Policy::Fifo;
+        let header = TraceHeader::for_run(&dag, 1, 11, "FIFO");
+        let line = header.to_json_line().into_bytes();
+        let batch = ic_sim::FileSink::BATCH_BYTES;
+        assert!(line.len() > 2 * batch);
+        let dir = std::env::temp_dir().join(format!("ic-net-torn-header-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let wal = dir.join("wal.jsonl");
+        // A sink that never flushes: only the header's full pieces
+        // reach the file.
+        let mut sink = ic_sim::FileSink::create(&wal).unwrap();
+        sink.header(&header);
+        std::mem::forget(sink);
+        let pieces = fs::read(&wal).unwrap();
+        assert!((batch..line.len()).contains(&pieces.len()));
+        assert!(line.starts_with(&pieces));
+        let digits = |i: usize| line[i - 1].is_ascii_digit() && line[i].is_ascii_digit();
+        let mid_number = (batch + 1..line.len()).find(|&i| digits(i)).unwrap();
+        for cut in [pieces.len(), batch, mid_number] {
+            let torn = &line[..cut];
+            let Err(e) = TraceStream::open(torn).unwrap() else {
+                panic!("a header cut at {cut} opened");
+            };
+            assert_eq!(e.line, 1, "{e}");
+            fs::write(&wal, torn).unwrap();
+            let replayed = Recovery::replay(&dag, &policy, cfg(), RecoveryConfig::default(), &wal);
+            match replayed.err() {
+                Some(RecoverError::Parse(e)) => assert_eq!(e.line, 1, "{e}"),
+                other => panic!("cut at {cut}: {other:?}"),
+            }
+            assert_eq!(fs::read(&wal).unwrap(), torn, "nothing to truncate");
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
     /// The dry-run payload reflects the rebuilt state exactly.
     #[test]
     fn state_json_carries_the_reconstructed_state() {
