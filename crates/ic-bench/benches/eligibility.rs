@@ -8,7 +8,10 @@
 //!   per-allocation cost (and its independence from dag size) is
 //!   visible in the per-node numbers;
 //! * `build` — what `ic-prio serve --family mesh:500` runs before it
-//!   listens: `out_mesh(500)` and its diagonal schedule.
+//!   listens: `out_mesh(500)` and its diagonal schedule; and what its
+//!   write-ahead log does first, a [`FileSink`] on `/dev/null` taking
+//!   the prebuilt header and flushing it (`states` is the header
+//!   line's bytes).
 
 use ic_bench::harness::Runner;
 use ic_dag::testgen::random_dags;
@@ -19,6 +22,7 @@ use ic_families::mesh::{out_mesh, out_mesh_schedule};
 use ic_families::trees::complete_out_tree;
 use ic_sched::heuristics::{schedule_with, Policy};
 use ic_sched::optimal::optimal_envelope;
+use ic_sim::trace::{FileSink, TraceHeader, TraceSink};
 
 fn bench_envelope(r: &mut Runner) {
     let mut subjects: Vec<(String, Dag)> = Vec::new();
@@ -66,6 +70,13 @@ fn bench_build(r: &mut Runner) {
     let n = 500 * 501 / 2;
     r.bench_n("build", &format!("mesh_{n}"), n, || {
         out_mesh_schedule(&out_mesh(500))
+    });
+    let header = TraceHeader::for_run(&out_mesh(500), 2, 0, "SCHEDULE");
+    let bytes = header.to_json_line().len() as u64;
+    r.bench_states("build", &format!("header_{n}"), n, bytes, || {
+        let mut wal = FileSink::create("/dev/null").expect("/dev/null opens for writing");
+        wal.header(&header);
+        wal.flush()
     });
 }
 
