@@ -64,14 +64,15 @@ fn main() {
             nodes as u64,
             || {
                 let run = run_federation(&plans, &opts, &workers).expect("federation run");
-                let local: usize = run.reports.iter().map(|rep| rep.completions).sum();
-                assert_eq!(local, nodes, "federation completed the mesh");
+                let local: u64 = run.reports.iter().map(|rep| rep.registry.completions).sum();
+                assert_eq!(local, nodes as u64, "federation completed the mesh");
                 last = Some(run);
             },
         );
         if let Some(run) = last {
-            let allocations: usize = run.reports.iter().map(|rep| rep.allocations).sum();
-            let peer_tx: usize = run.reports.iter().map(|rep| rep.peer_tx).sum();
+            let regs = || run.reports.iter().map(|rep| &rep.registry);
+            let allocations: u64 = regs().map(|reg| reg.allocations).sum();
+            let peer_tx: u64 = regs().map(|reg| reg.peer_tx).sum();
             println!(
                 "fed: {nodes} nodes, {shards} shard(s): {allocations} allocations, \
                  {peer_tx} peer frames over {cut} cut edges",

@@ -121,10 +121,11 @@ fn run_fleet(workers: usize) -> ServeReport {
         .filter(|e| e.kind == ic_sim::EventKind::Failed && slice_of(e.client) == FaultPlan::None)
         .count();
     assert_eq!(healthy_failures, 0, "healthy workers never fail");
-    assert_eq!(report.completions, tasks, "fleet completed the dag");
+    let reg = &report.registry;
+    assert_eq!(reg.completions, tasks as u64, "fleet completed the dag");
     assert_eq!(report.workers_registered, workers);
-    assert!(report.allocations >= tasks);
-    assert!(report.resumes > 0, "the severing slice resumed");
+    assert!(reg.allocations >= tasks as u64);
+    assert!(reg.resumes > 0, "the severing slice resumed");
     report
 }
 
@@ -141,10 +142,11 @@ fn main() {
             || last = Some(run_fleet(workers)),
         );
         if let Some(report) = last {
+            let reg = &report.registry;
             println!(
                 "net: {workers} workers, {tasks} tasks: {} allocations, \
                  {} failures recovered, {} resumes",
-                report.allocations, report.failures, report.resumes,
+                reg.allocations, reg.failures, reg.resumes,
             );
         }
     }

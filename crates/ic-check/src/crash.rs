@@ -174,6 +174,7 @@ impl<'a, 'd> CrashFold<'a, 'd> {
         // no lease wrote no event.
         let (was, now) = (live.machine().summary(0), rebuilt.summary(0));
         let tallies = |r: &ServeReport| {
+            let r = &r.registry;
             [
                 r.completions,
                 r.failures,
@@ -182,7 +183,7 @@ impl<'a, 'd> CrashFold<'a, 'd> {
                 r.revokes,
             ]
         };
-        if tallies(&was) != tallies(&now) || now.resumes > was.resumes {
+        if tallies(&was) != tallies(&now) || now.registry.resumes > was.registry.resumes {
             return Some(Diagnostic::error(
                 RECOVERY_CORRUPT_TRACE,
                 format!("report diverged after restore: live {was:?}, rebuilt {now:?}"),

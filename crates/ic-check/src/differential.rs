@@ -559,11 +559,11 @@ pub fn run_case<L: Leases>(
         return Err("final queue state disagrees".into());
     }
 
-    let s = idx.summary(now);
-    out.completions = s.completions;
-    out.steals = s.steals;
-    out.revokes = s.revokes;
-    out.remote = s.remote_completions;
+    let r = idx.summary(now).registry;
+    out.completions = r.completions as usize;
+    out.steals = r.steals as usize;
+    out.revokes = r.revokes as usize;
+    out.remote = r.remote_completions as usize;
     out.complete = idx.is_complete();
     Ok(out)
 }
@@ -627,7 +627,7 @@ mod tests {
             same_effects(&refm.step(ev.clone()), &idx.step(ev)).unwrap();
         }
         assert!(idx.is_complete());
-        assert_eq!(idx.summary(7).revokes, 2);
+        assert_eq!(idx.summary(7).registry.revokes, 2);
         assert_eq!(refm.fingerprint(), idx.fingerprint());
     }
 

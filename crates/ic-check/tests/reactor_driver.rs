@@ -110,10 +110,10 @@ fn manual_clock_runs_are_byte_identical() {
     let (a, report_a) = scripted_run(42);
     let (b, report_b) = scripted_run(42);
     assert_eq!(a, b, "same script + same frozen clock = same bytes");
-    assert_eq!(report_a.completions, 3);
-    assert_eq!(report_b.failures, report_a.failures);
+    assert_eq!(report_a.registry.completions, 3);
+    assert_eq!(report_b.registry.failures, report_a.registry.failures);
     assert!(
-        report_a.failures >= 1,
+        report_a.registry.failures >= 1,
         "the abandoned lease was recovered: {report_a:?}"
     );
     // The frozen clock is the one stamping events: the makespan is
@@ -130,7 +130,7 @@ fn manual_clock_runs_are_byte_identical() {
         .iter()
         .filter(|e| e.kind == EventKind::Failed)
         .count();
-    assert_eq!(fails, report_a.failures);
+    assert_eq!(fails as u64, report_a.registry.failures);
     let errors: Vec<_> = ic_audit::audit_trace(&trace)
         .into_iter()
         .filter(|d| d.severity == ic_audit::Severity::Error)
@@ -250,6 +250,6 @@ fn drain_exits_promptly_under_a_frozen_clock() {
         panic!("expected drain");
     };
     let report = world.report.expect("the drain ended the run");
-    assert_eq!(report.completions, 1);
+    assert_eq!(report.registry.completions, 1);
     assert_eq!(report.makespan, 0.0, "no manual time elapsed: {report:?}");
 }

@@ -775,16 +775,17 @@ pub fn serve(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
     }
     let common = serve_report(&report, &addr.to_string(), &policy, &mut text);
     if let Some((i, n, _, _, cut)) = &shard {
-        let (tx, rx, remote) = (report.peer_tx, report.peer_rx, report.remote_completions);
+        let r = &report.registry;
+        let (tx, rx, remote) = (r.peer_tx, r.peer_rx, r.remote_completions);
         let _ = writeln!(text, "remote completions: {remote}");
         let _ = writeln!(text, "peer frames:        {tx} sent, {rx} received");
-        let _ = writeln!(text, "peer reconnects:    {}", report.peer_reconnects);
+        let _ = writeln!(text, "peer reconnects:    {}", r.peer_reconnects);
         let _ = write!(
             data,
             ", \"shard\": {i}, \"shards\": {n}, \"local_nodes\": {tasks}, \"cut_edges\": {cut}, \
              \"remote_completions\": {remote}, \"peer_tx\": {tx}, \"peer_rx\": {rx}, \
              \"peer_reconnects\": {}",
-            report.peer_reconnects,
+            r.peer_reconnects,
         );
     }
     if report.late_workers > 0 && trace_path.is_some() {
@@ -808,15 +809,16 @@ fn serve_report(
     policy: &str,
     text: &mut String,
 ) -> String {
-    let _ = writeln!(text, "completions:  {}", report.completions);
-    let _ = writeln!(text, "failures:     {}", report.failures);
-    let _ = writeln!(text, "allocations:  {}", report.allocations);
-    let _ = writeln!(text, "resumes:      {}", report.resumes);
-    let _ = writeln!(text, "steals:       {}", report.steals);
-    let _ = writeln!(text, "revokes:      {}", report.revokes);
+    let r = &report.registry;
+    let _ = writeln!(text, "completions:  {}", r.completions);
+    let _ = writeln!(text, "failures:     {}", r.failures);
+    let _ = writeln!(text, "allocations:  {}", r.allocations);
+    let _ = writeln!(text, "resumes:      {}", r.resumes);
+    let _ = writeln!(text, "steals:       {}", r.steals);
+    let _ = writeln!(text, "revokes:      {}", r.revokes);
     let _ = writeln!(text, "workers:      {}", report.workers_registered);
     let _ = writeln!(text, "makespan:     {:.3}s", report.makespan);
-    let fields = report.registry.fields();
+    let fields = r.fields();
     let pairs = |sep: &str, quote: &str| {
         let pair = |(k, v): &(&str, u64)| format!("{quote}{k}{quote}{sep}{v}");
         fields.iter().map(pair).collect::<Vec<_>>().join(", ")
@@ -829,13 +831,13 @@ fn serve_report(
          \"registry\": {{{}}}",
         json_string(addr),
         json_string(policy),
-        report.completions,
-        report.failures,
-        report.failures,
-        report.allocations,
-        report.resumes,
-        report.steals,
-        report.revokes,
+        r.completions,
+        r.failures,
+        r.failures,
+        r.allocations,
+        r.resumes,
+        r.steals,
+        r.revokes,
         report.workers_registered,
         report.late_workers,
         report.makespan,
@@ -1057,7 +1059,7 @@ pub fn fed(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
         part.cut_size(),
         if replicate { "replicate" } else { "notify" },
     );
-    for (s, r) in run.reports.iter().enumerate() {
+    for (s, r) in run.reports.iter().map(|r| &r.registry).enumerate() {
         let _ = writeln!(
             out,
             "shard {s}: {} completion(s), {} remote, {} peer frame(s) out, \
@@ -1070,7 +1072,7 @@ pub fn fed(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
         "merged: {merged_events} event(s), audit {}",
         if clean { "passed" } else { "FAILED" }
     );
-    let completions: usize = run.reports.iter().map(|r| r.completions).sum();
+    let completions: u64 = run.reports.iter().map(|r| r.registry.completions).sum();
     let data = format!(
         "{{\"shards\": {}, \"cut_edges\": {}, \"replicate\": {}, \"completions\": {}, \
          \"merged_events\": {merged_events}, \"audit_clean\": {clean}}}",

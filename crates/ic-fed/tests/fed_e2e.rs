@@ -85,18 +85,18 @@ fn run_mesh_federation(mode: CutMode, sever: Option<usize>) -> FedRun {
     assert_eq!(run.reports.len(), plans.len());
     for (s, (report, p)) in run.reports.iter().zip(&plans).enumerate() {
         assert_eq!(
-            report.completions + report.remote_completions,
-            p.dag.num_nodes(),
+            report.registry.completions + report.registry.remote_completions,
+            p.dag.num_nodes() as u64,
             "shard {s} left nodes incomplete"
         );
         assert!(
-            report.peer_tx > 0 || report.peer_rx > 0,
+            report.registry.peer_tx > 0 || report.registry.peer_rx > 0,
             "shard {s} exchanged no peer frames"
         );
     }
     if sever.is_some() {
         assert!(
-            run.reports.iter().any(|r| r.peer_reconnects > 0),
+            run.reports.iter().any(|r| r.registry.peer_reconnects > 0),
             "severing the shard link must force a reconnect"
         );
     }
@@ -118,14 +118,14 @@ fn two_shard_mesh_completes_with_flaky_workers_notify_mode() {
     let run = run_mesh_federation(CutMode::Notify, None);
     // Under Notify each global node is completed by a worker on
     // exactly one shard.
-    let local: usize = run.reports.iter().map(|r| r.completions).sum();
+    let local: u64 = run.reports.iter().map(|r| r.registry.completions).sum();
     assert_eq!(local, 66);
 }
 
 #[test]
 fn two_shard_mesh_completes_despite_a_severed_link() {
     let run = run_mesh_federation(CutMode::Notify, Some(3));
-    let local: usize = run.reports.iter().map(|r| r.completions).sum();
+    let local: u64 = run.reports.iter().map(|r| r.registry.completions).sum();
     assert_eq!(local, 66);
 }
 
@@ -133,7 +133,7 @@ fn two_shard_mesh_completes_despite_a_severed_link() {
 fn two_shard_mesh_completes_under_replicate_cut() {
     let run = run_mesh_federation(CutMode::Replicate, Some(2));
     // Replication means at-least-once completion of boundary tasks.
-    let local: usize = run.reports.iter().map(|r| r.completions).sum();
+    let local: u64 = run.reports.iter().map(|r| r.registry.completions).sum();
     assert!(local >= 66, "replicated run lost completions: {local}");
 }
 
@@ -171,17 +171,18 @@ fn a_1_ms_lease_drains_and_audits_clean() {
         (0..plans.len()).map(|s| fed_workers(s, false)).collect();
     workers.iter_mut().flatten().for_each(|w| w.mean_ms = 5);
     let run = run_federation(&plans, &opts, &workers).expect("federation must drain");
-    let local: usize = run.reports.iter().map(|r| r.completions).sum();
+    let local: u64 = run.reports.iter().map(|r| r.registry.completions).sum();
     assert_eq!(local, 66);
     assert_merged_audit_clean(&run.traces);
 }
 
 /// The work of `ic-prio fed --family mesh:11` at 1 and at 2 shards, as
 /// exact counts from each shard's registry: poll rounds, frames in and
-/// out, and rounds that flushed output. The virtual clock makes them
-/// the same every run; a change that moves the work a run does moves
-/// this pin and says why. The phase times are wall-clock and not
-/// pinned.
+/// out, rounds that flushed output, and the machine's completions,
+/// remote completions, allocations and reallocations. The virtual
+/// clock makes them the same every run; a change that moves the work a
+/// run does moves this pin and says why. The phase times are
+/// wall-clock and not pinned.
 #[test]
 fn registry_counts_on_the_virtual_clock_are_pinned() {
     let mesh = out_mesh(11);
@@ -193,20 +194,35 @@ fn registry_counts_on_the_virtual_clock_are_pinned() {
             .build(),
         sever_link_after: None,
     };
-    // Per shard: [polls, frames_in, frames_out, flushes].
-    let pins: [&[[u64; 4]]; 2] = [
-        &[[109, 142, 142, 55]],
-        &[[102, 84, 92, 35], [102, 85, 77, 25]],
+    // Per shard: [polls, frames_in, frames_out, flushes, completions,
+    // remote_completions, allocations, failures].
+    let pins: [&[[u64; 8]]; 2] = [
+        &[[109, 142, 142, 55, 66, 0, 66, 0]],
+        &[
+            [102, 84, 92, 35, 36, 0, 36, 0],
+            [102, 85, 77, 25, 30, 8, 30, 0],
+        ],
     ];
     for (shards, pin) in (1..=2).zip(pins) {
         let plans = plan(&mesh, &Partition::level_cut(&mesh, shards), CutMode::Notify);
         let workers: Vec<Vec<WorkerConfig>> =
             (0..plans.len()).map(|s| fed_workers(s, false)).collect();
-        let counts = || -> Vec<[u64; 4]> {
+        let counts = || -> Vec<[u64; 8]> {
             let run = run_federation(&plans, &opts, &workers).expect("federation must drain");
             let reg = run.reports.iter().map(|r| &r.registry);
-            reg.map(|r| [r.polls, r.frames_in, r.frames_out, r.flushes])
-                .collect()
+            reg.map(|r| {
+                [
+                    r.polls,
+                    r.frames_in,
+                    r.frames_out,
+                    r.flushes,
+                    r.completions,
+                    r.remote_completions,
+                    r.allocations,
+                    r.failures,
+                ]
+            })
+            .collect()
         };
         let first = counts();
         assert_eq!(

@@ -22,9 +22,10 @@
 //!   ([`timer::TimerWheel`]) and the wait rule — the one way a dag gets
 //!   served. Peer links are the private `peers` module; [`FedConfig`]
 //!   is what a shard's trace header does not say.
-//! * [`registry`] — the [`Registry`] of a run's poll rounds: rounds,
-//!   syscalls, frames and phase times, always on, in every
-//!   [`ServeReport`].
+//! * [`registry`] — the run's one [`Registry`], owned by the machine:
+//!   its decisions, rounds, syscalls, frames and phase times, always
+//!   on; a [`ServeReport`] is that registry and what only the run's end
+//!   knows.
 //! * [`server`] — [`server::ServerConfig`] and the [`server::ServeReport`]
 //!   a run ends with: leases, backoff reallocation, resumable leases,
 //!   straggler re-lease at the drain barrier, batched allocation,

@@ -46,6 +46,7 @@ pub use ic_sim::trace::FED_CLIENT;
 use ic_sim::trace::{EventKind, TraceEvent, TraceHeader, WorkerParams};
 
 pub use crate::lease_table::{Lease, LeaseTable, Leases};
+use crate::registry::Registry;
 use crate::server::ServerConfig;
 use crate::wire::{Message, ERR_BAD_RESUME, ERR_UNSUPPORTED, PROTO_CURRENT};
 
@@ -268,12 +269,9 @@ pub struct LeaseMachine<'a, 'd, L = LeaseTable> {
     /// the makespan count from here.
     origin_us: u64,
     step: u64,
-    allocation_steps: usize,
-    completions: usize,
-    failure_events: usize,
-    resumes: usize,
-    steals: usize,
-    revokes: usize,
+    /// The run's registry: the machine counts its decisions here, and
+    /// the core and reactor around it their frames, rounds and phases.
+    pub(crate) reg: Registry,
     completed_at_us: Option<u64>,
     /// End of the post-restore resume window: until this driver time,
     /// a resume `hello` whose token misses the index may still reclaim
@@ -352,12 +350,7 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
             header_written: false,
             origin_us: 0,
             step: 0,
-            allocation_steps: 0,
-            completions: 0,
-            failure_events: 0,
-            resumes: 0,
-            steals: 0,
-            revokes: 0,
+            reg: Registry::default(),
             completed_at_us: None,
             recovery_resume_until_us: 0,
             rng,
@@ -528,18 +521,19 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
         self.tally(kind, client);
     }
 
-    /// Count one trace event toward [`LeaseMachine::summary`] — the one
-    /// place its event-derived tallies move, for an event emitted live
-    /// and one replayed by a [`Restorer`] alike. The
-    /// federation's events count only as remote completions.
+    /// Count one trace event into the registry — the one place its
+    /// event-derived readings move, for an event emitted live and one
+    /// replayed by a [`Restorer`] alike. The federation's events count
+    /// only as remote completions.
     fn tally(&mut self, kind: EventKind, client: usize) {
+        let reg = &mut self.reg;
         let count = match (kind, client == FED_CLIENT) {
-            (EventKind::Completed, true) => &mut self.remote.completions,
+            (EventKind::Completed, true) => &mut reg.remote_completions,
             (_, true) => return,
-            (EventKind::Completed, false) => &mut self.completions,
-            (EventKind::Failed, false) => &mut self.failure_events,
-            (EventKind::Speculated, false) => &mut self.steals,
-            (EventKind::Revoked, false) => &mut self.revokes,
+            (EventKind::Completed, false) => &mut reg.completions,
+            (EventKind::Failed, false) => &mut reg.failures,
+            (EventKind::Speculated, false) => &mut reg.steals,
+            (EventKind::Revoked, false) => &mut reg.revokes,
             (EventKind::Allocated | EventKind::Idle | EventKind::Resumed, false) => return,
         };
         *count += 1;
@@ -725,7 +719,7 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
             self.connected += 1;
         }
         let held = self.leases.renew_worker(worker, deadline);
-        self.resumes += 1;
+        self.reg.resumes += 1;
         for &v in &held {
             self.emit(fx, EventKind::Resumed, now_us, worker, Some(v));
         }
@@ -828,10 +822,10 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
             self.dag,
             self.policy,
             width,
-            self.allocation_steps,
+            self.reg.allocations as usize,
             Some(&self.failures),
         );
-        self.allocation_steps += tasks.len();
+        self.reg.allocations += tasks.len() as u64;
         let deadline = self.lease_deadline(now_us);
         // The trace shows one `alloc` per task; event `i` of `k`
         // records the pool as it stood after that single allocation.
@@ -1214,10 +1208,8 @@ mod tests {
             Message::Drain
         ));
 
-        let report = m.summary(now);
-        assert_eq!(report.completions, 4);
-        assert_eq!(report.failures, 2);
-        assert_eq!(report.allocations, 6);
+        let reg = &m.reg;
+        assert_eq!((reg.completions, reg.failures, reg.allocations), (4, 2, 6));
 
         let errors = audit_errors(sink);
         assert!(errors.is_empty(), "trace must replay clean: {errors:?}");
@@ -1328,7 +1320,7 @@ mod tests {
         );
         assert_eq!(m.connected(), 0);
         assert_eq!(m.lease_views().len(), 1);
-        assert_eq!(m.summary(0).failures, 0, "no spurious reallocation");
+        assert_eq!(m.reg.failures, 0, "no spurious reallocation");
         assert_accounting(&m);
 
         // Resume with the token: same slot, rotated token, lease back.
@@ -1355,7 +1347,7 @@ mod tests {
         assert_eq!(worker, 0);
         assert_ne!(rotated, token, "the token must rotate on resume");
         assert_eq!(held, tasks);
-        assert_eq!((m.summary(0).resumes, m.connected()), (1, 1));
+        assert_eq!((m.reg.resumes, m.connected()), (1, 1));
         assert_eq!(m.worker_epoch(0), Some(1));
 
         // The spent token is dead; the old connection's Sever is stale.
@@ -1393,8 +1385,7 @@ mod tests {
         };
         assert!(done(&mut m, &mut sink, 0, tasks[0], true, 0));
         assert!(m.is_complete());
-        let report = m.summary(0);
-        assert_eq!((report.resumes, report.failures), (1, 0));
+        assert_eq!((m.reg.resumes, m.reg.failures), (1, 0));
         let errors = audit_errors(sink);
         assert!(errors.is_empty(), "trace must replay clean: {errors:?}");
     }
@@ -1451,7 +1442,7 @@ mod tests {
             }
             assert_eq!(m.token_index.len(), m.workers.len());
         }
-        assert_eq!((issued.len(), m.workers.len(), m.resumes), (7, 3, 3));
+        assert_eq!((issued.len(), m.workers.len(), m.reg.resumes), (7, 3, 3));
     }
 
     /// `node_from_raw` against the lookup it stands for: a scan of the
@@ -1502,14 +1493,14 @@ mod tests {
         };
         assert_eq!(stolen, vec![0]);
         assert_eq!(m.lease_views().len(), 2);
-        assert_eq!(m.summary(0).steals, 1);
+        assert_eq!(m.reg.steals, 1);
         assert_accounting(&m);
 
         let steps_before = m.trace_steps();
         // Worker 1 finishes first: it wins, worker 0's lease is
         // revoked, the child enters the pool exactly once.
         assert!(done(&mut m, &mut sink, 1, 0, true, 0));
-        assert_eq!((m.summary(0).revokes, m.lease_views().len()), (1, 0));
+        assert_eq!((m.reg.revokes, m.lease_views().len()), (1, 0));
         assert_eq!(m.exec().pool_len(), 1);
         assert_accounting(&m);
         assert_eq!(m.trace_steps(), steps_before + 2, "completed + revoked");
@@ -1539,8 +1530,8 @@ mod tests {
         };
         assert!(done(&mut m, &mut sink, 0, tasks[0], true, 0));
         assert!(m.is_complete());
-        let report = m.summary(0);
-        assert_eq!((report.steals, report.revokes, report.failures), (1, 1, 0));
+        let reg = &m.reg;
+        assert_eq!((reg.steals, reg.revokes, reg.failures), (1, 1, 0));
         let errors = audit_errors(sink);
         assert!(errors.is_empty(), "trace must replay clean: {errors:?}");
     }

@@ -31,9 +31,6 @@ pub(super) struct Remote {
     /// and rescanned on every drain; arrival order is observable (it
     /// fixes the order of completions within a drain pass).
     pub(super) pending: Vec<NodeId>,
-    /// Remote completions applied (stub or replica executions driven
-    /// by a peer's `remote-done`).
-    pub(super) completions: usize,
 }
 
 /// `ids` as a membership mask over `n` nodes; out-of-range ids are
@@ -225,7 +222,7 @@ mod tests {
                 sink.record(t);
             }
         }
-        assert_eq!(m.summary(0).remote_completions, 1);
+        assert_eq!(m.reg.remote_completions, 1);
         assert_accounting(&m);
 
         // A duplicate (backlog replay) changes nothing.
@@ -235,7 +232,7 @@ mod tests {
                 now_us: 21
             })
             .is_empty());
-        assert_eq!(m.summary(0).remote_completions, 1);
+        assert_eq!(m.reg.remote_completions, 1);
 
         // Now the child chain allocates and completes normally.
         let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 1, 30) else {
@@ -284,7 +281,7 @@ mod tests {
                 sink.record(t);
             }
         }
-        assert_eq!(m.summary(0).remote_completions, 1);
+        assert_eq!(m.reg.remote_completions, 1);
         assert_accounting(&m);
 
         // The worker's report is now late and rejected; its heartbeat
@@ -334,7 +331,7 @@ mod tests {
                 now_us: 30
             })
             .is_empty());
-        assert_eq!(m.summary(0).remote_completions, 0);
+        assert_eq!(m.reg.remote_completions, 0);
         let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 1, 35) else {
             panic!("child must be allocatable");
         };
@@ -393,14 +390,14 @@ mod tests {
                 "a queued notification emits nothing"
             );
             assert_eq!(m.pending_remote(), 1);
-            assert_eq!(m.summary(0).remote_completions, 0);
+            assert_eq!(m.reg.remote_completions, 0);
         }
 
         // The stub's notification lands: both apply, in order.
         let applied = remote(&mut m, &mut sink, 0, 20);
         assert_eq!(applied, vec![NodeId(0), NodeId(1)], "one `Completed` each");
         assert_eq!(m.pending_remote(), 0);
-        assert_eq!(m.summary(0).remote_completions, 2);
+        assert_eq!(m.reg.remote_completions, 2);
         assert_accounting(&m);
 
         let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 1, 30) else {
@@ -423,16 +420,10 @@ mod tests {
         hello(&mut m, &mut sink, "w0");
         assert_eq!(remote(&mut m, &mut sink, 2, 10), vec![]);
         assert_eq!(remote(&mut m, &mut sink, 1, 11), vec![]);
-        assert_eq!(
-            (m.pending_remote(), m.summary(0).remote_completions),
-            (2, 0)
-        );
+        assert_eq!((m.pending_remote(), m.reg.remote_completions), (2, 0));
         let applied = remote(&mut m, &mut sink, 0, 20);
         assert_eq!(applied, vec![NodeId(0), NodeId(1), NodeId(2)]);
-        assert_eq!(
-            (m.pending_remote(), m.summary(0).remote_completions),
-            (0, 3)
-        );
+        assert_eq!((m.pending_remote(), m.reg.remote_completions), (0, 3));
         assert_accounting(&m);
 
         let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 1, 30) else {
@@ -462,12 +453,12 @@ mod tests {
 
         // Barrier not met: the notification must produce no effects.
         assert!(m.step(Event::RemoteDone { task: 0, now_us: 5 }).is_empty());
-        assert_eq!(m.summary(0).remote_completions, 0);
+        assert_eq!(m.reg.remote_completions, 0);
 
         // The registering hello writes the header, claims the stub,
         // and applies the queued completion.
         hello(&mut m, &mut sink, "w0");
-        assert_eq!(m.summary(0).remote_completions, 1);
+        assert_eq!(m.reg.remote_completions, 1);
         assert_accounting(&m);
 
         let Message::Assign { tasks } = request(&mut m, &mut sink, 0, 1, 10) else {

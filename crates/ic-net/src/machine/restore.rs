@@ -242,7 +242,7 @@ impl<'a, 'd> Restorer<'a, 'd> {
         // One handshake writes a `resume` per lease the worker kept:
         // an unbroken run of them for one client is one.
         let resumed = (ev.kind == EventKind::Resumed).then_some(client);
-        m.resumes += usize::from(resumed.is_some() && resumed != self.resuming);
+        m.reg.resumes += u64::from(resumed.is_some() && resumed != self.resuming);
         self.resuming = resumed;
         let Some(v) = ev.task else {
             m.workers[client].waiting = true;
@@ -283,7 +283,7 @@ impl<'a, 'd> Restorer<'a, 'd> {
                     m.state
                         .claim(v)
                         .map_err(|_| corrupt(format!("allocated task {v} was not in the pool")))?;
-                    m.allocation_steps += 1;
+                    m.reg.allocations += 1;
                 }
                 // Deadline and grant time are the restart's, which
                 // `finish` stamps.
@@ -367,19 +367,15 @@ impl<'a, 'd> Restorer<'a, 'd> {
     }
 
     /// Hash the machine's [`LeaseMachine::fingerprint_into`], the
-    /// report tallies, the pending `resume` run and the event count:
-    /// what [`Restorer::finish`] reads but the trace cursor (DESIGN §4e).
+    /// registry's decision counts, the pending `resume` run and the
+    /// event count: what [`Restorer::finish`] reads but the trace
+    /// cursor (DESIGN §4e).
     pub fn fingerprint_into(&self, h: &mut impl Hasher) {
         let m = &self.m;
         m.fingerprint_into(h);
-        (
-            m.completions,
-            m.failure_events,
-            m.allocation_steps,
-            m.steals,
-        )
-            .hash(h);
-        (m.revokes, m.resumes, self.resuming, self.events).hash(h);
+        let r = &m.reg;
+        (r.completions, r.failures, r.allocations, r.steals).hash(h);
+        (r.revokes, r.resumes, self.resuming, self.events).hash(h);
     }
 }
 
@@ -425,6 +421,16 @@ mod tests {
         Ok(fold.finish(now_us))
     }
 
+    /// Every registry reading of the rebuilt machine equals the live
+    /// one's, except `resumes`, which may read lower: a resume that
+    /// kept no lease wrote no event.
+    fn assert_restored_readings(rebuilt: &LeaseMachine<'_, '_>, live: &LeaseMachine<'_, '_>) {
+        let mut reg = rebuilt.reg.clone();
+        assert!(reg.resumes <= live.reg.resumes, "{reg:?}");
+        reg.resumes = live.reg.resumes;
+        assert_eq!(reg, live.reg);
+    }
+
     /// Crash a run after one completion and one outstanding lease,
     /// then `restore` from the recorded prefix: the
     /// rebuilt machine carries the same executed set, the same lease,
@@ -460,6 +466,7 @@ mod tests {
         assert_eq!(trace.events.len(), 3, "alloc, complete, alloc");
 
         let mut r = restore(&g, &policy, cfg(), &trace.header, &trace.events, 0).unwrap();
+        assert_restored_readings(&r, &m);
         assert_eq!(r.exec().num_executed(), 1, "the completion survives");
         assert_eq!(r.exec().pool_len(), 1, "the never-allocated task");
         let leases = r.lease_views();
@@ -501,7 +508,7 @@ mod tests {
         };
         assert_eq!(tasks, &vec![held], "the lease is handed straight back");
         assert_eq!(r.awaiting_resume(), 0);
-        assert_eq!(r.summary(10).resumes, 1);
+        assert_eq!(r.reg.resumes, 1);
 
         // The resumed worker finishes the dag on the restored machine.
         assert!(done(&mut r, &mut sink2, 0, held, true, 20));
@@ -568,13 +575,14 @@ mod tests {
             matches!(&back[0], Message::Welcome { tasks, .. } if tasks.len() == 3),
             "{back:?}"
         );
-        assert_eq!(m.summary(10).resumes, 1, "one handshake");
+        assert_eq!(m.reg.resumes, 1, "one handshake");
 
         let trace = sink.into_trace().unwrap();
         let resumed = |e: &&TraceEvent| e.kind == EventKind::Resumed;
         assert_eq!(trace.events.iter().filter(resumed).count(), 3);
         let r = restore(&g, &policy, cfg(), &trace.header, &trace.events, 10).unwrap();
-        assert_eq!(r.summary(10).resumes, m.summary(10).resumes);
+        assert_restored_readings(&r, &m);
+        assert_eq!(r.reg.resumes, m.reg.resumes);
     }
 
     /// A restored machine must not hand out the crashed run's tokens.
@@ -623,6 +631,7 @@ mod tests {
         let trace = sink.into_trace().unwrap();
 
         let mut r = restore(&g, &policy, cfg(), &trace.header, &trace.events, 0).unwrap();
+        assert_restored_readings(&r, &m);
         r.await_resumes(1_000_000);
         let mut sink2 = MemorySink::new();
         let mut reissued = Vec::new();
@@ -652,7 +661,7 @@ mod tests {
         for (id, _, fresh) in &reissued {
             assert!(!tokens.contains(fresh), "{id} was handed a pre-crash token");
         }
-        assert_eq!(r.summary(10).resumes, 2);
+        assert_eq!(r.reg.resumes, 2);
     }
 
     /// After the resume window closes, an unknown token no longer
@@ -676,6 +685,7 @@ mod tests {
         let trace = sink.into_trace().unwrap();
 
         let mut r = restore(&g, &policy, cfg, &trace.header, &trace.events, 0).unwrap();
+        assert_restored_readings(&r, &m);
         r.await_resumes(500); // window closes at t=500µs
         let mut sink2 = MemorySink::new();
         let replies = drive(

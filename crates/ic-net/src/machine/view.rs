@@ -23,7 +23,7 @@ impl<'d, L: Leases> LeaseMachine<'_, 'd, L> {
     }
 
     /// Workers with a live connection right now.
-    pub fn connected(&self) -> usize {
+    pub(crate) fn connected(&self) -> usize {
         self.connected
     }
 
@@ -67,23 +67,16 @@ impl<'d, L: Leases> LeaseMachine<'_, 'd, L> {
         self.step
     }
 
-    /// Summarize the run as the driver's [`ServeReport`]; `now_us` is
-    /// the fallback makespan endpoint if the dag never completed. The
-    /// peer-link tallies are the reactor's to fill.
+    /// Summarize the run as the driver's [`ServeReport`]: the registry
+    /// as it stands, and the makespan, for which `now_us` is the
+    /// fallback endpoint if the dag never completed.
     pub fn summary(&self, now_us: u64) -> ServeReport {
         let end = self.completed_at_us.unwrap_or(now_us);
         ServeReport {
-            completions: self.completions,
-            failures: self.failure_events,
-            allocations: self.allocation_steps,
+            registry: Box::new(self.reg.clone()),
+            makespan: end.saturating_sub(self.origin_us) as f64 * 1e-6,
             workers_registered: self.workers.len(),
             late_workers: self.late_workers,
-            resumes: self.resumes,
-            steals: self.steals,
-            revokes: self.revokes,
-            makespan: end.saturating_sub(self.origin_us) as f64 * 1e-6,
-            remote_completions: self.remote.completions,
-            ..ServeReport::default()
         }
     }
 

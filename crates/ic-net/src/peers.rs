@@ -3,7 +3,7 @@
 //!
 //! [`Peers`] is what one shard knows of the others — links up, the
 //! backlog of completions they were told, who has drained (the frame
-//! tallies are the core's [`Registry`](crate::Registry)'s) — and the
+//! tallies go to the run's [`Registry`](crate::Registry)) — and the
 //! `ServerCore` methods here are the core's six ways into it:
 //! `dial_target`/`dialed` (a `Redial` fired; the shell dials),
 //! `peer_frame`, `link_down`, `recorded` (a local task finished) and
@@ -156,7 +156,7 @@ impl ServerCore<'_, '_> {
     /// not match our plan) drops the connection.
     pub(crate) fn peer_frame(&mut self, id: ConnId, msg: Message, now_us: u64) {
         let linked = self.conns.get(&id).is_some_and(|st| st.peer.is_some());
-        self.reg.peer_rx += u64::from(linked);
+        self.machine.reg.peer_rx += u64::from(linked);
         let peers = &mut self.peers;
         match msg {
             Message::PeerHello {
@@ -212,7 +212,7 @@ impl ServerCore<'_, '_> {
             }
         }
         let peers = &mut self.peers;
-        self.reg.peer_reconnects += u64::from(!peers.linked_once.insert(peer));
+        self.machine.reg.peer_reconnects += u64::from(!peers.linked_once.insert(peer));
         let shard = peers.shard;
         let hello = Message::PeerHello {
             shard,
@@ -249,7 +249,7 @@ impl ServerCore<'_, '_> {
     /// every lost notification.
     fn peer_send(&mut self, id: ConnId, msg: &Message, now_us: u64) {
         self.send(id, msg);
-        self.reg.peer_tx += 1;
+        self.machine.reg.peer_tx += 1;
         let peers = &mut self.peers;
         peers.remote_sends += usize::from(matches!(msg, Message::RemoteDone { .. }));
         let sent = peers.remote_sends;

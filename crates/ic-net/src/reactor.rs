@@ -368,8 +368,6 @@ pub struct ServerCore<'a, 'd> {
     /// Peer links to the other shards.
     pub(crate) peers: Peers,
     owed: Owed,
-    /// The run's counters; the shell adds its rounds and phases.
-    pub(crate) reg: Registry,
     /// The effects buffer each machine step fills, reused.
     fx: Vec<Effect>,
     /// What the calls since the shell last took it asked for.
@@ -391,7 +389,6 @@ impl<'a, 'd> ServerCore<'a, 'd> {
             conns: HashMap::new(),
             peers: Peers::standalone(),
             owed: Owed::default(),
-            reg: Registry::default(),
             fx: Vec::new(),
             out: Output::default(),
         };
@@ -481,7 +478,7 @@ impl<'a, 'd> ServerCore<'a, 'd> {
                     break;
                 }
             };
-            self.reg.frames_in += 1;
+            self.machine.reg.frames_in += 1;
             let (worker, epoch) = match (st.peer, st.reg) {
                 (Some(_), _) => {
                     self.peer_frame(id, msg, now_us);
@@ -584,7 +581,7 @@ impl<'a, 'd> ServerCore<'a, 'd> {
     /// Encode one frame for connection `id`, into the previous send's
     /// range when that went to `id` too.
     pub(crate) fn send(&mut self, id: ConnId, msg: &Message) {
-        self.reg.frames_out += 1;
+        self.machine.reg.frames_out += 1;
         let start = self.out.bytes.len();
         Frame::encode_into(msg, &mut self.out.bytes);
         let end = self.out.bytes.len();
@@ -812,7 +809,7 @@ impl<'a> Reactor<'a> {
                 Round::Drained(report) => return Ok(report),
                 // Spinning for an owed frame: let its sender run.
                 Round::Idle if timeout.is_zero() => {
-                    self.core.reg.yields += 1;
+                    self.core.machine.reg.yields += 1;
                     std::thread::yield_now();
                 }
                 Round::Idle | Round::Busy => {}
@@ -848,21 +845,21 @@ impl<'a> Reactor<'a> {
         } else {
             self.core.boot(self.clock.now_us());
             self.apply(sink);
-            self.core.reg.step_ns += lap(&mut mark);
+            self.core.machine.reg.step_ns += lap(&mut mark);
             Round::Busy
         };
         // The one commit point, WAL before wire: a kill inside a
         // round loses only events no peer heard of (DESIGN §4h).
         sink.flush()?;
-        self.core.reg.sink_ns += lap(&mut mark);
+        self.core.machine.reg.sink_ns += lap(&mut mark);
         self.poller.flush();
-        let reg = &mut self.core.reg;
+        let reg = &mut self.core.machine.reg;
         reg.flush_ns += lap(&mut mark);
         reg.flushes += u64::from(std::mem::take(&mut self.queued));
         if let Round::Drained(report) = &mut round {
-            let mut reg = reg.clone();
-            self.poller.tally(&mut reg);
-            *report = std::mem::take(report).with_registry(reg);
+            // The registry as of the commit, this round's phases in.
+            *report.registry = reg.clone();
+            self.poller.tally(&mut report.registry);
         }
         Ok(round)
     }
@@ -877,7 +874,7 @@ impl<'a> Reactor<'a> {
     ) -> io::Result<Round> {
         let mut events = std::mem::take(&mut self.events);
         self.poller.poll(timeout, &mut events)?;
-        let reg = &mut self.core.reg;
+        let reg = &mut self.core.machine.reg;
         reg.poll_ns += lap(mark);
         reg.polls += 1;
         reg.idle_polls += u64::from(events.is_empty());
@@ -887,7 +884,7 @@ impl<'a> Reactor<'a> {
             self.apply(sink);
         }
         self.events = events;
-        self.core.reg.step_ns += lap(mark);
+        self.core.machine.reg.step_ns += lap(mark);
 
         let mut fired = std::mem::take(&mut self.fired);
         let now = self.clock.now_us();
@@ -913,7 +910,7 @@ impl<'a> Reactor<'a> {
                 round = Round::Drained(self.core.machine.summary(now));
             }
         }
-        self.core.reg.timer_ns += lap(mark);
+        self.core.machine.reg.timer_ns += lap(mark);
         Ok(round)
     }
 

@@ -1,13 +1,17 @@
-//! The round registry: what a server's poll rounds did, counted where
-//! it happens and always on.
+//! The run's registry: what a server decided and what its poll rounds
+//! did, counted where it happens and always on.
 //!
-//! One [`Registry`] travels with each [`ServerCore`](crate::ServerCore),
-//! which counts frames and peer-link traffic; the
-//! [`Reactor`](crate::Reactor) around it counts rounds and times their
-//! phases, and the [`Poller`](crate::Poller) adds its syscalls at drain
+//! One [`Registry`] travels with each [`LeaseMachine`](crate::LeaseMachine),
+//! which counts its decisions (completions, reallocations, allocations,
+//! resumes, steals, revokes) at the one site its trace events pass,
+//! replayed ones included. The [`ServerCore`](crate::ServerCore) around
+//! it counts frames and peer-link traffic into it, the
+//! [`Reactor`](crate::Reactor) counts rounds and times their phases,
+//! and the [`Poller`](crate::Poller) adds its syscalls at drain
 //! ([`Poller::tally`](crate::Poller::tally)). A run's
-//! [`ServeReport`](crate::ServeReport) carries the result. The counts
-//! of a run on a [`ManualClock`](crate::ManualClock) and a
+//! [`ServeReport`](crate::ServeReport) is that registry and what only
+//! the run's end knows. The counts of a run on a
+//! [`ManualClock`](crate::ManualClock) and a
 //! [`LoopbackPoller`](crate::LoopbackPoller) are exact and repeat run
 //! to run; the phase times are wall-clock nanoseconds and do not.
 
@@ -17,7 +21,8 @@ use std::time::Instant;
 /// documented `u64` readings, so a reading is named once.
 macro_rules! registry {
     ($($(#[doc = $doc:literal])+ $field:ident,)+) => {
-        /// Counters and phase times of one serving run.
+        /// Decision counts, round counts and phase times of one
+        /// serving run.
         #[derive(Debug, Clone, Default, PartialEq, Eq)]
         #[non_exhaustive]
         pub struct Registry {
@@ -35,6 +40,29 @@ macro_rules! registry {
 }
 
 registry! {
+    /// Tasks completed by this server's workers (equals the dag's node
+    /// count on a standalone success).
+    completions,
+    /// Reallocation events: lease expiries, worker-reported failures,
+    /// and forfeits by a worker that asked again while holding leases
+    /// (including forfeited duplicates).
+    failures,
+    /// Allocation decisions made (primary leases only; speculative
+    /// duplicates count under `steals`).
+    allocations,
+    /// Successful reconnects: a worker presented a valid resume token
+    /// and kept its slot (and any held leases). After a crash restart
+    /// this is a lower bound: the WAL records a resume by the leases it
+    /// kept, so one that held none left no evidence to recover.
+    resumes,
+    /// Speculative duplicate leases granted at the drain barrier.
+    steals,
+    /// Stale duplicate leases cancelled after a winning completion.
+    revokes,
+    /// Federated runs only: completions applied from peer shards'
+    /// `remote-done` notifications (stub and losing-replica
+    /// executions).
+    remote_completions,
     /// Poll rounds after the boot round: one [`Poller::poll`](crate::Poller::poll) each.
     polls,
     /// Polls that returned no event.

@@ -179,19 +179,19 @@ impl ServerConfigBuilder {
     }
 }
 
-/// Summary of a completed serving run.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Summary of a completed serving run: its [`Registry`] and what
+/// only the run's end knows.
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct ServeReport {
-    /// Tasks completed (equals the dag's node count on success).
-    pub completions: usize,
-    /// Reallocation events: lease expiries, worker-reported failures,
-    /// and forfeits by a worker that asked again while holding leases
-    /// (including forfeited duplicates).
-    pub failures: usize,
-    /// Allocation decisions made (primary leases only; speculative
-    /// duplicates count under [`ServeReport::steals`]).
-    pub allocations: usize,
+    /// What the run decided and what its poll rounds did: completions,
+    /// reallocations, allocations, resumes, steals, revokes, remote
+    /// completions, rounds, syscalls, frames, peer traffic and phase
+    /// times ([`crate::registry`]). Boxed, to keep a drained
+    /// [`Round`](crate::Round) small.
+    pub registry: Box<Registry>,
+    /// Wall-clock seconds from serving start to dag completion.
+    pub makespan: f64,
     /// Workers that registered over the run's lifetime.
     pub workers_registered: usize,
     /// Workers that registered *after* the trace header was written
@@ -200,49 +200,4 @@ pub struct ServeReport {
     /// the header's `workers` list, so header-based replay timing is
     /// incomplete — set `expect_workers` to avoid this.
     pub late_workers: usize,
-    /// Successful reconnects: a worker presented a valid resume token
-    /// and kept its slot (and any held leases). After a crash restart
-    /// this is a lower bound: the WAL records a resume by the leases it
-    /// kept, so one that held none left no evidence to recover.
-    pub resumes: usize,
-    /// Speculative duplicate leases granted at the drain barrier.
-    pub steals: usize,
-    /// Stale duplicate leases cancelled after a winning completion.
-    pub revokes: usize,
-    /// Wall-clock seconds from serving start to dag completion.
-    pub makespan: f64,
-    /// Federated runs only: completions applied from peer shards'
-    /// `remote-done` notifications (stub and losing-replica
-    /// executions). Zero for a standalone server.
-    pub remote_completions: usize,
-    /// Federated runs only: peer frames sent to other shards
-    /// ([`Registry::peer_tx`]).
-    pub peer_tx: usize,
-    /// Federated runs only: peer frames received from other shards
-    /// ([`Registry::peer_rx`]).
-    pub peer_rx: usize,
-    /// Federated runs only: peer links re-established after the first
-    /// — redials by this shard and re-accepted links dialed by a peer
-    /// alike; a shard's first link to each peer is not counted
-    /// ([`Registry::peer_reconnects`]).
-    pub peer_reconnects: usize,
-    /// What the run's poll rounds did: rounds, syscalls, frames and
-    /// phase times ([`crate::registry`]). Boxed, to keep a drained
-    /// [`Round`](crate::Round) small.
-    pub registry: Box<Registry>,
-}
-
-impl ServeReport {
-    /// The report with the run's registry, whose peer counts are the
-    /// `peer_*` fields.
-    pub(crate) fn with_registry(self, registry: Registry) -> ServeReport {
-        let n = |v: u64| usize::try_from(v).unwrap_or(usize::MAX);
-        ServeReport {
-            peer_tx: n(registry.peer_tx),
-            peer_rx: n(registry.peer_rx),
-            peer_reconnects: n(registry.peer_reconnects),
-            registry: Box::new(registry),
-            ..self
-        }
-    }
 }

@@ -91,12 +91,18 @@ fn flaky_workers_complete_a_mesh_with_an_audit_clean_trace() {
         (report, worker_reports)
     });
 
-    assert_eq!(report.completions, 66, "every task completes: {report:?}");
+    assert_eq!(
+        report.registry.completions, 66,
+        "every task completes: {report:?}"
+    );
     assert!(
-        report.failures >= 1,
+        report.registry.failures >= 1,
         "the die-after-2 worker guarantees at least one reallocation: {report:?}"
     );
-    assert_eq!(report.allocations, report.completions + report.failures);
+    assert_eq!(
+        report.registry.allocations,
+        report.registry.completions + report.registry.failures
+    );
     assert_eq!(report.workers_registered, 6);
 
     let trace = sink.into_trace().expect("header written");
@@ -151,9 +157,18 @@ fn severed_connection_resumes_mid_lease_without_reallocation() {
         (report, h.join().unwrap())
     });
 
-    assert_eq!(report.completions, n, "the dag completes: {report:?}");
-    assert_eq!(report.failures, 0, "no spurious reallocations: {report:?}");
-    assert_eq!(report.resumes, 1, "exactly the one reconnect: {report:?}");
+    assert_eq!(
+        report.registry.completions, n as u64,
+        "the dag completes: {report:?}"
+    );
+    assert_eq!(
+        report.registry.failures, 0,
+        "no spurious reallocations: {report:?}"
+    );
+    assert_eq!(
+        report.registry.resumes, 1,
+        "exactly the one reconnect: {report:?}"
+    );
     assert_eq!(wreport.resumes, 1, "the worker resumed once: {wreport:?}");
     assert!(!wreport.died);
     assert_eq!(wreport.completed, n);
@@ -258,10 +273,16 @@ fn drain_barrier_steal_first_completion_wins_and_loser_is_revoked() {
         server.run_until_drain(&mut sink).unwrap()
     });
 
-    assert_eq!(report.completions, 1);
-    assert_eq!(report.failures, 0, "a steal is not a failure: {report:?}");
-    assert_eq!(report.steals, 1, "{report:?}");
-    assert_eq!(report.revokes, 1, "the straggler's lease was revoked");
+    assert_eq!(report.registry.completions, 1);
+    assert_eq!(
+        report.registry.failures, 0,
+        "a steal is not a failure: {report:?}"
+    );
+    assert_eq!(report.registry.steals, 1, "{report:?}");
+    assert_eq!(
+        report.registry.revokes, 1,
+        "the straggler's lease was revoked"
+    );
 
     let trace = sink.into_trace().unwrap();
     let kind_counts = |want| trace.events.iter().filter(|e| e.kind == want).count();
@@ -508,8 +529,8 @@ fn expired_lease_reallocates_and_late_report_is_rejected() {
         server.run_until_drain(&mut sink).unwrap()
     });
 
-    assert_eq!(report.completions, 1);
-    assert_eq!(report.failures, 1, "exactly the lease expiry");
+    assert_eq!(report.registry.completions, 1);
+    assert_eq!(report.registry.failures, 1, "exactly the lease expiry");
     let trace = sink.into_trace().unwrap();
     let fails = trace
         .events
@@ -596,9 +617,9 @@ fn request_while_leased_forfeits_the_old_task() {
         server.run_until_drain(&mut sink).unwrap()
     });
 
-    assert_eq!(report.completions, 2);
-    assert_eq!(report.failures, 1, "exactly the forfeit");
-    assert_eq!(report.allocations, 3);
+    assert_eq!(report.registry.completions, 2);
+    assert_eq!(report.registry.failures, 1, "exactly the forfeit");
+    assert_eq!(report.registry.allocations, 3);
     let trace = sink.into_trace().unwrap();
     let fails = trace
         .events
@@ -654,9 +675,15 @@ fn scale_smoke_256_flaky_workers_complete_audit_clean() {
         (report, worker_reports)
     });
 
-    assert_eq!(report.completions, 528, "every task completes: {report:?}");
+    assert_eq!(
+        report.registry.completions, 528,
+        "every task completes: {report:?}"
+    );
     assert_eq!(report.workers_registered, WORKERS);
-    assert_eq!(report.allocations, report.completions + report.failures);
+    assert_eq!(
+        report.registry.allocations,
+        report.registry.completions + report.registry.failures
+    );
     let completed: usize = worker_reports.iter().map(|r| r.completed).sum();
     assert!(completed >= 528, "completions spread across the fleet");
     let trace = sink.into_trace().expect("header written");
@@ -972,11 +999,17 @@ fn killed_server_recovers_from_its_wal_and_the_worker_resumes_across_restart() {
     // The recovered run's report spans the crash: the replayed
     // completion counts alongside the two done after restart.
     assert_eq!(
-        report2.completions, 3,
+        report2.registry.completions, 3,
         "one recovered + two live: {report2:?}"
     );
-    assert_eq!(report2.failures, 0, "no lease expired across the restart");
-    assert_eq!(report2.resumes, 1, "phoenix resumed across the restart");
+    assert_eq!(
+        report2.registry.failures, 0,
+        "no lease expired across the restart"
+    );
+    assert_eq!(
+        report2.registry.resumes, 1,
+        "phoenix resumed across the restart"
+    );
 
     // The concatenated file — crash prefix + recovered suffix — parses
     // as ONE run and replays audit-clean, with every task completed

@@ -67,7 +67,7 @@ fn run() -> (ServeReport, Trace) {
 #[test]
 fn every_fault_plan_drains_a_mesh_in_the_same_bytes_every_run() {
     let (report, trace) = run();
-    assert_eq!(report.completions, 15, "the whole mesh");
+    assert_eq!(report.registry.completions, 15, "the whole mesh");
     assert_eq!(report.workers_registered, PLANS.len());
     // The failing worker's reports and the dead worker's lease expiry.
     let failed = |id: &str| {
@@ -77,7 +77,10 @@ fn every_fault_plan_drains_a_mesh_in_the_same_bytes_every_run() {
     };
     assert!(failed("w1") > 0 && failed("w2") > 0, "both plans fired");
     assert_eq!(failed("w0") + failed("w3"), 0);
-    assert_eq!(report.resumes, 1, "the severing worker resumes once");
+    assert_eq!(
+        report.registry.resumes, 1,
+        "the severing worker resumes once"
+    );
     let errors: Vec<_> = audit_trace(&trace)
         .into_iter()
         .filter(|d| d.severity == Severity::Error)

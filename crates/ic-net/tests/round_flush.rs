@@ -146,7 +146,7 @@ fn a_round_of_64_pipelined_dones_costs_one_wal_flush_then_one_transmit() {
     let report = reactor
         .run_until_drain(&mut LogSink(Rc::clone(&log)))
         .expect("the script drains the dag");
-    assert_eq!(report.completions, N as usize);
+    assert_eq!(report.registry.completions, N);
 
     let log = log.borrow();
     // Every round, whatever it carried: every record and every queued

@@ -229,9 +229,10 @@ grep -q '"completions": 36' "$tmpdir/serve.json"
     | grep -q '"ok": true'
 # The report carries the round registry, and it adds up: every
 # completion arrived as a frame, a read with data is a read, and every
-# worker that registered was accepted.
+# worker that registered was accepted. The registry repeats the
+# report's decision counts, so a key's first (top-level) match is read.
 grep -q '"registry": {' "$tmpdir/serve.json"
-served() { grep -o "\"$1\": [0-9]*" "$tmpdir/serve.json" | grep -o '[0-9]*$'; }
+served() { grep -o "\"$1\": [0-9]*" "$tmpdir/serve.json" | head -n 1 | grep -o '[0-9]*$'; }
 [ "$(served frames_in)" -ge "$(served completions)" ] \
     && [ "$(served data_reads)" -le "$(served reads)" ] \
     && [ "$(served accepts)" -ge "$(served workers)" ] \
