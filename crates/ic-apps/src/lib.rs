@@ -20,7 +20,6 @@
 //! lives in [`numeric`].
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod adder;
 pub mod dlt;

@@ -22,7 +22,6 @@
 //! [`harness`] module (`cargo bench -p ic-bench`).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod experiments;
 pub mod harness;

@@ -140,7 +140,7 @@ fn pick(rng: &mut XorShift64, n: usize) -> usize {
     if n == 0 {
         return 0;
     }
-    (rng.next_u64() % (n as u64)) as usize
+    usize::try_from(rng.next_u64() % (n as u64)).unwrap_or(0)
 }
 
 /// Compare one step's effect vectors, including byte-level JSON for
@@ -560,10 +560,11 @@ pub fn run_case<L: Leases>(
     }
 
     let r = idx.summary(now).registry;
-    out.completions = r.completions as usize;
-    out.steals = r.steals as usize;
-    out.revokes = r.revokes as usize;
-    out.remote = r.remote_completions as usize;
+    let count = |n: u64| usize::try_from(n).unwrap_or(usize::MAX);
+    out.completions = count(r.completions);
+    out.steals = count(r.steals);
+    out.revokes = count(r.revokes);
+    out.remote = count(r.remote_completions);
     out.complete = idx.is_complete();
     Ok(out)
 }

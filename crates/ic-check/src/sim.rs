@@ -205,7 +205,8 @@ impl Run<'_, '_, '_> {
         match self.step(ev) {
             Some(Message::Assign { tasks }) => {
                 for task in tasks {
-                    let due = now + self.service_us(NodeId::new(task as usize), c);
+                    let v = NodeId::new(usize::try_from(task).unwrap_or(usize::MAX));
+                    let due = now + self.service_us(v, c);
                     self.wakes.push(Reverse((due, c, Some(task))));
                 }
                 false
@@ -222,6 +223,11 @@ impl Run<'_, '_, '_> {
     }
 
     /// Draw task `v`'s service time on client `c`, in virtual µs.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "a service time saturates: negative reads 0, past u64::MAX reads u64::MAX"
+    )]
     fn service_us(&mut self, v: NodeId, c: usize) -> u64 {
         let dag = self.machine.exec().dag();
         let arcs = (dag.in_degree(v) + dag.out_degree(v)) as f64;

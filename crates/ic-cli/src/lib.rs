@@ -37,7 +37,6 @@
 //! (findings), `2` (usage/parse errors).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod commands;
 pub mod flags;

@@ -45,7 +45,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod builder;
 pub mod dag;

@@ -25,7 +25,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

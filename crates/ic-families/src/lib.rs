@@ -25,7 +25,6 @@
 //! [`ic_sched::Schedule`] values validated against the dag.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod butterfly;
 pub mod claims;

@@ -295,6 +295,11 @@ fn token_rng(seed: u64, prior: u64) -> XorShift64 {
     XorShift64::new(seed ^ 0x7EA5_E0CE ^ prior.rotate_left(32))
 }
 
+/// Microseconds since the clock origin as trace seconds.
+fn secs(us: u64) -> f64 {
+    us as f64 * 1e-6
+}
+
 impl<'a, 'd> LeaseMachine<'a, 'd> {
     /// Build a machine over `dag` allocating through `policy`.
     ///
@@ -481,7 +486,7 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
 
     /// Trace timestamp for an event happening at `now_us`.
     fn t(&self, now_us: u64) -> f64 {
-        now_us.saturating_sub(self.origin_us) as f64 * 1e-6
+        secs(now_us.saturating_sub(self.origin_us))
     }
 
     /// Emit the next trace event, stamped with the step counter, the
@@ -812,7 +817,8 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
                 ms: self.cfg.wait_ms,
             };
         }
-        let width = max.clamp(1, self.cfg.batch.max(1) as u64) as usize;
+        let batch = self.cfg.batch.max(1);
+        let width = usize::try_from(max).map_or(batch, |max| max.clamp(1, batch));
         // Claiming removes each task from the pool but keeps it
         // ELIGIBLE until the lease resolves (completion, failure, or
         // expiry). The round is chosen exactly as the offline
@@ -822,7 +828,7 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
             self.dag,
             self.policy,
             width,
-            self.reg.allocations as usize,
+            usize::try_from(self.reg.allocations).unwrap_or(usize::MAX),
             Some(&self.failures),
         );
         self.reg.allocations += tasks.len() as u64;

@@ -16,9 +16,15 @@ use crate::server::ServerConfig;
 
 /// Trace seconds back to driver microseconds — the inverse of the
 /// machine's `t()` timestamping, used when replaying a trace to place
-/// the recovered clock origin.
+/// the recovered clock origin. Rounds, because `t()`'s seconds times
+/// `1e6` can land a hair below the microsecond (15 reads back as 14.999…).
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "clamped at zero; a time past u64::MAX µs saturates"
+)]
 pub(crate) fn micros(t: f64) -> u64 {
-    (t.max(0.0) * 1e6) as u64
+    (t.max(0.0) * 1e6).round() as u64
 }
 
 /// Why a trace prefix cannot rebuild a [`LeaseMachine`]
@@ -398,11 +404,19 @@ impl LeaseMachine<'_, '_> {
 mod tests {
     use super::super::tests::{assert_accounting, boot, done, drive, hello, request};
     use super::*;
-    use crate::machine::Event;
+    use crate::machine::{secs, Event};
     use crate::wire::{Message, PROTO_CURRENT};
     use ic_dag::builder::from_arcs;
     use ic_sched::heuristics::Policy;
     use ic_sim::MemorySink;
+
+    #[test]
+    fn micros_inverts_the_machine_timestamp() {
+        let large = [u64::from(u32::MAX), 86_400_000_000, 1 << 40, 1 << 48];
+        for x in (0..2_000_000).chain(large) {
+            assert_eq!(micros(secs(x)), x, "{x} µs");
+        }
+    }
 
     /// Rebuild a machine from the replayed prefix of its own trace: a
     /// [`Restorer`] fed every event, then finished at `now_us`.

@@ -702,7 +702,10 @@ impl<'a, 'd> ServerCore<'a, 'd> {
         let Message::Welcome { worker, tasks, .. } = msg else {
             return self.drop_conn(id, now_us);
         };
-        let worker = worker as usize;
+        // The machine numbers its slots by `usize`: this always fits.
+        let Ok(worker) = usize::try_from(worker) else {
+            return self.drop_conn(id, now_us);
+        };
         let epoch = self.machine.worker_epoch(worker);
         if let (Some(epoch), Some(st)) = (epoch, self.conns.get_mut(&id)) {
             st.reg = Some((worker, epoch));

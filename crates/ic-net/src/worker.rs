@@ -497,6 +497,11 @@ impl WorkerMachine {
         };
         let cfg = &self.session.cfg;
         let jitter = 0.5 + self.rng.gen_f64(); // U[0.5, 1.5)
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "a compute time saturates: negative or NaN reads 0, past u64::MAX reads u64::MAX"
+        )]
         let ms = ((cfg.mean_ms as f64) * jitter / cfg.speed).round() as u64;
         let left = ms.saturating_mul(1000);
         self.work(Job { task, left, ok }, now_us)
