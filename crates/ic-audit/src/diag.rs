@@ -131,9 +131,8 @@ pub const REMOTE_DONE_WITHOUT_COMPLETION: &str = "IC0601";
 /// stub gates of all its remote predecessors — cross-shard eligibility
 /// was violated.
 pub const REMOTE_ELIGIBILITY_VIOLATION: &str = "IC0602";
-/// Federated merge: a task completed on more than one shard although
-/// it was never replicated — under `--replicate-cut` that is the
-/// normal first-wins race, without it the federation diverged.
+/// Federated merge: a task completed on more than one shard. Every
+/// node has one owner shard, so the federation diverged.
 pub const DIVERGENT_REPLICATED_COMPLETION: &str = "IC0603";
 /// Crash recovery: the trace file ends in a torn final line — the
 /// crashed process died between the kernel accepting part of a
@@ -298,7 +297,7 @@ pub const CODE_TABLE: &[(&str, &str, &str)] = &[
     (
         DIVERGENT_REPLICATED_COMPLETION,
         "DivergentReplicatedCompletion",
-        "an unreplicated task completed on more than one shard",
+        "a task completed on more than one shard",
     ),
     (
         RECOVERY_TORN_TAIL,

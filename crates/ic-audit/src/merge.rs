@@ -8,15 +8,10 @@
 //!
 //! * local node and client ids are rewritten to global ones;
 //! * the synthetic federation client's bookkeeping events (stubs
-//!   claimed at the header, replica hand-offs) are *gates*, not
-//!   history: a shard's stream is held back until the real completion
-//!   its `remote-done` reported has been merged, then the bookkeeping
-//!   event is dropped;
-//! * replicated boundary tasks (`--replicate-cut`) keep first-wins
-//!   semantics: the first real completion stays a completion, every
-//!   later real allocation/completion of the same task is rewritten
-//!   into the speculative-lease vocabulary (`spec`/`revoke`) the
-//!   replay already understands;
+//!   claimed at the header and completed by a `remote-done`) are
+//!   *gates*, not history: a shard's stream is held back until the
+//!   real completion its `remote-done` reported has been merged, then
+//!   the bookkeeping event is dropped;
 //! * recorded pool sizes are local quantities with no global meaning
 //!   and are cleared.
 //!
@@ -24,8 +19,8 @@
 //! that does not describe one coherent federation ([`IC0600`]), a
 //! consumed remote completion that never happened anywhere
 //! ([`IC0601`]), an allocation before its remote predecessors
-//! completed ([`IC0602`]), and divergent completion of a task that was
-//! never replicated ([`IC0603`]).
+//! completed ([`IC0602`]), and a task completed on more than one shard
+//! ([`IC0603`]).
 //!
 //! [`IC0600`]: crate::diag::FEDERATION_METADATA_MISMATCH
 //! [`IC0601`]: crate::diag::REMOTE_DONE_WITHOUT_COMPLETION
@@ -185,20 +180,6 @@ fn validate<'a>(traces: &'a [Trace], diags: &mut Vec<Diagnostic>) -> Option<Vec<
     Some(out)
 }
 
-/// Per replicated task: how its copies have been rewritten so far.
-#[derive(Default)]
-struct ReplicaState {
-    /// A real completion has been merged.
-    completed: bool,
-    /// Global client ids whose lease-granting event was *emitted*
-    /// (allocated or speculated) and not yet released.
-    holders: Vec<usize>,
-    /// Global client ids whose lease-granting event was *dropped*
-    /// (granted after the first completion); their release events are
-    /// dropped too.
-    ghosts: Vec<usize>,
-}
-
 /// Merge per-shard federation traces into one global trace. See the
 /// module docs for the exact rewriting rules. The input order does not
 /// matter; shards are processed by their declared shard id.
@@ -246,19 +227,7 @@ pub fn merge_traces(traces: &[Trace]) -> MergedTrace {
         }
     }
 
-    // Which global tasks are replicated anywhere.
-    let replicated: BTreeSet<u64> = shards
-        .iter()
-        .flat_map(|sh| {
-            sh.meta
-                .replicas
-                .iter()
-                .filter_map(|&l| sh.meta.to_global.get(usize::try_from(l).ok()?).copied())
-        })
-        .collect();
-
     let mut completed_global: Vec<bool> = vec![false; global_nodes];
-    let mut replica_state: BTreeMap<u64, ReplicaState> = BTreeMap::new();
     let mut merged: Vec<TraceEvent> = Vec::new();
     let mut step = 0u64;
     // Stamp an event with its merged global step index.
@@ -326,7 +295,7 @@ pub fn merge_traces(traces: &[Trace]) -> MergedTrace {
         sh.head += 1;
 
         if ev.client == FED_CLIENT {
-            // Bookkeeping: stub claims, replica hand-offs. All dropped;
+            // Bookkeeping: stub claims and completions. All dropped;
             // the gate condition was enforced above. Record consumed
             // stub gates so later allocations can be checked against
             // them in this shard's own stream order.
@@ -383,21 +352,13 @@ pub fn merge_traces(traces: &[Trace]) -> MergedTrace {
             }
         }
 
-        if replicated.contains(&g64) {
-            let state = replica_state.entry(g64).or_default();
-            if let Some(out) = rewrite_replica(ev, state, &mut completed_global[g]) {
-                emit(out, &mut merged);
-            }
-            continue;
-        }
-
         if ev.kind == EventKind::Completed {
             if completed_global[g] {
                 diags.push(Diagnostic::error(
                     DIVERGENT_REPLICATED_COMPLETION,
                     format!(
                         "task {g} completed on shard {} although already completed \
-                         elsewhere and never replicated",
+                         elsewhere",
                         sh.meta.shard
                     ),
                 ));
@@ -452,73 +413,6 @@ pub fn merge_traces(traces: &[Trace]) -> MergedTrace {
     }
 }
 
-/// First-completion-wins rewriting for a replicated task, given one
-/// of its events already on the global id spaces. Returns the event to
-/// emit, if any.
-fn rewrite_replica(
-    ev: TraceEvent,
-    state: &mut ReplicaState,
-    completed_global: &mut bool,
-) -> Option<TraceEvent> {
-    let gclient = ev.client;
-    let as_kind = |kind| Some(TraceEvent { kind, ..ev });
-    match ev.kind {
-        EventKind::Allocated | EventKind::Speculated => {
-            if state.completed {
-                // Too late: the task is globally done; this copy's
-                // lease (and its eventual release) never happened.
-                state.ghosts.push(gclient);
-                return None;
-            }
-            // Any copy but the first allocation is a concurrent one:
-            // the speculative-duplicate shape.
-            let first = state.holders.is_empty() && ev.kind == EventKind::Allocated;
-            state.holders.push(gclient);
-            as_kind(if first {
-                EventKind::Allocated
-            } else {
-                EventKind::Speculated
-            })
-        }
-        EventKind::Completed | EventKind::Failed | EventKind::Revoked => {
-            if drop_ghost(state, gclient) {
-                return None;
-            }
-            if ev.kind == EventKind::Revoked && !state.completed {
-                return None;
-            }
-            release_holder(state, gclient);
-            if state.completed {
-                // A later copy finished (or failed) too: close its
-                // lease as a stale duplicate.
-                return as_kind(EventKind::Revoked);
-            }
-            if ev.kind == EventKind::Completed {
-                state.completed = true;
-                *completed_global = true;
-            }
-            Some(ev)
-        }
-        EventKind::Resumed => state.holders.contains(&gclient).then_some(ev),
-        EventKind::Idle => Some(ev),
-    }
-}
-
-fn drop_ghost(state: &mut ReplicaState, gclient: usize) -> bool {
-    if let Some(i) = state.ghosts.iter().position(|&c| c == gclient) {
-        state.ghosts.swap_remove(i);
-        true
-    } else {
-        false
-    }
-}
-
-fn release_holder(state: &mut ReplicaState, gclient: usize) {
-    if let Some(i) = state.holders.iter().position(|&c| c == gclient) {
-        state.holders.swap_remove(i);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,14 +453,13 @@ mod tests {
         }
     }
 
-    fn meta(shard: u64, to_global: Vec<u64>, stubs: Vec<u32>, replicas: Vec<u32>) -> FedMeta {
+    fn meta(shard: u64, to_global: Vec<u64>, stubs: Vec<u32>) -> FedMeta {
         FedMeta {
             shard,
             shards: 2,
             global_nodes: 2,
             to_global,
             stubs,
-            replicas,
         }
     }
 
@@ -574,11 +467,11 @@ mod tests {
     /// a stub for 0.
     fn two_shard_chain() -> Vec<Trace> {
         let t0 = Trace {
-            header: shard_header(1, &[], meta(0, vec![0], vec![], vec![])),
+            header: shard_header(1, &[], meta(0, vec![0], vec![])),
             events: vec![ev_alloc(0, 0, 0), ev_done(1, 0, 0)],
         };
         let t1 = Trace {
-            header: shard_header(2, &[(0, 1)], meta(1, vec![0, 1], vec![0], vec![])),
+            header: shard_header(2, &[(0, 1)], meta(1, vec![0, 1], vec![0])),
             events: vec![
                 // Stub 0 claimed at the header, completed by the
                 // remote-done, then the real child runs.
@@ -645,10 +538,10 @@ mod tests {
     }
 
     #[test]
-    fn divergent_completion_of_an_unreplicated_task_is_ic0603() {
+    fn a_task_completed_on_two_shards_is_ic0603() {
         let mut traces = two_shard_chain();
         // Shard 1 also "completes" global node 0 for real even though
-        // it never hosted a replica of it.
+        // shard 0 owns it.
         traces[1].events.push(ev_alloc(4, 0, 0));
         traces[1].events.push(ev_done(5, 0, 0));
         let out = merge_traces(&traces);
@@ -659,42 +552,37 @@ mod tests {
     }
 
     #[test]
-    fn replicated_race_rewrites_to_first_wins_and_audits_clean() {
-        // Global dag 0 -> 1; task 0 replicated on both shards, both
-        // workers complete it before either remote-done lands.
-        let t0 = Trace {
-            header: shard_header(1, &[], meta(0, vec![0], vec![], vec![0])),
-            events: vec![ev_alloc(0, 0, 0), ev_done(1, 0, 0)],
-        };
-        let t1 = Trace {
-            header: shard_header(2, &[(0, 1)], meta(1, vec![0, 1], vec![], vec![0])),
-            events: vec![
-                ev_alloc(0, 0, 0),
-                ev_done(1, 0, 0),
-                ev_alloc(2, 0, 1),
-                ev_done(3, 0, 1),
-            ],
-        };
-        let out = merge_traces(&[t0, t1]);
-        assert!(out.diags.is_empty(), "{:?}", out.diags);
-        let trace = out.trace.expect("mergeable");
-        // Exactly one real completion of task 0 survives; the loser's
-        // pair became spec + revoke.
-        let done0 = trace
-            .events
+    fn old_replicated_traces_are_refused_with_ic0603() {
+        // Global dag 0 -> 1, task 0 completed on both shards, as a run
+        // under the retired replicated cut left it: both shard headers
+        // still declare task 0 a replica. The key is read past, so the
+        // second completion is a divergence, not a race to rewrite.
+        let shard0 = r#"{"type":"header","version":3,"nodes":1,"clients":1,"seed":"7","policy":"fifo","arcs":[],"fed":{"shard":0,"shards":2,"global_nodes":2,"to_global":[0],"stubs":[],"replicas":[0]}}
+{"type":"alloc","step":0,"t":0,"client":0,"task":0,"pool":1}
+{"type":"complete","step":1,"t":1,"client":0,"task":0,"pool":0}
+"#;
+        let shard1 = r#"{"type":"header","version":3,"nodes":2,"clients":1,"seed":"7","policy":"fifo","arcs":[[0,1]],"fed":{"shard":1,"shards":2,"global_nodes":2,"to_global":[0,1],"stubs":[],"replicas":[0]}}
+{"type":"alloc","step":0,"t":0,"client":0,"task":0,"pool":1}
+{"type":"complete","step":1,"t":1,"client":0,"task":0,"pool":1}
+{"type":"alloc","step":2,"t":2,"client":0,"task":1,"pool":0}
+{"type":"complete","step":3,"t":3,"client":0,"task":1,"pool":0}
+"#;
+        let traces: Vec<Trace> = [shard0, shard1]
             .iter()
-            .filter(|e| e.kind == EventKind::Completed && e.task == Some(NodeId::new(0)))
-            .count();
-        assert_eq!(done0, 1);
-        assert!(trace
-            .events
-            .iter()
-            .any(|e| e.kind == EventKind::Revoked && e.task == Some(NodeId::new(0))));
-        let errors: Vec<_> = audit_trace(&trace)
-            .into_iter()
-            .filter(|d| d.severity == Severity::Error)
+            .map(|text| Trace::from_jsonl(text).expect("an old shard header parses"))
             .collect();
-        assert!(errors.is_empty(), "{errors:?}");
+        let out = merge_traces(&traces);
+        let ic0603: Vec<&str> = out
+            .diags
+            .iter()
+            .filter(|d| d.code == DIVERGENT_REPLICATED_COMPLETION)
+            .map(|d| d.message.as_str())
+            .collect();
+        assert_eq!(
+            ic0603,
+            vec!["task 0 completed on shard 1 although already completed elsewhere"]
+        );
+        assert!(out.trace.is_some());
     }
 
     #[test]

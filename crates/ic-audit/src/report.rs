@@ -90,10 +90,10 @@ impl AuditReport {
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n  \"claims\": [\n");
         for (i, r) in self.results.iter().enumerate() {
-            let _ = write!(
+            let _ = writeln!(
                 out,
                 "    {{\"id\": {}, \"source\": {}, \"nodes\": {}, \"mode\": {}, \
-                 \"passed\": {}, \"diagnostics\": [",
+                 \"passed\": {}, \"diagnostics\": {}}}{}",
                 json_string(r.id),
                 json_string(r.source),
                 r.nodes,
@@ -102,22 +102,8 @@ impl AuditReport {
                 } else {
                     "structural"
                 }),
-                r.passed()
-            );
-            for (j, d) in r.diagnostics.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "{}{{\"code\": {}, \"name\": {}, \"severity\": {}, \"message\": {}}}",
-                    if j > 0 { ", " } else { "" },
-                    json_string(d.code),
-                    json_string(code_name(d.code)),
-                    json_string(&d.severity.to_string()),
-                    json_string(&d.message)
-                );
-            }
-            let _ = writeln!(
-                out,
-                "]}}{}",
+                r.passed(),
+                diagnostics_json(&r.diagnostics),
                 if i + 1 < self.results.len() { "," } else { "" }
             );
         }
@@ -131,8 +117,9 @@ impl AuditReport {
     }
 }
 
-/// Render a list of standalone diagnostics (the `--dag` audit path) as
-/// a JSON array.
+/// Render a list of diagnostics as a JSON array: the `--dag` audit
+/// path's whole answer, and each claim's list in
+/// [`AuditReport::render_json`].
 pub fn diagnostics_json(diags: &[Diagnostic]) -> String {
     let mut out = String::from("[");
     for (i, d) in diags.iter().enumerate() {

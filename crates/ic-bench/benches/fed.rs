@@ -15,7 +15,7 @@
 
 use ic_bench::harness::Runner;
 use ic_families::mesh::out_mesh;
-use ic_fed::{plan, run_federation, CutMode, FedOptions, Partition};
+use ic_fed::{plan, run_federation, FedOptions, Partition};
 use ic_net::{ServerConfig, WorkerConfig};
 
 /// 300 nodes: a cut of 34 edges at 2 shards and 100 at 4, enough for
@@ -54,7 +54,7 @@ fn main() {
         let part = Partition::level_cut(&mesh, shards);
         let cut = part.cut_size();
         assert!(shards == 1 || cut > 0, "a banded mesh must have a cut");
-        let plans = plan(&mesh, &part, CutMode::Notify);
+        let plans = plan(&mesh, &part);
         let workers: Vec<Vec<WorkerConfig>> = (0..plans.len()).map(shard_workers).collect();
         let mut last = None;
         r.bench_states(

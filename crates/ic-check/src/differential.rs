@@ -230,9 +230,8 @@ pub fn run_case<L: Leases>(
     refm.seed_bugs(bugs);
 
     // Half the cases run as one shard of a federation: a few sources
-    // become stubs (completable only remotely) and a few other nodes
-    // replicas (a peer may win the race). The remote-done schedule is
-    // shuffled and contains duplicates.
+    // become stubs (completable only remotely). The remote-done
+    // schedule is shuffled and contains duplicates.
     let mut remote_plan: Vec<u64> = Vec::new();
     if rng.next_u64().is_multiple_of(2) {
         let stubs: Vec<u32> = dag
@@ -240,22 +239,11 @@ pub fn run_case<L: Leases>(
             .filter(|_| rng.next_u64().is_multiple_of(3))
             .map(|v| u32::try_from(v.index()).unwrap_or_default())
             .collect();
-        let stub_set: Vec<usize> = stubs.iter().map(|&s| s as usize).collect();
-        let replicas: Vec<u32> = dag
-            .node_ids()
-            .filter(|v| !stub_set.contains(&v.index()) && rng.next_u64().is_multiple_of(4))
-            .map(|v| u32::try_from(v.index()).unwrap_or_default())
-            .collect();
-        if !stubs.is_empty() || !replicas.is_empty() {
+        if !stubs.is_empty() {
             for &s in &stubs {
                 remote_plan.push(u64::from(s));
                 if rng.next_u64().is_multiple_of(3) {
                     remote_plan.push(u64::from(s)); // duplicate delivery
-                }
-            }
-            for &r in &replicas {
-                if rng.next_u64().is_multiple_of(2) {
-                    remote_plan.push(u64::from(r));
                 }
             }
             // Fisher–Yates shuffle: peer links carry no ordering.
@@ -268,7 +256,6 @@ pub fn run_case<L: Leases>(
                 global_nodes: dag.num_nodes(),
                 to_global: (0..dag.num_nodes() as u64).collect(),
                 stubs,
-                replicas,
             };
             idx.set_fed(meta.clone());
             refm.set_fed(meta);
@@ -572,65 +559,7 @@ pub fn run_case<L: Leases>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ic_dag::builder::from_arcs;
     use ic_dag::testgen;
-
-    /// The one removal path the random scripts reach only rarely: a
-    /// task with *two* live holders (primary + speculative duplicate)
-    /// revoked by a federation `remote-done`, where the `Revoked`
-    /// order is the table order. Scripted deterministically so the
-    /// oracle always covers it.
-    #[test]
-    fn two_holder_remote_revoke_is_order_identical() {
-        let dag = from_arcs(2, &[]).unwrap();
-        let cfg = ServerConfig::builder()
-            .lease_ms(1_000)
-            .backoff_base_ms(0)
-            .wait_ms(1)
-            .steal_after(0)
-            .seed(7)
-            .build();
-        let policy = Policy::Fifo;
-        let mut idx = LeaseMachine::new(&dag, &policy, cfg.clone());
-        let mut refm = ReferenceMachine::with_table(&dag, &policy, cfg, ScanTable::default());
-        let meta = FedMeta {
-            shard: 0,
-            shards: 2,
-            global_nodes: 2,
-            to_global: vec![0, 1],
-            stubs: vec![1],
-            replicas: vec![0],
-        };
-        idx.set_fed(meta.clone());
-        refm.set_fed(meta);
-        let hello = |id: &str, t: u64| Event::Hello {
-            id: id.into(),
-            speed: 1.0,
-            proto: 2,
-            resume: None,
-            now_us: t,
-        };
-        let req = |worker: usize, t: u64| Event::Request {
-            worker,
-            max: 1,
-            now_us: t,
-        };
-        let script = vec![
-            hello("a", 1),
-            hello("b", 2),
-            req(0, 3),                                // primary lease on task 0
-            req(1, 4),                                // pool empty: speculative duplicate of task 0
-            Event::RemoteDone { task: 0, now_us: 5 }, // revokes both
-            Event::RemoteDone { task: 1, now_us: 6 }, // completes stub
-        ];
-        same_effects(&refm.boot(0), &idx.boot(0)).unwrap();
-        for ev in script {
-            same_effects(&refm.step(ev.clone()), &idx.step(ev)).unwrap();
-        }
-        assert!(idx.is_complete());
-        assert_eq!(idx.summary(7).registry.revokes, 2);
-        assert_eq!(refm.fingerprint(), idx.fingerprint());
-    }
 
     #[test]
     fn indexed_machine_matches_reference_on_random_fleets() {

@@ -79,7 +79,7 @@ fn emitted_bytes_are_pinned() {
             fnv1a(h, &out.digest.to_le_bytes())
         });
     assert_eq!(
-        digest, 0x1DEB_9E58_EEE0_2F10,
+        digest, 0xABAF_4C6E_0314_7082,
         "effect digest moved: {digest:#018x}"
     );
 }

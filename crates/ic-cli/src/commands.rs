@@ -627,8 +627,7 @@ fn parse_peers(spec: &str, i: u64, n: u64) -> Result<Vec<(u64, String)>, String>
 /// scripts use to find an ephemeral port) → [`ic_net::Driver::tcp`] →
 /// [`ic_net::Reactor`] → trace sink (create / append / none) →
 /// `run_until_drain` → `finish` → the one report renderer.
-pub fn serve(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
-    let replicate = flags.switch("--replicate-cut");
+pub fn serve(flags: Flags<'_>) -> Result<CmdOutput, CliError> {
     let (mut dag_path, mut family, mut trace, mut resume_from) = (None, None, None, None);
     let (mut policy, mut listen) = ("optimal", "127.0.0.1:0");
     let (mut port_file, mut shard_spec, mut peers_spec) = (None, None, None);
@@ -663,15 +662,15 @@ pub fn serve(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
             let (i, n) = parse_shard_spec(spec)
                 .ok_or_else(|| CliError::usage("--shard takes i/N with i < N"))?;
             let peers = parse_peers(peers_spec.unwrap_or(""), i, n).map_err(CliError::usage)?;
-            let (part, mut plans) = fed_plans(&dag, n, replicate);
+            let (part, mut plans) = fed_plans(&dag, n);
             let idx = usize::try_from(i)
                 .ok()
                 .filter(|&idx| idx < plans.len())
                 .ok_or_else(|| format!("no plan for shard {i}"))?;
             Some((i, n, peers, plans.swap_remove(idx), part.cut_size()))
         }
-        None if replicate || peers_spec.is_some() => {
-            return Err(CliError::usage("--replicate-cut/--peers need --shard i/N"));
+        None if peers_spec.is_some() => {
+            return Err(CliError::usage("--peers needs --shard i/N"));
         }
         None => None,
     };
@@ -738,9 +737,8 @@ pub fn serve(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
     let what = match (&shard, resume_from) {
         (Some((i, n, _, plan, cut)), _) => format!(
             "shard {i}/{n} of {dag_label}: {tasks} local task(s) ({} stub(s), \
-             {} replica(s), cut {cut}) on {addr}",
+             cut {cut}) on {addr}",
             plan.stubs.len(),
-            plan.replicas.len(),
         ),
         (None, Some(wal)) => format!("resumed {dag_label} ({tasks} tasks) on {addr} from {wal}"),
         (None, None) => format!("served {dag_label} ({tasks} tasks) on {addr}"),
@@ -948,18 +946,9 @@ pub fn work_run(connect: &str, cfg: &ic_net::WorkerConfig) -> Result<CmdOutput, 
 /// Partition `dag` with the cutter [`ic_fed::Partition::auto`] picks
 /// for it and plan every shard's sub-dag — the computation every
 /// member of a federation repeats identically.
-fn fed_plans(
-    dag: &ic_dag::Dag,
-    shards: u64,
-    replicate: bool,
-) -> (ic_fed::Partition, Vec<ic_fed::ShardPlan>) {
+fn fed_plans(dag: &ic_dag::Dag, shards: u64) -> (ic_fed::Partition, Vec<ic_fed::ShardPlan>) {
     let part = ic_fed::Partition::auto(dag, shards);
-    let mode = if replicate {
-        ic_fed::CutMode::Replicate
-    } else {
-        ic_fed::CutMode::Notify
-    };
-    let plans = ic_fed::plan(dag, &part, mode);
+    let plans = ic_fed::plan(dag, &part);
     (part, plans)
 }
 
@@ -973,7 +962,7 @@ fn fed_plans(
 /// sends; `--trace-dir` and `--merged` keep the per-shard and merged
 /// traces.
 pub fn fed(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
-    let (replicate, flaky) = (flags.switch("--replicate-cut"), flags.switch("--flaky"));
+    let flaky = flags.switch("--flaky");
     let (mut dag_path, mut family) = (None, None);
     let (mut trace_dir, mut merged_out, mut sever_link_after) = (None, None, None);
     let (mut shards, mut workers_per_shard, mut mean_ms) = (2u64, 3usize, 1u64);
@@ -995,7 +984,7 @@ pub fn fed(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
         }
     }
     let (dag_label, dag, _) = dag_source("fed", dag_path, family)?;
-    let (part, plans) = fed_plans(&dag, shards, replicate);
+    let (part, plans) = fed_plans(&dag, shards);
     let fed_opts = ic_fed::FedOptions {
         server: ic_net::ServerConfig::builder()
             .lease_ms(lease_ms)
@@ -1053,11 +1042,10 @@ pub fn fed(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "# federated {dag_label}: {} task(s) across {} shard(s), cut {} ({} mode)",
+        "# federated {dag_label}: {} task(s) across {} shard(s), cut {}",
         dag.num_nodes(),
         shards,
         part.cut_size(),
-        if replicate { "replicate" } else { "notify" },
     );
     for (s, r) in run.reports.iter().map(|r| &r.registry).enumerate() {
         let _ = writeln!(
@@ -1074,11 +1062,10 @@ pub fn fed(mut flags: Flags<'_>) -> Result<CmdOutput, CliError> {
     );
     let completions: u64 = run.reports.iter().map(|r| r.registry.completions).sum();
     let data = format!(
-        "{{\"shards\": {}, \"cut_edges\": {}, \"replicate\": {}, \"completions\": {}, \
+        "{{\"shards\": {}, \"cut_edges\": {}, \"completions\": {}, \
          \"merged_events\": {merged_events}, \"audit_clean\": {clean}}}",
         shards,
         part.cut_size(),
-        replicate,
         completions,
     );
     Ok(CmdOutput::success("fed", out)

@@ -16,11 +16,10 @@
 //!          [--listen addr] [--trace out.jsonl | --resume-from trace.jsonl]
 //!          [--lease-ms N] [--expect N]
 //!          [--batch N] [--steal-after MS]
-//!          [--shard i/N --peers S=addr,... [--replicate-cut]
-//!           [--sever-link-after N]]
+//!          [--shard i/N --peers S=addr,... [--sever-link-after N]]
 //!          [--port-file p] [--seed S] [--json]
 //! ic-prio recover <trace.jsonl> [--json]
-//! ic-prio fed (--dag <file> | --family <spec>) [--shards N] [--replicate-cut]
+//! ic-prio fed (--dag <file> | --family <spec>) [--shards N]
 //!          [--workers K] [--mean-ms N] [--flaky] [--sever-link-after N]
 //!          [--trace-dir DIR] [--merged out.jsonl] [--lease-ms N] [--seed S]
 //!          [--json]
@@ -62,10 +61,10 @@ fn usage() -> ExitCode {
          [--policy optimal|fifo|lifo|random|greedy|maxout|mindepth] [--listen addr]\n              \
          [--trace out.jsonl | --resume-from trace.jsonl] [--lease-ms N] [--expect N]\n              \
          [--batch N] [--steal-after MS] [--port-file p] [--seed S]\n              \
-         [--shard i/N --peers S=addr,... [--replicate-cut] [--sever-link-after N]]\n              \
+         [--shard i/N --peers S=addr,... [--sever-link-after N]]\n              \
          [--json]\n  \
          ic-prio recover <trace.jsonl> [--json]\n  \
-         ic-prio fed (--dag <file> | --family <spec>) [--shards N] [--replicate-cut]\n              \
+         ic-prio fed (--dag <file> | --family <spec>) [--shards N]\n              \
          [--workers K] [--mean-ms N] [--flaky] [--sever-link-after N] [--trace-dir DIR]\n              \
          [--merged out.jsonl] [--lease-ms N] [--seed S] [--json]\n  \
          ic-prio merge <shard.jsonl>... [--out merged.jsonl] [--deny <code-name>] [--json]\n  \

@@ -71,10 +71,10 @@ const USAGE_CONTRACT: &[(&str, i32, &str)] = &[
         2,
         "error: --resume-from appends to the recovered trace itself and is incompatible with --trace and --shard",
     ),
-    ("serve --family mesh:3 --peers 0=x", 2, "error: --replicate-cut/--peers need --shard i/N"),
+    ("serve --family mesh:3 --peers 0=x", 2, "error: --peers needs --shard i/N"),
     ("serve --family mesh:3 --shard 2/2", 2, "error: --shard takes i/N with i < N"),
     ("serve --family mesh:3 --shard 0/2 --cut auto", 2, "usage:"),
-    ("serve --family mesh:3 --replicate-cut", 2, "error: --replicate-cut/--peers need --shard i/N"),
+    ("serve --family mesh:3 --replicate-cut", 2, "usage:"),
     ("serve --family mesh:3 --shard 0/2 --peers junk", 2, "error: --peers entry \"junk\" is not shard=addr"),
     ("serve --family mesh:3 --shard 0/2 --peers 7=127.0.0.1:1", 2, "error: --peers shard 7 is not one of the 2 shards"),
     ("serve --family mesh:3 --shard 0/2 --peers 0=127.0.0.1:1", 2, "error: --peers names this shard (0) itself"),
@@ -84,6 +84,7 @@ const USAGE_CONTRACT: &[(&str, i32, &str)] = &[
     ("fed", 2, "error: fed needs exactly one of --dag or --family"),
     ("fed --bogus x", 2, "usage:"),
     ("fed --family mesh:3 --shards", 2, "usage:"),
+    ("fed --family mesh:3 --replicate-cut", 2, "usage:"),
     ("fed --family mesh:3 --shards x", 2, "error: --shards takes a positive integer"),
     ("fed --family mesh:3 --workers x", 2, "error: --workers takes a positive integer"),
     ("fed --family mesh:3 --mean-ms x", 2, "error: --mean-ms takes an integer"),

@@ -10,8 +10,9 @@
 //!    bands otherwise, which on a mesh are runs of whole diagonals),
 //!    recording the cut edges;
 //! 2. [`plan()`] turns the partition into per-shard [`ShardPlan`]s:
-//!    each shard's sub-dag embeds a *stub* source for every remote
-//!    predecessor, so the unmodified
+//!    every node has one owner shard, and each shard's sub-dag embeds
+//!    a *stub* source for every remote predecessor, completed by its
+//!    owner's `remote-done`, so the unmodified
 //!    [`LeaseMachine`](ic_net::LeaseMachine) + reactor runs each
 //!    shard and a node with unmet remote predecessors is simply not
 //!    yet ELIGIBLE;
@@ -22,12 +23,6 @@
 //! 4. [`run_federation`] runs the whole federation in one process on
 //!    one virtual clock; `ic_audit`'s merge pass interleaves the
 //!    per-shard traces back into one audit-clean global trace.
-//!
-//! [`CutMode::Replicate`] (`--replicate-cut`) additionally duplicates
-//! boundary tasks onto their consumer shards — first completion wins,
-//! mirroring the speculative-lease revoke path, after Papp et al.'s
-//! replication-vs-communication trade-off (arXiv 2205.00209,
-//! 2303.05989).
 
 #![forbid(unsafe_code)]
 #![cfg_attr(
@@ -49,5 +44,5 @@ pub mod plan;
 pub mod runtime;
 
 pub use partition::{Partition, ShardId};
-pub use plan::{plan, CutMode, ShardPlan};
+pub use plan::{plan, ShardPlan};
 pub use runtime::{run_federation, FedOptions, FedRun};

@@ -13,12 +13,8 @@
 //! * the **notify map**: which peer shards must hear about each local
 //!   completion.
 //!
-//! [`CutMode::Replicate`] additionally duplicates every cut-edge
-//! source onto its consumer shards as an allocatable *replica* (the
-//! cut moves one level up, to the replica's own parents, which become
-//! stubs). First completion across the federation wins, mirroring the
-//! speculative-lease revoke path — the losing shards' leases are
-//! revoked exactly like a straggler's after a steal.
+//! Every node has exactly one owner shard: a cut-edge source completes
+//! there, and its owner sends one `remote-done` to each consumer shard.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -30,19 +26,6 @@ use ic_sim::trace::FedMeta;
 
 use crate::partition::Partition;
 
-/// How cut edges travel between shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CutMode {
-    /// Each cut-edge source stays solely on its owning shard; the
-    /// consumer shard holds a stub gated on the owner's `remote-done`.
-    Notify,
-    /// Each cut-edge source is *also* allocatable on its consumer
-    /// shards (`--replicate-cut`): whichever shard completes it first
-    /// wins, the others revoke. Trades duplicated work for one less
-    /// notification round trip on the critical path.
-    Replicate,
-}
-
 /// Everything one shard server needs to join a federated run.
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
@@ -52,15 +35,12 @@ pub struct ShardPlan {
     pub shards: u64,
     /// Node count of the global dag.
     pub global_nodes: usize,
-    /// The shard's local sub-dag (own nodes + replicas + stubs).
+    /// The shard's local sub-dag (own nodes + stubs).
     pub dag: Dag,
     /// Local node id → global node id.
     pub to_global: Vec<u64>,
     /// Local ids of stub nodes (gated on remote completions).
     pub stubs: Vec<u32>,
-    /// Local ids of replicated boundary tasks (allocatable here even
-    /// though another shard owns them).
-    pub replicas: Vec<u32>,
     /// Local task id → peer shards to notify when a real completion
     /// of that task lands here.
     pub notify: HashMap<u64, Vec<u64>>,
@@ -75,7 +55,6 @@ impl ShardPlan {
             global_nodes: self.global_nodes,
             to_global: self.to_global.clone(),
             stubs: self.stubs.clone(),
-            replicas: self.replicas.clone(),
         }
     }
 
@@ -110,38 +89,16 @@ impl ShardPlan {
 }
 
 /// Split `dag` along `part` into one [`ShardPlan`] per shard.
-pub fn plan(dag: &Dag, part: &Partition, mode: CutMode) -> Vec<ShardPlan> {
+pub fn plan(dag: &Dag, part: &Partition) -> Vec<ShardPlan> {
     let n = dag.num_nodes();
     let shards = usize::try_from(part.shards()).unwrap_or(1).max(1);
     let shard_of = part.shard_of();
 
-    // Allocatable (non-stub) global ids per shard: owned nodes plus,
-    // under Replicate, every cut-edge source on its consumer shards —
-    // and, so the owner also accepts the consumers' `remote-done`
-    // race notifications, a task replicated anywhere is marked a
-    // replica on *every* shard hosting it.
+    // Allocatable (non-stub) global ids per shard: the nodes it owns.
     let mut allocatable: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); shards];
     for (i, &s) in shard_of.iter().enumerate() {
         if let Ok(s) = usize::try_from(s) {
             allocatable[s].insert(i);
-        }
-    }
-    let mut replicated: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); shards];
-    if mode == CutMode::Replicate {
-        for &(u, v) in part.cut_edges() {
-            let (Ok(su), Ok(sv)) = (
-                usize::try_from(shard_of[u.index()]),
-                usize::try_from(shard_of[v.index()]),
-            ) else {
-                continue;
-            };
-            if su != sv {
-                allocatable[sv].insert(u.index());
-                replicated[sv].insert(u.index());
-                // The owner must accept the consumer's winning
-                // `remote-done` for its own copy.
-                replicated[su].insert(u.index());
-            }
         }
     }
 
@@ -158,16 +115,8 @@ pub fn plan(dag: &Dag, part: &Partition, mode: CutMode) -> Vec<ShardPlan> {
         }
     }
 
-    // Global host/consumer views drive the notify maps: every host of
-    // a task notifies all its other hosts and every consumer.
-    let mut hosts: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
+    // The owner of a task notifies every shard that holds it as a stub.
     let mut consumers: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-    for (s, alloc) in allocatable.iter().enumerate() {
-        let sid = u64::try_from(s).unwrap_or(0);
-        for &g in alloc {
-            hosts.entry(g).or_default().push(sid);
-        }
-    }
     for (s, st) in stubs.iter().enumerate() {
         let sid = u64::try_from(s).unwrap_or(0);
         for &g in st {
@@ -216,29 +165,15 @@ pub fn plan(dag: &Dag, part: &Partition, mode: CutMode) -> Vec<ShardPlan> {
                 }
             };
 
-            let to_u32 =
-                |g: usize| -> Option<u32> { local_of(g).and_then(|l| u32::try_from(l).ok()) };
-            let stubs_local: Vec<u32> = stubs[s].iter().filter_map(|&g| to_u32(g)).collect();
-            let replicas_local: Vec<u32> =
-                replicated[s].iter().filter_map(|&g| to_u32(g)).collect();
+            let stubs_local: Vec<u32> = stubs[s]
+                .iter()
+                .filter_map(|&g| local_of(g).and_then(|l| u32::try_from(l).ok()))
+                .collect();
 
             let mut notify: HashMap<u64, Vec<u64>> = HashMap::new();
             for &g in &allocatable[s] {
-                let mut dests: BTreeSet<u64> = BTreeSet::new();
-                if let Some(h) = hosts.get(&g) {
-                    dests.extend(h.iter().copied());
-                }
-                if let Some(c) = consumers.get(&g) {
-                    dests.extend(c.iter().copied());
-                }
-                dests.remove(&sid);
-                if !dests.is_empty() {
-                    if let Some(l) = local_of(g) {
-                        notify.insert(
-                            u64::try_from(l).unwrap_or(u64::MAX),
-                            dests.into_iter().collect(),
-                        );
-                    }
+                if let (Some(dests), Some(l)) = (consumers.get(&g), local_of(g)) {
+                    notify.insert(u64::try_from(l).unwrap_or(u64::MAX), dests.clone());
                 }
             }
 
@@ -249,7 +184,6 @@ pub fn plan(dag: &Dag, part: &Partition, mode: CutMode) -> Vec<ShardPlan> {
                 dag: local_dag,
                 to_global,
                 stubs: stubs_local,
-                replicas: replicas_local,
                 notify,
             }
         })
@@ -271,14 +205,14 @@ mod tests {
     }
 
     #[test]
-    fn notify_mode_builds_stub_gated_sub_dags() {
+    fn plans_build_stub_gated_sub_dags() {
         let (dag, part) = chain3();
-        let plans = plan(&dag, &part, CutMode::Notify);
+        let plans = plan(&dag, &part);
         assert_eq!(plans.len(), 3);
 
         // Shard 0: just node 0, no stubs, notifies shard 1.
         assert_eq!(plans[0].dag.num_nodes(), 1);
-        assert!(plans[0].stubs.is_empty() && plans[0].replicas.is_empty());
+        assert!(plans[0].stubs.is_empty());
         assert_eq!(plans[0].notify.get(&0), Some(&vec![1]));
 
         // Shard 1: stub 0 -> own 1, notifies shard 2.
@@ -297,77 +231,41 @@ mod tests {
     }
 
     #[test]
-    fn replicate_mode_moves_the_cut_one_level_up() {
-        let (dag, part) = chain3();
-        let plans = plan(&dag, &part, CutMode::Replicate);
-
-        // Shard 1 hosts a replica of 0 (no stub for it), and its own
-        // task 1 — replicated onto shard 2 — is marked replica too so
-        // the owner accepts the consumer's winning `remote-done`. The
-        // owner shard 0 likewise marks its copy of 0 replicated.
-        assert_eq!(plans[1].replicas, vec![0, 1]);
-        assert!(plans[1].stubs.is_empty(), "replica 0 is a source globally");
-        assert_eq!(plans[0].replicas, vec![0]);
-        // Every host of 0 notifies the other host and the remaining
-        // stub consumer (shard 2 still gates its replica of 1 on 0).
-        assert_eq!(plans[0].notify.get(&0), Some(&vec![1, 2]));
-        assert_eq!(plans[1].notify.get(&0), Some(&vec![0, 2]));
-
-        // Shard 2 hosts a replica of 1 whose parent 0 is its stub.
-        assert_eq!(plans[2].replicas, vec![1]);
-        assert_eq!(plans[2].stubs, vec![0]);
-        assert_eq!(plans[2].to_global, vec![0, 1, 2]);
-        // Host shards of 1 notify each other.
-        assert_eq!(plans[1].notify.get(&1), Some(&vec![2]));
-        assert_eq!(plans[2].notify.get(&1), Some(&vec![1]));
-        let _ = dag;
-    }
-
-    #[test]
     fn union_of_plans_covers_the_global_dag() {
         let mesh = out_mesh(8); // 36 nodes
         let part = Partition::level_cut(&mesh, 3);
-        for mode in [CutMode::Notify, CutMode::Replicate] {
-            let plans = plan(&mesh, &part, mode);
-            // Every global node is allocatable on at least one shard;
-            // under Notify, on exactly one.
-            let mut host_count = vec![0usize; mesh.num_nodes()];
-            for p in &plans {
-                for local in 0..p.dag.num_nodes() {
-                    let l32 = u32::try_from(local).unwrap();
-                    if p.stubs.contains(&l32) {
-                        continue;
-                    }
-                    host_count[usize::try_from(p.to_global[local]).unwrap()] += 1;
+        let plans = plan(&mesh, &part);
+        // Every global node is allocatable on exactly one shard.
+        let mut host_count = vec![0usize; mesh.num_nodes()];
+        for p in &plans {
+            for local in 0..p.dag.num_nodes() {
+                let l32 = u32::try_from(local).unwrap();
+                if p.stubs.contains(&l32) {
+                    continue;
                 }
+                host_count[usize::try_from(p.to_global[local]).unwrap()] += 1;
             }
-            assert!(
-                host_count.iter().all(|&c| c >= 1),
-                "{mode:?}: node unhosted"
-            );
-            if mode == CutMode::Notify {
-                assert!(host_count.iter().all(|&c| c == 1));
-            }
-            // Every local arc maps to a global arc, and every global
-            // arc appears on some shard.
-            let mut covered: BTreeSet<(usize, usize)> = BTreeSet::new();
-            for p in &plans {
-                for (u, v) in p.dag.arcs() {
-                    let gu = usize::try_from(p.to_global[u.index()]).unwrap();
-                    let gv = usize::try_from(p.to_global[v.index()]).unwrap();
-                    assert!(
-                        mesh.has_arc(NodeId::new(gu), NodeId::new(gv)),
-                        "{mode:?}: phantom arc {gu}->{gv}"
-                    );
-                    covered.insert((gu, gv));
-                }
-            }
-            for (u, v) in mesh.arcs() {
+        }
+        assert!(host_count.iter().all(|&c| c == 1));
+        // Every local arc maps to a global arc, and every global arc
+        // appears on some shard.
+        let mut covered: BTreeSet<(usize, usize)> = BTreeSet::new();
+        for p in &plans {
+            for (u, v) in p.dag.arcs() {
+                let gu = usize::try_from(p.to_global[u.index()]).unwrap();
+                let gv = usize::try_from(p.to_global[v.index()]).unwrap();
                 assert!(
-                    covered.contains(&(u.index(), v.index())),
-                    "{mode:?}: lost arc {u}->{v}"
+                    mesh.has_arc(NodeId::new(gu), NodeId::new(gv)),
+                    "phantom arc {gu}->{gv}"
                 );
+                covered.insert((gu, gv));
             }
+        }
+        for (u, v) in mesh.arcs() {
+            assert!(
+                covered.contains(&(u.index(), v.index())),
+                "lost arc {u}->{v}"
+            );
         }
     }
 
@@ -376,7 +274,7 @@ mod tests {
         let mesh = out_mesh(8);
         let sched = out_mesh_schedule(&mesh);
         let part = Partition::level_cut(&mesh, 3);
-        for p in plan(&mesh, &part, CutMode::Notify) {
+        for p in plan(&mesh, &part) {
             let local = p
                 .schedule_from_global(sched.order())
                 .expect("projection of a topological order is topological");

@@ -4,12 +4,12 @@
 //! The acceptance-criteria scenario: a ≥66-node out-mesh split across
 //! two shard servers, one flaky worker per shard, the shard link
 //! severed once mid-run — and the federation still drains with every
-//! node completed and the merged trace audit-clean, under both cut
-//! modes, in the same bytes every run. A dead fleet is an error.
+//! node completed and the merged trace audit-clean, in the same bytes
+//! every run. A dead fleet is an error.
 
 use ic_audit::{audit_trace, merge_traces, Severity};
 use ic_families::mesh::out_mesh;
-use ic_fed::{plan, run_federation, CutMode, FedOptions, FedRun, Partition};
+use ic_fed::{plan, run_federation, FedOptions, FedRun, Partition};
 use ic_net::{FaultPlan, ServerConfig, WorkerConfig};
 use ic_sim::Trace;
 
@@ -58,12 +58,12 @@ fn fed_workers(shard: usize, flaky: bool) -> Vec<WorkerConfig> {
     pop
 }
 
-fn run_mesh_federation(mode: CutMode, sever: Option<usize>) -> FedRun {
+fn run_mesh_federation(sever: Option<usize>) -> FedRun {
     let mesh = out_mesh(11); // 66 nodes
     assert!(mesh.num_nodes() >= 66);
     let part = Partition::level_cut(&mesh, 2);
     assert!(part.cut_size() > 0, "a banded mesh must have a cut");
-    let plans = plan(&mesh, &part, mode);
+    let plans = plan(&mesh, &part);
 
     let opts = FedOptions {
         server: ServerConfig::builder()
@@ -80,8 +80,7 @@ fn run_mesh_federation(mode: CutMode, sever: Option<usize>) -> FedRun {
     let jsonl = |run: &FedRun| run.traces.iter().map(Trace::to_jsonl).collect::<Vec<_>>();
     assert_eq!(jsonl(&run), jsonl(&again), "same inputs, same bytes");
 
-    // Every shard completed its whole sub-dag (stubs and replicas
-    // included), and cross-shard notifications actually flowed.
+    // Every shard completed its whole sub-dag (stubs included), and cross-shard notifications actually flowed.
     assert_eq!(run.reports.len(), plans.len());
     for (s, (report, p)) in run.reports.iter().zip(&plans).enumerate() {
         assert_eq!(
@@ -115,26 +114,17 @@ fn run_mesh_federation(mode: CutMode, sever: Option<usize>) -> FedRun {
 
 #[test]
 fn two_shard_mesh_completes_with_flaky_workers_notify_mode() {
-    let run = run_mesh_federation(CutMode::Notify, None);
-    // Under Notify each global node is completed by a worker on
-    // exactly one shard.
+    let run = run_mesh_federation(None);
+    // Each global node is completed by a worker on exactly one shard.
     let local: u64 = run.reports.iter().map(|r| r.registry.completions).sum();
     assert_eq!(local, 66);
 }
 
 #[test]
 fn two_shard_mesh_completes_despite_a_severed_link() {
-    let run = run_mesh_federation(CutMode::Notify, Some(3));
+    let run = run_mesh_federation(Some(3));
     let local: u64 = run.reports.iter().map(|r| r.registry.completions).sum();
     assert_eq!(local, 66);
-}
-
-#[test]
-fn two_shard_mesh_completes_under_replicate_cut() {
-    let run = run_mesh_federation(CutMode::Replicate, Some(2));
-    // Replication means at-least-once completion of boundary tasks.
-    let local: u64 = run.reports.iter().map(|r| r.registry.completions).sum();
-    assert!(local >= 66, "replicated run lost completions: {local}");
 }
 
 /// One shard, one worker, and the worker dies after 3 tasks: nothing
@@ -143,7 +133,7 @@ fn two_shard_mesh_completes_under_replicate_cut() {
 #[test]
 fn a_dead_fleet_is_an_error_not_a_hang() {
     let mesh = out_mesh(11);
-    let plans = plan(&mesh, &Partition::level_cut(&mesh, 1), CutMode::Notify);
+    let plans = plan(&mesh, &Partition::level_cut(&mesh, 1));
     let mortal = WorkerConfig::builder()
         .fault(FaultPlan::DieAfter(3))
         .build();
@@ -158,7 +148,7 @@ fn a_dead_fleet_is_an_error_not_a_hang() {
 #[test]
 fn a_1_ms_lease_drains_and_audits_clean() {
     let mesh = out_mesh(11);
-    let plans = plan(&mesh, &Partition::auto(&mesh, 2), CutMode::Notify);
+    let plans = plan(&mesh, &Partition::auto(&mesh, 2));
     let opts = FedOptions {
         server: ServerConfig::builder()
             .lease_ms(1)
@@ -204,7 +194,7 @@ fn registry_counts_on_the_virtual_clock_are_pinned() {
         ],
     ];
     for (shards, pin) in (1..=2).zip(pins) {
-        let plans = plan(&mesh, &Partition::level_cut(&mesh, shards), CutMode::Notify);
+        let plans = plan(&mesh, &Partition::level_cut(&mesh, shards));
         let workers: Vec<Vec<WorkerConfig>> =
             (0..plans.len()).map(|s| fed_workers(s, false)).collect();
         let counts = || -> Vec<[u64; 8]> {

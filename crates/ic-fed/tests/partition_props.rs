@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 
 use ic_dag::testgen::random_dags;
 use ic_dag::Dag;
-use ic_fed::{plan, CutMode, Partition};
+use ic_fed::{plan, Partition};
 
 type Cutter = fn(&Dag, u64) -> Partition;
 
@@ -74,10 +74,9 @@ fn check_cut(dag: &Dag, part: &Partition, label: &str) {
 
 /// Reconstruction: mapping every shard sub-dag's arcs back to global
 /// ids and unioning with the cut edges yields the original arc set —
-/// and every global node is owned (non-stub) by at least one shard
-/// (exactly one under [`CutMode::Notify`]).
-fn check_reconstruction(dag: &Dag, part: &Partition, mode: CutMode, label: &str) {
-    let plans = plan(dag, part, mode);
+/// and every global node is owned (non-stub) by exactly one shard.
+fn check_reconstruction(dag: &Dag, part: &Partition, label: &str) {
+    let plans = plan(dag, part);
     assert_eq!(
         plans.len(),
         usize::try_from(part.shards()).unwrap(),
@@ -122,16 +121,10 @@ fn check_reconstruction(dag: &Dag, part: &Partition, mode: CutMode, label: &str)
         "{label}: sub-dags + cut edges must reconstruct the dag"
     );
     for (node, &n) in owners.iter().enumerate() {
-        match mode {
-            CutMode::Notify => assert_eq!(
-                n, 1,
-                "{label}: node {node} must be owned by exactly one shard"
-            ),
-            CutMode::Replicate => assert!(
-                n >= 1,
-                "{label}: node {node} must be owned by at least one shard"
-            ),
-        }
+        assert_eq!(
+            n, 1,
+            "{label}: node {node} must be owned by exactly one shard"
+        );
     }
 }
 
@@ -143,9 +136,7 @@ fn every_cutter_reconstructs_random_dags() {
                 let label = format!("case {case} cutter {name} shards {shards}");
                 let part = cutter(dag, shards);
                 check_cut(dag, &part, &label);
-                for mode in [CutMode::Notify, CutMode::Replicate] {
-                    check_reconstruction(dag, &part, mode, &label);
-                }
+                check_reconstruction(dag, &part, &label);
             }
         }
     }
@@ -169,9 +160,7 @@ fn every_cutter_reconstructs_family_instances() {
                 let label = format!("family {fam} cutter {name} shards {shards}");
                 let part = cutter(dag, shards);
                 check_cut(dag, &part, &label);
-                for mode in [CutMode::Notify, CutMode::Replicate] {
-                    check_reconstruction(dag, &part, mode, &label);
-                }
+                check_reconstruction(dag, &part, &label);
             }
         }
     }
@@ -193,9 +182,7 @@ fn sparse_and_dense_extremes_reconstruct() {
                 if density == 0 {
                     assert_eq!(part.cut_size(), 0, "{label}: arc-free dag has no cut");
                 }
-                for mode in [CutMode::Notify, CutMode::Replicate] {
-                    check_reconstruction(dag, &part, mode, &label);
-                }
+                check_reconstruction(dag, &part, &label);
             }
         }
     }

@@ -144,11 +144,10 @@ pub enum Event {
         now_us: u64,
     },
     /// A peer shard of a federated run executed the global task that
-    /// maps to *local* node `task` — a stub (remote predecessor) or a
-    /// replicated boundary node. Idempotent: duplicates (backlog
-    /// replays after a link sever) are ignored, and a notification for
-    /// a node whose own remote predecessors are still pending is
-    /// queued and retried as completions land. Requires
+    /// maps to *local* node `task`, a stub (remote predecessor).
+    /// Idempotent: duplicates (backlog replays after a link sever) are
+    /// ignored, and a notification that arrives before the trace
+    /// header is queued and applied right after it. Requires
     /// [`LeaseMachine::set_fed`].
     RemoteDone {
         /// The task's *local* node index.
@@ -572,8 +571,6 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
         // Serving time starts when serving can actually start.
         self.origin_us = now_us;
         self.claim_stubs(now_us, fx);
-        // Remote completions that raced ahead of the header apply now.
-        self.drain_pending_remote(now_us, fx);
     }
 
     /// Move deferred tasks whose backoff elapsed back into the pool.
@@ -948,9 +945,6 @@ impl<'a, 'd, L: Leases> LeaseMachine<'a, 'd, L> {
                 self.leases.insert(lease);
                 return false;
             }
-            // A completion may unlock queued remote notifications
-            // (a replica whose other predecessors just became met).
-            self.drain_pending_remote(now_us, fx);
         } else {
             self.lose_lease(lease, now_us, fx);
         }

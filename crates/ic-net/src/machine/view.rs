@@ -80,7 +80,7 @@ impl<'d, L: Leases> LeaseMachine<'_, 'd, L> {
         }
     }
 
-    /// Remote completions queued, waiting for their own predecessors.
+    /// Remote completions queued, waiting for the trace header.
     pub fn pending_remote(&self) -> usize {
         self.remote.pending.len()
     }

@@ -791,7 +791,7 @@ impl<'a> Reactor<'a> {
 
     /// Enroll this reactor in a federation: `meta` says which shard
     /// this is, stamps its trace header and tells the machine which
-    /// nodes are stubs and replicas; `fed` adds what the header does
+    /// nodes are stubs; `fed` adds what the header does
     /// not record — where the peers listen and which completions to
     /// forward. Call before the first [`poll_round`](Reactor::poll_round),
     /// which dials the links this shard owns.

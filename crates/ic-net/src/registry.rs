@@ -59,9 +59,8 @@ registry! {
     steals,
     /// Stale duplicate leases cancelled after a winning completion.
     revokes,
-    /// Federated runs only: completions applied from peer shards'
-    /// `remote-done` notifications (stub and losing-replica
-    /// executions).
+    /// Federated runs only: stub completions applied from peer shards'
+    /// `remote-done` notifications.
     remote_completions,
     /// Poll rounds after the boot round: one [`Poller::poll`](crate::Poller::poll) each.
     polls,

@@ -209,7 +209,7 @@ pub enum Message {
     },
     /// Remote completion notification (v3): the sending shard has
     /// executed global task `task`. Receivers treat it as the
-    /// completion of their local stub (or replica) of that task.
+    /// completion of their local stub of that task.
     /// Idempotent — a shard replays its full completed-boundary backlog
     /// after a link re-establishes, and duplicates are ignored.
     RemoteDone {

@@ -66,10 +66,6 @@ pub struct FedMeta {
     /// Local ids of *stub* nodes: remote predecessors owned by another
     /// shard, completed here only by its `remote-done` notification.
     pub stubs: Vec<u32>,
-    /// Local ids of *replicated* boundary tasks (`--replicate-cut`):
-    /// allocatable here although another shard owns them; first
-    /// completion across the federation wins.
-    pub replicas: Vec<u32>,
 }
 
 /// The first line of a trace: run parameters plus the dag itself.
@@ -185,7 +181,6 @@ impl TraceHeader {
             num(out, ",\"global_nodes\":", fed.global_nodes as u64);
             list(out, ",\"to_global\":[", &fed.to_global, &mut spill);
             list(out, ",\"stubs\":[", &fed.stubs, &mut spill);
-            list(out, ",\"replicas\":[", &fed.replicas, &mut spill);
             out.push(b'}');
         }
         out.extend_from_slice(b"}\n");
@@ -1114,7 +1109,6 @@ fn parse_header(v: &Json, lineno: usize) -> Result<TraceHeader, TraceParseError>
                 .ok_or_else(|| bad("global_nodes"))?,
             to_global,
             stubs: ints("stubs")?,
-            replicas: ints("replicas")?,
         });
     }
     Ok(TraceHeader {
@@ -1274,7 +1268,6 @@ mod tests {
                 global_nodes: 1 << 20,
                 to_global: vec![0, 7, u64::MAX, 1 << 40],
                 stubs: vec![0, u32::MAX],
-                replicas: Vec::new(),
             }),
             events: Vec::new(),
         };
@@ -1288,7 +1281,7 @@ mod tests {
             digests,
             [
                 0xA07E_4446_436D_B66C,
-                0x7BF5_0921_B67B_99BD,
+                0x77B1_2CA3_C31F_F620,
                 0x787A_0376_B882_7D21
             ],
             "{digests:#018X?}"
@@ -1449,7 +1442,6 @@ mod tests {
             global_nodes: 20,
             to_global: (0..10).collect(),
             stubs: vec![3],
-            replicas: vec![4, 5],
         });
         t.events = seeded_events(3, 6);
         let text = t.to_jsonl();
@@ -1497,10 +1489,17 @@ mod tests {
             global_nodes: 6,
             to_global: vec![3, 4, 5],
             stubs: vec![0],
-            replicas: vec![2],
         });
         let back = Trace::from_jsonl(&t.to_jsonl()).unwrap();
         assert_eq!(back, t);
+        // A shard header written before the federation had one cut
+        // rule still carries `"replicas"`: it parses, and the key is
+        // ignored.
+        let text = t.to_jsonl();
+        let old = text.replacen("\"stubs\":[0]", "\"stubs\":[0],\"replicas\":[2]", 1);
+        assert_ne!(old, text);
+        assert_eq!(Trace::from_jsonl(&old).unwrap(), t);
+        assert_read_agrees(&old);
         // A header without the field parses with `fed: None` — the
         // extension is additive in both directions.
         let plain = Trace::from_jsonl(&sample_trace().to_jsonl()).unwrap();
@@ -1701,7 +1700,6 @@ mod tests {
             global_nodes: 1 << 40,
             to_global: (0..8_000).map(|i| (1 << 33) + 7 * i).collect(),
             stubs: (0..3_000).collect(),
-            replicas: vec![5, u32::MAX],
         });
         let to_global = fed.fed.as_ref().unwrap().to_global.len() * 11;
         assert!(to_global > FileSink::BATCH_BYTES, "to_global spans batches");
